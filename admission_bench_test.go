@@ -188,20 +188,14 @@ func shardApp(i, regions int) (*model.Application, *model.Library) {
 	return app, lib
 }
 
-// benchmarkAdmissionSharded drives the region-pinned churn workload
-// through a pipeline. Both sides of the sharded-vs-global comparison use
-// the same 8×8 platform with one SRC/SINK pair per 4×4 quadrant and the
-// same round-robin region pinning; `sharded` only selects whether commits
-// take per-region locks (4 regions) or one global region lock. The
-// difference between the two is therefore exactly what sharding the
-// commit path buys.
-func benchmarkAdmissionSharded(b *testing.B, workers int, sharded bool) {
-	const regionSize = 4
+// BenchmarkAdmissionShardedRegions drives the region-pinned churn
+// workload through a 4-worker pipeline on an 8×8 platform with one
+// SRC/SINK pair per 4×4 quadrant: admissions whose plans touch disjoint
+// quadrants validate and commit fully in parallel under per-region locks.
+func BenchmarkAdmissionShardedRegions(b *testing.B) {
+	const regionSize, workers = 4, 4
 	plat := workload.SyntheticRegionPlatform(8, 8, 123, regionSize)
 	regions := plat.RegionCount()
-	if !sharded {
-		plat.PartitionRegions(0) // same workload, one lock
-	}
 	m := manager.New(plat, core.Config{})
 	m.SetMappingReuse(true)
 	m.SetRepair(true)
@@ -241,38 +235,15 @@ func benchmarkAdmissionSharded(b *testing.B, workers int, sharded bool) {
 	reportAdmissions(b, m, base)
 }
 
-// BenchmarkAdmissionShardedRegions commits the region-pinned workload
-// through per-region locks: admissions whose plans touch disjoint 4×4
-// quadrants of the 8×8 mesh validate and commit fully in parallel.
-// Compare against BenchmarkAdmissionShardedGlobalLock — identical
-// workload, one global lock — to read off what the sharded commit path
-// buys; CI uploads the pair as the sharded-vs-global artifact.
-func BenchmarkAdmissionShardedRegions(b *testing.B) {
-	benchmarkAdmissionSharded(b, 4, true)
-}
-
-// BenchmarkAdmissionShardedGlobalLock is the ablation: the identical
-// region-pinned workload with the platform left unpartitioned, so every
-// commit serializes behind one region lock (the pre-sharding behaviour).
-func BenchmarkAdmissionShardedGlobalLock(b *testing.B) {
-	benchmarkAdmissionSharded(b, 4, false)
-}
-
-// benchmarkCommitOnly isolates the commit section itself: four
-// goroutines repeatedly validate-commit-release pre-computed plans, one
-// per 4×4 quadrant, with no mapping work in the loop. Sharded, each
-// goroutine holds only its own region's lock and the four commit
-// sections proceed concurrently (uncontended locks); global, all four
-// serialize behind one lock. The pair therefore measures exactly what
-// the ISSUE's acceptance criterion names: disjoint-region admissions
-// committing concurrently vs not.
-func benchmarkCommitOnly(b *testing.B, sharded bool) {
+// BenchmarkAdmissionShardedCommitOnly isolates the commit section
+// itself: four goroutines repeatedly validate-commit-release
+// pre-computed plans, one per 4×4 quadrant, with no mapping work in the
+// loop. Each goroutine holds only its own region's lock, so the four
+// commit sections proceed concurrently (uncontended locks).
+func BenchmarkAdmissionShardedCommitOnly(b *testing.B) {
 	const regionSize = 4
 	plat := workload.SyntheticRegionPlatform(8, 8, 123, regionSize)
 	regions := plat.RegionCount()
-	if !sharded {
-		plat.PartitionRegions(0) // same platform and plans, one lock
-	}
 	locks := arch.NewRegionLocks(plat.RegionCount())
 	// One pre-mapped application per quadrant, computed on the empty
 	// platform; the timed loop never runs the mapper.
@@ -312,18 +283,6 @@ func benchmarkCommitOnly(b *testing.B, sharded bool) {
 			locks.Unlock(footprint)
 		}
 	})
-}
-
-// BenchmarkAdmissionShardedCommitOnly: the per-region-lock commit
-// section, four disjoint quadrants committing concurrently.
-func BenchmarkAdmissionShardedCommitOnly(b *testing.B) {
-	benchmarkCommitOnly(b, true)
-}
-
-// BenchmarkAdmissionShardedCommitOnlyGlobalLock: the same commit
-// sections serialized behind one global region lock.
-func BenchmarkAdmissionShardedCommitOnlyGlobalLock(b *testing.B) {
-	benchmarkCommitOnly(b, false)
 }
 
 // batchApp is shardApp with a lighter QoS contract: utilisation low
@@ -419,8 +378,7 @@ func benchmarkAdmissionBatched(b *testing.B, workers, batch int, cfg core.Config
 // pipeline workers draining up to 8 region-spread arrivals into one
 // merged multi-application commit per round, queue hops and collector
 // included. The acceptance bar is ≥1.3x the admissions/sec of
-// BenchmarkAdmissionUnbatched; CI uploads the pair (BENCH_6.json) as
-// the batched-vs-unbatched artifact. The win is contention absorption,
+// BenchmarkAdmissionUnbatched. The win is contention absorption,
 // not raw path length: per admission the batch does the same
 // fingerprint-plan-validate-commit work as the per-item path (the
 // uncontended BenchmarkAdmissionBurst* pair in internal/manager pins

@@ -1,0 +1,69 @@
+package main
+
+import (
+	"bytes"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+func churnCmd(args ...string) (code int, stdout, stderr string) {
+	var out, errw bytes.Buffer
+	code = run(args, &out, &errw)
+	return code, out.String(), errw.String()
+}
+
+// TestRunSmoke drives small scenarios through every backend shape the
+// command offers; each must end with a clean ledger.
+func TestRunSmoke(t *testing.T) {
+	base := []string{"-apps", "60", "-mesh", "6", "-catalogue", "8"}
+	with := func(extra ...string) []string { return append(base[:len(base):len(base)], extra...) }
+	for _, args := range [][]string{
+		base,
+		with("-meshes", "2"),
+		with("-faultrate", "0.05"),
+		with("-regionsize", "3", "-batch", "4"),
+		with("-journal", filepath.Join(t.TempDir(), "run.jsonl")),
+		with("-compare"),
+		with("-apps", "0"),
+	} {
+		code, out, errw := churnCmd(args...)
+		if code != 0 {
+			t.Fatalf("churn %v: exit %d\n%s%s", args, code, out, errw)
+		}
+		if !strings.Contains(out, "ledger clean      true") {
+			t.Fatalf("churn %v: no clean ledger line:\n%s", args, out)
+		}
+	}
+}
+
+// TestRejectedFlagCombinations pins exit code 2 for every flag
+// combination validate refuses, and for the retired ablation flags.
+func TestRejectedFlagCombinations(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "j.jsonl")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-batch", "-1"}, "-batch -1 is negative"},
+		{[]string{"-meshes", "0"}, "need at least one mesh"},
+		{[]string{"-rebalance", "5ms"}, "-rebalance moves residents between meshes"},
+		{[]string{"-compare", "-meshes", "2"}, "-compare benchmarks the single-mesh pipeline"},
+		{[]string{"-faultrate", "-0.1"}, "is negative"},
+		{[]string{"-journal", journal, "-meshes", "2"}, "-journal records one manager's hash chain"},
+		{[]string{"-journal", journal, "-compare"}, "journal one run at a time"},
+		{[]string{"-priomix", "0:0:0"}, "zero total weight"},
+		{[]string{"-cow=false"}, "flag provided but not defined"},
+		{[]string{"-epoch=false"}, "flag provided but not defined"},
+		{[]string{"-retries", "1"}, "flag provided but not defined"},
+		{[]string{"-faultbias", "0.5"}, "flag provided but not defined"},
+	} {
+		code, out, errw := churnCmd(tc.args...)
+		if code != 2 {
+			t.Errorf("churn %v: exit %d, want 2\n%s%s", tc.args, code, out, errw)
+		}
+		if !strings.Contains(errw, tc.want) {
+			t.Errorf("churn %v: stderr lacks %q:\n%s", tc.args, tc.want, errw)
+		}
+	}
+}

@@ -1,16 +1,16 @@
 // Command serve runs the streaming admission front-end in one of three
-// modes. By default it drives a synthetic arrival storm through the
-// staged server (ingress throttle, per-class dropping buffers, circuit
-// breaker, dead-letter retry queue) into a single manager pipeline or a
-// federated fleet, printing the exactly-one-outcome ledger. With
-// -listen it becomes a real service: an HTTP front door (POST /admit,
-// GET /healthz, /readyz, /metricsz) over the same pipeline, with
-// graceful drain on SIGINT/SIGTERM and — when -journal names a file
-// with previous segments — crash-restart recovery: the chain is
-// verified, the torn tail truncated, and the platform plus resident set
-// replayed before the listener accepts traffic. With -chaos it executes
-// a deterministic fault script against an in-process HTTP door and
-// exits nonzero if the ledger breaks or a Critical arrival is shed.
+// modes over the same churn.Stack. By default it drives a synthetic
+// arrival storm through the staged server (ingress throttle, per-class
+// dropping buffers, circuit breaker, dead-letter retry queue) into a
+// single manager pipeline or a federated fleet, printing the
+// exactly-one-outcome ledger. With -listen it becomes a real service: an
+// HTTP front door (POST /admit, GET /healthz, /readyz, /metricsz) with
+// graceful drain on SIGINT/SIGTERM and — when -journal names a file with
+// previous segments — crash-restart recovery: the chain is verified, the
+// torn tail truncated, and the platform plus resident set replayed
+// before the listener accepts traffic. With -chaos it executes a
+// deterministic fault script against an in-process HTTP door and exits
+// nonzero if the ledger breaks or a Critical arrival is shed.
 //
 // Examples:
 //
@@ -24,11 +24,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -36,419 +34,266 @@ import (
 
 	"rtsm/internal/chaos"
 	"rtsm/internal/churn"
-	"rtsm/internal/core"
 	"rtsm/internal/front"
 	"rtsm/internal/journal"
-	"rtsm/internal/manager"
 	"rtsm/internal/model"
 	"rtsm/internal/stream"
-	"rtsm/internal/workload"
 )
 
-var (
-	arrivals  = flag.Int("arrivals", 100_000, "number of application arrivals to generate (soak and chaos modes)")
-	workers   = flag.Int("workers", 4, "admission worker goroutines (split across meshes when federated)")
-	queue     = flag.Int("queue", 0, "backend work queue depth (0 = 16x workers)")
-	mesh      = flag.Int("mesh", 12, "platform mesh width and height")
-	meshes    = flag.Int("meshes", 1, "federate across N meshes behind the fleet router (1 = single pipeline)")
-	regions   = flag.Int("regionsize", 3, "commit-path region side length (0 = one global region)")
-	seed      = flag.Int64("seed", 123, "platform and router seed")
-	batch     = flag.Int("batch", 0, "merged multi-application commits of up to K arrivals (<=1 = per-item)")
-	catalogue = flag.Int("catalogue", 6, "distinct application structures in rotation")
-	util      = flag.Float64("util", 0.12, "max per-implementation utilisation")
-	period    = flag.Int64("period", 40_000, "QoS period in ns")
-	priomix   = flag.String("priomix", "60:30:10", "admission classes as bestEffort:standard:critical weights")
-	resident  = flag.Int("resident", 0, "admissions kept running at once (0 = 4x workers)")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	ingress    = flag.Int("ingress", 256, "ingress buffer depth (Submit blocks when full)")
-	classbuf   = flag.Int("classbuf", 64, "Critical class buffer; Standard gets half, BestEffort a quarter")
-	rate       = flag.Int("rate", 0, "throttle dispatch to this many arrivals/sec (0 = unlimited; ignored when -slo is set)")
-	dlqCap     = flag.Int("dlq", 1024, "dead-letter queue capacity for capacity-rejected arrivals (0 = off)")
-	dlqBelow   = flag.Float64("dlq-below", 0.75, "retry parked arrivals when utilization drops below this")
-	dlqRetries = flag.Int("dlq-retries", 3, "backend attempts per arrival before it expires")
-	dlqEvery   = flag.Duration("dlq-every", 5*time.Millisecond, "dead-letter retry poll period")
+// config is the parsed command line: the stack, the stream stages and
+// the mode selectors.
+type config struct {
+	stack  churn.Options
+	server stream.Options
 
-	brkWindow   = flag.Duration("breaker-window", 500*time.Millisecond, "circuit-breaker failure-ratio window")
-	brkMin      = flag.Int("breaker-min", 20, "min samples in the window before the breaker can trip")
-	brkRatio    = flag.Float64("breaker-ratio", 0.5, "failure ratio that opens the breaker")
-	brkLatency  = flag.Duration("breaker-latency", 0, "admission latency counted as a failure (0 = off; -slo sets it too)")
-	brkCooldown = flag.Duration("breaker-cooldown", 250*time.Millisecond, "open -> half-open cooldown")
-	brkProbes   = flag.Int("breaker-probes", 5, "half-open probe admissions before closing")
+	journalTo, listen, chaosPath string
+	syncEvery                    int
+	requireShed, requireDLQ      bool
 
-	slo          = flag.Duration("slo", 0, "p99 admission-latency SLO: enables the AIMD adaptive admit rate and latency-SLO breaker mode")
-	aimdMin      = flag.Float64("aimd-min", 0, "AIMD rate floor in arrivals/sec (0 = default 50)")
-	aimdMax      = flag.Float64("aimd-max", 0, "AIMD rate ceiling in arrivals/sec (0 = default 1e6)")
-	aimdInterval = flag.Duration("aimd-interval", 0, "AIMD control period (0 = default 20ms)")
-
-	window    = flag.Duration("window", time.Second, "rolling metrics window for p50/p99 and rate")
-	journalTo = flag.String("journal", "", "stream the hash-chained admission journal to this file (single-mesh only)")
-	syncevery = flag.Int("syncevery", 0, "fsync the journal after every n-th event (0 = on acks only)")
-
-	listen    = flag.String("listen", "", "serve the HTTP front door on this address (e.g. :8080) until SIGINT/SIGTERM")
-	chaosPath = flag.String("chaos", "", "execute this chaos script against an in-process HTTP door and exit")
-
-	requireShed = flag.Bool("requireshed", false, "exit nonzero unless the run shed at least one arrival (CI smoke)")
-	requireDLQ  = flag.Bool("requiredlq", false, "exit nonzero unless the DLQ recovered at least one arrival (CI smoke)")
-)
-
-func main() {
-	flag.Parse()
-	switch {
-	case *chaosPath != "":
-		os.Exit(runChaos())
-	case *listen != "":
-		os.Exit(runListen())
-	default:
-		os.Exit(runSoak())
-	}
+	stdout, stderr io.Writer
 }
 
-// serverOptions assembles the stream tuning shared by all three modes.
-// -slo wires the latency objective end to end: it enables the AIMD
-// controller and, unless -breaker-latency overrides it, arms the
-// breaker's latency-SLO mode with the same duration.
-func serverOptions() stream.Options {
-	brkLat := *brkLatency
-	if brkLat == 0 && *slo > 0 {
-		brkLat = *slo
-	}
-	return stream.Options{
-		Ingress: *ingress, ClassBuf: *classbuf, Rate: *rate,
-		DLQ: *dlqCap, DLQBelow: *dlqBelow, DLQRetries: *dlqRetries, DLQEvery: *dlqEvery,
-		Breaker: stream.BreakerConfig{
-			Window: *brkWindow, MinSamples: *brkMin, Ratio: *brkRatio,
-			Latency: brkLat, Cooldown: *brkCooldown, Probes: *brkProbes,
-		},
-		AIMD: stream.AIMDConfig{
-			SLO: *slo, MinRate: *aimdMin, MaxRate: *aimdMax, Interval: *aimdInterval,
-		},
-		Window: *window,
-	}
-}
+func run(args []string, stdout, stderr io.Writer) int {
+	c := config{stdout: stdout, stderr: stderr}
+	c.stack.Reuse, c.stack.Repair, c.stack.Preempt = true, true, true
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.IntVar(&c.stack.Apps, "arrivals", 100_000, "number of application arrivals to generate (soak and chaos modes)")
+	fs.IntVar(&c.stack.Workers, "workers", 4, "admission worker goroutines (split across meshes when federated)")
+	fs.IntVar(&c.stack.Queue, "queue", 0, "backend work queue depth (0 = 16x workers)")
+	fs.IntVar(&c.stack.Mesh, "mesh", 12, "platform mesh width and height")
+	fs.IntVar(&c.stack.Meshes, "meshes", 1, "federate across N meshes behind the fleet router (1 = single pipeline; soak mode only)")
+	fs.IntVar(&c.stack.RegionSize, "regionsize", 3, "commit-path region side length (0 = one global region)")
+	fs.Int64Var(&c.stack.Seed, "seed", 123, "platform and router seed")
+	fs.IntVar(&c.stack.Batch, "batch", 0, "merged multi-application commits of up to K arrivals (<=1 = per-item)")
+	fs.IntVar(&c.stack.Catalogue, "catalogue", 6, "distinct application structures in rotation")
+	fs.Float64Var(&c.stack.MaxUtil, "util", 0.12, "max per-implementation utilisation")
+	fs.Int64Var(&c.stack.PeriodNs, "period", 40_000, "QoS period in ns")
+	fs.StringVar(&c.stack.PrioMix, "priomix", "60:30:10", "admission classes as bestEffort:standard:critical weights")
+	fs.IntVar(&c.stack.Resident, "resident", 0, "admissions kept running at once (0 = 4x workers)")
 
-// runSoak is the original in-process storm: generate, admit, report.
-func runSoak() int {
-	opts := stream.SoakOptions{
-		Arrivals: *arrivals, Mesh: *mesh, RegionSize: *regions, Seed: *seed,
-		Meshes: *meshes, Workers: *workers, Queue: *queue, Batch: *batch,
-		Catalogue: *catalogue, MaxUtil: *util, PeriodNs: *period,
-		PrioMix: *priomix, Resident: *resident,
-		Server: serverOptions(),
-	}
+	s := &c.server
+	fs.IntVar(&s.Ingress, "ingress", 256, "ingress buffer depth (Submit blocks when full)")
+	fs.IntVar(&s.ClassBuf, "classbuf", 64, "Critical class buffer; Standard gets half, BestEffort a quarter")
+	fs.IntVar(&s.Rate, "rate", 0, "throttle dispatch to this many arrivals/sec (0 = unlimited; ignored when -slo is set)")
+	fs.IntVar(&s.DLQ, "dlq", 1024, "dead-letter queue capacity for capacity-rejected arrivals (0 = off)")
+	fs.Float64Var(&s.DLQBelow, "dlq-below", 0.75, "retry parked arrivals when utilization drops below this")
+	fs.IntVar(&s.DLQRetries, "dlq-retries", 3, "backend attempts per arrival before it expires")
+	fs.DurationVar(&s.DLQEvery, "dlq-every", 5*time.Millisecond, "dead-letter retry poll period")
+	fs.DurationVar(&s.Breaker.Window, "breaker-window", 500*time.Millisecond, "circuit-breaker failure-ratio window")
+	fs.IntVar(&s.Breaker.MinSamples, "breaker-min", 20, "min samples in the window before the breaker can trip")
+	fs.Float64Var(&s.Breaker.Ratio, "breaker-ratio", 0.5, "failure ratio that opens the breaker")
+	fs.DurationVar(&s.Breaker.Latency, "breaker-latency", 0, "admission latency counted as a failure (0 = off; -slo sets it too)")
+	fs.DurationVar(&s.Breaker.Cooldown, "breaker-cooldown", 250*time.Millisecond, "open -> half-open cooldown")
+	fs.IntVar(&s.Breaker.Probes, "breaker-probes", 5, "half-open probe admissions before closing")
+	fs.DurationVar(&s.AIMD.SLO, "slo", 0, "p99 admission-latency SLO: enables the AIMD adaptive admit rate and latency-SLO breaker mode")
+	fs.Float64Var(&s.AIMD.MinRate, "aimd-min", 0, "AIMD rate floor in arrivals/sec (0 = default 50)")
+	fs.Float64Var(&s.AIMD.MaxRate, "aimd-max", 0, "AIMD rate ceiling in arrivals/sec (0 = default 1e6)")
+	fs.DurationVar(&s.AIMD.Interval, "aimd-interval", 0, "AIMD control period (0 = default 20ms)")
+	fs.DurationVar(&s.Window, "window", time.Second, "rolling metrics window for p50/p99 and rate")
 
-	var jfile *os.File
-	if *journalTo != "" {
-		f, err := os.Create(*journalTo)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-			return 2
-		}
-		jfile = f
-		opts.Journal = journal.NewWriter(f, journal.Options{Syncer: f, SyncEvery: *syncevery})
-	}
-
-	res := stream.RunSoak(opts)
-	if res.ConfigErr != nil {
-		fmt.Fprintf(os.Stderr, "serve: %v\n", res.ConfigErr)
+	fs.StringVar(&c.journalTo, "journal", "", "stream the hash-chained admission journal to this file (single-mesh only)")
+	fs.IntVar(&c.syncEvery, "syncevery", 0, "fsync the journal after every n-th event (0 = on acks only)")
+	fs.StringVar(&c.listen, "listen", "", "serve the HTTP front door on this address (e.g. :8080) until SIGINT/SIGTERM")
+	fs.StringVar(&c.chaosPath, "chaos", "", "execute this chaos script against an in-process HTTP door and exit")
+	fs.BoolVar(&c.requireShed, "requireshed", false, "exit nonzero unless the run shed at least one arrival (CI smoke)")
+	fs.BoolVar(&c.requireDLQ, "requiredlq", false, "exit nonzero unless the DLQ recovered at least one arrival (CI smoke)")
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if opts.Journal != nil {
-		if err := opts.Journal.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: journal: %v\n", err)
-			return 1
-		}
-		if err := jfile.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: journal: %v\n", err)
-			return 1
-		}
-	}
-	fmt.Printf("streaming admission:\n")
-	fmt.Printf("  arrivals          %d over %v (%.0f arrivals/sec, %.0f admissions/sec)\n",
-		res.Report.Submitted, res.Elapsed.Round(time.Millisecond), res.ArrivalsPerSec(), res.AdmissionsPerSec())
-	reportStream(res.Report)
-	st := res.Stats
-	fmt.Printf("  backend           %d admitted, %d rejected, %d conflicts, %d template hits\n",
-		st.Admitted, st.Rejected, st.Conflicts, st.TemplateHits)
-	if res.LedgerErr == nil {
-		fmt.Printf("  ledger ok         true\n")
+	// -slo wires the latency objective end to end: it enables the AIMD
+	// controller and, unless -breaker-latency overrides it, arms the
+	// breaker's latency-SLO mode with the same duration.
+	if s.Breaker.Latency == 0 {
+		s.Breaker.Latency = s.AIMD.SLO
 	}
 
-	fail := false
-	if res.LedgerErr != nil {
-		fmt.Fprintf(os.Stderr, "serve: %v\n", res.LedgerErr)
-		fail = true
+	mode, serve := "", c.soak
+	switch {
+	case c.chaosPath != "":
+		mode, serve = "-chaos", c.chaos
+	case c.listen != "":
+		mode, serve = "-listen", c.serveHTTP
 	}
-	if *requireShed && res.Report.Shed() == 0 {
-		fmt.Fprintln(os.Stderr, "serve: -requireshed: the run shed nothing")
-		fail = true
+	if mode != "" && c.stack.Meshes > 1 {
+		return c.fail(2, "%s is single-mesh (the journal replays one platform)", mode)
 	}
-	if *requireDLQ && res.Report.Recovered == 0 {
-		fmt.Fprintln(os.Stderr, "serve: -requiredlq: the DLQ recovered nothing")
-		fail = true
+	if c.journalTo != "" {
+		// Only the service recovers what a previous process left; the
+		// soak and the chaos harness start a fresh chain.
+		var err error
+		if c.stack.Journal, err = journal.OpenFile(c.journalTo, c.syncEvery, mode == "-listen"); err != nil {
+			return c.fail(2, "%v", err)
+		}
 	}
-	if fail {
-		return 1
-	}
-	return 0
+	return serve()
 }
 
-// runChaos executes a fault script against an in-process HTTP door (see
+// fail prints one diagnostic and returns the exit code.
+func (c *config) fail(code int, format string, args ...any) int {
+	fmt.Fprintf(c.stderr, "serve: "+format+"\n", args...)
+	return code
+}
+
+// soak is the in-process storm: generate, admit, report.
+func (c *config) soak() int {
+	res := churn.RunSoak(c.stack, c.server)
+	if res.ConfigErr != nil {
+		return c.fail(2, "%v", res.ConfigErr)
+	}
+	if res.JournalErr != nil {
+		return c.fail(1, "journal: %v", res.JournalErr)
+	}
+	fmt.Fprintf(c.stdout, "streaming admission:\n")
+	fmt.Fprintf(c.stdout, "  arrivals          %d over %v (%.0f arrivals/sec, %.0f admissions/sec)\n",
+		res.Report.Submitted, res.Elapsed.Round(time.Millisecond), float64(res.Report.Submitted)/res.Elapsed.Seconds(), res.AdmissionsPerSec())
+	c.reportStream(res.Report)
+	st := res.Stats
+	fmt.Fprintf(c.stdout, "  backend           %d admitted, %d rejected, %d conflicts, %d template hits\n",
+		st.Admitted, st.Rejected, st.Conflicts, st.TemplateHits)
+	code := 0
+	if res.LedgerErr != nil {
+		code = c.fail(1, "%v", res.LedgerErr)
+	} else {
+		fmt.Fprintf(c.stdout, "  ledger ok         true\n")
+	}
+	if c.requireShed && res.Report.Shed() == 0 {
+		code = c.fail(1, "-requireshed: the run shed nothing")
+	}
+	if c.requireDLQ && res.Report.Recovered == 0 {
+		code = c.fail(1, "-requiredlq: the DLQ recovered nothing")
+	}
+	return code
+}
+
+// chaos executes a fault script against an in-process HTTP door (see
 // internal/chaos for the script DSL) and gates on the robustness
 // invariants: nonzero exit on a broken aggregate ledger or any shed
 // Critical arrival.
-func runChaos() int {
-	f, err := os.Open(*chaosPath)
+func (c *config) chaos() int {
+	f, err := os.Open(c.chaosPath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "serve: chaos: %v\n", err)
-		return 2
+		return c.fail(2, "chaos: %v", err)
 	}
 	script, err := chaos.ParseScript(f)
 	f.Close()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-		return 2
+		return c.fail(2, "%v", err)
 	}
-	rep, err := chaos.Run(script, chaos.Options{
-		Arrivals: *arrivals, Mesh: *mesh, RegionSize: *regions, Seed: *seed,
-		Workers: *workers, Queue: *queue, Catalogue: *catalogue,
-		MaxUtil: *util, PeriodNs: *period, PrioMix: *priomix, Resident: *resident,
-		Server: serverOptions(), JournalPath: *journalTo, SyncEvery: *syncevery,
-	})
+	rep, err := chaos.Run(script, chaos.Options{Stack: c.stack, Server: c.server})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-		return 2
+		return c.fail(2, "%v", err)
 	}
-	fmt.Printf("chaos run:\n")
-	fmt.Printf("  arrivals          %d over %d incarnation(s)\n", rep.Arrivals, rep.Incarnations)
-	fmt.Printf("  steps             %d faults, %d restores, %d spikes, %d drains, %d crashes\n",
+	fmt.Fprintf(c.stdout, "chaos run:\n")
+	fmt.Fprintf(c.stdout, "  arrivals          %d over %d incarnation(s)\n", rep.Arrivals, rep.Incarnations)
+	fmt.Fprintf(c.stdout, "  steps             %d faults, %d restores, %d spikes, %d drains, %d crashes\n",
 		rep.FaultsInjected, rep.Restores, rep.Spikes, rep.Drains, rep.Crashes)
 	if rep.Crashes > 0 {
-		fmt.Printf("  recovery          %d replay checks passed, %d torn events discarded\n",
+		fmt.Fprintf(c.stdout, "  recovery          %d replay checks passed, %d torn events discarded\n",
 			rep.ReplayChecks, rep.TornDiscarded)
 	}
-	reportStream(rep.Stream)
-	fmt.Printf("  door              %d requests, %d admitted, %d busy, %d rejected, %d retries\n",
+	c.reportStream(rep.Stream)
+	fmt.Fprintf(c.stdout, "  door              %d requests, %d admitted, %d busy, %d rejected, %d retries\n",
 		rep.Door.Requests, rep.Door.Admitted, rep.Door.Busy, rep.Door.Rejected, rep.Door.Retries)
-	fmt.Printf("  ledger ok         %v\n", rep.LedgerOK)
-
-	fail := false
+	fmt.Fprintf(c.stdout, "  ledger ok         %v\n", rep.LedgerOK)
+	code := 0
 	if !rep.LedgerOK {
-		fmt.Fprintln(os.Stderr, "serve: chaos: aggregate ledger mismatch")
-		fail = true
+		code = c.fail(1, "chaos: aggregate ledger mismatch")
 	}
 	if rep.CriticalShed != 0 {
-		fmt.Fprintf(os.Stderr, "serve: chaos: %d Critical arrivals shed\n", rep.CriticalShed)
-		fail = true
+		code = c.fail(1, "chaos: %d Critical arrivals shed", rep.CriticalShed)
 	}
-	if fail {
-		return 1
-	}
-	return 0
+	return code
 }
 
-// runListen serves the HTTP front door until SIGINT/SIGTERM, then
+// serveHTTP serves the HTTP front door until SIGINT/SIGTERM, then
 // drains: readiness flips first, in-flight /admit requests finish, the
-// stream pipeline shuts down, and the final ledger prints. With
-// -journal, existing segments are recovered before the listener binds —
-// chain verified, torn tail truncated, platform and residents replayed
-// — and journaling resumes in a fresh segment continuing the chain.
-func runListen() int {
-	if *meshes > 1 {
-		fmt.Fprintln(os.Stderr, "serve: -listen is single-mesh (the journal replays one platform)")
-		return 2
-	}
-	plat := workload.SyntheticRegionPlatform(*mesh, *mesh, *seed, *regions)
-	epRegs := 1
-	if *regions > 0 {
-		epRegs = plat.RegionCount()
-	}
-
-	var (
-		m     *manager.Manager
-		jw    *journal.Writer
-		jfile *os.File
-	)
-	if *journalTo != "" {
-		segs := journal.SegmentPaths(*journalTo)
-		if len(segs) > 0 {
-			rec, err := journal.RecoverFiles(segs...)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "serve: recover: %v\n", err)
-				return 2
-			}
-			m, err = manager.ReplayEvents(plat, core.Config{}, rec.Events)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "serve: replay: %v\n", err)
-				return 2
-			}
-			f, err := os.Create(journal.NextSegmentPath(*journalTo, len(segs)))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-				return 2
-			}
-			jw, err = journal.NewResumedWriter(f, rec.Chain, rec.Seq, journal.Options{Syncer: f, SyncEvery: *syncevery})
-			if err != nil {
-				f.Close()
-				fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-				return 2
-			}
-			jfile = f
-			fmt.Printf("recovered %d events (%d residents) from %d segment(s), resuming at seq %d\n",
-				len(rec.Events), len(m.Running()), len(segs), rec.Seq)
-		} else {
-			f, err := os.Create(*journalTo)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-				return 2
-			}
-			jfile = f
-			jw = journal.NewWriter(f, journal.Options{Syncer: f, SyncEvery: *syncevery})
-		}
-	}
-	if m == nil {
-		m = manager.New(plat, core.Config{})
-	}
-	m.SetMappingReuse(true)
-	m.SetRepair(true)
-	if jw != nil {
-		m.SetJournal(jw)
-	}
-
-	q := *queue
-	if q < 1 {
-		q = 16 * *workers
-	}
-	pipe := manager.NewPipeline(m, *workers, q)
-	sopts := serverOptions()
-	sopts.Backend = stream.NewPipelineBackend(m, pipe)
-	srv, err := stream.New(sopts)
+// stream pipeline shuts down, and the final ledger prints. A journal
+// that recovered earlier segments was replayed by NewStack before the
+// listener binds; recovered residents head the recycle queue.
+func (c *config) serveHTTP() int {
+	st, err := churn.NewStack(c.stack)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-		return 2
+		return c.fail(2, "%v", err)
 	}
-	co := churn.Options{Catalogue: *catalogue, MaxUtil: *util, PeriodNs: *period, PrioMix: *priomix}
-	door, err := front.Listen(front.Options{
-		Server: srv,
-		Addr:   *listen,
-		Seed:   *seed,
-		Decode: func(req *http.Request) (*model.Application, *model.Library, error) {
-			var body struct {
-				Index int `json:"index"`
-			}
-			if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-				return nil, nil, fmt.Errorf("bad body: %w", err)
-			}
-			if body.Index < 0 {
-				return nil, nil, fmt.Errorf("negative index %d", body.Index)
-			}
-			app, lib := co.Arrival(body.Index, epRegs)
-			return app, lib, nil
-		},
-	})
+	if j := c.stack.Journal; j != nil && j.Segments > 0 {
+		fmt.Fprintf(c.stdout, "recovered %d events (%d residents) from %d segment(s), resuming at seq %d\n",
+			len(j.Recovered.Events), len(st.Managers[0].Running()), j.Segments, j.Recovered.Seq)
+	}
+	c.server.Backend = st.Backend
+	srv, err := stream.New(c.server)
+	if err != nil {
+		return c.fail(2, "%v", err)
+	}
+	door, err := front.Listen(front.Options{Server: srv, Addr: c.listen, Seed: c.stack.Seed, Decode: st.Decode})
 	if err != nil {
 		srv.Shutdown()
-		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-		return 2
+		return c.fail(2, "%v", err)
 	}
+	collected := st.Collect(srv)
 
-	// Recycle residents beyond the cap so the mesh keeps admitting, as
-	// the soak collector does. Recovered residents join the queue first.
-	cap := *resident
-	if cap <= 0 {
-		cap = 4 * *workers
-	}
-	var residents []string
-	for _, ad := range m.Running() {
-		residents = append(residents, ad.App.Name)
-	}
-	collected := make(chan struct{})
-	go func() {
-		defer close(collected)
-		for res := range srv.Results() {
-			if res.Verdict != stream.VerdictAdmitted {
-				continue
-			}
-			residents = append(residents, res.App)
-			if len(residents) <= cap {
-				continue
-			}
-			name := residents[0]
-			residents = residents[1:]
-			if err := sopts.Backend.Stop(name); errors.Is(err, manager.ErrRelocating) {
-				residents = append(residents, name) // retry later
-			}
-		}
-	}()
-
-	fmt.Printf("listening on %s (mesh %dx%d, %d workers)\n", door.Addr(), *mesh, *mesh, *workers)
+	fmt.Fprintf(c.stdout, "listening on %s (mesh %dx%d, %d workers)\n", door.Addr(), c.stack.Mesh, c.stack.Mesh, c.stack.Workers)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	fmt.Println("draining...")
+	fmt.Fprintln(c.stdout, "draining...")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := door.Drain(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "serve: drain: %v\n", err)
+		fmt.Fprintf(c.stderr, "serve: drain: %v\n", err)
 	}
 	rep := srv.Shutdown()
 	<-collected
-	if jw != nil {
-		if err := jw.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: journal: %v\n", err)
-			return 1
-		}
-		if err := jfile.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: journal: %v\n", err)
-			return 1
-		}
+	if err := st.Close(); err != nil {
+		return c.fail(1, "journal: %v", err)
 	}
 
 	ds := door.Stats()
-	fmt.Printf("front door:\n")
-	fmt.Printf("  requests          %d (%d admitted, %d busy, %d rejected, %d timeout, %d bad, %d retries)\n",
+	fmt.Fprintf(c.stdout, "front door:\n")
+	fmt.Fprintf(c.stdout, "  requests          %d (%d admitted, %d busy, %d rejected, %d timeout, %d bad, %d retries)\n",
 		ds.Requests, ds.Admitted, ds.Busy, ds.Rejected, ds.Timeout, ds.BadRequest, ds.Retries)
-	reportStream(rep)
-	fmt.Printf("  ledger ok         %v\n", rep.LedgerOK())
+	c.reportStream(rep)
+	fmt.Fprintf(c.stdout, "  ledger ok         %v\n", rep.LedgerOK())
 	if !rep.LedgerOK() {
-		fmt.Fprintln(os.Stderr, "serve: ledger mismatch")
-		return 1
+		return c.fail(1, "ledger mismatch")
 	}
 	return 0
 }
 
 // reportStream prints the stream ledger lines shared by all modes.
-func reportStream(rep stream.Report) {
-	fmt.Printf("  ledger            %d admitted (%d via DLQ) + %d rejected + %d shed + %d expired = %d\n",
+func (c *config) reportStream(rep stream.Report) {
+	w := c.stdout
+	fmt.Fprintf(w, "  ledger            %d admitted (%d via DLQ) + %d rejected + %d shed + %d expired = %d\n",
 		rep.Admitted, rep.Recovered, rep.Rejected, rep.Shed(), rep.Expired,
 		rep.Admitted+rep.Rejected+rep.Shed()+rep.Expired)
-	for c := 0; c < model.NumPriorities; c++ {
-		if rep.ShedByClass[c] == 0 {
-			continue
+	for p, n := range rep.ShedByClass {
+		if n > 0 {
+			fmt.Fprintf(w, "  shed %-12s %d\n", model.Priority(p), n)
 		}
-		fmt.Printf("  shed %-12s %d\n", model.Priority(c), rep.ShedByClass[c])
 	}
 	if rep.Shed() > 0 {
-		fmt.Printf("  shed stages       %d at class buffers, %d at the breaker, %d at the backend queue, %d at deadlines\n",
+		fmt.Fprintf(w, "  shed stages       %d at class buffers, %d at the breaker, %d at the backend queue, %d at deadlines\n",
 			rep.ShedBuffer, rep.ShedBreaker, rep.ShedQueue, rep.ShedDeadline)
 	}
-	fmt.Printf("  breaker           %d opens (now %s)\n", rep.BreakerOpens, rep.BreakerState)
+	fmt.Fprintf(w, "  breaker           %d opens (now %s)\n", rep.BreakerOpens, rep.BreakerState)
 	if rep.RateCuts+rep.RateRaises > 0 {
-		fmt.Printf("  aimd              %.0f arrivals/sec now, %d raises, %d cuts\n",
+		fmt.Fprintf(w, "  aimd              %.0f arrivals/sec now, %d raises, %d cuts\n",
 			rep.AdmitRate, rep.RateRaises, rep.RateCuts)
 	}
-	fmt.Printf("  dead letters      %d recovered, %d expired\n", rep.Recovered, rep.Expired)
-	for c := 0; c < model.NumPriorities; c++ {
-		if rep.RecoveredByClass[c] == 0 && rep.ExpiredByClass[c] == 0 {
-			continue
+	fmt.Fprintf(w, "  dead letters      %d recovered, %d expired\n", rep.Recovered, rep.Expired)
+	for p := range rep.RecoveredByClass {
+		if rep.RecoveredByClass[p]+rep.ExpiredByClass[p] > 0 {
+			fmt.Fprintf(w, "  dlq %-13s %d recovered, %d expired\n",
+				model.Priority(p), rep.RecoveredByClass[p], rep.ExpiredByClass[p])
 		}
-		fmt.Printf("  dlq %-13s %d recovered, %d expired\n",
-			model.Priority(c), rep.RecoveredByClass[c], rep.ExpiredByClass[c])
 	}
-	fmt.Printf("  window            p50 %v, p99 %v, %.0f admissions/sec over %d samples\n",
+	fmt.Fprintf(w, "  window            p50 %v, p99 %v, %.0f admissions/sec over %d samples\n",
 		rep.Window.P50.Round(time.Microsecond), rep.Window.P99.Round(time.Microsecond),
 		rep.Window.PerSec, rep.Window.Samples)
-	fmt.Printf("  service           p50 %v, p99 %v over %d samples\n",
+	fmt.Fprintf(w, "  service           p50 %v, p99 %v over %d samples\n",
 		rep.Service.P50.Round(time.Microsecond), rep.Service.P99.Round(time.Microsecond),
 		rep.Service.Samples)
 }

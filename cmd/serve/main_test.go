@@ -1,0 +1,76 @@
+package main
+
+import (
+	"bytes"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+func serve(args ...string) (code int, stdout, stderr string) {
+	var out, errw bytes.Buffer
+	code = run(args, &out, &errw)
+	return code, out.String(), errw.String()
+}
+
+// TestSoakSmoke runs a tiny storm through the default mode, once plain
+// and once journaled with batching on.
+func TestSoakSmoke(t *testing.T) {
+	base := []string{"-arrivals", "400", "-mesh", "8", "-catalogue", "4"}
+	journaled := append(base[:len(base):len(base)], "-batch", "4",
+		"-journal", filepath.Join(t.TempDir(), "soak.jsonl"))
+	for _, args := range [][]string{base, journaled} {
+		code, out, errw := serve(args...)
+		if code != 0 {
+			t.Fatalf("serve %v: exit %d\n%s%s", args, code, out, errw)
+		}
+		if !strings.Contains(out, "ledger ok         true") {
+			t.Fatalf("serve %v: no clean ledger line:\n%s", args, out)
+		}
+	}
+}
+
+// TestChaosSmoke is the CI chaos step as a test: the checked-in script
+// at 300 arrivals, crash recovery included.
+func TestChaosSmoke(t *testing.T) {
+	code, out, errw := serve("-chaos", "../../scripts/chaos_smoke.chaos",
+		"-arrivals", "300", "-mesh", "8", "-catalogue", "4", "-slo", "20ms", "-batch", "4",
+		"-journal", filepath.Join(t.TempDir(), "chaos.jsonl"))
+	if code != 0 {
+		t.Fatalf("exit %d\n%s%s", code, out, errw)
+	}
+	for _, want := range []string{"1 crashes", "1 replay checks passed", "ledger ok         true"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestRejectedFlagCombinations pins exit code 2 and the message for
+// every configuration serve refuses to run.
+func TestRejectedFlagCombinations(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "j.jsonl")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-chaos", "../../scripts/chaos_smoke.chaos", "-meshes", "2"},
+			"serve: -chaos is single-mesh (the journal replays one platform)"},
+		{[]string{"-listen", "127.0.0.1:0", "-meshes", "2"},
+			"serve: -listen is single-mesh (the journal replays one platform)"},
+		{[]string{"-arrivals", "10", "-meshes", "2", "-journal", journal}, "the journal replays one platform"},
+		{[]string{"-arrivals", "10", "-batch", "-1"}, "batch size -1 is negative"},
+		{[]string{"-arrivals", "10", "-priomix", "1:x"}, "priority mix"},
+		{[]string{"-chaos", "no-such-script"}, "no-such-script"},
+		{[]string{"-chaos", "../../scripts/chaos_smoke.chaos", "-arrivals", "300"}, "crash steps need -journal"},
+		{[]string{"-cow=false"}, "flag provided but not defined"},
+	} {
+		code, out, errw := serve(tc.args...)
+		if code != 2 {
+			t.Errorf("serve %v: exit %d, want 2\n%s%s", tc.args, code, out, errw)
+		}
+		if !strings.Contains(errw, tc.want) {
+			t.Errorf("serve %v: stderr lacks %q:\n%s", tc.args, tc.want, errw)
+		}
+	}
+}

@@ -23,9 +23,9 @@ import (
 // never collide. The total worker budget is held constant (4 workers
 // split across the mesh pipelines), so on a single-core host the
 // speedup is pure contention removal — fewer conflicts, repairs and
-// doomed mapping rounds — not extra CPU. CI uploads the 1/2/4-mesh trio
-// as BENCH_7.json; the acceptance bars are ≥1.7x admissions/sec at 2
-// meshes and ≥3x at 4 (EXPERIMENTS.md records a reference run).
+// doomed mapping rounds — not extra CPU. The acceptance bars are ≥1.7x
+// admissions/sec at 2 meshes and ≥3x at 4 (EXPERIMENTS.md records a
+// reference run).
 // fleetApp is churnApp with a four-structure catalogue: a fleet deployment
 // serving few distinct application structures at high rates maximizes the
 // same-structure concurrency that makes a single mesh's workers race for

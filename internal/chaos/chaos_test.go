@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"rtsm/internal/churn"
+	"rtsm/internal/journal"
 	"rtsm/internal/stream"
 )
 
@@ -74,14 +76,16 @@ func TestChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	jf, err := journal.OpenFile(filepath.Join(t.TempDir(), "chaos.jsonl"), 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	so := churn.Defaults()
+	so.Apps, so.Seed, so.RegionSize, so.Queue = 600, 42, 3, 64
+	so.Catalogue, so.MaxUtil, so.PrioMix = 6, 0.12, "60:30:10"
+	so.Journal = jf
 	rep, err := Run(script, Options{
-		Arrivals:    600,
-		Mesh:        8,
-		Seed:        42,
-		Workers:     4,
-		MaxUtil:     0.12,
-		PrioMix:     "60:30:10",
-		JournalPath: filepath.Join(t.TempDir(), "chaos.jsonl"),
+		Stack: so,
 		Server: stream.Options{
 			DLQ: 256, DLQBelow: 0.8, DLQEvery: time.Millisecond,
 			AIMD: stream.AIMDConfig{SLO: 20 * time.Millisecond, Interval: 5 * time.Millisecond},
@@ -119,11 +123,14 @@ func TestChaosSoak(t *testing.T) {
 // journal and steps beyond the run must refuse to start.
 func TestChaosRejectsBadConfig(t *testing.T) {
 	crash := Script{Steps: []Step{{At: 10, Op: OpCrash}}}
-	if _, err := Run(crash, Options{Arrivals: 100}); err == nil {
+	if _, err := Run(crash, Options{Stack: churn.Options{Apps: 100}}); err == nil {
 		t.Fatal("crash without a journal started")
 	}
 	late := Script{Steps: []Step{{At: 1000, Op: OpDrain}}}
-	if _, err := Run(late, Options{Arrivals: 100}); err == nil {
+	if _, err := Run(late, Options{Stack: churn.Options{Apps: 100}}); err == nil {
 		t.Fatal("step beyond the run started")
+	}
+	if _, err := Run(Script{}, Options{Stack: churn.Options{Apps: 100, Meshes: 2}}); err == nil {
+		t.Fatal("multi-mesh chaos run started")
 	}
 }

@@ -4,50 +4,28 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"os"
-	"sort"
 	"sync"
 	"time"
 
 	"rtsm/internal/arch"
 	"rtsm/internal/churn"
-	"rtsm/internal/core"
 	"rtsm/internal/front"
-	"rtsm/internal/journal"
 	"rtsm/internal/manager"
 	"rtsm/internal/model"
 	"rtsm/internal/stream"
-	"rtsm/internal/workload"
 )
 
-// Options configures a chaos run. The shape mirrors stream.SoakOptions
-// — same synthetic mesh, same churn catalogue — but arrivals travel
-// over real HTTP through a front.Door, and the script can kill the
-// incarnation mid-run.
+// Options configures a chaos run: a churn stack like the soak's, but
+// arrivals travel over real HTTP through a front.Door, and the script
+// can kill the incarnation mid-run.
 type Options struct {
-	// Arrivals is the total HTTP admission requests across all
-	// incarnations (default 2000).
-	Arrivals int
-	// Mesh, RegionSize and Seed shape the synthetic platform (defaults
-	// 8, 3, 1).
-	Mesh       int
-	RegionSize int
-	Seed       int64
-	// Workers and Queue size the backend pipeline (defaults 4, 64).
-	Workers int
-	Queue   int
-	// Catalogue, MaxUtil, PeriodNs and PrioMix shape the arrivals as in
-	// internal/churn.
-	Catalogue int
-	MaxUtil   float64
-	PeriodNs  int64
-	PrioMix   string
-	// Resident caps concurrently running admissions; the collector stops
-	// the oldest beyond it (default 4× Workers).
-	Resident int
+	// Stack shapes the mesh, the backend and the arrival catalogue as in
+	// internal/churn (single-mesh only). Stack.Apps is the total HTTP
+	// admission requests across all incarnations; Stack.Journal is
+	// required when the script contains crash steps, optional otherwise.
+	Stack churn.Options
 	// Clients is the HTTP submission concurrency within a script segment
 	// (default 4). Steps are barriers regardless.
 	Clients int
@@ -57,51 +35,6 @@ type Options struct {
 	// apply when zero).
 	RequestTimeout time.Duration
 	Retries        int
-	// JournalPath roots the durable journal segments; required when the
-	// script contains crash steps, optional otherwise.
-	JournalPath string
-	// SyncEvery is the journal's periodic-fsync policy.
-	SyncEvery int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Arrivals <= 0 {
-		o.Arrivals = 2000
-	}
-	if o.Mesh <= 0 {
-		o.Mesh = 8
-	}
-	if o.RegionSize == 0 {
-		o.RegionSize = 3
-	}
-	if o.RegionSize < 0 {
-		o.RegionSize = 0
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Workers < 1 {
-		o.Workers = 4
-	}
-	if o.Queue < 1 {
-		o.Queue = 64
-	}
-	if o.Catalogue < 1 {
-		o.Catalogue = 6
-	}
-	if o.MaxUtil <= 0 {
-		o.MaxUtil = 0.12
-	}
-	if o.PeriodNs <= 0 {
-		o.PeriodNs = 40_000
-	}
-	if o.Resident <= 0 {
-		o.Resident = 4 * o.Workers
-	}
-	if o.Clients < 1 {
-		o.Clients = 4
-	}
-	return o
 }
 
 // Report is a chaos run's aggregate accounting across incarnations.
@@ -132,31 +65,21 @@ type Report struct {
 	LedgerOK bool
 }
 
-// incarnation is one server lifetime: backend, spike wrapper, stream
-// server, door and collector, torn down as a unit on drain or crash.
+// incarnation is one server lifetime: spike wrapper, stream server, door
+// and collector over the stack's current backend, torn down as a unit on
+// drain or crash.
 type incarnation struct {
-	backend   stream.Backend
 	spike     *spikeBackend
 	srv       *stream.Server
 	door      *front.Door
-	collector chan struct{}
+	collected <-chan struct{}
 }
 
-// runner carries the state that survives incarnations.
+// runner carries the state that survives incarnations: the stack (its
+// manager outlives a drain; a crash replaces it with the recovered one).
 type runner struct {
-	o        Options
-	co       churn.Options
-	pristine *arch.Platform // never-mutated twin for crash replays
-	epRegs   int
-
-	m    *manager.Manager
-	jw   *journal.Writer
-	jf   *os.File
-	segs int // journal segments so far (for NextSegmentPath)
-
-	mu        sync.Mutex
-	residents []string // collector's recycle queue, survives rebuilds
-
+	o   Options
+	st  *churn.Stack
 	rep Report
 }
 
@@ -165,87 +88,58 @@ type runner struct {
 // IO, HTTP transport failure) — invariant violations are reported in
 // Report, not as errors, so callers can print the full accounting.
 func Run(script Script, o Options) (Report, error) {
-	o = o.withDefaults()
+	if o.Clients < 1 {
+		o.Clients = 4
+	}
 	for _, st := range script.Steps {
-		if st.At > o.Arrivals {
-			return Report{}, fmt.Errorf("chaos: step @%d beyond the %d-arrival run", st.At, o.Arrivals)
+		if st.At > o.Stack.Apps {
+			return Report{}, fmt.Errorf("chaos: step @%d beyond the %d-arrival run", st.At, o.Stack.Apps)
 		}
 	}
-	if script.Crashes() > 0 && o.JournalPath == "" {
-		return Report{}, fmt.Errorf("chaos: crash steps need -journal (JournalPath)")
+	if script.Crashes() > 0 && o.Stack.Journal == nil {
+		return Report{}, fmt.Errorf("chaos: crash steps need -journal (Stack.Journal)")
 	}
-
-	plat := workload.SyntheticRegionPlatform(o.Mesh, o.Mesh, o.Seed, o.RegionSize)
-	r := &runner{
-		o:        o,
-		pristine: plat.Clone(),
-		epRegs:   1,
-		co: churn.Options{
-			Catalogue: o.Catalogue, MaxUtil: o.MaxUtil,
-			PeriodNs: o.PeriodNs, PrioMix: o.PrioMix,
-		},
+	if o.Stack.Meshes > 1 {
+		return Report{}, fmt.Errorf("chaos: the harness is single-mesh (the journal replays one platform)")
 	}
-	if o.RegionSize > 0 {
-		r.epRegs = plat.RegionCount()
+	st, err := churn.NewStack(o.Stack)
+	if err != nil {
+		return Report{}, err
 	}
-	if o.JournalPath != "" {
-		f, err := os.Create(o.JournalPath)
-		if err != nil {
-			return Report{}, fmt.Errorf("chaos: journal: %w", err)
-		}
-		r.jf = f
-		r.jw = journal.NewWriter(f, journal.Options{Syncer: f, SyncEvery: o.SyncEvery})
-		r.segs = 1
-	}
-	r.m = manager.New(plat, core.Config{})
-	r.m.SetMappingReuse(true)
-	r.m.SetRepair(true)
-	if r.jw != nil {
-		r.m.SetJournal(r.jw)
-	}
+	r := &runner{o: o, st: st}
 	r.rep.Incarnations = 1
-
 	inc, err := r.boot()
 	if err != nil {
 		return r.rep, err
 	}
 
 	next := 0
-	steps := append([]Step(nil), script.Steps...)
-	for len(steps) > 0 {
-		st := steps[0]
-		steps = steps[1:]
-		if err := r.submitRange(inc, next, st.At); err != nil {
+	for _, step := range script.Steps {
+		if err := r.submitRange(inc, next, step.At); err != nil {
 			return r.rep, err
 		}
-		next = maxInt(next, st.At)
-		if inc, err = r.execute(inc, st); err != nil {
+		next = max(next, step.At)
+		if inc, err = r.execute(inc, step); err != nil {
 			return r.rep, err
 		}
 	}
-	if err := r.submitRange(inc, next, o.Arrivals); err != nil {
+	if err := r.submitRange(inc, next, o.Stack.Apps); err != nil {
 		return r.rep, err
 	}
 
 	r.teardown(inc)
-	if r.jw != nil {
-		if err := r.jw.Close(); err != nil {
-			return r.rep, fmt.Errorf("chaos: journal: %w", err)
-		}
-		if err := r.jf.Close(); err != nil {
-			return r.rep, fmt.Errorf("chaos: journal: %w", err)
-		}
+	if err := r.st.Close(); err != nil {
+		return r.rep, fmt.Errorf("chaos: journal: %w", err)
 	}
 	r.rep.CriticalShed = r.rep.Stream.ShedByClass[model.Critical]
 	r.rep.LedgerOK = r.rep.Stream.LedgerOK()
 	return r.rep, nil
 }
 
-// boot builds one incarnation over the current manager: pipeline,
-// spike wrapper, stream server, door and collector.
+// boot builds one incarnation over the stack's current backend: spike
+// wrapper, stream server, door and collector.
 func (r *runner) boot() (*incarnation, error) {
-	pipe := manager.NewPipeline(r.m, r.o.Workers, r.o.Queue)
-	spike := &spikeBackend{inner: stream.NewPipelineBackend(r.m, pipe)}
+	spike := &spikeBackend{inner: r.st.Backend}
 	sopts := r.o.Server
 	sopts.Backend = spike
 	srv, err := stream.New(sopts)
@@ -254,64 +148,16 @@ func (r *runner) boot() (*incarnation, error) {
 	}
 	door, err := front.Listen(front.Options{
 		Server:         srv,
-		Decode:         r.decoder(),
+		Decode:         r.st.Decode,
 		RequestTimeout: r.o.RequestTimeout,
 		Retries:        r.o.Retries,
-		Seed:           r.o.Seed,
+		Seed:           r.o.Stack.Seed,
 	})
 	if err != nil {
 		srv.Shutdown()
 		return nil, err
 	}
-	inc := &incarnation{backend: spike.inner, spike: spike, srv: srv, door: door, collector: make(chan struct{})}
-	go r.collect(inc)
-	return inc, nil
-}
-
-// collect recycles residents beyond the cap, exactly as the soak
-// collector does, but against a queue that survives rebuilds.
-func (r *runner) collect(inc *incarnation) {
-	defer close(inc.collector)
-	for res := range inc.srv.Results() {
-		if res.Verdict != stream.VerdictAdmitted {
-			continue
-		}
-		r.mu.Lock()
-		r.residents = append(r.residents, res.App)
-		var stopName string
-		if len(r.residents) > r.o.Resident {
-			stopName = r.residents[0]
-			r.residents = r.residents[1:]
-		}
-		r.mu.Unlock()
-		if stopName == "" {
-			continue
-		}
-		err := inc.backend.Stop(stopName)
-		if errors.Is(err, manager.ErrRelocating) {
-			r.mu.Lock()
-			r.residents = append(r.residents, stopName) // retry later
-			r.mu.Unlock()
-		}
-	}
-}
-
-// decoder maps {"index": n} bodies to the deterministic churn arrival
-// with that index.
-func (r *runner) decoder() front.Decoder {
-	return func(req *http.Request) (*model.Application, *model.Library, error) {
-		var body struct {
-			Index int `json:"index"`
-		}
-		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-			return nil, nil, fmt.Errorf("bad body: %w", err)
-		}
-		if body.Index < 0 {
-			return nil, nil, fmt.Errorf("negative index %d", body.Index)
-		}
-		app, lib := r.co.Arrival(body.Index, r.epRegs)
-		return app, lib, nil
-	}
+	return &incarnation{spike: spike, srv: srv, door: door, collected: r.st.Collect(srv)}, nil
 }
 
 // submitRange issues arrivals [lo, hi) over HTTP with Clients-way
@@ -331,9 +177,7 @@ func (r *runner) submitRange(inc *incarnation, lo, hi int) error {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				body, _ := json.Marshal(struct {
-					Index int `json:"index"`
-				}{i})
+				body, _ := json.Marshal(churn.IndexRequest{Index: i})
 				resp, err := client.Post(url, "application/json", bytes.NewReader(body))
 				if err != nil {
 					select {
@@ -362,31 +206,32 @@ func (r *runner) submitRange(inc *incarnation, lo, hi int) error {
 
 // execute runs one step, possibly replacing the incarnation.
 func (r *runner) execute(inc *incarnation, st Step) (*incarnation, error) {
+	m := r.st.Managers[0]
 	switch st.Op {
 	case OpFailTile, OpRestoreTile:
-		tiles := procTiles(r.m.Platform())
+		tiles := churn.ProcTiles(m.Platform())
 		if len(tiles) == 0 {
 			return inc, fmt.Errorf("chaos: no processing tiles to fail")
 		}
 		id := tiles[st.N%len(tiles)]
 		if st.Op == OpFailTile {
-			if rep := r.m.FailTile(id); rep.Failed {
+			if rep := m.FailTile(id); rep.Failed {
 				r.rep.FaultsInjected++
 			}
-		} else if r.m.RestoreTile(id) {
+		} else if m.RestoreTile(id) {
 			r.rep.Restores++
 		}
 	case OpFailLink, OpRestoreLink:
-		links := r.m.Platform().Links
+		links := m.Platform().Links
 		if len(links) == 0 {
 			return inc, fmt.Errorf("chaos: no links to fail")
 		}
 		id := links[st.N%len(links)].ID
 		if st.Op == OpFailLink {
-			if rep := r.m.FailLink(id); rep.Failed {
+			if rep := m.FailLink(id); rep.Failed {
 				r.rep.FaultsInjected++
 			}
-		} else if r.m.RestoreLink(id) {
+		} else if m.RestoreLink(id) {
 			r.rep.Restores++
 		}
 	case OpSpike:
@@ -395,6 +240,7 @@ func (r *runner) execute(inc *incarnation, st Step) (*incarnation, error) {
 	case OpDrain:
 		r.teardown(inc)
 		r.rep.Drains++
+		r.st.Reopen()
 		return r.boot()
 	case OpCrash:
 		return r.crash(inc)
@@ -403,22 +249,22 @@ func (r *runner) execute(inc *incarnation, st Step) (*incarnation, error) {
 }
 
 // teardown drains one incarnation gracefully — door first (readiness
-// flips, in-flight HTTP finishes), then the stream server — and folds
-// its ledger into the aggregate.
+// flips, in-flight HTTP finishes), then the stream server, which closes
+// the stack's backend — and folds its ledger into the aggregate.
 func (r *runner) teardown(inc *incarnation) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	_ = inc.door.Drain(ctx)
 	rep := inc.srv.Shutdown()
-	<-inc.collector
+	<-inc.collected
 	addReport(&r.rep.Stream, rep)
 	addStats(&r.rep.Door, inc.door.Stats())
 }
 
 // crash is the kill -9 simulation: quiesce, seal a durable checkpoint,
-// commit torn work past the seal, discard the live state, recover from
-// the journal and verify the replay bit-for-bit, then serve the rest of
-// the run from the recovered manager.
+// commit torn work past the seal, discard the live state, rebuild the
+// stack from the journal and verify the replay bit-for-bit, then serve
+// the rest of the run from the recovered manager.
 func (r *runner) crash(inc *incarnation) (*incarnation, error) {
 	// Quiesce: the door and server drain so no pipeline work races the
 	// checkpoint. This models the load balancer pulling the instance
@@ -426,14 +272,15 @@ func (r *runner) crash(inc *incarnation) (*incarnation, error) {
 	// slipped in after the last seal.
 	r.teardown(inc)
 	r.rep.Crashes++
+	m, jw := r.st.Managers[0], r.st.Options.Journal
 
 	// Seal the durable checkpoint and capture it bit-for-bit.
-	r.jw.Flush()
-	if err := r.jw.Err(); err != nil {
+	jw.Flush()
+	if err := jw.Err(); err != nil {
 		return nil, fmt.Errorf("chaos: journal at crash: %w", err)
 	}
-	sealed := r.m.Platform().Clone()
-	sealedNames := runningNames(r.m)
+	sealed := m.Platform().Clone()
+	sealedNames := churn.ResidentNames(m)
 
 	// Torn phase: admissions committed and synced but never sealed —
 	// exactly what a crash strands past the last seal.
@@ -441,68 +288,44 @@ func (r *runner) crash(inc *incarnation) (*incarnation, error) {
 	for i := 0; i < 20 && torn < 3; i++ {
 		// Churn arrivals from an index range no HTTP arrival uses, so the
 		// torn residents' names never collide with recovered ones.
-		app, lib := r.co.Arrival(r.o.Arrivals+r.rep.Crashes*100+i, r.epRegs)
+		app, lib := r.st.Arrival(r.o.Stack.Apps + r.rep.Crashes*100 + i)
 		app.Name = fmt.Sprintf("torn-%d-%s", r.rep.Crashes, app.Name)
-		if out := r.m.Admit(app, lib); out.Admitted {
+		if out := m.Admit(app, lib); out.Admitted {
 			torn++
 		}
 	}
-	r.jw.Sync()
-	if err := r.jw.Err(); err != nil {
+	jw.Sync()
+	if err := jw.Err(); err != nil {
 		return nil, fmt.Errorf("chaos: journal at crash: %w", err)
 	}
-	// The crash: the writer is abandoned (never Closed — no final seal)
-	// and every live structure is dropped. Only the files survive.
-	if err := r.jf.Close(); err != nil {
-		return nil, fmt.Errorf("chaos: journal at crash: %w", err)
-	}
-	r.jw, r.jf, r.m = nil, nil, nil
 
-	// Recovery: truncate the torn tail, verify the chain, replay into a
-	// pristine platform and check it equals the sealed checkpoint.
-	paths := journal.SegmentPaths(r.o.JournalPath)
-	rec, err := journal.RecoverFiles(paths...)
+	// The crash and the restart: the writer is abandoned (never Closed —
+	// no final seal) and every live structure is dropped; only the files
+	// survive. Recovery truncates the torn tail, verifies the chain and
+	// resumes it in a fresh segment; the new stack replays the sealed
+	// events into a pristine platform, which must equal the checkpoint.
+	recovered, err := jw.Crash()
 	if err != nil {
-		return nil, fmt.Errorf("chaos: recover: %w", err)
+		return nil, fmt.Errorf("chaos: %w", err)
 	}
 	r.rep.TornDiscarded += torn
-	replayBase := r.pristine.Clone()
-	rm, err := manager.ReplayEvents(replayBase, core.Config{}, rec.Events)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: replay: %w", err)
+	so := r.o.Stack
+	so.Journal = recovered
+	if r.st, err = churn.NewStack(so); err != nil {
+		recovered.Close()
+		return nil, fmt.Errorf("chaos: restart: %w", err)
 	}
-	if err := arch.PlatformsIdentical(sealed, replayBase); err != nil {
+	rm := r.st.Managers[0]
+	if err := arch.PlatformsIdentical(sealed, rm.Platform()); err != nil {
 		return nil, fmt.Errorf("chaos: replayed platform differs from sealed checkpoint: %w", err)
 	}
-	got, want := runningNames(rm), sealedNames
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		return nil, fmt.Errorf("chaos: replayed resident set differs:\n got %v\nwant %v", got, want)
+	if got := churn.ResidentNames(rm); fmt.Sprint(got) != fmt.Sprint(sealedNames) {
+		return nil, fmt.Errorf("chaos: replayed resident set differs:\n got %v\nwant %v", got, sealedNames)
 	}
-	if err := rm.CheckInvariants(); err != nil {
+	if err := r.st.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("chaos: replayed manager invariants: %w", err)
 	}
 	r.rep.ReplayChecks++
-
-	// Restart: resume journaling in a fresh segment continuing the
-	// verified chain, and serve from the recovered manager.
-	next := journal.NextSegmentPath(r.o.JournalPath, r.segs)
-	f, err := os.Create(next)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: restart journal: %w", err)
-	}
-	jw, err := journal.NewResumedWriter(f, rec.Chain, rec.Seq, journal.Options{Syncer: f, SyncEvery: r.o.SyncEvery})
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("chaos: restart journal: %w", err)
-	}
-	r.jf, r.jw, r.segs = f, jw, r.segs+1
-	rm.SetMappingReuse(true)
-	rm.SetRepair(true)
-	rm.SetJournal(jw)
-	r.m = rm
-	r.mu.Lock()
-	r.residents = runningNames(rm) // the recovered resident set is the recycle queue now
-	r.mu.Unlock()
 	r.rep.Incarnations++
 	return r.boot()
 }
@@ -584,30 +407,6 @@ func (b *spikeBackend) Stats() manager.Stats { return b.inner.Stats() }
 // Close implements stream.Backend.
 func (b *spikeBackend) Close() { b.inner.Close() }
 
-// procTiles lists the failable processing tiles (endpoints anchor the
-// workload and are never failed).
-func procTiles(plat *arch.Platform) []arch.TileID {
-	var ids []arch.TileID
-	for _, t := range plat.Tiles {
-		switch t.Type {
-		case arch.TypeSource, arch.TypeSink, arch.TypeNone:
-			continue
-		}
-		ids = append(ids, t.ID)
-	}
-	return ids
-}
-
-// runningNames is the manager's resident set, sorted.
-func runningNames(m *manager.Manager) []string {
-	var names []string
-	for _, ad := range m.Running() {
-		names = append(names, ad.App.Name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // addReport folds one incarnation's ledger into the aggregate. Counter
 // fields sum; point-in-time fields (breaker state, DLQ depth, admit
 // rate, window) keep the latest incarnation's values.
@@ -647,11 +446,4 @@ func addStats(dst *front.Stats, s front.Stats) {
 	dst.BadRequest += s.BadRequest
 	dst.Retries += s.Retries
 	dst.Draining += s.Draining
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

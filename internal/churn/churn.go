@@ -1,14 +1,14 @@
-// Package churn drives the concurrent admission pipeline with an online
-// workload: applications from a recurring catalogue arrive through a
-// bounded work queue, run for a while and leave, while N workers map
-// arrivals in parallel against platform snapshots. The cmd/churn driver
-// and the repair acceptance tests share this scenario loop; it reports
-// admission statistics and verifies the reservation ledger is exactly
-// clean after full churn.
+// Package churn builds and drives the admission stack with an online
+// workload: applications from a recurring catalogue arrive, run for a
+// while and leave, while N workers map arrivals in parallel. It holds the
+// one copy of what every driver needs — the Stack constructor, the
+// resident Recycler and the catalogue-index request decoder — and the
+// two scenario loops built on them: Run (straight into the backend,
+// cmd/churn) and RunSoak (through the staged stream server, cmd/serve).
+// The chaos harness and the HTTP service mode assemble the same pieces.
 package churn
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -16,112 +16,72 @@ import (
 	"time"
 
 	"rtsm/internal/arch"
-	"rtsm/internal/core"
 	"rtsm/internal/fleet"
 	"rtsm/internal/journal"
 	"rtsm/internal/manager"
 	"rtsm/internal/model"
+	"rtsm/internal/stream"
 	"rtsm/internal/workload"
 )
 
-// Options parameterises one churn scenario. The zero value is not
-// runnable; use Defaults (or the cmd/churn flags) as a starting point.
+// Options parameterises one stack and the scenario driven through it.
+// The zero value is not runnable; start from Defaults or the cmd flags.
 type Options struct {
-	// Workers is the number of admission worker goroutines; Queue the
-	// work-queue depth (0 = same as workers).
+	// Workers is the number of admission worker goroutines (min 1); Queue
+	// the work-queue depth (0 = 16x workers).
 	Workers int
 	Queue   int
 	// Apps is the number of application arrivals.
 	Apps int
-	// Mesh is the platform's width and height; Seed feeds the platform
-	// generator.
+	// Mesh is the platform's width and height (0 = 8); Seed feeds the
+	// platform generator and the fleet router.
 	Mesh int
 	Seed int64
-	// Meshes federates the scenario across this many independent meshes
-	// behind a fleet placement router (see internal/fleet): each mesh is
-	// a separate Mesh×Mesh platform with its own manager, region locks
-	// and pipeline (Workers and Queue are split evenly, at least one
-	// each), arrivals are routed by sampled load scoring, and capacity
-	// rejections spill to sibling meshes before the final verdict.
-	// 0 or 1 keeps the single-manager pipeline — the pre-fleet path.
+	// Meshes federates the stack across this many independent Mesh×Mesh
+	// platforms behind a fleet placement router (internal/fleet); Workers
+	// and Queue are split evenly, at least one each. 0 or 1 = no fleet.
 	Meshes int
-	// Rebalance starts the fleet's background rebalancer with this
-	// period, draining best-effort residents from hot meshes to cold
-	// ones while the churn runs. 0 leaves it off. Only meaningful with
-	// Meshes > 1.
+	// Rebalance is the period of the fleet's background rebalancer during
+	// Run, draining best-effort residents hot→cold (0 = off).
 	Rebalance time.Duration
 	// Catalogue is the number of distinct application structures in
-	// rotation; MaxUtil and PeriodNs shape them.
+	// rotation (min 1); MaxUtil and PeriodNs shape them.
 	Catalogue int
 	MaxUtil   float64
 	PeriodNs  int64
 	// Resident is how many applications are kept running at once
-	// (0 = 2x workers).
+	// (0 = 4x workers); see Recycler.
 	Resident int
-	// RegionSize shards the platform's commit path: the mesh is
-	// partitioned into square regions of this side length, each with its
-	// own reservation version and lock, and arrivals are pinned
-	// round-robin to per-region stream endpoints so admissions landing
-	// in different regions commit against disjoint locks. 0 keeps the
-	// single-region platform with the global SRC0/SINK0 endpoints — the
-	// pre-sharding behaviour.
+	// RegionSize shards the commit path: the mesh is partitioned into
+	// square regions of this side length, each with its own lock and
+	// SRC<r>/SINK<r> stream endpoints, and arrivals are pinned to them
+	// round-robin. 0 keeps one region with the global SRC0/SINK0 pair.
 	RegionSize int
-	// GlobalLock departitions the platform after layout: the workload
-	// keeps RegionSize's per-region stream endpoints and round-robin
-	// pinning, but every commit goes through one global region lock.
-	// This isolates what lock sharding itself buys — same arrivals, same
-	// platform geometry, different lock granularity.
-	GlobalLock bool
 	// Reuse enables mapping-template reuse; Repair the incremental
-	// remapping engine; Retries bounds re-mapping rounds per arrival.
+	// remapping engine; Preempt the preemption planner (full-mesh
+	// arrivals above BestEffort displace or relocate lower classes).
 	Reuse   bool
 	Repair  bool
-	Retries int
-	// CoW selects copy-on-write snapshots: the admission path captures
-	// O(regions) pointer views instead of deep-copying the mesh, and the
-	// live platform faults regions in as commits write. Off restores the
-	// pre-CoW per-admission deep copy (the snapshot ablation).
-	CoW bool
-	// Epoch lets concurrent admissions share one frozen base snapshot
-	// per pipeline epoch (only meaningful with CoW on).
-	Epoch bool
+	Preempt bool
 	// Batch lets a pipeline worker drain up to this many queued arrivals
-	// into one batched admission round: one shared base snapshot,
-	// speculative mapping per arrival, and a single multi-application
-	// commit of the arrivals whose plans land in disjoint regions
-	// (overlaps fall back to per-item commits; the effective drain size
-	// adapts to the observed conflict rate). ≤ 1 keeps the per-item
-	// pipeline. Negative is a configuration error.
+	// into one merged multi-application commit (manager.Pipeline.SetBatch).
+	// ≤ 1 keeps per-item admission; negative is a configuration error.
 	Batch int
 	// PrioMix assigns admission classes to arrivals as
-	// "bestEffort:standard:critical" integer weights, e.g. "70:20:10".
-	// Arrival i's class is drawn deterministically from the weights by
-	// arrival index, so identical options produce the identical
-	// priority-tagged stream. Empty keeps every arrival BestEffort (the
-	// pre-priority behaviour).
+	// "bestEffort:standard:critical" integer weights, e.g. "70:20:10",
+	// deterministically by arrival index. Empty keeps all BestEffort.
 	PrioMix string
-	// Preempt enables the manager's preemption planner: full-mesh
-	// arrivals above BestEffort displace lower-class residents,
-	// relocating them when possible. Only meaningful with a PrioMix that
-	// produces more than one class.
-	Preempt bool
-	// FaultRate injects run-time tile faults at this expected rate per
-	// arrival (e.g. 0.01 fails one pseudo-random processing tile per
-	// hundred arrivals): the tile's residents are evacuated and
-	// relocated or dropped while the churn keeps running, and every
-	// failed tile is restored before the final pristine check. 0 = off.
+	// FaultRate makes Run fail one pseudo-random processing tile at this
+	// expected rate per arrival (0.01 = one per hundred arrivals): its
+	// residents are relocated or dropped while the churn keeps running,
+	// and every tile is restored before the pristine check. 0 = off.
 	FaultRate float64
-	// FaultBias is the RegionBias applied to fault-evacuation
-	// relocations: positive values steer refits away from crowded
-	// regions, biasing evacuees toward hot-spare capacity. 0 keeps the
-	// mapper's configured pricing.
-	FaultBias float64
-	// Journal streams the manager's hash-chained admission journal to
-	// this writer (see internal/journal); nil leaves journaling off.
-	// Single-mesh scenarios only — a fleet would interleave the member
-	// meshes' chains into one unverifiable stream (Result.ConfigErr).
-	Journal io.Writer
-	// ErrWriter receives stop errors during the run; nil discards them.
+	// Journal attaches the durable hash-chained admission journal (nil =
+	// off). One that recovered earlier segments (journal.OpenFile with
+	// resume) is replayed into the platform before anything is served.
+	// Single-mesh only: it replays one platform. Stack.Close closes it.
+	Journal *journal.File
+	// ErrWriter receives unexpected stop errors; nil discards them.
 	ErrWriter io.Writer
 }
 
@@ -135,32 +95,29 @@ func Defaults() Options {
 		Catalogue: 64,
 		MaxUtil:   0.15,
 		PeriodNs:  40_000,
+		Resident:  8,
 		Reuse:     true,
 		Repair:    true,
 		Preempt:   true,
-		CoW:       true,
-		Epoch:     true,
-		Retries:   manager.DefaultMaxRetries,
 	}
 }
 
-func (o Options) withDefaults() Options {
-	if o.Workers < 1 {
-		o.Workers = 1
+// WithDefaults resolves the zero-valued sizing fields — the one place
+// the mesh, queue and resident defaults live. NewStack applies it; it is
+// idempotent, so a caller deriving a second scenario from the first
+// (cmd/churn -compare) may apply it up front and share the values.
+func (o Options) WithDefaults() Options {
+	o.Workers = max(o.Workers, 1)
+	o.Meshes = max(o.Meshes, 1)
+	o.Catalogue = max(o.Catalogue, 1)
+	if o.Mesh <= 0 {
+		o.Mesh = 8
 	}
 	if o.Queue <= 0 {
-		o.Queue = o.Workers
-		if o.Batch > 1 {
-			// Batches only form when the queue can hold them; give each
-			// worker a full drain's worth of slots by default.
-			o.Queue = o.Workers * o.Batch
-		}
+		o.Queue = 16 * o.Workers
 	}
 	if o.Resident <= 0 {
-		o.Resident = 2 * o.Workers
-	}
-	if o.Catalogue < 1 {
-		o.Catalogue = 1
+		o.Resident = 4 * o.Workers
 	}
 	return o
 }
@@ -213,25 +170,22 @@ func classOf(i int, w [model.NumPriorities]int) model.Priority {
 // Arrival builds the i-th arrival of the scenario: application structures
 // rotate through the catalogue, names stay unique, and with a PrioMix
 // the admission class rotates through the configured weights (the name
-// carries the class for debuggability). endpointRegions is the number of
-// per-region stream-endpoint pairs the scenario's platform carries (its
-// RegionCount as laid out by SyntheticRegionPlatform, before any
-// GlobalLock departition); with more than one, arrivals are pinned
-// round-robin to SRC<r>/SINK<r>, so consecutive arrivals land in
-// different regions.
+// carries the class). endpointRegions is the number of per-region
+// stream-endpoint pairs the platform carries (its RegionCount as laid
+// out by SyntheticRegionPlatform); with more than one, arrivals are
+// pinned round-robin to SRC<r>/SINK<r>. It parses PrioMix on every call;
+// the drivers go through Stack.Arrival, which parsed it once.
 func (o Options) Arrival(i, endpointRegions int) (*model.Application, *model.Library) {
 	w, err := ParsePrioMix(o.PrioMix)
 	if err != nil {
-		// Fall back to the all-BestEffort mix; Run rejects the invalid
-		// string up front (Result.ConfigErr), so this is only reachable
-		// by calling Arrival directly.
+		// All BestEffort; NewStack rejects the string up front, so only a
+		// direct call gets here.
 		w, _ = ParsePrioMix("")
 	}
 	return o.arrival(i, endpointRegions, w)
 }
 
-// arrival is Arrival with the priority weights already parsed, so the
-// scenario loop parses the mix once per run instead of once per arrival.
+// arrival is Arrival with the priority weights already parsed.
 func (o Options) arrival(i, endpointRegions int, w [model.NumPriorities]int) (*model.Application, *model.Library) {
 	s := i % o.Catalogue
 	opts := workload.SynthOptions{
@@ -256,38 +210,34 @@ func (o Options) arrival(i, endpointRegions int, w [model.NumPriorities]int) (*m
 	return app, lib
 }
 
-// Result is the outcome of one churn run.
+// Result is the outcome of one Run or RunSoak.
 type Result struct {
 	// Stats is the manager's counters — summed across meshes for fleet
-	// runs (PerMesh holds the unsummed members).
+	// runs (PerMesh holds the unsummed members, nil for one mesh).
 	Stats   manager.Stats
-	Elapsed time.Duration
-	// Regions is the platform's region count: 1 for the global
-	// single-lock commit path, more when the scenario sharded it. Fleet
-	// runs report the sum over all member meshes.
-	Regions int
-	// PerMesh holds each member mesh's own counters for fleet runs
-	// (len == Options.Meshes); nil for single-manager runs.
 	PerMesh []manager.Stats
-	// Fleet holds the placement router's counters (spills, overflow
-	// rejects, relocations) for fleet runs; zero otherwise.
+	Elapsed time.Duration
+	// Report is the stream server's ledger (RunSoak only).
+	Report stream.Report
+	// Regions is the platforms' summed region count: 1 for the global
+	// single-lock commit path, more when the scenario sharded it.
+	Regions int
+	// Fleet holds the placement router's counters for fleet runs.
 	Fleet fleet.Stats
-	// Clean reports that the ledger returned exactly to pristine after
+	// Clean reports that Run's ledger returned exactly to pristine after
 	// full churn; Drift details the difference when it did not.
 	Clean bool
 	Drift arch.ResidualDiff
 	// FaultRecoverTotal and FaultRecoverMax aggregate the per-fault
-	// time-to-recover of the FaultRate injections (fault counts live in
-	// Stats: FaultsInjected, FaultRelocated, FaultDropped, Restores).
+	// time-to-recover of the FaultRate injections (counts are in Stats).
 	FaultRecoverTotal time.Duration
 	FaultRecoverMax   time.Duration
-	// JournalErr is non-nil when the journal writer reported a failure
-	// during the run or on close.
+	// JournalErr is the journal's first write or close failure.
 	JournalErr error
-	// LedgerErr is non-nil when CheckInvariants failed during teardown.
+	// LedgerErr is non-nil when the reservation invariants — or a soak's
+	// exactly-one-outcome identity — failed; such a run proves nothing.
 	LedgerErr error
-	// ConfigErr is non-nil when the options were unusable (e.g. an
-	// invalid PrioMix); nothing ran in that case.
+	// ConfigErr is non-nil when the options were unusable; nothing ran.
 	ConfigErr error
 }
 
@@ -299,289 +249,72 @@ func (r Result) AdmissionsPerSec() float64 {
 	return float64(r.Stats.Admitted) / r.Elapsed.Seconds()
 }
 
-// MeanFaultRecover is the average per-fault time-to-recover, zero when
-// no fault was injected.
-func (r Result) MeanFaultRecover() time.Duration {
-	if r.Stats.FaultsInjected == 0 {
-		return 0
-	}
-	return r.FaultRecoverTotal / time.Duration(r.Stats.FaultsInjected)
-}
-
-// Run pushes Apps arrivals through a pipeline with the configured worker
-// count, keeping up to Resident applications running at once, then stops
-// everything and checks the ledger.
+// Run pushes Apps arrivals straight into the stack's backend — one
+// manager pipeline or a fleet, the loop is the same — keeping up to
+// Resident applications running at once, then stops everything and
+// checks the ledger returned exactly to pristine.
 func Run(o Options) Result {
-	o = o.withDefaults()
-	weights, werr := ParsePrioMix(o.PrioMix)
-	if werr != nil {
-		return Result{ConfigErr: werr}
+	s, err := NewStack(o)
+	if err != nil {
+		return Result{ConfigErr: err}
 	}
-	if o.Batch < 0 {
-		return Result{ConfigErr: fmt.Errorf("churn: batch size %d is negative", o.Batch)}
+	o = s.Options
+	pristine := make([]arch.Residual, len(s.Managers))
+	for i, m := range s.Managers {
+		pristine[i] = m.Residual()
 	}
-	if o.Meshes > 1 {
-		if o.Journal != nil {
-			return Result{ConfigErr: fmt.Errorf("churn: journaling is per-manager; a fleet run would interleave %d hash chains", o.Meshes)}
-		}
-		return runFleet(o, weights)
+	if s.Fleet != nil && o.Rebalance > 0 {
+		s.Fleet.StartRebalancer(o.Rebalance)
 	}
-	var plat *arch.Platform
-	endpointRegions := 1
-	if o.RegionSize > 0 {
-		plat = workload.SyntheticRegionPlatform(o.Mesh, o.Mesh, o.Seed, o.RegionSize)
-		// The endpoint layout follows the sharded geometry even when
-		// GlobalLock then collapses the partition: same workload, one
-		// lock — that difference is exactly what the ablation measures.
-		endpointRegions = plat.RegionCount()
-		if o.GlobalLock {
-			plat.PartitionRegions(0)
-		}
-	} else {
-		plat = workload.SyntheticPlatform(o.Mesh, o.Mesh, o.Seed)
-	}
-	pristine := plat.Residual()
-	m := manager.New(plat, core.Config{})
-	m.SetMappingReuse(o.Reuse)
-	m.SetRepair(o.Repair)
-	m.SetPreemption(o.Preempt)
-	m.SetCoWSnapshots(o.CoW)
-	m.SetEpochSnapshots(o.Epoch)
-	m.SetMaxRetries(o.Retries)
-	m.SetFaultBias(o.FaultBias)
-	var jw *journal.Writer
-	if o.Journal != nil {
-		jw = journal.NewWriter(o.Journal, journal.Options{})
-		m.SetJournal(jw)
-	}
-	faults := newFaultInjector(o.FaultRate, o.Seed, []*arch.Platform{plat}, []*manager.Manager{m})
-	pipe := manager.NewPipeline(m, o.Workers, o.Queue)
-	if o.Batch > 1 {
-		pipe.SetBatch(o.Batch)
-	}
+	faults := newFaultInjector(o.FaultRate, o.Seed, s.Managers)
 
-	stopErr := func(name string, err error) {
-		if o.ErrWriter != nil {
-			fmt.Fprintf(o.ErrWriter, "churn: stop %s: %v\n", name, err)
-		}
-	}
 	start := time.Now()
-	pending := make(chan (<-chan manager.Outcome), o.Resident)
+	// pending bounds how far the submitter runs ahead of the collector.
+	pending := make(chan func() manager.Outcome, o.Resident)
 	collectorDone := make(chan struct{})
 	go func() {
 		defer close(collectorDone)
-		var residents []string
-		// stop departs one resident. A victim mid-relocation cannot be
-		// stopped yet — requeue it so it departs (or turns out evicted)
-		// on a later attempt instead of leaking as an immortal resident.
-		stop := func(name string) {
-			err := m.Stop(name)
-			switch {
-			case err == nil:
-			case errors.Is(err, manager.ErrRelocating):
-				residents = append(residents, name)
-			default:
-				// Typically "not running": the resident was preempted
-				// and evicted; its reservations are already released.
-				stopErr(name, err)
+		for wait := range pending {
+			if out := wait(); out.Admitted {
+				s.Recycler.Admitted(out.App)
 			}
 		}
-		for ch := range pending {
-			out := <-ch
-			if !out.Admitted {
-				continue
-			}
-			residents = append(residents, out.App)
-			if len(residents) > o.Resident {
-				oldest := residents[0]
-				residents = residents[1:]
-				stop(oldest)
-			}
-		}
-		for len(residents) > 0 {
-			name := residents[0]
-			residents = residents[1:]
-			stop(name)
-		}
+		s.Recycler.Drain()
 	}()
 	for i := 0; i < o.Apps; i++ {
-		ch, err := pipe.Submit(o.arrival(i, endpointRegions, weights))
+		wait, err := s.Backend.Submit(s.Arrival(i))
 		if err != nil {
-			stopErr(fmt.Sprintf("submit app-%d", i), err)
+			if o.ErrWriter != nil {
+				fmt.Fprintf(o.ErrWriter, "churn: submit app-%d: %v\n", i, err)
+			}
 			break
 		}
-		pending <- ch
+		pending <- wait
 		faults.step()
 	}
 	close(pending)
-	pipe.Close()
+	s.Backend.Close()
 	<-collectorDone
 	// Full capacity must be back before the pristine check: a
 	// still-failed tile reads as exhausted in the residual.
 	faults.restoreAll()
 	elapsed := time.Since(start)
 
-	r := Result{Stats: m.Stats(), Elapsed: elapsed, Regions: plat.RegionCount()}
+	r := Result{Elapsed: elapsed, Stats: s.Backend.Stats(), JournalErr: s.Close()}
 	faults.record(&r)
-	if jw != nil {
-		if err := jw.Close(); err != nil {
-			r.JournalErr = err
+	for _, m := range s.Managers {
+		r.Regions += m.Platform().RegionCount()
+		if s.Fleet != nil {
+			r.Fleet = s.Fleet.Stats()
+			r.PerMesh = append(r.PerMesh, m.Stats())
 		}
 	}
-	if err := m.CheckInvariants(); err != nil {
-		r.LedgerErr = err
+	if r.LedgerErr = s.CheckInvariants(); r.LedgerErr != nil {
 		return r
 	}
-	final := m.Residual()
-	r.Clean = final.Equal(pristine)
-	if !r.Clean {
-		r.Drift = pristine.Diff(final)
-	}
-	return r
-}
-
-// runFleet is Run's federated variant: the same arrival stream and
-// resident cap, but admissions go through a fleet of Meshes independent
-// platforms behind the placement router. Workers and queue slots are
-// split evenly across the member pipelines, so a fleet run spends the
-// same worker budget as the single-mesh run it is compared against.
-func runFleet(o Options, weights [model.NumPriorities]int) Result {
-	perWorkers := o.Workers / o.Meshes
-	if perWorkers < 1 {
-		perWorkers = 1
-	}
-	perQueue := o.Queue / o.Meshes
-	if perQueue < 1 {
-		perQueue = 1
-	}
-	specs := make([]workload.MeshSpec, o.Meshes)
-	for i := range specs {
-		// Distinct seeds give each mesh its own tile-type shuffle: the
-		// fleet is homogeneous in geometry but heterogeneous in layout.
-		specs[i] = workload.MeshSpec{
-			W: o.Mesh, H: o.Mesh,
-			Seed:       o.Seed + int64(i)*101,
-			RegionSize: o.RegionSize,
-		}
-	}
-	plats := workload.SyntheticFleetPlatforms(specs)
-	endpointRegions := 1
-	if o.RegionSize > 0 {
-		// Same geometry on every mesh, so the endpoint layout — and the
-		// round-robin pinning derived from it — is fleet-wide: a spilled
-		// arrival finds its SRC<r>/SINK<r> pair on any sibling.
-		endpointRegions = plats[0].RegionCount()
-		if o.GlobalLock {
-			for _, p := range plats {
-				p.PartitionRegions(0)
-			}
-		}
-	}
-	pristine := make([]arch.Residual, len(plats))
-	cfgs := make([]fleet.MeshConfig, len(plats))
-	mgrs := make([]*manager.Manager, len(plats))
-	for i, plat := range plats {
-		pristine[i] = plat.Residual()
-		m := manager.New(plat, core.Config{})
-		m.SetMappingReuse(o.Reuse)
-		m.SetRepair(o.Repair)
-		m.SetPreemption(o.Preempt)
-		m.SetCoWSnapshots(o.CoW)
-		m.SetEpochSnapshots(o.Epoch)
-		m.SetMaxRetries(o.Retries)
-		m.SetFaultBias(o.FaultBias)
-		mgrs[i] = m
-		cfgs[i] = fleet.MeshConfig{
-			Manager: m,
-			Workers: perWorkers,
-			Queue:   perQueue,
-			Batch:   o.Batch,
-		}
-	}
-	f, err := fleet.New(fleet.Config{Seed: o.Seed}, cfgs...)
-	if err != nil {
-		return Result{ConfigErr: err}
-	}
-	if o.Rebalance > 0 {
-		f.StartRebalancer(o.Rebalance)
-	}
-	faults := newFaultInjector(o.FaultRate, o.Seed, plats, mgrs)
-
-	stopErr := func(name string, err error) {
-		if o.ErrWriter != nil {
-			fmt.Fprintf(o.ErrWriter, "churn: stop %s: %v\n", name, err)
-		}
-	}
-	start := time.Now()
-	pending := make(chan (<-chan fleet.Outcome), o.Resident)
-	collectorDone := make(chan struct{})
-	go func() {
-		defer close(collectorDone)
-		var residents []string
-		// stop departs one resident through the fleet, which finds the
-		// mesh it lives on. Mid-relocation residents are requeued exactly
-		// as in the single-mesh run.
-		stop := func(name string) {
-			err := f.Stop(name)
-			switch {
-			case err == nil:
-			case errors.Is(err, manager.ErrRelocating):
-				residents = append(residents, name)
-			default:
-				stopErr(name, err)
-			}
-		}
-		for ch := range pending {
-			out := <-ch
-			if !out.Admitted {
-				continue
-			}
-			residents = append(residents, out.App)
-			if len(residents) > o.Resident {
-				oldest := residents[0]
-				residents = residents[1:]
-				stop(oldest)
-			}
-		}
-		for len(residents) > 0 {
-			name := residents[0]
-			residents = residents[1:]
-			stop(name)
-		}
-	}()
-	for i := 0; i < o.Apps; i++ {
-		ch, err := f.Submit(o.arrival(i, endpointRegions, weights))
-		if err != nil {
-			stopErr(fmt.Sprintf("submit app-%d", i), err)
-			break
-		}
-		pending <- ch
-		faults.step()
-	}
-	close(pending)
-	f.Close()
-	<-collectorDone
-	faults.restoreAll()
-	elapsed := time.Since(start)
-
-	r := Result{Elapsed: elapsed, Fleet: f.Stats()}
-	faults.record(&r)
-	for i := 0; i < f.Meshes(); i++ {
-		st := f.Manager(i).Stats()
-		r.PerMesh = append(r.PerMesh, st)
-		r.Stats.Add(st)
-		r.Regions += plats[i].RegionCount()
-	}
-	for i := 0; i < f.Meshes(); i++ {
-		if err := f.Manager(i).CheckInvariants(); err != nil {
-			r.LedgerErr = fmt.Errorf("mesh %d: %w", i, err)
-			return r
-		}
-	}
 	r.Clean = true
-	for i, plat := range plats {
-		final := plat.Residual()
-		if !final.Equal(pristine[i]) {
+	for i, m := range s.Managers {
+		if final := m.Residual(); !final.Equal(pristine[i]) {
 			r.Clean = false
 			r.Drift = pristine[i].Diff(final)
 			break

@@ -35,23 +35,32 @@ type faultInjector struct {
 	recoverMax   time.Duration
 }
 
+// ProcTiles lists a platform's failable processing tiles. Stream
+// endpoints and filler tiles are spared: failing an arrival's pinned
+// SRC/SINK would measure workload starvation, not recovery.
+func ProcTiles(plat *arch.Platform) []arch.TileID {
+	var ids []arch.TileID
+	for _, t := range plat.Tiles {
+		switch t.Type {
+		case arch.TypeSource, arch.TypeSink, arch.TypeNone:
+			continue
+		}
+		ids = append(ids, t.ID)
+	}
+	return ids
+}
+
 // newFaultInjector builds the injector over every processing tile of
-// the given platforms (stream endpoints and filler tiles are spared:
-// failing an arrival's pinned SRC/SINK would measure workload
-// starvation, not recovery). Returns nil when the rate is zero or no
+// the given managers' platforms. Returns nil when the rate is zero or no
 // tile qualifies.
-func newFaultInjector(rate float64, seed int64, plats []*arch.Platform, mgrs []*manager.Manager) *faultInjector {
+func newFaultInjector(rate float64, seed int64, mgrs []*manager.Manager) *faultInjector {
 	if rate <= 0 {
 		return nil
 	}
 	fi := &faultInjector{rate: rate, rng: rand.New(rand.NewSource(seed ^ 0xfa117))}
-	for i, p := range plats {
-		for _, t := range p.Tiles {
-			switch t.Type {
-			case arch.TypeSource, arch.TypeSink, arch.TypeNone:
-				continue
-			}
-			fi.targets = append(fi.targets, faultTarget{mgrs[i], t.ID})
+	for _, m := range mgrs {
+		for _, id := range ProcTiles(m.Platform()) {
+			fi.targets = append(fi.targets, faultTarget{m, id})
 		}
 	}
 	if len(fi.targets) == 0 {

@@ -1,0 +1,266 @@
+package churn
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"rtsm/internal/arch"
+	"rtsm/internal/journal"
+	"rtsm/internal/manager"
+)
+
+// journalOptions is the single-mesh scenario the recovery tests run.
+func journalOptions(j *journal.File) Options {
+	o := Defaults()
+	o.Mesh, o.RegionSize, o.Catalogue, o.MaxUtil = 8, 4, 4, 0.1
+	o.Journal = j
+	return o
+}
+
+// admitSome admits arrivals [lo, hi) directly and stops every third one,
+// so the journal carries admissions and departures.
+func admitSome(t *testing.T, s *Stack, lo, hi int) {
+	t.Helper()
+	m := s.Managers[0]
+	for i := lo; i < hi; i++ {
+		app, lib := s.Arrival(i)
+		if out := m.Admit(app, lib); out.Admitted && i%3 == 0 {
+			if err := m.Stop(app.Name); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// crashed runs one incarnation over the journal at path: it admits
+// arrivals [lo, hi), seals, clones the platform as the durable
+// checkpoint, optionally strands torn work past the seal, and drops the
+// file without a final seal. It returns the checkpoint and its resident
+// set.
+func crashed(t *testing.T, path string, resume bool, lo, hi, torn int) (*arch.Platform, []string) {
+	t.Helper()
+	j, err := journal.OpenFile(path, 0, resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStack(journalOptions(j))
+	if err != nil {
+		t.Fatal(err)
+	}
+	admitSome(t, s, lo, hi)
+	j.Flush()
+	m := s.Managers[0]
+	sealed, names := m.Platform().Clone(), ResidentNames(m)
+	if len(names) < 3 {
+		t.Fatalf("only %d residents at the checkpoint; scenario too small", len(names))
+	}
+	admitSome(t, s, 1000, 1000+torn)
+	j.Sync()
+	if err := j.Err(); err != nil {
+		t.Fatal(err)
+	}
+	s.Backend.Close()
+	// The crash: no Close, no final seal. Recovery below reopens the files.
+	return sealed, names
+}
+
+// recovered opens the journal with resume and builds the stack on it.
+func recovered(t *testing.T, path string) (*Stack, *journal.File) {
+	t.Helper()
+	j, err := journal.OpenFile(path, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStack(journalOptions(j))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s, j
+}
+
+func checkRecovered(t *testing.T, s *Stack, sealed *arch.Platform, names []string) {
+	t.Helper()
+	m := s.Managers[0]
+	if err := arch.PlatformsIdentical(sealed, m.Platform()); err != nil {
+		t.Fatalf("replayed platform differs from the pre-crash checkpoint: %v", err)
+	}
+	if got := ResidentNames(m); fmt.Sprint(got) != fmt.Sprint(names) {
+		t.Fatalf("recovered residents %v, want %v", got, names)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenJournalRecovery walks the restart paths every driver shares:
+// journal.OpenFile plus the replay NewStack does on what it recovered.
+func TestOpenJournalRecovery(t *testing.T) {
+	t.Run("no segments starts a fresh chain", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "j.jsonl")
+		for _, resume := range []bool{false, true} {
+			j, err := journal.OpenFile(path, 0, resume)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.Segments != 0 || len(j.Recovered.Events) != 0 || j.TornBytes != 0 {
+				t.Fatalf("resume=%v: fresh journal reports recovery: %+v", resume, j)
+			}
+			if got := journal.SegmentPaths(path); len(got) != 1 {
+				t.Fatalf("resume=%v: segments %v, want just the base", resume, got)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			os.Remove(path)
+		}
+	})
+
+	t.Run("sealed segment replays to the checkpoint", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "j.jsonl")
+		sealed, names := crashed(t, path, false, 0, 24, 0)
+		s, j := recovered(t, path)
+		if j.Segments != 1 || j.TornBytes != 0 || len(j.Recovered.Events) == 0 {
+			t.Fatalf("recovery accounting off: segments %d, torn %d, events %d",
+				j.Segments, j.TornBytes, len(j.Recovered.Events))
+		}
+		checkRecovered(t, s, sealed, names)
+	})
+
+	t.Run("torn tail is truncated and counted", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "j.jsonl")
+		sealed, names := crashed(t, path, false, 0, 24, 6)
+		s, j := recovered(t, path)
+		if j.TornBytes <= 0 {
+			t.Fatalf("torn tail not counted: %d bytes", j.TornBytes)
+		}
+		checkRecovered(t, s, sealed, names)
+	})
+
+	t.Run("flipped sealed byte serves nothing", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "j.jsonl")
+		crashed(t, path, false, 0, 24, 0)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One hex digit of the first record's hash: the line stays valid
+		// JSON, so only chain verification can catch it.
+		i := bytes.Index(raw, []byte(`"hash":"`)) + len(`"hash":"`)
+		if raw[i] == '0' {
+			raw[i] = '1'
+		} else {
+			raw[i] = '0'
+		}
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := journal.OpenFile(path, 0, true); err == nil {
+			t.Fatal("corrupted sealed record was accepted")
+		}
+		if got := journal.SegmentPaths(path); len(got) != 1 {
+			t.Fatalf("a restart segment was opened on a corrupt chain: %v", got)
+		}
+	})
+
+	t.Run("resumed chain verifies across three segments", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "j.jsonl")
+		crashed(t, path, false, 0, 24, 2)
+		crashed(t, path, true, 24, 40, 2)
+		sealed, names := crashed(t, path, true, 40, 56, 2)
+		s, j := recovered(t, path)
+		if j.Segments != 3 {
+			t.Fatalf("recovered %d segments, want 3", j.Segments)
+		}
+		checkRecovered(t, s, sealed, names)
+	})
+
+	t.Run("fresh chain drops stale restart segments", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "j.jsonl")
+		crashed(t, path, false, 0, 24, 0)
+		crashed(t, path, true, 24, 40, 0)
+		crashed(t, path, false, 0, 24, 2)
+		if got := journal.SegmentPaths(path); len(got) != 1 {
+			t.Fatalf("stale segments survived a fresh open: %v", got)
+		}
+		recovered(t, path)
+	})
+}
+
+// TestRecyclerSeededInSortedOrder pins which resident is "oldest" after
+// a restart: two recoveries of the same journal stop the recovered
+// residents in the same — sorted-name — order.
+func TestRecyclerSeededInSortedOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	_, names := crashed(t, path, false, 0, 24, 0)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var orders [2][]string
+	for k := range orders {
+		dir := t.TempDir()
+		copyPath := filepath.Join(dir, "j.jsonl")
+		if err := os.WriteFile(copyPath, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, _ := recovered(t, copyPath)
+		stop := s.Recycler.stop
+		s.Recycler.stop = func(name string) error {
+			orders[k] = append(orders[k], name)
+			return stop(name)
+		}
+		s.Recycler.Drain()
+	}
+	if fmt.Sprint(orders[0]) != fmt.Sprint(names) || fmt.Sprint(orders[1]) != fmt.Sprint(names) {
+		t.Fatalf("recovered residents stopped in orders\n %v\n %v\nwant sorted %v", orders[0], orders[1], names)
+	}
+}
+
+// TestStackHonoursBatch checks the one place batching is wired: a stack
+// built with Batch drains batched rounds, and still does after Reopen.
+func TestStackHonoursBatch(t *testing.T) {
+	o := journalOptions(nil)
+	o.Batch, o.Resident = 4, 64
+	s, err := NewStack(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batched := func() uint64 {
+		st := s.Backend.Stats()
+		return st.BatchedAdmissions + st.BatchSpills + st.BatchFallbacks
+	}
+	burst := func(lo int) {
+		var waits []func() manager.Outcome
+		for i := lo; i < lo+48; i++ {
+			wait, err := s.Backend.Submit(s.Arrival(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waits = append(waits, wait)
+		}
+		for _, wait := range waits {
+			if out := wait(); out.Admitted {
+				s.Recycler.Admitted(out.App)
+			}
+		}
+	}
+	burst(0)
+	first := batched()
+	if first == 0 {
+		t.Fatal("a Batch stack drained no batched round")
+	}
+	s.Backend.Close()
+	s.Reopen()
+	burst(100)
+	if batched() == first {
+		t.Fatal("Reopen dropped the batch setting")
+	}
+	s.Recycler.Drain()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

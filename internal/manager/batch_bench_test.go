@@ -30,8 +30,7 @@ import (
 // runs the comparison through the full pipeline, where arrivals race:
 // there the merged commit and the spill path absorb the cross-worker
 // conflicts the per-item control pays for in retries and repairs, and
-// the batched side wins by integer factors. CI uploads both pairs as
-// the batched-vs-unbatched artifact (BENCH_6.json).
+// the batched side wins by integer factors.
 
 // burstReq is one region-pinned catalogue arrival: structure and
 // stream endpoints are both fixed by the region, so every round

@@ -16,36 +16,6 @@ import "rtsm/internal/arch"
 // (and publish it as the new epoch), since re-deciding against the very
 // snapshot that just lost a race would be wasted work.
 
-// DefaultEpochLag is how many committed reservation changes an epoch
-// snapshot may trail the live platform by before a new admission rolls
-// the epoch instead of sharing it. The default of 0 shares only while
-// nothing has committed since the capture — sharing with zero added
-// staleness, a pure win whenever several admissions start inside one
-// commit window. Raising it trades staleness (absorbed by validation
-// plus incremental repair, but not for free) for fewer captures, which
-// pays off once capture contention matters — many workers on many
-// cores — and costs extra repair rounds on a saturated single core.
-const DefaultEpochLag = 0
-
-// snapshotMode reads the snapshot configuration consistently.
-func (m *Manager) snapshotMode() (cow, epoch bool, lag uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cow, m.epochShare, m.epochLag
-}
-
-// captureSnapshot takes a fresh snapshot in the given mode: a frozen
-// copy-on-write capture coordinating per region, or the classic deep
-// copy under all region locks.
-func (m *Manager) captureSnapshot(cow bool) *arch.Snapshot {
-	if cow {
-		return m.plat.SnapshotCoW(m.locks)
-	}
-	m.locks.LockAll()
-	defer m.locks.UnlockAll()
-	return m.plat.Snapshot()
-}
-
 // countSnapshot records a base-snapshot capture (or an epoch share) in
 // the statistics.
 func (m *Manager) countSnapshot(shared bool) {
@@ -63,12 +33,6 @@ func (m *Manager) countSnapshot(shared bool) {
 // staleness budget, a freshly captured one (which becomes the new epoch)
 // otherwise.
 func (m *Manager) baseSnapshot() *arch.Snapshot {
-	cow, epoch, lag := m.snapshotMode()
-	if !cow || !epoch {
-		s := m.captureSnapshot(cow)
-		m.countSnapshot(false)
-		return s
-	}
 	m.epochMu.Lock()
 	defer m.epochMu.Unlock()
 	// The staleness guard compares unsigned versions: live must be at
@@ -81,11 +45,11 @@ func (m *Manager) baseSnapshot() *arch.Snapshot {
 	live := m.plat.Version()
 	if s := m.epochSnap; s != nil &&
 		len(s.RegionVersions) == m.plat.RegionCount() &&
-		live >= s.Version && live-s.Version <= lag {
+		live >= s.Version && live-s.Version <= m.epochLag {
 		m.countSnapshot(true)
 		return s
 	}
-	s := m.captureSnapshot(true)
+	s := m.plat.SnapshotCoW(m.locks)
 	m.epochSnap = s
 	m.countSnapshot(false)
 	return s
@@ -93,18 +57,15 @@ func (m *Manager) baseSnapshot() *arch.Snapshot {
 
 // freshSnapshot captures the platform's current state for a retry round
 // — a commit conflict, a stale infeasible verdict or a stale template
-// pool — and, under epoch sharing, publishes it as the new epoch so
-// admissions arriving next share the freshest view.
+// pool — and publishes it as the new epoch so admissions arriving next
+// share the freshest view.
 func (m *Manager) freshSnapshot() *arch.Snapshot {
-	cow, epoch, _ := m.snapshotMode()
-	s := m.captureSnapshot(cow)
+	s := m.plat.SnapshotCoW(m.locks)
 	m.countSnapshot(false)
-	if cow && epoch {
-		m.epochMu.Lock()
-		if m.epochSnap == nil || m.epochSnap.Version < s.Version {
-			m.epochSnap = s
-		}
-		m.epochMu.Unlock()
+	m.epochMu.Lock()
+	if m.epochSnap == nil || m.epochSnap.Version < s.Version {
+		m.epochSnap = s
 	}
+	m.epochMu.Unlock()
 	return s
 }

@@ -162,9 +162,8 @@ func (m *Manager) restoreResource(region arch.RegionID, restore func() bool,
 
 // relocateFaultVictim tries to keep an evacuated (already released)
 // resident running by committing a relocated mapping, reporting whether
-// it succeeded. It mirrors relocateVictim but relocates with the fault
-// bias (see SetFaultBias) and books the outcome under the fault
-// counters.
+// it succeeded. It mirrors relocateVictim but books the outcome under
+// the fault counters.
 func (m *Manager) relocateFaultVictim(v *Admission) bool {
 	if v.Result == nil || v.lib == nil {
 		// Replay-rebuilt resident: journaled deltas are all that is known
@@ -172,14 +171,7 @@ func (m *Manager) relocateFaultVictim(v *Admission) bool {
 		m.dropFaultVictim(v)
 		return false
 	}
-	cfg := m.cfg
-	if m.faultBias > 0 {
-		cfg.RegionBias = m.faultBias
-	}
-	vm := &core.Mapper{Lib: v.lib, Cfg: cfg}
-	m.mu.Lock()
-	maxRetries := m.maxRetries
-	m.mu.Unlock()
+	vm := &core.Mapper{Lib: v.lib, Cfg: m.cfg}
 	for attempt := 0; ; attempt++ {
 		snap := m.Snapshot()
 		rep, err := vm.Relocate(v.Result, snap)

@@ -37,9 +37,9 @@ import (
 	"rtsm/internal/model"
 )
 
-// DefaultMaxRetries bounds how many times one admission re-maps after a
-// commit conflict or a stale infeasible verdict before giving up.
-const DefaultMaxRetries = 3
+// maxRetries bounds how many times one admission re-maps after a commit
+// conflict or a stale infeasible verdict before giving up.
+const maxRetries = 3
 
 // Admission records one running application.
 type Admission struct {
@@ -179,14 +179,13 @@ type Stats struct {
 	// Snapshots counts base snapshots actually captured for admissions
 	// and their retries; SnapshotsShared counts admissions served from an
 	// already-captured epoch snapshot instead of taking their own (see
-	// SetEpochSnapshots). Their sum is the number of snapshot
-	// acquisitions the admission path performed.
+	// epoch.go). Their sum is the number of snapshot acquisitions the
+	// admission path performed.
 	Snapshots       uint64
 	SnapshotsShared uint64
 	// CoWFaults counts regions faulted in by the copy-on-write engine —
 	// private region copies made on first write, on the live platform
-	// and on every snapshot and working clone derived from it. With
-	// copy-on-write disabled it stays zero.
+	// and on every snapshot and working clone derived from it.
 	CoWFaults uint64
 	// Preemptions counts lower-priority victims displaced so a
 	// higher-priority arrival could be admitted on a full mesh. Every
@@ -332,8 +331,8 @@ func (s Stats) RepairRate() (float64, bool) {
 //   - locks, one mutex per mesh region, serialize the platform's
 //     reservation state. A commit or release holds exactly the regions
 //     its plan touches; whole-platform reads (Residual, Load,
-//     CheckInvariants, deep snapshots) hold all of them, while the
-//     copy-on-write snapshot capture visits one region lock at a time.
+//     CheckInvariants) hold all of them, while the copy-on-write
+//     snapshot capture visits one region lock at a time.
 //   - mu serializes the admission bookkeeping: the running and pending
 //     sets, the sequence counter, the configuration flags and the
 //     statistics.
@@ -349,9 +348,14 @@ type Manager struct {
 	// platform and all its snapshots and clones share this meter.
 	faults atomic.Uint64
 
-	// epochMu guards the shared epoch snapshot of epoch.go.
+	// epochMu guards the shared epoch snapshot of epoch.go. epochLag is
+	// how many committed reservation changes that snapshot may trail the
+	// live platform by and still be shared; the zero every manager runs
+	// with shares only while nothing committed since the capture. Only
+	// the sharing race test raises it, before its first admission.
 	epochMu   sync.Mutex
 	epochSnap *arch.Snapshot
+	epochLag  uint64
 
 	mu      sync.Mutex
 	plat    *arch.Platform
@@ -364,13 +368,9 @@ type Manager struct {
 	preempting map[string]*Admission
 	seq        int
 	stats      Stats
-	maxRetries int
 	templates  *templateCache // nil = mapping reuse disabled
 	repair     bool           // repair stale mappings instead of re-mapping
 	preemption bool           // displace lower classes for full-mesh arrivals
-	cow        bool           // copy-on-write snapshots instead of deep copies
-	epochShare bool           // admissions share epoch snapshots
-	epochLag   uint64         // staleness budget of a shared epoch snapshot
 
 	// load is the lock-free utilization summary fleet routers sample;
 	// maintained by loadCharge/loadRelease on the commit and stop paths.
@@ -380,10 +380,6 @@ type Manager struct {
 	// Wired once by SetJournal before the first admission and read
 	// without a lock from every commit path.
 	jw *journal.Writer
-
-	// faultBias overrides the mapper's region-bias price when relocating
-	// fault victims (0 = inherit cfg.RegionBias); see SetFaultBias.
-	faultBias float64
 }
 
 // New returns a manager over the given platform. The platform is owned by
@@ -400,53 +396,12 @@ func New(plat *arch.Platform, cfg core.Config) *Manager {
 		running:    make(map[string]*Admission),
 		pending:    make(map[string]struct{}),
 		preempting: make(map[string]*Admission),
-		maxRetries: DefaultMaxRetries,
 		repair:     true,
 		preemption: true,
-		cow:        true,
-		epochShare: true,
-		epochLag:   DefaultEpochLag,
 	}
 	plat.SetCoWFaultMeter(&m.faults)
 	m.initLoadCapacity()
 	return m
-}
-
-// SetCoWSnapshots selects how the admission path snapshots the platform.
-// When on (the default), snapshots are copy-on-write: the capture shares
-// the platform's per-tile and per-link reservation structs and the live
-// platform faults in private region copies as later commits write — cost
-// O(regions) per snapshot plus O(footprint) per commit, instead of a
-// deep copy of the whole mesh under every region lock. When off, every
-// snapshot is the classic deep copy taken under all region locks (and
-// epoch sharing is ineffective, since deep snapshots cannot be shared).
-func (m *Manager) SetCoWSnapshots(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cow = on
-}
-
-// SetEpochSnapshots enables or disables epoch sharing of copy-on-write
-// snapshots: when on (the default, effective only with CoW snapshots),
-// concurrent admissions within one epoch map against a single frozen
-// base snapshot instead of each capturing their own, and the epoch rolls
-// once the live platform has moved more than SetEpochLag commits past
-// the base. Commit-time validation catches the staleness sharing
-// introduces, exactly as it catches snapshot races.
-func (m *Manager) SetEpochSnapshots(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.epochShare = on
-}
-
-// SetEpochLag sets how many committed reservation changes an epoch
-// snapshot may trail the live platform by before a new admission rolls
-// the epoch instead of sharing it (0 = share only while nothing
-// committed since the capture).
-func (m *Manager) SetEpochLag(n uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.epochLag = n
 }
 
 // SetPreemption enables or disables the preemption planner. When on (the
@@ -471,14 +426,6 @@ func (m *Manager) SetRepair(on bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.repair = on
-}
-
-// SetMaxRetries bounds the optimistic-concurrency retry loop (0 disables
-// retrying: one mapping round per arrival).
-func (m *Manager) SetMaxRetries(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.maxRetries = n
 }
 
 // SetMappingReuse enables or disables the mapping template cache: when
@@ -506,16 +453,6 @@ func (m *Manager) SetMappingReuse(on bool) {
 // the journal before the first admission (the field is read without a
 // lock on the hot path); nil disables journaling.
 func (m *Manager) SetJournal(w *journal.Writer) { m.jw = w }
-
-// SetFaultBias sets the region-bias price the fault evacuation's
-// relocation rounds use in the mapper's placement steps: a positive
-// bias makes an evacuated resident prefer tiles inside regions its
-// surviving placement already occupies — the hot-spare pattern, where
-// spare capacity held in a resident's own regions absorbs its failed
-// tiles without widening the lock footprint. Zero (the default)
-// inherits the manager's configured RegionBias. Set before injecting
-// faults; the field is read without a lock.
-func (m *Manager) SetFaultBias(bias float64) { m.faultBias = bias }
 
 // journalPlan appends one reservation-bearing event carrying the plan's
 // aggregated deltas. Callers hold the region locks of the plan's
@@ -553,17 +490,12 @@ func (m *Manager) removalPlan(ad *Admission) (*core.Plan, error) {
 // Residual instead.
 func (m *Manager) Platform() *arch.Platform { return m.plat }
 
-// Snapshot returns a point-in-time snapshot of the managed platform.
-// With copy-on-write snapshots enabled (the default) the capture
-// coordinates per region — no caller and no commit ever waits on all
-// region locks at once — and the returned snapshot is frozen: treat its
-// Plat as read-only, and derive arch.Snapshot.Writable before mutating.
-// With CoW disabled it is a deep copy taken under all region locks,
-// owned outright by the caller.
-func (m *Manager) Snapshot() *arch.Snapshot {
-	cow, _, _ := m.snapshotMode()
-	return m.captureSnapshot(cow)
-}
+// Snapshot returns a point-in-time copy-on-write snapshot of the managed
+// platform. The capture coordinates per region — no caller and no commit
+// ever waits on all region locks at once — and the returned snapshot is
+// frozen: treat its Plat as read-only, and derive arch.Snapshot.Writable
+// before mutating.
+func (m *Manager) Snapshot() *arch.Snapshot { return m.plat.SnapshotCoW(m.locks) }
 
 // Residual returns the platform's current free-capacity view, read under
 // all region locks.
@@ -714,7 +646,6 @@ func (m *Manager) admitFrom(app *model.Application, lib *model.Library, out Outc
 	tc := m.templates
 	repairOn := m.repair
 	preemptOn := m.preemption && prio > model.BestEffort
-	maxRetries := m.maxRetries
 	m.mu.Unlock()
 
 	mapper := &core.Mapper{Lib: lib, Cfg: m.cfg}

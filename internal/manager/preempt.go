@@ -233,7 +233,6 @@ func (m *Manager) preemptAdmit(out *Outcome, app *model.Application, lib *model.
 	for _, v := range victims {
 		out.Preempted = append(out.Preempted, v.App.Name)
 	}
-	maxRetries := m.maxRetries
 	m.mu.Unlock()
 
 	// Relocation before eviction: each victim's stale mapping is refit
@@ -244,7 +243,7 @@ func (m *Manager) preemptAdmit(out *Outcome, app *model.Application, lib *model.
 	// and the class's latency — displacing victims is part of what this
 	// admission cost.
 	for _, v := range victims {
-		m.relocateVictim(v, out, maxRetries)
+		m.relocateVictim(v, out)
 	}
 	m.mu.Lock()
 	m.finishLocked(out, ad, nil)
@@ -255,7 +254,7 @@ func (m *Manager) preemptAdmit(out *Outcome, app *model.Application, lib *model.
 // relocateVictim tries to keep a preempted (already released) victim
 // running by committing a relocated mapping; when nothing fits it records
 // the eviction. Runs outside all locks except the short sharded commits.
-func (m *Manager) relocateVictim(v *Admission, out *Outcome, maxRetries int) {
+func (m *Manager) relocateVictim(v *Admission, out *Outcome) {
 	vm := &core.Mapper{Lib: v.lib, Cfg: m.cfg}
 	var repairAttempts uint64
 	for attempt := 0; ; attempt++ {

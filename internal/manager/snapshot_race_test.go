@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"rtsm/internal/core"
-	"rtsm/internal/model"
 	"rtsm/internal/workload"
 )
 
@@ -27,7 +26,7 @@ func TestEpochSnapshotSharingStress(t *testing.T) {
 	// non-zero lag makes sharing frequent regardless of how commits
 	// interleave with captures on the host running the test.
 	m.SetMappingReuse(false)
-	m.SetEpochLag(4)
+	m.epochLag = 4
 
 	const workers = 8
 	const perWorker = 25
@@ -79,67 +78,4 @@ func TestEpochSnapshotSharingStress(t *testing.T) {
 	}
 	t.Logf("epoch stress: %d admitted, %d base snapshots, %d shared, %d CoW faults",
 		st.Admitted, st.Snapshots, st.SnapshotsShared, st.CoWFaults)
-}
-
-// TestEpochDisabledTakesPerAdmissionSnapshots pins the ablation: with
-// epoch sharing off every admission captures its own base snapshot.
-func TestEpochDisabledTakesPerAdmissionSnapshots(t *testing.T) {
-	m := New(workload.SyntheticPlatform(5, 5, 9), core.Config{})
-	m.SetMappingReuse(false)
-	m.SetEpochSnapshots(false)
-	for i := 0; i < 6; i++ {
-		app, lib := workload.Synthetic(workload.SynthOptions{
-			Shape: workload.ShapeChain, Processes: 3, Seed: int64(i), MaxUtil: 0.1,
-		})
-		app.Name = fmt.Sprintf("noepoch-%d", i)
-		out := m.Admit(app, lib)
-		if out.Admitted {
-			if err := m.Stop(app.Name); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	st := m.Stats()
-	if st.SnapshotsShared != 0 {
-		t.Fatalf("epoch sharing off but %d admissions shared a snapshot", st.SnapshotsShared)
-	}
-	if st.Snapshots == 0 {
-		t.Fatal("no snapshots recorded")
-	}
-}
-
-// TestDeepCopySnapshotModeStillWorks pins the -cow=false ablation end to
-// end: deep snapshots under all region locks, no sharing, no faults,
-// same admission outcomes.
-func TestDeepCopySnapshotModeStillWorks(t *testing.T) {
-	plat := workload.SyntheticPlatform(5, 5, 9)
-	pristine := plat.Residual()
-	m := New(plat, core.Config{})
-	m.SetCoWSnapshots(false)
-	var admitted []string
-	for i := 0; i < 8; i++ {
-		app, lib := workload.Synthetic(workload.SynthOptions{
-			Shape: workload.ShapeChain, Processes: 3, Seed: int64(i), MaxUtil: 0.1,
-			Priority: model.Priority(i % model.NumPriorities),
-		})
-		app.Name = fmt.Sprintf("deep-%d", i)
-		if out := m.Admit(app, lib); out.Admitted {
-			admitted = append(admitted, app.Name)
-		}
-	}
-	st := m.Stats()
-	if st.Admitted == 0 {
-		t.Fatal("deep-copy mode admitted nothing")
-	}
-	if st.CoWFaults != 0 {
-		t.Fatalf("deep-copy mode recorded %d CoW faults, want 0", st.CoWFaults)
-	}
-	for _, name := range admitted {
-		if err := m.Stop(name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if final := m.Residual(); !final.Equal(pristine) {
-		t.Fatal("deep-copy mode leaked reservations")
-	}
 }

@@ -1,7 +1,8 @@
-package stream
+package stream_test
 
 import (
 	"errors"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"rtsm/internal/journal"
 	"rtsm/internal/manager"
 	"rtsm/internal/model"
+	"rtsm/internal/stream"
 	"rtsm/internal/workload"
 )
 
@@ -31,11 +33,11 @@ func TestServerSoakSaturationBreakerAndDLQ(t *testing.T) {
 	m.SetMappingReuse(true)
 	m.SetRepair(true)
 	pipe := manager.NewPipeline(m, 4, 8)
-	backend := NewPipelineBackend(m, pipe)
-	srv, err := New(Options{
+	backend := stream.NewPipelineBackend(m, pipe)
+	srv, err := stream.New(stream.Options{
 		Backend: backend, Ingress: 64, ClassBuf: 8,
 		DLQ: 512, DLQBelow: 0.5, DLQRetries: 10_000, DLQEvery: time.Millisecond,
-		Breaker: BreakerConfig{Window: 250 * time.Millisecond, MinSamples: 8,
+		Breaker: stream.BreakerConfig{Window: 250 * time.Millisecond, MinSamples: 8,
 			Ratio: 0.5, Cooldown: 25 * time.Millisecond, Probes: 2},
 	})
 	if err != nil {
@@ -46,7 +48,7 @@ func TestServerSoakSaturationBreakerAndDLQ(t *testing.T) {
 	// phase B can depart them.
 	var (
 		resMu    sync.Mutex
-		results  []Result
+		results  []stream.Result
 		admitted []string
 	)
 	collectorDone := make(chan struct{})
@@ -55,7 +57,7 @@ func TestServerSoakSaturationBreakerAndDLQ(t *testing.T) {
 		for r := range srv.Results() {
 			resMu.Lock()
 			results = append(results, r)
-			if r.Verdict == VerdictAdmitted {
+			if r.Verdict == stream.VerdictAdmitted {
 				admitted = append(admitted, r.App)
 			}
 			resMu.Unlock()
@@ -68,24 +70,29 @@ func TestServerSoakSaturationBreakerAndDLQ(t *testing.T) {
 	co := churn.Options{Catalogue: 4, MaxUtil: 0.3, PeriodNs: 40_000, PrioMix: "1:1:1"}
 	deadline := time.Now().Add(30 * time.Second)
 	subs := 0
-	for (srv.breaker.Opens() == 0 || srv.dlq.depth() == 0) && time.Now().Before(deadline) {
-		app, lib := co.Arrival(subs, 1)
-		if err := srv.Submit(app, lib); err != nil {
-			t.Fatal(err)
+	// Report sorts the metrics windows, so poll it once per 16 arrivals.
+	live := srv.Report()
+	for (live.BreakerOpens == 0 || live.DLQDepth == 0) && time.Now().Before(deadline) {
+		for i := 0; i < 16; i++ {
+			app, lib := co.Arrival(subs, 1)
+			if err := srv.Submit(app, lib); err != nil {
+				t.Fatal(err)
+			}
+			subs++
 		}
-		subs++
+		live = srv.Report()
 	}
-	if srv.breaker.Opens() == 0 {
+	if live.BreakerOpens == 0 {
 		t.Fatal("saturating burst never opened the breaker")
 	}
-	if srv.dlq.depth() == 0 {
+	if live.DLQDepth == 0 {
 		t.Fatal("no capacity-rejected arrival was parked in the DLQ")
 	}
 
 	// Phase B: depart residents until utilization drops and the DLQ
 	// recovers at least one parked arrival. Recovered entries re-admit
 	// and are departed on the next round, so utilization stays low.
-	for srv.c.recovered.Load() == 0 && time.Now().Before(deadline) {
+	for srv.Report().Recovered == 0 && time.Now().Before(deadline) {
 		resMu.Lock()
 		batch := admitted
 		admitted = nil
@@ -103,7 +110,7 @@ func TestServerSoakSaturationBreakerAndDLQ(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if srv.c.recovered.Load() == 0 {
+	if srv.Report().Recovered == 0 {
 		t.Fatal("DLQ never recovered after load dropped")
 	}
 
@@ -149,7 +156,7 @@ func TestServerSoakSaturationBreakerAndDLQ(t *testing.T) {
 	// "app-<i>-<class>".
 	firstShed := map[model.Priority]int{}
 	for _, r := range results {
-		if r.Verdict != VerdictShed || r.ShedAt != ShedAtBuffer {
+		if r.Verdict != stream.VerdictShed || r.ShedAt != stream.ShedAtBuffer {
 			continue
 		}
 		i, err := strconv.Atoi(strings.Split(r.App, "-")[1])
@@ -181,13 +188,12 @@ func TestServerSoakSaturationBreakerAndDLQ(t *testing.T) {
 // shapes and checks that the ledger and invariants hold.
 func TestRunSoakSmoke(t *testing.T) {
 	for _, meshes := range []int{1, 2} {
-		res := RunSoak(SoakOptions{
-			Arrivals: 1200, Mesh: 8, Seed: 7, Meshes: meshes,
-			Workers: 2, Queue: 8, Catalogue: 4, MaxUtil: 0.2,
-			PrioMix: "60:30:10", Resident: 6,
-			Server: Options{Ingress: 32, ClassBuf: 16,
-				DLQ: 128, DLQBelow: 0.6, DLQEvery: time.Millisecond},
-		})
+		res := churn.RunSoak(churn.Options{
+			Apps: 1200, Mesh: 8, RegionSize: 3, Seed: 7, Meshes: meshes,
+			Workers: 2, Queue: 8, Catalogue: 4, MaxUtil: 0.2, PeriodNs: 40_000,
+			PrioMix: "60:30:10", Resident: 6, Reuse: true, Repair: true, Preempt: true,
+		}, stream.Options{Ingress: 32, ClassBuf: 16,
+			DLQ: 128, DLQBelow: 0.6, DLQEvery: time.Millisecond})
 		if res.ConfigErr != nil {
 			t.Fatalf("meshes=%d: %v", meshes, res.ConfigErr)
 		}
@@ -200,7 +206,7 @@ func TestRunSoakSmoke(t *testing.T) {
 		if res.Report.Admitted == 0 {
 			t.Fatalf("meshes=%d: nothing admitted: %+v", meshes, res.Report)
 		}
-		if res.ArrivalsPerSec() <= 0 || res.AdmissionsPerSec() <= 0 {
+		if res.Elapsed <= 0 || res.AdmissionsPerSec() <= 0 {
 			t.Fatalf("meshes=%d: throughput not measured: %+v", meshes, res)
 		}
 	}
@@ -210,9 +216,12 @@ func TestRunSoakSmoke(t *testing.T) {
 // per-manager hash chain, so a fleet soak with a journal must refuse to
 // run rather than interleave chains.
 func TestRunSoakRejectsFleetJournal(t *testing.T) {
-	// The guard fires before the writer is ever used, so a zero writer
-	// is enough to trip it.
-	res := RunSoak(SoakOptions{Arrivals: 1, Meshes: 2, Journal: &journal.Writer{}})
+	jf, err := journal.OpenFile(filepath.Join(t.TempDir(), "soak.jsonl"), 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jf.Close()
+	res := churn.RunSoak(churn.Options{Apps: 1, Meshes: 2, Journal: jf}, stream.Options{})
 	if res.ConfigErr == nil {
 		t.Fatal("fleet soak with a journal was accepted")
 	}

@@ -35,7 +35,6 @@ func benchmarkAdmissionPriority(b *testing.B, preempt bool) {
 		Repair:    true,
 		PrioMix:   "70:20:10",
 		Preempt:   preempt,
-		Retries:   3,
 	}
 	b.ResetTimer()
 	var admitted, rejected uint64

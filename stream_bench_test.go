@@ -2,111 +2,41 @@ package rtsm
 
 import (
 	"testing"
-
 	"time"
 
 	"rtsm/internal/churn"
 	"rtsm/internal/stream"
 )
 
-// The streaming-server pair prices the admission front-end: the same
-// unsaturated all-Critical churn scenario runs once straight through
-// the pipeline (internal/churn, the baseline) and once through the full
-// staged server — ingress buffer, classifier, dispatch, per-arrival
-// outcome watchers, rolling metrics window. All-Critical keeps the
-// comparison honest: Critical is the blocking-backpressure path, so the
-// server admits exactly the arrivals the bare pipeline would (nothing
-// sheds) and the throughput difference is pure stage overhead. The bar
-// is ≥0.8x the direct admissions/sec: the front-end must cost less than
-// a fifth of the throughput it protects. CI uploads the pair as
-// BENCH_9.json; TestBenchTrajectory gates the checked-in number.
-func streamServeChurnOptions(n int) churn.Options {
+// streamBenchOptions is the scenario all four streaming benchmarks run:
+// an unsaturated all-Critical churn on one region-sharded 8×8 mesh.
+// All-Critical keeps the comparisons honest: Critical is the
+// blocking-backpressure path, so the server admits exactly the arrivals
+// the bare pipeline would (nothing sheds) and throughput differences are
+// pure stage overhead or throttle tax.
+func streamBenchOptions(n int) churn.Options {
 	o := churn.Defaults()
 	o.Apps = n
-	o.Mesh = 8
 	o.RegionSize = 3
 	o.Catalogue = 4
 	o.MaxUtil = 0.12
-	o.Workers = 4
 	o.Queue = 16
 	o.Resident = 16
 	o.PrioMix = "0:0:1"
-	// The soak's manager runs without the preemption planner; keep the
-	// baseline identical.
-	o.Preempt = false
 	return o
 }
 
-// The adaptive pair prices the AIMD overload controller against the
-// best hand-tuned static rate on the same unsaturated all-Critical
-// scenario (nothing sheds, both admit exactly b.N arrivals, so
-// admissions/sec differences are pure throttle tax). The static
-// baseline's 2000 arrivals/sec was hand-tuned: comfortably above the
-// scenario's ~1k admissions/sec capacity while holding the 250ms
-// service-latency SLO (reference runs record p99 ≈ 70–120ms), so the
-// token bucket never bites and the baseline is the best a static rate
-// can do here. The AIMD controller must find the same operating point
-// on its own — raising while windowed p99 service latency holds under
-// the same SLO, cutting on breaches — and hold ≥0.9x the static
-// admissions/sec. CI uploads the pair as BENCH_10.json;
-// TestBenchTrajectory gates the checked-in ratio.
-func streamAdaptiveSoakOptions(n int) stream.SoakOptions {
-	return stream.SoakOptions{
-		Arrivals: n, Mesh: 8, RegionSize: 3, Seed: 123,
-		Catalogue: 4, MaxUtil: 0.12, Workers: 4, Queue: 16, Resident: 16,
-		PrioMix: "0:0:1",
-	}
-}
-
-// BenchmarkStreamAdaptiveStatic is the hand-tuned baseline: a static
-// dispatch rate above capacity, no controller.
-func BenchmarkStreamAdaptiveStatic(b *testing.B) {
-	o := streamAdaptiveSoakOptions(b.N)
-	o.Server = stream.Options{Ingress: 256, ClassBuf: 64, Rate: 2000}
-	b.ResetTimer()
-	res := stream.RunSoak(o)
-	b.StopTimer()
-	reportAdaptive(b, res)
-}
-
-// BenchmarkStreamAdaptiveAIMD runs the identical scenario under the
-// AIMD controller with a 250ms p99 service-latency SLO. Acceptance bar:
-// ≥0.9x the static baseline's admissions/sec with the SLO held.
-func BenchmarkStreamAdaptiveAIMD(b *testing.B) {
-	const slo = 250 * time.Millisecond
-	o := streamAdaptiveSoakOptions(b.N)
-	o.Server = stream.Options{
-		Ingress: 256, ClassBuf: 64,
-		AIMD: stream.AIMDConfig{SLO: slo},
-	}
-	b.ResetTimer()
-	res := stream.RunSoak(o)
-	b.StopTimer()
-	reportAdaptive(b, res)
-	if p99 := res.Report.Service.P99; p99 > slo {
-		b.Logf("windowed p99 service latency %v over the %v SLO at shutdown", p99, slo)
-	}
-}
-
-func reportAdaptive(b *testing.B, res stream.SoakResult) {
-	if res.ConfigErr != nil {
-		b.Fatal(res.ConfigErr)
-	}
-	if res.LedgerErr != nil {
-		b.Fatalf("ledger corrupted under benchmark load: %v", res.LedgerErr)
-	}
-	if shed := res.Report.Shed(); shed > 0 {
-		b.Fatalf("unsaturated scenario shed %d arrivals", shed)
-	}
-	if elapsed := b.Elapsed(); elapsed > 0 {
-		b.ReportMetric(float64(res.Report.Admitted)/elapsed.Seconds(), "admissions/sec")
-	}
-}
+// The streaming-server pair prices the admission front-end: the scenario
+// runs once straight through the pipeline (churn.Run, the baseline) and
+// once through the full staged server — ingress buffer, classifier,
+// dispatch, per-arrival outcome watchers, rolling metrics window. The
+// front-end should cost less than a fifth of the throughput it protects
+// (reference runs record ~parity).
 
 // BenchmarkStreamServeDirect is the baseline: the scenario straight
 // through the admission pipeline with no server stages in front.
 func BenchmarkStreamServeDirect(b *testing.B) {
-	o := streamServeChurnOptions(b.N)
+	o := streamBenchOptions(b.N)
 	b.ResetTimer()
 	r := churn.Run(o)
 	b.StopTimer()
@@ -122,16 +52,45 @@ func BenchmarkStreamServeDirect(b *testing.B) {
 }
 
 // BenchmarkStreamServeServer runs the identical scenario through the
-// staged streaming server. Acceptance bar: ≥0.8x the direct
-// admissions/sec.
+// staged streaming server.
 func BenchmarkStreamServeServer(b *testing.B) {
-	b.ResetTimer()
-	res := stream.RunSoak(stream.SoakOptions{
-		Arrivals: b.N, Mesh: 8, RegionSize: 3, Seed: 123,
-		Catalogue: 4, MaxUtil: 0.12, Workers: 4, Queue: 16, Resident: 16,
-		PrioMix: "0:0:1",
-		Server:  stream.Options{Ingress: 256, ClassBuf: 64},
+	benchmarkStreamSoak(b, stream.Options{Ingress: 256, ClassBuf: 64})
+}
+
+// The adaptive pair prices the AIMD overload controller against the
+// best hand-tuned static rate on the same scenario (nothing sheds, both
+// admit exactly b.N arrivals, so admissions/sec differences are pure
+// throttle tax). The static baseline's 2000 arrivals/sec was hand-tuned:
+// comfortably above the scenario's ~1k admissions/sec capacity while
+// holding the 250ms service-latency SLO, so the token bucket never bites
+// and the baseline is the best a static rate can do here. The AIMD
+// controller must find the same operating point on its own — raising
+// while windowed p99 service latency holds under the same SLO, cutting
+// on breaches.
+
+// BenchmarkStreamAdaptiveStatic is the hand-tuned baseline: a static
+// dispatch rate above capacity, no controller.
+func BenchmarkStreamAdaptiveStatic(b *testing.B) {
+	benchmarkStreamSoak(b, stream.Options{Ingress: 256, ClassBuf: 64, Rate: 2000})
+}
+
+// BenchmarkStreamAdaptiveAIMD runs the identical scenario under the
+// AIMD controller with a 250ms p99 service-latency SLO.
+func BenchmarkStreamAdaptiveAIMD(b *testing.B) {
+	const slo = 250 * time.Millisecond
+	res := benchmarkStreamSoak(b, stream.Options{
+		Ingress: 256, ClassBuf: 64,
+		AIMD: stream.AIMDConfig{SLO: slo},
 	})
+	if p99 := res.Report.Service.P99; p99 > slo {
+		b.Logf("windowed p99 service latency %v over the %v SLO at shutdown", p99, slo)
+	}
+}
+
+func benchmarkStreamSoak(b *testing.B, server stream.Options) churn.Result {
+	o := streamBenchOptions(b.N)
+	b.ResetTimer()
+	res := churn.RunSoak(o, server)
 	b.StopTimer()
 	if res.ConfigErr != nil {
 		b.Fatal(res.ConfigErr)
@@ -147,4 +106,5 @@ func BenchmarkStreamServeServer(b *testing.B) {
 	if elapsed := b.Elapsed(); elapsed > 0 {
 		b.ReportMetric(float64(res.Report.Admitted)/elapsed.Seconds(), "admissions/sec")
 	}
+	return res
 }
