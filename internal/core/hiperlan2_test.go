@@ -246,3 +246,20 @@ func TestHiperlan2RenderTable2(t *testing.T) {
 		}
 	}
 }
+
+// TestHiperlan2MapAllocationBudget keeps a cold Map of the case study
+// cheap in objects: it was 17 114 while step 4 allocated per firing.
+func TestHiperlan2MapAllocationBudget(t *testing.T) {
+	mode := workload.Hiperlan2Modes[3]
+	app := workload.Hiperlan2(mode)
+	plat := workload.Hiperlan2Platform()
+	m := NewMapper(workload.Hiperlan2Library(mode))
+	allocs := testing.AllocsPerRun(20, func() {
+		if res, err := m.Map(app, plat); err != nil || !res.Feasible {
+			t.Fatalf("Map: %v", err)
+		}
+	})
+	if allocs > 1500 {
+		t.Errorf("Map allocates %v objects, want at most 1500", allocs)
+	}
+}

@@ -201,12 +201,13 @@ func (m *Mapper) usedRegions(work *arch.Platform, mp *Mapping) map[arch.RegionID
 // regions of its pinned endpoints does, and the plan's lock-union width
 // shrinks.
 func (m *Mapper) firstFit(app *model.Application, work *arch.Platform, p *model.Process, im *model.Implementation, cyclesPerPeriod int64, tb *tabu, used map[arch.RegionID]struct{}) (*arch.Tile, float64) {
+	ni := niDemandOf(app, p)
 	fits := func(t *arch.Tile) (float64, bool) {
 		if tb.bansTile(p.ID, t.ID) {
 			return 0, false
 		}
 		util := utilisation(t, cyclesPerPeriod, app.QoS.PeriodNs)
-		return util, canHost(t, im.MemBytes, util) && hasLocalNICapacity(app, t, p)
+		return util, canHost(t, im.MemBytes, util) && ni.fits(t)
 	}
 	if used != nil {
 		for _, t := range work.TilesOfType(im.TileType) {
@@ -241,25 +242,34 @@ func canHost(t *arch.Tile, memBytes int64, util float64) bool {
 	return t.FreeMem() >= memBytes && t.ReservedUtil+util <= 1.0+utilEps
 }
 
-// hasLocalNICapacity conservatively checks that the tile's network
-// interface could carry all of the process's stream traffic, the "at
-// least, locally" communication-resource check of step 2's tile filter.
-// Channels whose peer ends up on the same tile will not actually use the
-// NI, so this filter is conservative, never optimistic.
-func hasLocalNICapacity(app *model.Application, t *arch.Tile, p *model.Process) bool {
-	if t.NICapBps <= 0 {
-		return true // NI unconstrained
-	}
-	var inBps, outBps int64
+// niDemand is the throughput all of a process's stream channels together
+// ask of its tile's network interface. It does not depend on the tile, so
+// the tile scans of steps 1 and 2 compute it once per process.
+type niDemand struct{ inBps, outBps int64 }
+
+func niDemandOf(app *model.Application, p *model.Process) niDemand {
+	var d niDemand
 	for _, c := range app.ChannelsOf(p.ID) {
 		bps := channelBps(c, app.QoS.PeriodNs)
 		if c.Dst == p.ID {
-			inBps += bps
+			d.inBps += bps
 		} else {
-			outBps += bps
+			d.outBps += bps
 		}
 	}
-	return t.ReservedInBps+inBps <= t.NICapBps && t.ReservedOutBps+outBps <= t.NICapBps
+	return d
+}
+
+// fits conservatively checks that the tile's network interface could
+// carry all of the process's stream traffic, the "at least, locally"
+// communication-resource check of step 2's tile filter. Channels whose
+// peer ends up on the same tile will not actually use the NI, so this
+// filter is conservative, never optimistic.
+func (d niDemand) fits(t *arch.Tile) bool {
+	if t.NICapBps <= 0 {
+		return true // NI unconstrained
+	}
+	return t.ReservedInBps+d.inBps <= t.NICapBps && t.ReservedOutBps+d.outBps <= t.NICapBps
 }
 
 // commEstimate prices the process's channels to already-placed neighbours

@@ -245,12 +245,13 @@ func (s *searchState) bestCandidateFor(pi int) *candidate {
 	if err != nil {
 		return nil
 	}
+	ni := niDemandOf(s.app, p)
 	for _, t := range s.work.TilesOfType(im.TileType) {
 		if t.ID == cur {
 			continue
 		}
 		tUtil := utilisation(t, cyc, s.app.QoS.PeriodNs)
-		if !canHost(t, im.MemBytes, tUtil) || !hasLocalNICapacity(s.app, t, p) {
+		if !canHost(t, im.MemBytes, tUtil) || !ni.fits(t) {
 			continue
 		}
 		override := map[model.ProcessID]arch.TileID{p.ID: t.ID}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"rtsm/internal/arch"
 	"rtsm/internal/csdf"
@@ -39,20 +40,26 @@ const routerFIFOTokens = 4
 // lane is guaranteed by the bandwidth reservation made in step 3, so
 // router actors model latency, not serialisation at the reserved rate.
 func BuildMappedGraph(app *model.Application, plat *arch.Platform, mp *Mapping) (*MappedGraph, error) {
-	g := csdf.NewGraph(app.Name + "-mapped")
-	out := &MappedGraph{
-		Graph:      g,
-		ActorTile:  make(map[csdf.ActorID]arch.TileID),
-		ProcActor:  make(map[model.ProcessID]csdf.ActorID),
-		StreamEdge: make(map[model.ChannelID]csdf.ChannelID),
-		Source:     -1,
-		Sink:       -1,
-	}
-	streamIn := make(map[model.ProcessID]int)
-	streamOut := make(map[model.ProcessID]int)
-	for _, c := range app.StreamChannels() {
+	chans := app.StreamChannels()
+	streamIn := make([]int, len(app.Processes))
+	streamOut := make([]int, len(app.Processes))
+	totalHops := 0
+	for _, c := range chans {
 		streamOut[c.Src]++
 		streamIn[c.Dst]++
+		totalHops += mp.Route[c.ID].Hops()
+	}
+	// One actor per data process and per hop, one edge per stream channel
+	// and per hop.
+	g := csdf.NewGraph(app.Name + "-mapped")
+	g.Grow(len(app.Processes)+totalHops, len(chans)+totalHops)
+	out := &MappedGraph{
+		Graph:      g,
+		ActorTile:  make(map[csdf.ActorID]arch.TileID, len(app.Processes)+totalHops),
+		ProcActor:  make(map[model.ProcessID]csdf.ActorID, len(app.Processes)),
+		StreamEdge: make(map[model.ChannelID]csdf.ChannelID, len(chans)),
+		Source:     -1,
+		Sink:       -1,
 	}
 	// One actor per data process.
 	for _, p := range app.Processes {
@@ -92,8 +99,9 @@ func BuildMappedGraph(app *model.Application, plat *arch.Platform, mp *Mapping) 
 		}
 	}
 
-	routerWCET := routerHopNs(plat)
-	for _, c := range app.StreamChannels() {
+	routerWCET := csdf.Vals(routerHopNs(plat))
+	perToken := csdf.Vals(1)
+	for _, c := range chans {
 		srcActor := out.ProcActor[c.Src]
 		dstActor := out.ProcActor[c.Dst]
 		prod, err := ratePattern(app, mp, c, c.Src, true, g.Actor(srcActor).Phases())
@@ -116,9 +124,9 @@ func BuildMappedGraph(app *model.Application, plat *arch.Platform, mp *Mapping) 
 		prev := srcActor
 		prevPat := prod
 		for h := 0; h < hops; h++ {
-			r := g.AddActor(fmt.Sprintf("R(%s#%d)", c.Name, h), csdf.Vals(routerWCET))
+			r := g.AddActor("R("+c.Name+"#"+strconv.Itoa(h)+")", routerWCET)
 			out.ActorTile[r] = arch.NoTile
-			edge := g.Connect(prev, r, prevPat, csdf.Vals(1), 0)
+			edge := g.Connect(prev, r, prevPat, perToken, 0)
 			if h == 0 {
 				// The producer-side buffer belongs to the implementation
 				// (its output FIFO). It is double-buffered: it holds two
@@ -129,8 +137,8 @@ func BuildMappedGraph(app *model.Application, plat *arch.Platform, mp *Mapping) 
 			} else {
 				g.Channel(edge).Capacity = routerFIFOTokens
 			}
-			prev = csdf.ActorID(r)
-			prevPat = csdf.Vals(1)
+			prev = r
+			prevPat = perToken
 		}
 		// The consumer-side edge carries the sized stream buffer B_i.
 		out.StreamEdge[c.ID] = g.Connect(prev, dstActor, prevPat, cons, 0)

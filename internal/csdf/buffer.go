@@ -44,7 +44,8 @@ type BufferResult struct {
 // loop repeats until the target period holds. An optional tightening pass
 // then shrinks each capacity to the smallest value that still meets the
 // target. The result is therefore sufficient (safe) but not always the
-// theoretical minimum; the substitution is recorded in DESIGN.md.
+// theoretical minimum; docs/ARCHITECTURE.md ("How the step-4 engine runs")
+// describes the oracle.
 //
 // Channels already bounded in the input graph keep their capacity and are
 // treated as hard constraints.
@@ -56,6 +57,13 @@ func BufferSizes(g *Graph, opts BufferOptions) (*BufferResult, error) {
 		opts.MaxRounds = 256
 	}
 	work := cloneForBuffers(g)
+	// One engine serves every round: the topology and the repetition
+	// vector do not change, only the capacities run re-reads.
+	e := enginePool.Get().(*engine)
+	defer e.release()
+	if err := e.load(work); err != nil {
+		return nil, err
+	}
 	free := make([]ChannelID, 0, len(g.Channels)) // channels we may size
 	for _, c := range g.Channels {
 		if c.Capacity == 0 {
@@ -78,7 +86,7 @@ func BufferSizes(g *Graph, opts BufferOptions) (*BufferResult, error) {
 	bestPeriod := -1.0
 	sinceImprove := 0
 	for round := 0; ; round++ {
-		r, err := work.Execute(opts.Exec)
+		r, err := e.run(opts.Exec)
 		if err != nil {
 			return nil, err
 		}
@@ -118,7 +126,7 @@ func BufferSizes(g *Graph, opts BufferOptions) (*BufferResult, error) {
 	}
 
 	if opts.Tighten && meets(last) {
-		last = tighten(work, free, opts, meets, last)
+		last = tighten(e, free, opts, meets, last)
 	}
 
 	out := &BufferResult{Capacities: make(map[ChannelID]int64, len(free)), Exec: last, Met: meets(last)}
@@ -183,7 +191,8 @@ func noFullBlocks(r *ExecResult, free []ChannelID) bool {
 
 // tighten shrinks each sizable channel to the smallest capacity that keeps
 // the oracle satisfied, visiting the largest capacities first.
-func tighten(work *Graph, free []ChannelID, opts BufferOptions, meets func(*ExecResult) bool, last *ExecResult) *ExecResult {
+func tighten(e *engine, free []ChannelID, opts BufferOptions, meets func(*ExecResult) bool, last *ExecResult) *ExecResult {
+	work := e.g
 	order := append([]ChannelID(nil), free...)
 	sort.Slice(order, func(i, j int) bool {
 		ci, cj := work.Channels[order[i]].Capacity, work.Channels[order[j]].Capacity
@@ -198,7 +207,7 @@ func tighten(work *Graph, free []ChannelID, opts BufferOptions, meets func(*Exec
 		for lo < hi {
 			mid := lo + (hi-lo)/2
 			work.Channels[cid].Capacity = mid
-			r, err := work.Execute(opts.Exec)
+			r, err := e.run(opts.Exec)
 			if err == nil && meets(r) {
 				hi = mid
 				last = r
@@ -209,7 +218,7 @@ func tighten(work *Graph, free []ChannelID, opts BufferOptions, meets func(*Exec
 		work.Channels[cid].Capacity = hi
 	}
 	// Re-run once so the returned ExecResult reflects the final state.
-	if r, err := work.Execute(opts.Exec); err == nil {
+	if r, err := e.run(opts.Exec); err == nil {
 		last = r
 	}
 	return last

@@ -1,9 +1,10 @@
 package csdf
 
 import (
-	"container/heap"
 	"fmt"
+	"math/bits"
 	"strings"
+	"sync"
 )
 
 // ExecOptions configures self-timed execution.
@@ -48,7 +49,8 @@ func DefaultExecOptions() ExecOptions {
 	return ExecOptions{WarmupIterations: 4, MeasureIterations: 8, Observe: -1, Source: -1}
 }
 
-// ExecResult reports the outcome of self-timed execution.
+// ExecResult reports the outcome of self-timed execution. It owns all its
+// memory: callers may keep and modify it freely.
 type ExecResult struct {
 	// Period is the steady-state time per graph iteration, averaged over
 	// the measured iterations, in the graph's time unit.
@@ -62,11 +64,13 @@ type ExecResult struct {
 	Deadlocked bool
 	// DeadlockReport describes the blocked state when Deadlocked is true.
 	DeadlockReport string
-	// EmptyBlocks counts, per channel, firing attempts vetoed by a lack of
-	// tokens; FullBlocks counts vetoes by a lack of space. Buffer sizing
-	// uses FullBlocks to pick the channel to grow.
-	EmptyBlocks map[ChannelID]int64
-	FullBlocks  map[ChannelID]int64
+	// EmptyBlocks[c] counts the scheduling passes in which an actor was
+	// vetoed by a lack of tokens on channel c; FullBlocks[c] counts vetoes
+	// by a lack of space. Both are indexed by ChannelID. Buffer sizing
+	// grows the channel with the most FullBlocks, so these counts are
+	// part of the engine's contract, not a diagnostic.
+	EmptyBlocks []int64
+	FullBlocks  []int64
 	// Iterations is the number of complete iterations the observed actor
 	// finished.
 	Iterations int
@@ -86,31 +90,6 @@ func (r *ExecResult) Utilisation(a ActorID) float64 {
 	return float64(r.BusyTime[a]) / float64(r.Time)
 }
 
-type execEvent struct {
-	time  int64
-	seq   int // tie-break for determinism
-	actor ActorID
-}
-
-type eventHeap []execEvent
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(execEvent)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // Execute runs the graph self-timed: every actor fires as soon as its
 // current phase's input tokens are available, the space its production
 // needs is free on all bounded output channels, and the actor itself is
@@ -123,17 +102,181 @@ func (g *Graph) Execute(opts ExecOptions) (*ExecResult, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	rv, err := Repetition(g)
-	if err != nil {
+	e := enginePool.Get().(*engine)
+	defer e.release()
+	if err := e.load(g); err != nil {
 		return nil, err
 	}
+	return e.run(opts)
+}
+
+// A verdict is the cached outcome of one evaluation of an actor's firing
+// rule. Values from vetoBase up name the channel end that vetoed the
+// firing and double as an index into engine.blocks.
+type verdict int32
+
+const (
+	silent   verdict = iota // busy, finished, or held by its group or static order
+	ready                   // may start now
+	vetoBase                // vetoBase+2c: channel c lacks tokens; vetoBase+2c+1: lacks space
+)
+
+func vetoEmpty(ch int32) verdict { return vetoBase + verdict(2*ch) }
+func vetoFull(ch int32) verdict  { return vetoBase + verdict(2*ch) + 1 }
+
+// edge is one channel end as its actor sees it.
+type edge struct {
+	ch   int32
+	peer int32   // the actor at the other end
+	rate Pattern // tokens per phase of this actor
+}
+
+// actorState is everything the engine keeps per actor.
+type actorState struct {
+	// Topology, set by load.
+	ins, outs []edge // windows of engine.edges, in the order Connect added them
+	wcet      Pattern
+	perIter   int64 // firings per graph iteration
+
+	// Options, set by run.
+	firingCap int64 // firings after which the actor has run far enough ahead
+	group     int32 // its exclusive group, or -1
+	order     int32 // its static order, or -1
+
+	fired      int64 // started firings
+	startPhase int32 // phase of the next firing to start
+	donePhase  int32 // phase of the next firing to complete
+	busyUntil  int64
+	busyTime   int64
+
+	// The cached outcome of the firing rule. It stands for every pass
+	// from evalPass up to the pass that re-evaluates the actor; settle
+	// charges the veto counts for those passes in one step. Group members
+	// are evaluated afresh whenever their group is idle and stay silent
+	// here.
+	verdict  verdict
+	evalPass int64
+}
+
+type channelState struct {
+	capacity int64
+	tokens   int64
+	occupied int64 // tokens plus the space firings in flight have reserved
+}
+
+// execEvent is the completion of one firing. Completions due at the same
+// instant are all applied before anything is scheduled again and their
+// effects commute, so they need no order among themselves.
+type execEvent struct {
+	time  int64
+	actor int32
+}
+
+// engine holds everything one self-timed run touches, densely indexed by
+// actor or channel. Engines are pooled: load sizes one for a graph, run
+// may be called any number of times on the loaded graph (BufferSizes
+// changes capacities in between), and release returns it. Nothing an
+// engine owns may escape into an ExecResult.
+type engine struct {
+	g        *Graph
+	actors   []actorState
+	channels []channelState
+	edges    []edge // every channel end, grouped by actor
+
+	// Repetition-solver memory.
+	cycles, balance []int64
+	queue           []ActorID
+
+	groups      [][]ActorID
+	groupActive []int32
+	orders      [][]ActorID
+	orderPos    []int64
+	orderBusy   []int32
+
+	dirty  []uint64 // bitset of the actors to re-evaluate
+	pass   int64
+	blocks []int64 // veto counts, indexed by verdict-vetoBase
+
+	now  int64
+	heap []execEvent
+
+	source, observe     int32
+	sourceIn, observeIn int64 // firings into the current iteration
+	iterDone            []int64
+	iterSrcStart        []int64
+}
+
+var enginePool = sync.Pool{New: func() any { return new(engine) }}
+
+func (e *engine) release() {
+	// Drop what points into caller memory so a pooled engine pins no graph.
+	e.g, e.groups, e.orders = nil, nil, nil
+	clear(e.actors)
+	clear(e.edges)
+	enginePool.Put(e)
+}
+
+// resize returns s with length n and every element zero, reusing its
+// backing array when that is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// load binds the engine to g: it solves the balance equations and lays the
+// channel ends out per actor.
+func (e *engine) load(g *Graph) error {
+	n := len(g.Actors)
+	e.g = g
+	e.cycles = resize(e.cycles, n)
+	e.balance = resize(e.balance, 2*n)
+	e.queue = resize(e.queue, n)
+	if err := solveBalance(g, e.cycles, e.balance, e.queue); err != nil {
+		return err
+	}
+	e.actors = resize(e.actors, n)
+	e.edges = resize(e.edges, 2*len(g.Channels))
+	next := e.edges
+	for a := range e.actors {
+		st := &e.actors[a]
+		st.wcet = g.Actors[a].WCET
+		st.perIter = e.cycles[a] * int64(len(st.wcet))
+		for i, cid := range g.in[a] {
+			c := g.Channels[cid]
+			next[i] = edge{ch: int32(cid), peer: int32(c.Src), rate: c.Cons}
+		}
+		st.ins, next = next[:len(g.in[a])], next[len(g.in[a]):]
+		for i, cid := range g.out[a] {
+			c := g.Channels[cid]
+			next[i] = edge{ch: int32(cid), peer: int32(c.Dst), rate: c.Prod}
+		}
+		st.outs, next = next[:len(g.out[a])], next[len(g.out[a]):]
+	}
+	return nil
+}
+
+// run executes the loaded graph once with its current capacities and
+// initial tokens.
+//
+// Time advances from one completion instant to the next. At each instant
+// the engine makes scheduling passes until one starts nothing: a pass
+// visits the actors outside exclusive groups in index order, starting
+// each as often as its firing rule allows, then gives every idle group
+// one start, to its least-fired ready member. An actor whose rule fails
+// on a channel is vetoed once per pass, so the veto counts depend on how
+// many passes there are; the engine keeps that count exact while
+// visiting only actors whose blocking condition may have lifted.
+func (e *engine) run(opts ExecOptions) (*ExecResult, error) {
+	g := e.g
 	if opts.WarmupIterations == 0 && opts.MeasureIterations == 0 &&
 		opts.Observe == 0 && opts.Source == 0 && opts.MaxEvents == 0 {
-		groups := opts.ExclusiveGroups
-		orders := opts.StaticOrders
-		opts = DefaultExecOptions()
-		opts.ExclusiveGroups = groups
-		opts.StaticOrders = orders
+		d := DefaultExecOptions()
+		d.ExclusiveGroups, d.StaticOrders = opts.ExclusiveGroups, opts.StaticOrders
+		opts = d
 	}
 	if opts.WarmupIterations <= 0 && opts.MeasureIterations <= 0 {
 		d := DefaultExecOptions()
@@ -145,256 +288,381 @@ func (g *Graph) Execute(opts ExecOptions) (*ExecResult, error) {
 	if opts.MaxEvents <= 0 {
 		opts.MaxEvents = 20_000_000
 	}
-	observe := opts.Observe
-	if observe < 0 {
-		observe = 0
-		for _, a := range g.Actors {
-			if len(g.out[a.ID]) == 0 {
-				observe = a.ID
+	n, nch := len(g.Actors), len(g.Channels)
+	e.observe = int32(opts.Observe)
+	if e.observe < 0 {
+		e.observe = 0
+		for a := range e.actors {
+			if len(e.actors[a].outs) == 0 {
+				e.observe = int32(a)
 				break
 			}
 		}
 	}
-	source := opts.Source
-	if source < 0 {
-		source = 0
-		for _, a := range g.Actors {
-			if len(g.in[a.ID]) == 0 {
-				source = a.ID
+	e.source = int32(opts.Source)
+	if e.source < 0 {
+		e.source = 0
+		for a := range e.actors {
+			if len(e.actors[a].ins) == 0 {
+				e.source = int32(a)
 				break
 			}
 		}
 	}
 
-	n := len(g.Actors)
 	totalIters := int64(opts.WarmupIterations + opts.MeasureIterations)
-	firingCap := make([]int64, n) // stop actors that ran far enough ahead
-	perIter := make([]int64, n)
-	for i := range g.Actors {
-		perIter[i] = rv.Firings(g, ActorID(i))
-		firingCap[i] = (totalIters + 1) * perIter[i]
+	for a := range e.actors {
+		st := &e.actors[a]
+		*st = actorState{ins: st.ins, outs: st.outs, wcet: st.wcet, perIter: st.perIter,
+			firingCap: (totalIters + 1) * st.perIter, group: -1, order: -1}
 	}
-
-	tokens := make([]int64, len(g.Channels))
-	pending := make([]int64, len(g.Channels)) // space reserved by in-flight firings
-	for i, c := range g.Channels {
-		tokens[i] = c.Initial
-	}
-	fired := make([]int64, n)     // started firings
-	done := make([]int64, n)      // completed firings
-	busyUntil := make([]int64, n) // next time the actor is idle
-	busyTime := make([]int64, n)
-	groupOf := make([]int, n)
-	for i := range groupOf {
-		groupOf[i] = -1
-	}
-	for gi, group := range opts.ExclusiveGroups {
+	e.groups, e.orders = opts.ExclusiveGroups, opts.StaticOrders
+	for gi, group := range e.groups {
 		for _, a := range group {
-			groupOf[a] = gi
+			e.actors[a].group = int32(gi)
 		}
 	}
-	groupActive := make([]int, len(opts.ExclusiveGroups))
-	seqGroupOf := make([]int, n)
-	for i := range seqGroupOf {
-		seqGroupOf[i] = -1
-	}
-	for si, seq := range opts.StaticOrders {
-		for _, a := range seq {
-			seqGroupOf[a] = si
+	for oi, order := range e.orders {
+		for _, a := range order {
+			e.actors[a].order = int32(oi)
 		}
 	}
-	seqPos := make([]int64, len(opts.StaticOrders))
-	seqBusy := make([]int, len(opts.StaticOrders))
-	res := &ExecResult{
-		EmptyBlocks: make(map[ChannelID]int64),
-		FullBlocks:  make(map[ChannelID]int64),
-	}
+	e.groupActive = resize(e.groupActive, len(e.groups))
+	e.orderPos = resize(e.orderPos, len(e.orders))
+	e.orderBusy = resize(e.orderBusy, len(e.orders))
 
-	// Iteration bookkeeping for period and latency.
-	iterDone := make([]int64, 0, totalIters)     // completion time of observed actor's iterations
-	iterSrcStart := make([]int64, 0, totalIters) // start time of source's first firing per iteration
-
-	var h eventHeap
-	seq := 0
-	now := int64(0)
-	events := 0
-
-	canFire := func(a ActorID) bool {
-		if fired[a] >= firingCap[a] || busyUntil[a] > now {
-			return false
-		}
-		if gi := groupOf[a]; gi >= 0 && groupActive[gi] > 0 {
-			return false
-		}
-		if si := seqGroupOf[a]; si >= 0 {
-			seq := opts.StaticOrders[si]
-			if seqBusy[si] > 0 || seq[seqPos[si]%int64(len(seq))] != a {
-				return false
-			}
-		}
-		phase := fired[a] % int64(g.Actors[a].Phases())
-		for _, cid := range g.in[a] {
-			c := g.Channels[cid]
-			if tokens[cid] < c.Cons.At(phase) {
-				res.EmptyBlocks[cid]++
-				return false
-			}
-		}
-		for _, cid := range g.out[a] {
-			c := g.Channels[cid]
-			if c.Capacity > 0 && tokens[cid]+pending[cid]+c.Prod.At(phase) > c.Capacity {
-				res.FullBlocks[cid]++
-				return false
-			}
-		}
-		return true
+	e.channels = resize(e.channels, nch)
+	for i, c := range g.Channels {
+		e.channels[i] = channelState{capacity: c.Capacity, tokens: c.Initial, occupied: c.Initial}
 	}
-	start := func(a ActorID) {
-		phase := fired[a] % int64(g.Actors[a].Phases())
-		if a == source && fired[a]%perIter[a] == 0 {
-			iterSrcStart = append(iterSrcStart, now)
-		}
-		for _, cid := range g.in[a] {
-			tokens[cid] -= g.Channels[cid].Cons.At(phase)
-		}
-		for _, cid := range g.out[a] {
-			pending[cid] += g.Channels[cid].Prod.At(phase)
-		}
-		w := g.Actors[a].WCET.At(phase)
-		fired[a]++
-		busyUntil[a] = now + w
-		busyTime[a] += w
-		if gi := groupOf[a]; gi >= 0 {
-			groupActive[gi]++
-		}
-		if si := seqGroupOf[a]; si >= 0 {
-			seqBusy[si]++
-			seqPos[si]++
-		}
-		heap.Push(&h, execEvent{time: now + w, seq: seq, actor: a})
-		seq++
+	e.blocks = resize(e.blocks, 2*nch)
+	e.dirty = resize(e.dirty, (n+63)/64)
+	for a := 0; a < n; a++ {
+		e.mark(int32(a))
 	}
-	finish := func(a ActorID) {
-		phase := done[a] % int64(g.Actors[a].Phases())
-		for _, cid := range g.out[a] {
-			p := g.Channels[cid].Prod.At(phase)
-			pending[cid] -= p
-			tokens[cid] += p
-		}
-		done[a]++
-		if gi := groupOf[a]; gi >= 0 {
-			groupActive[gi]--
-		}
-		if si := seqGroupOf[a]; si >= 0 {
-			seqBusy[si]--
-		}
-		if a == observe && done[a]%perIter[a] == 0 {
-			iterDone = append(iterDone, now)
-		}
-	}
+	e.pass, e.now = 0, 0
+	e.heap = e.heap[:0]
+	e.sourceIn, e.observeIn = 0, 0
+	e.iterDone = e.iterDone[:0]
+	e.iterSrcStart = e.iterSrcStart[:0]
 
-	for {
-		// Start every actor that can fire; consuming tokens can free
-		// bounded-channel space, so iterate to a fixpoint. Within an
-		// exclusive group, the ready member with the fewest started
-		// firings goes first (round-robin fairness): a fixed scan order
-		// would let one member monopolise the group.
-		for {
-			progressed := false
-			for a := 0; a < n; a++ {
-				if groupOf[a] >= 0 {
-					continue
-				}
-				for canFire(ActorID(a)) {
-					start(ActorID(a))
-					progressed = true
-				}
-			}
-			for gi, group := range opts.ExclusiveGroups {
-				if groupActive[gi] > 0 {
-					continue
-				}
-				best := ActorID(-1)
-				for _, a := range group {
-					if canFire(a) && (best < 0 || fired[a] < fired[best]) {
-						best = a
-					}
-				}
-				if best >= 0 {
-					start(best)
-					progressed = true
-				}
-			}
-			if !progressed {
-				break
-			}
+	deadlocked := false
+	for events := 0; ; {
+		for e.schedulingPass() {
 		}
-		if int64(len(iterDone)) >= totalIters {
+		if int64(len(e.iterDone)) >= totalIters {
 			break
 		}
-		if h.Len() == 0 {
-			res.Deadlocked = true
-			res.DeadlockReport = g.deadlockReport(fired, done, tokens, firingCap)
+		if len(e.heap) == 0 {
+			deadlocked = true
 			break
 		}
-		ev := heap.Pop(&h).(execEvent)
-		now = ev.time
-		finish(ev.actor)
-		// Drain all completions at the same instant before restarting.
-		for h.Len() > 0 && h[0].time == now {
-			ev = heap.Pop(&h).(execEvent)
-			finish(ev.actor)
+		// Complete everything due at the next instant before scheduling
+		// again.
+		e.now = e.heap[0].time
+		for len(e.heap) > 0 && e.heap[0].time == e.now {
+			e.finish(e.pop())
 		}
 		events++
 		if events > opts.MaxEvents {
 			return nil, fmt.Errorf("csdf: execution of %q exceeded %d events; graph may not settle", g.Name, opts.MaxEvents)
 		}
 	}
+	// Charge the verdicts still standing for the passes since they were
+	// reached.
+	e.pass++
+	for a := range e.actors {
+		e.settle(&e.actors[a])
+	}
 
-	res.Iterations = len(iterDone)
-	res.Time = now
-	res.BusyTime = busyTime
-	if len(iterDone) > opts.WarmupIterations {
-		m := len(iterDone) - 1
+	// One backing array for the three per-entity slices, each capped so
+	// that appending to one cannot write into the next.
+	buf := make([]int64, 2*nch+n)
+	res := &ExecResult{
+		Deadlocked:  deadlocked,
+		EmptyBlocks: buf[:nch:nch],
+		FullBlocks:  buf[nch : 2*nch : 2*nch],
+		BusyTime:    buf[2*nch:],
+		Iterations:  len(e.iterDone),
+		Time:        e.now,
+	}
+	for c := 0; c < nch; c++ {
+		res.EmptyBlocks[c], res.FullBlocks[c] = e.blocks[2*c], e.blocks[2*c+1]
+	}
+	for a := range e.actors {
+		res.BusyTime[a] = e.actors[a].busyTime
+	}
+	if deadlocked {
+		res.DeadlockReport = e.deadlockReport()
+	}
+	if len(e.iterDone) > opts.WarmupIterations {
+		m := len(e.iterDone) - 1
 		w := opts.WarmupIterations
 		if w >= m {
 			w = 0
 		}
-		res.Period = float64(iterDone[m]-iterDone[w]) / float64(m-w)
+		res.Period = float64(e.iterDone[m]-e.iterDone[w]) / float64(m-w)
 	}
-	for i := 0; i < len(iterDone) && i < len(iterSrcStart); i++ {
-		if lat := iterDone[i] - iterSrcStart[i]; lat > res.Latency {
+	for i := 0; i < len(e.iterDone) && i < len(e.iterSrcStart); i++ {
+		if lat := e.iterDone[i] - e.iterSrcStart[i]; lat > res.Latency {
 			res.Latency = lat
 		}
 	}
 	return res, nil
 }
 
-func (g *Graph) deadlockReport(fired, done, tokens, cap []int64) string {
-	var b strings.Builder
-	b.WriteString("deadlock: ")
-	for a, actor := range g.Actors {
-		if fired[a] >= cap[a] {
-			continue
-		}
-		phase := fired[a] % int64(actor.Phases())
-		var why []string
-		for _, cid := range g.in[a] {
-			c := g.Channels[cid]
-			if need := c.Cons.At(phase); tokens[cid] < need {
-				why = append(why, fmt.Sprintf("needs %d tokens on %s→%s (has %d)",
-					need, g.Actors[c.Src].Name, actor.Name, tokens[cid]))
+// mark schedules actor a for re-evaluation at its next turn: later in the
+// current pass if its index is still ahead, in the next pass otherwise.
+// Group members have no turn of their own.
+func (e *engine) mark(a int32) {
+	if e.actors[a].group < 0 {
+		e.dirty[a>>6] |= 1 << (a & 63)
+	}
+}
+
+// settle charges the actor's standing veto for the passes it has stood,
+// from evalPass up to but excluding the current one.
+func (e *engine) settle(st *actorState) {
+	if st.verdict >= vetoBase {
+		e.blocks[st.verdict-vetoBase] += e.pass - st.evalPass
+	}
+	st.verdict, st.evalPass = silent, e.pass
+}
+
+// schedulingPass makes one pass and reports whether it started a firing.
+func (e *engine) schedulingPass() bool {
+	e.pass++
+	progressed := false
+	for w := range e.dirty {
+		// Bits at or below the actor just visited wait for the next pass;
+		// a bit set ahead of it by one of its starts is picked up by
+		// re-reading the word.
+		for ahead := ^uint64(0); e.dirty[w]&ahead != 0; {
+			bit := bits.TrailingZeros64(e.dirty[w] & ahead)
+			ahead = ^uint64(0) << bit << 1
+			a := int32(w<<6 + bit)
+			st := &e.actors[a]
+			e.settle(st)
+			v := e.evaluate(a, st)
+			for v == ready {
+				e.start(a, st)
+				progressed = true
+				v = e.evaluate(a, st)
+			}
+			st.verdict = v
+			// A static order changes under its members without marking
+			// them, so they stay dirty; everyone else's verdict now holds
+			// until a neighbour lifts what it is blocked on.
+			if st.order < 0 {
+				e.dirty[w] &^= 1 << bit
 			}
 		}
-		for _, cid := range g.out[a] {
-			c := g.Channels[cid]
-			if c.Capacity > 0 && tokens[cid]+c.Prod.At(phase) > c.Capacity {
+	}
+	for gi, group := range e.groups {
+		if e.groupActive[gi] > 0 {
+			continue
+		}
+		// Among the ready members the least-fired goes first: a fixed
+		// scan order would let one member monopolise the group.
+		best := int32(-1)
+		for _, m := range group {
+			a := int32(m)
+			v := e.evaluate(a, &e.actors[a])
+			if v >= vetoBase {
+				e.blocks[v-vetoBase]++
+			}
+			if v == ready && (best < 0 || e.actors[a].fired < e.actors[best].fired) {
+				best = a
+			}
+		}
+		if best >= 0 {
+			e.start(best, &e.actors[best])
+			progressed = true
+		}
+	}
+	return progressed
+}
+
+// evaluate applies the firing rule to the actor's next phase. The order
+// of the checks decides which channel a blocked actor's veto is charged
+// to.
+func (e *engine) evaluate(a int32, st *actorState) verdict {
+	if st.fired >= st.firingCap || st.busyUntil > e.now {
+		return silent
+	}
+	if st.group >= 0 && e.groupActive[st.group] > 0 {
+		return silent
+	}
+	if oi := st.order; oi >= 0 {
+		order := e.orders[oi]
+		if e.orderBusy[oi] > 0 || order[e.orderPos[oi]%int64(len(order))] != ActorID(a) {
+			return silent
+		}
+	}
+	phase := st.startPhase
+	for _, in := range st.ins {
+		if e.channels[in.ch].tokens < in.rate[phase] {
+			return vetoEmpty(in.ch)
+		}
+	}
+	for _, out := range st.outs {
+		if ch := &e.channels[out.ch]; ch.capacity > 0 && ch.occupied+out.rate[phase] > ch.capacity {
+			return vetoFull(out.ch)
+		}
+	}
+	return ready
+}
+
+// start begins the actor's next firing: it consumes the phase's inputs,
+// reserves space for its outputs and schedules the completion. Consuming
+// frees space, which matters only to a producer blocked on exactly that.
+func (e *engine) start(a int32, st *actorState) {
+	phase := st.startPhase
+	if a == e.source {
+		if e.sourceIn == 0 {
+			e.iterSrcStart = append(e.iterSrcStart, e.now)
+		}
+		if e.sourceIn++; e.sourceIn == st.perIter {
+			e.sourceIn = 0
+		}
+	}
+	for _, in := range st.ins {
+		if r := in.rate[phase]; r != 0 {
+			ch := &e.channels[in.ch]
+			ch.tokens -= r
+			ch.occupied -= r
+			if e.actors[in.peer].verdict == vetoFull(in.ch) {
+				e.mark(in.peer)
+			}
+		}
+	}
+	for _, out := range st.outs {
+		e.channels[out.ch].occupied += out.rate[phase]
+	}
+	w := st.wcet[phase]
+	if phase++; int(phase) == len(st.wcet) {
+		phase = 0
+	}
+	st.startPhase = phase
+	st.fired++
+	st.busyUntil = e.now + w
+	st.busyTime += w
+	if st.group >= 0 {
+		e.groupActive[st.group]++
+	}
+	if st.order >= 0 {
+		e.orderBusy[st.order]++
+		e.orderPos[st.order]++
+	}
+	e.push(execEvent{time: e.now + w, actor: a})
+}
+
+// finish completes actor a's oldest firing in flight: its outputs become
+// tokens, which matter only to a consumer blocked on exactly those, and
+// the actor itself may be idle again.
+func (e *engine) finish(a int32) {
+	st := &e.actors[a]
+	phase := st.donePhase
+	for _, out := range st.outs {
+		if r := out.rate[phase]; r != 0 {
+			e.channels[out.ch].tokens += r
+			if e.actors[out.peer].verdict == vetoEmpty(out.ch) {
+				e.mark(out.peer)
+			}
+		}
+	}
+	if phase++; int(phase) == len(st.wcet) {
+		phase = 0
+	}
+	st.donePhase = phase
+	if st.verdict == silent {
+		e.mark(a)
+	}
+	if st.group >= 0 {
+		e.groupActive[st.group]--
+	}
+	if st.order >= 0 {
+		e.orderBusy[st.order]--
+	}
+	if a == e.observe {
+		if e.observeIn++; e.observeIn == st.perIter {
+			e.observeIn = 0
+			e.iterDone = append(e.iterDone, e.now)
+		}
+	}
+}
+
+// push and pop keep e.heap a binary min-heap on completion time.
+func (e *engine) push(ev execEvent) {
+	h := append(e.heap, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if ev.time >= h[parent].time {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	e.heap = h
+}
+
+func (e *engine) pop() int32 {
+	h := e.heap
+	top := h[0].actor
+	last := h[len(h)-1]
+	h = h[:len(h)-1]
+	e.heap = h
+	if len(h) == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if r := child + 1; r < len(h) && h[r].time < h[child].time {
+			child = r
+		}
+		if h[child].time >= last.time {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = last
+	return top
+}
+
+// deadlockReport lists, for every actor that still has firings to make,
+// the channel ends its next phase is waiting on.
+func (e *engine) deadlockReport() string {
+	g := e.g
+	var b strings.Builder
+	b.WriteString("deadlock: ")
+	for a := range e.actors {
+		st := &e.actors[a]
+		if st.fired >= st.firingCap {
+			continue
+		}
+		name, phase := g.Actors[a].Name, st.startPhase
+		var why []string
+		for _, in := range st.ins {
+			if need, has := in.rate[phase], e.channels[in.ch].tokens; has < need {
+				why = append(why, fmt.Sprintf("needs %d tokens on %s→%s (has %d)",
+					need, g.Actors[in.peer].Name, name, has))
+			}
+		}
+		for _, out := range st.outs {
+			if ch := e.channels[out.ch]; ch.capacity > 0 && ch.tokens+out.rate[phase] > ch.capacity {
 				why = append(why, fmt.Sprintf("needs %d space on %s→%s (cap %d, %d full)",
-					c.Prod.At(phase), actor.Name, g.Actors[c.Dst].Name, c.Capacity, tokens[cid]))
+					out.rate[phase], name, g.Actors[out.peer].Name, ch.capacity, ch.tokens))
 			}
 		}
 		if len(why) > 0 {
-			fmt.Fprintf(&b, "%s blocked (%s); ", actor.Name, strings.Join(why, ", "))
+			fmt.Fprintf(&b, "%s blocked (%s); ", name, strings.Join(why, ", "))
 		}
 	}
 	return b.String()

@@ -2,6 +2,7 @@ package csdf
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -55,6 +56,16 @@ type Graph struct {
 
 // NewGraph returns an empty named graph.
 func NewGraph(name string) *Graph { return &Graph{Name: name} }
+
+// Grow reserves room for the given numbers of further actors and
+// channels, so that a builder that knows its sizes appends without
+// reallocating.
+func (g *Graph) Grow(actors, channels int) {
+	g.Actors = slices.Grow(g.Actors, actors)
+	g.in = slices.Grow(g.in, actors)
+	g.out = slices.Grow(g.out, actors)
+	g.Channels = slices.Grow(g.Channels, channels)
+}
 
 // AddActor appends an actor with the given per-phase WCET pattern and
 // returns its ID.

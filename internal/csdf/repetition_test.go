@@ -1,6 +1,7 @@
 package csdf
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -171,5 +172,45 @@ func TestRepetitionScaleInvariance(t *testing.T) {
 		if r1.Cycles[0] != r2.Cycles[0] || r1.Cycles[1] != r2.Cycles[1] {
 			t.Fatalf("scale changed repetition: %v vs %v (p=%d c=%d k=%d)", r1.Cycles, r2.Cycles, p, c, k)
 		}
+	}
+}
+
+func TestRepetitionOutOfRange(t *testing.T) {
+	// Each stage multiplies the cycle count by a prime near 2^31; three
+	// stages pass 2^63.
+	g := NewGraph("huge")
+	prev := g.AddActor("a0", Vals(1))
+	for i, p := range []int64{2147483647, 2147483629, 2147483587} {
+		next := g.AddActor(fmt.Sprintf("a%d", i+1), Vals(1))
+		g.Connect(prev, next, Vals(p), Vals(1), 0)
+		prev = next
+	}
+	if _, err := Repetition(g); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("Repetition = %v, want an out-of-range error", err)
+	}
+	if _, err := repetitionRef(g); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("reference Repetition = %v, want an out-of-range error", err)
+	}
+	// Two stages still fit, and the reversed chain overflows through the
+	// common denominator instead of a numerator.
+	g = NewGraph("large")
+	a := g.AddActor("a", Vals(1))
+	b := g.AddActor("b", Vals(1))
+	c := g.AddActor("c", Vals(1))
+	g.Connect(a, b, Vals(2147483647), Vals(1), 0)
+	g.Connect(b, c, Vals(2147483629), Vals(1), 0)
+	rv, err := Repetition(g)
+	if err != nil || rv.Cycles[c] != 2147483647*2147483629 {
+		t.Errorf("Repetition = %v, %v; want cycles[c] = %d", rv, err, int64(2147483647*2147483629))
+	}
+	g = NewGraph("huge-denominator")
+	prev = g.AddActor("a0", Vals(1))
+	for i, p := range []int64{2147483647, 2147483629, 2147483587} {
+		next := g.AddActor(fmt.Sprintf("a%d", i+1), Vals(1))
+		g.Connect(prev, next, Vals(1), Vals(p), 0)
+		prev = next
+	}
+	if _, err := Repetition(g); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("Repetition = %v, want an out-of-range error", err)
 	}
 }

@@ -204,21 +204,24 @@ func (a *Application) MappableProcesses() []*Process {
 // StreamChannels returns the channels belonging to the data stream: both
 // endpoints are non-control processes.
 func (a *Application) StreamChannels() []*Channel {
-	var out []*Channel
+	out := make([]*Channel, 0, len(a.Channels))
 	for _, c := range a.Channels {
-		if a.Processes[c.Src].Control || a.Processes[c.Dst].Control {
-			continue
+		if a.inStream(c) {
+			out = append(out, c)
 		}
-		out = append(out, c)
 	}
 	return out
+}
+
+func (a *Application) inStream(c *Channel) bool {
+	return !a.Processes[c.Src].Control && !a.Processes[c.Dst].Control
 }
 
 // ChannelsOf returns the stream channels incident to process p.
 func (a *Application) ChannelsOf(p ProcessID) []*Channel {
 	var out []*Channel
-	for _, c := range a.StreamChannels() {
-		if c.Src == p || c.Dst == p {
+	for _, c := range a.Channels {
+		if (c.Src == p || c.Dst == p) && a.inStream(c) {
 			out = append(out, c)
 		}
 	}
@@ -328,9 +331,10 @@ func (im *Implementation) Validate() error {
 // inconsistent with the patterns.
 func (im *Implementation) CyclesPerPeriod(app *Application, p *Process) (int64, error) {
 	cycles := im.WCET.Sum()
-	for _, c := range app.ChannelsOf(p.ID) {
+	for _, c := range app.Channels {
 		var pat csdf.Pattern
 		switch {
+		case !app.inStream(c):
 		case c.Dst == p.ID:
 			pat = im.In[c.DstPort]
 		case c.Src == p.ID:
