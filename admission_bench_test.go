@@ -285,15 +285,14 @@ func BenchmarkAdmissionShardedCommitOnly(b *testing.B) {
 	})
 }
 
-// batchApp is shardApp with a lighter QoS contract: utilisation low
+// spreadApp is shardApp with a lighter QoS contract: utilisation low
 // enough that the 16×16 mesh never runs out of capacity under the
 // benchmark's resident population, and a relaxed period so the shared
 // per-region stream interfaces stay uncontended. In this regime an
 // admission is pure pipeline overhead — queue hop, fingerprint,
-// validation, locks, bookkeeping — which is exactly the cost batching
-// claims to amortize; heavier contracts shift the comparison to repair
-// throughput, which both variants share.
-func batchApp(i, regions int) (*model.Application, *model.Library) {
+// validation, locks, bookkeeping; heavier contracts shift the
+// measurement to repair throughput.
+func spreadApp(i, regions int) (*model.Application, *model.Library) {
 	s := i % 64
 	r := i % regions
 	app, lib := workload.Synthetic(workload.SynthOptions{
@@ -309,31 +308,23 @@ func batchApp(i, regions int) (*model.Application, *model.Library) {
 	return app, lib
 }
 
-// benchmarkAdmissionBatched drives a region-spread churn workload (one
-// arrival per region, round-robin over a 16-region 16×16 mesh) through a
-// pipeline with the batched admission path at drain size `batch` (0 =
-// per-item admission, the unbatched control). Everything else — platform,
-// workload, workers, queue depth, collector — is identical between the
-// two variants, so the admissions/sec difference is exactly what merging
-// disjoint plans into one multi-application commit buys.
-func benchmarkAdmissionBatched(b *testing.B, workers, batch int, cfg core.Config) {
-	const regionSize = 4
+// benchmarkAdmissionRegionSpread drives a region-spread churn workload
+// (one arrival per region, round-robin over a 16-region 16×16 mesh)
+// through a 4-worker pipeline, queue hops and collector included. The
+// two variants differ only in the mapper configuration.
+func benchmarkAdmissionRegionSpread(b *testing.B, cfg core.Config) {
+	const regionSize, workers = 4, 4
 	plat := workload.SyntheticRegionPlatform(16, 16, 123, regionSize)
 	regions := plat.RegionCount()
 	m := manager.New(plat, cfg)
 	m.SetMappingReuse(true)
 	m.SetRepair(true)
 	warmCatalogue(b, m, func(s int) (*model.Application, *model.Library) {
-		return batchApp(s, regions)
+		return spreadApp(s, regions)
 	})
 	base := m.Stats()
-	// Same deep queue for both variants: batches can only form when the
-	// submit side can run ahead of the workers.
 	pipe := manager.NewPipeline(m, workers, workers*8)
 	defer pipe.Close()
-	if batch > 1 {
-		pipe.SetBatch(batch)
-	}
 	// The pending buffer caps the resident population (admissions the
 	// collector has not yet stopped). Keeping it below the region count
 	// leaves every region mostly free, so the remembered placements stay
@@ -354,7 +345,7 @@ func benchmarkAdmissionBatched(b *testing.B, workers, batch int, cfg core.Config
 	}()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		app, lib := batchApp(i, regions)
+		app, lib := spreadApp(i, regions)
 		ch, err := pipe.Submit(app, lib)
 		if err != nil {
 			b.Fatal(err)
@@ -364,50 +355,23 @@ func benchmarkAdmissionBatched(b *testing.B, workers, batch int, cfg core.Config
 	close(pending)
 	<-collectorDone
 	b.StopTimer()
-	st := m.Stats()
-	total := st.Admitted - base.Admitted
-	if total > 0 {
-		b.ReportMetric(100*float64(st.BatchedAdmissions-base.BatchedAdmissions)/float64(total), "%batched")
-		b.ReportMetric(100*float64(st.BatchSpills-base.BatchSpills)/float64(total), "%spilled")
-		b.ReportMetric(100*float64(st.BatchFallbacks-base.BatchFallbacks)/float64(total), "%fellback")
-	}
 	reportAdmissions(b, m, base)
 }
 
-// BenchmarkAdmissionBatched is the batched admission path end to end: 4
-// pipeline workers draining up to 8 region-spread arrivals into one
-// merged multi-application commit per round, queue hops and collector
-// included. The acceptance bar is ≥1.3x the admissions/sec of
-// BenchmarkAdmissionUnbatched. The win is contention absorption,
-// not raw path length: per admission the batch does the same
-// fingerprint-plan-validate-commit work as the per-item path (the
-// uncontended BenchmarkAdmissionBurst* pair in internal/manager pins
-// that parity), but one merged commit replaces K racing lock
-// acquisitions, and arrivals whose footprints collide recycle their
-// speculative plan through a spill commit instead of re-racing — the
-// retries/arrival metric reads several times lower than the unbatched
-// control's.
-func BenchmarkAdmissionBatched(b *testing.B) {
-	benchmarkAdmissionBatched(b, 4, 8, core.Config{})
+// BenchmarkAdmissionRegionSpread is the default mapper configuration on
+// the region-spread workload.
+func BenchmarkAdmissionRegionSpread(b *testing.B) {
+	benchmarkAdmissionRegionSpread(b, core.Config{})
 }
 
-// BenchmarkAdmissionUnbatched is the per-item control: the identical
-// region-spread workload, pipeline and queue depth with batching off.
-func BenchmarkAdmissionUnbatched(b *testing.B) {
-	benchmarkAdmissionBatched(b, 4, 0, core.Config{})
-}
-
-// BenchmarkAdmissionBatchedRegionBias is BenchmarkAdmissionBatched with
-// the region-aware placement bias on: the mapper prices tiles outside the
-// regions a spec already occupies, so speculative plans keep narrower
-// region-lock footprints and more of them merge into each batch commit
-// instead of spilling. The workload pins each arrival's endpoints to one
-// region already, so the headline admissions/sec sits near the unbiased
-// number — the bias is the %spilled/%fellback knob for workloads whose
-// footprints would otherwise straddle regions (EXPERIMENTS.md records the
-// comparison).
-func BenchmarkAdmissionBatchedRegionBias(b *testing.B) {
-	benchmarkAdmissionBatched(b, 4, 8, core.Config{RegionBias: 10})
+// BenchmarkAdmissionRegionSpreadBias turns the region-aware placement
+// bias on: the mapper prices tiles outside the regions a spec already
+// occupies, so plans keep narrower region-lock footprints, fewer
+// templates go stale and racing workers collide less (retries/arrival
+// reads 0 against 0.006–0.010 unbiased). The pair is the starting
+// number for work on stale templates.
+func BenchmarkAdmissionRegionSpreadBias(b *testing.B) {
+	benchmarkAdmissionRegionSpread(b, core.Config{RegionBias: 10})
 }
 
 // reportAdmissions derives the timed-section metrics: base is the stats

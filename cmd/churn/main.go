@@ -16,9 +16,6 @@
 //	go run ./cmd/churn -regionsize 4         # region-sharded commit path
 //	go run ./cmd/churn -priomix 70:20:10     # mixed admission classes, preemption on
 //	go run ./cmd/churn -priomix 70:20:10 -preempt=false  # priority queue only
-//	go run ./cmd/churn -regionsize 4 -batch 8  # merged multi-application commits
-//	go run ./cmd/churn -meshes 4             # fleet: 4 federated meshes, routed admission
-//	go run ./cmd/churn -meshes 4 -rebalance 5ms  # with background hot->cold rebalancing
 //	go run ./cmd/churn -faultrate 0.02       # fail a tile per ~50 arrivals, measure recovery
 //	go run ./cmd/churn -journal run.jsonl    # stream the hash-chained admission journal
 package main
@@ -41,32 +38,9 @@ func report(w io.Writer, label string, r churn.Result) {
 	st := r.Stats
 	total := st.Admitted + st.Rejected
 	fmt.Fprintf(w, "%s:\n", label)
-	if len(r.PerMesh) > 0 {
-		fs := r.Fleet
-		fmt.Fprintf(w, "  fleet             %d meshes, %d spills (%d admitted by a sibling), %d overflow rejects\n",
-			len(r.PerMesh), fs.Spills, fs.SpillAdmits, fs.OverflowRejects)
-		if fs.Relocations+fs.RelocFailbacks+fs.RelocDrops > 0 {
-			fmt.Fprintf(w, "  rebalancer        %d residents moved hot->cold, %d failbacks, %d drops\n",
-				fs.Relocations, fs.RelocFailbacks, fs.RelocDrops)
-		}
-		if fs.MeshEvictions > 0 {
-			fmt.Fprintf(w, "  reconciler        %d placements retired after mesh-local evictions\n",
-				fs.MeshEvictions)
-		}
-		for i, ms := range r.PerMesh {
-			fmt.Fprintf(w, "  mesh %-12d %d admitted, %d rejected, %d conflicts, %d template hits\n",
-				i, ms.Admitted, ms.Rejected, ms.Conflicts, ms.TemplateHits)
-		}
-	}
 	fmt.Fprintf(w, "  commit sharding   %d region(s)\n", r.Regions)
-	arrivalsLabel := "arrivals"
-	if len(r.PerMesh) > 0 {
-		// Spilled arrivals are counted on every mesh they tried, so the
-		// summed mesh-level view exceeds the true arrival count.
-		arrivalsLabel = "mesh attempts"
-	}
-	fmt.Fprintf(w, "  %-17s %d (%d admitted, %d rejected, %.1f%% admitted)\n",
-		arrivalsLabel, total, st.Admitted, st.Rejected, 100*float64(st.Admitted)/float64(max(total, 1)))
+	fmt.Fprintf(w, "  arrivals          %d (%d admitted, %d rejected, %.1f%% admitted)\n",
+		total, st.Admitted, st.Rejected, 100*float64(st.Admitted)/float64(max(total, 1)))
 	fmt.Fprintf(w, "  throughput        %.1f admissions/sec over %v\n", r.AdmissionsPerSec(), r.Elapsed.Round(time.Millisecond))
 	fmt.Fprintf(w, "  optimistic retry  %d commit conflicts, %d re-mapping rounds\n", st.Conflicts, st.Retries)
 	fmt.Fprintf(w, "  template reuse    %d of %d admissions (%.1f%%)\n",
@@ -77,11 +51,6 @@ func report(w io.Writer, label string, r churn.Result) {
 	if acq := st.Snapshots + st.SnapshotsShared; acq > 0 {
 		fmt.Fprintf(w, "  snapshots         %d captured, %d shared from an epoch (%.1f%%), %d CoW region faults\n",
 			st.Snapshots, st.SnapshotsShared, 100*float64(st.SnapshotsShared)/float64(acq), st.CoWFaults)
-	}
-	if st.Batches > 0 || st.BatchedAdmissions > 0 || st.BatchSpills > 0 || st.BatchFallbacks > 0 {
-		fmt.Fprintf(w, "  batched admission %d merged commits, %d of %d admissions batched (%.1f%%), %d spill commits, %d fallbacks to per-item\n",
-			st.Batches, st.BatchedAdmissions, st.Admitted,
-			100*float64(st.BatchedAdmissions)/float64(max(st.Admitted, 1)), st.BatchSpills, st.BatchFallbacks)
 	}
 	if rate, ok := st.RepairRate(); ok {
 		fmt.Fprintf(w, "  repair rate       %.1f%%\n", 100*rate)
@@ -128,23 +97,8 @@ func report(w io.Writer, label string, r churn.Result) {
 // different scenario than the one asked for, instead of surfacing as a
 // confusing report later.
 func validate(o churn.Options, journalTo string, compare bool) error {
-	if o.Batch < 0 {
-		return fmt.Errorf("churn: -batch %d is negative (use 0 or 1 for per-item admission)", o.Batch)
-	}
-	if o.Meshes < 1 {
-		return fmt.Errorf("churn: -meshes %d; need at least one mesh", o.Meshes)
-	}
-	if o.Rebalance > 0 && o.Meshes <= 1 {
-		return fmt.Errorf("churn: -rebalance moves residents between meshes; give -meshes a value above 1")
-	}
-	if compare && o.Meshes > 1 {
-		return fmt.Errorf("churn: -compare benchmarks the single-mesh pipeline; run fleet scaling via BenchmarkFleetAdmission (see EXPERIMENTS.md) instead")
-	}
 	if o.FaultRate < 0 {
 		return fmt.Errorf("churn: -faultrate %g is negative", o.FaultRate)
-	}
-	if journalTo != "" && o.Meshes > 1 {
-		return fmt.Errorf("churn: -journal records one manager's hash chain; a fleet run would interleave %d of them", o.Meshes)
 	}
 	if journalTo != "" && compare {
 		return fmt.Errorf("churn: -journal and -compare would write two runs' chains into one file; journal one run at a time")
@@ -162,8 +116,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.Queue, "queue", 0, "work queue depth (0 = 16x workers)")
 	fs.IntVar(&o.Apps, "apps", o.Apps, "number of application arrivals")
 	fs.IntVar(&o.Mesh, "mesh", o.Mesh, "platform mesh width and height")
-	fs.IntVar(&o.Meshes, "meshes", 1, "federate across N independent meshes behind the fleet router (1 = single-manager path)")
-	fs.DurationVar(&o.Rebalance, "rebalance", 0, "fleet rebalancer period, draining best-effort residents hot->cold (0 = off; needs -meshes > 1)")
 	fs.Int64Var(&o.Seed, "seed", o.Seed, "platform generator seed")
 	fs.IntVar(&o.Catalogue, "catalogue", o.Catalogue, "distinct application structures in rotation")
 	fs.Float64Var(&o.MaxUtil, "util", o.MaxUtil, "max per-implementation utilisation")
@@ -172,11 +124,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.RegionSize, "regionsize", 0, "shard the commit path: mesh-region side length (0 = one global region)")
 	fs.BoolVar(&o.Reuse, "reuse", o.Reuse, "reuse mapping templates for recurring structures")
 	fs.BoolVar(&o.Repair, "repair", o.Repair, "repair stale mappings instead of re-mapping from scratch")
-	fs.IntVar(&o.Batch, "batch", 0, "drain up to K queued arrivals into one merged multi-application commit (<=1 = per-item admission)")
 	fs.StringVar(&o.PrioMix, "priomix", "", "mixed admission classes as bestEffort:standard:critical weights, e.g. 70:20:10 (empty = all best-effort)")
 	fs.BoolVar(&o.Preempt, "preempt", o.Preempt, "let full-mesh priority arrivals preempt lower classes (relocation before eviction)")
 	fs.Float64Var(&o.FaultRate, "faultrate", 0, "inject run-time tile faults at this expected rate per arrival, evacuating and relocating residents (0 = off)")
-	journalTo := fs.String("journal", "", "stream the hash-chained admission journal to this file (single-mesh runs only)")
+	journalTo := fs.String("journal", "", "stream the hash-chained admission journal to this file")
 	compare := fs.Bool("compare", false, "also run the sequential path and report the speedup")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -196,19 +147,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// resident population as the pipeline run.
 	o = o.WithDefaults()
 
-	target := fmt.Sprintf("a %d×%d mesh", o.Mesh, o.Mesh)
-	label := fmt.Sprintf("pipeline (%d workers, reuse %v, repair %v)", o.Workers, o.Reuse, o.Repair)
-	if o.Meshes > 1 {
-		target = fmt.Sprintf("a fleet of %d %d×%d meshes", o.Meshes, o.Mesh, o.Mesh)
-		label = fmt.Sprintf("fleet (%d meshes, %d workers, reuse %v, repair %v)", o.Meshes, o.Workers, o.Reuse, o.Repair)
-	}
-	fmt.Fprintf(stdout, "churn: %d arrivals from a %d-structure catalogue onto %s\n\n", o.Apps, o.Catalogue, target)
+	fmt.Fprintf(stdout, "churn: %d arrivals from a %d-structure catalogue onto a %d×%d mesh\n\n", o.Apps, o.Catalogue, o.Mesh, o.Mesh)
 	pipe := churn.Run(o)
 	if pipe.ConfigErr != nil {
 		fmt.Fprintln(stderr, pipe.ConfigErr)
 		return 2
 	}
-	report(stdout, label, pipe)
+	report(stdout, fmt.Sprintf("pipeline (%d workers, reuse %v, repair %v)", o.Workers, o.Reuse, o.Repair), pipe)
 	ok := pipe.Clean && pipe.LedgerErr == nil && pipe.JournalErr == nil
 
 	if *compare {

@@ -13,16 +13,15 @@ func churnCmd(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errw.String()
 }
 
-// TestRunSmoke drives small scenarios through every backend shape the
-// command offers; each must end with a clean ledger.
+// TestRunSmoke drives small scenarios through every mode the command
+// offers; each must end with a clean ledger.
 func TestRunSmoke(t *testing.T) {
 	base := []string{"-apps", "60", "-mesh", "6", "-catalogue", "8"}
 	with := func(extra ...string) []string { return append(base[:len(base):len(base)], extra...) }
 	for _, args := range [][]string{
 		base,
-		with("-meshes", "2"),
 		with("-faultrate", "0.05"),
-		with("-regionsize", "3", "-batch", "4"),
+		with("-regionsize", "3"),
 		with("-journal", filepath.Join(t.TempDir(), "run.jsonl")),
 		with("-compare"),
 		with("-apps", "0"),
@@ -38,25 +37,23 @@ func TestRunSmoke(t *testing.T) {
 }
 
 // TestRejectedFlagCombinations pins exit code 2 for every flag
-// combination validate refuses, and for the retired ablation flags.
+// combination validate refuses, and for the retired flags: a stale
+// script must fail loudly, not silently run something else.
 func TestRejectedFlagCombinations(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "j.jsonl")
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-batch", "-1"}, "-batch -1 is negative"},
-		{[]string{"-meshes", "0"}, "need at least one mesh"},
-		{[]string{"-rebalance", "5ms"}, "-rebalance moves residents between meshes"},
-		{[]string{"-compare", "-meshes", "2"}, "-compare benchmarks the single-mesh pipeline"},
 		{[]string{"-faultrate", "-0.1"}, "is negative"},
-		{[]string{"-journal", journal, "-meshes", "2"}, "-journal records one manager's hash chain"},
 		{[]string{"-journal", journal, "-compare"}, "journal one run at a time"},
 		{[]string{"-priomix", "0:0:0"}, "zero total weight"},
 		{[]string{"-cow=false"}, "flag provided but not defined"},
 		{[]string{"-epoch=false"}, "flag provided but not defined"},
 		{[]string{"-retries", "1"}, "flag provided but not defined"},
 		{[]string{"-faultbias", "0.5"}, "flag provided but not defined"},
+		{[]string{"-meshes", "2"}, "flag provided but not defined"},
+		{[]string{"-batch", "8"}, "flag provided but not defined"},
 	} {
 		code, out, errw := churnCmd(tc.args...)
 		if code != 2 {

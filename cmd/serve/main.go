@@ -1,22 +1,21 @@
 // Command serve runs the streaming admission front-end in one of three
 // modes over the same churn.Stack. By default it drives a synthetic
 // arrival storm through the staged server (ingress throttle, per-class
-// dropping buffers, circuit breaker, dead-letter retry queue) into a
-// single manager pipeline or a federated fleet, printing the
-// exactly-one-outcome ledger. With -listen it becomes a real service: an
-// HTTP front door (POST /admit, GET /healthz, /readyz, /metricsz) with
-// graceful drain on SIGINT/SIGTERM and — when -journal names a file with
-// previous segments — crash-restart recovery: the chain is verified, the
-// torn tail truncated, and the platform plus resident set replayed
-// before the listener accepts traffic. With -chaos it executes a
-// deterministic fault script against an in-process HTTP door and exits
-// nonzero if the ledger breaks or a Critical arrival is shed.
+// dropping buffers, circuit breaker, dead-letter retry queue) into the
+// manager pipeline, printing the exactly-one-outcome ledger. With -listen
+// it becomes a real service: an HTTP front door (POST /admit, GET
+// /healthz, /readyz, /metricsz) with graceful drain on SIGINT/SIGTERM
+// and — when -journal names a file with previous segments —
+// crash-restart recovery: the chain is verified, the torn tail
+// truncated, and the platform plus resident set replayed before the
+// listener accepts traffic. With -chaos it executes a deterministic
+// fault script against an in-process HTTP door and exits nonzero if the
+// ledger breaks or a Critical arrival is shed.
 //
 // Examples:
 //
-//	go run ./cmd/serve                          # 100k arrivals, one mesh
+//	go run ./cmd/serve                          # 100k arrivals
 //	go run ./cmd/serve -arrivals 2000000        # the EXPERIMENTS.md soak
-//	go run ./cmd/serve -meshes 4                # fleet-backed admission
 //	go run ./cmd/serve -slo 5ms                 # AIMD adaptive admit rate
 //	go run ./cmd/serve -listen :8080 -journal run.jsonl   # network service
 //	go run ./cmd/serve -chaos script.txt -journal c.jsonl # chaos harness
@@ -61,13 +60,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.IntVar(&c.stack.Apps, "arrivals", 100_000, "number of application arrivals to generate (soak and chaos modes)")
-	fs.IntVar(&c.stack.Workers, "workers", 4, "admission worker goroutines (split across meshes when federated)")
+	fs.IntVar(&c.stack.Workers, "workers", 4, "admission worker goroutines")
 	fs.IntVar(&c.stack.Queue, "queue", 0, "backend work queue depth (0 = 16x workers)")
 	fs.IntVar(&c.stack.Mesh, "mesh", 12, "platform mesh width and height")
-	fs.IntVar(&c.stack.Meshes, "meshes", 1, "federate across N meshes behind the fleet router (1 = single pipeline; soak mode only)")
 	fs.IntVar(&c.stack.RegionSize, "regionsize", 3, "commit-path region side length (0 = one global region)")
-	fs.Int64Var(&c.stack.Seed, "seed", 123, "platform and router seed")
-	fs.IntVar(&c.stack.Batch, "batch", 0, "merged multi-application commits of up to K arrivals (<=1 = per-item)")
+	fs.Int64Var(&c.stack.Seed, "seed", 123, "platform seed")
 	fs.IntVar(&c.stack.Catalogue, "catalogue", 6, "distinct application structures in rotation")
 	fs.Float64Var(&c.stack.MaxUtil, "util", 0.12, "max per-implementation utilisation")
 	fs.Int64Var(&c.stack.PeriodNs, "period", 40_000, "QoS period in ns")
@@ -77,7 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	s := &c.server
 	fs.IntVar(&s.Ingress, "ingress", 256, "ingress buffer depth (Submit blocks when full)")
 	fs.IntVar(&s.ClassBuf, "classbuf", 64, "Critical class buffer; Standard gets half, BestEffort a quarter")
-	fs.IntVar(&s.Rate, "rate", 0, "throttle dispatch to this many arrivals/sec (0 = unlimited; ignored when -slo is set)")
 	fs.IntVar(&s.DLQ, "dlq", 1024, "dead-letter queue capacity for capacity-rejected arrivals (0 = off)")
 	fs.Float64Var(&s.DLQBelow, "dlq-below", 0.75, "retry parked arrivals when utilization drops below this")
 	fs.IntVar(&s.DLQRetries, "dlq-retries", 3, "backend attempts per arrival before it expires")
@@ -94,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.DurationVar(&s.AIMD.Interval, "aimd-interval", 0, "AIMD control period (0 = default 20ms)")
 	fs.DurationVar(&s.Window, "window", time.Second, "rolling metrics window for p50/p99 and rate")
 
-	fs.StringVar(&c.journalTo, "journal", "", "stream the hash-chained admission journal to this file (single-mesh only)")
+	fs.StringVar(&c.journalTo, "journal", "", "stream the hash-chained admission journal to this file")
 	fs.IntVar(&c.syncEvery, "syncevery", 0, "fsync the journal after every n-th event (0 = on acks only)")
 	fs.StringVar(&c.listen, "listen", "", "serve the HTTP front door on this address (e.g. :8080) until SIGINT/SIGTERM")
 	fs.StringVar(&c.chaosPath, "chaos", "", "execute this chaos script against an in-process HTTP door and exit")
@@ -110,21 +106,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		s.Breaker.Latency = s.AIMD.SLO
 	}
 
-	mode, serve := "", c.soak
+	// Only the service recovers what a previous process left in the
+	// journal; the soak and the chaos harness start a fresh chain.
+	serve, resume := c.soak, false
 	switch {
 	case c.chaosPath != "":
-		mode, serve = "-chaos", c.chaos
+		serve = c.chaos
 	case c.listen != "":
-		mode, serve = "-listen", c.serveHTTP
-	}
-	if mode != "" && c.stack.Meshes > 1 {
-		return c.fail(2, "%s is single-mesh (the journal replays one platform)", mode)
+		serve, resume = c.serveHTTP, true
 	}
 	if c.journalTo != "" {
-		// Only the service recovers what a previous process left; the
-		// soak and the chaos harness start a fresh chain.
 		var err error
-		if c.stack.Journal, err = journal.OpenFile(c.journalTo, c.syncEvery, mode == "-listen"); err != nil {
+		if c.stack.Journal, err = journal.OpenFile(c.journalTo, c.syncEvery, resume); err != nil {
 			return c.fail(2, "%v", err)
 		}
 	}
@@ -220,7 +213,7 @@ func (c *config) serveHTTP() int {
 	}
 	if j := c.stack.Journal; j != nil && j.Segments > 0 {
 		fmt.Fprintf(c.stdout, "recovered %d events (%d residents) from %d segment(s), resuming at seq %d\n",
-			len(j.Recovered.Events), len(st.Managers[0].Running()), j.Segments, j.Recovered.Seq)
+			len(j.Recovered.Events), len(st.Manager.Running()), j.Segments, j.Recovered.Seq)
 	}
 	c.server.Backend = st.Backend
 	srv, err := stream.New(c.server)

@@ -14,10 +14,10 @@ func serve(args ...string) (code int, stdout, stderr string) {
 }
 
 // TestSoakSmoke runs a tiny storm through the default mode, once plain
-// and once journaled with batching on.
+// and once journaled.
 func TestSoakSmoke(t *testing.T) {
 	base := []string{"-arrivals", "400", "-mesh", "8", "-catalogue", "4"}
-	journaled := append(base[:len(base):len(base)], "-batch", "4",
+	journaled := append(base[:len(base):len(base)],
 		"-journal", filepath.Join(t.TempDir(), "soak.jsonl"))
 	for _, args := range [][]string{base, journaled} {
 		code, out, errw := serve(args...)
@@ -34,7 +34,7 @@ func TestSoakSmoke(t *testing.T) {
 // at 300 arrivals, crash recovery included.
 func TestChaosSmoke(t *testing.T) {
 	code, out, errw := serve("-chaos", "../../scripts/chaos_smoke.chaos",
-		"-arrivals", "300", "-mesh", "8", "-catalogue", "4", "-slo", "20ms", "-batch", "4",
+		"-arrivals", "300", "-mesh", "8", "-catalogue", "4", "-slo", "20ms",
 		"-journal", filepath.Join(t.TempDir(), "chaos.jsonl"))
 	if code != 0 {
 		t.Fatalf("exit %d\n%s%s", code, out, errw)
@@ -47,23 +47,19 @@ func TestChaosSmoke(t *testing.T) {
 }
 
 // TestRejectedFlagCombinations pins exit code 2 and the message for
-// every configuration serve refuses to run.
+// every configuration serve refuses to run, retired flags included: a
+// stale script must fail loudly, not silently run one mesh.
 func TestRejectedFlagCombinations(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "j.jsonl")
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-chaos", "../../scripts/chaos_smoke.chaos", "-meshes", "2"},
-			"serve: -chaos is single-mesh (the journal replays one platform)"},
-		{[]string{"-listen", "127.0.0.1:0", "-meshes", "2"},
-			"serve: -listen is single-mesh (the journal replays one platform)"},
-		{[]string{"-arrivals", "10", "-meshes", "2", "-journal", journal}, "the journal replays one platform"},
-		{[]string{"-arrivals", "10", "-batch", "-1"}, "batch size -1 is negative"},
 		{[]string{"-arrivals", "10", "-priomix", "1:x"}, "priority mix"},
 		{[]string{"-chaos", "no-such-script"}, "no-such-script"},
 		{[]string{"-chaos", "../../scripts/chaos_smoke.chaos", "-arrivals", "300"}, "crash steps need -journal"},
 		{[]string{"-cow=false"}, "flag provided but not defined"},
+		{[]string{"-meshes", "2"}, "flag provided but not defined"},
+		{[]string{"-batch", "8"}, "flag provided but not defined"},
 	} {
 		code, out, errw := serve(tc.args...)
 		if code != 2 {

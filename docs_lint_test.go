@@ -22,7 +22,6 @@ func TestGodocCoverage(t *testing.T) {
 		"internal/arch",
 		"internal/core",
 		"internal/manager",
-		"internal/fleet",
 		"internal/churn",
 		"internal/stream",
 		"internal/front",

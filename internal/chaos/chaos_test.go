@@ -130,7 +130,46 @@ func TestChaosRejectsBadConfig(t *testing.T) {
 	if _, err := Run(late, Options{Stack: churn.Options{Apps: 100}}); err == nil {
 		t.Fatal("step beyond the run started")
 	}
-	if _, err := Run(Script{}, Options{Stack: churn.Options{Apps: 100, Meshes: 2}}); err == nil {
-		t.Fatal("multi-mesh chaos run started")
+}
+
+// FuzzParseScript feeds the script parser arbitrary text. It must never
+// panic, and whatever it accepts must already satisfy everything Run
+// assumes without re-checking: steps in arrival order, each with a known
+// operation, a non-negative arrival index and arguments in range.
+func FuzzParseScript(f *testing.F) {
+	for _, seed := range []string{
+		"# warmup, then trouble\n@200 spike 2ms 50\n@100 failtile 3\n@150 faillink 5\n@250 restoretile 3\n@220 restorelink 5\n@300 drain\n@400 crash\n",
+		"100 failtile 3", "@-5 failtile 1", "@10 explode", "@10 failtile", "@10 failtile -1",
+		"@10 spike 2ms", "@10 spike banana 50", "@10 spike -2ms 5", "@10 spike 2ms 0", "@10 drain now",
+		"@9223372036854775807 crash", "@", "",
+	} {
+		f.Add(seed)
 	}
+	f.Fuzz(func(t *testing.T, src string) {
+		sc, err := ParseScript(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		for i, st := range sc.Steps {
+			if st.At < 0 || (i > 0 && st.At < sc.Steps[i-1].At) {
+				t.Fatalf("step %d of %q: arrival index %d negative or out of order", i, src, st.At)
+			}
+			switch st.Op {
+			case OpFailTile, OpFailLink, OpRestoreTile, OpRestoreLink:
+				if st.N < 0 || st.Dur != 0 {
+					t.Fatalf("step %d of %q: bad fault arguments %+v", i, src, st)
+				}
+			case OpSpike:
+				if st.N <= 0 || st.Dur <= 0 {
+					t.Fatalf("step %d of %q: bad spike arguments %+v", i, src, st)
+				}
+			case OpDrain, OpCrash:
+				if st.N != 0 || st.Dur != 0 {
+					t.Fatalf("step %d of %q: %s carries arguments %+v", i, src, st.Op, st)
+				}
+			default:
+				t.Fatalf("step %d of %q: unknown op %q accepted", i, src, st.Op)
+			}
+		}
+	})
 }

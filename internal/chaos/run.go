@@ -22,9 +22,9 @@ import (
 // can kill the incarnation mid-run.
 type Options struct {
 	// Stack shapes the mesh, the backend and the arrival catalogue as in
-	// internal/churn (single-mesh only). Stack.Apps is the total HTTP
-	// admission requests across all incarnations; Stack.Journal is
-	// required when the script contains crash steps, optional otherwise.
+	// internal/churn. Stack.Apps is the total HTTP admission requests
+	// across all incarnations; Stack.Journal is required when the script
+	// contains crash steps, optional otherwise.
 	Stack churn.Options
 	// Clients is the HTTP submission concurrency within a script segment
 	// (default 4). Steps are barriers regardless.
@@ -98,9 +98,6 @@ func Run(script Script, o Options) (Report, error) {
 	}
 	if script.Crashes() > 0 && o.Stack.Journal == nil {
 		return Report{}, fmt.Errorf("chaos: crash steps need -journal (Stack.Journal)")
-	}
-	if o.Stack.Meshes > 1 {
-		return Report{}, fmt.Errorf("chaos: the harness is single-mesh (the journal replays one platform)")
 	}
 	st, err := churn.NewStack(o.Stack)
 	if err != nil {
@@ -206,7 +203,7 @@ func (r *runner) submitRange(inc *incarnation, lo, hi int) error {
 
 // execute runs one step, possibly replacing the incarnation.
 func (r *runner) execute(inc *incarnation, st Step) (*incarnation, error) {
-	m := r.st.Managers[0]
+	m := r.st.Manager
 	switch st.Op {
 	case OpFailTile, OpRestoreTile:
 		tiles := churn.ProcTiles(m.Platform())
@@ -272,7 +269,7 @@ func (r *runner) crash(inc *incarnation) (*incarnation, error) {
 	// slipped in after the last seal.
 	r.teardown(inc)
 	r.rep.Crashes++
-	m, jw := r.st.Managers[0], r.st.Options.Journal
+	m, jw := r.st.Manager, r.st.Options.Journal
 
 	// Seal the durable checkpoint and capture it bit-for-bit.
 	jw.Flush()
@@ -315,14 +312,14 @@ func (r *runner) crash(inc *incarnation) (*incarnation, error) {
 		recovered.Close()
 		return nil, fmt.Errorf("chaos: restart: %w", err)
 	}
-	rm := r.st.Managers[0]
+	rm := r.st.Manager
 	if err := arch.PlatformsIdentical(sealed, rm.Platform()); err != nil {
 		return nil, fmt.Errorf("chaos: replayed platform differs from sealed checkpoint: %w", err)
 	}
 	if got := churn.ResidentNames(rm); fmt.Sprint(got) != fmt.Sprint(sealedNames) {
 		return nil, fmt.Errorf("chaos: replayed resident set differs:\n got %v\nwant %v", got, sealedNames)
 	}
-	if err := r.st.CheckInvariants(); err != nil {
+	if err := rm.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("chaos: replayed manager invariants: %w", err)
 	}
 	r.rep.ReplayChecks++

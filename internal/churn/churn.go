@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"rtsm/internal/arch"
-	"rtsm/internal/fleet"
 	"rtsm/internal/journal"
 	"rtsm/internal/manager"
 	"rtsm/internal/model"
@@ -34,16 +33,9 @@ type Options struct {
 	// Apps is the number of application arrivals.
 	Apps int
 	// Mesh is the platform's width and height (0 = 8); Seed feeds the
-	// platform generator and the fleet router.
+	// platform generator.
 	Mesh int
 	Seed int64
-	// Meshes federates the stack across this many independent Mesh×Mesh
-	// platforms behind a fleet placement router (internal/fleet); Workers
-	// and Queue are split evenly, at least one each. 0 or 1 = no fleet.
-	Meshes int
-	// Rebalance is the period of the fleet's background rebalancer during
-	// Run, draining best-effort residents hot→cold (0 = off).
-	Rebalance time.Duration
 	// Catalogue is the number of distinct application structures in
 	// rotation (min 1); MaxUtil and PeriodNs shape them.
 	Catalogue int
@@ -63,10 +55,6 @@ type Options struct {
 	Reuse   bool
 	Repair  bool
 	Preempt bool
-	// Batch lets a pipeline worker drain up to this many queued arrivals
-	// into one merged multi-application commit (manager.Pipeline.SetBatch).
-	// ≤ 1 keeps per-item admission; negative is a configuration error.
-	Batch int
 	// PrioMix assigns admission classes to arrivals as
 	// "bestEffort:standard:critical" integer weights, e.g. "70:20:10",
 	// deterministically by arrival index. Empty keeps all BestEffort.
@@ -79,7 +67,7 @@ type Options struct {
 	// Journal attaches the durable hash-chained admission journal (nil =
 	// off). One that recovered earlier segments (journal.OpenFile with
 	// resume) is replayed into the platform before anything is served.
-	// Single-mesh only: it replays one platform. Stack.Close closes it.
+	// Stack.Close closes it.
 	Journal *journal.File
 	// ErrWriter receives unexpected stop errors; nil discards them.
 	ErrWriter io.Writer
@@ -108,7 +96,6 @@ func Defaults() Options {
 // (cmd/churn -compare) may apply it up front and share the values.
 func (o Options) WithDefaults() Options {
 	o.Workers = max(o.Workers, 1)
-	o.Meshes = max(o.Meshes, 1)
 	o.Catalogue = max(o.Catalogue, 1)
 	if o.Mesh <= 0 {
 		o.Mesh = 8
@@ -212,18 +199,14 @@ func (o Options) arrival(i, endpointRegions int, w [model.NumPriorities]int) (*m
 
 // Result is the outcome of one Run or RunSoak.
 type Result struct {
-	// Stats is the manager's counters — summed across meshes for fleet
-	// runs (PerMesh holds the unsummed members, nil for one mesh).
+	// Stats is the manager's counters.
 	Stats   manager.Stats
-	PerMesh []manager.Stats
 	Elapsed time.Duration
 	// Report is the stream server's ledger (RunSoak only).
 	Report stream.Report
-	// Regions is the platforms' summed region count: 1 for the global
+	// Regions is the platform's region count: 1 for the global
 	// single-lock commit path, more when the scenario sharded it.
 	Regions int
-	// Fleet holds the placement router's counters for fleet runs.
-	Fleet fleet.Stats
 	// Clean reports that Run's ledger returned exactly to pristine after
 	// full churn; Drift details the difference when it did not.
 	Clean bool
@@ -249,9 +232,8 @@ func (r Result) AdmissionsPerSec() float64 {
 	return float64(r.Stats.Admitted) / r.Elapsed.Seconds()
 }
 
-// Run pushes Apps arrivals straight into the stack's backend — one
-// manager pipeline or a fleet, the loop is the same — keeping up to
-// Resident applications running at once, then stops everything and
+// Run pushes Apps arrivals straight into the stack's backend, keeping up
+// to Resident applications running at once, then stops everything and
 // checks the ledger returned exactly to pristine.
 func Run(o Options) Result {
 	s, err := NewStack(o)
@@ -259,14 +241,8 @@ func Run(o Options) Result {
 		return Result{ConfigErr: err}
 	}
 	o = s.Options
-	pristine := make([]arch.Residual, len(s.Managers))
-	for i, m := range s.Managers {
-		pristine[i] = m.Residual()
-	}
-	if s.Fleet != nil && o.Rebalance > 0 {
-		s.Fleet.StartRebalancer(o.Rebalance)
-	}
-	faults := newFaultInjector(o.FaultRate, o.Seed, s.Managers)
+	pristine := s.Manager.Residual()
+	faults := newFaultInjector(o.FaultRate, o.Seed, s.Manager)
 
 	start := time.Now()
 	// pending bounds how far the submitter runs ahead of the collector.
@@ -300,25 +276,16 @@ func Run(o Options) Result {
 	faults.restoreAll()
 	elapsed := time.Since(start)
 
-	r := Result{Elapsed: elapsed, Stats: s.Backend.Stats(), JournalErr: s.Close()}
+	r := Result{Elapsed: elapsed, Stats: s.Backend.Stats(), JournalErr: s.Close(),
+		Regions: s.Manager.Platform().RegionCount()}
 	faults.record(&r)
-	for _, m := range s.Managers {
-		r.Regions += m.Platform().RegionCount()
-		if s.Fleet != nil {
-			r.Fleet = s.Fleet.Stats()
-			r.PerMesh = append(r.PerMesh, m.Stats())
-		}
-	}
-	if r.LedgerErr = s.CheckInvariants(); r.LedgerErr != nil {
+	if r.LedgerErr = s.Manager.CheckInvariants(); r.LedgerErr != nil {
 		return r
 	}
-	r.Clean = true
-	for i, m := range s.Managers {
-		if final := m.Residual(); !final.Equal(pristine[i]) {
-			r.Clean = false
-			r.Drift = pristine[i].Diff(final)
-			break
-		}
+	final := s.Manager.Residual()
+	r.Clean = final.Equal(pristine)
+	if !r.Clean {
+		r.Drift = pristine.Diff(final)
 	}
 	return r
 }

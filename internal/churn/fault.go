@@ -8,13 +8,6 @@ import (
 	"rtsm/internal/manager"
 )
 
-// faultTarget is one failable processing tile and the manager that owns
-// it (fleet scenarios spread targets across every member mesh).
-type faultTarget struct {
-	m    *manager.Manager
-	tile arch.TileID
-}
-
 // faultInjector drives Options.FaultRate: a deterministic accumulator
 // fires a tile fault every 1/rate arrivals, aimed at a pseudo-random
 // processing tile. At most one tile is failed at a time — the previous
@@ -27,8 +20,9 @@ type faultInjector struct {
 	rate    float64
 	acc     float64
 	rng     *rand.Rand
-	targets []faultTarget
-	failed  []faultTarget
+	m       *manager.Manager
+	targets []arch.TileID
+	failed  []arch.TileID
 
 	injected     int
 	recoverTotal time.Duration
@@ -51,22 +45,14 @@ func ProcTiles(plat *arch.Platform) []arch.TileID {
 }
 
 // newFaultInjector builds the injector over every processing tile of
-// the given managers' platforms. Returns nil when the rate is zero or no
-// tile qualifies.
-func newFaultInjector(rate float64, seed int64, mgrs []*manager.Manager) *faultInjector {
-	if rate <= 0 {
+// the manager's platform. Returns nil when the rate is zero or no tile
+// qualifies.
+func newFaultInjector(rate float64, seed int64, m *manager.Manager) *faultInjector {
+	targets := ProcTiles(m.Platform())
+	if rate <= 0 || len(targets) == 0 {
 		return nil
 	}
-	fi := &faultInjector{rate: rate, rng: rand.New(rand.NewSource(seed ^ 0xfa117))}
-	for _, m := range mgrs {
-		for _, id := range ProcTiles(m.Platform()) {
-			fi.targets = append(fi.targets, faultTarget{m, id})
-		}
-	}
-	if len(fi.targets) == 0 {
-		return nil
-	}
-	return fi
+	return &faultInjector{rate: rate, rng: rand.New(rand.NewSource(seed ^ 0xfa117)), m: m, targets: targets}
 }
 
 // step advances the accumulator by one arrival and injects the faults
@@ -86,15 +72,14 @@ func (fi *faultInjector) step() {
 // pseudo-random target and books its recovery report.
 func (fi *faultInjector) injectOne() {
 	if len(fi.failed) > 0 {
-		t := fi.failed[0]
+		fi.m.RestoreTile(fi.failed[0])
 		fi.failed = fi.failed[1:]
-		t.m.RestoreTile(t.tile)
 	}
 	// A handful of redraws covers the (rare) case of drawing the tile
 	// that is still failed; giving up after that keeps the loop bounded.
 	for attempt := 0; attempt < 8; attempt++ {
 		t := fi.targets[fi.rng.Intn(len(fi.targets))]
-		rep := t.m.FailTile(t.tile)
+		rep := fi.m.FailTile(t)
 		if !rep.Failed {
 			continue
 		}
@@ -114,7 +99,7 @@ func (fi *faultInjector) restoreAll() {
 		return
 	}
 	for _, t := range fi.failed {
-		t.m.RestoreTile(t.tile)
+		fi.m.RestoreTile(t)
 	}
 	fi.failed = nil
 }

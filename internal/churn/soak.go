@@ -41,6 +41,6 @@ func RunSoak(o Options, server stream.Options) Result {
 			rep.Admitted, rep.Rejected, rep.Shed(), rep.Expired, rep.Submitted)
 		return r
 	}
-	r.LedgerErr = s.CheckInvariants()
+	r.LedgerErr = s.Manager.CheckInvariants()
 	return r
 }

@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	"rtsm/internal/core"
-	"rtsm/internal/fleet"
 	"rtsm/internal/journal"
 	"rtsm/internal/manager"
 	"rtsm/internal/model"
@@ -17,19 +16,17 @@ import (
 	"rtsm/internal/workload"
 )
 
-// Stack is one assembled admission stack: a synthetic platform and
-// manager per mesh with the configured reuse, repair and preemption
-// engines, a pipeline (one mesh) or fleet router (several) behind
-// stream.Backend, the optional journal, and the resident Recycler.
-// Every driver — Run, RunSoak, the chaos harness, cmd/serve — builds it
-// with NewStack and layers its own front-end on Backend.
+// Stack is one assembled admission stack: a synthetic platform and its
+// manager with the configured reuse, repair and preemption engines, a
+// pipeline behind stream.Backend, the optional journal, and the
+// resident Recycler. Every driver — Run, RunSoak, the chaos harness,
+// cmd/serve — builds it with NewStack and layers its own front-end on
+// Backend.
 type Stack struct {
 	// Options is the configuration with defaults resolved.
 	Options Options
-	// Managers holds one manager (owning its platform) per mesh.
-	Managers []*manager.Manager
-	// Fleet is the placement router of a multi-mesh stack, nil otherwise.
-	Fleet *fleet.Fleet
+	// Manager owns the platform.
+	Manager *manager.Manager
 	// Backend is what arrivals are submitted to.
 	Backend stream.Backend
 	// Recycler bounds the resident population; a recovered stack starts
@@ -51,49 +48,27 @@ func NewStack(o Options) (*Stack, error) {
 	if s.weights, err = ParsePrioMix(o.PrioMix); err != nil {
 		return nil, err
 	}
-	if o.Batch < 0 {
-		return nil, fmt.Errorf("churn: batch size %d is negative", o.Batch)
-	}
 	var events []journal.Event
 	if o.Journal != nil {
-		if o.Meshes > 1 {
-			return nil, fmt.Errorf("churn: the journal replays one platform; %d meshes would interleave their hash chains", o.Meshes)
-		}
 		events = o.Journal.Recovered.Events
 	}
-	cfgs := make([]fleet.MeshConfig, o.Meshes)
-	for i := range cfgs {
-		// Distinct seeds give each mesh its own tile-type shuffle: a fleet
-		// is homogeneous in geometry — a spilled arrival finds its
-		// SRC<r>/SINK<r> pair on any sibling — but heterogeneous in layout.
-		plat := workload.SyntheticRegionPlatform(o.Mesh, o.Mesh, o.Seed+int64(i)*101, o.RegionSize)
-		m, err := manager.ReplayEvents(plat, core.Config{}, events)
-		if err != nil {
-			return nil, fmt.Errorf("churn: replay: %w", err)
-		}
-		m.SetMappingReuse(o.Reuse)
-		m.SetRepair(o.Repair)
-		m.SetPreemption(o.Preempt)
-		if o.Journal != nil {
-			m.SetJournal(o.Journal.Writer)
-		}
-		s.Managers = append(s.Managers, m)
-		// Workers and queue slots are split evenly, so a fleet spends the
-		// same worker budget as the single-mesh stack it is compared to.
-		cfgs[i] = fleet.MeshConfig{Manager: m, Workers: max(1, o.Workers/o.Meshes), Queue: max(1, o.Queue/o.Meshes), Batch: o.Batch}
+	plat := workload.SyntheticRegionPlatform(o.Mesh, o.Mesh, o.Seed, o.RegionSize)
+	m, err := manager.ReplayEvents(plat, core.Config{}, events)
+	if err != nil {
+		return nil, fmt.Errorf("churn: replay: %w", err)
 	}
-	s.endpointRegions = s.Managers[0].Platform().RegionCount()
-	if o.Meshes > 1 {
-		if s.Fleet, err = fleet.New(fleet.Config{Seed: o.Seed}, cfgs...); err != nil {
-			return nil, err
-		}
-		s.Backend = stream.NewFleetBackend(s.Fleet)
-	} else {
-		s.Reopen()
+	m.SetMappingReuse(o.Reuse)
+	m.SetRepair(o.Repair)
+	m.SetPreemption(o.Preempt)
+	if o.Journal != nil {
+		m.SetJournal(o.Journal.Writer)
 	}
-	// Only a recovered (hence single-mesh) stack starts with residents.
+	s.Manager = m
+	s.endpointRegions = plat.RegionCount()
+	s.Reopen()
+	// Only a recovered stack starts with residents.
 	s.Recycler = &Recycler{stop: func(name string) error { return s.Backend.Stop(name) },
-		cap: o.Resident, errw: o.ErrWriter, queue: ResidentNames(s.Managers[0])}
+		cap: o.Resident, errw: o.ErrWriter, queue: ResidentNames(m)}
 	return s, nil
 }
 
@@ -107,16 +82,12 @@ func ResidentNames(m *manager.Manager) []string {
 	return names
 }
 
-// Reopen gives a single-mesh stack a fresh pipeline over the same
-// manager: a stream.Server closes its backend on Shutdown, and a
-// graceful restart serves on from the same platform state.
+// Reopen gives the stack a fresh pipeline over the same manager: a
+// stream.Server closes its backend on Shutdown, and a graceful restart
+// serves on from the same platform state.
 func (s *Stack) Reopen() {
-	m := s.Managers[0]
-	pipe := manager.NewPipeline(m, s.Options.Workers, s.Options.Queue)
-	if s.Options.Batch > 1 {
-		pipe.SetBatch(s.Options.Batch)
-	}
-	s.Backend = stream.NewPipelineBackend(m, pipe)
+	pipe := manager.NewPipeline(s.Manager, s.Options.Workers, s.Options.Queue)
+	s.Backend = stream.NewPipelineBackend(s.Manager, pipe)
 }
 
 // Arrival is Options.Arrival for this stack's endpoint layout, with the
@@ -160,16 +131,6 @@ func (s *Stack) Collect(srv *stream.Server) <-chan struct{} {
 		}
 	}()
 	return done
-}
-
-// CheckInvariants verifies every mesh's reservation ledger.
-func (s *Stack) CheckInvariants() error {
-	for i, m := range s.Managers {
-		if err := m.CheckInvariants(); err != nil {
-			return fmt.Errorf("mesh %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // Close shuts the backend down (a no-op after a stream.Server did) and

@@ -9,10 +9,9 @@ import (
 
 	"rtsm/internal/arch"
 	"rtsm/internal/journal"
-	"rtsm/internal/manager"
 )
 
-// journalOptions is the single-mesh scenario the recovery tests run.
+// journalOptions is the scenario the recovery tests run.
 func journalOptions(j *journal.File) Options {
 	o := Defaults()
 	o.Mesh, o.RegionSize, o.Catalogue, o.MaxUtil = 8, 4, 4, 0.1
@@ -24,7 +23,7 @@ func journalOptions(j *journal.File) Options {
 // so the journal carries admissions and departures.
 func admitSome(t *testing.T, s *Stack, lo, hi int) {
 	t.Helper()
-	m := s.Managers[0]
+	m := s.Manager
 	for i := lo; i < hi; i++ {
 		app, lib := s.Arrival(i)
 		if out := m.Admit(app, lib); out.Admitted && i%3 == 0 {
@@ -52,7 +51,7 @@ func crashed(t *testing.T, path string, resume bool, lo, hi, torn int) (*arch.Pl
 	}
 	admitSome(t, s, lo, hi)
 	j.Flush()
-	m := s.Managers[0]
+	m := s.Manager
 	sealed, names := m.Platform().Clone(), ResidentNames(m)
 	if len(names) < 3 {
 		t.Fatalf("only %d residents at the checkpoint; scenario too small", len(names))
@@ -84,14 +83,14 @@ func recovered(t *testing.T, path string) (*Stack, *journal.File) {
 
 func checkRecovered(t *testing.T, s *Stack, sealed *arch.Platform, names []string) {
 	t.Helper()
-	m := s.Managers[0]
+	m := s.Manager
 	if err := arch.PlatformsIdentical(sealed, m.Platform()); err != nil {
 		t.Fatalf("replayed platform differs from the pre-crash checkpoint: %v", err)
 	}
 	if got := ResidentNames(m); fmt.Sprint(got) != fmt.Sprint(names) {
 		t.Fatalf("recovered residents %v, want %v", got, names)
 	}
-	if err := s.CheckInvariants(); err != nil {
+	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -217,50 +216,5 @@ func TestRecyclerSeededInSortedOrder(t *testing.T) {
 	}
 	if fmt.Sprint(orders[0]) != fmt.Sprint(names) || fmt.Sprint(orders[1]) != fmt.Sprint(names) {
 		t.Fatalf("recovered residents stopped in orders\n %v\n %v\nwant sorted %v", orders[0], orders[1], names)
-	}
-}
-
-// TestStackHonoursBatch checks the one place batching is wired: a stack
-// built with Batch drains batched rounds, and still does after Reopen.
-func TestStackHonoursBatch(t *testing.T) {
-	o := journalOptions(nil)
-	o.Batch, o.Resident = 4, 64
-	s, err := NewStack(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batched := func() uint64 {
-		st := s.Backend.Stats()
-		return st.BatchedAdmissions + st.BatchSpills + st.BatchFallbacks
-	}
-	burst := func(lo int) {
-		var waits []func() manager.Outcome
-		for i := lo; i < lo+48; i++ {
-			wait, err := s.Backend.Submit(s.Arrival(i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			waits = append(waits, wait)
-		}
-		for _, wait := range waits {
-			if out := wait(); out.Admitted {
-				s.Recycler.Admitted(out.App)
-			}
-		}
-	}
-	burst(0)
-	first := batched()
-	if first == 0 {
-		t.Fatal("a Batch stack drained no batched round")
-	}
-	s.Backend.Close()
-	s.Reopen()
-	burst(100)
-	if batched() == first {
-		t.Fatal("Reopen dropped the batch setting")
-	}
-	s.Recycler.Drain()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

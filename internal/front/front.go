@@ -84,6 +84,17 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// What the door accepts from the network is bounded before any decoder
+// or pipeline stage sees it.
+const (
+	// maxBodyBytes caps an /admit request body; a catalogue index or a
+	// small application spec fits many times over.
+	maxBodyBytes = 64 << 10
+	// readHeaderTimeout is how long a connection may take to deliver one
+	// request's headers before the server closes it.
+	readHeaderTimeout = 2 * time.Second
+)
+
 // Stats is the door's own ledger, disjoint from the stream server's:
 // it counts HTTP requests, not arrivals (one request can cost several
 // submissions via retries).
@@ -99,7 +110,8 @@ type Stats struct {
 	Rejected uint64
 	// Timeout counts 504s — the request deadline expired first.
 	Timeout uint64
-	// BadRequest counts 400s from the decoder.
+	// BadRequest counts 400s from the decoder and 413s for bodies over
+	// the door's size cap.
 	BadRequest uint64
 	// Retries counts extra submissions spent on retryable rejections.
 	Retries uint64
@@ -150,7 +162,7 @@ func Listen(opts Options) (*Door, error) {
 	mux.HandleFunc("GET /healthz", d.handleHealthz)
 	mux.HandleFunc("GET /readyz", d.handleReadyz)
 	mux.HandleFunc("GET /metricsz", d.handleMetricsz)
-	d.http = &http.Server{Handler: mux}
+	d.http = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	d.ready.Store(true)
 	go func() {
 		defer close(d.done)
@@ -249,10 +261,16 @@ func (d *Door) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	d.requests.Add(1)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	app, lib, err := d.opts.Decode(r)
 	if err != nil {
 		d.badRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest, AdmitResponse{Error: err.Error()})
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, AdmitResponse{Error: err.Error()})
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), d.opts.RequestTimeout)

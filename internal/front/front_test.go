@@ -2,10 +2,16 @@ package front
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -211,7 +217,7 @@ func (b *scriptBackend) Close()                  {}
 
 // newScriptedServer builds a stream server without a DLQ (so retryable
 // rejections surface immediately as final results the door can retry).
-func newScriptedServer(t *testing.T, b stream.Backend) *stream.Server {
+func newScriptedServer(t testing.TB, b stream.Backend) *stream.Server {
 	t.Helper()
 	srv, err := stream.New(stream.Options{Backend: b})
 	if err != nil {
@@ -340,7 +346,8 @@ func TestFrontDeadlinePropagates(t *testing.T) {
 }
 
 // TestFrontBadRequest pins the 400 path: decoder errors never reach the
-// pipeline.
+// pipeline, and neither does a body over the door's size cap — the
+// decoder is cut off mid-read and the request answers 413.
 func TestFrontBadRequest(t *testing.T) {
 	srv := newScriptedServer(t, &scriptBackend{})
 	collector := drainResults(srv)
@@ -361,12 +368,106 @@ func TestFrontBadRequest(t *testing.T) {
 	if status != http.StatusBadRequest {
 		t.Fatalf("negative index: status %d, want 400", status)
 	}
+	// Well-formed JSON, so only the cap can refuse it.
+	huge := `{"index":0,"pad":"` + strings.Repeat("a", 128<<10) + `"}`
+	resp, err = http.Post("http://"+d.Addr()+"/admit", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("128 KiB body: status %d, want 413", resp.StatusCode)
+	}
+	if got := d.Stats().BadRequest; got != 3 {
+		t.Fatalf("BadRequest = %d, want 3", got)
+	}
 	if err := d.Drain(t.Context()); err != nil {
 		t.Fatal(err)
 	}
 	rep := srv.Shutdown()
 	<-collector
 	if rep.Submitted != 0 {
-		t.Fatalf("decoder errors reached the pipeline: %+v", rep)
+		t.Fatalf("refused requests reached the pipeline: %+v", rep)
 	}
+}
+
+// TestFrontSlowHeadersDisconnected pins the header deadline: a client
+// that opens a connection and never finishes its request headers is
+// disconnected instead of holding the connection forever.
+func TestFrontSlowHeadersDisconnected(t *testing.T) {
+	srv := newScriptedServer(t, &scriptBackend{})
+	collector := drainResults(srv)
+	d, err := Listen(Options{Server: srv, Decode: rejectAllDecoder()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /admit HTTP/1.1\r\nHost: door\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// The client's own patience is well past the server's; what must end
+	// the read is the server hanging up.
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("server kept a connection with unfinished headers open for 10s")
+	}
+	if err := d.Drain(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	srv.Shutdown()
+	<-collector
+}
+
+// FuzzAdmitDecode throws arbitrary bodies at POST /admit with the
+// service's own decoder (churn.Stack.Decode) behind the door. Whatever
+// arrives from the network, the door must not panic, must not answer
+// 5xx — a malformed, negative or oversized request is the client's
+// fault — and a 200 must name a catalogue arrival with a non-negative
+// index. The backend admits everything, so capacity never answers 503.
+func FuzzAdmitDecode(f *testing.F) {
+	for _, seed := range []string{
+		`{"index":0}`, `{"index":47}`, `{"index":-1}`, `not json`, ``,
+		`{"index":1} trailing`, `{"index":"7"}`, `{"index":1e99}`,
+		`{"index":9223372036854775807}`, `{"Index":3,"index":-3}`, `[0]`, `null`,
+	} {
+		f.Add([]byte(seed))
+	}
+	st, err := churn.NewStack(churn.Options{Catalogue: 4, MaxUtil: 0.05, PeriodNs: 40_000, RegionSize: 4})
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv := newScriptedServer(f, &scriptBackend{})
+	collector := drainResults(srv)
+	d, err := Listen(Options{Server: srv, Decode: st.Decode})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() {
+		d.Drain(context.Background())
+		srv.Shutdown()
+		<-collector
+		st.Close()
+	})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		d.http.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/admit", bytes.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
+		}
+		if rec.Code != http.StatusOK {
+			return
+		}
+		var ar AdmitResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &ar); err != nil {
+			t.Fatalf("200 with an undecodable response %q: %v", rec.Body, err)
+		}
+		var idx int
+		if _, err := fmt.Sscanf(ar.App, "app-%d", &idx); err != nil || idx < 0 {
+			t.Fatalf("body %q admitted as %q, not a non-negative catalogue index", body, ar.App)
+		}
+	})
 }

@@ -7,42 +7,22 @@ import (
 )
 
 // LoadEstimate is the manager's lock-free utilization summary, maintained
-// incrementally as admissions commit and leave. A fleet router samples it
-// on every arrival to score candidate meshes, so reads must not touch the
-// manager's mutex or region locks: all three counters are plain atomics,
-// and the capacity is static (derived from the platform's processing-tile
-// count at construction). The numbers are estimates in the same sense the
-// mapper's are — each admission's utilization is the sum of its processes'
-// cycle budgets at commit time, not a measurement — but they move in exact
-// lockstep with the resident population, which is what load balancing
-// needs.
+// incrementally as admissions commit and leave. The stream server's
+// dead-letter queue samples it before every retry round, so reads must
+// not touch the manager's mutex or region locks: the counter is a plain
+// atomic, and the capacity is static (derived from the platform's
+// processing-tile count at construction). The number is an estimate in
+// the same sense the mapper's are — each admission's utilization is the
+// sum of its processes' cycle budgets at commit time, not a measurement —
+// but it moves in exact lockstep with the resident population.
 type LoadEstimate struct {
-	running     atomic.Int64
-	utilMilli   atomic.Int64
-	energyMilli atomic.Int64
-	capMilli    int64
+	utilMilli atomic.Int64 // thousandths of a tile, summed over residents
+	capMilli  int64        // 1000 per processing tile
 }
-
-// Running returns the number of resident applications (admitted and not
-// yet stopped; victims mid-relocation count until actually evicted).
-func (l *LoadEstimate) Running() int64 { return l.running.Load() }
-
-// UtilMilli returns the summed processing-tile utilization of all
-// residents in thousandths of a tile (one fully busy tile = 1000).
-func (l *LoadEstimate) UtilMilli() int64 { return l.utilMilli.Load() }
-
-// EnergyMilli returns the summed per-period mapped energy of all
-// residents in thousandths of the mapper's energy unit.
-func (l *LoadEstimate) EnergyMilli() int64 { return l.energyMilli.Load() }
-
-// CapacityMilli returns the static utilization capacity of the mesh in
-// thousandths of a tile: 1000 per processing tile (stream endpoints and
-// other non-processing tiles don't count).
-func (l *LoadEstimate) CapacityMilli() int64 { return l.capMilli }
 
 // Utilization returns the fraction of the mesh's processing capacity the
 // residents reserve, in [0,1] (clamped; a zero-capacity platform reads
-// as fully loaded so a router never prefers it).
+// as fully loaded).
 func (l *LoadEstimate) Utilization() float64 {
 	if l.capMilli <= 0 {
 		return 1
@@ -57,24 +37,10 @@ func (l *LoadEstimate) Utilization() float64 {
 	return u
 }
 
-// add charges one committed admission to the estimate.
-func (l *LoadEstimate) add(utilMilli, energyMilli int64) {
-	l.running.Add(1)
-	l.utilMilli.Add(utilMilli)
-	l.energyMilli.Add(energyMilli)
-}
-
-// remove reverses add for a departing admission.
-func (l *LoadEstimate) remove(utilMilli, energyMilli int64) {
-	l.running.Add(-1)
-	l.utilMilli.Add(-utilMilli)
-	l.energyMilli.Add(-energyMilli)
-}
-
 // LoadEstimate exposes the manager's lock-free load estimate (distinct
 // from Load, which walks the platform under all region locks for an
 // exact occupancy summary). The pointer is stable for the manager's
-// lifetime; callers sample it with the atomic accessors.
+// lifetime.
 func (m *Manager) LoadEstimate() *LoadEstimate { return &m.load }
 
 // initLoadCapacity sizes the static capacity from the platform's
@@ -92,16 +58,16 @@ func (m *Manager) initLoadCapacity() {
 
 // loadCharge computes and caches an admission's contribution to the load
 // estimate — summed per-process utilization (cycle budget over period) in
-// milli-tiles plus mapped energy — and charges it. Utilization reads only
-// static tile data (TileCycleBudget is lock-free), so this is safe from
-// any commit path. Called exactly once per committed admission; the
-// cached values make the eventual loadRelease exact even if the estimate
-// inputs drift (e.g. a relocation moved the app before it stopped).
+// milli-tiles — and charges it. Utilization reads only static tile data
+// (TileCycleBudget is lock-free), so this is safe from any commit path.
+// Called exactly once per committed admission; the cached value makes
+// the eventual loadRelease exact even if the estimate inputs drift (e.g.
+// a relocation moved the app before it stopped).
 func (m *Manager) loadCharge(ad *Admission) {
 	if ad.Result == nil {
 		// Replay-rebuilt resident: utilisation was precomputed from the
-		// journaled deltas at replay time; energy did not survive.
-		m.load.add(ad.loadUtilMilli, ad.loadEnergyMilli)
+		// journaled deltas at replay time.
+		m.load.utilMilli.Add(ad.loadUtilMilli)
 		return
 	}
 	var utilMilli int64
@@ -123,11 +89,10 @@ func (m *Manager) loadCharge(ad *Admission) {
 		}
 	}
 	ad.loadUtilMilli = utilMilli
-	ad.loadEnergyMilli = int64(ad.Result.Energy.Total() * 1000)
-	m.load.add(ad.loadUtilMilli, ad.loadEnergyMilli)
+	m.load.utilMilli.Add(utilMilli)
 }
 
 // loadRelease reverses loadCharge when an admission stops or is evicted.
 func (m *Manager) loadRelease(ad *Admission) {
-	m.load.remove(ad.loadUtilMilli, ad.loadEnergyMilli)
+	m.load.utilMilli.Add(-ad.loadUtilMilli)
 }

@@ -57,11 +57,10 @@ type Admission struct {
 	// without the original caller's involvement.
 	lib *model.Library
 
-	// loadUtilMilli and loadEnergyMilli cache the admission's
-	// contribution to the manager's LoadEstimate, set by loadCharge at
-	// commit so loadRelease subtracts exactly what was added.
-	loadUtilMilli   int64
-	loadEnergyMilli int64
+	// loadUtilMilli caches the admission's contribution to the manager's
+	// LoadEstimate, set by loadCharge at commit so loadRelease subtracts
+	// exactly what was added.
+	loadUtilMilli int64
 
 	// plan is the reservation plan of a replay-rebuilt resident, whose
 	// Result (and lib) did not survive the crash: journaled deltas are
@@ -72,8 +71,7 @@ type Admission struct {
 }
 
 // Library returns the implementation library the application was admitted
-// with, so a fleet rebalancer can re-admit the application on a sibling
-// mesh without the original caller's involvement.
+// with.
 func (a *Admission) Library() *model.Library { return a.lib }
 
 // RejectionError reports why an application was not admitted.
@@ -81,13 +79,12 @@ type RejectionError struct {
 	App    string
 	Reason string
 	// Retryable distinguishes capacity verdicts from structural ones. A
-	// retryable rejection means this mesh is out of room (no feasible
+	// retryable rejection means the mesh is out of room (no feasible
 	// mapping at current occupancy, commit retries exhausted under
-	// contention) — the identical application could well be admitted by a
-	// sibling mesh or by this one later. Non-retryable rejections are
-	// properties of the application itself (unknown pinned tiles, no
-	// implementations for a process) and will fail identically
-	// everywhere, so spilling them across a fleet is wasted work.
+	// contention) — the identical application could well be admitted
+	// later. Non-retryable rejections are properties of the application
+	// itself (unknown pinned tiles, no implementations for a process) and
+	// will fail identically every time.
 	Retryable bool
 }
 
@@ -96,10 +93,10 @@ func (e *RejectionError) Error() string {
 	return fmt.Sprintf("manager: %q rejected: %s", e.App, e.Reason)
 }
 
-// IsRetryableRejection reports whether err is a rejection that another
-// mesh (or a later attempt) could plausibly admit. The fleet router's
-// spill path keys off this: capacity rejections overflow to the next-best
-// sibling, structural ones reject immediately.
+// IsRetryableRejection reports whether err is a rejection that a later
+// attempt could plausibly admit. The dead-letter queue and the door's
+// retry loop key off this: capacity rejections are parked or retried,
+// structural ones are final.
 func IsRetryableRejection(err error) bool {
 	var rej *RejectionError
 	return errors.As(err, &rej) && rej.Retryable
@@ -200,21 +197,6 @@ type Stats struct {
 	// Evictions counts preempted victims that could not be relocated and
 	// lost their reservations.
 	Evictions uint64
-	// Batches counts batched admission rounds that reached the merged
-	// multi-application commit with at least two mergeable plans.
-	// BatchedAdmissions counts admissions committed inside such a merged
-	// commit. BatchSpills counts arrivals that could not join the merged
-	// commit (footprint overlap inside the batch, failed merged
-	// validation) but whose speculative plan still committed per-item
-	// against the live platform — the cheap exit. BatchFallbacks counts
-	// arrivals drained into a batch that re-entered the full per-item
-	// path instead: no speculative plan (infeasible against the shared
-	// base, structural error) or a spill whose plan no longer fit. With
-	// batching off all four stay zero.
-	Batches           uint64
-	BatchedAdmissions uint64
-	BatchSpills       uint64
-	BatchFallbacks    uint64
 	// FaultsInjected counts FailTile/FailLink calls that failed a live
 	// resource; Restores counts resources returned to service. Every
 	// resident evacuated off a failed resource ends up in exactly one of
@@ -267,48 +249,6 @@ func (s Stats) AdmissionRate(p model.Priority) (float64, bool) {
 		return 0, false
 	}
 	return float64(c.Admitted) / float64(total), true
-}
-
-// Add accumulates o into s, field by field. Fleet-level reporting uses
-// it to sum member-mesh statistics into one aggregate view.
-func (s *Stats) Add(o Stats) {
-	s.Admitted += o.Admitted
-	s.Rejected += o.Rejected
-	s.Conflicts += o.Conflicts
-	s.Retries += o.Retries
-	s.TemplateHits += o.TemplateHits
-	s.StaleTemplates += o.StaleTemplates
-	s.ConflictRetries += o.ConflictRetries
-	s.RepairedConflicts += o.RepairedConflicts
-	s.RepairedTemplates += o.RepairedTemplates
-	s.RepairAttempts += o.RepairAttempts
-	s.FullRemaps += o.FullRemaps
-	s.Snapshots += o.Snapshots
-	s.SnapshotsShared += o.SnapshotsShared
-	s.CoWFaults += o.CoWFaults
-	s.Preemptions += o.Preemptions
-	s.Relocations += o.Relocations
-	s.Evictions += o.Evictions
-	s.Batches += o.Batches
-	s.BatchedAdmissions += o.BatchedAdmissions
-	s.BatchSpills += o.BatchSpills
-	s.BatchFallbacks += o.BatchFallbacks
-	s.FaultsInjected += o.FaultsInjected
-	s.FaultRelocated += o.FaultRelocated
-	s.FaultDropped += o.FaultDropped
-	s.Restores += o.Restores
-	s.DLQRecovered += o.DLQRecovered
-	s.DLQExpired += o.DLQExpired
-	for c := range s.ByClass {
-		s.ByClass[c].Admitted += o.ByClass[c].Admitted
-		s.ByClass[c].Rejected += o.ByClass[c].Rejected
-		s.ByClass[c].Shed += o.ByClass[c].Shed
-		s.ByClass[c].Latency += o.ByClass[c].Latency
-	}
-	s.Wait += o.Wait
-	s.Map += o.Map
-	s.Repair += o.Repair
-	s.Commit += o.Commit
 }
 
 // RepairRate reports the fraction of retry-or-stale rounds resolved by
@@ -372,8 +312,9 @@ type Manager struct {
 	repair     bool           // repair stale mappings instead of re-mapping
 	preemption bool           // displace lower classes for full-mesh arrivals
 
-	// load is the lock-free utilization summary fleet routers sample;
-	// maintained by loadCharge/loadRelease on the commit and stop paths.
+	// load is the lock-free utilization summary the dead-letter queue
+	// gates on; maintained by loadCharge/loadRelease on the commit and
+	// stop paths.
 	load LoadEstimate
 
 	// jw is the durable admission journal, nil when journaling is off.
@@ -591,58 +532,26 @@ func footprintFresh(plat *arch.Platform, snap *arch.Snapshot, footprint []arch.R
 	return true
 }
 
-// registerPendingLocked claims an application name for one in-flight admission
-// (duplicate detection against running, preempting and pending sets). It
-// reports false with the error already set in out when the name is
-// taken; on success the caller owns the pending entry until finishLocked
-// releases it. Callers must hold m.mu.
-func (m *Manager) registerPendingLocked(name string, out *Outcome) bool {
-	if _, dup := m.running[name]; dup {
-		out.Err = fmt.Errorf("manager: application %q already running", name)
-		return false
-	}
-	if _, dup := m.preempting[name]; dup {
-		out.Err = fmt.Errorf("manager: application %q already running", name)
-		return false
-	}
-	if _, dup := m.pending[name]; dup {
-		out.Err = fmt.Errorf("manager: application %q is already being admitted", name)
-		return false
-	}
-	m.pending[name] = struct{}{}
-	return true
-}
-
 func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Duration) Outcome {
 	prio := clampPriority(app.QoS.Priority)
 	out := Outcome{App: app.Name, Wait: wait, Priority: prio}
+	// Claim the name for this in-flight admission; finishLocked releases
+	// the pending entry.
 	m.mu.Lock()
-	if !m.registerPendingLocked(app.Name, &out) {
+	_, running := m.running[app.Name]
+	_, preempting := m.preempting[app.Name]
+	_, pending := m.pending[app.Name]
+	switch {
+	case running || preempting:
+		out.Err = fmt.Errorf("manager: application %q already running", app.Name)
+	case pending:
+		out.Err = fmt.Errorf("manager: application %q is already being admitted", app.Name)
+	}
+	if out.Err != nil {
 		m.mu.Unlock()
 		return out
 	}
-	m.mu.Unlock()
-	return m.admitRegistered(app, lib, out)
-}
-
-// admitRegistered is the admission pipeline past name registration: the
-// caller (admit, or the batched path re-routing a fallback) has already
-// claimed the application's pending entry, which finishLocked releases.
-func (m *Manager) admitRegistered(app *model.Application, lib *model.Library, out Outcome) Outcome {
-	return m.admitFrom(app, lib, out, nil)
-}
-
-// admitFrom is admitRegistered with an optional seed: a speculative
-// mapping that already exists but just lost a live commit validation (a
-// batch spill whose plan no longer fits). A seeded admission enters the
-// retry loop exactly as a per-item commit conflict would — repair the
-// seed against a fresh snapshot instead of probing templates or mapping
-// from scratch — so the batch's speculative work is recycled even when
-// its commit is refused. The caller accounts the seed's mapping round in
-// out.Attempts.
-func (m *Manager) admitFrom(app *model.Application, lib *model.Library, out Outcome, seed *core.Result) Outcome {
-	prio := out.Priority
-	m.mu.Lock()
+	m.pending[app.Name] = struct{}{}
 	tc := m.templates
 	repairOn := m.repair
 	preemptOn := m.preemption && prio > model.BestEffort
@@ -657,41 +566,13 @@ func (m *Manager) admitFrom(app *model.Application, lib *model.Library, out Outc
 	var snap *arch.Snapshot
 
 	var fp string
-	if seed != nil {
-		retry := out.Attempts <= maxRetries
-		m.mu.Lock()
-		m.stats.Conflicts++
-		if retry {
-			m.stats.ConflictRetries++
-		}
-		m.mu.Unlock()
-		if !retry {
-			m.mu.Lock()
-			m.finishLocked(&out, nil, &RejectionError{App: app.Name,
-				Reason:    "batched plan lost its commit validation and retries are exhausted",
-				Retryable: true})
-			m.mu.Unlock()
-			return out
-		}
-		snap = m.freshSnapshot()
-		trigger = triggerConflict
-		if repairOn {
-			repairFrom = seed
-		}
-		if tc != nil {
-			if f, err := Fingerprint(app, lib); err == nil {
-				fp = f // cache the eventual mapping; the pool was probed in the batch phase
-			}
-		}
-	}
-
 	// Fast path: structurally identical application admitted before —
 	// try committing its mapping directly. Each template's reservation
 	// plan is validated under just its own region locks, so template
 	// commits in disjoint regions proceed in parallel; validation against
 	// the live platform makes a stale template harmless — it can be
 	// refused, not applied wrongly.
-	if seed == nil && tc != nil {
+	if tc != nil {
 		if f, err := Fingerprint(app, lib); err == nil {
 			fp = f
 			if pool, start := tc.get(fp); len(pool) > 0 {
@@ -988,45 +869,6 @@ func (m *Manager) Stop(name string) error {
 	m.journalPlan(journal.EvDepart, name, ad.Priority, plan)
 	m.locks.Unlock(footprint)
 	return nil
-}
-
-// AppState classifies where an application stands in one manager's
-// lifecycle, for callers — like the fleet's placement reconciliation —
-// that must distinguish "gone for good" from "temporarily out of the
-// running set while the preemption planner holds it".
-type AppState int
-
-const (
-	// AppUnknown: the manager holds no record of the name — never
-	// admitted, stopped, or evicted by the preemption planner.
-	AppUnknown AppState = iota
-	// AppPending: submitted, admission outcome not yet decided.
-	AppPending
-	// AppRunning: resident with live reservations.
-	AppRunning
-	// AppPreempting: claimed by the preemption planner; it will either
-	// return to running (relocated) or become unknown (evicted).
-	AppPreempting
-)
-
-// StateOf reports the named application's lifecycle state. The answer is
-// atomic with respect to admissions, stops and preemption claims: a live
-// application is always in exactly one of the pending, running or
-// preempting sets, so AppUnknown means the manager truly does not hold
-// the application.
-func (m *Manager) StateOf(name string) AppState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.pending[name]; ok {
-		return AppPending
-	}
-	if _, ok := m.running[name]; ok {
-		return AppRunning
-	}
-	if _, ok := m.preempting[name]; ok {
-		return AppPreempting
-	}
-	return AppUnknown
 }
 
 // Running lists admitted applications in admission order.

@@ -2,7 +2,10 @@ package manager
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rtsm/internal/core"
 	"rtsm/internal/model"
@@ -213,5 +216,144 @@ func TestMappingReuseSemantics(t *testing.T) {
 	}
 	if got := m.Residual(); !got.Equal(pristine) {
 		t.Fatal("template reuse corrupted the reservation ledger")
+	}
+}
+
+// TestCloseReturnsWhileSubmitBlockedOnFullQueue is the shutdown-stall
+// regression test. The old pipeline held a reader lock across the
+// blocking queue push, so a Submit stuck on a full queue could stall
+// Close (a writer) indefinitely. Now close detection lives inside the
+// queue: Close must return promptly even though a Submit is parked on a
+// full queue, and that Submit must come back with the close error. A
+// workerless pipeline keeps the queue full deterministically.
+func TestCloseReturnsWhileSubmitBlockedOnFullQueue(t *testing.T) {
+	m := New(workload.SyntheticPlatform(6, 6, 1), core.Config{})
+	p := &Pipeline{m: m, q: newPrioQueue(1, DefaultAging)} // no workers: nothing drains
+
+	if _, err := p.Submit(synthReq(0)); err != nil { // fills the only slot
+		t.Fatal(err)
+	}
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := p.Submit(synthReq(1)) // parks in push on the full queue
+		blocked <- err
+	}()
+	// Wait until the submitter is actually parked inside the queue.
+	for i := 0; ; i++ {
+		select {
+		case err := <-blocked:
+			t.Fatalf("second Submit returned before Close: %v", err)
+		default:
+		}
+		if i > 100 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		p.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close stalled behind a Submit blocked on a full queue")
+	}
+	select {
+	case err := <-blocked:
+		if err == nil {
+			t.Fatal("Submit blocked across Close reported success")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Submit stayed blocked after Close")
+	}
+}
+
+// TestCloseUnderSubmitStorm closes the pipeline while submitter
+// goroutines hammer it continuously. Close must complete, every Submit
+// must resolve (outcome or close error), and each accepted request must
+// deliver exactly one outcome.
+func TestCloseUnderSubmitStorm(t *testing.T) {
+	m := New(workload.SyntheticPlatform(6, 6, 1), core.Config{})
+	p := NewPipeline(m, 2, 2)
+
+	const submitters = 6
+	var accepted, refused, delivered atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for s := 0; s < submitters; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ch, err := p.Submit(synthReq(s*10_000 + i))
+				if err != nil {
+					refused.Add(1)
+					return // pipeline closed; storm over for this submitter
+				}
+				accepted.Add(1)
+				out := <-ch
+				delivered.Add(1)
+				if out.Admitted {
+					_ = m.Stop(out.App)
+				}
+			}
+		}(s)
+	}
+	time.Sleep(20 * time.Millisecond) // let the storm build up
+
+	closed := make(chan struct{})
+	go func() {
+		p.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not complete under a continuous submit storm")
+	}
+	close(stop)
+	wg.Wait()
+	if accepted.Load() != delivered.Load() {
+		t.Fatalf("%d accepted submissions but %d outcomes delivered",
+			accepted.Load(), delivered.Load())
+	}
+	if accepted.Load() == 0 {
+		t.Fatal("storm produced no accepted submissions; fixture broken")
+	}
+}
+
+// TestQueueStampsEnqueueWithInjectedClock pins the clock-consistency
+// fix: the enqueue timestamp that wait accounting and aging promotion
+// read must come from the queue's own (injectable) clock, not from a
+// time.Now taken at job construction.
+func TestQueueStampsEnqueueWithInjectedClock(t *testing.T) {
+	q := newPrioQueue(4, DefaultAging)
+	fake := time.Unix(1_000_000, 0)
+	q.now = func() time.Time { return fake }
+
+	j := newJob(synthReq(0))
+	if !j.enqueued.IsZero() {
+		t.Fatal("newJob stamped its own enqueue time; the queue clock must own it")
+	}
+	if !q.push(j) {
+		t.Fatal("push failed")
+	}
+	if !j.enqueued.Equal(fake) {
+		t.Fatalf("enqueued stamped %v, want the injected clock's %v", j.enqueued, fake)
+	}
+	if got := q.clock(); !got.Equal(fake) {
+		t.Fatalf("queue clock reads %v, want %v", got, fake)
+	}
+	fake = fake.Add(3 * time.Second)
+	if wait := q.clock().Sub(j.enqueued); wait != 3*time.Second {
+		t.Fatalf("wait computed from queue clock is %v, want 3s", wait)
 	}
 }

@@ -257,42 +257,6 @@ func TestPruneVictimsDropsUnneededVictims(t *testing.T) {
 	}
 }
 
-// TestStateOfTracksLifecycle pins the lifecycle query the fleet's
-// placement reconciliation relies on: a live application is always
-// pending, running or preempting, and AppUnknown appears only once the
-// manager truly holds nothing — after Stop or an eviction.
-func TestStateOfTracksLifecycle(t *testing.T) {
-	plat := workload.SyntheticPlatform(4, 4, 3)
-	m := New(plat, core.Config{})
-	if got := m.StateOf("ghost"); got != AppUnknown {
-		t.Fatalf("StateOf(never admitted) = %v, want AppUnknown", got)
-	}
-	app, lib := beChain(0)
-	if out := m.Admit(app, lib); !out.Admitted {
-		t.Fatalf("fixture admission failed: %v", out.Err)
-	}
-	if got := m.StateOf(app.Name); got != AppRunning {
-		t.Fatalf("StateOf(running) = %v, want AppRunning", got)
-	}
-	ad := m.Running()[0]
-	if !m.claimVictim(ad) {
-		t.Fatal("claim of a running admission failed")
-	}
-	if got := m.StateOf(app.Name); got != AppPreempting {
-		t.Fatalf("StateOf(claimed) = %v, want AppPreempting", got)
-	}
-	m.unclaimVictims([]*Admission{ad})
-	if got := m.StateOf(app.Name); got != AppRunning {
-		t.Fatalf("StateOf(unclaimed) = %v, want AppRunning", got)
-	}
-	if err := m.Stop(app.Name); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.StateOf(app.Name); got != AppUnknown {
-		t.Fatalf("StateOf(stopped) = %v, want AppUnknown", got)
-	}
-}
-
 // TestStopDuringRelocationReturnsSentinel pins the Stop contract around
 // preemption: a victim claimed by the planner reports ErrRelocating
 // (recognisable through errors.Is) instead of vanishing or corrupting

@@ -20,7 +20,7 @@ import (
 // priority_prop_test.go pins.
 
 // DefaultAging is the queue time that promotes a waiting admission by one
-// priority class. See Pipeline.SetAging.
+// priority class.
 const DefaultAging = 100 * time.Millisecond
 
 // prioQueue is a bounded multi-class FIFO. All methods are safe for
@@ -49,14 +49,6 @@ func newPrioQueue(depth int, aging time.Duration) *prioQueue {
 	q.notEmpty.L = &q.mu
 	q.notFull.L = &q.mu
 	return q
-}
-
-// setAging adjusts the promotion interval (≤ 0 disables aging: strict
-// class order, best-effort may starve).
-func (q *prioQueue) setAging(d time.Duration) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.aging = d
 }
 
 // clampPriority folds out-of-range classes into the valid range so a
@@ -175,47 +167,6 @@ func (q *prioQueue) dequeueLocked() *job {
 	q.size--
 	return j
 }
-
-// popBatch dequeues up to max jobs in one drain, highest effective class
-// first — the size-or-latency trigger of the batched admission path. It
-// blocks like pop for the first job, then collects whatever else is
-// queued; if the queue runs dry before the batch fills and linger is
-// positive, it waits up to linger (in small slices, so a burst arriving
-// mid-wait completes the batch early) for stragglers. It returns nil
-// once the queue is closed and drained.
-func (q *prioQueue) popBatch(max int, linger time.Duration) []*job {
-	if max < 1 {
-		max = 1
-	}
-	first, ok := q.pop()
-	if !ok {
-		return nil
-	}
-	batch := make([]*job, 1, max)
-	batch[0] = first
-	deadline := time.Now().Add(linger)
-	for len(batch) < max {
-		q.mu.Lock()
-		for q.size > 0 && len(batch) < max {
-			batch = append(batch, q.dequeueLocked())
-			q.notFull.Signal()
-		}
-		closed := q.closed
-		q.mu.Unlock()
-		if len(batch) == max || closed || linger <= 0 || !time.Now().Before(deadline) {
-			break
-		}
-		// A condition variable has no timed wait in Go; a short sleep
-		// slice bounds the latency cost at `linger` while still letting
-		// a mid-wait burst fill the batch.
-		time.Sleep(batchLingerSlice)
-	}
-	return batch
-}
-
-// batchLingerSlice is the poll interval popBatch waits in while lingering
-// for a batch to fill.
-const batchLingerSlice = 50 * time.Microsecond
 
 // close marks the queue closed and wakes every waiter. Queued jobs remain
 // poppable; pushes fail from here on.

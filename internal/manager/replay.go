@@ -88,12 +88,12 @@ func replayEvents(plat *arch.Platform, cfg core.Config, events []journal.Event) 
 				loadUtilMilli: planUtilMilli(plan),
 			}
 			m.running[e.App] = ad
-			m.load.add(ad.loadUtilMilli, 0)
+			m.loadCharge(ad)
 		case journal.EvDepart:
 			replayPlan(m, e).Release(plat)
 			if ad := m.running[e.App]; ad != nil {
 				delete(m.running, e.App)
-				m.load.remove(ad.loadUtilMilli, ad.loadEnergyMilli)
+				m.loadRelease(ad)
 			}
 		case journal.EvPreemptRelease, journal.EvFaultRelease:
 			replayPlan(m, e).Release(plat)
@@ -111,16 +111,15 @@ func replayEvents(plat *arch.Platform, cfg core.Config, events []journal.Event) 
 				return nil, fmt.Errorf("manager: replay: relocate of %q without a prior release (seq %d)", e.App, e.Seq)
 			}
 			delete(released, e.App)
-			m.load.remove(ad.loadUtilMilli, ad.loadEnergyMilli)
+			m.loadRelease(ad)
 			ad.plan = plan
 			ad.loadUtilMilli = planUtilMilli(plan)
-			ad.loadEnergyMilli = 0
-			m.load.add(ad.loadUtilMilli, 0)
+			m.loadCharge(ad)
 			m.running[e.App] = ad
 		case journal.EvEvict:
 			if ad := released[e.App]; ad != nil {
 				delete(released, e.App)
-				m.load.remove(ad.loadUtilMilli, ad.loadEnergyMilli)
+				m.loadRelease(ad)
 			}
 		case journal.EvFailTile:
 			plat.FailTile(e.Tile)
@@ -140,7 +139,7 @@ func replayEvents(plat *arch.Platform, cfg core.Config, events []journal.Event) 
 		// honest reconstruction is "gone" — exactly what the live manager
 		// would have concluded had it crashed after the release.
 		for name, ad := range released {
-			m.load.remove(ad.loadUtilMilli, ad.loadEnergyMilli)
+			m.loadRelease(ad)
 			delete(released, name)
 		}
 	}

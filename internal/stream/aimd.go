@@ -18,13 +18,12 @@ import (
 // or an open breaker — the rate is cut to Decrease of the measured
 // operating point (at most once per window span, so one lingering spike
 // costs one cut, not one per tick). The resulting sawtooth hovers just
-// under the backend's real capacity,
-// which is the whole point: the operator declares a latency objective
-// instead of hand-tuning a static -rate against a mesh whose capacity
-// moves with faults, preemption and load mix.
+// under the backend's real capacity, which is the whole point: the
+// operator declares a latency objective instead of hand-tuning a rate
+// against a mesh whose capacity moves with faults, preemption and load
+// mix.
 //
-// A zero SLO disables the controller and the server falls back to
-// Options.Rate (static token bucket, or unlimited when that is 0 too).
+// A zero SLO disables the controller and dispatch runs unthrottled.
 type AIMDConfig struct {
 	// SLO is the p99 service-latency objective; > 0 enables the
 	// controller.
@@ -132,5 +131,5 @@ func (s *Server) aimdLoop() {
 }
 
 // AdmitRate is the dispatch throttle's current arrivals/sec: the AIMD
-// controller's live rate, the static Options.Rate, or 0 for unlimited.
+// controller's live rate, or 0 for unlimited.
 func (s *Server) AdmitRate() float64 { return s.rate.load() }

@@ -1,16 +1,15 @@
 package stream
 
 import (
-	"rtsm/internal/fleet"
 	"rtsm/internal/manager"
 	"rtsm/internal/model"
 )
 
-// Backend is what the server admits into: a single mesh behind a
-// manager pipeline, or a whole fleet. Submit blocks for backpressure
-// and TrySubmit sheds instead; both return a wait closure that delivers
-// the arrival's single outcome, so the server's per-arrival watcher is
-// backend-agnostic without any channel-adapter goroutines.
+// Backend is what the server admits into: a mesh behind a manager
+// pipeline (PipelineBackend), or a wrapper around one — the chaos
+// harness's latency spikes, the benchmark's tracer, a test's fake.
+// Submit blocks for backpressure and TrySubmit sheds instead; both
+// return a wait closure that delivers the arrival's single outcome.
 type Backend interface {
 	// Submit enqueues with blocking backpressure; err is non-nil only
 	// when the backend cannot take the arrival at all (closed,
@@ -30,13 +29,13 @@ type Backend interface {
 	NoteShed(p model.Priority)
 	NoteDLQRecovered()
 	NoteDLQExpired()
-	// Stats is the backend's aggregated admission counters.
+	// Stats is the backend's admission counters.
 	Stats() manager.Stats
 	// Close shuts the backend down, draining queued admissions.
 	Close()
 }
 
-// PipelineBackend adapts a single manager + pipeline pair to Backend.
+// PipelineBackend adapts a manager + pipeline pair to Backend.
 type PipelineBackend struct {
 	m    *manager.Manager
 	pipe *manager.Pipeline
@@ -87,56 +86,3 @@ func (b *PipelineBackend) Stats() manager.Stats { return b.m.Stats() }
 
 // Close implements Backend.
 func (b *PipelineBackend) Close() { b.pipe.Close() }
-
-// FleetBackend adapts a multi-mesh fleet to Backend.
-type FleetBackend struct {
-	f *fleet.Fleet
-}
-
-// NewFleetBackend wraps a fleet; Close closes it.
-func NewFleetBackend(f *fleet.Fleet) *FleetBackend { return &FleetBackend{f: f} }
-
-// Submit implements Backend.
-func (b *FleetBackend) Submit(app *model.Application, lib *model.Library) (func() manager.Outcome, error) {
-	ch, err := b.f.Submit(app, lib)
-	if err != nil {
-		return nil, err
-	}
-	return func() manager.Outcome { return (<-ch).Outcome }, nil
-}
-
-// TrySubmit implements Backend.
-func (b *FleetBackend) TrySubmit(app *model.Application, lib *model.Library) (func() manager.Outcome, bool) {
-	ch, ok := b.f.TrySubmit(app, lib)
-	if !ok {
-		return nil, false
-	}
-	return func() manager.Outcome { return (<-ch).Outcome }, true
-}
-
-// Utilization implements Backend.
-func (b *FleetBackend) Utilization() float64 { return b.f.Utilization() }
-
-// Stop implements Backend.
-func (b *FleetBackend) Stop(name string) error { return b.f.Stop(name) }
-
-// NoteShed implements Backend.
-func (b *FleetBackend) NoteShed(p model.Priority) { b.f.NoteShed(p) }
-
-// NoteDLQRecovered implements Backend.
-func (b *FleetBackend) NoteDLQRecovered() { b.f.NoteDLQRecovered() }
-
-// NoteDLQExpired implements Backend.
-func (b *FleetBackend) NoteDLQExpired() { b.f.NoteDLQExpired() }
-
-// Stats implements Backend: the member meshes' counters summed.
-func (b *FleetBackend) Stats() manager.Stats {
-	var st manager.Stats
-	for i := 0; i < b.f.Meshes(); i++ {
-		st.Add(b.f.Manager(i).Stats())
-	}
-	return st
-}
-
-// Close implements Backend.
-func (b *FleetBackend) Close() { b.f.Close() }

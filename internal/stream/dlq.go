@@ -57,10 +57,10 @@ func (d *dlq) add(e dlqEntry) bool {
 	return true
 }
 
-// popBatch removes up to n entries for a retry round, highest class
+// popN removes up to n entries for a retry round, highest class
 // first and oldest first within a class — a recovering mesh readmits
 // its parked Critical work before any BestEffort backlog.
-func (d *dlq) popBatch(n int) []dlqEntry {
+func (d *dlq) popN(n int) []dlqEntry {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var out []dlqEntry

@@ -2,7 +2,6 @@ package stream_test
 
 import (
 	"errors"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -11,7 +10,6 @@ import (
 
 	"rtsm/internal/churn"
 	"rtsm/internal/core"
-	"rtsm/internal/journal"
 	"rtsm/internal/manager"
 	"rtsm/internal/model"
 	"rtsm/internal/stream"
@@ -184,45 +182,28 @@ func TestServerSoakSaturationBreakerAndDLQ(t *testing.T) {
 	}
 }
 
-// TestRunSoakSmoke runs the packaged soak end to end for both backend
-// shapes and checks that the ledger and invariants hold.
+// TestRunSoakSmoke runs the packaged soak end to end and checks that the
+// ledger and invariants hold.
 func TestRunSoakSmoke(t *testing.T) {
-	for _, meshes := range []int{1, 2} {
-		res := churn.RunSoak(churn.Options{
-			Apps: 1200, Mesh: 8, RegionSize: 3, Seed: 7, Meshes: meshes,
-			Workers: 2, Queue: 8, Catalogue: 4, MaxUtil: 0.2, PeriodNs: 40_000,
-			PrioMix: "60:30:10", Resident: 6, Reuse: true, Repair: true, Preempt: true,
-		}, stream.Options{Ingress: 32, ClassBuf: 16,
-			DLQ: 128, DLQBelow: 0.6, DLQEvery: time.Millisecond})
-		if res.ConfigErr != nil {
-			t.Fatalf("meshes=%d: %v", meshes, res.ConfigErr)
-		}
-		if res.LedgerErr != nil {
-			t.Fatalf("meshes=%d: %v", meshes, res.LedgerErr)
-		}
-		if res.Report.Submitted != 1200 {
-			t.Fatalf("meshes=%d: submitted = %d, want 1200", meshes, res.Report.Submitted)
-		}
-		if res.Report.Admitted == 0 {
-			t.Fatalf("meshes=%d: nothing admitted: %+v", meshes, res.Report)
-		}
-		if res.Elapsed <= 0 || res.AdmissionsPerSec() <= 0 {
-			t.Fatalf("meshes=%d: throughput not measured: %+v", meshes, res)
-		}
+	res := churn.RunSoak(churn.Options{
+		Apps: 1200, Mesh: 8, RegionSize: 3, Seed: 7,
+		Workers: 2, Queue: 8, Catalogue: 4, MaxUtil: 0.2, PeriodNs: 40_000,
+		PrioMix: "60:30:10", Resident: 6, Reuse: true, Repair: true, Preempt: true,
+	}, stream.Options{Ingress: 32, ClassBuf: 16,
+		DLQ: 128, DLQBelow: 0.6, DLQEvery: time.Millisecond})
+	if res.ConfigErr != nil {
+		t.Fatal(res.ConfigErr)
 	}
-}
-
-// TestRunSoakRejectsFleetJournal pins the config guard: journaling is a
-// per-manager hash chain, so a fleet soak with a journal must refuse to
-// run rather than interleave chains.
-func TestRunSoakRejectsFleetJournal(t *testing.T) {
-	jf, err := journal.OpenFile(filepath.Join(t.TempDir(), "soak.jsonl"), 0, false)
-	if err != nil {
-		t.Fatal(err)
+	if res.LedgerErr != nil {
+		t.Fatal(res.LedgerErr)
 	}
-	defer jf.Close()
-	res := churn.RunSoak(churn.Options{Apps: 1, Meshes: 2, Journal: jf}, stream.Options{})
-	if res.ConfigErr == nil {
-		t.Fatal("fleet soak with a journal was accepted")
+	if res.Report.Submitted != 1200 {
+		t.Fatalf("submitted = %d, want 1200", res.Report.Submitted)
+	}
+	if res.Report.Admitted == 0 {
+		t.Fatalf("nothing admitted: %+v", res.Report)
+	}
+	if res.Elapsed <= 0 || res.AdmissionsPerSec() <= 0 {
+		t.Fatalf("throughput not measured: %+v", res)
 	}
 }

@@ -1,12 +1,13 @@
 // Package stream is the long-lived admission front-end: it composes a
-// manager pipeline (or a multi-mesh fleet) into context-aware channel
-// stages so the run-time spatial mapper can serve sustained
-// million-arrival traffic instead of a test driver's bounded batch.
+// manager pipeline into context-aware channel stages so the run-time
+// spatial mapper can serve sustained million-arrival traffic instead of
+// a test driver's bounded batch.
 //
 // The stage chain, in arrival order:
 //
 //	Submit → ingress (bounded, blocking = backpressure)
-//	       → throttle + classify (optional arrivals/sec token bucket)
+//	       → throttle + classify (the AIMD controller's arrivals/sec
+//	         token bucket, when an SLO is set)
 //	       → per-QoS-class dropping buffers (BestEffort smallest, shed
 //	         first; Standard next; Critical sends block — its contract
 //	         is backpressure, never silent loss)
@@ -151,14 +152,10 @@ type Options struct {
 	// and BestEffort a quarter (min 1 each), so saturation sheds
 	// BestEffort first, then Standard (default 64).
 	ClassBuf int
-	// Rate throttles dispatch to this many arrivals/sec (0 = unlimited).
-	// Ignored while the AIMD controller runs — the controller owns the
-	// rate then.
-	Rate int
 	// AIMD enables the adaptive overload controller when AIMD.SLO > 0:
 	// the dispatch rate is raised additively while windowed p99 holds
 	// under the SLO and cut multiplicatively on a breach or an open
-	// breaker, replacing hand-tuned static rates.
+	// breaker. Without it dispatch is unthrottled.
 	AIMD AIMDConfig
 	// DLQ is the dead-letter queue capacity; 0 disables it (capacity
 	// rejections become final).
@@ -234,7 +231,7 @@ type Server struct {
 	// dispatch rate can actually protect.
 	svcWin *metricsWindow
 	// rate is the live dispatch throttle in arrivals/sec (0 =
-	// unlimited): static Options.Rate, or the AIMD controller's output.
+	// unlimited); the AIMD controller is its one writer.
 	rate rateBox
 
 	stages   sync.WaitGroup // classify + dispatch
@@ -305,8 +302,6 @@ func New(opts Options) (*Server, error) {
 		s.rate.store(opts.AIMD.MaxRate)
 		s.aimdDone = make(chan struct{})
 		go s.aimdLoop()
-	} else {
-		s.rate.store(float64(opts.Rate))
 	}
 	s.stages.Add(2)
 	go s.classify()
@@ -615,7 +610,7 @@ func (s *Server) dlqLoop() {
 			if s.backend.Utilization() >= s.opts.DLQBelow {
 				continue
 			}
-			for _, e := range s.dlq.popBatch(8) {
+			for _, e := range s.dlq.popN(8) {
 				c := e.class
 				wait, ok := s.backend.TrySubmit(e.arr.App, e.arr.Lib)
 				if !ok {

@@ -279,9 +279,9 @@ func TestDLQPerClassBudgetsAndOrder(t *testing.T) {
 		t.Fatalf("depths: total %d, be %d, crit %d", d.depth(), d.depthOf(model.BestEffort), d.depthOf(model.Critical))
 	}
 	// Retry rounds drain the highest class first, FIFO within a class.
-	batch := d.popBatch(9)
+	batch := d.popN(9)
 	if len(batch) != 9 {
-		t.Fatalf("popBatch returned %d entries, want 9", len(batch))
+		t.Fatalf("popN returned %d entries, want 9", len(batch))
 	}
 	for i := 0; i < 8; i++ {
 		if want := fmt.Sprintf("dlq-critical-%d", i); batch[i].arr.App.Name != want {

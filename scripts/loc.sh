@@ -1,0 +1,20 @@
+#!/usr/bin/env bash
+# Print the program's size — lines of non-test Go outside the benchmark —
+# and fail when it exceeds the budget below. ROADMAP tracks this number;
+# making it a gate means a change that needs more code raises the budget
+# in its own diff, where a reviewer sees it, instead of growing the tree
+# unnoticed.
+#
+# Usage: scripts/loc.sh   (from the repository root)
+set -euo pipefail
+
+budget=16700
+
+lines=$(find . -name '*.go' -not -name '*_test.go' \
+  -not -path './bench/*' -not -path './.bench_build/*' -print0 |
+  xargs -0 cat | wc -l)
+echo "non-test non-bench Go lines: $lines (budget $budget)"
+if ((lines > budget)); then
+  echo "loc: over budget by $((lines - budget)) lines; delete code or raise the budget in scripts/loc.sh" >&2
+  exit 1
+fi

@@ -8,7 +8,7 @@ import (
 	"rtsm/internal/stream"
 )
 
-// streamBenchOptions is the scenario all four streaming benchmarks run:
+// streamBenchOptions is the scenario all three streaming benchmarks run:
 // an unsaturated all-Critical churn on one region-sharded 8×8 mesh.
 // All-Critical keeps the comparisons honest: Critical is the
 // blocking-backpressure path, so the server admits exactly the arrivals
@@ -57,25 +57,11 @@ func BenchmarkStreamServeServer(b *testing.B) {
 	benchmarkStreamSoak(b, stream.Options{Ingress: 256, ClassBuf: 64})
 }
 
-// The adaptive pair prices the AIMD overload controller against the
-// best hand-tuned static rate on the same scenario (nothing sheds, both
-// admit exactly b.N arrivals, so admissions/sec differences are pure
-// throttle tax). The static baseline's 2000 arrivals/sec was hand-tuned:
-// comfortably above the scenario's ~1k admissions/sec capacity while
-// holding the 250ms service-latency SLO, so the token bucket never bites
-// and the baseline is the best a static rate can do here. The AIMD
-// controller must find the same operating point on its own — raising
-// while windowed p99 service latency holds under the same SLO, cutting
-// on breaches.
-
-// BenchmarkStreamAdaptiveStatic is the hand-tuned baseline: a static
-// dispatch rate above capacity, no controller.
-func BenchmarkStreamAdaptiveStatic(b *testing.B) {
-	benchmarkStreamSoak(b, stream.Options{Ingress: 256, ClassBuf: 64, Rate: 2000})
-}
-
-// BenchmarkStreamAdaptiveAIMD runs the identical scenario under the
-// AIMD controller with a 250ms p99 service-latency SLO.
+// BenchmarkStreamAdaptiveAIMD prices the AIMD overload controller: the
+// BenchmarkStreamServeServer scenario (nothing sheds, both admit exactly
+// b.N arrivals) with a 250ms p99 service-latency SLO, so the
+// admissions/sec difference against the unthrottled server is pure
+// throttle tax.
 func BenchmarkStreamAdaptiveAIMD(b *testing.B) {
 	const slo = 250 * time.Millisecond
 	res := benchmarkStreamSoak(b, stream.Options{
