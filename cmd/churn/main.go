@@ -48,9 +48,8 @@ func report(w io.Writer, label string, r churn.Result) {
 	fmt.Fprintf(w, "  incremental repair %d of %d retry/stale rounds repaired (%d of %d conflict retries, %d of %d stale templates; %d fell back to full remap)\n",
 		st.RepairedConflicts+st.RepairedTemplates, st.ConflictRetries+st.StaleTemplates,
 		st.RepairedConflicts, st.ConflictRetries, st.RepairedTemplates, st.StaleTemplates, st.FullRemaps)
-	if acq := st.Snapshots + st.SnapshotsShared; acq > 0 {
-		fmt.Fprintf(w, "  snapshots         %d captured, %d shared from an epoch (%.1f%%), %d CoW region faults\n",
-			st.Snapshots, st.SnapshotsShared, 100*float64(st.SnapshotsShared)/float64(acq), st.CoWFaults)
+	if st.Snapshots > 0 {
+		fmt.Fprintf(w, "  snapshots         %d captured, %d CoW region faults\n", st.Snapshots, st.CoWFaults)
 	}
 	if rate, ok := st.RepairRate(); ok {
 		fmt.Fprintf(w, "  repair rate       %.1f%%\n", 100*rate)

@@ -144,7 +144,6 @@ func (p *Platform) CloneCoW() *Platform {
 	q.Links = make([]*Link, len(p.Links))
 	copy(q.Links, p.Links)
 	q.version.Store(p.version.Load())
-	q.regionVersions = p.regionVersionsSnapshot()
 	q.shared = make([]bool, p.RegionCount())
 	for i := range q.shared {
 		q.shared[i] = true
@@ -189,11 +188,11 @@ func (p *Platform) shallowMeta() *Platform {
 // link struct with p, captured region by region. Unlike the deep-copying
 // Snapshot, the caller need not hold all region locks — pass the
 // platform's lock set and each region is captured under only its own
-// lock (version vector read included), so concurrent commits in other
-// regions proceed throughout. The capture is per-region consistent;
-// across regions it may interleave with concurrent commits, which the
-// commit path's per-region re-validation already tolerates. Pass nil
-// locks for a platform not currently shared between goroutines.
+// lock, so concurrent commits in other regions proceed throughout. The
+// capture is per-region consistent; across regions it may interleave with
+// concurrent commits, which the commit path's re-validation already
+// tolerates. Pass nil locks for a platform not currently shared between
+// goroutines.
 //
 // After the capture, p's next write to each region faults in a private
 // copy (see MaterializeRegions), leaving the snapshot's structs
@@ -211,7 +210,6 @@ func (p *Platform) SnapshotCoW(locks *RegionLocks) *Snapshot {
 	q.Tiles = make([]*Tile, len(p.Tiles))
 	q.Links = make([]*Link, len(p.Links))
 	q.shared = make([]bool, p.RegionCount())
-	rv := make([]uint64, len(p.regionVersions))
 	version := p.version.Load()
 	for r := 0; r < p.RegionCount(); r++ {
 		if locks != nil {
@@ -225,28 +223,22 @@ func (p *Platform) SnapshotCoW(locks *RegionLocks) *Snapshot {
 		}
 		p.shared[r] = true
 		q.shared[r] = true
-		rv[r] = p.regionVersions[r]
 		if locks != nil {
 			locks.UnlockRegion(RegionID(r))
 		}
 	}
 	q.version.Store(version)
-	q.regionVersions = rv
-	return &Snapshot{Plat: q, Version: version, RegionVersions: rv}
+	return &Snapshot{Plat: q, Version: version}
 }
 
 // Writable returns a snapshot whose platform the caller may mutate: the
 // snapshot itself when its platform is already private, or a snapshot
 // wrapping a copy-on-write clone of the frozen base otherwise. The
-// preemption planner uses it to run hypothetical evictions on a shared
-// epoch snapshot without disturbing the other admissions reading it.
+// preemption planner uses it to run hypothetical evictions on a frozen
+// capture.
 func (s *Snapshot) Writable() *Snapshot {
 	if !s.Plat.Frozen() {
 		return s
 	}
-	return &Snapshot{
-		Plat:           s.Plat.CloneCoW(),
-		Version:        s.Version,
-		RegionVersions: s.RegionVersions,
-	}
+	return &Snapshot{Plat: s.Plat.CloneCoW(), Version: s.Version}
 }

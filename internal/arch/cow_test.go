@@ -3,7 +3,6 @@ package arch
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sync/atomic"
 	"testing"
 )
@@ -40,21 +39,16 @@ func mutateRandomly(p *Platform, rng *rand.Rand, n int) {
 			t.ReservedOutBps += int64(rng.Intn(100))
 			t.Occupants = rng.Intn(4)
 		}
-		p.BumpRegion(RegionID(rng.Intn(p.RegionCount())))
 		p.BumpVersion()
 	}
 }
 
 // snapshotsIdentical compares two snapshots bit-for-bit: every tile and
 // link struct (via PlatformsIdentical, shared with the crash-replay
-// equivalence suite), the global version and the per-region version
-// vector.
+// equivalence suite) and the version.
 func snapshotsIdentical(a, b *Snapshot) error {
 	if a.Version != b.Version {
 		return fmt.Errorf("versions differ: %d vs %d", a.Version, b.Version)
-	}
-	if !reflect.DeepEqual(a.RegionVersions, b.RegionVersions) {
-		return fmt.Errorf("region versions differ: %v vs %v", a.RegionVersions, b.RegionVersions)
 	}
 	return PlatformsIdentical(a.Plat, b.Plat)
 }

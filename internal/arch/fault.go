@@ -7,27 +7,26 @@ import "fmt"
 // load: marking a resource failed zeroes its free capacity (so every
 // mapping, routing and validation path steers around it) while leaving its
 // reservation ledger intact (so the residents being evacuated can still
-// release exactly what they reserved). Failure is a region-versioned
-// reservation change — in-flight optimistic admissions whose snapshot
-// predates the fault re-validate against the failed resource and retry,
-// exactly as they would against a competing commit.
+// release exactly what they reserved). Failure is a reservation change like
+// any other — in-flight optimistic admissions whose snapshot predates the
+// fault re-validate against the failed resource and retry, exactly as they
+// would against a competing commit.
 //
 // All four mutators require the same serialization as any reservation
 // write: the resource's region lock when the platform is shared between
 // goroutines. They are copy-on-write correct (WTile/WLink fault the region
 // in first), so outstanding snapshots keep the pre-fault state.
 
-// FailTile marks a tile failed and records the change in the tile's region
-// version and the global version. Idempotent: failing a failed tile
-// reports false and bumps nothing. The caller must hold the tile's region
-// lock when the platform is shared.
+// FailTile marks a tile failed and records the change in the platform's
+// version. Idempotent: failing a failed tile reports false and bumps
+// nothing. The caller must hold the tile's region lock when the platform
+// is shared.
 func (p *Platform) FailTile(id TileID) bool {
 	t := p.WTile(id)
 	if t.Failed {
 		return false
 	}
 	t.Failed = true
-	p.BumpRegion(p.RegionOfTile(id))
 	p.BumpVersion()
 	return true
 }
@@ -40,13 +39,12 @@ func (p *Platform) FailLink(id LinkID) bool {
 		return false
 	}
 	l.Failed = true
-	p.BumpRegion(p.RegionOfLink(id))
 	p.BumpVersion()
 	return true
 }
 
 // RestoreTile clears a tile's failed flag (a repaired or hot-swapped
-// tile rejoining the platform), bumping the same versions as FailTile.
+// tile rejoining the platform), bumping the version as FailTile does.
 // Idempotent; same locking contract.
 func (p *Platform) RestoreTile(id TileID) bool {
 	t := p.WTile(id)
@@ -54,7 +52,6 @@ func (p *Platform) RestoreTile(id TileID) bool {
 		return false
 	}
 	t.Failed = false
-	p.BumpRegion(p.RegionOfTile(id))
 	p.BumpVersion()
 	return true
 }
@@ -66,7 +63,6 @@ func (p *Platform) RestoreLink(id LinkID) bool {
 		return false
 	}
 	l.Failed = false
-	p.BumpRegion(p.RegionOfLink(id))
 	p.BumpVersion()
 	return true
 }

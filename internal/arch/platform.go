@@ -39,11 +39,9 @@ type Platform struct {
 	// platform; see Snapshot. It is atomic so commits holding disjoint
 	// region locks can bump it without sharing a lock.
 	version atomic.Uint64
-	// grid is the region partition (nil = one region covering the mesh);
-	// regionVersions holds one reservation version per region, mutated
-	// only under the owning region's lock. See region.go.
-	grid           *regionGrid
-	regionVersions []uint64
+	// grid is the region partition (nil = one region covering the mesh).
+	// See region.go.
+	grid *regionGrid
 
 	// Copy-on-write state (see cow.go). shared[r] marks region r's tile
 	// and link structs as possibly referenced by another platform — the
@@ -69,13 +67,12 @@ func NewMesh(name string, w, h int, linkCapBps int64) *Platform {
 		panic(fmt.Sprintf("arch: invalid mesh dimensions %d×%d", w, h))
 	}
 	p := &Platform{
-		Name:           name,
-		Width:          w,
-		Height:         h,
-		NoCClockHz:     200_000_000,
-		byName:         make(map[string]TileID),
-		atRtr:          make(map[RouterID][]TileID),
-		regionVersions: []uint64{0},
+		Name:       name,
+		Width:      w,
+		Height:     h,
+		NoCClockHz: 200_000_000,
+		byName:     make(map[string]TileID),
+		atRtr:      make(map[RouterID][]TileID),
 	}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
@@ -274,9 +271,6 @@ func (p *Platform) ResetReservations() {
 		l.ReservedBps = 0
 	}
 	p.version.Add(1)
-	for r := range p.regionVersions {
-		p.regionVersions[r]++
-	}
 }
 
 // Clone returns a deep copy of the platform including reservation state.
@@ -286,7 +280,6 @@ func (p *Platform) ResetReservations() {
 // cheap structure-sharing alternative see CloneCoW.
 func (p *Platform) Clone() *Platform {
 	q := p.shallowMeta()
-	q.regionVersions = p.regionVersionsSnapshot()
 	q.version.Store(p.version.Load())
 	q.Tiles = make([]*Tile, len(p.Tiles))
 	for i, t := range p.Tiles {

@@ -8,11 +8,10 @@ import (
 
 // This file shards the platform's reservation state by NoC region. The
 // online manager's commit phase used to serialize every admission behind
-// one platform-wide lock and one global version counter; partitioning the
-// mesh into contiguous rectangular regions gives each region its own
-// reservation version (here) and its own lock (RegionLocks), so a commit
-// only needs to lock and re-validate the regions its reservation plan
-// touches. Admissions landing in disjoint regions then commit fully in
+// one platform-wide lock; partitioning the mesh into contiguous
+// rectangular regions gives each region its own lock (RegionLocks), so a
+// commit only needs to lock and re-validate the regions its reservation
+// plan touches. Admissions landing in disjoint regions then commit fully in
 // parallel. An unpartitioned platform behaves as one region covering the
 // whole mesh — the degenerate case, semantically identical to the
 // pre-sharding code.
@@ -57,28 +56,24 @@ func (g *regionGrid) of(pt Point) RegionID {
 }
 
 // PartitionRegions splits the mesh into square regions of the given side
-// length (in routers) and resets all per-region versions. size ≤ 0, or a
-// size that covers the whole mesh in one block, yields the single-region
-// degenerate case. Partitioning must happen before the platform is shared:
-// callers like manager.New size their lock set from RegionCount once, and
-// repartitioning a live platform would break the region↔lock
-// correspondence. Returns the region count.
+// length (in routers). size ≤ 0, or a size that covers the whole mesh in
+// one block, yields the single-region degenerate case. Partitioning must
+// happen before the platform is shared: callers like manager.New size
+// their lock set from RegionCount once, and repartitioning a live platform
+// would break the region↔lock correspondence. Returns the region count.
 func (p *Platform) PartitionRegions(size int) int {
 	defer p.ensureCoWState()
 	if size <= 0 {
 		p.grid = nil
-		p.regionVersions = []uint64{0}
 		return 1
 	}
 	cols := (p.Width + size - 1) / size
 	rows := (p.Height + size - 1) / size
 	if cols*rows == 1 {
 		p.grid = nil
-		p.regionVersions = []uint64{0}
 		return 1
 	}
 	p.grid = &regionGrid{size: size, cols: cols, rows: rows}
-	p.regionVersions = make([]uint64, cols*rows)
 	return cols * rows
 }
 
@@ -157,30 +152,6 @@ func (p *Platform) Regions() []Region {
 	for i := range out {
 		out[i] = p.Region(RegionID(i))
 	}
-	return out
-}
-
-// RegionVersion returns one region's reservation version: a counter bumped
-// on every committed reservation change touching the region. Like all
-// reservation state it must be read under the region's lock when the
-// platform is shared.
-func (p *Platform) RegionVersion(r RegionID) uint64 {
-	return p.regionVersions[r]
-}
-
-// BumpRegion records a committed reservation change in one region and
-// returns the region's new version. Callers must hold the region's lock
-// when the platform is shared; package core calls it from Plan.Commit and
-// Plan.Release.
-func (p *Platform) BumpRegion(r RegionID) uint64 {
-	p.regionVersions[r]++
-	return p.regionVersions[r]
-}
-
-// regionVersionsSnapshot copies the per-region version vector.
-func (p *Platform) regionVersionsSnapshot() []uint64 {
-	out := make([]uint64, len(p.regionVersions))
-	copy(out, p.regionVersions)
 	return out
 }
 

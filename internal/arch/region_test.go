@@ -100,49 +100,6 @@ func TestPartitionGeometry(t *testing.T) {
 	}
 }
 
-// TestRegionVersionsIndependent checks that BumpRegion advances only the
-// bumped region's version and that snapshots carry the whole vector.
-func TestRegionVersionsIndependent(t *testing.T) {
-	p := NewMesh("m", 4, 4, 1000)
-	p.PartitionRegions(2)
-	p.BumpRegion(1)
-	p.BumpRegion(1)
-	p.BumpRegion(3)
-	want := []uint64{0, 2, 0, 1}
-	for r, w := range want {
-		if got := p.RegionVersion(RegionID(r)); got != w {
-			t.Errorf("RegionVersion(%d) = %d, want %d", r, got, w)
-		}
-	}
-	snap := p.Snapshot()
-	for r, w := range want {
-		if snap.RegionVersions[r] != w {
-			t.Errorf("snapshot RegionVersions[%d] = %d, want %d", r, snap.RegionVersions[r], w)
-		}
-	}
-	// The snapshot's vector is a copy, not an alias.
-	p.BumpRegion(0)
-	if snap.RegionVersions[0] != 0 {
-		t.Error("snapshot region versions aliased the live platform")
-	}
-	// Clone carries the partition and the version vector.
-	c := p.Clone()
-	if c.RegionCount() != 4 || c.RegionVersion(1) != 2 {
-		t.Errorf("clone partition/versions not carried: count=%d v1=%d", c.RegionCount(), c.RegionVersion(1))
-	}
-	// ResetReservations touches every region.
-	pre := make([]uint64, 4)
-	for r := range pre {
-		pre[r] = p.RegionVersion(RegionID(r))
-	}
-	p.ResetReservations()
-	for r := 0; r < 4; r++ {
-		if now := p.RegionVersion(RegionID(r)); now != pre[r]+1 {
-			t.Errorf("ResetReservations bumped region %d to %d, want %d", r, now, pre[r]+1)
-		}
-	}
-}
-
 // TestResidualDiffRegions checks that a diff names exactly the regions of
 // the changed resources.
 func TestResidualDiffRegions(t *testing.T) {

@@ -32,25 +32,16 @@ type Snapshot struct {
 	// Version is the platform's reservation version at the time the
 	// snapshot was taken.
 	Version uint64
-	// RegionVersions are the per-region reservation versions at the time
-	// the snapshot was taken, indexed by RegionID. A commit can compare
-	// just its footprint's entries against the live platform to detect
-	// region-local staleness.
-	RegionVersions []uint64
 }
 
 // Snapshot returns a deep copy of the platform tagged with its current
-// global and per-region reservation versions. Because the copy spans
-// every region in one pass, the caller must hold whatever serializes
-// mutations of the whole platform — with region locks, all of them.
+// reservation version. Because the copy spans every region in one pass,
+// the caller must hold whatever serializes mutations of the whole
+// platform — with region locks, all of them.
 // SnapshotCoW is the cheaper alternative whose capture coordinates per
 // region and needs no caller-held locks at all.
 func (p *Platform) Snapshot() *Snapshot {
-	return &Snapshot{
-		Plat:           p.Clone(),
-		Version:        p.version.Load(),
-		RegionVersions: p.regionVersionsSnapshot(),
-	}
+	return &Snapshot{Plat: p.Clone(), Version: p.version.Load()}
 }
 
 // Version returns the platform's reservation version: a counter bumped on

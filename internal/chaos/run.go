@@ -136,7 +136,7 @@ func Run(script Script, o Options) (Report, error) {
 // boot builds one incarnation over the stack's current backend: spike
 // wrapper, stream server, door and collector.
 func (r *runner) boot() (*incarnation, error) {
-	spike := &spikeBackend{inner: r.st.Backend}
+	spike := &spikeBackend{Backend: r.st.Backend}
 	sopts := r.o.Server
 	sopts.Backend = spike
 	srv, err := stream.New(sopts)
@@ -206,7 +206,9 @@ func (r *runner) execute(inc *incarnation, st Step) (*incarnation, error) {
 	m := r.st.Manager
 	switch st.Op {
 	case OpFailTile, OpRestoreTile:
-		tiles := churn.ProcTiles(m.Platform())
+		// Off a snapshot: admissions are in flight, and their commits swap
+		// the live platform's tile structs under region locks.
+		tiles := churn.ProcTiles(m.Snapshot().Plat)
 		if len(tiles) == 0 {
 			return inc, fmt.Errorf("chaos: no processing tiles to fail")
 		}
@@ -219,11 +221,12 @@ func (r *runner) execute(inc *incarnation, st Step) (*incarnation, error) {
 			r.rep.Restores++
 		}
 	case OpFailLink, OpRestoreLink:
-		links := m.Platform().Links
-		if len(links) == 0 {
+		// Link IDs are indices; the count never changes, the structs do.
+		n := len(m.Platform().Links)
+		if n == 0 {
 			return inc, fmt.Errorf("chaos: no links to fail")
 		}
-		id := links[st.N%len(links)].ID
+		id := arch.LinkID(st.N % n)
 		if st.Op == OpFailLink {
 			if rep := m.FailLink(id); rep.Failed {
 				r.rep.FaultsInjected++
@@ -331,7 +334,7 @@ func (r *runner) crash(inc *incarnation) (*incarnation, error) {
 // armed number of outcome waits — a deterministic stand-in for a mesh
 // whose mapping rounds suddenly slowed down.
 type spikeBackend struct {
-	inner stream.Backend
+	stream.Backend
 	mu    sync.Mutex
 	delay time.Duration
 	left  int
@@ -367,7 +370,7 @@ func (b *spikeBackend) wrap(wait func() manager.Outcome) func() manager.Outcome 
 
 // Submit implements stream.Backend.
 func (b *spikeBackend) Submit(app *model.Application, lib *model.Library) (func() manager.Outcome, error) {
-	wait, err := b.inner.Submit(app, lib)
+	wait, err := b.Backend.Submit(app, lib)
 	if err != nil {
 		return nil, err
 	}
@@ -376,33 +379,12 @@ func (b *spikeBackend) Submit(app *model.Application, lib *model.Library) (func(
 
 // TrySubmit implements stream.Backend.
 func (b *spikeBackend) TrySubmit(app *model.Application, lib *model.Library) (func() manager.Outcome, bool) {
-	wait, ok := b.inner.TrySubmit(app, lib)
+	wait, ok := b.Backend.TrySubmit(app, lib)
 	if !ok {
 		return nil, false
 	}
 	return b.wrap(wait), true
 }
-
-// Utilization implements stream.Backend.
-func (b *spikeBackend) Utilization() float64 { return b.inner.Utilization() }
-
-// Stop implements stream.Backend.
-func (b *spikeBackend) Stop(name string) error { return b.inner.Stop(name) }
-
-// NoteShed implements stream.Backend.
-func (b *spikeBackend) NoteShed(p model.Priority) { b.inner.NoteShed(p) }
-
-// NoteDLQRecovered implements stream.Backend.
-func (b *spikeBackend) NoteDLQRecovered() { b.inner.NoteDLQRecovered() }
-
-// NoteDLQExpired implements stream.Backend.
-func (b *spikeBackend) NoteDLQExpired() { b.inner.NoteDLQExpired() }
-
-// Stats implements stream.Backend.
-func (b *spikeBackend) Stats() manager.Stats { return b.inner.Stats() }
-
-// Close implements stream.Backend.
-func (b *spikeBackend) Close() { b.inner.Close() }
 
 // addReport folds one incarnation's ledger into the aggregate. Counter
 // fields sum; point-in-time fields (breaker state, DLQ depth, admit

@@ -276,7 +276,7 @@ func Run(o Options) Result {
 	faults.restoreAll()
 	elapsed := time.Since(start)
 
-	r := Result{Elapsed: elapsed, Stats: s.Backend.Stats(), JournalErr: s.Close(),
+	r := Result{Elapsed: elapsed, Stats: s.Manager.Stats(), JournalErr: s.Close(),
 		Regions: s.Manager.Platform().RegionCount()}
 	faults.record(&r)
 	if r.LedgerErr = s.Manager.CheckInvariants(); r.LedgerErr != nil {

@@ -35,7 +35,7 @@ func RunSoak(o Options, server stream.Options) Result {
 	<-collected
 	elapsed := time.Since(start)
 
-	r := Result{Report: rep, Stats: s.Backend.Stats(), Elapsed: elapsed, JournalErr: s.Close()}
+	r := Result{Report: rep, Stats: s.Manager.Stats(), Elapsed: elapsed, JournalErr: s.Close()}
 	if !rep.LedgerOK() {
 		r.LedgerErr = fmt.Errorf("churn: ledger broken: admitted %d + rejected %d + shed %d + expired %d != submitted %d",
 			rep.Admitted, rep.Rejected, rep.Shed(), rep.Expired, rep.Submitted)

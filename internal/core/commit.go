@@ -257,18 +257,13 @@ func planReservations(plat *arch.Platform, res *Result, strict bool) (*commitPla
 // violations checks the whole plan against the platform's live residual
 // capacity and attributes every conflict to the resource it exhausts. Only
 // the resources the plan touches are visited — this runs inside the
-// manager's serialized commit section — sorted by ID so the report is
-// deterministic.
+// manager's serialized commit section, on every commit, so a plan that
+// fits allocates nothing here. The report is deterministic: tiles by ID
+// (each tile's dimensions in ResourceKind order), then links by ID.
 func (pl *commitPlan) violations(plat *arch.Platform) []ValidationError {
 	var out []ValidationError
-	tileIDs := make([]arch.TileID, 0, len(pl.tiles))
-	for tid := range pl.tiles {
-		tileIDs = append(tileIDs, tid)
-	}
-	sort.Slice(tileIDs, func(i, j int) bool { return tileIDs[i] < tileIDs[j] })
-	for _, tid := range tileIDs {
+	for tid, d := range pl.tiles {
 		t := plat.Tile(tid)
-		d := pl.tiles[tid]
 		if t.Failed {
 			out = append(out, ValidationError{Kind: ResTileFailed, Tile: t.ID, TileName: t.Name, Link: -1,
 				Need: float64(d.occupants)})
@@ -295,14 +290,8 @@ func (pl *commitPlan) violations(plat *arch.Platform) []ValidationError {
 				Need: float64(need), Avail: float64(avail)})
 		}
 	}
-	linkIDs := make([]arch.LinkID, 0, len(pl.links))
-	for lid := range pl.links {
-		linkIDs = append(linkIDs, lid)
-	}
-	sort.Slice(linkIDs, func(i, j int) bool { return linkIDs[i] < linkIDs[j] })
-	for _, lid := range linkIDs {
+	for lid, bps := range pl.links {
 		l := plat.Link(lid)
-		bps := pl.links[lid]
 		if l.Failed {
 			out = append(out, ValidationError{Kind: ResLinkFailed, Tile: arch.NoTile, Link: lid,
 				Need: float64(bps)})
@@ -312,6 +301,23 @@ func (pl *commitPlan) violations(plat *arch.Platform) []ValidationError {
 			out = append(out, ValidationError{Kind: ResLink, Tile: arch.NoTile, Link: lid,
 				Need: float64(bps), Avail: float64(l.FreeBps())})
 		}
+	}
+	// The maps were walked in no particular order; a tile's dimensions were
+	// appended in Kind order and a resource's (kind, id) pair is unique.
+	if len(out) > 1 {
+		sort.Slice(out, func(i, j int) bool {
+			a, b := out[i], out[j]
+			if (a.Link >= 0) != (b.Link >= 0) {
+				return b.Link >= 0
+			}
+			if a.Tile != b.Tile {
+				return a.Tile < b.Tile
+			}
+			if a.Link != b.Link {
+				return a.Link < b.Link
+			}
+			return a.Kind < b.Kind
+		})
 	}
 	for i := range out {
 		// Link violations carry Tile == arch.NoTile; attribute them via the
@@ -345,12 +351,11 @@ func (pl *commitPlan) validate(plat *arch.Platform) error {
 	return nil
 }
 
-// commit applies the plan. sign is +1 to reserve, -1 to release. Besides
-// the global version it bumps the version of every region in the plan's
-// footprint — the caller holds exactly those region locks, which is also
-// what makes the copy-on-write fault-in safe: regions still shared with a
-// snapshot are copied before the first mutation, so snapshots keep their
-// captured state while the live platform moves on.
+// commit applies the plan and bumps the platform's version. sign is +1 to
+// reserve, -1 to release. The caller holds the region locks of the plan's
+// footprint, which is what makes the copy-on-write fault-in safe: regions
+// still shared with a snapshot are copied before the first mutation, so
+// snapshots keep their captured state while the live platform moves on.
 func (pl *commitPlan) commit(plat *arch.Platform, sign int64) {
 	plat.MaterializeRegions(pl.regions)
 	for tid, d := range pl.tiles {
@@ -363,9 +368,6 @@ func (pl *commitPlan) commit(plat *arch.Platform, sign int64) {
 	}
 	for lid, bps := range pl.links {
 		plat.Link(lid).ReservedBps += sign * bps
-	}
-	for _, r := range pl.regions {
-		plat.BumpRegion(r)
 	}
 	plat.BumpVersion()
 }
@@ -507,9 +509,9 @@ func (p *Plan) Validate(plat *arch.Platform) error {
 	return p.pl.validate(plat)
 }
 
-// Commit reserves the plan on the platform and bumps the versions of the
-// footprint's regions plus the global version. The caller must hold the
-// footprint's region locks and have seen Validate succeed under them.
+// Commit reserves the plan on the platform and bumps its version. The
+// caller must hold the footprint's region locks and have seen Validate
+// succeed under them.
 func (p *Plan) Commit(plat *arch.Platform) {
 	p.pl.commit(plat, +1)
 }

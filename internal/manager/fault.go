@@ -9,9 +9,9 @@ import (
 )
 
 // Run-time fault injection and recovery. Failing a tile or link flips
-// the resource's Failed flag under its region lock — which bumps the
-// region version, so every in-flight plan whose footprint touches it
-// re-validates and sees the failure — and then evacuates the residents
+// the resource's Failed flag under its region lock — every in-flight plan
+// that touches it validates after the flip and sees the failure — and
+// then evacuates the residents
 // the resource carried: each one's reservations are released (it cannot
 // keep running on dead silicon) and a relocation round tries to refit
 // its mapping onto the surviving mesh, where canHost and the NoC router
@@ -82,21 +82,27 @@ func (m *Manager) RestoreLink(id arch.LinkID) bool {
 		journal.Event{Type: journal.EvRestoreLink, Link: id})
 }
 
-// failResource is the shared fail-and-evacuate machinery: flip the flag
-// and journal the fault under the resource's region lock, claim every
-// resident whose plan touches the resource, release each one (journaled
-// as a fault release under its footprint locks) and try to relocate it.
-func (m *Manager) failResource(region arch.RegionID, fail func() bool,
-	ev journal.Event, uses func(*core.Plan) bool) FaultReport {
-	start := time.Now()
+// flipResource flips one resource's Failed flag and journals the change,
+// both under the resource's region lock; it reports whether anything
+// changed. It is the one reservation-state write outside transact.
+func (m *Manager) flipResource(region arch.RegionID, flip func() bool, ev journal.Event) bool {
 	rl := []arch.RegionID{region}
 	m.locks.Lock(rl)
-	ok := fail()
+	ok := flip()
 	if ok {
 		m.journalEvent(ev)
 	}
 	m.locks.Unlock(rl)
-	if !ok {
+	return ok
+}
+
+// failResource is the shared fail-and-evacuate machinery: flip the flag,
+// claim every resident whose plan touches the resource, release each one
+// (journaled as a fault release) and try to relocate it.
+func (m *Manager) failResource(region arch.RegionID, fail func() bool,
+	ev journal.Event, uses func(*core.Plan) bool) FaultReport {
+	start := time.Now()
+	if !m.flipResource(region, fail, ev) {
 		return FaultReport{}
 	}
 	rep := FaultReport{Failed: true}
@@ -127,94 +133,30 @@ func (m *Manager) failResource(region arch.RegionID, fail func() bool,
 	}
 
 	for _, v := range victims {
-		fp := v.plan.Regions()
-		m.locks.Lock(fp)
-		v.plan.Release(m.plat)
-		m.journalPlan(journal.EvFaultRelease, v.ad.App.Name, v.ad.Priority, v.plan)
-		m.locks.Unlock(fp)
-		if m.relocateFaultVictim(v.ad) {
-			rep.Relocated = append(rep.Relocated, v.ad.App.Name)
+		name := v.ad.App.Name
+		m.transact([]change{{v.plan, journal.EvFaultRelease, name, v.ad.Priority}}, change{})
+		if ok, _, _ := m.relocate(v.ad); ok {
+			rep.Relocated = append(rep.Relocated, name)
 		} else {
-			rep.Dropped = append(rep.Dropped, v.ad.App.Name)
+			rep.Dropped = append(rep.Dropped, name)
 		}
 	}
+	m.mu.Lock()
+	m.stats.FaultRelocated += uint64(len(rep.Relocated))
+	m.stats.FaultDropped += uint64(len(rep.Dropped))
+	m.mu.Unlock()
 	rep.Recover = time.Since(start)
 	return rep
 }
 
-// restoreResource flips a resource back under its region lock.
+// restoreResource flips a resource back into service.
 func (m *Manager) restoreResource(region arch.RegionID, restore func() bool,
 	ev journal.Event) bool {
-	rl := []arch.RegionID{region}
-	m.locks.Lock(rl)
-	ok := restore()
-	if ok {
-		m.journalEvent(ev)
-	}
-	m.locks.Unlock(rl)
+	ok := m.flipResource(region, restore, ev)
 	if ok {
 		m.mu.Lock()
 		m.stats.Restores++
 		m.mu.Unlock()
 	}
 	return ok
-}
-
-// relocateFaultVictim tries to keep an evacuated (already released)
-// resident running by committing a relocated mapping, reporting whether
-// it succeeded. It mirrors relocateVictim but books the outcome under
-// the fault counters.
-func (m *Manager) relocateFaultVictim(v *Admission) bool {
-	if v.Result == nil || v.lib == nil {
-		// Replay-rebuilt resident: journaled deltas are all that is known
-		// about it — there is no mapping to refit. Drop it.
-		m.dropFaultVictim(v)
-		return false
-	}
-	vm := &core.Mapper{Lib: v.lib, Cfg: m.cfg}
-	for attempt := 0; ; attempt++ {
-		snap := m.Snapshot()
-		rep, err := vm.Relocate(v.Result, snap)
-		if err != nil {
-			break // nothing to salvage or infeasible on the surviving mesh
-		}
-		plan, perr := core.NewPlan(m.plat, rep)
-		if perr != nil {
-			break
-		}
-		footprint := plan.Regions()
-		m.locks.Lock(footprint)
-		if plan.Validate(m.plat) == nil {
-			plan.Commit(m.plat)
-			m.journalPlan(journal.EvRelocate, v.App.Name, v.Priority, plan)
-			m.locks.Unlock(footprint)
-			m.mu.Lock()
-			m.loadRelease(v)
-			v.Result = rep
-			m.loadCharge(v)
-			delete(m.preempting, v.App.Name)
-			m.running[v.App.Name] = v
-			m.stats.FaultRelocated++
-			m.mu.Unlock()
-			return true
-		}
-		m.locks.Unlock(footprint)
-		if attempt >= maxRetries {
-			break
-		}
-	}
-	m.dropFaultVictim(v)
-	return false
-}
-
-// dropFaultVictim records a resident the evacuation could not re-place.
-func (m *Manager) dropFaultVictim(v *Admission) {
-	m.mu.Lock()
-	// Journal the eviction before the name frees up, so a re-admission
-	// of the same name appends after it.
-	m.journalEvent(journal.Event{Type: journal.EvEvict, App: v.App.Name})
-	delete(m.preempting, v.App.Name)
-	m.loadRelease(v)
-	m.stats.FaultDropped++
-	m.mu.Unlock()
 }

@@ -12,11 +12,11 @@
 // a point-in-time Snapshot of the platform's residual state, so many
 // arrivals can be mapped in parallel. Only the commit takes locks, and
 // only the locks of the mesh regions the mapping's reservation plan
-// touches (core.Plan.Regions, acquired in canonical order): it
-// re-validates the plan against the live platform and, when a competing
-// admission claimed the resources since the snapshot was taken,
-// re-snapshots and repairs or re-maps — optimistic concurrency with
-// bounded retries. On a partitioned platform (arch.PartitionRegions),
+// touches (core.Plan.Regions, acquired in canonical order): it always
+// re-validates the plan against the live platform (see transact) and,
+// when a competing admission claimed the resources since the snapshot was
+// taken, re-snapshots and repairs or re-maps — optimistic concurrency
+// with bounded retries. On a partitioned platform (arch.PartitionRegions),
 // admissions whose plans land in disjoint regions therefore commit fully
 // in parallel; the unpartitioned single-region platform degenerates to
 // the classic one-global-lock commit. Use Pipeline for a bounded work
@@ -173,11 +173,10 @@ type Stats struct {
 	// back to the full four-step map (repair disabled, refused or
 	// infeasible).
 	FullRemaps uint64
-	// Snapshots counts base snapshots actually captured for admissions
-	// and their retries; SnapshotsShared counts admissions served from an
-	// already-captured epoch snapshot instead of taking their own (see
-	// epoch.go). Their sum is the number of snapshot acquisitions the
-	// admission path performed.
+	// Snapshots counts the copy-on-write snapshots captured for
+	// admissions and their retries. SnapshotsShared is always 0: the
+	// mechanism it counted is deleted, and the field leaves with the next
+	// benchmark-only change (bench/sut.go still reads it).
 	Snapshots       uint64
 	SnapshotsShared uint64
 	// CoWFaults counts regions faulted in by the copy-on-write engine —
@@ -206,13 +205,6 @@ type Stats struct {
 	FaultRelocated uint64
 	FaultDropped   uint64
 	Restores       uint64
-	// DLQRecovered counts capacity-rejected arrivals a dead-letter queue
-	// re-enqueued and successfully admitted once utilization dropped;
-	// DLQExpired counts entries the DLQ gave up on (retry budget spent or
-	// shutdown). Both are reported by the streaming front-end via
-	// NoteDLQRecovered/NoteDLQExpired; without a DLQ they stay zero.
-	DLQRecovered uint64
-	DLQExpired   uint64
 	// ByClass splits admitted/rejected per priority class, indexed by
 	// model.Priority.
 	ByClass [model.NumPriorities]ClassStats
@@ -228,12 +220,6 @@ type Stats struct {
 type ClassStats struct {
 	Admitted uint64
 	Rejected uint64
-	// Shed counts arrivals this class lost to load shedding before any
-	// mapping ran: TrySubmit refusals on a saturated queue plus drops the
-	// streaming front-end reports via NoteShed. Shed arrivals never reach
-	// the mapper, so they appear in neither Admitted nor Rejected — the
-	// ledger for a class is Admitted + Rejected + Shed.
-	Shed uint64
 	// Latency accumulates the class's end-to-end admission latency
 	// (queue wait + mapping + repair + commit) over all its arrivals,
 	// admitted and rejected; divide by their count for the mean.
@@ -265,18 +251,17 @@ func (s Stats) RepairRate() (float64, bool) {
 // Manager owns a platform and the set of admitted applications. All
 // methods are safe for concurrent use.
 //
-// Three lock families guard the manager's state, acquired in at most the
-// order epochMu → mu, and never while holding a region lock:
+// Two lock families guard the manager's state; mu is never taken while
+// holding a region lock:
 //
 //   - locks, one mutex per mesh region, serialize the platform's
-//     reservation state. A commit or release holds exactly the regions
-//     its plan touches; whole-platform reads (Residual, Load,
+//     reservation state. A transaction (transact) holds exactly the
+//     regions its plans touch; whole-platform reads (Residual, Load,
 //     CheckInvariants) hold all of them, while the copy-on-write
 //     snapshot capture visits one region lock at a time.
 //   - mu serializes the admission bookkeeping: the running and pending
 //     sets, the sequence counter, the configuration flags and the
 //     statistics.
-//   - epochMu serializes the shared epoch snapshot (see epoch.go).
 type Manager struct {
 	cfg core.Config
 
@@ -287,15 +272,6 @@ type Manager struct {
 	// faults counts copy-on-write region faults platform-wide; the
 	// platform and all its snapshots and clones share this meter.
 	faults atomic.Uint64
-
-	// epochMu guards the shared epoch snapshot of epoch.go. epochLag is
-	// how many committed reservation changes that snapshot may trail the
-	// live platform by and still be shared; the zero every manager runs
-	// with shares only while nothing committed since the capture. Only
-	// the sharing race test raises it, before its first admission.
-	epochMu   sync.Mutex
-	epochSnap *arch.Snapshot
-	epochLag  uint64
 
 	mu      sync.Mutex
 	plat    *arch.Platform
@@ -395,17 +371,82 @@ func (m *Manager) SetMappingReuse(on bool) {
 // lock on the hot path); nil disables journaling.
 func (m *Manager) SetJournal(w *journal.Writer) { m.jw = w }
 
-// journalPlan appends one reservation-bearing event carrying the plan's
-// aggregated deltas. Callers hold the region locks of the plan's
-// footprint — emitting inside the critical section is what keeps
-// journal order equal to commit order per region.
-func (m *Manager) journalPlan(t journal.EventType, app string, prio model.Priority, plan *core.Plan) {
+// change is one reservation plan together with the journal event that
+// records its application: what transact releases or reserves. The zero
+// value (nil plan) means "none".
+type change struct {
+	plan *core.Plan
+	ev   journal.EventType
+	app  string
+	prio model.Priority
+}
+
+// transact is the manager's one reservation transaction — the only code
+// that commits, releases or validates a plan on the live platform (replay,
+// lock-free before the manager is shared, is the one exception). It takes
+// the union of the plans' region locks once, in canonical order, applies
+// the removals, validates the reservation against the live platform —
+// always: the mapper's verdict was reached on a snapshot — and commits
+// it. When the reservation no longer fits, the removals are re-committed
+// and its *core.ConflictError is returned. Every change is journaled
+// inside the locked section that applies it, which is what keeps journal
+// order equal to commit order per region and lets replay rebuild the
+// platform bit for bit. A rolled-back removal is therefore journaled too,
+// as a release followed by an EvRelocate: (x−u)+u is not x in float64, so
+// replay must repeat the pair, not elide it.
+//
+// Callers: the template hit and the mapped commit of admit (reserve only),
+// Stop and the fault evacuation (one removal), the preemption swap
+// (removals plus the arrival) and relocate (reserve only).
+func (m *Manager) transact(removals []change, reserve change) error {
+	// A single plan's footprint is used as it is, so the hit path and
+	// Stop allocate nothing here; a swap's union is built fresh and Lock
+	// puts it in canonical order.
+	var footprint []arch.RegionID
+	switch {
+	case len(removals) == 0:
+		footprint = reserve.plan.Regions()
+	case len(removals) == 1 && reserve.plan == nil:
+		footprint = removals[0].plan.Regions()
+	default:
+		for _, r := range removals {
+			footprint = append(footprint, r.plan.Regions()...)
+		}
+		if reserve.plan != nil {
+			footprint = append(footprint, reserve.plan.Regions()...)
+		}
+	}
+	m.locks.Lock(footprint)
+	for _, r := range removals {
+		r.plan.Release(m.plat)
+		m.journalPlan(r)
+	}
+	var err error
+	if reserve.plan != nil {
+		if err = reserve.plan.Validate(m.plat); err == nil {
+			reserve.plan.Commit(m.plat)
+			m.journalPlan(reserve)
+		} else {
+			for _, r := range removals {
+				r.plan.Commit(m.plat)
+				r.ev = journal.EvRelocate
+				m.journalPlan(r)
+			}
+		}
+	}
+	m.locks.Unlock(footprint)
+	return err
+}
+
+// journalPlan appends the change's event carrying its plan's aggregated
+// deltas. Only transact calls it, holding the plan's region locks.
+func (m *Manager) journalPlan(c change) {
 	if m.jw == nil {
 		return
 	}
-	tiles, links := plan.Deltas()
+	tiles, links := c.plan.Deltas()
 	jt, jl := journal.FromDeltas(tiles, links)
-	m.jw.Append(journal.Event{Type: t, App: app, Priority: int(prio), Tiles: jt, Links: jl})
+	m.jw.Append(journal.Event{Type: c.ev, App: c.app, Priority: int(c.prio), Tiles: jt, Links: jl})
 }
 
 // journalEvent appends a delta-free event (fault, restore, evict).
@@ -438,6 +479,16 @@ func (m *Manager) Platform() *arch.Platform { return m.plat }
 // before mutating.
 func (m *Manager) Snapshot() *arch.Snapshot { return m.plat.SnapshotCoW(m.locks) }
 
+// snapshot is Snapshot counted in Stats.Snapshots: what an admission maps
+// its first round and every retry round against.
+func (m *Manager) snapshot() *arch.Snapshot {
+	s := m.Snapshot()
+	m.mu.Lock()
+	m.stats.Snapshots++
+	m.mu.Unlock()
+	return s
+}
+
 // Residual returns the platform's current free-capacity view, read under
 // all region locks.
 func (m *Manager) Residual() arch.Residual {
@@ -453,33 +504,6 @@ func (m *Manager) Stats() Stats {
 	st := m.stats
 	st.CoWFaults = m.faults.Load()
 	return st
-}
-
-// NoteShed records one load-shed arrival of the given class: it was
-// dropped before any mapping ran (saturated queue, open circuit
-// breaker, full stage buffer). Pipeline.TrySubmit calls this on a
-// full-queue refusal; the streaming front-end calls it for drops at its
-// own stages so the per-class ledger stays complete.
-func (m *Manager) NoteShed(p model.Priority) {
-	m.mu.Lock()
-	m.stats.ByClass[clampPriority(p)].Shed++
-	m.mu.Unlock()
-}
-
-// NoteDLQRecovered records one dead-letter entry whose retry was
-// admitted; see Stats.DLQRecovered.
-func (m *Manager) NoteDLQRecovered() {
-	m.mu.Lock()
-	m.stats.DLQRecovered++
-	m.mu.Unlock()
-}
-
-// NoteDLQExpired records one dead-letter entry dropped for good; see
-// Stats.DLQExpired.
-func (m *Manager) NoteDLQExpired() {
-	m.mu.Lock()
-	m.stats.DLQExpired++
-	m.mu.Unlock()
 }
 
 // Start maps the application against the current platform state and
@@ -513,24 +537,6 @@ const (
 	triggerConflict               // a commit conflict invalidated the round's mapping
 	triggerTemplate               // no pooled template placement fit the live platform
 )
-
-// footprintFresh reports whether no commit or release has touched any of
-// the footprint's regions since the snapshot was taken — the region-local
-// staleness probe. When it holds, the live reservation state inside the
-// footprint is identical to the snapshot the mapping was computed and
-// verified against, so the commit can skip re-validation. The caller must
-// hold the footprint's region locks.
-func footprintFresh(plat *arch.Platform, snap *arch.Snapshot, footprint []arch.RegionID) bool {
-	if len(snap.RegionVersions) != plat.RegionCount() {
-		return false // repartitioned platform: versions not comparable
-	}
-	for _, r := range footprint {
-		if plat.RegionVersion(r) != snap.RegionVersions[r] {
-			return false
-		}
-	}
-	return true
-}
 
 func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Duration) Outcome {
 	prio := clampPriority(app.QoS.Priority)
@@ -589,13 +595,8 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 					if perr != nil {
 						continue
 					}
-					footprint := plan.Regions()
-					m.locks.Lock(footprint)
-					verr := plan.Validate(m.plat)
+					verr := m.transact(nil, change{plan, journal.EvAdmit, app.Name, prio})
 					if verr == nil {
-						plan.Commit(m.plat)
-						m.journalPlan(journal.EvAdmit, app.Name, prio, plan)
-						m.locks.Unlock(footprint)
 						out.Commit += time.Since(commitStart)
 						m.mu.Lock()
 						m.seq++
@@ -606,7 +607,6 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 						m.mu.Unlock()
 						return out
 					}
-					m.locks.Unlock(footprint)
 					var conflict *core.ConflictError
 					if errors.As(verr, &conflict) {
 						nr, nv := len(conflict.Regions), len(conflict.Violations)
@@ -624,7 +624,7 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 				m.mu.Lock()
 				m.stats.StaleTemplates++
 				m.mu.Unlock()
-				snap = m.freshSnapshot()
+				snap = m.snapshot()
 				out.Commit += time.Since(commitStart)
 				trigger = triggerTemplate
 				if repairOn {
@@ -635,7 +635,7 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 	}
 
 	if snap == nil {
-		snap = m.baseSnapshot()
+		snap = m.snapshot()
 	}
 
 	// Counters accumulated outside the locks, folded into Stats at the
@@ -701,7 +701,7 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 			// version counter is atomic, so the staleness probe needs no
 			// lock.
 			if m.plat.Version() != snap.Version && out.Attempts <= maxRetries {
-				snap = m.freshSnapshot()
+				snap = m.snapshot()
 				out.Commit += time.Since(commitStart)
 				trigger = triggerNone
 				continue
@@ -724,9 +724,9 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 			return out
 		default:
 			// Sharded commit: aggregate the reservation plan without any
-			// lock, then validate and commit holding only the region
-			// locks of the plan's footprint. Admissions whose footprints
-			// are disjoint run this section concurrently.
+			// lock, then validate and commit (transact) holding only the
+			// region locks of the plan's footprint. Admissions whose
+			// footprints are disjoint run this section concurrently.
 			plan, perr := core.NewPlan(m.plat, res)
 			if perr != nil {
 				out.Commit += time.Since(commitStart)
@@ -735,20 +735,8 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 				m.mu.Unlock()
 				return out
 			}
-			footprint := plan.Regions()
-			m.locks.Lock(footprint)
-			// Region-local staleness probe: if no commit has touched the
-			// footprint's regions since the snapshot, the live state there
-			// is exactly what the mapper already verified the mapping
-			// against, so the per-resource re-validation is redundant.
-			var err error
-			if !footprintFresh(m.plat, snap, footprint) {
-				err = plan.Validate(m.plat)
-			}
+			err := m.transact(nil, change{plan, journal.EvAdmit, app.Name, prio})
 			if err == nil {
-				plan.Commit(m.plat)
-				m.journalPlan(journal.EvAdmit, app.Name, prio, plan)
-				m.locks.Unlock(footprint)
 				out.Commit += time.Since(commitStart)
 				m.mu.Lock()
 				m.seq++
@@ -764,7 +752,6 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 				}
 				return out
 			}
-			m.locks.Unlock(footprint)
 			var conflict *core.ConflictError
 			isConflict := errors.As(err, &conflict)
 			retry := isConflict && out.Attempts <= maxRetries
@@ -781,7 +768,7 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 				// snapshot and commit: repair the mapping we just
 				// computed against fresh state (or re-map from scratch
 				// when repair is off).
-				snap = m.freshSnapshot()
+				snap = m.snapshot()
 				out.Commit += time.Since(commitStart)
 				trigger = triggerConflict
 				if repairOn {
@@ -863,11 +850,7 @@ func (m *Manager) Stop(name string) error {
 	if err != nil {
 		return nil // lenient planning never errors; keep the compiler honest
 	}
-	footprint := plan.Regions()
-	m.locks.Lock(footprint)
-	plan.Release(m.plat)
-	m.journalPlan(journal.EvDepart, name, ad.Priority, plan)
-	m.locks.Unlock(footprint)
+	m.transact([]change{{plan, journal.EvDepart, name, ad.Priority}}, change{})
 	return nil
 }
 

@@ -98,16 +98,12 @@ func (p *Pipeline) Submit(app *model.Application, lib *model.Library) (<-chan Ou
 }
 
 // TrySubmit is Submit without the blocking: it reports false when the
-// queue is full or the pipeline closed, so callers can shed load. A
-// full-queue refusal (not a shutdown) is counted as shed for the
-// request's class in the manager's Stats, so shed arrivals stay visible
-// in the ledger even though they never reach a worker.
+// queue is full or the pipeline closed, so callers can shed load — and
+// count what they shed; the manager's Stats only see arrivals that reach
+// a worker.
 func (p *Pipeline) TrySubmit(app *model.Application, lib *model.Library) (<-chan Outcome, bool) {
 	j := newJob(app, lib)
-	if ok, closed := p.q.tryPush(j); !ok {
-		if !closed {
-			p.m.NoteShed(j.prio)
-		}
+	if !p.q.tryPush(j) {
 		return nil, false
 	}
 	return j.done, true

@@ -175,55 +175,32 @@ func (m *Manager) preemptAdmit(out *Outcome, app *model.Application, lib *model.
 		return false
 	}
 
-	// Atomic swap under the union of the victims' and the arrival's
-	// region locks: release the victims, re-validate the arrival against
-	// the live platform (a competing admission may have landed since the
-	// hypothetical snapshot), commit or roll everything back. Admissions
-	// whose footprints avoid these regions commit concurrently.
+	// Atomic swap, one transaction under the union of the victims' and
+	// the arrival's region locks: release the victims, re-validate the
+	// arrival against the live platform (a competing admission may have
+	// landed since the hypothetical snapshot), commit or roll everything
+	// back. Admissions whose footprints avoid these regions commit
+	// concurrently.
 	commitStart := time.Now()
 	nplan, err := core.NewPlan(m.plat, res)
+	removals := make([]change, len(victims))
+	for i := 0; err == nil && i < len(victims); i++ {
+		v := victims[i]
+		var vp *core.Plan
+		vp, err = core.NewRemovalPlan(m.plat, v.Result)
+		removals[i] = change{vp, journal.EvPreemptRelease, v.App.Name, v.Priority}
+	}
+	if err == nil {
+		// A conflict here is a race lost since the hypothetical
+		// snapshot; transact rolled the evictions back and the caller
+		// rejects. Preemption is a last resort, not a retry loop.
+		err = m.transact(removals, change{nplan, journal.EvAdmit, app.Name, prio})
+	}
+	out.Commit += time.Since(commitStart)
 	if err != nil {
 		m.unclaimVictims(victims)
-		out.Commit += time.Since(commitStart)
 		return false
 	}
-	vplans := make([]*core.Plan, len(victims))
-	union := append([]arch.RegionID(nil), nplan.Regions()...)
-	for i, v := range victims {
-		vp, verr := core.NewRemovalPlan(m.plat, v.Result)
-		if verr != nil {
-			m.unclaimVictims(victims)
-			out.Commit += time.Since(commitStart)
-			return false
-		}
-		vplans[i] = vp
-		union = append(union, vp.Regions()...)
-	}
-	m.locks.Lock(union)
-	for i, vp := range vplans {
-		vp.Release(m.plat)
-		m.journalPlan(journal.EvPreemptRelease, victims[i].App.Name, victims[i].Priority, vp)
-	}
-	if err := nplan.Validate(m.plat); err != nil {
-		// Lost a race since the hypothetical snapshot: roll the
-		// evictions back verbatim and let the caller reject. Preemption
-		// is a last resort, not a retry loop of its own. The re-commits
-		// are journaled as relocations so replay reproduces the same
-		// release-then-recommit float arithmetic the live ledger saw —
-		// (x−u)+u is not x in float64, so the pair cannot be elided.
-		for i, vp := range vplans {
-			vp.Commit(m.plat)
-			m.journalPlan(journal.EvRelocate, victims[i].App.Name, victims[i].Priority, vp)
-		}
-		m.locks.Unlock(union)
-		m.unclaimVictims(victims)
-		out.Commit += time.Since(commitStart)
-		return false
-	}
-	nplan.Commit(m.plat)
-	m.journalPlan(journal.EvAdmit, app.Name, prio, nplan)
-	m.locks.Unlock(union)
-	out.Commit += time.Since(commitStart)
 
 	m.mu.Lock()
 	m.seq++
@@ -242,71 +219,79 @@ func (m *Manager) preemptAdmit(out *Outcome, app *model.Application, lib *model.
 	// finishLocked so the relocation repair/commit time lands in Stats
 	// and the class's latency — displacing victims is part of what this
 	// admission cost.
+	var relocated uint64
 	for _, v := range victims {
-		m.relocateVictim(v, out)
+		ok, repair, commit := m.relocate(v)
+		out.Repair += repair
+		out.Commit += commit
+		if ok {
+			relocated++
+		}
 	}
 	m.mu.Lock()
+	m.stats.Relocations += relocated
+	m.stats.Evictions += uint64(len(victims)) - relocated
 	m.finishLocked(out, ad, nil)
 	m.mu.Unlock()
 	return true
 }
 
-// relocateVictim tries to keep a preempted (already released) victim
-// running by committing a relocated mapping; when nothing fits it records
-// the eviction. Runs outside all locks except the short sharded commits.
-func (m *Manager) relocateVictim(v *Admission, out *Outcome) {
-	vm := &core.Mapper{Lib: v.lib, Cfg: m.cfg}
-	var repairAttempts uint64
-	for attempt := 0; ; attempt++ {
-		repairStart := time.Now()
-		snap := m.Snapshot()
-		rep, err := vm.Relocate(v.Result, snap)
-		out.Repair += time.Since(repairStart)
-		repairAttempts++
-		if err != nil {
-			break // nothing to salvage or infeasible: evict
-		}
-		commitStart := time.Now()
-		plan, perr := core.NewPlan(m.plat, rep)
-		if perr != nil {
-			out.Commit += time.Since(commitStart)
-			break
-		}
-		footprint := plan.Regions()
-		m.locks.Lock(footprint)
-		verr := plan.Validate(m.plat)
-		if verr == nil {
-			plan.Commit(m.plat)
-			m.journalPlan(journal.EvRelocate, v.App.Name, v.Priority, plan)
-			m.locks.Unlock(footprint)
-			out.Commit += time.Since(commitStart)
-			m.mu.Lock()
-			// The relocated mapping may use different tiles and energy;
-			// re-charge so the load estimate tracks the new placement.
-			m.loadRelease(v)
-			v.Result = rep
-			m.loadCharge(v)
-			delete(m.preempting, v.App.Name)
-			m.running[v.App.Name] = v
-			m.stats.Relocations++
-			m.stats.RepairAttempts += repairAttempts
-			m.mu.Unlock()
-			return
-		}
-		m.locks.Unlock(footprint)
-		out.Commit += time.Since(commitStart)
-		if attempt >= maxRetries {
-			break // lost too many commit races: evict
+// relocate tries to keep a displaced resident running. The resident is
+// claimed and its reservations are already released — by a preemption
+// swap or a fault evacuation; relocate refits its mapping to what is left
+// (core.Relocate against a fresh snapshot, retried while the commit loses
+// races, at most maxRetries times) and either returns it to the running
+// set on the new placement or records its eviction. It reports which,
+// with the time spent refitting and committing; the caller books the
+// outcome under its own counter pair (Relocations/Evictions,
+// FaultRelocated/FaultDropped). Runs outside all locks except the short
+// transactions.
+func (m *Manager) relocate(v *Admission) (ok bool, repair, commit time.Duration) {
+	var rep *core.Result
+	var attempts uint64
+	// A replay-rebuilt resident has no mapping to refit: journaled
+	// deltas are all that is known about it.
+	if v.Result != nil && v.lib != nil {
+		vm := &core.Mapper{Lib: v.lib, Cfg: m.cfg}
+		for attempt := 0; attempt <= maxRetries; attempt++ {
+			repairStart := time.Now()
+			r, err := vm.Relocate(v.Result, m.Snapshot())
+			repair += time.Since(repairStart)
+			attempts++
+			if err != nil {
+				break // nothing to salvage, or infeasible on what is left
+			}
+			commitStart := time.Now()
+			plan, err := core.NewPlan(m.plat, r)
+			if err != nil {
+				break
+			}
+			err = m.transact(nil, change{plan, journal.EvRelocate, v.App.Name, v.Priority})
+			commit += time.Since(commitStart)
+			if err == nil {
+				rep = r
+				break
+			}
 		}
 	}
 	m.mu.Lock()
-	// Journal the eviction before the name frees up: a re-admission of
-	// the same name must append after it, or replay would apply the
-	// eviction to the newcomer.
-	m.journalEvent(journal.Event{Type: journal.EvEvict, App: v.App.Name})
-	delete(m.preempting, v.App.Name)
+	defer m.mu.Unlock()
+	m.stats.RepairAttempts += attempts
+	if rep == nil {
+		// Journal the eviction before the name frees up: a re-admission
+		// of the same name must append after it, or replay would apply
+		// the eviction to the newcomer.
+		m.journalEvent(journal.Event{Type: journal.EvEvict, App: v.App.Name})
+		delete(m.preempting, v.App.Name)
+		m.loadRelease(v)
+		return false, repair, commit
+	}
+	// The relocated mapping may use different tiles and energy; re-charge
+	// so the load estimate tracks the new placement.
 	m.loadRelease(v)
-	m.stats.Evictions++
-	m.stats.RepairAttempts += repairAttempts
-	m.mu.Unlock()
+	v.Result = rep
+	m.loadCharge(v)
+	delete(m.preempting, v.App.Name)
+	m.running[v.App.Name] = v
+	return true, repair, commit
 }

@@ -92,17 +92,16 @@ func (q *prioQueue) push(j *job) bool {
 	return true
 }
 
-// tryPush is push without the blocking: ok is false when the queue is
-// full or closed, and closed distinguishes the two so callers can count
-// a full-queue refusal as load shed rather than a shutdown.
-func (q *prioQueue) tryPush(j *job) (ok, closed bool) {
+// tryPush is push without the blocking: it reports false when the queue
+// is full or closed.
+func (q *prioQueue) tryPush(j *job) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed || q.size >= q.depth {
-		return false, q.closed
+		return false
 	}
 	q.enqueueLocked(j)
-	return true, false
+	return true
 }
 
 func (q *prioQueue) enqueueLocked(j *job) {

@@ -68,7 +68,7 @@ func TestPriorityQueueFairnessProperties(t *testing.T) {
 					j.req.App = nil // payload is irrelevant to ordering
 					_ = next
 					next++
-					if ok, _ := q.tryPush(j); !ok {
+					if !q.tryPush(j) {
 						t.Fatal("queue full despite huge depth")
 					}
 					queued[j] = struct{}{}
@@ -141,7 +141,7 @@ func TestPriorityQueueAgingBoundEndToEnd(t *testing.T) {
 	q, clk := newPropQueue(1<<16, aging)
 
 	be := &job{prio: model.BestEffort, enqueued: clk.t}
-	if ok, _ := q.tryPush(be); !ok {
+	if !q.tryPush(be) {
 		t.Fatal("push failed")
 	}
 	served := false
@@ -150,7 +150,7 @@ func TestPriorityQueueAgingBoundEndToEnd(t *testing.T) {
 		// One critical arrival and one service per 10ms tick: the
 		// critical stream alone would saturate the queue forever.
 		crit := &job{prio: model.Critical, enqueued: clk.t}
-		if ok, _ := q.tryPush(crit); !ok {
+		if !q.tryPush(crit) {
 			t.Fatal("push failed")
 		}
 		clk.t = clk.t.Add(10 * time.Millisecond)

@@ -15,22 +15,14 @@ type Backend interface {
 	// when the backend cannot take the arrival at all (closed,
 	// duplicate name).
 	Submit(app *model.Application, lib *model.Library) (func() manager.Outcome, error)
-	// TrySubmit enqueues without blocking; false sheds the arrival
-	// (full queue — counted in the backend's per-class shed stats — or
-	// a closed backend).
+	// TrySubmit enqueues without blocking; false sheds the arrival (full
+	// queue or a closed backend).
 	TrySubmit(app *model.Application, lib *model.Library) (func() manager.Outcome, bool)
 	// Utilization is the backend's reserved-capacity estimate in [0, 1];
 	// the DLQ gates retries on it.
 	Utilization() float64
 	// Stop departs a resident, freeing its reservations.
 	Stop(name string) error
-	// NoteShed, NoteDLQRecovered and NoteDLQExpired report server-stage
-	// events into the backend's manager.Stats ledger.
-	NoteShed(p model.Priority)
-	NoteDLQRecovered()
-	NoteDLQExpired()
-	// Stats is the backend's admission counters.
-	Stats() manager.Stats
 	// Close shuts the backend down, draining queued admissions.
 	Close()
 }
@@ -71,18 +63,6 @@ func (b *PipelineBackend) Utilization() float64 { return b.m.LoadEstimate().Util
 
 // Stop implements Backend.
 func (b *PipelineBackend) Stop(name string) error { return b.m.Stop(name) }
-
-// NoteShed implements Backend.
-func (b *PipelineBackend) NoteShed(p model.Priority) { b.m.NoteShed(p) }
-
-// NoteDLQRecovered implements Backend.
-func (b *PipelineBackend) NoteDLQRecovered() { b.m.NoteDLQRecovered() }
-
-// NoteDLQExpired implements Backend.
-func (b *PipelineBackend) NoteDLQExpired() { b.m.NoteDLQExpired() }
-
-// Stats implements Backend.
-func (b *PipelineBackend) Stats() manager.Stats { return b.m.Stats() }
 
 // Close implements Backend.
 func (b *PipelineBackend) Close() { b.pipe.Close() }

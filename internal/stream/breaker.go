@@ -107,19 +107,12 @@ func newBreaker(cfg BreakerConfig) *breaker {
 // advanceLocked rotates the bucket ring to the current time, zeroing
 // buckets that fell out of the window.
 func (b *breaker) advanceLocked(now time.Time) {
-	span := b.cfg.Window / breakerBuckets
-	steps := int(now.Sub(b.bucketAt) / span)
-	if steps <= 0 {
-		return
-	}
-	if steps > breakerBuckets {
-		steps = breakerBuckets
-	}
+	steps, at := ringAdvance(b.bucketAt, now, b.cfg.Window/breakerBuckets, breakerBuckets)
 	for i := 0; i < steps; i++ {
 		b.cur = (b.cur + 1) % breakerBuckets
 		b.buckets[b.cur] = struct{ ok, fail int }{}
 	}
-	b.bucketAt = now
+	b.bucketAt = at
 }
 
 // allow reports whether a non-critical arrival may proceed to the

@@ -174,12 +174,6 @@ func TestServerSoakSaturationBreakerAndDLQ(t *testing.T) {
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// Cross-check the backend's ledger against the server's.
-	st := backend.Stats()
-	if st.DLQRecovered != rep.Recovered || st.DLQExpired != rep.Expired {
-		t.Fatalf("backend DLQ ledger (rec %d, exp %d) != server (%d, %d)",
-			st.DLQRecovered, st.DLQExpired, rep.Recovered, rep.Expired)
-	}
 }
 
 // TestRunSoakSmoke runs the packaged soak end to end and checks that the

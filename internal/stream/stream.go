@@ -525,25 +525,17 @@ func (s *Server) handle(a Arrival, c model.Priority) {
 	}
 	wait, ok := s.backend.TrySubmit(a.App, a.Lib)
 	if !ok {
-		// The backend's bounded queue is full; it already counted the
-		// shed per class (manager.Pipeline.TrySubmit), so only the
-		// server-side ledger is updated here.
+		// The backend's bounded queue is full.
 		s.c.shedQueue.Add(1)
-		s.shedNoNote(a, c, ShedAtQueue)
+		s.shed(a, c, ShedAtQueue)
 		return
 	}
 	s.watch(a, c, wait, 1)
 }
 
-// shed drops an arrival at a server stage and reports it to the
-// backend's ledger.
+// shed drops an arrival at a server stage; deliver books it in the
+// server's ledger.
 func (s *Server) shed(a Arrival, c model.Priority, at ShedStage) {
-	s.backend.NoteShed(c)
-	s.shedNoNote(a, c, at)
-}
-
-// shedNoNote drops an arrival whose shed the backend already counted.
-func (s *Server) shedNoNote(a Arrival, c model.Priority, at ShedStage) {
 	s.deliver(a.notify, Result{App: a.App.Name, Class: c, Verdict: VerdictShed, Latency: time.Since(a.t), ShedAt: at})
 }
 
@@ -562,9 +554,6 @@ func (s *Server) watch(a Arrival, c model.Priority, wait func() manager.Outcome,
 		svc := time.Since(submitted)
 		if out.Admitted {
 			recovered := attempts > 1
-			if recovered {
-				s.backend.NoteDLQRecovered()
-			}
 			s.breaker.record(s.opts.Breaker.Latency > 0 && svc > s.opts.Breaker.Latency)
 			s.win.add(lat)
 			s.svcWin.add(svc)
@@ -582,7 +571,6 @@ func (s *Server) watch(a Arrival, c model.Priority, wait func() manager.Outcome,
 				}
 			}
 			// Budget spent or class quota full: the entry expires.
-			s.backend.NoteDLQExpired()
 			s.deliver(a.notify, Result{
 				App: a.App.Name, Class: c, Verdict: VerdictExpired,
 				Latency: lat, Outcome: out,
@@ -618,7 +606,6 @@ func (s *Server) dlqLoop() {
 					// submit; park it again without burning retry budget
 					// (no mapping round ran).
 					if !s.dlq.add(e) {
-						s.backend.NoteDLQExpired()
 						s.deliver(e.arr.notify, Result{
 							App: e.arr.App.Name, Class: c, Verdict: VerdictExpired,
 							Latency: time.Since(e.arr.t),
@@ -692,7 +679,6 @@ func (s *Server) Shutdown() Report {
 	s.watchers.Wait() // every submitted outcome delivered (or parked in DLQ)
 	if s.dlq != nil {
 		for _, e := range s.dlq.drain() {
-			s.backend.NoteDLQExpired()
 			s.deliver(e.arr.notify, Result{
 				App:     e.arr.App.Name,
 				Class:   e.class,

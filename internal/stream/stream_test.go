@@ -249,6 +249,45 @@ func TestWindowPercentilesAndRate(t *testing.T) {
 	}
 }
 
+// TestRingsKeepTheirSpanAtLowRates pins both bucket rings to their
+// configured span when calls arrive slower than one per bucket: one event
+// every 1.9 bucket spans used to rotate one bucket per call and restart
+// it at the call, so the ring came to cover 1.9 windows.
+func TestRingsKeepTheirSpanAtLowRates(t *testing.T) {
+	t.Run("window", func(t *testing.T) {
+		clk := &fakeClock{t: time.Unix(5000, 0)}
+		w := newMetricsWindow(time.Second) // 20 buckets of 50 ms
+		w.now = clk.now
+		w.bucketAt = clk.now()
+		for i := 0; i < 60; i++ {
+			w.add(time.Millisecond)
+			clk.advance(95 * time.Millisecond)
+		}
+		// True rate 10.5/s; the stretched ring read 20.
+		if got := w.Snapshot().PerSec; got < 9 || got > 12 {
+			t.Fatalf("rate = %.1f/s at one admission per 95 ms, want ~10.5/s", got)
+		}
+	})
+	t.Run("breaker", func(t *testing.T) {
+		clk := &fakeClock{t: time.Unix(6000, 0)}
+		b := newBreaker(BreakerConfig{ // 10 buckets of 100 ms
+			Window: time.Second, MinSamples: 8, Ratio: 1,
+			Cooldown: time.Hour, Probes: 1,
+		})
+		b.now = clk.now
+		b.bucketAt = clk.now()
+		// One failure per 190 ms puts at most six in any one-second
+		// window, short of MinSamples; the stretched ring held ten.
+		for i := 0; i < 20; i++ {
+			b.record(true)
+			clk.advance(190 * time.Millisecond)
+		}
+		if n := b.Opens(); n != 0 {
+			t.Fatalf("breaker opened %d time(s) on six failures a window, below MinSamples 8", n)
+		}
+	})
+}
+
 func TestDLQPerClassBudgetsAndOrder(t *testing.T) {
 	// Capacity 8 splits into quotas Critical 8, Standard 4, BestEffort 2.
 	d := newDLQ(8)
@@ -307,9 +346,6 @@ type fakeBackend struct {
 	// 3 queue full (TrySubmit refuses).
 	mode atomic.Int32
 	util atomic.Uint64 // float64 bits… keep it simple: percent
-	shed [model.NumPriorities]atomic.Uint64
-	rec  atomic.Uint64
-	exp  atomic.Uint64
 	subs atomic.Uint64
 }
 
@@ -359,7 +395,6 @@ func (f *fakeBackend) Submit(app *model.Application, lib *model.Library) (func()
 
 func (f *fakeBackend) TrySubmit(app *model.Application, lib *model.Library) (func() manager.Outcome, bool) {
 	if f.behavior(app) == fakeFull {
-		f.shed[clampClass(app.QoS.Priority)].Add(1)
 		return nil, false
 	}
 	f.subs.Add(1)
@@ -367,13 +402,9 @@ func (f *fakeBackend) TrySubmit(app *model.Application, lib *model.Library) (fun
 	return func() manager.Outcome { return out }, true
 }
 
-func (f *fakeBackend) Utilization() float64      { return float64(f.util.Load()) / 100 }
-func (f *fakeBackend) Stop(string) error         { return nil }
-func (f *fakeBackend) NoteShed(p model.Priority) { f.shed[clampClass(p)].Add(1) }
-func (f *fakeBackend) NoteDLQRecovered()         { f.rec.Add(1) }
-func (f *fakeBackend) NoteDLQExpired()           { f.exp.Add(1) }
-func (f *fakeBackend) Stats() manager.Stats      { return manager.Stats{} }
-func (f *fakeBackend) Close()                    {}
+func (f *fakeBackend) Utilization() float64 { return float64(f.util.Load()) / 100 }
+func (f *fakeBackend) Stop(string) error    { return nil }
+func (f *fakeBackend) Close()               {}
 
 func synthArrival(i int, prio model.Priority) (*model.Application, *model.Library) {
 	app, lib := workload.Synthetic(workload.SynthOptions{
@@ -512,9 +543,6 @@ func TestServerDLQRecoversAfterLoadDrops(t *testing.T) {
 			t.Fatalf("result %+v, want recovered admission", r)
 		}
 	}
-	if fb.rec.Load() != n {
-		t.Fatalf("backend ledger saw %d recoveries, want %d", fb.rec.Load(), n)
-	}
 }
 
 // TestServerDLQExpiresOnShutdownAndBudget pins the two expiry paths:
@@ -550,9 +578,6 @@ func TestServerDLQExpiresOnShutdownAndBudget(t *testing.T) {
 	}
 	if !rep.LedgerOK() || uint64(len(all)) != rep.Submitted {
 		t.Fatalf("ledger broken: %+v (%d results)", rep, len(all))
-	}
-	if fb.exp.Load() != n {
-		t.Fatalf("backend ledger saw %d expiries, want %d", fb.exp.Load(), n)
 	}
 
 	// Path 2: retry budget spent while load stays low but the mesh keeps

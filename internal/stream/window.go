@@ -63,20 +63,31 @@ func newMetricsWindow(window time.Duration) *metricsWindow {
 	return w
 }
 
+// ringAdvance is the rotation both bucket rings (this window's counts and
+// the breaker's outcomes) share: how many of a ring's n buckets of the
+// given span to rotate past to reach now, and when the then-current
+// bucket started. The start moves by whole spans, so the part of a span
+// already elapsed stays elapsed; restarting the bucket at now instead
+// would stretch the ring whenever calls come slower than one per span.
+// Only a ring that expired as a whole restarts at now.
+func ringAdvance(bucketAt, now time.Time, span time.Duration, n int) (steps int, at time.Time) {
+	steps = int(now.Sub(bucketAt) / span)
+	switch {
+	case steps <= 0:
+		return 0, bucketAt
+	case steps >= n:
+		return n, now
+	}
+	return steps, bucketAt.Add(time.Duration(steps) * span)
+}
+
 func (w *metricsWindow) advanceLocked(now time.Time) {
-	span := w.window / windowBuckets
-	steps := int(now.Sub(w.bucketAt) / span)
-	if steps <= 0 {
-		return
-	}
-	if steps > windowBuckets {
-		steps = windowBuckets
-	}
+	steps, at := ringAdvance(w.bucketAt, now, w.window/windowBuckets, windowBuckets)
 	for i := 0; i < steps; i++ {
 		w.cur = (w.cur + 1) % windowBuckets
 		w.counts[w.cur] = 0
 	}
-	w.bucketAt = now
+	w.bucketAt = at
 }
 
 // add records one admission and its end-to-end latency.
