@@ -2,10 +2,8 @@ package rtsm
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
-	"rtsm/internal/arch"
 	"rtsm/internal/core"
 	"rtsm/internal/manager"
 	"rtsm/internal/model"
@@ -168,129 +166,14 @@ func BenchmarkAdmissionThroughputParallel4NoReuse(b *testing.B) {
 	benchmarkAdmissionParallel(b, 4, false, true)
 }
 
-// shardApp is churnApp pinned to one region's stream endpoints: arrival i
-// rotates through both the 64-structure catalogue and the platform's
-// regions, so consecutive arrivals land in different mesh regions and
-// their commit footprints are (mostly) disjoint.
-func shardApp(i, regions int) (*model.Application, *model.Library) {
-	s := i % 64
-	r := i % regions
-	app, lib := workload.Synthetic(workload.SynthOptions{
-		Shape:     workload.ShapeChain,
-		Processes: 3 + s%3,
-		Seed:      int64(s),
-		MaxUtil:   0.15,
-		PeriodNs:  40_000,
-		SrcTile:   fmt.Sprintf("SRC%d", r),
-		SinkTile:  fmt.Sprintf("SINK%d", r),
-	})
-	app.Name = fmt.Sprintf("churn-%d", i)
-	return app, lib
-}
-
-// BenchmarkAdmissionShardedRegions drives the region-pinned churn
-// workload through a 4-worker pipeline on an 8×8 platform with one
-// SRC/SINK pair per 4×4 quadrant: admissions whose plans touch disjoint
-// quadrants validate and commit fully in parallel under per-region locks.
-func BenchmarkAdmissionShardedRegions(b *testing.B) {
-	const regionSize, workers = 4, 4
-	plat := workload.SyntheticRegionPlatform(8, 8, 123, regionSize)
-	regions := plat.RegionCount()
-	m := manager.New(plat, core.Config{})
-	m.SetMappingReuse(true)
-	m.SetRepair(true)
-	// Warm the template cache per (structure, region) pair so the timed
-	// section measures steady state.
-	warmCatalogue(b, m, func(s int) (*model.Application, *model.Library) {
-		return shardApp(s, regions)
-	})
-	base := m.Stats()
-	pipe := manager.NewPipeline(m, workers, workers)
-	defer pipe.Close()
-	pending := make(chan (<-chan manager.Outcome), workers)
-	collectorDone := make(chan struct{})
-	go func() {
-		defer close(collectorDone)
-		for ch := range pending {
-			out := <-ch
-			if out.Admitted {
-				if err := m.Stop(out.App); err != nil {
-					b.Error(err)
-				}
-			}
-		}
-	}()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		app, lib := shardApp(i, regions)
-		ch, err := pipe.Submit(app, lib)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pending <- ch
-	}
-	close(pending)
-	<-collectorDone
-	b.StopTimer()
-	reportAdmissions(b, m, base)
-}
-
-// BenchmarkAdmissionShardedCommitOnly isolates the commit section
-// itself: four goroutines repeatedly validate-commit-release
-// pre-computed plans, one per 4×4 quadrant, with no mapping work in the
-// loop. Each goroutine holds only its own region's lock, so the four
-// commit sections proceed concurrently (uncontended locks).
-func BenchmarkAdmissionShardedCommitOnly(b *testing.B) {
-	const regionSize = 4
-	plat := workload.SyntheticRegionPlatform(8, 8, 123, regionSize)
-	regions := plat.RegionCount()
-	locks := arch.NewRegionLocks(plat.RegionCount())
-	// One pre-mapped application per quadrant, computed on the empty
-	// platform; the timed loop never runs the mapper.
-	plans := make([]*core.Plan, regions)
-	for r := 0; r < regions; r++ {
-		app, lib := workload.Synthetic(workload.SynthOptions{
-			Shape: workload.ShapeChain, Processes: 3, Seed: int64(r),
-			MaxUtil: 0.15, PeriodNs: 40_000,
-			SrcTile: fmt.Sprintf("SRC%d", r), SinkTile: fmt.Sprintf("SINK%d", r),
-		})
-		app.Name = fmt.Sprintf("commit-only-%d", r)
-		mapper := &core.Mapper{Lib: lib}
-		res, err := mapper.Map(app, plat)
-		if err != nil || !res.Feasible {
-			b.Fatalf("fixture mapping for region %d failed: %v", r, err)
-		}
-		plan, err := core.NewPlan(plat, res)
-		if err != nil {
-			b.Fatal(err)
-		}
-		plans[r] = plan
-	}
-	var next atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		plan := plans[int(next.Add(1)-1)%regions]
-		footprint := plan.Regions()
-		for pb.Next() {
-			locks.Lock(footprint)
-			if err := plan.Validate(plat); err != nil {
-				locks.Unlock(footprint)
-				b.Error(err)
-				return
-			}
-			plan.Commit(plat)
-			plan.Release(plat)
-			locks.Unlock(footprint)
-		}
-	})
-}
-
-// spreadApp is shardApp with a lighter QoS contract: utilisation low
-// enough that the 16×16 mesh never runs out of capacity under the
+// spreadApp is churnApp pinned to one region's stream endpoints —
+// arrival i rotates through both the 64-structure catalogue and the
+// platform's regions, so consecutive arrivals land in different mesh
+// regions — with a light QoS contract: utilisation low enough that the 16×16 mesh never runs out of capacity under the
 // benchmark's resident population, and a relaxed period so the shared
 // per-region stream interfaces stay uncontended. In this regime an
 // admission is pure pipeline overhead — queue hop, fingerprint,
-// validation, locks, bookkeeping; heavier contracts shift the
+// validation, the commit, bookkeeping; heavier contracts shift the
 // measurement to repair throughput.
 func spreadApp(i, regions int) (*model.Application, *model.Library) {
 	s := i % 64
@@ -366,7 +249,7 @@ func BenchmarkAdmissionRegionSpread(b *testing.B) {
 
 // BenchmarkAdmissionRegionSpreadBias turns the region-aware placement
 // bias on: the mapper prices tiles outside the regions a spec already
-// occupies, so plans keep narrower region-lock footprints, fewer
+// occupies, so plans keep narrower region footprints, fewer
 // templates go stale and racing workers collide less (retries/arrival
 // reads 0 against 0.006–0.010 unbiased). The pair is the starting
 // number for work on stale templates.

@@ -13,7 +13,7 @@
 //	go run ./cmd/churn -workers 8 -apps 1000 # heavier
 //	go run ./cmd/churn -compare              # sequential vs pipeline
 //	go run ./cmd/churn -repair=false         # full remap on every retry
-//	go run ./cmd/churn -regionsize 4         # region-sharded commit path
+//	go run ./cmd/churn -regionsize 4         # mesh partitioned into 4×4 regions
 //	go run ./cmd/churn -priomix 70:20:10     # mixed admission classes, preemption on
 //	go run ./cmd/churn -priomix 70:20:10 -preempt=false  # priority queue only
 //	go run ./cmd/churn -faultrate 0.02       # fail a tile per ~50 arrivals, measure recovery
@@ -38,7 +38,6 @@ func report(w io.Writer, label string, r churn.Result) {
 	st := r.Stats
 	total := st.Admitted + st.Rejected
 	fmt.Fprintf(w, "%s:\n", label)
-	fmt.Fprintf(w, "  commit sharding   %d region(s)\n", r.Regions)
 	fmt.Fprintf(w, "  arrivals          %d (%d admitted, %d rejected, %.1f%% admitted)\n",
 		total, st.Admitted, st.Rejected, 100*float64(st.Admitted)/float64(max(total, 1)))
 	fmt.Fprintf(w, "  throughput        %.1f admissions/sec over %v\n", r.AdmissionsPerSec(), r.Elapsed.Round(time.Millisecond))
@@ -120,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Float64Var(&o.MaxUtil, "util", o.MaxUtil, "max per-implementation utilisation")
 	fs.Int64Var(&o.PeriodNs, "period", o.PeriodNs, "QoS period in ns")
 	fs.IntVar(&o.Resident, "resident", o.Resident, "applications kept running at once (0 = 4x workers)")
-	fs.IntVar(&o.RegionSize, "regionsize", 0, "shard the commit path: mesh-region side length (0 = one global region)")
+	fs.IntVar(&o.RegionSize, "regionsize", 0, "side length of the mesh partition's regions: the copy-on-write and conflict-attribution grain (0 = one region)")
 	fs.BoolVar(&o.Reuse, "reuse", o.Reuse, "reuse mapping templates for recurring structures")
 	fs.BoolVar(&o.Repair, "repair", o.Repair, "repair stale mappings instead of re-mapping from scratch")
 	fs.StringVar(&o.PrioMix, "priomix", "", "mixed admission classes as bestEffort:standard:critical weights, e.g. 70:20:10 (empty = all best-effort)")

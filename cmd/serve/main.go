@@ -55,7 +55,10 @@ type config struct {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	c := config{stdout: stdout, stderr: stderr}
+	// The stage sizes, dead-letter policy and breaker tuning are not
+	// flags: every run, script and benchmark uses internal/stream's
+	// defaults plus a 1024-entry dead-letter queue.
+	c := config{stdout: stdout, stderr: stderr, server: stream.Options{DLQ: 1024}}
 	c.stack.Reuse, c.stack.Repair, c.stack.Preempt = true, true, true
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -63,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&c.stack.Workers, "workers", 4, "admission worker goroutines")
 	fs.IntVar(&c.stack.Queue, "queue", 0, "backend work queue depth (0 = 16x workers)")
 	fs.IntVar(&c.stack.Mesh, "mesh", 12, "platform mesh width and height")
-	fs.IntVar(&c.stack.RegionSize, "regionsize", 3, "commit-path region side length (0 = one global region)")
+	fs.IntVar(&c.stack.RegionSize, "regionsize", 3, "side length of the mesh partition's regions: the copy-on-write and conflict-attribution grain (0 = one region)")
 	fs.Int64Var(&c.stack.Seed, "seed", 123, "platform seed")
 	fs.IntVar(&c.stack.Catalogue, "catalogue", 6, "distinct application structures in rotation")
 	fs.Float64Var(&c.stack.MaxUtil, "util", 0.12, "max per-implementation utilisation")
@@ -72,22 +75,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&c.stack.Resident, "resident", 0, "admissions kept running at once (0 = 4x workers)")
 
 	s := &c.server
-	fs.IntVar(&s.Ingress, "ingress", 256, "ingress buffer depth (Submit blocks when full)")
-	fs.IntVar(&s.ClassBuf, "classbuf", 64, "Critical class buffer; Standard gets half, BestEffort a quarter")
-	fs.IntVar(&s.DLQ, "dlq", 1024, "dead-letter queue capacity for capacity-rejected arrivals (0 = off)")
-	fs.Float64Var(&s.DLQBelow, "dlq-below", 0.75, "retry parked arrivals when utilization drops below this")
-	fs.IntVar(&s.DLQRetries, "dlq-retries", 3, "backend attempts per arrival before it expires")
-	fs.DurationVar(&s.DLQEvery, "dlq-every", 5*time.Millisecond, "dead-letter retry poll period")
-	fs.DurationVar(&s.Breaker.Window, "breaker-window", 500*time.Millisecond, "circuit-breaker failure-ratio window")
-	fs.IntVar(&s.Breaker.MinSamples, "breaker-min", 20, "min samples in the window before the breaker can trip")
-	fs.Float64Var(&s.Breaker.Ratio, "breaker-ratio", 0.5, "failure ratio that opens the breaker")
 	fs.DurationVar(&s.Breaker.Latency, "breaker-latency", 0, "admission latency counted as a failure (0 = off; -slo sets it too)")
-	fs.DurationVar(&s.Breaker.Cooldown, "breaker-cooldown", 250*time.Millisecond, "open -> half-open cooldown")
-	fs.IntVar(&s.Breaker.Probes, "breaker-probes", 5, "half-open probe admissions before closing")
 	fs.DurationVar(&s.AIMD.SLO, "slo", 0, "p99 admission-latency SLO: enables the AIMD adaptive admit rate and latency-SLO breaker mode")
-	fs.Float64Var(&s.AIMD.MinRate, "aimd-min", 0, "AIMD rate floor in arrivals/sec (0 = default 50)")
-	fs.Float64Var(&s.AIMD.MaxRate, "aimd-max", 0, "AIMD rate ceiling in arrivals/sec (0 = default 1e6)")
-	fs.DurationVar(&s.AIMD.Interval, "aimd-interval", 0, "AIMD control period (0 = default 20ms)")
 	fs.DurationVar(&s.Window, "window", time.Second, "rolling metrics window for p50/p99 and rate")
 
 	fs.StringVar(&c.journalTo, "journal", "", "stream the hash-chained admission journal to this file")
@@ -183,7 +172,7 @@ func (c *config) chaos() int {
 	fmt.Fprintf(c.stdout, "  arrivals          %d over %d incarnation(s)\n", rep.Arrivals, rep.Incarnations)
 	fmt.Fprintf(c.stdout, "  steps             %d faults, %d restores, %d spikes, %d drains, %d crashes\n",
 		rep.FaultsInjected, rep.Restores, rep.Spikes, rep.Drains, rep.Crashes)
-	if rep.Crashes > 0 {
+	if rep.ReplayChecks > 0 {
 		fmt.Fprintf(c.stdout, "  recovery          %d replay checks passed, %d torn events discarded\n",
 			rep.ReplayChecks, rep.TornDiscarded)
 	}

@@ -39,7 +39,7 @@ func TestChaosSmoke(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d\n%s%s", code, out, errw)
 	}
-	for _, want := range []string{"1 crashes", "1 replay checks passed", "ledger ok         true"} {
+	for _, want := range []string{"1 crashes", "2 replay checks passed", "ledger ok         true"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output lacks %q:\n%s", want, out)
 		}
@@ -60,6 +60,7 @@ func TestRejectedFlagCombinations(t *testing.T) {
 		{[]string{"-cow=false"}, "flag provided but not defined"},
 		{[]string{"-meshes", "2"}, "flag provided but not defined"},
 		{[]string{"-batch", "8"}, "flag provided but not defined"},
+		{[]string{"-dlq", "8"}, "flag provided but not defined"},
 	} {
 		code, out, errw := serve(tc.args...)
 		if code != 2 {

@@ -13,7 +13,7 @@ import (
 // hash-chained admission journal streaming every reservation event
 // (admissions, departures, fault releases, relocations, evictions,
 // fault flips) through the writer goroutine. Journaling happens inside
-// the commit's region-locked sections — that ordering is what makes
+// the commit's locked sections — that ordering is what makes
 // crash replay bit-for-bit — so the bar is about how much of that
 // critical-section work leaks into throughput: the journaled run must
 // stay close to the bare run's admissions/sec (reference runs record

@@ -2,24 +2,22 @@ package arch
 
 import "sync/atomic"
 
-// This file is the copy-on-write snapshot engine. The admission pipeline
-// used to pay a full deep copy of every tile and link — O(mesh) structs
-// and allocations, taken while holding every region lock — for each
-// snapshot, and the mapper paid the same again for every refinement
-// attempt's working clone. Copy-on-write turns both into O(touched
-// regions): platforms can share the immutable per-tile and per-link
-// reservation structs and fault in a private copy of a region only when
-// something first writes to it.
+// This file is the copy-on-write snapshot engine. A snapshot or a mapper
+// working clone does not deep-copy every tile and link — O(mesh) structs
+// and allocations — it shares the immutable per-tile and per-link
+// reservation structs with its origin, and either side faults in a
+// private copy of a region only when something first writes to it:
+// O(touched regions).
 //
-// The sharing protocol is region-granular and lock-compatible with the
-// sharded commit path:
+// The sharing protocol is region-granular:
 //
 //   - shared[r] marks that region r's Tile and Link structs may be
 //     referenced by another platform; the first write to the region must
-//     copy it first (materializeRegion). On a platform shared between
-//     goroutines — the manager's live platform — shared[r] is read and
-//     cleared only under region r's lock, and set by SnapshotCoW under
-//     the same lock, so no extra synchronization is needed.
+//     copy it first (materializeRegion). A platform shared between
+//     goroutines — the manager's live platform — has one writer at a
+//     time, enforced by its owner's lock; shared[] is read, set and
+//     cleared only by that writer, so it needs no synchronization of its
+//     own.
 //   - frozen marks a platform immutable: the base of a snapshot that may
 //     be shared by many concurrent readers. Writes to a frozen platform
 //     panic; mutators derive a private copy-on-write child first
@@ -74,9 +72,8 @@ func (p *Platform) SetCoWFaultMeter(m *atomic.Uint64) { p.cowFaults = m }
 
 // materializeRegion replaces region r's tile and link structs with
 // private copies, detaching them from every platform that shares them.
-// The caller must hold whatever serializes writes to region r (the
-// region's lock when the platform is shared; nothing when it is
-// goroutine-private).
+// The caller must hold whatever serializes writes to p (its owner's lock
+// when the platform is shared; nothing when it is goroutine-private).
 func (p *Platform) materializeRegion(r RegionID) {
 	if p.frozen {
 		panic("arch: write to frozen snapshot platform; derive a Writable snapshot or CloneCoW first")
@@ -97,9 +94,9 @@ func (p *Platform) materializeRegion(r RegionID) {
 
 // MaterializeRegions faults in every still-shared region of the given
 // footprint, so the caller may mutate reservation state inside those
-// regions directly. The caller must hold the footprint's region locks
-// when the platform is shared; on an unshared platform (a plain deep
-// clone) this is a cheap no-op per region.
+// regions directly. The caller must be p's one writer (see
+// materializeRegion); on an unshared platform (a plain deep clone) this
+// is a cheap no-op per region.
 func (p *Platform) MaterializeRegions(regions []RegionID) {
 	for _, r := range regions {
 		if int(r) < len(p.shared) && p.shared[r] {
@@ -137,8 +134,22 @@ func (p *Platform) WLink(id LinkID) *Link {
 // next write per region copies too — and is therefore only safe while p
 // is not being written concurrently (goroutine-private platforms).
 func (p *Platform) CloneCoW() *Platform {
-	q := p.shallowMeta()
+	q := p.shareAll()
 	q.cowChild = true
+	return q
+}
+
+// shareAll returns a platform referencing every tile and link struct of
+// p, with every region marked shared on the new platform and, unless p
+// is frozen, on p itself.
+func (p *Platform) shareAll() *Platform {
+	if !p.frozen && len(p.shared) != p.RegionCount() {
+		// A deep Clone: it carries the region index (shallowMeta) but no
+		// shared flags, having shared nothing so far. It is by
+		// construction not yet shared between goroutines.
+		p.shared = make([]bool, p.RegionCount())
+	}
+	q := p.shallowMeta()
 	q.Tiles = make([]*Tile, len(p.Tiles))
 	copy(q.Tiles, p.Tiles)
 	q.Links = make([]*Link, len(p.Links))
@@ -149,9 +160,6 @@ func (p *Platform) CloneCoW() *Platform {
 		q.shared[i] = true
 	}
 	if !p.frozen {
-		if len(p.shared) != p.RegionCount() {
-			p.ensureCoWState()
-		}
 		for i := range p.shared {
 			p.shared[i] = true
 		}
@@ -183,52 +191,21 @@ func (p *Platform) shallowMeta() *Platform {
 	}
 }
 
-// SnapshotCoW takes a copy-on-write snapshot of the platform: the
-// returned Snapshot's Plat is a frozen platform sharing every tile and
-// link struct with p, captured region by region. Unlike the deep-copying
-// Snapshot, the caller need not hold all region locks — pass the
-// platform's lock set and each region is captured under only its own
-// lock, so concurrent commits in other regions proceed throughout. The
-// capture is per-region consistent; across regions it may interleave with
-// concurrent commits, which the commit path's re-validation already
-// tolerates. Pass nil locks for a platform not currently shared between
-// goroutines.
+// SnapshotCoW takes a copy-on-write snapshot of the platform: a frozen
+// CloneCoW, sharing every tile and link struct with p. The capture is
+// two slice copies; when p is shared between goroutines the caller holds
+// the lock that serializes p's writes for their duration, which makes
+// the snapshot a point-in-time view of the whole mesh — no plan is ever
+// captured half-committed.
 //
 // After the capture, p's next write to each region faults in a private
 // copy (see MaterializeRegions), leaving the snapshot's structs
 // untouched — the snapshot stays a stable point-in-time view for as long
 // as it is referenced.
-func (p *Platform) SnapshotCoW(locks *RegionLocks) *Snapshot {
-	if len(p.shared) != p.RegionCount() {
-		// Platforms built through NewMesh/PartitionRegions are always
-		// CoW-ready; this covers hand-rolled ones, which are by
-		// construction not yet shared between goroutines.
-		p.ensureCoWState()
-	}
-	q := p.shallowMeta()
+func (p *Platform) SnapshotCoW() *Snapshot {
+	q := p.shareAll()
 	q.frozen = true
-	q.Tiles = make([]*Tile, len(p.Tiles))
-	q.Links = make([]*Link, len(p.Links))
-	q.shared = make([]bool, p.RegionCount())
-	version := p.version.Load()
-	for r := 0; r < p.RegionCount(); r++ {
-		if locks != nil {
-			locks.LockRegion(RegionID(r))
-		}
-		for _, tid := range p.tilesByRegion[r] {
-			q.Tiles[tid] = p.Tiles[tid]
-		}
-		for _, lid := range p.linksByRegion[r] {
-			q.Links[lid] = p.Links[lid]
-		}
-		p.shared[r] = true
-		q.shared[r] = true
-		if locks != nil {
-			locks.UnlockRegion(RegionID(r))
-		}
-	}
-	q.version.Store(version)
-	return &Snapshot{Plat: q, Version: version}
+	return &Snapshot{Plat: q, Version: q.Version()}
 }
 
 // Writable returns a snapshot whose platform the caller may mutate: the

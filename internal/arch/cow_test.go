@@ -64,8 +64,13 @@ func TestCoWSnapshotMatchesDeepCopy(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			p := cowTestPlatform(6, 6, 2+int(seed%3))
 			mutateRandomly(p, rng, 40)
+			if seed%2 == 1 {
+				// A deep clone carries the region index but no shared
+				// flags: its first snapshot allocates them.
+				p = p.Clone()
+			}
 
-			cow := p.SnapshotCoW(nil)
+			cow := p.SnapshotCoW()
 			deep := p.Snapshot()
 			if err := snapshotsIdentical(cow, deep); err != nil {
 				t.Fatalf("CoW snapshot differs from deep copy at capture: %v", err)
@@ -95,10 +100,10 @@ func TestCoWSnapshotMatchesDeepCopy(t *testing.T) {
 // taken at different points each keep their own point-in-time state.
 func TestCoWSnapshotSequence(t *testing.T) {
 	p := cowTestPlatform(4, 4, 2)
-	s1 := p.SnapshotCoW(nil)
+	s1 := p.SnapshotCoW()
 	p.WTile(0).ReservedMem = 111
 	p.BumpVersion()
-	s2 := p.SnapshotCoW(nil)
+	s2 := p.SnapshotCoW()
 	p.WTile(0).ReservedMem = 222
 	p.BumpVersion()
 
@@ -117,7 +122,7 @@ func TestCoWSnapshotSequence(t *testing.T) {
 // write barrier refuses instead of corrupting shared state.
 func TestFrozenSnapshotWritePanics(t *testing.T) {
 	p := cowTestPlatform(4, 4, 2)
-	s := p.SnapshotCoW(nil)
+	s := p.SnapshotCoW()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("WTile on a frozen snapshot platform did not panic")
@@ -131,7 +136,7 @@ func TestFrozenSnapshotWritePanics(t *testing.T) {
 func TestWritableSnapshotIsolation(t *testing.T) {
 	p := cowTestPlatform(4, 4, 2)
 	p.WTile(3).ReservedMem = 77
-	base := p.SnapshotCoW(nil)
+	base := p.SnapshotCoW()
 	w := base.Writable()
 	if w == base {
 		t.Fatal("Writable of a frozen snapshot must derive a new view")
@@ -161,7 +166,7 @@ func TestCoWFaultMeterCountsRegionFaults(t *testing.T) {
 	p := cowTestPlatform(6, 6, 3) // 2x2 regions
 	var meter atomic.Uint64
 	p.SetCoWFaultMeter(&meter)
-	s := p.SnapshotCoW(nil)
+	s := p.SnapshotCoW()
 	if meter.Load() != 0 {
 		t.Fatalf("capture alone faulted %d regions, want 0", meter.Load())
 	}
@@ -184,7 +189,7 @@ func TestCoWFaultMeterCountsRegionFaults(t *testing.T) {
 // affects nobody.
 func TestCloneIsDeepAndUnshared(t *testing.T) {
 	p := cowTestPlatform(4, 4, 2)
-	s := p.SnapshotCoW(nil)
+	s := p.SnapshotCoW()
 	c := s.Plat.Clone()
 	if c.Frozen() {
 		t.Fatal("deep clone of a frozen platform must not be frozen")

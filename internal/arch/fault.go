@@ -13,13 +13,13 @@ import "fmt"
 // would against a competing commit.
 //
 // All four mutators require the same serialization as any reservation
-// write: the resource's region lock when the platform is shared between
+// write: the owner's platform lock when the platform is shared between
 // goroutines. They are copy-on-write correct (WTile/WLink fault the region
 // in first), so outstanding snapshots keep the pre-fault state.
 
 // FailTile marks a tile failed and records the change in the platform's
 // version. Idempotent: failing a failed tile reports false and bumps
-// nothing. The caller must hold the tile's region lock when the platform
+// nothing. The caller must hold the platform's lock when the platform
 // is shared.
 func (p *Platform) FailTile(id TileID) bool {
 	t := p.WTile(id)

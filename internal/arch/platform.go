@@ -29,15 +29,15 @@ type Platform struct {
 	// Immutable static description, indexed by tile/link ID and shared by
 	// all clones. The lock-free plan path (core.NewPlan) reads topology
 	// and clocks through these instead of the Tiles/Links slices, whose
-	// elements copy-on-write faults swap under region locks — a lock-free
-	// read of the same element would race.
+	// elements copy-on-write faults swap under the owner's lock — a
+	// lock-free read of the same element would race.
 	tileRouters []RouterID
 	tileClocks  []int64
 	linkFroms   []RouterID
 
 	// version counts committed reservation changes across the whole
-	// platform; see Snapshot. It is atomic so commits holding disjoint
-	// region locks can bump it without sharing a lock.
+	// platform; see Snapshot. It is atomic so the manager's staleness
+	// probe (Version) can read it without taking the platform lock.
 	version atomic.Uint64
 	// grid is the region partition (nil = one region covering the mesh).
 	// See region.go.
@@ -46,7 +46,7 @@ type Platform struct {
 	// Copy-on-write state (see cow.go). shared[r] marks region r's tile
 	// and link structs as possibly referenced by another platform — the
 	// first write must copy the region; it is toggled under the same
-	// serialization as the region's reservation state. frozen marks an
+	// serialization as the reservation state. frozen marks an
 	// immutable snapshot base. tilesByRegion/linksByRegion index the
 	// resources per region (immutable once the platform is shared) so a
 	// fault copies exactly one region. cowFaults, when set, counts faults

@@ -3,18 +3,16 @@ package arch
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
-// This file shards the platform's reservation state by NoC region. The
-// online manager's commit phase used to serialize every admission behind
-// one platform-wide lock; partitioning the mesh into contiguous
-// rectangular regions gives each region its own lock (RegionLocks), so a
-// commit only needs to lock and re-validate the regions its reservation
-// plan touches. Admissions landing in disjoint regions then commit fully in
-// parallel. An unpartitioned platform behaves as one region covering the
-// whole mesh — the degenerate case, semantically identical to the
-// pre-sharding code.
+// This file partitions the mesh into contiguous rectangular regions. A
+// region is the grain of copy-on-write sharing (cow.go), of conflict
+// attribution (core.ValidationError.Region, which repair, template choice
+// and victim selection read) and of the synthetic workloads' endpoint
+// layout. It is not a locking unit: whoever shares a platform between
+// goroutines serializes its writes itself, as the manager does with one
+// mutex. An unpartitioned platform behaves as one region covering the
+// whole mesh.
 
 // RegionID indexes a region within its Platform's partition.
 type RegionID int
@@ -58,9 +56,9 @@ func (g *regionGrid) of(pt Point) RegionID {
 // PartitionRegions splits the mesh into square regions of the given side
 // length (in routers). size ≤ 0, or a size that covers the whole mesh in
 // one block, yields the single-region degenerate case. Partitioning must
-// happen before the platform is shared: callers like manager.New size
-// their lock set from RegionCount once, and repartitioning a live platform
-// would break the region↔lock correspondence. Returns the region count.
+// happen before the platform is shared: it rebuilds the copy-on-write
+// bookkeeping that snapshots and clones of the platform index by region.
+// Returns the region count.
 func (p *Platform) PartitionRegions(size int) int {
 	defer p.ensureCoWState()
 	if size <= 0 {
@@ -171,94 +169,5 @@ func (s RegionSet) Sorted() []RegionID {
 		out = append(out, r)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// RegionLocks serializes reservation mutations per region: one mutex per
-// region of a platform's partition. Lock acquires a footprint's locks in
-// ascending region order — the canonical order every holder uses, which is
-// what makes overlapping footprints deadlock-free — and LockAll takes the
-// whole set for operations that need a consistent view of the entire
-// platform (snapshots, residual reads, invariant checks).
-type RegionLocks struct {
-	mus []sync.Mutex
-}
-
-// NewRegionLocks returns a lock set for a platform partitioned into n
-// regions (n < 1 is treated as 1).
-func NewRegionLocks(n int) *RegionLocks {
-	if n < 1 {
-		n = 1
-	}
-	return &RegionLocks{mus: make([]sync.Mutex, n)}
-}
-
-// Count returns the number of region locks.
-func (l *RegionLocks) Count() int { return len(l.mus) }
-
-// Lock acquires the locks of the given regions in ascending canonical
-// order. The footprint may be unsorted and may contain duplicates; it is
-// normalised first. An empty footprint locks nothing.
-func (l *RegionLocks) Lock(regions []RegionID) {
-	for _, r := range normalizeRegions(regions) {
-		l.mus[r].Lock()
-	}
-}
-
-// Unlock releases the locks of the given regions (any order accepted; the
-// set is normalised like Lock's).
-func (l *RegionLocks) Unlock(regions []RegionID) {
-	norm := normalizeRegions(regions)
-	for i := len(norm) - 1; i >= 0; i-- {
-		l.mus[norm[i]].Unlock()
-	}
-}
-
-// LockRegion acquires one region's lock. The copy-on-write snapshot
-// capture uses it to visit regions one at a time instead of holding the
-// whole set.
-func (l *RegionLocks) LockRegion(r RegionID) { l.mus[r].Lock() }
-
-// UnlockRegion releases one region's lock.
-func (l *RegionLocks) UnlockRegion(r RegionID) { l.mus[r].Unlock() }
-
-// LockAll acquires every region lock in ascending order.
-func (l *RegionLocks) LockAll() {
-	for i := range l.mus {
-		l.mus[i].Lock()
-	}
-}
-
-// UnlockAll releases every region lock.
-func (l *RegionLocks) UnlockAll() {
-	for i := len(l.mus) - 1; i >= 0; i-- {
-		l.mus[i].Unlock()
-	}
-}
-
-// normalizeRegions returns the footprint sorted ascending with duplicates
-// removed, leaving the caller's slice untouched. Already-canonical
-// footprints (the common case: Plan.Regions is sorted unique) are returned
-// as-is without allocating.
-func normalizeRegions(regions []RegionID) []RegionID {
-	canonical := true
-	for i := 1; i < len(regions); i++ {
-		if regions[i] <= regions[i-1] {
-			canonical = false
-			break
-		}
-	}
-	if canonical {
-		return regions
-	}
-	norm := make([]RegionID, len(regions))
-	copy(norm, regions)
-	sort.Slice(norm, func(i, j int) bool { return norm[i] < norm[j] })
-	out := norm[:0]
-	for i, r := range norm {
-		if i == 0 || r != out[len(out)-1] {
-			out = append(out, r)
-		}
-	}
 	return out
 }

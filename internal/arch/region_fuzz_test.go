@@ -5,17 +5,17 @@ import (
 )
 
 // FuzzPartitionRegions drives the partition geometry with arbitrary mesh
-// dimensions and region sizes and checks the invariants the sharded
-// commit path is built on:
+// dimensions and region sizes and checks the invariants everything
+// region-granular is built on:
 //
 //   - the regions tile the mesh: every router lies in exactly one
 //     region's rectangle, and that region is RegionOfPoint's answer;
 //   - every link has exactly one owning region, the region of its source
 //     router, and that region is within range.
 //
-// The mapper, plan footprints and per-region locks all assume these
-// properties; a counterexample here would mean two commits could both
-// "own" a resource.
+// The mapper, plan footprints and the copy-on-write region index all
+// assume these properties; a counterexample here would mean two regions
+// could both "own" a resource.
 func FuzzPartitionRegions(f *testing.F) {
 	f.Add(8, 8, 4)
 	f.Add(1, 1, 1)

@@ -1,9 +1,6 @@
 package arch
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 // TestPartitionSingleRegionDefault pins the degenerate case: an
 // unpartitioned platform is one region covering the whole mesh, and every
@@ -119,57 +116,5 @@ func TestResidualDiffRegions(t *testing.T) {
 	regions := diff.Regions(p)
 	if len(regions) != 2 || regions[0] != 0 || regions[1] != 3 {
 		t.Fatalf("diff regions = %v, want [0 3]", regions)
-	}
-}
-
-// TestRegionLocksOrdering hammers overlapping footprints from many
-// goroutines. Footprints are acquired in canonical ascending order, so
-// straddling lock sets must neither deadlock nor race; the shared
-// counters would trip -race if mutual exclusion failed.
-func TestRegionLocksOrdering(t *testing.T) {
-	const regions = 4
-	l := NewRegionLocks(regions)
-	counters := make([]int, regions)
-	// Deliberately unsorted, duplicated, straddling footprints.
-	footprints := [][]RegionID{
-		{0}, {3, 0}, {1, 2}, {2, 1, 2}, {3}, {0, 1, 2, 3}, {2, 0}, {3, 1},
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				fp := footprints[(w+i)%len(footprints)]
-				l.Lock(fp)
-				seen := make(map[RegionID]bool)
-				for _, r := range fp {
-					if !seen[r] {
-						seen[r] = true
-						counters[r]++
-					}
-				}
-				l.Unlock(fp)
-			}
-		}(w)
-	}
-	wg.Wait()
-	total := 0
-	for _, c := range counters {
-		total += c
-	}
-	want := 0
-	for w := 0; w < 8; w++ {
-		for i := 0; i < 500; i++ {
-			fp := footprints[(w+i)%len(footprints)]
-			seen := make(map[RegionID]bool)
-			for _, r := range fp {
-				seen[r] = true
-			}
-			want += len(seen)
-		}
-	}
-	if total != want {
-		t.Fatalf("lost increments under contention: got %d, want %d", total, want)
 	}
 }

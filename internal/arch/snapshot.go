@@ -13,12 +13,12 @@ package arch
 // Snapshots come in two flavours: Platform.Snapshot deep-copies every
 // tile and link (the caller owns the copy outright and may mutate it),
 // while Platform.SnapshotCoW (cow.go) captures a frozen copy-on-write
-// view in O(regions) — the admission hot path's default, shareable
-// between any number of concurrent readers.
+// view with two slice copies — the admission hot path's default,
+// shareable between any number of concurrent readers.
 //
 // Platform itself remains lock-free: callers that share a platform between
-// goroutines (package manager) serialize Snapshot, Version and all
-// reservation mutations behind their own locks. A deep Snapshot, once
+// goroutines (package manager) serialize Snapshot, SnapshotCoW, Residual
+// and all reservation mutations behind their own lock. A deep Snapshot, once
 // taken, is owned by the goroutine that took it; a CoW snapshot is
 // immutable and may be shared.
 
@@ -35,11 +35,9 @@ type Snapshot struct {
 }
 
 // Snapshot returns a deep copy of the platform tagged with its current
-// reservation version. Because the copy spans every region in one pass,
-// the caller must hold whatever serializes mutations of the whole
-// platform — with region locks, all of them.
-// SnapshotCoW is the cheaper alternative whose capture coordinates per
-// region and needs no caller-held locks at all.
+// reservation version. The caller must hold whatever serializes
+// mutations of the platform. SnapshotCoW is the cheaper alternative, under
+// the same rule.
 func (p *Platform) Snapshot() *Snapshot {
 	return &Snapshot{Plat: p.Clone(), Version: p.version.Load()}
 }

@@ -103,8 +103,9 @@ func TestChaosSoak(t *testing.T) {
 	if rep.Arrivals != 600 {
 		t.Fatalf("issued %d arrivals, want 600", rep.Arrivals)
 	}
-	if rep.Incarnations != 2 || rep.Crashes != 1 || rep.ReplayChecks != 1 {
-		t.Fatalf("incarnations %d, crashes %d, replay checks %d, want 2/1/1",
+	// One replay check for the crash step, one at the end of the run.
+	if rep.Incarnations != 2 || rep.Crashes != 1 || rep.ReplayChecks != 2 {
+		t.Fatalf("incarnations %d, crashes %d, replay checks %d, want 2/1/2",
 			rep.Incarnations, rep.Crashes, rep.ReplayChecks)
 	}
 	if rep.Drains != 1 || rep.Spikes != 1 {
@@ -117,6 +118,36 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatalf("run admitted nothing: %+v / %+v", rep.Stream, rep.Door)
 	}
 	t.Logf("chaos soak: %+v", rep)
+}
+
+// TestChaosReplaysJournalWithoutCrashStep pins the end-of-run oracle: a
+// journaled run whose script never crashes still recovers its own
+// journal after the final teardown and finds the replayed platform and
+// resident set identical to the live ones (Run returns an error
+// otherwise).
+func TestChaosReplaysJournalWithoutCrashStep(t *testing.T) {
+	script, err := ParseScript(strings.NewReader("@40 failtile 2\n@80 drain\n@100 restoretile 2\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jf, err := journal.OpenFile(filepath.Join(t.TempDir(), "nocrash.jsonl"), 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	so := churn.Defaults()
+	so.Apps, so.Seed, so.RegionSize, so.Catalogue = 150, 7, 3, 4
+	so.Journal = jf
+	rep, err := Run(script, Options{Stack: so})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Crashes != 0 || rep.Incarnations != 1 || rep.ReplayChecks != 1 {
+		t.Fatalf("crashes %d, incarnations %d, replay checks %d, want 0/1/1",
+			rep.Crashes, rep.Incarnations, rep.ReplayChecks)
+	}
+	if !rep.LedgerOK || rep.Stream.Admitted == 0 {
+		t.Fatalf("run admitted nothing or broke the ledger: %+v", rep.Stream)
+	}
 }
 
 // TestChaosRejectsBadConfig pins the guard rails: crash steps without a

@@ -53,8 +53,9 @@ type Report struct {
 	Stream stream.Report
 	// Door is the aggregate HTTP accounting across incarnations.
 	Door front.Stats
-	// ReplayChecks counts crash recoveries whose replayed platform was
-	// bit-identical to the pre-crash sealed checkpoint; TornDiscarded
+	// ReplayChecks counts journal recoveries — one per crash step, and
+	// one at the end of every journaled run — whose replayed platform
+	// was bit-identical to the live one at its last seal; TornDiscarded
 	// sums the unsealed events recovery truncated.
 	ReplayChecks  int
 	TornDiscarded int
@@ -125,6 +126,19 @@ func Run(script Script, o Options) (Report, error) {
 	}
 
 	r.teardown(inc)
+	if jw := r.st.Options.Journal; jw != nil {
+		// The sequential oracle, on every journaled run whether or not the
+		// script crashed: seal the journal as Close would, then recover the
+		// files and replay them into a fresh platform, which must equal
+		// the one this run leaves behind.
+		if err := jw.Writer.Close(); err != nil {
+			return r.rep, fmt.Errorf("chaos: journal: %w", err)
+		}
+		m := r.st.Manager
+		if err := r.restart(m.Platform(), churn.ResidentNames(m)); err != nil {
+			return r.rep, err
+		}
+	}
 	if err := r.st.Close(); err != nil {
 		return r.rep, fmt.Errorf("chaos: journal: %w", err)
 	}
@@ -207,7 +221,7 @@ func (r *runner) execute(inc *incarnation, st Step) (*incarnation, error) {
 	switch st.Op {
 	case OpFailTile, OpRestoreTile:
 		// Off a snapshot: admissions are in flight, and their commits swap
-		// the live platform's tile structs under region locks.
+		// the live platform's tile structs under the manager's lock.
 		tiles := churn.ProcTiles(m.Snapshot().Plat)
 		if len(tiles) == 0 {
 			return inc, fmt.Errorf("chaos: no processing tiles to fail")
@@ -299,35 +313,44 @@ func (r *runner) crash(inc *incarnation) (*incarnation, error) {
 		return nil, fmt.Errorf("chaos: journal at crash: %w", err)
 	}
 
-	// The crash and the restart: the writer is abandoned (never Closed —
-	// no final seal) and every live structure is dropped; only the files
-	// survive. Recovery truncates the torn tail, verifies the chain and
-	// resumes it in a fresh segment; the new stack replays the sealed
-	// events into a pristine platform, which must equal the checkpoint.
-	recovered, err := jw.Crash()
-	if err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
-	}
+	// The crash: the writer is abandoned (never Closed — no final seal)
+	// and every live structure is dropped; only the files survive.
 	r.rep.TornDiscarded += torn
+	if err := r.restart(sealed, sealedNames); err != nil {
+		return nil, err
+	}
+	r.rep.Incarnations++
+	return r.boot()
+}
+
+// restart drops the live stack and rebuilds it from the journal files
+// alone: recovery truncates the torn tail, verifies the chain and resumes
+// it in a fresh segment; the new stack replays the sealed events into a
+// pristine platform, which must equal the sealed one bit for bit and
+// carry the same residents.
+func (r *runner) restart(sealed *arch.Platform, sealedNames []string) error {
+	recovered, err := r.st.Options.Journal.Crash()
+	if err != nil {
+		return fmt.Errorf("chaos: %w", err)
+	}
 	so := r.o.Stack
 	so.Journal = recovered
 	if r.st, err = churn.NewStack(so); err != nil {
 		recovered.Close()
-		return nil, fmt.Errorf("chaos: restart: %w", err)
+		return fmt.Errorf("chaos: restart: %w", err)
 	}
 	rm := r.st.Manager
 	if err := arch.PlatformsIdentical(sealed, rm.Platform()); err != nil {
-		return nil, fmt.Errorf("chaos: replayed platform differs from sealed checkpoint: %w", err)
+		return fmt.Errorf("chaos: replayed platform differs from sealed checkpoint: %w", err)
 	}
 	if got := churn.ResidentNames(rm); fmt.Sprint(got) != fmt.Sprint(sealedNames) {
-		return nil, fmt.Errorf("chaos: replayed resident set differs:\n got %v\nwant %v", got, sealedNames)
+		return fmt.Errorf("chaos: replayed resident set differs:\n got %v\nwant %v", got, sealedNames)
 	}
 	if err := rm.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("chaos: replayed manager invariants: %w", err)
+		return fmt.Errorf("chaos: replayed manager invariants: %w", err)
 	}
 	r.rep.ReplayChecks++
-	r.rep.Incarnations++
-	return r.boot()
+	return nil
 }
 
 // spikeBackend wraps a stream.Backend and injects latency into the next

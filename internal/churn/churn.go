@@ -44,10 +44,9 @@ type Options struct {
 	// Resident is how many applications are kept running at once
 	// (0 = 4x workers); see Recycler.
 	Resident int
-	// RegionSize shards the commit path: the mesh is partitioned into
-	// square regions of this side length, each with its own lock and
-	// SRC<r>/SINK<r> stream endpoints, and arrivals are pinned to them
-	// round-robin. 0 keeps one region with the global SRC0/SINK0 pair.
+	// RegionSize partitions the mesh into square regions of this side
+	// length, each with its own SRC<r>/SINK<r> stream endpoints, and
+	// arrivals are pinned to them round-robin. 0 keeps one region with the global SRC0/SINK0 pair.
 	RegionSize int
 	// Reuse enables mapping-template reuse; Repair the incremental
 	// remapping engine; Preempt the preemption planner (full-mesh
@@ -204,9 +203,6 @@ type Result struct {
 	Elapsed time.Duration
 	// Report is the stream server's ledger (RunSoak only).
 	Report stream.Report
-	// Regions is the platform's region count: 1 for the global
-	// single-lock commit path, more when the scenario sharded it.
-	Regions int
 	// Clean reports that Run's ledger returned exactly to pristine after
 	// full churn; Drift details the difference when it did not.
 	Clean bool
@@ -276,8 +272,7 @@ func Run(o Options) Result {
 	faults.restoreAll()
 	elapsed := time.Since(start)
 
-	r := Result{Elapsed: elapsed, Stats: s.Manager.Stats(), JournalErr: s.Close(),
-		Regions: s.Manager.Platform().RegionCount()}
+	r := Result{Elapsed: elapsed, Stats: s.Manager.Stats(), JournalErr: s.Close()}
 	faults.record(&r)
 	if r.LedgerErr = s.Manager.CheckInvariants(); r.LedgerErr != nil {
 		return r

@@ -159,13 +159,14 @@ type commitPlan struct {
 	// regions is the plan's region footprint: the owners of every tile
 	// and link the plan touches, ascending without duplicates. Validation
 	// and commit only read and mutate state inside these regions, so they
-	// are exactly the locks a sharded commit must hold.
+	// are exactly the regions a commit faults in (copy-on-write) and the
+	// ones Overlaps compares.
 	regions []arch.RegionID
 }
 
 // footprint computes the plan's region footprint on the given platform.
 // It reads only static topology (tile→router attachment, link endpoints,
-// the partition geometry), so it is safe to call without any region lock.
+// the partition geometry), so it is safe to call without the platform's lock.
 func (pl *commitPlan) footprint(plat *arch.Platform) []arch.RegionID {
 	seen := make(arch.RegionSet)
 	for tid := range pl.tiles {
@@ -352,10 +353,11 @@ func (pl *commitPlan) validate(plat *arch.Platform) error {
 }
 
 // commit applies the plan and bumps the platform's version. sign is +1 to
-// reserve, -1 to release. The caller holds the region locks of the plan's
-// footprint, which is what makes the copy-on-write fault-in safe: regions
-// still shared with a snapshot are copied before the first mutation, so
-// snapshots keep their captured state while the live platform moves on.
+// reserve, -1 to release. The caller is the platform's one writer (it
+// holds the owner's lock when the platform is shared), which is what
+// makes the copy-on-write fault-in safe: regions still shared with a
+// snapshot are copied before the first mutation, so snapshots keep their
+// captured state while the live platform moves on.
 func (pl *commitPlan) commit(plat *arch.Platform, sign int64) {
 	plat.MaterializeRegions(pl.regions)
 	for tid, d := range pl.tiles {
@@ -406,9 +408,8 @@ func Conflicts(plat *arch.Platform, res *Result) ([]ValidationError, error) {
 // *ConflictError when a competing admission claimed the resources since
 // the mapping's snapshot was taken — the platform is left untouched.
 //
-// Apply assumes the caller serializes all access to plat (one lock for
-// the whole platform). Sharded callers that only hold the locks of the
-// regions a mapping touches use NewPlan instead, which separates the
+// Apply assumes the caller serializes all access to plat. Callers that
+// share plat between goroutines use NewPlan instead, which separates the
 // lock-free planning from the locked validate-and-commit.
 func Apply(plat *arch.Platform, res *Result) error {
 	pl, err := NewPlan(plat, res)
@@ -423,8 +424,7 @@ func Apply(plat *arch.Platform, res *Result) error {
 }
 
 // Remove releases a previously applied mapping's reservations. Like
-// Apply it assumes whole-platform serialization; sharded callers use
-// NewRemovalPlan and Plan.Release under the footprint's region locks.
+// Apply it assumes the caller serializes all access to plat.
 func Remove(plat *arch.Platform, res *Result) {
 	pl, err := NewRemovalPlan(plat, res)
 	if err != nil {
@@ -434,12 +434,11 @@ func Remove(plat *arch.Platform, res *Result) {
 }
 
 // Plan is the aggregated reservation set of one mapping, ready to be
-// validated and committed under the region locks of its footprint. It is
-// the unit of the sharded commit path: NewPlan aggregates and computes
-// the footprint without any lock (it reads only the mapping and static
-// platform topology), the caller then takes the footprint's region locks
-// in canonical order (arch.RegionLocks.Lock) and runs Validate/Commit,
-// which touch reservation state only inside those regions.
+// validated and committed. It is the unit of the manager's transaction:
+// NewPlan aggregates and computes the footprint without any lock (it
+// reads only the mapping and static platform topology), the caller then
+// takes the platform's lock and runs Validate/Commit, which touch
+// reservation state only inside the footprint's regions.
 type Plan struct {
 	pl *commitPlan
 }
@@ -470,7 +469,7 @@ func NewRemovalPlan(plat *arch.Platform, res *Result) (*Plan, error) {
 func (p *Plan) App() string { return p.pl.appName }
 
 // Regions returns the plan's region footprint, ascending without
-// duplicates: exactly the region locks Validate, Commit and Release need.
+// duplicates: exactly the regions Validate, Commit and Release touch.
 // The returned slice is owned by the plan; do not modify it.
 func (p *Plan) Regions() []arch.RegionID { return p.pl.regions }
 
@@ -498,7 +497,7 @@ func (p *Plan) UsesLink(id arch.LinkID) bool {
 
 // Violations checks the plan against the platform's live residual
 // capacity and attributes every conflict. The caller must hold the
-// footprint's region locks.
+// platform's lock when the platform is shared.
 func (p *Plan) Violations(plat *arch.Platform) []ValidationError {
 	return p.pl.violations(plat)
 }
@@ -510,14 +509,14 @@ func (p *Plan) Validate(plat *arch.Platform) error {
 }
 
 // Commit reserves the plan on the platform and bumps its version. The
-// caller must hold the footprint's region locks and have seen Validate
-// succeed under them.
+// caller must hold the platform's lock when the platform is shared and
+// have seen Validate succeed under it.
 func (p *Plan) Commit(plat *arch.Platform) {
 	p.pl.commit(plat, +1)
 }
 
 // Release subtracts the plan's reservations, undoing Commit. The caller
-// must hold the footprint's region locks.
+// must hold the platform's lock when the platform is shared.
 func (p *Plan) Release(plat *arch.Platform) {
 	p.pl.commit(plat, -1)
 }

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"rtsm/internal/arch"
 )
@@ -46,12 +47,12 @@ func (p *Plan) Deltas() ([]TileReservation, []LinkReservation) {
 			OutBps:    d.outBps,
 		})
 	}
-	sort.Slice(tiles, func(i, j int) bool { return tiles[i].Tile < tiles[j].Tile })
+	slices.SortFunc(tiles, func(a, b TileReservation) int { return cmp.Compare(a.Tile, b.Tile) })
 	links := make([]LinkReservation, 0, len(p.pl.links))
 	for lid, bps := range p.pl.links {
 		links = append(links, LinkReservation{Link: lid, Bps: bps})
 	}
-	sort.Slice(links, func(i, j int) bool { return links[i].Link < links[j].Link })
+	slices.SortFunc(links, func(a, b LinkReservation) int { return cmp.Compare(a.Link, b.Link) })
 	return tiles, links
 }
 

@@ -111,11 +111,11 @@ type Config struct {
 	// placements) and charges RegionBias cost units for opening a new
 	// region, and step 2 charges each move RegionBias per region its
 	// reassignment adds to the mapping's region span. A narrower span
-	// means the admission's reservation plan touches fewer region locks,
-	// so concurrent commits overlap less. The weight is in the same
-	// (mixed) units as the step costs it perturbs — energy in step 1,
-	// communication cost in step 2; values around 1–4 bias ties and small
-	// gaps without overriding clear wins. 0 (the default) keeps the
+	// means the admission's commit faults in fewer copy-on-write regions
+	// and its conflicts stay attributable to one part of the mesh. The
+	// weight is in the same (mixed) units as the step costs it perturbs —
+	// energy in step 1, communication cost in step 2; values around 1–4
+	// bias ties and small gaps without overriding clear wins. 0 (the default) keeps the
 	// region-oblivious paper behaviour; unpartitioned platforms are
 	// unaffected either way.
 	RegionBias float64

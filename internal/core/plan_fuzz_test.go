@@ -17,9 +17,9 @@ import (
 //     implementation memory plus stream buffers, utilisation, occupancy,
 //     NI bandwidth and link lanes;
 //   - every resource the commit changed lies inside the plan's region
-//     footprint (the locks a sharded commit holds are sufficient), and
+//     footprint (the regions a commit faults in are sufficient), and
 //     the footprint never names a region the mapping touches no resource
-//     in (the locks are also necessary);
+//     in (they are also necessary);
 //   - releasing the plan restores the residual bit-for-bit.
 func FuzzPlanReservations(f *testing.F) {
 	f.Add(int64(1), 6, 3, 0, true)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"rtsm/internal/arch"
 	"rtsm/internal/workload"
@@ -152,82 +151,6 @@ func TestConflictErrorReportsRegions(t *testing.T) {
 				v.Tile, v.Region, plat.RegionOfTile(v.Tile))
 		}
 	}
-}
-
-// TestDisjointRegionCommitsRunConcurrently proves the sharded commit
-// path's concurrency claim deterministically: one goroutine takes its
-// plan's region locks and parks inside the commit section; a second
-// goroutine with a disjoint footprint must still be able to validate,
-// commit and release. Under the old global lock the second commit would
-// block until the first unlocked — here it completes while the first
-// section is still held open.
-func TestDisjointRegionCommitsRunConcurrently(t *testing.T) {
-	plat := workload.SyntheticRegionPlatform(8, 8, 123, 4)
-	locks := arch.NewRegionLocks(plat.RegionCount())
-
-	planFor := func(seed int64, src, sink string) *Plan {
-		res := mapOnto(t, plat, seed, src, sink)
-		plan, err := NewPlan(plat, res)
-		if err != nil {
-			t.Fatalf("plan: %v", err)
-		}
-		return plan
-	}
-	// Region-local endpoint pairs in opposite quadrants; pick a seed pair
-	// whose footprints actually come out disjoint (placement is
-	// first-fit, so a mapping may spill into a neighbour quadrant).
-	var a, b *Plan
-	for seed := int64(0); seed < 8; seed++ {
-		a = planFor(seed, "SRC0", "SINK0")
-		b = planFor(seed+100, "SRC3", "SINK3")
-		if regionsDisjoint(a.Regions(), b.Regions()) {
-			break
-		}
-		a, b = nil, nil
-	}
-	if a == nil {
-		t.Skip("no disjoint fixture pair found; placement spilled across quadrants for all seeds")
-	}
-
-	holdOpen := make(chan struct{})
-	aHolding := make(chan struct{})
-	aDone := make(chan struct{})
-	go func() {
-		defer close(aDone)
-		locks.Lock(a.Regions())
-		defer locks.Unlock(a.Regions())
-		if err := a.Validate(plat); err != nil {
-			t.Error(err)
-			return
-		}
-		a.Commit(plat)
-		close(aHolding)
-		<-holdOpen // park inside the commit section, locks held
-		a.Release(plat)
-	}()
-	<-aHolding
-
-	bDone := make(chan struct{})
-	go func() {
-		defer close(bDone)
-		locks.Lock(b.Regions())
-		defer locks.Unlock(b.Regions())
-		if err := b.Validate(plat); err != nil {
-			t.Error(err)
-			return
-		}
-		b.Commit(plat)
-		b.Release(plat)
-	}()
-	select {
-	case <-bDone:
-		// b committed while a's commit section was still open: the two
-		// sections ran concurrently.
-	case <-time.After(10 * time.Second):
-		t.Fatal("disjoint-region commit blocked behind a held commit section")
-	}
-	close(holdOpen)
-	<-aDone
 }
 
 // TestRepairRegionShortcut checks the region-aware early-out: a change

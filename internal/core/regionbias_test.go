@@ -94,7 +94,7 @@ func TestRegionBiasNarrowsFootprint(t *testing.T) {
 // search sees a relocation that halves the chain's hop count but opens a
 // second region. Unbiased it takes the move; with the region penalty
 // priced above the communication saving it stays home, trading a little
-// energy for a one-region lock footprint.
+// energy for a one-region footprint.
 func TestRegionBiasBlocksCrossRegionMove(t *testing.T) {
 	build := func() *arch.Platform {
 		plat := arch.NewMesh("biasmove", 4, 2, 800_000_000)

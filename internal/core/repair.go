@@ -389,7 +389,7 @@ func (m *Mapper) Repair(res *Result, snap *arch.Snapshot) (*Result, error) {
 // if these victims left?" as cheaply as any other speculative mapping.
 // The snapshot must be writable: pass a deep snapshot or derive one from
 // a frozen copy-on-write snapshot with Snapshot.Writable first (mutating
-// a frozen epoch snapshot shared with other admissions panics).
+// a frozen snapshot panics).
 func HypotheticalEviction(snap *arch.Snapshot, victims ...*Result) {
 	for _, v := range victims {
 		Remove(snap.Plat, v)

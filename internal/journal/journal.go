@@ -296,12 +296,19 @@ type Writer struct {
 // NewWriter starts a journal writer over w. The caller keeps ownership
 // of w and closes it after Writer.Close returns.
 func NewWriter(w io.Writer, opts Options) *Writer {
+	return newWriter(w, genesis, 0, opts)
+}
+
+// newWriter starts a writer whose chain stands at the given hash and
+// sequence number.
+func newWriter(w io.Writer, chain string, seq uint64, opts Options) *Writer {
 	batch := opts.BatchSize
 	if batch <= 0 {
 		batch = 64
 	}
 	jw := &Writer{
-		prev:  genesis,
+		prev:  chain,
+		seq:   seq,
 		batch: batch,
 		msgs:  make(chan wmsg, 1024),
 		done:  make(chan struct{}),
@@ -401,8 +408,8 @@ func (w *Writer) Err() error {
 // Append stamps the event with the next sequence number, hashes it, and
 // queues it for the writer goroutine, returning the assigned sequence
 // (0 after Close). Callers emitting reservation events do so while
-// holding the commit's region locks, which makes journal order equal
-// commit order per region — the property bit-for-bit replay depends on.
+// holding the lock that serializes the commit, which makes journal order
+// equal commit order — the property bit-for-bit replay depends on.
 func (w *Writer) Append(e Event) uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -495,7 +502,7 @@ func (w *Writer) Sync() {
 // last assigned sequence number. sync is the new segment's Syncer (nil
 // = none). A rotated-away segment always ends on a seal, so replay cost
 // per segment stays bounded: verify and replay the segments in order
-// with VerifyChain / manager.ReplaySegments. Rotate returns once the
+// with VerifyChain / manager.ReplayEvents. Rotate returns once the
 // old segment is durably complete; it is an error after Close.
 func (w *Writer) Rotate(next io.Writer, sync Syncer) error {
 	ack := make(chan struct{})
@@ -552,46 +559,12 @@ func Verify(r io.Reader) ([]Event, int, error) {
 }
 
 // VerifyChain verifies a rotated sequence of journal segments as one
-// log: each segment after the first must open with a snapshot head
-// whose seed equals the previous segment's final chain hash and whose
-// sequence equals the previous segment's last event — so removing,
-// reordering or truncating whole segments is as detectable as flipping
-// a byte inside one. A non-final segment with unsealed trailing events
-// is an error (Rotate always seals before switching, so such a tail
-// means the file lost bytes). The first segment must be a full history:
-// it either has no snapshot head or declares the genesis seed, so a
-// mid-chain segment offered alone (or with its predecessors missing) is
-// rejected rather than silently replaying half the log. The returned
-// events span all segments in order; the tail count is the final
-// segment's.
+// log and returns the sealed events of all segments in order plus the
+// final segment's unsealed tail count. It is Recover without the chain
+// position; see there for what is checked.
 func VerifyChain(segments ...io.Reader) ([]Event, int, error) {
-	if len(segments) == 0 {
-		return nil, 0, fmt.Errorf("journal: no segments")
-	}
-	var all []Event
-	wantSeed := ""
-	var wantSeq uint64
-	for i, r := range segments {
-		events, tail, head, endChain, endSeq, err := verifySegment(r, wantSeed, wantSeq)
-		if err != nil {
-			return nil, 0, fmt.Errorf("journal: segment %d: %w", i, err)
-		}
-		if i == 0 && head != nil && head.Seed != genesis {
-			return nil, 0, fmt.Errorf("journal: segment 0: starts mid-chain (snapshot seed %.12s…, seq %d); earlier segments are missing", head.Seed, head.Seq)
-		}
-		if i > 0 && head == nil {
-			return nil, 0, fmt.Errorf("journal: segment %d: not a rotated segment (no snapshot head)", i)
-		}
-		all = append(all, events...)
-		if i == len(segments)-1 {
-			return all, tail, nil
-		}
-		if tail > 0 {
-			return nil, 0, fmt.Errorf("journal: segment %d: %d unsealed events before a rotation (segment truncated)", i, tail)
-		}
-		wantSeed, wantSeq = endChain, endSeq
-	}
-	return all, 0, nil // unreachable: the loop returns on the final segment
+	rec, err := Recover(segments...)
+	return rec.Events, rec.Tail, err
 }
 
 // verifySegment verifies one segment. wantSeed/wantSeq, when wantSeed is

@@ -28,12 +28,20 @@ type Recovered struct {
 	Seq uint64
 }
 
-// Recover verifies a rotated sequence of journal segments exactly as
-// VerifyChain does, but additionally returns the chain position needed
-// to resume journaling after a crash: where VerifyChain answers "is
-// this log intact", Recover answers "and where does the next segment
-// start". The final segment may carry a torn tail (reported, not
-// replayed); a non-final one may not.
+// Recover verifies a rotated sequence of journal segments as one log:
+// each segment after the first must open with a snapshot head whose seed
+// equals the previous segment's final chain hash and whose sequence
+// equals the previous segment's last event — so removing, reordering or
+// truncating whole segments is as detectable as flipping a byte inside
+// one. A non-final segment with unsealed trailing events is an error
+// (Rotate always seals before switching, so such a tail means the file
+// lost bytes); the final segment may carry a torn tail (reported, not
+// replayed). The first segment must be a full history: it either has no
+// snapshot head or declares the genesis seed, so a mid-chain segment
+// offered alone (or with its predecessors missing) is rejected rather
+// than silently replaying half the log. Besides the events it returns
+// the chain position needed to resume journaling after a crash: where
+// the next segment starts.
 func Recover(segments ...io.Reader) (Recovered, error) {
 	if len(segments) == 0 {
 		return Recovered{}, fmt.Errorf("journal: no segments")
@@ -129,19 +137,7 @@ func NewResumedWriter(w io.Writer, chain string, seq uint64, opts Options) (*Wri
 	if err != nil {
 		return nil, err
 	}
-	batch := opts.BatchSize
-	if batch <= 0 {
-		batch = 64
-	}
-	jw := &Writer{
-		prev:  chain,
-		seq:   seq,
-		batch: batch,
-		msgs:  make(chan wmsg, 1024),
-		done:  make(chan struct{}),
-	}
-	jw.syncEvery.Store(int64(opts.SyncEvery))
-	go jw.run(w, opts.Syncer)
+	jw := newWriter(w, chain, seq, opts)
 	jw.msgs <- wmsg{line: append(head, '\n')}
 	return jw, nil
 }

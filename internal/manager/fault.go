@@ -9,10 +9,9 @@ import (
 )
 
 // Run-time fault injection and recovery. Failing a tile or link flips
-// the resource's Failed flag under its region lock — every in-flight plan
-// that touches it validates after the flip and sees the failure — and
-// then evacuates the residents
-// the resource carried: each one's reservations are released (it cannot
+// the resource's Failed flag under the platform lock — every in-flight
+// plan that touches it validates after the flip and sees the failure —
+// and then evacuates the residents the resource carried: each one's reservations are released (it cannot
 // keep running on dead silicon) and a relocation round tries to refit
 // its mapping onto the surviving mesh, where canHost and the NoC router
 // already exclude failed resources. Only when no refit commits is the
@@ -41,8 +40,7 @@ func (m *Manager) FailTile(id arch.TileID) FaultReport {
 	if id < 0 || int(id) >= len(m.plat.Tiles) {
 		return FaultReport{}
 	}
-	return m.failResource(m.plat.RegionOfTile(id),
-		func() bool { return m.plat.FailTile(id) },
+	return m.failResource(func() bool { return m.plat.FailTile(id) },
 		journal.Event{Type: journal.EvFailTile, Tile: id},
 		func(p *core.Plan) bool { return p.UsesTile(id) })
 }
@@ -53,8 +51,7 @@ func (m *Manager) FailLink(id arch.LinkID) FaultReport {
 	if id < 0 || int(id) >= len(m.plat.Links) {
 		return FaultReport{}
 	}
-	return m.failResource(m.plat.RegionOfLink(id),
-		func() bool { return m.plat.FailLink(id) },
+	return m.failResource(func() bool { return m.plat.FailLink(id) },
 		journal.Event{Type: journal.EvFailLink, Link: id},
 		func(p *core.Plan) bool { return p.UsesLink(id) })
 }
@@ -67,8 +64,7 @@ func (m *Manager) RestoreTile(id arch.TileID) bool {
 	if id < 0 || int(id) >= len(m.plat.Tiles) {
 		return false
 	}
-	return m.restoreResource(m.plat.RegionOfTile(id),
-		func() bool { return m.plat.RestoreTile(id) },
+	return m.restoreResource(func() bool { return m.plat.RestoreTile(id) },
 		journal.Event{Type: journal.EvRestoreTile, Tile: id})
 }
 
@@ -77,32 +73,30 @@ func (m *Manager) RestoreLink(id arch.LinkID) bool {
 	if id < 0 || int(id) >= len(m.plat.Links) {
 		return false
 	}
-	return m.restoreResource(m.plat.RegionOfLink(id),
-		func() bool { return m.plat.RestoreLink(id) },
+	return m.restoreResource(func() bool { return m.plat.RestoreLink(id) },
 		journal.Event{Type: journal.EvRestoreLink, Link: id})
 }
 
 // flipResource flips one resource's Failed flag and journals the change,
-// both under the resource's region lock; it reports whether anything
-// changed. It is the one reservation-state write outside transact.
-func (m *Manager) flipResource(region arch.RegionID, flip func() bool, ev journal.Event) bool {
-	rl := []arch.RegionID{region}
-	m.locks.Lock(rl)
+// both under the platform lock; it reports whether anything changed. It
+// is the one reservation-state write outside transact.
+func (m *Manager) flipResource(flip func() bool, ev journal.Event) bool {
+	m.platMu.Lock()
 	ok := flip()
 	if ok {
 		m.journalEvent(ev)
 	}
-	m.locks.Unlock(rl)
+	m.platMu.Unlock()
 	return ok
 }
 
 // failResource is the shared fail-and-evacuate machinery: flip the flag,
 // claim every resident whose plan touches the resource, release each one
 // (journaled as a fault release) and try to relocate it.
-func (m *Manager) failResource(region arch.RegionID, fail func() bool,
-	ev journal.Event, uses func(*core.Plan) bool) FaultReport {
+func (m *Manager) failResource(fail func() bool, ev journal.Event,
+	uses func(*core.Plan) bool) FaultReport {
 	start := time.Now()
-	if !m.flipResource(region, fail, ev) {
+	if !m.flipResource(fail, ev) {
 		return FaultReport{}
 	}
 	rep := FaultReport{Failed: true}
@@ -110,32 +104,27 @@ func (m *Manager) failResource(region arch.RegionID, fail func() bool,
 	m.stats.FaultsInjected++
 	m.mu.Unlock()
 
-	// Claim-then-inspect: a resident's Result may be swapped by a
-	// concurrent relocation, so its plan is only read under a claim
+	// Claim-then-inspect: a resident's plan may be swapped by a
+	// concurrent relocation, so it is only read under a claim
 	// (claimVictim wins or the resident is someone else's problem — a
 	// concurrent Stop or preemption already owns its release).
-	type victim struct {
-		ad   *Admission
-		plan *core.Plan
-	}
-	var victims []victim
+	var victims []*Admission
 	for _, ad := range m.Running() {
 		if !m.claimVictim(ad) {
 			continue
 		}
-		plan, err := m.removalPlan(ad)
-		if err != nil || !uses(plan) {
+		if !uses(ad.plan) {
 			m.unclaimVictims([]*Admission{ad})
 			continue
 		}
-		victims = append(victims, victim{ad, plan})
+		victims = append(victims, ad)
 		rep.Residents = append(rep.Residents, ad.App.Name)
 	}
 
 	for _, v := range victims {
-		name := v.ad.App.Name
-		m.transact([]change{{v.plan, journal.EvFaultRelease, name, v.ad.Priority}}, change{})
-		if ok, _, _ := m.relocate(v.ad); ok {
+		name := v.App.Name
+		m.transact([]change{{v.plan, journal.EvFaultRelease, name, v.Priority}}, change{})
+		if ok, _, _ := m.relocate(v); ok {
 			rep.Relocated = append(rep.Relocated, name)
 		} else {
 			rep.Dropped = append(rep.Dropped, name)
@@ -150,9 +139,8 @@ func (m *Manager) failResource(region arch.RegionID, fail func() bool,
 }
 
 // restoreResource flips a resource back into service.
-func (m *Manager) restoreResource(region arch.RegionID, restore func() bool,
-	ev journal.Event) bool {
-	ok := m.flipResource(region, restore, ev)
+func (m *Manager) restoreResource(restore func() bool, ev journal.Event) bool {
+	ok := m.flipResource(restore, ev)
 	if ok {
 		m.mu.Lock()
 		m.stats.Restores++

@@ -152,7 +152,7 @@ func TestFaultStormAccountingUnderChurn(t *testing.T) {
 	if err := jw.Err(); err != nil {
 		t.Fatalf("journal writer: %v", err)
 	}
-	rm, tail, err := Replay(replayBase, core.Config{}, bytes.NewReader(buf.Bytes()))
+	rm, tail, err := replayStream(replayBase, buf.Bytes())
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}

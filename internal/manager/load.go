@@ -4,12 +4,13 @@ import (
 	"sync/atomic"
 
 	"rtsm/internal/arch"
+	"rtsm/internal/core"
 )
 
 // LoadEstimate is the manager's lock-free utilization summary, maintained
 // incrementally as admissions commit and leave. The stream server's
 // dead-letter queue samples it before every retry round, so reads must
-// not touch the manager's mutex or region locks: the counter is a plain
+// not touch either of the manager's mutexes: the counter is a plain
 // atomic, and the capacity is static (derived from the platform's
 // processing-tile count at construction). The number is an estimate in
 // the same sense the mapper's are — each admission's utilization is the
@@ -38,7 +39,7 @@ func (l *LoadEstimate) Utilization() float64 {
 }
 
 // LoadEstimate exposes the manager's lock-free load estimate (distinct
-// from Load, which walks the platform under all region locks for an
+// from Load, which walks the platform under the platform lock for an
 // exact occupancy summary). The pointer is stable for the manager's
 // lifetime.
 func (m *Manager) LoadEstimate() *LoadEstimate { return &m.load }
@@ -57,39 +58,25 @@ func (m *Manager) initLoadCapacity() {
 }
 
 // loadCharge computes and caches an admission's contribution to the load
-// estimate — summed per-process utilization (cycle budget over period) in
-// milli-tiles — and charges it. Utilization reads only static tile data
-// (TileCycleBudget is lock-free), so this is safe from any commit path.
-// Called exactly once per committed admission; the cached value makes
-// the eventual loadRelease exact even if the estimate inputs drift (e.g.
-// a relocation moved the app before it stopped).
+// estimate — the per-tile utilization its plan reserves, in milli-tiles —
+// and charges it. Called once per committed plan (admission, relocation,
+// replay); the cached value makes the eventual loadRelease subtract
+// exactly what was added.
 func (m *Manager) loadCharge(ad *Admission) {
-	if ad.Result == nil {
-		// Replay-rebuilt resident: utilisation was precomputed from the
-		// journaled deltas at replay time.
-		m.load.utilMilli.Add(ad.loadUtilMilli)
-		return
+	ad.loadUtilMilli = planUtilMilli(ad.plan)
+	m.load.utilMilli.Add(ad.loadUtilMilli)
+}
+
+// planUtilMilli sums a plan's per-tile utilisation deltas in milli-tiles,
+// truncating per tile. The load estimate is advisory; unlike the ledger
+// it never needs to be exact.
+func planUtilMilli(p *core.Plan) int64 {
+	tiles, _ := p.Deltas()
+	var milli int64
+	for _, t := range tiles {
+		milli += int64(t.Util * 1000)
 	}
-	var utilMilli int64
-	for _, p := range ad.App.MappableProcesses() {
-		im := ad.Result.Mapping.Impl[p.ID]
-		if im == nil {
-			continue
-		}
-		cyc, err := im.CyclesPerPeriod(ad.App, p)
-		if err != nil {
-			continue
-		}
-		tid, ok := ad.Result.Mapping.Tile[p.ID]
-		if !ok {
-			continue
-		}
-		if budget := m.plat.TileCycleBudget(tid, ad.App.QoS.PeriodNs); budget > 0 {
-			utilMilli += 1000 * cyc / budget
-		}
-	}
-	ad.loadUtilMilli = utilMilli
-	m.load.utilMilli.Add(utilMilli)
+	return milli
 }
 
 // loadRelease reverses loadCharge when an admission stops or is evicted.

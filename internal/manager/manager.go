@@ -8,19 +8,14 @@
 // it.
 //
 // Admission is a concurrent pipeline. The expensive part of an admission —
-// the four-step spatial mapping — runs outside all platform locks, against
+// the four-step spatial mapping — runs outside the platform lock, against
 // a point-in-time Snapshot of the platform's residual state, so many
-// arrivals can be mapped in parallel. Only the commit takes locks, and
-// only the locks of the mesh regions the mapping's reservation plan
-// touches (core.Plan.Regions, acquired in canonical order): it always
-// re-validates the plan against the live platform (see transact) and,
-// when a competing admission claimed the resources since the snapshot was
-// taken, re-snapshots and repairs or re-maps — optimistic concurrency
-// with bounded retries. On a partitioned platform (arch.PartitionRegions),
-// admissions whose plans land in disjoint regions therefore commit fully
-// in parallel; the unpartitioned single-region platform degenerates to
-// the classic one-global-lock commit. Use Pipeline for a bounded work
-// queue feeding N admission workers.
+// arrivals can be mapped in parallel. Only the commit takes the lock, for
+// microseconds: it always re-validates the plan against the live platform
+// (see transact) and, when a competing admission claimed the resources
+// since the snapshot was taken, re-snapshots and repairs or re-maps —
+// optimistic concurrency with bounded retries. Use Pipeline for a bounded
+// work queue feeding N admission workers.
 package manager
 
 import (
@@ -62,11 +57,11 @@ type Admission struct {
 	// exactly what was added.
 	loadUtilMilli int64
 
-	// plan is the reservation plan of a replay-rebuilt resident, whose
-	// Result (and lib) did not survive the crash: journaled deltas are
-	// all that is known about it. Stop and the fault evacuation release
-	// this plan verbatim; live admissions leave it nil and derive their
-	// removal plan from Result on demand.
+	// plan is the reservation plan the admission committed — or, for a
+	// replay-rebuilt resident whose Result and lib did not survive the
+	// crash, the one rebuilt from its journaled deltas. Stop, preemption
+	// and the fault evacuation release it verbatim; relocate replaces it
+	// together with Result.
 	plan *core.Plan
 }
 
@@ -251,23 +246,20 @@ func (s Stats) RepairRate() (float64, bool) {
 // Manager owns a platform and the set of admitted applications. All
 // methods are safe for concurrent use.
 //
-// Two lock families guard the manager's state; mu is never taken while
-// holding a region lock:
+// Two mutexes guard the manager's state; mu is never taken while holding
+// platMu:
 //
-//   - locks, one mutex per mesh region, serialize the platform's
-//     reservation state. A transaction (transact) holds exactly the
-//     regions its plans touch; whole-platform reads (Residual, Load,
-//     CheckInvariants) hold all of them, while the copy-on-write
-//     snapshot capture visits one region lock at a time.
+//   - platMu serializes the platform's reservation state: every write
+//     (transact, flipResource) and every read of the live tiles and
+//     links (Snapshot, Residual, Load, CheckInvariants). Journal appends
+//     happen inside it, so journal order is commit order.
 //   - mu serializes the admission bookkeeping: the running and pending
 //     sets, the sequence counter, the configuration flags and the
 //     statistics.
 type Manager struct {
 	cfg core.Config
 
-	// locks shards the platform's reservation state by region; sized
-	// from the platform's partition at construction.
-	locks *arch.RegionLocks
+	platMu sync.Mutex
 
 	// faults counts copy-on-write region faults platform-wide; the
 	// platform and all its snapshots and clones share this meter.
@@ -301,15 +293,13 @@ type Manager struct {
 
 // New returns a manager over the given platform. The platform is owned by
 // the manager from here on: reservations of admitted applications live on
-// it, and all access to it is serialized behind the manager's region
-// locks. Partition the platform (arch.PartitionRegions) before handing it
-// over — the lock set is sized from RegionCount here, and repartitioning
-// a managed platform would break the region↔lock correspondence.
+// it, and all access to it is serialized behind the manager's platform
+// lock. Partition the platform (arch.PartitionRegions) before handing it
+// over.
 func New(plat *arch.Platform, cfg core.Config) *Manager {
 	m := &Manager{
 		plat:       plat,
 		cfg:        cfg,
-		locks:      arch.NewRegionLocks(plat.RegionCount()),
 		running:    make(map[string]*Admission),
 		pending:    make(map[string]struct{}),
 		preempting: make(map[string]*Admission),
@@ -363,10 +353,10 @@ func (m *Manager) SetMappingReuse(on bool) {
 
 // SetJournal wires the durable admission journal: every reservation
 // change — admission, departure, preemption release, relocation,
-// eviction, fault, restore — is appended inside the same region-locked
-// critical section that applies it, so per-region journal order equals
-// commit order; that, plus the per-plan aggregated deltas each event
-// carries, is what lets Replay rebuild the platform bit for bit. Wire
+// eviction, fault, restore — is appended inside the same platform-locked
+// critical section that applies it, so journal order equals commit
+// order; that, plus the per-plan aggregated deltas each event carries,
+// is what lets ReplayEvents rebuild the platform bit for bit. Wire
 // the journal before the first admission (the field is read without a
 // lock on the hot path); nil disables journaling.
 func (m *Manager) SetJournal(w *journal.Writer) { m.jw = w }
@@ -383,40 +373,22 @@ type change struct {
 
 // transact is the manager's one reservation transaction — the only code
 // that commits, releases or validates a plan on the live platform (replay,
-// lock-free before the manager is shared, is the one exception). It takes
-// the union of the plans' region locks once, in canonical order, applies
-// the removals, validates the reservation against the live platform —
-// always: the mapper's verdict was reached on a snapshot — and commits
-// it. When the reservation no longer fits, the removals are re-committed
-// and its *core.ConflictError is returned. Every change is journaled
-// inside the locked section that applies it, which is what keeps journal
-// order equal to commit order per region and lets replay rebuild the
-// platform bit for bit. A rolled-back removal is therefore journaled too,
-// as a release followed by an EvRelocate: (x−u)+u is not x in float64, so
-// replay must repeat the pair, not elide it.
+// lock-free before the manager is shared, is the one exception). Under
+// the platform lock it applies the removals, validates the reservation
+// against the live platform — always: the mapper's verdict was reached on
+// a snapshot — and commits it. When the reservation no longer fits, the
+// removals are re-committed and its *core.ConflictError is returned.
+// Every change is journaled inside the locked section that applies it,
+// which is what keeps journal order equal to commit order and lets replay
+// rebuild the platform bit for bit. A rolled-back removal is therefore
+// journaled too, as a release followed by an EvRelocate: (x−u)+u is not x
+// in float64, so replay must repeat the pair, not elide it.
 //
 // Callers: the template hit and the mapped commit of admit (reserve only),
 // Stop and the fault evacuation (one removal), the preemption swap
 // (removals plus the arrival) and relocate (reserve only).
 func (m *Manager) transact(removals []change, reserve change) error {
-	// A single plan's footprint is used as it is, so the hit path and
-	// Stop allocate nothing here; a swap's union is built fresh and Lock
-	// puts it in canonical order.
-	var footprint []arch.RegionID
-	switch {
-	case len(removals) == 0:
-		footprint = reserve.plan.Regions()
-	case len(removals) == 1 && reserve.plan == nil:
-		footprint = removals[0].plan.Regions()
-	default:
-		for _, r := range removals {
-			footprint = append(footprint, r.plan.Regions()...)
-		}
-		if reserve.plan != nil {
-			footprint = append(footprint, reserve.plan.Regions()...)
-		}
-	}
-	m.locks.Lock(footprint)
+	m.platMu.Lock()
 	for _, r := range removals {
 		r.plan.Release(m.plat)
 		m.journalPlan(r)
@@ -434,12 +406,12 @@ func (m *Manager) transact(removals []change, reserve change) error {
 			}
 		}
 	}
-	m.locks.Unlock(footprint)
+	m.platMu.Unlock()
 	return err
 }
 
 // journalPlan appends the change's event carrying its plan's aggregated
-// deltas. Only transact calls it, holding the plan's region locks.
+// deltas. Only transact calls it, holding the platform lock.
 func (m *Manager) journalPlan(c change) {
 	if m.jw == nil {
 		return
@@ -457,27 +429,20 @@ func (m *Manager) journalEvent(e journal.Event) {
 	m.jw.Append(e)
 }
 
-// removalPlan returns the plan releasing everything the admission
-// reserves: the stored delta plan for a replay-rebuilt resident, or one
-// aggregated from the Result for a live admission.
-func (m *Manager) removalPlan(ad *Admission) (*core.Plan, error) {
-	if ad.plan != nil {
-		return ad.plan, nil
-	}
-	return core.NewRemovalPlan(m.plat, ad.Result)
-}
-
 // Platform exposes the managed platform. It is safe to read only while no
 // admissions are in flight; concurrent inspectors should use Snapshot or
 // Residual instead.
 func (m *Manager) Platform() *arch.Platform { return m.plat }
 
 // Snapshot returns a point-in-time copy-on-write snapshot of the managed
-// platform. The capture coordinates per region — no caller and no commit
-// ever waits on all region locks at once — and the returned snapshot is
-// frozen: treat its Plat as read-only, and derive arch.Snapshot.Writable
-// before mutating.
-func (m *Manager) Snapshot() *arch.Snapshot { return m.plat.SnapshotCoW(m.locks) }
+// platform, captured under the platform lock: it holds every committed
+// plan whole or not at all. The returned snapshot is frozen: treat its
+// Plat as read-only, and derive arch.Snapshot.Writable before mutating.
+func (m *Manager) Snapshot() *arch.Snapshot {
+	m.platMu.Lock()
+	defer m.platMu.Unlock()
+	return m.plat.SnapshotCoW()
+}
 
 // snapshot is Snapshot counted in Stats.Snapshots: what an admission maps
 // its first round and every retry round against.
@@ -490,10 +455,10 @@ func (m *Manager) snapshot() *arch.Snapshot {
 }
 
 // Residual returns the platform's current free-capacity view, read under
-// all region locks.
+// the platform lock.
 func (m *Manager) Residual() arch.Residual {
-	m.locks.LockAll()
-	defer m.locks.UnlockAll()
+	m.platMu.Lock()
+	defer m.platMu.Unlock()
 	return m.plat.Residual()
 }
 
@@ -573,11 +538,9 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 
 	var fp string
 	// Fast path: structurally identical application admitted before —
-	// try committing its mapping directly. Each template's reservation
-	// plan is validated under just its own region locks, so template
-	// commits in disjoint regions proceed in parallel; validation against
-	// the live platform makes a stale template harmless — it can be
-	// refused, not applied wrongly.
+	// try committing its mapping directly. Validation against the live
+	// platform makes a stale template harmless — it can be refused, not
+	// applied wrongly.
 	if tc != nil {
 		if f, err := Fingerprint(app, lib); err == nil {
 			fp = f
@@ -600,7 +563,7 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 						out.Commit += time.Since(commitStart)
 						m.mu.Lock()
 						m.seq++
-						ad := &Admission{App: app, Result: tpl, Seq: m.seq, Priority: prio, lib: lib}
+						ad := &Admission{App: app, Result: tpl, Seq: m.seq, Priority: prio, lib: lib, plan: plan}
 						m.running[app.Name] = ad
 						m.stats.TemplateHits++
 						m.finishLocked(&out, ad, nil)
@@ -723,10 +686,8 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 			m.mu.Unlock()
 			return out
 		default:
-			// Sharded commit: aggregate the reservation plan without any
-			// lock, then validate and commit (transact) holding only the
-			// region locks of the plan's footprint. Admissions whose
-			// footprints are disjoint run this section concurrently.
+			// Aggregate the reservation plan without any lock, then
+			// validate and commit it in one transaction.
 			plan, perr := core.NewPlan(m.plat, res)
 			if perr != nil {
 				out.Commit += time.Since(commitStart)
@@ -740,7 +701,7 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 				out.Commit += time.Since(commitStart)
 				m.mu.Lock()
 				m.seq++
-				ad := &Admission{App: app, Result: res, Seq: m.seq, Priority: prio, lib: lib}
+				ad := &Admission{App: app, Result: res, Seq: m.seq, Priority: prio, lib: lib, plan: plan}
 				m.running[app.Name] = ad
 				if repaired {
 					out.Repaired = true
@@ -825,9 +786,8 @@ func (m *Manager) finishLocked(out *Outcome, ad *Admission, err error) {
 // recognises it through the wrapping.
 var ErrRelocating = errors.New("being relocated by the preemption planner")
 
-// Stop releases the named application's resources, holding only the
-// region locks its reservations touch, so departures in disjoint regions
-// proceed in parallel with each other and with commits.
+// Stop releases the named application's resources: the plan it committed,
+// in one transaction.
 func (m *Manager) Stop(name string) error {
 	m.mu.Lock()
 	if _, pend := m.pending[name]; pend {
@@ -846,11 +806,7 @@ func (m *Manager) Stop(name string) error {
 	delete(m.running, name)
 	m.loadRelease(ad)
 	m.mu.Unlock()
-	plan, err := m.removalPlan(ad)
-	if err != nil {
-		return nil // lenient planning never errors; keep the compiler honest
-	}
-	m.transact([]change{{plan, journal.EvDepart, name, ad.Priority}}, change{})
+	m.transact([]change{{ad.plan, journal.EvDepart, name, ad.Priority}}, change{})
 	return nil
 }
 
@@ -893,10 +849,10 @@ type Load struct {
 	LinkReserved float64 // fraction of aggregate link capacity
 }
 
-// Load computes the current occupancy summary under all region locks.
+// Load computes the current occupancy summary under the platform lock.
 func (m *Manager) Load() Load {
-	m.locks.LockAll()
-	defer m.locks.UnlockAll()
+	m.platMu.Lock()
+	defer m.platMu.Unlock()
 	var l Load
 	var utilSum float64
 	for _, t := range m.plat.Tiles {
@@ -927,8 +883,8 @@ func (m *Manager) Load() Load {
 // tile or link over-committed, nothing negative. The stress tests call it
 // while admissions are in flight.
 func (m *Manager) CheckInvariants() error {
-	m.locks.LockAll()
-	defer m.locks.UnlockAll()
+	m.platMu.Lock()
+	defer m.platMu.Unlock()
 	const eps = 1e-9
 	for _, t := range m.plat.Tiles {
 		if t.ReservedMem < 0 || t.ReservedMem > t.MemBytes {

@@ -11,17 +11,15 @@ import (
 )
 
 // The preemption planner: policy on top of the mechanism stack. The
-// pipeline (PR 1) made admissions concurrent, repair (PR 2) made stale
-// mappings cheap to refit, and region sharding (PR 3) made commits
-// footprint-local. Preemption composes all three: when a priority arrival
-// finds the mesh full, the planner picks minimal-cost lower-priority
-// victims whose footprints overlap the failing plan's conflicted regions,
-// verifies on a hypothetical snapshot that their departure actually makes
-// the arrival feasible, swaps them atomically under the union of the
-// touched region locks — admissions confined to other regions commit
-// concurrently throughout — and then tries to *relocate* each victim via
-// core.Relocate (repair against the post-eviction residual) before
-// falling back to eviction.
+// pipeline made admissions concurrent, repair made stale mappings cheap
+// to refit, and regions attribute a conflict to a part of the mesh.
+// Preemption composes all three: when a priority arrival finds the mesh
+// full, the planner picks minimal-cost lower-priority victims whose
+// footprints overlap the failing plan's conflicted regions, verifies on a
+// hypothetical snapshot that their departure actually makes the arrival
+// feasible, swaps them in one transaction and then tries to *relocate*
+// each victim via core.Relocate (repair against the post-eviction
+// residual) before falling back to eviction.
 
 // maxPreemptionVictims bounds how many lower-priority admissions one
 // arrival may displace: past a few victims the hypothetical re-mapping
@@ -135,10 +133,11 @@ func (m *Manager) preemptAdmit(out *Outcome, app *model.Application, lib *model.
 	// cheapest overlapping candidate, re-map, repeat until the arrival
 	// fits or the victim budget is spent. All of this runs on the
 	// snapshot's deep copy — the live platform is untouched and unlocked.
-	// A candidate is claimed before its Result is read: once claimed,
-	// nobody else (Stop, a competing preemptor's relocation) touches the
-	// admission, so the read is race-free; a candidate that turns out
-	// not to overlap the target regions is unclaimed straight away.
+	// A candidate is claimed before its plan and Result are read: once
+	// claimed, nobody else (Stop, a competing preemptor's relocation)
+	// touches the admission, so the read is race-free; a candidate that
+	// turns out not to overlap the target regions is unclaimed straight
+	// away.
 	mapStart := time.Now()
 	snap := m.Snapshot().Writable()
 	var victims []*Admission
@@ -150,8 +149,7 @@ func (m *Manager) preemptAdmit(out *Outcome, app *model.Application, lib *model.
 		if !m.claimVictim(cand) {
 			continue
 		}
-		rp, err := core.NewRemovalPlan(m.plat, cand.Result)
-		if err != nil || (target != nil && !rp.Overlaps(target)) {
+		if target != nil && !cand.plan.Overlaps(target) {
 			m.unclaimVictims([]*Admission{cand})
 			continue
 		}
@@ -175,22 +173,17 @@ func (m *Manager) preemptAdmit(out *Outcome, app *model.Application, lib *model.
 		return false
 	}
 
-	// Atomic swap, one transaction under the union of the victims' and
-	// the arrival's region locks: release the victims, re-validate the
+	// Atomic swap, one transaction: release the victims, re-validate the
 	// arrival against the live platform (a competing admission may have
 	// landed since the hypothetical snapshot), commit or roll everything
-	// back. Admissions whose footprints avoid these regions commit
-	// concurrently.
+	// back.
 	commitStart := time.Now()
 	nplan, err := core.NewPlan(m.plat, res)
-	removals := make([]change, len(victims))
-	for i := 0; err == nil && i < len(victims); i++ {
-		v := victims[i]
-		var vp *core.Plan
-		vp, err = core.NewRemovalPlan(m.plat, v.Result)
-		removals[i] = change{vp, journal.EvPreemptRelease, v.App.Name, v.Priority}
-	}
 	if err == nil {
+		removals := make([]change, len(victims))
+		for i, v := range victims {
+			removals[i] = change{v.plan, journal.EvPreemptRelease, v.App.Name, v.Priority}
+		}
 		// A conflict here is a race lost since the hypothetical
 		// snapshot; transact rolled the evictions back and the caller
 		// rejects. Preemption is a last resort, not a retry loop.
@@ -204,7 +197,7 @@ func (m *Manager) preemptAdmit(out *Outcome, app *model.Application, lib *model.
 
 	m.mu.Lock()
 	m.seq++
-	ad := &Admission{App: app, Result: res, Seq: m.seq, Priority: prio, lib: lib}
+	ad := &Admission{App: app, Result: res, Seq: m.seq, Priority: prio, lib: lib, plan: nplan}
 	m.running[app.Name] = ad
 	m.stats.Preemptions += uint64(len(victims))
 	for _, v := range victims {
@@ -248,6 +241,7 @@ func (m *Manager) preemptAdmit(out *Outcome, app *model.Application, lib *model.
 // transactions.
 func (m *Manager) relocate(v *Admission) (ok bool, repair, commit time.Duration) {
 	var rep *core.Result
+	var repPlan *core.Plan
 	var attempts uint64
 	// A replay-rebuilt resident has no mapping to refit: journaled
 	// deltas are all that is known about it.
@@ -269,7 +263,7 @@ func (m *Manager) relocate(v *Admission) (ok bool, repair, commit time.Duration)
 			err = m.transact(nil, change{plan, journal.EvRelocate, v.App.Name, v.Priority})
 			commit += time.Since(commitStart)
 			if err == nil {
-				rep = r
+				rep, repPlan = r, plan
 				break
 			}
 		}
@@ -289,7 +283,7 @@ func (m *Manager) relocate(v *Admission) (ok bool, repair, commit time.Duration)
 	// The relocated mapping may use different tiles and energy; re-charge
 	// so the load estimate tracks the new placement.
 	m.loadRelease(v)
-	v.Result = rep
+	v.Result, v.plan = rep, repPlan
 	m.loadCharge(v)
 	delete(m.preempting, v.App.Name)
 	m.running[v.App.Name] = v

@@ -16,9 +16,9 @@ import (
 // admissions whose stream endpoints deliberately straddle region
 // boundaries (src in one quadrant, sink in another), interleaved with
 // region-local ones, while departures run concurrently. Straddling plans
-// take multiple region locks; the canonical acquisition order must keep
-// this deadlock-free, and under -race the reservation ledger must stay
-// data-race-free and invariant-clean throughout.
+// fault in several copy-on-write regions per commit; under -race the
+// reservation ledger must stay data-race-free and invariant-clean
+// throughout.
 func TestShardedCommitStraddlingRegions(t *testing.T) {
 	plat := workload.SyntheticRegionPlatform(8, 8, 123, 4)
 	m := New(plat, core.Config{})
@@ -88,10 +88,10 @@ func TestShardedCommitStraddlingRegions(t *testing.T) {
 
 // TestPreemptionInRegionADoesNotBlockRegionB stresses the priority
 // planner's locking claim under -race: preemption work confined to
-// region 0 — hypothetical eviction, the union-locked victim/arrival
-// swap, victim relocation — holds only region-0 locks in its commit
-// sections, so best-effort churn whose footprints stay in region 3
-// keeps committing concurrently throughout the storm. The test drives a
+// region 0 — hypothetical eviction, the victim/arrival swap, victim
+// relocation — holds the platform lock only for its short transactions,
+// so best-effort churn whose footprints stay in region 3 keeps
+// committing throughout the storm. The test drives a
 // continuous preemption storm in region 0 (critical arrivals onto a
 // saturated quadrant) against a fixed churn quota in region 3 and
 // requires the quota to complete while the storm is provably still
@@ -206,8 +206,8 @@ func TestPreemptionInRegionADoesNotBlockRegionB(t *testing.T) {
 
 // TestShardedDegenerateSingleRegion pins the degenerate case the rest of
 // the suite relies on: a manager over an unpartitioned platform behaves
-// exactly like the pre-sharding global-lock manager — one region, one
-// lock, identical admission outcomes for a deterministic sequence.
+// exactly like a partitioned one — one region, identical admission
+// outcomes for a deterministic sequence.
 func TestShardedDegenerateSingleRegion(t *testing.T) {
 	plat := workload.SyntheticPlatform(6, 6, 42)
 	if got := plat.RegionCount(); got != 1 {

@@ -3,6 +3,7 @@ package manager
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"testing"
@@ -28,6 +29,22 @@ func procTiles(plat *arch.Platform) []arch.TileID {
 	return ids
 }
 
+// replayStream is crash recovery over in-memory segments, as the drivers
+// do it over files: verify the chain, then ReplayEvents the sealed events
+// into plat. It returns the rebuilt manager and the torn-tail count.
+func replayStream(plat *arch.Platform, segments ...[]byte) (*Manager, int, error) {
+	readers := make([]io.Reader, len(segments))
+	for i, seg := range segments {
+		readers[i] = bytes.NewReader(seg)
+	}
+	events, tail, err := journal.VerifyChain(readers...)
+	if err != nil {
+		return nil, tail, err
+	}
+	m, err := ReplayEvents(plat, core.Config{}, events)
+	return m, tail, err
+}
+
 // runningNames is the manager's resident set, sorted for comparison.
 func runningNames(m *Manager) []string {
 	var names []string
@@ -46,8 +63,8 @@ func runningNames(m *Manager) []string {
 // fresh pristine platform must discard exactly the torn tail and
 // reproduce the sealed live platform bit-for-bit: every reservation
 // float, every occupancy count, every Failed flag. This is what makes
-// the journal a recovery log rather than a trace: per-region append
-// order equals commit order, and each event carries the exact
+// the journal a recovery log rather than a trace: append order equals
+// commit order, and each event carries the exact
 // aggregated deltas its live commit applied.
 func TestCrashReplayReproducesLivePlatform(t *testing.T) {
 	plat := workload.SyntheticRegionPlatform(8, 8, 123, 4)
@@ -157,7 +174,7 @@ func TestCrashReplayReproducesLivePlatform(t *testing.T) {
 		t.Fatal("torn events never reached the journal stream")
 	}
 
-	rm, tail, err := Replay(replayBase, core.Config{}, bytes.NewReader(buf.Bytes()))
+	rm, tail, err := replayStream(replayBase, buf.Bytes())
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -207,18 +224,18 @@ func TestReplayRejectsCorruptStream(t *testing.T) {
 		t.Fatalf("journal too short to corrupt: %d bytes", len(raw))
 	}
 	raw[len(raw)/2] ^= 0x20
-	if _, _, err := Replay(workload.SyntheticPlatform(4, 4, 7), core.Config{}, bytes.NewReader(raw)); err == nil {
+	if _, _, err := replayStream(workload.SyntheticPlatform(4, 4, 7), raw); err == nil {
 		t.Fatal("replay accepted a corrupted journal")
 	}
 }
 
-// TestReplaySegmentsRotatedPair pins journal rotation end to end: a live
-// run rotates its journal mid-stream, and ReplaySegments over the
-// resulting segment pair rebuilds the sealed live platform bit-for-bit,
+// TestReplayRotatedPair pins journal rotation end to end: a live
+// run rotates its journal mid-stream, and VerifyChain plus ReplayEvents
+// over the resulting segment pair rebuild the sealed live platform bit-for-bit,
 // exactly as a single unrotated journal would. It also pins the failure
 // modes: segments out of order and a lone later segment offered as a
 // full history must both be rejected.
-func TestReplaySegmentsRotatedPair(t *testing.T) {
+func TestReplayRotatedPair(t *testing.T) {
 	plat := workload.SyntheticRegionPlatform(8, 8, 321, 4)
 	replayBase := plat.Clone()
 
@@ -253,8 +270,7 @@ func TestReplaySegmentsRotatedPair(t *testing.T) {
 		t.Fatalf("rotation did not split the stream: %d / %d bytes", seg1.Len(), seg2.Len())
 	}
 
-	rm, tail, err := ReplaySegments(replayBase, core.Config{},
-		bytes.NewReader(seg1.Bytes()), bytes.NewReader(seg2.Bytes()))
+	rm, tail, err := replayStream(replayBase, seg1.Bytes(), seg2.Bytes())
 	if err != nil {
 		t.Fatalf("replay segments: %v", err)
 	}
@@ -274,15 +290,13 @@ func TestReplaySegmentsRotatedPair(t *testing.T) {
 	}
 
 	// Reordered segments break the seed chain.
-	if _, _, err := ReplaySegments(plat.Clone(), core.Config{},
-		bytes.NewReader(seg2.Bytes()), bytes.NewReader(seg1.Bytes())); err == nil {
+	if _, _, err := replayStream(plat.Clone(), seg2.Bytes(), seg1.Bytes()); err == nil {
 		t.Fatal("replay accepted out-of-order segments")
 	}
 	// A later segment alone is an incomplete history: its snapshot head
 	// declares a non-genesis seed, so offering it as segment 0 of a
 	// chain must fail loudly rather than replay half the events.
-	if _, _, err := ReplaySegments(plat.Clone(), core.Config{},
-		bytes.NewReader(seg2.Bytes())); err == nil {
+	if _, _, err := journal.VerifyChain(bytes.NewReader(seg2.Bytes())); err == nil {
 		t.Fatal("replay accepted a mid-chain segment as a full history")
 	}
 }

@@ -43,11 +43,7 @@ func TestTransactRollsBackLostSwap(t *testing.T) {
 		if !out.Admitted {
 			t.Fatalf("%s: %v", name, out.Err)
 		}
-		plan, err := m.removalPlan(out.Admission)
-		if err != nil {
-			t.Fatal(err)
-		}
-		removals = append(removals, change{plan, journal.EvPreemptRelease, name, out.Priority})
+		removals = append(removals, change{out.Admission.plan, journal.EvPreemptRelease, name, out.Priority})
 	}
 
 	// Map the arrival, then let a structurally identical competitor be
@@ -116,7 +112,7 @@ func TestTransactRollsBackLostSwap(t *testing.T) {
 // UnderChurn with nothing kept apart: the fault storm, best-effort churn
 // and preempting Critical arrivals all work region 0, so evacuation
 // releases, preemption swaps, relocations of both kinds, stops and plain
-// commits contend for the same region lock and the same residents. Under
+// commits contend for the same resources and the same residents. Under
 // -race it pins what the one transaction is for: whatever the
 // interleaving, both victim ledgers partition, the ledger tears down to
 // pristine and the journal — appended inside the locked sections —
@@ -223,7 +219,7 @@ func TestFaultStormAndPreemptionShareOneRegion(t *testing.T) {
 	if err := jw.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if _, tail, err := Replay(replayBase, core.Config{}, bytes.NewReader(buf.Bytes())); err != nil || tail != 0 {
+	if _, tail, err := replayStream(replayBase, buf.Bytes()); err != nil || tail != 0 {
 		t.Fatalf("replay: %v (%d torn)", err, tail)
 	}
 	if err := arch.PlatformsIdentical(plat, replayBase); err != nil {

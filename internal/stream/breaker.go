@@ -7,7 +7,9 @@ import (
 
 // BreakerConfig tunes the server's circuit breaker. The breaker watches
 // the outcomes of arrivals actually submitted to the backend (not the
-// ones shed earlier): sustained rejections or latency breaches open it,
+// ones shed earlier): sustained capacity rejections or latency breaches
+// open it (a structural rejection of an unmappable request counts for
+// nothing),
 // and while open the server sheds Standard and BestEffort arrivals at
 // the dispatch stage instead of burning mapping rounds on a saturated
 // backend. Critical arrivals always pass through — their contract is
@@ -143,7 +145,7 @@ func (b *breaker) allow() bool {
 }
 
 // record feeds one backend outcome into the breaker: fail is a
-// rejection or a latency breach.
+// retryable (capacity) rejection or a latency breach.
 func (b *breaker) record(fail bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -175,6 +177,17 @@ func (b *breaker) record(fail bool) {
 			b.state = breakerClosed
 			b.buckets = [breakerBuckets]struct{ ok, fail int }{}
 		}
+	}
+}
+
+// returnProbe hands back the half-open probe slot of an arrival whose
+// outcome said nothing about saturation (a structural rejection), so the
+// breaker can still collect its Probes verdicts and close.
+func (b *breaker) returnProbe() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == breakerHalfOpen && b.probesSent > 0 {
+		b.probesSent--
 	}
 }
 

@@ -563,8 +563,17 @@ func (s *Server) watch(a Arrival, c model.Priority, wait func() manager.Outcome,
 			})
 			return
 		}
-		s.breaker.record(true)
-		if s.dlq != nil && manager.IsRetryableRejection(out.Err) {
+		// Only a capacity rejection says the mesh is saturated. A
+		// structural one (no implementation, unknown pinned tile,
+		// duplicate name) is a property of the request: counting it
+		// would let one client's bad specs shed everyone else's arrivals.
+		retryable := manager.IsRetryableRejection(out.Err)
+		if retryable {
+			s.breaker.record(true)
+		} else if c != model.Critical {
+			s.breaker.returnProbe()
+		}
+		if s.dlq != nil && retryable {
 			if attempts < s.opts.DLQRetries {
 				if s.dlq.add(dlqEntry{arr: a, class: c, attempts: attempts}) {
 					return // verdict deferred to the retry or the expiry

@@ -69,6 +69,12 @@ func TestBreakerOpensHalfOpensCloses(t *testing.T) {
 	if b.allow() {
 		t.Fatal("half-open admitted more than Probes arrivals")
 	}
+	// A probe whose outcome said nothing (a structural rejection) hands
+	// its slot back, or the breaker could never collect Probes verdicts.
+	b.returnProbe()
+	if !b.allow() || b.allow() {
+		t.Fatal("a returned probe slot must admit exactly one more arrival")
+	}
 	// Successful probes close it.
 	for i := 0; i < 3; i++ {
 		b.record(false)
@@ -608,12 +614,52 @@ func TestServerDLQExpiresOnShutdownAndBudget(t *testing.T) {
 	}
 }
 
+// TestServerBreakerIgnoresStructuralRejections pins that unmappable
+// requests say nothing about saturation: forty structural rejections
+// inside one breaker window — twice MinSamples, at a failure ratio of
+// one had they counted — leave the breaker closed, and the next
+// BestEffort arrival is admitted, not shed.
+func TestServerBreakerIgnoresStructuralRejections(t *testing.T) {
+	fb := &fakeBackend{}
+	srv, err := New(Options{
+		Backend: fb, Ingress: 64, ClassBuf: 128, // Standard's buffer holds all forty
+		Breaker: BreakerConfig{Window: time.Minute, MinSamples: 20, Ratio: 0.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, _ := collect(srv)
+	const bad = 40
+	for i := 0; i < bad; i++ {
+		if err := srv.Submit(taggedArrival("structural", i, model.Standard)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.Report().Rejected < bad; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d structural rejections delivered", srv.Report().Rejected, bad)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := srv.Submit(taggedArrival("admit", bad, model.BestEffort)); err != nil {
+		t.Fatal(err)
+	}
+	rep := srv.Shutdown()
+	<-done
+	if rep.BreakerOpens != 0 || rep.ShedBreaker != 0 {
+		t.Fatalf("structural rejections opened the breaker: %d opens, %d shed at it", rep.BreakerOpens, rep.ShedBreaker)
+	}
+	if rep.Admitted != 1 || rep.Rejected != bad || !rep.LedgerOK() {
+		t.Fatalf("admitted %d, rejected %d, want 1 and %d: %+v", rep.Admitted, rep.Rejected, bad, rep)
+	}
+}
+
 // TestServerBreakerShedsNonCritical scripts sustained rejection until
 // the breaker opens, then checks Standard/BestEffort shed at dispatch
 // while Critical still reaches the backend.
 func TestServerBreakerShedsNonCritical(t *testing.T) {
 	fb := &fakeBackend{}
-	fb.mode.Store(fakeRejectStructural)
+	fb.mode.Store(fakeRejectRetryable)
 	srv, err := New(Options{
 		Backend: fb, Ingress: 8, ClassBuf: 8,
 		Breaker: BreakerConfig{Window: time.Second, MinSamples: 10, Ratio: 0.5,

@@ -40,7 +40,7 @@ type SynthOptions struct {
 	MaxUtil float64
 	// SrcTile and SinkTile name the tiles the application's stream
 	// endpoints are pinned to (empty = "SRC0" / "SINK0", the endpoints
-	// SyntheticPlatform provides). Region-sharded scenarios pin arrivals
+	// SyntheticPlatform provides). Region-spread scenarios pin arrivals
 	// to the per-region endpoints of SyntheticRegionPlatform instead, so
 	// admissions land in disjoint mesh regions.
 	SrcTile  string
@@ -280,8 +280,7 @@ func SyntheticPlatform(w, h int, seed int64) *arch.Platform {
 // application pinned to region r's endpoints (SynthOptions.SrcTile /
 // SinkTile) keeps its whole reservation footprint inside that region —
 // minimal routes between two routers of a rectangle stay inside it — so
-// arrivals pinned to different regions commit against disjoint region
-// locks. regionSize ≤ 0 or covering the whole mesh yields the
+// arrivals pinned to different regions never collide. regionSize ≤ 0 or covering the whole mesh yields the
 // single-region platform (endpoints then match SyntheticPlatform's
 // SRC0/SINK0 placement).
 func SyntheticRegionPlatform(w, h int, seed int64, regionSize int) *arch.Platform {

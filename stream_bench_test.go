@@ -9,7 +9,7 @@ import (
 )
 
 // streamBenchOptions is the scenario all three streaming benchmarks run:
-// an unsaturated all-Critical churn on one region-sharded 8×8 mesh.
+// an unsaturated all-Critical churn on one region-partitioned 8×8 mesh.
 // All-Critical keeps the comparisons honest: Critical is the
 // blocking-backpressure path, so the server admits exactly the arrivals
 // the bare pipeline would (nothing sheds) and throughput differences are
