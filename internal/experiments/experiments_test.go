@@ -1,8 +1,14 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"rtsm/internal/workload"
 )
 
 func TestFig1ContainsAllEdges(t *testing.T) {
@@ -153,4 +159,83 @@ func TestAdmissionMonotoneInPlatformSize(t *testing.T) {
 	if perMesh[6] < perMesh[4] {
 		t.Errorf("bigger platform admitted fewer applications: %v", perMesh)
 	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/tables.golden from the current mapper and engine")
+
+// wallClock matches a rendered time.Duration, the only thing in a table
+// that differs from run to run.
+var wallClock = regexp.MustCompile(`[0-9.]+(ns|µs|ms|s)\b`)
+
+// TestTablesGolden pins the rendered E1–E12 reports to a committed file,
+// byte for byte: the buffer sizes in Fig3, the tightened capacities behind
+// Ablation and the simulated periods in ValidateAll all come out of the
+// step-4 engine, so a change to the mapper or the engine must leave the
+// file untouched. E6 is only timings and is left out; E9's mean-time
+// column is blanked. Regenerate for an intended fidelity change with
+// `go test ./internal/experiments -run Golden -update`.
+func TestTablesGolden(t *testing.T) {
+	var got strings.Builder
+	add := func(report string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.WriteString(report)
+		got.WriteString("\n" + strings.Repeat("─", 72) + "\n\n")
+	}
+	add(Fig1(), nil)
+	for _, mode := range workload.Hiperlan2Modes {
+		add(Table1(mode), nil)
+	}
+	add(Fig2(), nil)
+	t2, _, err := Table2()
+	add(t2, err)
+	f3, _, err := Fig3()
+	add(f3, err)
+	_, e7, err := RuntimeVsDesignTime()
+	add(e7, err)
+	_, e8, err := Quality(10)
+	add(e8, err)
+	_, e9, err := Scaling()
+	// Blanking changes the column's width, so the padding goes too.
+	var e9Blank strings.Builder
+	for _, line := range strings.Split(wallClock.ReplaceAllString(e9, "-"), "\n") {
+		e9Blank.WriteString(strings.Join(strings.Fields(line), " ") + "\n")
+	}
+	add(e9Blank.String(), err)
+	_, e10, err := Ablation()
+	add(e10, err)
+	e11, err := ValidateAll()
+	add(e11, err)
+	_, e12, err := Admission()
+	add(e12, err)
+
+	golden := filepath.Join("testdata", "tables.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (generate it with -update)", err)
+	}
+	if got.String() == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range gotLines {
+		if i >= len(wantLines) {
+			break
+		}
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("the rendered experiment tables differ from %s at line %d:\n got %q\nwant %q", golden, i+1, gotLines[i], wantLines[i])
+		}
+	}
+	t.Fatalf("the rendered experiment tables have %d lines, %s has %d", len(gotLines), golden, len(wantLines))
 }
