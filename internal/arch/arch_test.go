@@ -57,7 +57,7 @@ func TestAttachAndLookup(t *testing.T) {
 		t.Error("unknown tile should be nil")
 	}
 	arms := p.TilesOfType(TypeARM)
-	if len(arms) != 2 || arms[0].Name != "ARM1" {
+	if len(arms) != 2 || p.Tile(arms[0]).Name != "ARM1" {
 		t.Errorf("TilesOfType(ARM) = %v; declaration order must be preserved", arms)
 	}
 	types := p.TileTypes()

@@ -181,6 +181,7 @@ func (p *Platform) shallowMeta() *Platform {
 		in:            p.in,
 		byName:        p.byName,
 		atRtr:         p.atRtr,
+		ofType:        p.ofType,
 		tileRouters:   p.tileRouters,
 		tileClocks:    p.tileClocks,
 		linkFroms:     p.linkFroms,

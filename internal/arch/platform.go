@@ -25,6 +25,7 @@ type Platform struct {
 	in     [][]LinkID        // router -> incoming link IDs
 	byName map[string]TileID // tile name -> id
 	atRtr  map[RouterID][]TileID
+	ofType map[TileType][]TileID // tile type -> ids in declaration order
 
 	// Immutable static description, indexed by tile/link ID and shared by
 	// all clones. The lock-free plan path (core.NewPlan) reads topology
@@ -73,6 +74,7 @@ func NewMesh(name string, w, h int, linkCapBps int64) *Platform {
 		NoCClockHz: 200_000_000,
 		byName:     make(map[string]TileID),
 		atRtr:      make(map[RouterID][]TileID),
+		ofType:     make(map[TileType][]TileID),
 	}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
@@ -151,6 +153,7 @@ func (p *Platform) AttachTile(s TileSpec) *Tile {
 	p.Tiles = append(p.Tiles, t)
 	p.byName[s.Name] = t.ID
 	p.atRtr[r.ID] = append(p.atRtr[r.ID], t.ID)
+	p.ofType[s.Type] = append(p.ofType[s.Type], t.ID)
 	p.tileRouters = append(p.tileRouters, r.ID)
 	p.tileClocks = append(p.tileClocks, s.ClockHz)
 	if reg := p.RegionOfRouter(r.ID); int(reg) < len(p.tilesByRegion) {
@@ -188,16 +191,10 @@ func (p *Platform) TileByName(name string) *Tile {
 	return p.Tiles[id]
 }
 
-// TilesOfType returns the tiles of the given type in declaration order.
-func (p *Platform) TilesOfType(tt TileType) []*Tile {
-	var out []*Tile
-	for _, t := range p.Tiles {
-		if t.Type == tt {
-			out = append(out, t)
-		}
-	}
-	return out
-}
+// TilesOfType returns the IDs of the tiles of the given type in
+// declaration order. The slice is the platform's own index, shared by
+// every clone; Tile sees the struct a copy-on-write fault has installed.
+func (p *Platform) TilesOfType(tt TileType) []TileID { return p.ofType[tt] }
 
 // TilesAtRouter returns the IDs of tiles attached to a router.
 func (p *Platform) TilesAtRouter(r RouterID) []TileID { return p.atRtr[r] }

@@ -219,7 +219,7 @@ func randomPlacement(lib *model.Library, app *model.Application, plat *arch.Plat
 		order := rng.Perm(len(tiles))
 		var chosen *arch.Tile
 		for _, idx := range order {
-			t := tiles[idx]
+			t := plat.Tile(tiles[idx])
 			u := float64(cyc) / float64(t.CycleBudget(app.QoS.PeriodNs))
 			if t.FreeMem()-mem[t.ID] < im.MemBytes || t.ReservedUtil+util[t.ID]+u > 1.0+1e-9 {
 				continue

@@ -248,7 +248,8 @@ func TestHiperlan2RenderTable2(t *testing.T) {
 }
 
 // TestHiperlan2MapAllocationBudget keeps a cold Map of the case study
-// cheap in objects: it was 17 114 while step 4 allocated per firing.
+// cheap in objects: it was 17 114 while step 4 allocated per firing, and
+// is 398 now, up to 412 under -race, where sync.Pool drops engines.
 func TestHiperlan2MapAllocationBudget(t *testing.T) {
 	mode := workload.Hiperlan2Modes[3]
 	app := workload.Hiperlan2(mode)
@@ -259,7 +260,7 @@ func TestHiperlan2MapAllocationBudget(t *testing.T) {
 			t.Fatalf("Map: %v", err)
 		}
 	})
-	if allocs > 1500 {
-		t.Errorf("Map allocates %v objects, want at most 1500", allocs)
+	if allocs > 450 {
+		t.Errorf("Map allocates %v objects, want at most 450", allocs)
 	}
 }

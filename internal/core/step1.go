@@ -210,21 +210,23 @@ func (m *Mapper) firstFit(app *model.Application, work *arch.Platform, p *model.
 		return util, canHost(t, im.MemBytes, util) && ni.fits(t)
 	}
 	if used != nil {
-		for _, t := range work.TilesOfType(im.TileType) {
-			if _, in := used[work.RegionOfTile(t.ID)]; !in {
+		for _, tid := range work.TilesOfType(im.TileType) {
+			if _, in := used[work.RegionOfTile(tid)]; !in {
 				continue
 			}
+			t := work.Tile(tid)
 			if util, ok := fits(t); ok {
 				return t, util
 			}
 		}
 	}
-	for _, t := range work.TilesOfType(im.TileType) {
+	for _, tid := range work.TilesOfType(im.TileType) {
 		if used != nil {
-			if _, in := used[work.RegionOfTile(t.ID)]; in {
+			if _, in := used[work.RegionOfTile(tid)]; in {
 				continue // already scanned in the in-region pass
 			}
 		}
+		t := work.Tile(tid)
 		if util, ok := fits(t); ok {
 			return t, util
 		}

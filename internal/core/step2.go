@@ -246,10 +246,11 @@ func (s *searchState) bestCandidateFor(pi int) *candidate {
 		return nil
 	}
 	ni := niDemandOf(s.app, p)
-	for _, t := range s.work.TilesOfType(im.TileType) {
-		if t.ID == cur {
+	for _, tid := range s.work.TilesOfType(im.TileType) {
+		if tid == cur {
 			continue
 		}
+		t := s.work.Tile(tid)
 		tUtil := utilisation(t, cyc, s.app.QoS.PeriodNs)
 		if !canHost(t, im.MemBytes, tUtil) || !ni.fits(t) {
 			continue

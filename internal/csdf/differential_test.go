@@ -393,6 +393,7 @@ func trials(full int) int {
 }
 
 func TestExecuteDifferential(t *testing.T) {
+	share := trackEngines(t)
 	rng := rand.New(rand.NewSource(20080310))
 	deadlocks, runs := 0, 0
 	for trial := trials(1500); trial > 0; trial-- {
@@ -411,6 +412,19 @@ func TestExecuteDifferential(t *testing.T) {
 	// comparison to mean anything.
 	if deadlocks < runs/10 || deadlocks > runs*9/10 {
 		t.Errorf("%d of %d runs deadlocked; the generator has drifted", deadlocks, runs)
+	}
+	requireForwarded(t, share, 5)
+}
+
+// requireForwarded fails the test unless at least percent of the engine
+// runs it caused skipped cycles: the reference can only vouch for the
+// fast-forward on runs that take it.
+func requireForwarded(t *testing.T, share func() (runs, forwarded int64), percent int64) {
+	t.Helper()
+	runs, forwarded := share()
+	t.Logf("%d of %d engine runs skipped at least one cycle", forwarded, runs)
+	if forwarded*100 < runs*percent {
+		t.Errorf("%d of %d engine runs skipped cycles, want at least %d%%", forwarded, runs, percent)
 	}
 }
 
@@ -463,6 +477,7 @@ func TestRepetitionDifferential(t *testing.T) {
 }
 
 func TestBufferSizesDifferential(t *testing.T) {
+	share := trackEngines(t)
 	rng := rand.New(rand.NewSource(1996))
 	met, sized := 0, 0
 	for trial := trials(600); trial > 0; trial-- {
@@ -503,6 +518,7 @@ func TestBufferSizesDifferential(t *testing.T) {
 	if met < sized/10 || met > sized*9/10 {
 		t.Errorf("%d of %d sizings met their target; the generator has drifted", met, sized)
 	}
+	requireForwarded(t, share, 15)
 }
 
 // FuzzExecuteDifferential lets the fuzzer mutate encoded graphs and
@@ -519,6 +535,12 @@ func FuzzExecuteDifferential(f *testing.F) {
 		g, _ := spec.build()
 		spec.opts = optionShapes(rng, g)[5+i%3]
 		f.Add(spec.encode())
+	}
+	// Graphs that settle at the step-4 horizon, so mutation starts from
+	// runs that skip cycles.
+	for _, g := range settlingGraphs() {
+		settling := specOf(g, DefaultExecOptions())
+		f.Add(settling.encode())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec := decodeSpec(data)

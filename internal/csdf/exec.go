@@ -3,6 +3,7 @@ package csdf
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -23,9 +24,9 @@ type ExecOptions struct {
 	// of an iteration for latency accounting. Negative selects the first
 	// actor with no incoming channels.
 	Source ActorID
-	// MaxEvents bounds the number of firing completions before execution
-	// aborts (0 means a generous default). It guards against runaway
-	// execution of inconsistent graphs.
+	// MaxEvents bounds the number of completion instants — points in
+	// simulated time at which firings complete, however many — before
+	// execution aborts as runaway (0 means a generous default).
 	MaxEvents int
 	// ExclusiveGroups lists sets of actors that cannot fire concurrently,
 	// e.g. the actors mapped onto one processing tile. Within a group,
@@ -204,6 +205,11 @@ type engine struct {
 	sourceIn, observeIn int64 // firings into the current iteration
 	iterDone            []int64
 	iterSrcStart        []int64
+
+	// The last two boundaries' snapshots, of equal length; see recurred.
+	snaps []int64
+	// Runs made, and those that skipped cycles: the tests floor the share.
+	runs, forwarded int64
 }
 
 var enginePool = sync.Pool{New: func() any { return new(engine) }}
@@ -346,9 +352,22 @@ func (e *engine) run(opts ExecOptions) (*ExecResult, error) {
 	e.iterDone = e.iterDone[:0]
 	e.iterSrcStart = e.iterSrcStart[:0]
 
+	// Group arbitration and static orders compare absolute firing counts,
+	// which no periodic phase repeats.
+	lookForPeriod := len(e.groups) == 0 && len(e.orders) == 0
+	e.snaps = e.snaps[:0]
+	e.runs++
+	maxEvents, boundary := int64(opts.MaxEvents), 0
 	deadlocked := false
-	for events := 0; ; {
+	for events := int64(0); ; {
 		for e.schedulingPass() {
+		}
+		if lookForPeriod && len(e.iterDone) > boundary {
+			boundary = len(e.iterDone)
+			if e.recurred(events) {
+				events = e.skipCycles(events, totalIters, maxEvents)
+				lookForPeriod = false
+			}
 		}
 		if int64(len(e.iterDone)) >= totalIters {
 			break
@@ -364,7 +383,7 @@ func (e *engine) run(opts ExecOptions) (*ExecResult, error) {
 			e.finish(e.pop())
 		}
 		events++
-		if events > opts.MaxEvents {
+		if events > maxEvents {
 			return nil, fmt.Errorf("csdf: execution of %q exceeded %d events; graph may not settle", g.Name, opts.MaxEvents)
 		}
 	}
@@ -409,6 +428,112 @@ func (e *engine) run(opts ExecOptions) (*ExecResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// Self-timed execution of a consistent, bounded graph is a transient
+// followed by a strictly periodic phase. At each iteration boundary — the
+// observed actor has closed an iteration and the instant's scheduling
+// passes have settled — the engine snapshots its state relative to now;
+// when two successive boundaries agree, everything the firing rule will
+// read repeats, every counter grows by the same amount per cycle, and the
+// cycles can be added instead of simulated.
+//
+// A snapshot is the counters a skip multiplies (snapCounters for the run,
+// fired and busyTime per actor, blocks), then the relative state: per
+// actor the phase of its next start and the age of its cached verdict,
+// per channel its tokens, how far the source and the observed actor are
+// into their iterations, and the pending completions as (time−now, actor)
+// in heap order; sorting them first let no measured run skip more. The
+// rest follows from these at a settled instant: an actor's pending completions fix its busyUntil
+// and, with startPhase, its donePhase and the space its firings hold
+// reserved (occupied − tokens); its verdict is what evaluating it now
+// would return; no actor is dirty. Two absolutes remain, the firing caps
+// and the event bound, and skipCycles stops short of both.
+const snapCounters = 5 // now, pass, events, len(iterDone), len(iterSrcStart)
+
+// recurred records the state at an iteration boundary and reports whether
+// it equals, relative to now, the state at the boundary before.
+func (e *engine) recurred(events int64) bool {
+	n, nch := len(e.actors), len(e.channels)
+	relative := snapCounters + 2*n + 2*nch
+	size := relative + 2*n + nch + 2 + 2*len(e.heap)
+	// The older snapshot makes way; one of another length cannot match.
+	fresh := len(e.snaps) != 2*size
+	if fresh {
+		e.snaps = resize(e.snaps, 2*size)
+	} else {
+		copy(e.snaps, e.snaps[size:])
+	}
+	s := e.snaps[size:]
+	s[0], s[1], s[2], s[3], s[4] = e.now, e.pass, events, int64(len(e.iterDone)), int64(len(e.iterSrcStart))
+	counters, rel := s[snapCounters:], s[relative:]
+	for a := range e.actors {
+		st := &e.actors[a]
+		counters[2*a], counters[2*a+1] = st.fired, st.busyTime
+		rel[2*a], rel[2*a+1] = int64(st.startPhase), e.pass-st.evalPass
+	}
+	copy(counters[2*n:], e.blocks)
+	rel = rel[2*n:]
+	for c := range e.channels {
+		rel[c] = e.channels[c].tokens
+	}
+	rel[nch], rel[nch+1] = e.sourceIn, e.observeIn
+	for i, ev := range e.heap {
+		rel[nch+2+2*i], rel[nch+3+2*i] = ev.time-e.now, int64(ev.actor)
+	}
+	return !fresh && slices.Equal(e.snaps[relative:size], s[relative:])
+}
+
+// skipCycles advances the engine by as many repetitions of the cycle
+// between the two recorded boundaries as leave every actor short of its
+// firing cap — the cap silences an actor, so the iterations in which the
+// source leads the observed actor to it are simulated — and the event
+// count, which it returns, within its bound.
+func (e *engine) skipCycles(events, totalIters, maxEvents int64) int64 {
+	size := len(e.snaps) / 2
+	prev, cur := e.snaps[:size], e.snaps[size:]
+	delta := func(i int) int64 { return cur[i] - prev[i] }
+	dNow, dPass, dEvents, dDone, dBegun := delta(0), delta(1), delta(2), int(delta(3)), int(delta(4))
+
+	// Each boundary has a completion instant of its own: no zero divisor.
+	k := min((totalIters-int64(len(e.iterDone)))/int64(dDone), (maxEvents-events)/dEvents)
+	for a := range e.actors {
+		if d := delta(snapCounters + 2*a); d > 0 {
+			k = min(k, (e.actors[a].firingCap-1-e.actors[a].fired)/d)
+		}
+	}
+	if k <= 0 {
+		return events
+	}
+	e.forwarded++
+
+	e.now += k * dNow
+	e.pass += k * dPass
+	for a := range e.actors {
+		st := &e.actors[a]
+		st.fired += k * delta(snapCounters+2*a)
+		st.busyTime += k * delta(snapCounters+2*a+1)
+		st.busyUntil += k * dNow
+		st.evalPass += k * dPass
+	}
+	// The raw veto counts: the charge settle still owes is part of the
+	// recurring state, so it is the same at both boundaries.
+	for i := range e.blocks {
+		e.blocks[i] += k * delta(snapCounters+2*len(e.actors)+i)
+	}
+	for i := range e.heap {
+		e.heap[i].time += k * dNow
+	}
+	nd, nb := len(e.iterDone), len(e.iterSrcStart)
+	for j := int64(1); j <= k; j++ {
+		for _, t := range e.iterDone[nd-dDone : nd] {
+			e.iterDone = append(e.iterDone, t+j*dNow)
+		}
+		for _, t := range e.iterSrcStart[nb-dBegun : nb] {
+			e.iterSrcStart = append(e.iterSrcStart, t+j*dNow)
+		}
+	}
+	return events + k*dEvents
 }
 
 // mark schedules actor a for re-evaluation at its next turn: later in the

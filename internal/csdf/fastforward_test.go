@@ -1,0 +1,241 @@
+package csdf
+
+import (
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+)
+
+// trackEngines swaps the engine pool for one that remembers every engine
+// it makes, until the test ends, and returns a function that sums their
+// run counters: how many runs the test caused, inside BufferSizes too, and
+// how many of them skipped at least one cycle. For tests that use engines
+// from one goroutine.
+func trackEngines(t *testing.T) func() (runs, forwarded int64) {
+	var made []*engine
+	enginePool = sync.Pool{New: func() any {
+		made = append(made, new(engine))
+		return made[len(made)-1]
+	}}
+	t.Cleanup(func() { enginePool = sync.Pool{New: func() any { return new(engine) }} })
+	return func() (runs, forwarded int64) {
+		for _, e := range made {
+			runs += e.runs
+			forwarded += e.forwarded
+		}
+		return runs, forwarded
+	}
+}
+
+// stages chains the given actors with single-rate channels of one
+// capacity (0 leaves them unbounded).
+func stages(name string, capacity int64, wcets ...Pattern) *Graph {
+	g := NewGraph(name)
+	for i, w := range wcets {
+		g.AddActor(fmt.Sprintf("s%d", i), w)
+		if i > 0 {
+			c := g.Connect(ActorID(i-1), ActorID(i), Rep(1, len(wcets[i-1])), Rep(1, len(w)), 0)
+			g.Channel(c).Capacity = capacity
+		}
+	}
+	return g
+}
+
+// settlingGraphs are graphs whose self-timed execution reaches its
+// periodic phase within a few iterations, one family per way the recurring
+// state can hide: each stresses a different component of the snapshot
+// recurred compares, or one of the absolutes skipCycles stops short of.
+func settlingGraphs() []*Graph {
+	// Multi-rate with back-pressure: the slow consumer keeps both
+	// producers blocked on space, with standing vetoes whose age differs
+	// from boundary to boundary until the schedule has settled.
+	multirate := NewGraph("multirate")
+	a := multirate.AddActor("a", Vals(3))
+	b := multirate.AddActor("b", Vals(2, 4))
+	c := multirate.AddActor("c", Vals(5, 1, 9))
+	multirate.Channel(multirate.Connect(a, b, Vals(2), Vals(1, 2), 0)).Capacity = 4
+	multirate.Channel(multirate.Connect(b, c, Vals(3, 1), Vals(1, 2, 1), 0)).Capacity = 5
+
+	// The same with a feedback edge that bounds how far a may lead c.
+	feedback := NewGraph("feedback")
+	a = feedback.AddActor("a", Vals(3))
+	b = feedback.AddActor("b", Vals(2, 4))
+	c = feedback.AddActor("c", Vals(5, 1, 9))
+	feedback.Connect(a, b, Vals(2), Vals(1, 2), 0)
+	feedback.Connect(b, c, Vals(3, 1), Vals(1, 2, 1), 0)
+	feedback.Connect(c, a, Vals(1, 1, 1), Vals(2), 12)
+
+	// Deep pipelines with the bottleneck at the far end: the source runs
+	// ahead of the sink by as many iterations as the buffers between them
+	// hold, so it reaches its firing cap that many iterations early.
+	lead2 := stages("lead2", 1, Vals(2), Vals(3), Vals(2), Vals(11))
+	lead4 := stages("lead4", 2, Vals(1), Vals(2), Vals(1), Vals(7, 9))
+	// A two-phase source makes an iteration two source firings, so the
+	// source can be in the middle of an iteration at a boundary.
+	halfway := stages("halfway", 1, Vals(2, 3), Vals(1, 1), Vals(6, 7))
+
+	// Zero-WCET phases: several completions of one actor pending at one
+	// instant, which busyUntil cannot tell apart.
+	instant := NewGraph("instant")
+	a = instant.AddActor("a", Vals(0, 0, 3))
+	b = instant.AddActor("b", Vals(0))
+	instant.Connect(a, b, Vals(2, 0, 1), Vals(1), 0)
+	instant.Connect(b, a, Vals(1), Vals(1, 1, 1), 3)
+	relay := stages("relay", 2, Vals(4), Vals(0), Vals(0, 0), Vals(3, 0))
+
+	// Unbounded channels settle when the source is the slowest stage;
+	// mixed keeps one bounded channel downstream of an unbounded one.
+	unbounded := stages("unbounded", 0, Vals(10), Vals(3), Vals(2, 2), Vals(4))
+	mixed := stages("mixed", 0, Vals(8), Vals(5), Vals(7), Vals(2))
+	mixed.Channels[2].Capacity = 1
+
+	// Actors no channel ties to the observed one keep their own time. In
+	// lockstep the free actor's first three phases last as long as an
+	// iteration, so successive boundaries differ in nothing but the phase
+	// it is in. In crossing the two free actors gain and lose one time
+	// unit per iteration on the observed one, so at one pair of boundaries
+	// they trade places in the list of pending completions and nothing
+	// else changes. In drifting the default source is such an actor, with
+	// three cycles to an iteration by the balance of the other component:
+	// boundaries differ only in how far it is into its iteration. In
+	// outpaced the source begins two iterations for each one the observed
+	// actor completes, so the latency grows to the end of the run.
+	lockstep := NewGraph("lockstep")
+	lockstep.AddActor("observed", Vals(4))
+	lockstep.AddActor("free", Vals(4, 4, 4, 5))
+	crossing := NewGraph("crossing")
+	crossing.AddActor("observed", Vals(10))
+	crossing.AddActor("gains", Vals(11))
+	crossing.AddActor("loses", Vals(9))
+	drifting := NewGraph("drifting")
+	a = drifting.AddActor("observed", Vals(3))
+	drifting.AddActor("source", Vals(2, 4))
+	c = drifting.AddActor("feeder", Cat(Vals(5), Rep(1, 10)))
+	drifting.Connect(c, a, Rep(3, 11), Vals(22), 0)
+	outpaced := NewGraph("outpaced")
+	a = outpaced.AddActor("source", Vals(3))
+	b = outpaced.AddActor("slow", Vals(6))
+	c = outpaced.AddActor("observed", Vals(1))
+	outpaced.Channel(outpaced.Connect(a, outpaced.AddActor("drain", Vals(1)), Vals(1), Vals(1), 0)).Capacity = 1
+	outpaced.Channel(outpaced.Connect(b, c, Vals(1), Vals(1), 0)).Capacity = 1
+
+	return []*Graph{multirate, feedback, lead2, lead4, halfway, instant, relay, unbounded, mixed,
+		lockstep, crossing, drifting, outpaced, hl2LikeGraph()}
+}
+
+// TestFastForwardDifferential holds runs that skip cycles to the reference
+// engine, which simulates every firing: at the step-4 horizon, a shorter
+// and a longer one, and at event bounds that run out inside the span the
+// engine skips and just before the run's end.
+func TestFastForwardDifferential(t *testing.T) {
+	share := trackEngines(t)
+	for _, g := range settlingGraphs() {
+		for _, horizon := range [][2]int{{1, 3}, {4, 8}, {10, 30}} {
+			opts := ExecOptions{WarmupIterations: horizon[0], MeasureIterations: horizon[1], Observe: -1, Source: -1}
+			if r := checkExecute(t, g, opts); r == nil || r.Deadlocked {
+				t.Fatalf("%s does not run to its horizon: %+v", g.Name, r)
+			}
+			// The fewest events that let the reference finish.
+			lo, hi := 1, 1<<20
+			for lo < hi {
+				opts.MaxEvents = lo + (hi-lo)/2
+				if _, err := executeRef(g, opts); err != nil {
+					lo = opts.MaxEvents + 1
+				} else {
+					hi = opts.MaxEvents
+				}
+			}
+			for _, bound := range []int{lo / 3, lo / 2, lo - lo/4, lo - 1, lo} {
+				if bound > 0 {
+					opts.MaxEvents = bound
+					checkExecute(t, g, opts)
+				}
+			}
+		}
+	}
+	requireForwarded(t, share, 50)
+}
+
+// TestFastForwardDeclinesGroupsAndOrders: a static order's position and a
+// group's firing counts are absolutes no snapshot holds. Here the order
+// lets a go before b in two iterations of three and b before a in the
+// third, while everything the snapshot compares repeats every iteration.
+func TestFastForwardDeclinesGroupsAndOrders(t *testing.T) {
+	share := trackEngines(t)
+	g := NewGraph("ordered")
+	a := g.AddActor("a", Vals(2))
+	b := g.AddActor("b", Vals(3))
+	c := g.AddActor("c", Vals(1))
+	g.Channel(g.Connect(a, c, Vals(1), Vals(1), 0)).Capacity = 2
+	g.Channel(g.Connect(b, c, Vals(1), Vals(1), 0)).Capacity = 2
+	opts := DefaultExecOptions()
+	opts.StaticOrders = [][]ActorID{{a, b, a, b, b, a}}
+	checkExecute(t, g, opts)
+	opts.StaticOrders, opts.ExclusiveGroups = nil, [][]ActorID{{a, b}}
+	checkExecute(t, g, opts)
+	if runs, forwarded := share(); forwarded != 0 {
+		t.Errorf("%d of %d runs with a static order or a group skipped cycles", forwarded, runs)
+	}
+}
+
+// TestEngineStateIsClassified fails when the engine gains a field nobody
+// has decided how fast-forwarding treats. Skipping cycles is exact only
+// because every piece of run state is one of: fixed for the run, compared
+// between boundaries, implied by what is compared, an absolute the skip
+// stops short of, or a counter the skip multiplies.
+func TestEngineStateIsClassified(t *testing.T) {
+	const (
+		fixed    = "topology or options: set by load or at the start of run, constant during it"
+		compared = "relative state: in the snapshot recurred compares"
+		implied  = "relative state implied by the compared fields at a settled instant (see recurred)"
+		guarded  = "absolute: skipCycles stops short of where it changes behaviour"
+		additive = "counter: grows by the same amount every cycle, skipCycles multiplies it"
+		declined = "group and static-order state: runs that use it never fast-forward"
+		scratch  = "memory for load, the snapshots or the tests; run does not read it"
+	)
+	classes := map[reflect.Type]map[string]string{
+		reflect.TypeOf(actorState{}): {
+			"ins": fixed, "outs": fixed, "wcet": fixed, "perIter": fixed,
+			"firingCap": fixed, "group": fixed, "order": fixed,
+			"fired":      guarded + "; " + additive,
+			"startPhase": compared,
+			"donePhase":  implied,
+			"busyUntil":  implied,
+			"busyTime":   additive,
+			"verdict":    implied,
+			"evalPass":   compared,
+		},
+		reflect.TypeOf(channelState{}): {
+			"capacity": fixed,
+			"tokens":   compared,
+			"occupied": implied,
+		},
+		reflect.TypeOf(engine{}): {
+			"g": fixed, "actors": fixed, "channels": fixed, "edges": fixed,
+			"cycles": scratch, "balance": scratch, "queue": scratch,
+			"groups": declined, "groupActive": declined, "orders": declined, "orderPos": declined, "orderBusy": declined,
+			"dirty":  implied,
+			"pass":   additive,
+			"blocks": additive,
+			"now":    additive,
+			"heap":   compared,
+			"source": fixed, "observe": fixed,
+			"sourceIn": compared, "observeIn": compared,
+			"iterDone": additive, "iterSrcStart": additive + "; its open tail is " + compared,
+			"snaps": scratch, "runs": scratch, "forwarded": scratch,
+		},
+	}
+	for typ, class := range classes {
+		for i := 0; i < typ.NumField(); i++ {
+			name := typ.Field(i).Name
+			if class[name] == "" {
+				t.Errorf("%s.%s is not classified: decide how skipCycles treats it, then add it here", typ.Name(), name)
+			}
+			delete(class, name)
+		}
+		for name := range class {
+			t.Errorf("%s.%s is classified but no longer exists", typ.Name(), name)
+		}
+	}
+}

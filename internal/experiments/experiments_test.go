@@ -229,10 +229,7 @@ func TestTablesGolden(t *testing.T) {
 		return
 	}
 	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-	for i := range gotLines {
-		if i >= len(wantLines) {
-			break
-		}
+	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
 		if gotLines[i] != wantLines[i] {
 			t.Fatalf("the rendered experiment tables differ from %s at line %d:\n got %q\nwant %q", golden, i+1, gotLines[i], wantLines[i])
 		}

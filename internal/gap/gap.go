@@ -191,7 +191,8 @@ func (c *searchCtx) dfs(i int, cost float64) error {
 		if err != nil {
 			continue
 		}
-		for _, t := range c.plat.TilesOfType(im.TileType) {
+		for _, tid := range c.plat.TilesOfType(im.TileType) {
+			t := c.plat.Tile(tid)
 			if t.MaxOccupants > 0 && c.occ[t.ID] >= t.MaxOccupants {
 				continue
 			}

@@ -68,12 +68,12 @@ func TestOptimalIsLowerBoundForHeuristicObjective(t *testing.T) {
 			for k, v := range asg.Tile {
 				perturbed[k] = v
 			}
-			perturbed[p.ID] = tile.ID
+			perturbed[p.ID] = tile
 			if !adherent(t, app, plat, asg.Impl, perturbed) {
 				continue
 			}
 			if got := s.Evaluate(app, plat, asg.Impl, perturbed); got < asg.Energy-1e-9 {
-				t.Errorf("moving %s to %s yields %v < optimal %v", p.Name, tile.Name, got, asg.Energy)
+				t.Errorf("moving %s to %s yields %v < optimal %v", p.Name, plat.Tile(tile).Name, got, asg.Energy)
 			}
 		}
 	}

@@ -65,6 +65,18 @@ type Admission struct {
 	plan *core.Plan
 }
 
+// forResident drops the mapper's working platform — the attempt's private
+// clone of the mesh, which nothing reads once the plan has committed —
+// from a result about to be recorded on a resident, so that running does
+// not pin it. Only a result fresh out of this admission's own Map, Repair
+// or Relocate still has one: the write never touches a pooled template.
+func forResident(res *core.Result) *core.Result {
+	if res.Platform != nil {
+		res.Platform = nil
+	}
+	return res
+}
+
 // Library returns the implementation library the application was admitted
 // with.
 func (a *Admission) Library() *model.Library { return a.lib }
@@ -701,7 +713,7 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 				out.Commit += time.Since(commitStart)
 				m.mu.Lock()
 				m.seq++
-				ad := &Admission{App: app, Result: res, Seq: m.seq, Priority: prio, lib: lib, plan: plan}
+				ad := &Admission{App: app, Result: forResident(res), Seq: m.seq, Priority: prio, lib: lib, plan: plan}
 				m.running[app.Name] = ad
 				if repaired {
 					out.Repaired = true

@@ -113,8 +113,8 @@ func TestHiperlan2PlatformMatchesFigure2(t *testing.T) {
 		}
 	}
 	// Montiums hold one kernel at a time.
-	for _, m := range p.TilesOfType(arch.TypeMontium) {
-		if m.MaxOccupants != 1 {
+	for _, id := range p.TilesOfType(arch.TypeMontium) {
+		if m := p.Tile(id); m.MaxOccupants != 1 {
 			t.Errorf("%s MaxOccupants = %d, want 1", m.Name, m.MaxOccupants)
 		}
 	}
