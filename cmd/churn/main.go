@@ -17,7 +17,7 @@
 //	go run ./cmd/churn -priomix 70:20:10     # mixed admission classes, preemption on
 //	go run ./cmd/churn -priomix 70:20:10 -preempt=false  # priority queue only
 //	go run ./cmd/churn -faultrate 0.02       # fail a tile per ~50 arrivals, measure recovery
-//	go run ./cmd/churn -journal run.jsonl    # stream the hash-chained admission journal
+//	go run ./cmd/churn -journal run.journal    # stream the hash-chained admission journal
 package main
 
 import (

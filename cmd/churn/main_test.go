@@ -22,7 +22,7 @@ func TestRunSmoke(t *testing.T) {
 		base,
 		with("-faultrate", "0.05"),
 		with("-regionsize", "3"),
-		with("-journal", filepath.Join(t.TempDir(), "run.jsonl")),
+		with("-journal", filepath.Join(t.TempDir(), "run.journal")),
 		with("-compare"),
 		with("-apps", "0"),
 	} {
@@ -40,7 +40,7 @@ func TestRunSmoke(t *testing.T) {
 // combination validate refuses, and for the retired flags: a stale
 // script must fail loudly, not silently run something else.
 func TestRejectedFlagCombinations(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "j.jsonl")
+	journal := filepath.Join(t.TempDir(), "j.journal")
 	for _, tc := range []struct {
 		args []string
 		want string

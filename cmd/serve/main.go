@@ -17,8 +17,8 @@
 //	go run ./cmd/serve                          # 100k arrivals
 //	go run ./cmd/serve -arrivals 2000000        # the EXPERIMENTS.md soak
 //	go run ./cmd/serve -slo 5ms                 # AIMD adaptive admit rate
-//	go run ./cmd/serve -listen :8080 -journal run.jsonl   # network service
-//	go run ./cmd/serve -chaos script.txt -journal c.jsonl # chaos harness
+//	go run ./cmd/serve -listen :8080 -journal run.journal   # network service
+//	go run ./cmd/serve -chaos script.txt -journal c.journal # chaos harness
 package main
 
 import (

@@ -18,7 +18,7 @@ func serve(args ...string) (code int, stdout, stderr string) {
 func TestSoakSmoke(t *testing.T) {
 	base := []string{"-arrivals", "400", "-mesh", "8", "-catalogue", "4"}
 	journaled := append(base[:len(base):len(base)],
-		"-journal", filepath.Join(t.TempDir(), "soak.jsonl"))
+		"-journal", filepath.Join(t.TempDir(), "soak.journal"))
 	for _, args := range [][]string{base, journaled} {
 		code, out, errw := serve(args...)
 		if code != 0 {
@@ -35,7 +35,7 @@ func TestSoakSmoke(t *testing.T) {
 func TestChaosSmoke(t *testing.T) {
 	code, out, errw := serve("-chaos", "../../scripts/chaos_smoke.chaos",
 		"-arrivals", "300", "-mesh", "8", "-catalogue", "4", "-slo", "20ms",
-		"-journal", filepath.Join(t.TempDir(), "chaos.jsonl"))
+		"-journal", filepath.Join(t.TempDir(), "chaos.journal"))
 	if code != 0 {
 		t.Fatalf("exit %d\n%s%s", code, out, errw)
 	}

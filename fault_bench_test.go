@@ -23,7 +23,7 @@ func benchmarkAdmissionFaultChurn(b *testing.B, journaled bool) {
 	o.Apps = b.N
 	o.FaultRate = 0.02 // a tile fault per ~50 arrivals keeps evacuation hot
 	if journaled {
-		jf, err := journal.OpenFile(filepath.Join(b.TempDir(), "bench.jsonl"), 0, false)
+		jf, err := journal.OpenFile(filepath.Join(b.TempDir(), "bench.journal"), 0, false)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -76,7 +76,7 @@ func TestChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jf, err := journal.OpenFile(filepath.Join(t.TempDir(), "chaos.jsonl"), 0, false)
+	jf, err := journal.OpenFile(filepath.Join(t.TempDir(), "chaos.journal"), 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestChaosReplaysJournalWithoutCrashStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jf, err := journal.OpenFile(filepath.Join(t.TempDir(), "nocrash.jsonl"), 0, false)
+	jf, err := journal.OpenFile(filepath.Join(t.TempDir(), "nocrash.journal"), 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package churn
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -99,7 +99,7 @@ func checkRecovered(t *testing.T, s *Stack, sealed *arch.Platform, names []strin
 // journal.OpenFile plus the replay NewStack does on what it recovered.
 func TestOpenJournalRecovery(t *testing.T) {
 	t.Run("no segments starts a fresh chain", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "j.jsonl")
+		path := filepath.Join(t.TempDir(), "j.journal")
 		for _, resume := range []bool{false, true} {
 			j, err := journal.OpenFile(path, 0, resume)
 			if err != nil {
@@ -119,7 +119,7 @@ func TestOpenJournalRecovery(t *testing.T) {
 	})
 
 	t.Run("sealed segment replays to the checkpoint", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "j.jsonl")
+		path := filepath.Join(t.TempDir(), "j.journal")
 		sealed, names := crashed(t, path, false, 0, 24, 0)
 		s, j := recovered(t, path)
 		if j.Segments != 1 || j.TornBytes != 0 || len(j.Recovered.Events) == 0 {
@@ -130,7 +130,7 @@ func TestOpenJournalRecovery(t *testing.T) {
 	})
 
 	t.Run("torn tail is truncated and counted", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "j.jsonl")
+		path := filepath.Join(t.TempDir(), "j.journal")
 		sealed, names := crashed(t, path, false, 0, 24, 6)
 		s, j := recovered(t, path)
 		if j.TornBytes <= 0 {
@@ -140,20 +140,17 @@ func TestOpenJournalRecovery(t *testing.T) {
 	})
 
 	t.Run("flipped sealed byte serves nothing", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "j.jsonl")
+		path := filepath.Join(t.TempDir(), "j.journal")
 		crashed(t, path, false, 0, 24, 0)
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// One hex digit of the first record's hash: the line stays valid
-		// JSON, so only chain verification can catch it.
-		i := bytes.Index(raw, []byte(`"hash":"`)) + len(`"hash":"`)
-		if raw[i] == '0' {
-			raw[i] = '1'
-		} else {
-			raw[i] = '0'
-		}
+		// One bit of the first record's hash — the last byte of the frame
+		// after the eight-byte magic, whose header carries the body length
+		// in bytes 1..4: every frame boundary stays where it was, so only
+		// chain verification can catch it.
+		raw[8+6+binary.LittleEndian.Uint32(raw[9:])-1] ^= 1
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +163,7 @@ func TestOpenJournalRecovery(t *testing.T) {
 	})
 
 	t.Run("resumed chain verifies across three segments", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "j.jsonl")
+		path := filepath.Join(t.TempDir(), "j.journal")
 		crashed(t, path, false, 0, 24, 2)
 		crashed(t, path, true, 24, 40, 2)
 		sealed, names := crashed(t, path, true, 40, 56, 2)
@@ -178,7 +175,7 @@ func TestOpenJournalRecovery(t *testing.T) {
 	})
 
 	t.Run("fresh chain drops stale restart segments", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "j.jsonl")
+		path := filepath.Join(t.TempDir(), "j.journal")
 		crashed(t, path, false, 0, 24, 0)
 		crashed(t, path, true, 24, 40, 0)
 		crashed(t, path, false, 0, 24, 2)
@@ -193,7 +190,7 @@ func TestOpenJournalRecovery(t *testing.T) {
 // a restart: two recoveries of the same journal stop the recovered
 // residents in the same — sorted-name — order.
 func TestRecyclerSeededInSortedOrder(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.jsonl")
+	path := filepath.Join(t.TempDir(), "j.journal")
 	_, names := crashed(t, path, false, 0, 24, 0)
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -202,7 +199,7 @@ func TestRecyclerSeededInSortedOrder(t *testing.T) {
 	var orders [2][]string
 	for k := range orders {
 		dir := t.TempDir()
-		copyPath := filepath.Join(dir, "j.jsonl")
+		copyPath := filepath.Join(dir, "j.journal")
 		if err := os.WriteFile(copyPath, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}

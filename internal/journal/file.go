@@ -24,8 +24,8 @@ type File struct {
 
 // OpenFile opens the journal rooted at path, fsyncing on acks and after
 // every syncEvery-th event (0 = acks only). With resume, segments a
-// previous process left are recovered (RecoverFiles: torn tail
-// truncated, chain verified end to end) and journaling continues the
+// previous process left are recovered (RecoverFiles: chain verified
+// end to end, then the torn tail truncated) and journaling continues the
 // verified chain in the next segment file; replay Recovered.Events into
 // a pristine platform (manager.ReplayEvents) before serving. Without
 // resume, or when no segment exists, a fresh chain starts at path,
@@ -43,19 +43,12 @@ func OpenFile(path string, syncEvery int, resume bool) (*File, error) {
 			}
 		}
 	} else if len(segs) > 0 {
-		last := segs[len(segs)-1]
-		before, err := os.Stat(last)
-		if err != nil {
-			return nil, fmt.Errorf("journal: recover: %w", err)
-		}
+		var err error
 		if j.Recovered, err = RecoverFiles(segs...); err != nil {
 			return nil, err
 		}
-		after, err := os.Stat(last)
-		if err != nil {
-			return nil, fmt.Errorf("journal: recover: %w", err)
-		}
-		j.TornBytes = before.Size() - after.Size()
+		last := j.Recovered.Segments[len(segs)-1]
+		j.TornBytes = last.Bytes - last.Sealed
 		j.Segments = len(segs)
 		next = NextSegmentPath(path, len(segs))
 	}
@@ -66,9 +59,8 @@ func OpenFile(path string, syncEvery int, resume bool) (*File, error) {
 	opts := Options{Syncer: f, SyncEvery: syncEvery}
 	if j.Segments == 0 {
 		j.Writer = NewWriter(f, opts)
-	} else if j.Writer, err = NewResumedWriter(f, j.Recovered.Chain, j.Recovered.Seq, opts); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: %w", err)
+	} else {
+		j.Writer = NewResumedWriter(f, j.Recovered.Chain, j.Recovered.Seq, opts)
 	}
 	j.file = f
 	return j, nil

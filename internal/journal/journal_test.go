@@ -2,10 +2,9 @@ package journal_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -41,8 +40,8 @@ func testPlatform() *arch.Platform {
 func randomEvents(rng *rand.Rand, p *arch.Platform, n int) []journal.Event {
 	type resident struct {
 		name  string
-		tiles []journal.TileDelta
-		links []journal.LinkDelta
+		tiles []core.TileReservation
+		links []core.LinkReservation
 	}
 	var residents []resident
 	var out []journal.Event
@@ -52,7 +51,7 @@ func randomEvents(rng *rand.Rand, p *arch.Platform, n int) []journal.Event {
 		case r < 5 || len(residents) == 0 && r < 8:
 			name := fmt.Sprintf("app%d", i)
 			nt := 1 + rng.Intn(3)
-			tiles := make([]journal.TileDelta, 0, nt)
+			tiles := make([]core.TileReservation, 0, nt)
 			seen := map[arch.TileID]bool{}
 			for j := 0; j < nt; j++ {
 				tid := arch.TileID(rng.Intn(len(p.Tiles)))
@@ -60,16 +59,16 @@ func randomEvents(rng *rand.Rand, p *arch.Platform, n int) []journal.Event {
 					continue
 				}
 				seen[tid] = true
-				tiles = append(tiles, journal.TileDelta{
+				tiles = append(tiles, core.TileReservation{
 					Tile:      tid,
 					MemBytes:  int64(rng.Intn(4096)),
-					UtilBits:  math.Float64bits(rng.Float64() * 0.01),
+					Util:      rng.Float64() * 0.01,
 					Occupants: 1,
 					InBps:     int64(rng.Intn(1000)),
 					OutBps:    int64(rng.Intn(1000)),
 				})
 			}
-			links := []journal.LinkDelta{{
+			links := []core.LinkReservation{{
 				Link: arch.LinkID(rng.Intn(len(p.Links))),
 				Bps:  int64(rng.Intn(10000)),
 			}}
@@ -97,18 +96,16 @@ func randomEvents(rng *rand.Rand, p *arch.Platform, n int) []journal.Event {
 }
 
 // applyEvents replays a verified event stream onto a fresh platform, the
-// minimal replay loop (manager.Replay layers resident bookkeeping on the
-// same arithmetic).
+// minimal replay loop (manager.ReplayEvents layers resident bookkeeping
+// on the same arithmetic).
 func applyEvents(p *arch.Platform, events []journal.Event) {
 	for i := range events {
 		e := &events[i]
 		switch e.Type {
 		case journal.EvAdmit, journal.EvRelocate:
-			ts, ls := e.Reservations()
-			core.NewDeltaPlan(p, e.App, ts, ls).Commit(p)
+			core.ApplyDeltas(p, e.Tiles, e.Links, +1)
 		case journal.EvDepart, journal.EvPreemptRelease, journal.EvFaultRelease:
-			ts, ls := e.Reservations()
-			core.NewDeltaPlan(p, e.App, ts, ls).Release(p)
+			core.ApplyDeltas(p, e.Tiles, e.Links, -1)
 		case journal.EvFailTile:
 			p.FailTile(e.Tile)
 		case journal.EvRestoreTile:
@@ -189,38 +186,60 @@ func TestJournalTornTail(t *testing.T) {
 	}
 }
 
+// frame is one frame of a segment as the test walks it, independently of
+// the verifier: the eight-byte magic, then six-byte headers whose bytes
+// 1..4 are the little-endian body length.
+type frame struct {
+	kind     byte
+	off, end int
+}
+
+func frames(t testing.TB, data []byte) []frame {
+	t.Helper()
+	var out []frame
+	for off := 8; off < len(data); {
+		end := off + 6 + int(binary.LittleEndian.Uint32(data[off+1:]))
+		if end > len(data) {
+			t.Fatalf("frame at %d runs to %d, past the %d-byte journal", off, end, len(data))
+		}
+		out = append(out, frame{data[off], off, end})
+		off = end
+	}
+	return out
+}
+
 // sealedLength returns the byte length of the sealed region: everything
-// up to and including the last seal line.
-func sealedLength(data []byte) int {
+// up to and including the last seal frame.
+func sealedLength(t testing.TB, data []byte) int {
 	end := 0
-	for i := 0; i < len(data); {
-		j := bytes.IndexByte(data[i:], '\n')
-		if j < 0 {
-			break
+	for _, f := range frames(t, data) {
+		if f.kind == 'S' {
+			end = f.end
 		}
-		line := data[i : i+j]
-		if bytes.Contains(line, []byte(`"seal"`)) {
-			end = i + j + 1
-		}
-		i += j + 1
 	}
 	return end
 }
 
 // FuzzJournalChain is the ledger-integrity property suite:
 //
-//  1. any line-boundary prefix of a journal verifies (earlier seals stand
-//     on their own; later events count as torn tail),
-//  2. any single flipped byte inside the sealed region is detected,
+//  1. any prefix of a journal verifies — cut at a frame boundary or
+//     inside a frame, earlier seals stand on their own and later events
+//     count as torn tail,
+//  2. any single changed byte inside the sealed region is detected: the
+//     record hash covers the exact payload bytes on disk, the seals
+//     vouch for the hashes, and every frame header checks itself,
 //  3. replaying the verified events is deterministic: two replays land on
 //     bit-for-bit identical platforms.
 func FuzzJournalChain(f *testing.F) {
-	f.Add(int64(1), uint8(40), uint8(8), uint16(100))
-	f.Add(int64(7), uint8(3), uint8(1), uint16(0))
-	f.Add(int64(42), uint8(200), uint8(64), uint16(9999))
-	f.Fuzz(func(t *testing.T, seed int64, n uint8, batch uint8, flip uint16) {
+	f.Add(int64(1), uint8(40), uint8(8), uint16(100), uint8(0xff))
+	f.Add(int64(7), uint8(3), uint8(1), uint16(9), uint8(0x80))
+	f.Add(int64(42), uint8(200), uint8(64), uint16(9999), uint8(0x01))
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, batch uint8, flip uint16, mask uint8) {
 		if n == 0 {
 			n = 1
+		}
+		if mask == 0 {
+			mask = 0xff
 		}
 		p := testPlatform()
 		rng := rand.New(rand.NewSource(seed))
@@ -236,28 +255,38 @@ func FuzzJournalChain(f *testing.F) {
 				len(sealed), tail, len(events))
 		}
 
-		// Property 1: every line-boundary prefix verifies.
-		lines := strings.SplitAfter(string(data), "\n")
-		prefix := ""
-		for _, line := range lines {
-			prefix += line
-			s, tl, err := journal.Verify(strings.NewReader(prefix))
-			if err != nil {
-				t.Fatalf("prefix of %d bytes failed verification: %v", len(prefix), err)
-			}
-			if len(s)+tl > len(events) {
-				t.Fatalf("prefix yielded %d events + %d tail, more than the %d written",
-					len(s), tl, len(events))
+		// Property 1: every frame-boundary prefix verifies, and so does a
+		// cut inside each frame.
+		want, pending := 0, 0
+		for _, fr := range frames(t, data) {
+			cut := fr.off + int(flip)%(fr.end-fr.off)
+			for _, end := range []int{cut, fr.end} {
+				if end == fr.end {
+					switch fr.kind {
+					case 'E':
+						pending++
+					case 'S':
+						want, pending = want+pending, 0
+					}
+				}
+				s, tl, err := journal.Verify(bytes.NewReader(data[:end]))
+				if err != nil {
+					t.Fatalf("prefix of %d bytes failed verification: %v", end, err)
+				}
+				if len(s) != want || tl != pending {
+					t.Fatalf("prefix of %d bytes yielded %d events + %d tail, want %d + %d",
+						end, len(s), tl, want, pending)
+				}
 			}
 		}
 
-		// Property 2: a flipped byte inside the sealed region is detected.
-		if end := sealedLength(data); end > 0 {
+		// Property 2: a changed byte inside the sealed region is detected.
+		if end := sealedLength(t, data); end > 0 {
 			pos := int(flip) % end
 			mut := append([]byte(nil), data...)
-			mut[pos] ^= 0xff
+			mut[pos] ^= mask
 			if _, _, err := journal.Verify(bytes.NewReader(mut)); err == nil {
-				t.Fatalf("flipped byte at %d of %d went undetected", pos, end)
+				t.Fatalf("byte %d of %d xor %#x went undetected", pos, end, mask)
 			}
 		}
 
@@ -388,8 +417,8 @@ func TestSetSyncEveryPeriodicFsync(t *testing.T) {
 }
 
 // TestRotateChainsSegments pins the rotation contract: Rotate seals the
-// old segment, the new segment opens with a snapshot head seeded by the
-// previous seal, VerifyChain accepts the pair (and replays it exactly
+// old segment, the new segment opens with a head frame seeded by the
+// previous seal, Recover accepts the pair (and replays it exactly
 // like the unrotated stream), and any cross-segment tampering —
 // flipped bytes, reordered or substituted segments — is detected.
 func TestRotateChainsSegments(t *testing.T) {
@@ -412,12 +441,13 @@ func TestRotateChainsSegments(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	got, tail, err := journal.VerifyChain(bytes.NewReader(seg1.Bytes()), bytes.NewReader(seg2.Bytes()))
+	rec, err := journal.Recover(bytes.NewReader(seg1.Bytes()), bytes.NewReader(seg2.Bytes()))
 	if err != nil {
 		t.Fatalf("verify chain: %v", err)
 	}
-	if tail != 0 || len(got) != len(events) {
-		t.Fatalf("chain verified %d events + %d tail, want %d + 0", len(got), tail, len(events))
+	got := rec.Events
+	if rec.Tail != 0 || len(got) != len(events) {
+		t.Fatalf("chain verified %d events + %d tail, want %d + 0", len(got), rec.Tail, len(events))
 	}
 	// The rotated pair must replay bit-for-bit like the one-segment log.
 	direct := p.Clone()
@@ -432,19 +462,40 @@ func TestRotateChainsSegments(t *testing.T) {
 		t.Fatalf("standalone verify of rotated segment: %v", err)
 	}
 	// Segment order is pinned by the seed chain.
-	if _, _, err := journal.VerifyChain(bytes.NewReader(seg2.Bytes()), bytes.NewReader(seg1.Bytes())); err == nil {
+	if _, err := journal.Recover(bytes.NewReader(seg2.Bytes()), bytes.NewReader(seg1.Bytes())); err == nil {
 		t.Fatal("reordered segments verified")
 	}
 	// A flipped byte inside either sealed region breaks the chain.
 	for i, seg := range [][]byte{seg1.Bytes(), seg2.Bytes()} {
 		bad := append([]byte(nil), seg...)
-		limit := sealedLength(bad)
+		limit := sealedLength(t, bad)
 		flip := limit / 2
 		bad[flip] ^= 0x40
 		segments := [][]byte{seg1.Bytes(), seg2.Bytes()}
 		segments[i] = bad
-		if _, _, err := journal.VerifyChain(bytes.NewReader(segments[0]), bytes.NewReader(segments[1])); err == nil {
+		if _, err := journal.Recover(bytes.NewReader(segments[0]), bytes.NewReader(segments[1])); err == nil {
 			t.Fatalf("flipped byte %d in segment %d went undetected", flip, i)
 		}
+	}
+}
+
+// TestEverySingleByteChangeIsDetected is FuzzJournalChain's second
+// property, exhaustively, on a journal small enough to try it all: every
+// byte of the sealed region, set to every other value it could hold.
+func TestEverySingleByteChangeIsDetected(t *testing.T) {
+	p := testPlatform()
+	events := randomEvents(rand.New(rand.NewSource(3)), p, 3)
+	data := buildJournal(t, events, 2, true)
+	mut := append([]byte(nil), data...)
+	r := bytes.NewReader(nil)
+	for pos := range data {
+		for mask := 1; mask < 256; mask++ {
+			mut[pos] = data[pos] ^ byte(mask)
+			r.Reset(mut)
+			if got, tail, err := journal.Verify(r); err == nil {
+				t.Fatalf("byte %d of %d xor %#x went undetected: %d events, %d torn", pos, len(data), mask, len(got), tail)
+			}
+		}
+		mut[pos] = data[pos]
 	}
 }

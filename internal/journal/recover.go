@@ -3,11 +3,23 @@ package journal
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 )
+
+// Segment is what one verified segment held.
+type Segment struct {
+	// Events and Seals count the sealed events and the seals that cover
+	// them; Tail counts the complete events after the last seal.
+	Events, Seals, Tail int
+	// Bytes is the segment's length and Sealed the offset just past its
+	// last seal (past the head or the magic when nothing is sealed yet):
+	// truncating there discards exactly the torn tail.
+	Bytes, Sealed int64
+}
 
 // Recovered is the restartable state a verified journal yields: the
 // sealed events to replay, the size of the discarded torn tail, and the
@@ -17,129 +29,249 @@ type Recovered struct {
 	// Events is every sealed event across all segments, in order.
 	Events []Event
 	// Tail counts the final segment's unsealed trailing events — the
-	// authentic-looking but unprotected lines a crash left, which replay
+	// authentic-looking but unprotected frames a crash left, which replay
 	// must ignore and recovery truncates.
 	Tail int
 	// Chain is the chain hash after the last seal: the seed for the next
-	// segment's snapshot head.
-	Chain string
+	// segment's head.
+	Chain Hash
 	// Seq is the last sealed event's sequence number (a resumed writer
 	// continues from Seq+1).
 	Seq uint64
+	// Segments describes each segment, in order.
+	Segments []Segment
+}
+
+// Verify reads one journal segment and returns the events of every
+// sealed batch, in order. The returned tail count is how many trailing
+// events were appended after the last seal (a crash mid-batch); they are
+// authentic-looking but unprotected, so replay must ignore them. Any
+// corruption — a damaged frame header, a flipped byte in an event
+// payload, a wrong record hash, a broken Merkle root or chain hash, a
+// seal counting the wrong number of events — is an error naming the
+// offset of the frame it was found in.
+//
+// A rotated segment (one opening with a head frame) verifies standalone
+// against its self-declared seed; use Recover to pin the seed against
+// the preceding segment's actual seal.
+func Verify(r io.Reader) ([]Event, int, error) {
+	v := newVerifier()
+	seg, _, _, err := v.segment(r, nil)
+	if err != nil {
+		return nil, 0, fmt.Errorf("journal: %w", err)
+	}
+	return v.events, seg.Tail, nil
+}
+
+// position is a place in the chain: the hash after the last seal and the
+// last sealed sequence number.
+type position struct {
+	chain Hash
+	seq   uint64
+}
+
+// verifier carries what one recovery reuses from segment to segment: the
+// read buffer, the frame body, the unsealed batch's hashes, and the
+// events decoded so far.
+type verifier struct {
+	br     *bufio.Reader
+	body   []byte
+	hashes []Hash
+	events []Event
+	slabs  slabs
+}
+
+func newVerifier() *verifier {
+	return &verifier{br: bufio.NewReaderSize(nil, 16<<10)}
+}
+
+// readFull fills p from the segment. short reports that the segment
+// ended first — the mark of a torn write — with n bytes read.
+func (v *verifier) readFull(p []byte) (n int, short bool, err error) {
+	n, err = io.ReadFull(v.br, p)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return n, true, nil
+	}
+	return n, false, err
+}
+
+// segment verifies one segment in a single streaming pass, appending its
+// sealed events to v.events. want, when non-nil, pins the head frame
+// (chain continuity across a rotation); nil accepts a genesis segment or
+// a self-declared head. It returns the segment's description, the
+// position its head frame declares (nil for a genesis segment) and the
+// chain position it ends on.
+func (v *verifier) segment(r io.Reader, want *position) (seg Segment, head *position, end position, err error) {
+	v.br.Reset(r)
+	v.hashes = v.hashes[:0]
+	first := len(v.events)
+	sealed := first // v.events[first:sealed] are sealed, the rest pending
+	off := int64(0) // start of the frame being read
+	fail := func(format string, args ...any) (Segment, *position, position, error) {
+		v.events = v.events[:first]
+		return Segment{}, nil, position{}, fmt.Errorf("offset %d: %s", off, fmt.Sprintf(format, args...))
+	}
+	if want != nil {
+		end = *want
+	}
+
+	var m [len(magic)]byte
+	n, short, err := v.readFull(m[:])
+	seg.Bytes = int64(n)
+	switch {
+	case err != nil:
+		return fail("%v", err)
+	case n > 0 && m[0] == '{':
+		return fail("this is a JSON-lines journal (the pre-PR-21 encoding); this version reads only binary frames")
+	case !bytes.Equal(m[:min(n, 7)], magic[:min(n, 7)]):
+		return fail("not a journal segment (bad magic)")
+	case n == len(magic) && m[7] != magic[7]:
+		return fail("unsupported journal version %d", m[7])
+	}
+	if !short {
+		seg.Sealed = seg.Bytes
+	}
+	lastSeq := end.seq
+	for !short {
+		off = seg.Bytes
+		var h [headerLen]byte
+		n, short, err = v.readFull(h[:])
+		seg.Bytes += int64(n)
+		if err != nil {
+			return fail("%v", err)
+		}
+		if short {
+			break // the segment ends here, cleanly (n == 0) or inside a header
+		}
+		kind, size := h[0], int(binary.LittleEndian.Uint32(h[1:5]))
+		switch {
+		case h[5] != headerCheck(h[:5]):
+			return fail("damaged frame header")
+		case kind == kindEvent && size >= sha256.Size && size <= maxBody,
+			kind == kindSeal && size == sealLen, kind == kindHead && size == headLen:
+		default:
+			return fail("no frame of kind %#x and length %d", kind, size)
+		}
+		if cap(v.body) < size {
+			v.body = make([]byte, size+size/2)
+		}
+		body := v.body[:size]
+		n, short, err = v.readFull(body)
+		seg.Bytes += int64(n)
+		if err != nil {
+			return fail("%v", err)
+		}
+		if short {
+			break // the declared length runs past the end: a torn write
+		}
+		switch kind {
+		case kindHead:
+			if off != int64(len(magic)) {
+				return fail("head frame not at segment start")
+			}
+			p := position{chain: Hash(body[:sha256.Size]), seq: binary.LittleEndian.Uint64(body[sha256.Size:])}
+			if want != nil && p != *want {
+				return fail("rotation head (seed %s, seq %d) does not continue the previous segment (seal %s, seq %d)",
+					p.chain, p.seq, want.chain, want.seq)
+			}
+			head, end, lastSeq = &p, p, p.seq
+			seg.Sealed = seg.Bytes
+		case kindEvent:
+			payload := body[:size-sha256.Size]
+			hash := Hash(sha256.Sum256(payload))
+			if hash != Hash(body[size-sha256.Size:]) {
+				return fail("record hash mismatch (event tampered)")
+			}
+			v.events = append(v.events, Event{})
+			e := &v.events[len(v.events)-1]
+			if err := decodeEvent(payload, e, &v.slabs); err != nil {
+				return fail("%v", err)
+			}
+			if e.Seq <= lastSeq {
+				return fail("sequence %d not increasing (last %d)", e.Seq, lastSeq)
+			}
+			lastSeq = e.Seq
+			v.hashes = append(v.hashes, hash)
+		case kindSeal:
+			count := binary.LittleEndian.Uint32(body)
+			root, prev, chain := Hash(body[4:]), Hash(body[4+sha256.Size:]), Hash(body[4+2*sha256.Size:])
+			switch {
+			case int(count) != len(v.hashes):
+				return fail("seal counts %d events, batch has %d", count, len(v.hashes))
+			case prev != end.chain:
+				return fail("chain broken (prev %s, expected %s)", prev, end.chain)
+			case merkleRoot(v.hashes) != root:
+				return fail("merkle root mismatch")
+			case chainHash(prev, root) != chain:
+				return fail("chain hash mismatch")
+			}
+			end = position{chain: chain, seq: lastSeq}
+			sealed = len(v.events)
+			v.hashes = v.hashes[:0]
+			seg.Seals++
+			seg.Sealed = seg.Bytes
+		}
+	}
+	if want != nil && head == nil {
+		off = 0
+		return fail("not a rotated segment: no head frame continuing seal %s", want.chain)
+	}
+	seg.Events, seg.Tail = sealed-first, len(v.events)-sealed
+	v.events = v.events[:sealed]
+	return seg, head, end, nil
 }
 
 // Recover verifies a rotated sequence of journal segments as one log:
-// each segment after the first must open with a snapshot head whose seed
+// each segment after the first must open with a head frame whose seed
 // equals the previous segment's final chain hash and whose sequence
 // equals the previous segment's last event — so removing, reordering or
 // truncating whole segments is as detectable as flipping a byte inside
-// one. A non-final segment with unsealed trailing events is an error
+// one. A non-final segment with anything after its last seal is an error
 // (Rotate always seals before switching, so such a tail means the file
 // lost bytes); the final segment may carry a torn tail (reported, not
 // replayed). The first segment must be a full history: it either has no
-// snapshot head or declares the genesis seed, so a mid-chain segment
+// head frame or declares the genesis seed, so a mid-chain segment
 // offered alone (or with its predecessors missing) is rejected rather
 // than silently replaying half the log. Besides the events it returns
 // the chain position needed to resume journaling after a crash: where
-// the next segment starts.
+// the next segment starts. Recover only reads; every segment is read
+// once, through one reused buffer.
 func Recover(segments ...io.Reader) (Recovered, error) {
 	if len(segments) == 0 {
 		return Recovered{}, fmt.Errorf("journal: no segments")
 	}
-	var rec Recovered
-	wantSeed := ""
-	var wantSeq uint64
+	v := newVerifier()
+	rec := Recovered{Segments: make([]Segment, 0, len(segments))}
+	var want *position
 	for i, r := range segments {
-		events, tail, head, endChain, endSeq, err := verifySegment(r, wantSeed, wantSeq)
+		seg, head, end, err := v.segment(r, want)
 		if err != nil {
 			return Recovered{}, fmt.Errorf("journal: segment %d: %w", i, err)
 		}
-		if i == 0 && head != nil && head.Seed != genesis {
-			return Recovered{}, fmt.Errorf("journal: segment 0: starts mid-chain (snapshot seed %.12s…, seq %d); earlier segments are missing", head.Seed, head.Seq)
+		if i == 0 && head != nil && head.chain != (Hash{}) {
+			return Recovered{}, fmt.Errorf("journal: segment 0: starts mid-chain (head seed %s, seq %d); earlier segments are missing", head.chain, head.seq)
 		}
-		if i > 0 && head == nil {
-			return Recovered{}, fmt.Errorf("journal: segment %d: not a rotated segment (no snapshot head)", i)
+		if i < len(segments)-1 && seg.Bytes > seg.Sealed {
+			return Recovered{}, fmt.Errorf("journal: segment %d: %d bytes (%d unsealed events) after the last seal before a rotation (segment truncated)",
+				i, seg.Bytes-seg.Sealed, seg.Tail)
 		}
-		rec.Events = append(rec.Events, events...)
-		if i == len(segments)-1 {
-			rec.Tail = tail
-			rec.Chain = endChain
-			switch {
-			case len(rec.Events) > 0:
-				rec.Seq = rec.Events[len(rec.Events)-1].Seq
-			case head != nil:
-				rec.Seq = head.Seq
-			}
-			return rec, nil
-		}
-		if tail > 0 {
-			return Recovered{}, fmt.Errorf("journal: segment %d: %d unsealed events before a rotation (segment truncated)", i, tail)
-		}
-		wantSeed, wantSeq = endChain, endSeq
+		rec.Segments = append(rec.Segments, seg)
+		rec.Tail, rec.Chain, rec.Seq = seg.Tail, end.chain, end.seq
+		want = &end
 	}
-	return rec, nil // unreachable: the loop returns on the final segment
-}
-
-// SealedPrefix scans one segment and returns the byte offset just past
-// the last seal (or past the snapshot head, when nothing is sealed
-// yet): truncating the file to this offset discards exactly the torn
-// tail a crash left while keeping every chain-protected byte. The scan
-// is purely structural — it stops at the first torn or non-JSON line —
-// so run Verify (or Recover) on the truncated file afterwards; a
-// corrupted sealed region still fails there.
-func SealedPrefix(r io.Reader) (int64, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var off, sealed int64
-	for {
-		line, err := br.ReadBytes('\n')
-		if len(line) > 0 {
-			if line[len(line)-1] != '\n' {
-				// Torn final line: the crash cut a write mid-line. Nothing
-				// at or past it can be part of the sealed prefix.
-				break
-			}
-			trimmed := bytes.TrimSpace(line)
-			if len(trimmed) > 0 {
-				var rec record
-				if json.Unmarshal(trimmed, &rec) != nil {
-					break
-				}
-				off += int64(len(line))
-				if rec.Seal != nil || rec.Snap != nil {
-					sealed = off
-				}
-				continue
-			}
-			off += int64(len(line))
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return 0, err
-		}
-	}
-	return sealed, nil
+	rec.Events = v.events
+	return rec, nil
 }
 
 // NewResumedWriter starts a journal writer that continues a recovered
-// chain in a fresh segment: the first record written is a snapshot head
-// declaring the seed (the recovered final chain hash) and the last
-// sealed sequence number, exactly as Rotate would have written it — so
-// VerifyChain over the old segments plus the new one still verifies end
-// to end. chain may be empty to start a genesis log (equivalent to
-// NewWriter plus a redundant head). The caller keeps ownership of w.
-func NewResumedWriter(w io.Writer, chain string, seq uint64, opts Options) (*Writer, error) {
-	if chain == "" {
-		chain = genesis
-	}
-	head, err := json.Marshal(record{Snap: &snapshot{Seed: chain, Seq: seq}})
-	if err != nil {
-		return nil, err
-	}
-	jw := newWriter(w, chain, seq, opts)
-	jw.msgs <- wmsg{line: append(head, '\n')}
-	return jw, nil
+// chain in a fresh segment: the first frame written is a head declaring
+// the seed (the recovered final chain hash) and the last sealed sequence
+// number, exactly as Rotate would have written it — so Recover over the
+// old segments plus the new one still verifies end to end. The zero
+// chain starts a genesis log (equivalent to NewWriter plus a redundant
+// head). The caller keeps ownership of w.
+func NewResumedWriter(w io.Writer, chain Hash, seq uint64, opts Options) *Writer {
+	return newWriter(w, segmentHead(chain, seq), chain, seq, opts)
 }
 
 // SegmentPaths lists the on-disk segments of a journal rooted at base,
@@ -169,52 +301,35 @@ func NextSegmentPath(base string, existing int) string {
 	return fmt.Sprintf("%s.r%d", base, existing)
 }
 
-// RecoverFiles is crash recovery over on-disk segments: the final
-// segment is truncated in place to its sealed prefix (discarding the
-// torn tail), then the whole chain is verified and the restartable
-// state returned. After it succeeds, resume journaling with
-// NewResumedWriter into NextSegmentPath and replay Recovered.Events
-// into a pristine platform (manager.ReplayEvents) before serving.
+// RecoverFiles is crash recovery over on-disk segments: the whole chain
+// is verified (Recover), and only then is the final segment truncated
+// in place to its sealed prefix, discarding the torn tail. A chain that
+// does not verify leaves every file as it was. After it succeeds, resume
+// journaling with NewResumedWriter into NextSegmentPath and replay
+// Recovered.Events into a pristine platform (manager.ReplayEvents)
+// before serving.
 func RecoverFiles(paths ...string) (Recovered, error) {
 	if len(paths) == 0 {
 		return Recovered{}, fmt.Errorf("journal: no segment files")
 	}
-	last := paths[len(paths)-1]
-	f, err := os.Open(last)
-	if err != nil {
-		return Recovered{}, fmt.Errorf("journal: recover: %w", err)
-	}
-	prefix, err := SealedPrefix(f)
-	f.Close()
-	if err != nil {
-		return Recovered{}, fmt.Errorf("journal: recover %s: %w", last, err)
-	}
-	if fi, err := os.Stat(last); err == nil && prefix < fi.Size() {
-		if err := os.Truncate(last, prefix); err != nil {
-			return Recovered{}, fmt.Errorf("journal: recover %s: %w", last, err)
-		}
-	}
-	files := make([]io.Reader, 0, len(paths))
-	defer func() {
-		for _, r := range files {
-			r.(*os.File).Close()
-		}
-	}()
-	for _, p := range paths {
+	files := make([]io.Reader, len(paths))
+	for i, p := range paths {
 		f, err := os.Open(p)
 		if err != nil {
 			return Recovered{}, fmt.Errorf("journal: recover: %w", err)
 		}
-		files = append(files, f)
+		defer f.Close()
+		files[i] = f
 	}
 	rec, err := Recover(files...)
 	if err != nil {
 		return Recovered{}, err
 	}
-	// The truncation already removed the tail; a nonzero count here
-	// would mean SealedPrefix and verifySegment disagree on structure.
-	if rec.Tail != 0 {
-		return Recovered{}, fmt.Errorf("journal: recover %s: %d unsealed events survived truncation", last, rec.Tail)
+	last := len(paths) - 1
+	if seg := &rec.Segments[last]; seg.Sealed < seg.Bytes {
+		if err := os.Truncate(paths[last], seg.Sealed); err != nil {
+			return Recovered{}, fmt.Errorf("journal: recover %s: %w", paths[last], err)
+		}
 	}
 	return rec, nil
 }

@@ -2,6 +2,7 @@ package journal_test
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,23 +12,27 @@ import (
 	"rtsm/internal/journal"
 )
 
-// TestSealedPrefixStopsAtTornTail pins the truncation point: the prefix
-// ends on the last seal, excluding unsealed events and a line the crash
-// cut mid-write.
+// TestSealedPrefixStopsAtTornTail pins the truncation point: the sealed
+// prefix Recover reports ends on the last seal, excluding unsealed events
+// and a frame the crash cut mid-write.
 func TestSealedPrefixStopsAtTornTail(t *testing.T) {
 	p := testPlatform()
 	rng := rand.New(rand.NewSource(7))
 	events := randomEvents(rng, p, 40)
 	data := buildJournal(t, events, 16, false) // seals at 16 and 32, 8-event tail
 
-	prefix, err := journal.SealedPrefix(bytes.NewReader(data))
+	rec, err := journal.Recover(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prefix <= 0 || prefix >= int64(len(data)) {
-		t.Fatalf("prefix = %d of %d bytes, want a strict sealed prefix", prefix, len(data))
+	seg := rec.Segments[0]
+	if seg.Sealed != int64(sealedLength(t, data)) || seg.Bytes != int64(len(data)) {
+		t.Fatalf("sealed prefix %d of %d bytes, want %d of %d", seg.Sealed, seg.Bytes, sealedLength(t, data), len(data))
 	}
-	sealed, tail, err := journal.Verify(bytes.NewReader(data[:prefix]))
+	if seg.Events != 32 || seg.Seals != 2 || seg.Tail != 8 || len(rec.Events) != 32 {
+		t.Fatalf("segment %+v with %d events, want 32 sealed by 2 seals and 8 torn", seg, len(rec.Events))
+	}
+	sealed, tail, err := journal.Verify(bytes.NewReader(data[:seg.Sealed]))
 	if err != nil {
 		t.Fatalf("truncated journal does not verify: %v", err)
 	}
@@ -35,14 +40,14 @@ func TestSealedPrefixStopsAtTornTail(t *testing.T) {
 		t.Fatalf("truncated journal: %d sealed, %d tail, want 32/0", len(sealed), tail)
 	}
 
-	// A torn final line (crash mid-write) must not extend the prefix.
-	cut := data[:len(data)-3]
-	p2, err := journal.SealedPrefix(bytes.NewReader(cut))
+	// A torn final frame (crash mid-write) must not extend the prefix, and
+	// is not an event.
+	cut, err := journal.Recover(bytes.NewReader(data[:len(data)-3]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2 != prefix {
-		t.Fatalf("torn line moved the prefix: %d != %d", p2, prefix)
+	if got := cut.Segments[0]; got.Sealed != seg.Sealed || got.Tail != 7 {
+		t.Fatalf("torn frame moved the prefix or counted as an event: %+v, want sealed %d, tail 7", got, seg.Sealed)
 	}
 }
 
@@ -55,7 +60,7 @@ func TestRecoverFilesAndResume(t *testing.T) {
 	p := testPlatform()
 	rng := rand.New(rand.NewSource(11))
 	events := randomEvents(rng, p, 40)
-	base := filepath.Join(t.TempDir(), "journal.jsonl")
+	base := filepath.Join(t.TempDir(), "run.journal")
 
 	// Incarnation 1: 40 events, seals at 16/32, crash with 8 unsealed.
 	f, err := os.Create(base)
@@ -78,8 +83,8 @@ func TestRecoverFilesAndResume(t *testing.T) {
 	if len(rec.Events) != 32 || rec.Seq != 32 {
 		t.Fatalf("recovered %d events, seq %d, want 32/32", len(rec.Events), rec.Seq)
 	}
-	if rec.Chain == "" {
-		t.Fatal("recovered chain hash is empty")
+	if rec.Chain == (journal.Hash{}) {
+		t.Fatal("recovered chain still at genesis")
 	}
 	if fi, _ := os.Stat(base); fi == nil || fi.Size() == 0 {
 		t.Fatal("recovery destroyed the base segment")
@@ -92,10 +97,7 @@ func TestRecoverFilesAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := journal.NewResumedWriter(f2, rec.Chain, rec.Seq, journal.Options{BatchSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w2 := journal.NewResumedWriter(f2, rec.Chain, rec.Seq, journal.Options{BatchSize: 16})
 	more := randomEvents(rand.New(rand.NewSource(13)), p, 20)
 	var seqs []uint64
 	for _, e := range more {
@@ -123,7 +125,8 @@ func TestRecoverFilesAndResume(t *testing.T) {
 	if len(rec2.Events) != 52 || rec2.Seq != 52 {
 		t.Fatalf("combined recovery: %d events, seq %d, want 52/52", len(rec2.Events), rec2.Seq)
 	}
-	// ...and VerifyChain agrees (RecoverFiles is not weaker than it).
+	// ...and Recover over plain readers agrees (RecoverFiles is not weaker
+	// than it).
 	r1, err := os.Open(paths[0])
 	if err != nil {
 		t.Fatal(err)
@@ -134,12 +137,12 @@ func TestRecoverFilesAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	chained, tail, err := journal.VerifyChain(r1, r2)
+	chained, err := journal.Recover(r1, r2)
 	if err != nil {
 		t.Fatalf("verify chain: %v", err)
 	}
-	if tail != 0 || len(chained) != 52 {
-		t.Fatalf("chain: %d events, %d tail, want 52/0", len(chained), tail)
+	if chained.Tail != 0 || len(chained.Events) != 52 {
+		t.Fatalf("chain: %d events, %d tail, want 52/0", len(chained.Events), chained.Tail)
 	}
 
 	// Replaying the recovered stream matches direct application.
@@ -157,7 +160,7 @@ func TestRecoverFilesAndResume(t *testing.T) {
 func TestRecoverFilesIdempotent(t *testing.T) {
 	p := testPlatform()
 	events := randomEvents(rand.New(rand.NewSource(17)), p, 40)
-	base := filepath.Join(t.TempDir(), "journal.jsonl")
+	base := filepath.Join(t.TempDir(), "run.journal")
 	f, err := os.Create(base)
 	if err != nil {
 		t.Fatal(err)
@@ -180,6 +183,184 @@ func TestRecoverFilesIdempotent(t *testing.T) {
 	}
 	size2, _ := os.Stat(base)
 	if size1.Size() != size2.Size() || first.Chain != second.Chain || first.Seq != second.Seq {
-		t.Fatalf("recovery not idempotent: %d/%d bytes, chains %.12s/%.12s", size1.Size(), size2.Size(), first.Chain, second.Chain)
+		t.Fatalf("recovery not idempotent: %d/%d bytes, chains %s/%s", size1.Size(), size2.Size(), first.Chain, second.Chain)
+	}
+}
+
+// writeSegment puts data into a fresh segment file.
+func writeSegment(t *testing.T, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "run.journal")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestRecoverFilesRefusesCorruption pins torn versus corrupt: a crash can
+// only leave a last frame that runs past the end of the file, so damage
+// of any other shape — wherever it sits, sealed region or tail — is an
+// error, and recovery leaves the file exactly as it found it. (Truncating
+// before verifying used to turn one bad byte in batch two into the silent
+// loss of every later batch.)
+func TestRecoverFilesRefusesCorruption(t *testing.T) {
+	p := testPlatform()
+	events := randomEvents(rand.New(rand.NewSource(19)), p, 40)
+	data := buildJournal(t, events, 8, false) // five seals, no tail
+	fr := frames(t, data)
+	at := fr[12] // an event of the second batch
+	if at.kind != 'E' {
+		t.Fatalf("frame 12 is %q, fixture changed", at.kind)
+	}
+	tornTail := buildJournal(t, events[:20], 8, false) // two seals, four unsealed events
+	tailFrames := frames(t, tornTail)
+	lastTail := tailFrames[len(tailFrames)-2]
+
+	cases := map[string][]byte{
+		"kind byte replaced":                 mutate(data, at.off, 'X'),
+		"kind byte becomes another kind":     mutate(data, at.off, 'S'),
+		"length byte changed":                mutate(data, at.off+1, data[at.off+1]^0x10),
+		"length stretched past the end":      mutate(data, at.off+3, 0x7f),
+		"payload byte changed":               mutate(data, at.off+9, data[at.off+9]^0x01),
+		"record hash changed":                mutate(data, at.end-1, data[at.end-1]^0x80),
+		"last seal's chain hash changed":     mutate(data, len(data)-1, data[len(data)-1]^0x01),
+		"zero page in the sealed region":     zero(data, at.off, at.end),
+		"garbage after the last seal":        append(append([]byte(nil), data...), "junk after the seal"...),
+		"complete unsealed event, bad hash":  mutate(tornTail, lastTail.end-1, tornTail[lastTail.end-1]^0x01),
+		"unsealed event, bad header":         mutate(tornTail, lastTail.off, 0),
+		"text where the magic belongs":       append([]byte("journal\n"), data...),
+		"magic of a later version":           mutate(data, 7, 2),
+		"a JSON-lines journal of old":        []byte(`{"event":{"seq":1,"type":"admit"},"hash":"00"}` + "\n"),
+		"frame of no kind at the very start": mutate(data, 8, 0),
+	}
+	for name, raw := range cases {
+		t.Run(name, func(t *testing.T) {
+			path := writeSegment(t, raw)
+			rec, err := journal.RecoverFiles(path)
+			if err == nil {
+				t.Fatalf("recovered %d events from a corrupt journal", len(rec.Events))
+			}
+			after, rerr := os.ReadFile(path)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			if !bytes.Equal(after, raw) {
+				t.Fatalf("a failed recovery changed the file: %d bytes before, %d after (%v)", len(raw), len(after), err)
+			}
+		})
+	}
+	// The same damage in an earlier segment of a rotated chain: nothing
+	// is touched there either, the intact final segment's torn tail
+	// included.
+	t.Run("earlier segment of a chain", func(t *testing.T) {
+		dir := t.TempDir()
+		base := filepath.Join(dir, "run.journal")
+		if err := os.WriteFile(base, cases["payload byte changed"], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(base+".r1", tornTail, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := journal.RecoverFiles(journal.SegmentPaths(base)...); err == nil {
+			t.Fatal("chain with a corrupt first segment recovered")
+		}
+		if after, _ := os.ReadFile(base + ".r1"); !bytes.Equal(after, tornTail) {
+			t.Fatal("a failed recovery truncated the final segment")
+		}
+	})
+}
+
+func mutate(data []byte, at int, to byte) []byte {
+	out := append([]byte(nil), data...)
+	if out[at] == to {
+		panic("mutation changes nothing")
+	}
+	out[at] = to
+	return out
+}
+
+func zero(data []byte, from, to int) []byte {
+	out := append([]byte(nil), data...)
+	clear(out[from:to])
+	return out
+}
+
+// TestRecoverFilesAtEveryTruncation is the other half of the rule: a
+// journal cut at any byte offset whatever is a torn write, never an
+// error. Recovery yields exactly the batches whose seal fits, truncates
+// to the end of the last one, and a second recovery finds nothing left
+// to do.
+func TestRecoverFilesAtEveryTruncation(t *testing.T) {
+	p := testPlatform()
+	events := randomEvents(rand.New(rand.NewSource(23)), p, 12)
+	data := buildJournal(t, events, 4, true) // three batches
+	fr := frames(t, data)
+	path := filepath.Join(t.TempDir(), "run.journal")
+	for cut := 0; cut <= len(data); cut++ {
+		wantEvents, wantSize, pending := 0, int64(min(cut, 8)/8*8), 0
+		for _, f := range fr {
+			if f.end > cut {
+				break
+			}
+			pending++
+			if f.kind == 'S' {
+				wantEvents, wantSize, pending = wantEvents+pending-1, int64(f.end), 0
+			}
+		}
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		first, err := journal.RecoverFiles(path)
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		if len(first.Events) != wantEvents || first.Tail != pending || first.Seq != uint64(wantEvents) {
+			t.Fatalf("cut at %d: %d events, tail %d, seq %d; want %d, %d, %d",
+				cut, len(first.Events), first.Tail, first.Seq, wantEvents, pending, wantEvents)
+		}
+		if fi, _ := os.Stat(path); fi.Size() != wantSize {
+			t.Fatalf("cut at %d: file is %d bytes after recovery, want %d", cut, fi.Size(), wantSize)
+		}
+		second, err := journal.RecoverFiles(path)
+		if err != nil {
+			t.Fatalf("cut at %d: second recovery: %v", cut, err)
+		}
+		seg := second.Segments[0]
+		if seg.Bytes != wantSize || seg.Sealed != wantSize || second.Tail != 0 ||
+			second.Chain != first.Chain || len(second.Events) != wantEvents {
+			t.Fatalf("cut at %d: second recovery was not a no-op: %+v", cut, seg)
+		}
+	}
+}
+
+// TestAllocationBudgets pins what the binary encoding bought: Append
+// allocates the frame it hands to the writer goroutine and nothing else
+// (the seal every 64 events rounds away), and verification allocates the
+// application name plus an amortised share of the event and delta slabs.
+func TestAllocationBudgets(t *testing.T) {
+	p := testPlatform()
+	events := randomEvents(rand.New(rand.NewSource(29)), p, 512)
+	w := journal.NewWriter(io.Discard, journal.Options{})
+	i := 0
+	if got := testing.AllocsPerRun(len(events)-1, func() {
+		w.Append(events[i%len(events)])
+		i++
+	}); got > 2 {
+		t.Errorf("Append allocates %.0f objects per event, budget 2", got)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	data := buildJournal(t, events, 64, true)
+	r := bytes.NewReader(data)
+	perRun := testing.AllocsPerRun(10, func() {
+		r.Reset(data)
+		if got, _, err := journal.Verify(r); err != nil || len(got) != len(events) {
+			t.Fatalf("verify: %d events, %v", len(got), err)
+		}
+	})
+	if perEvent := perRun / float64(len(events)); perEvent > 4 {
+		t.Errorf("verification allocates %.1f objects per event, budget 4", perEvent)
 	}
 }

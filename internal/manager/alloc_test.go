@@ -3,6 +3,7 @@
 package manager
 
 import (
+	"bytes"
 	"io"
 	"testing"
 
@@ -48,4 +49,28 @@ func TestTemplateHitAllocationBudget(t *testing.T) {
 		t.Errorf("template-hit Admit + Stop allocates %v objects, want at most %d", allocs, budget)
 	}
 	t.Logf("template-hit Admit + Stop: %v objects", allocs)
+}
+
+// TestReplayAllocationBudget keeps replay from growing back a plan per
+// event: an admission costs its Admission and its Application, releases
+// and faults cost nothing, and only the residents that survive get a
+// plan. Measured 2.2 objects per event on the churn journal; the budget
+// leaves room for a different event mix, not for a map per event.
+func TestReplayAllocationBudget(t *testing.T) {
+	events, _, err := journal.Verify(bytes.NewReader(churnJournal(t, 200)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := workload.SyntheticRegionPlatform(12, 12, 1, 3)
+	clone := testing.AllocsPerRun(5, func() { base.Clone() })
+	total := testing.AllocsPerRun(5, func() {
+		if _, err := ReplayEvents(base.Clone(), core.Config{}, events); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perEvent := (total - clone) / float64(len(events))
+	if perEvent > 4 {
+		t.Errorf("replay allocates %.1f objects per event, want at most 4", perEvent)
+	}
+	t.Logf("replay: %.1f objects per event over %d events", perEvent, len(events))
 }

@@ -63,20 +63,20 @@ func (m *Manager) initLoadCapacity() {
 // replay); the cached value makes the eventual loadRelease subtract
 // exactly what was added.
 func (m *Manager) loadCharge(ad *Admission) {
-	ad.loadUtilMilli = planUtilMilli(ad.plan)
-	m.load.utilMilli.Add(ad.loadUtilMilli)
+	tiles, _ := ad.plan.Deltas()
+	m.loadChargeTiles(ad, tiles)
 }
 
-// planUtilMilli sums a plan's per-tile utilisation deltas in milli-tiles,
-// truncating per tile. The load estimate is advisory; unlike the ledger
-// it never needs to be exact.
-func planUtilMilli(p *core.Plan) int64 {
-	tiles, _ := p.Deltas()
-	var milli int64
+// loadChargeTiles is loadCharge for a caller that already holds the
+// plan's tile deltas (replay reads them off the journal event). It sums
+// them in milli-tiles, truncating per tile: the load estimate is
+// advisory; unlike the ledger it never needs to be exact.
+func (m *Manager) loadChargeTiles(ad *Admission, tiles []core.TileReservation) {
+	ad.loadUtilMilli = 0
 	for _, t := range tiles {
-		milli += int64(t.Util * 1000)
+		ad.loadUtilMilli += int64(t.Util * 1000)
 	}
-	return milli
+	m.load.utilMilli.Add(ad.loadUtilMilli)
 }
 
 // loadRelease reverses loadCharge when an admission stops or is evicted.

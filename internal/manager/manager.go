@@ -429,8 +429,7 @@ func (m *Manager) journalPlan(c change) {
 		return
 	}
 	tiles, links := c.plan.Deltas()
-	jt, jl := journal.FromDeltas(tiles, links)
-	m.jw.Append(journal.Event{Type: c.ev, App: c.app, Priority: int(c.prio), Tiles: jt, Links: jl})
+	m.jw.Append(journal.Event{Type: c.ev, App: c.app, Priority: int(c.prio), Tiles: tiles, Links: links})
 }
 
 // journalEvent appends a delta-free event (fault, restore, evict).

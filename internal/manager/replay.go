@@ -10,27 +10,33 @@ import (
 )
 
 // ReplayEvents rebuilds a crashed manager from its journal's verified
-// event stream: the caller verifies (journal.Verify, VerifyChain, Recover
-// or RecoverFiles check the hash chain, Merkle roots and sequence order
-// and discard the torn tail — events appended after the last seal) and
-// the sealed events are applied in order to the given fresh platform.
+// event stream: the caller verifies (journal.Verify, Recover or
+// RecoverFiles check the frames, the hash chain, Merkle roots and
+// sequence order and discard the torn tail — events appended after the
+// last seal) and the sealed events are applied in order to the given
+// fresh platform.
 // plat must be pristine and topologically identical to the crashed
 // manager's (same mesh, same partition); the journal carries reservation
 // deltas, not topology.
 //
 // The reconstruction is bit-for-bit: every journaled event carries the
-// exact aggregated per-tile float delta its live commit applied
-// (math.Float64bits round-trip), events were appended inside the same
+// exact aggregated per-tile float delta its live commit applied (raw
+// Float64bits on disk), events were appended inside the same
 // platform-locked sections that applied them (journal order = commit
-// order), and replay applies each event as the same single commit or
-// release call — so the replayed ledger, including the order-sensitive
-// ReservedUtil float sums, equals the live one exactly.
+// order), and replay hands each event's deltas straight to
+// core.ApplyDeltas, which gives every tile the same single addition the
+// live Commit or Release did — so the replayed ledger, including the
+// order-sensitive ReservedUtil float sums, equals the live one exactly.
+// No plan is built per event; only the residents still running when the
+// stream ends get one, from the event that last placed them.
 //
 // Rebuilt residents carry no Result or library (those did not survive
 // the crash): they can be stopped, inspected and displaced by faults,
 // but not relocated or preempted.
 func ReplayEvents(plat *arch.Platform, cfg core.Config, events []journal.Event) (*Manager, error) {
 	m := New(plat, cfg)
+	// placed is the event whose deltas each running resident holds.
+	placed := make(map[string]*journal.Event)
 	// released holds residents between a preemption or fault release and
 	// the matching relocate (back to running) or evict (gone). Live
 	// bookkeeping keeps a victim's load charged until its outcome;
@@ -40,33 +46,30 @@ func ReplayEvents(plat *arch.Platform, cfg core.Config, events []journal.Event) 
 		e := &events[i]
 		switch e.Type {
 		case journal.EvAdmit:
-			plan := replayPlan(m, e)
-			plan.Commit(plat)
+			core.ApplyDeltas(plat, e.Tiles, e.Links, +1)
 			m.seq++
 			prio := clampPriority(model.Priority(e.Priority))
 			ad := &Admission{
 				App:      model.NewApplication(e.App, model.QoS{Priority: prio}),
 				Seq:      m.seq,
 				Priority: prio,
-				plan:     plan,
 			}
-			m.running[e.App] = ad
-			m.loadCharge(ad)
+			m.running[e.App], placed[e.App] = ad, e
+			m.loadChargeTiles(ad, e.Tiles)
 		case journal.EvDepart:
-			replayPlan(m, e).Release(plat)
+			core.ApplyDeltas(plat, e.Tiles, e.Links, -1)
 			if ad := m.running[e.App]; ad != nil {
 				delete(m.running, e.App)
 				m.loadRelease(ad)
 			}
 		case journal.EvPreemptRelease, journal.EvFaultRelease:
-			replayPlan(m, e).Release(plat)
+			core.ApplyDeltas(plat, e.Tiles, e.Links, -1)
 			if ad := m.running[e.App]; ad != nil {
 				delete(m.running, e.App)
 				released[e.App] = ad
 			}
 		case journal.EvRelocate:
-			plan := replayPlan(m, e)
-			plan.Commit(plat)
+			core.ApplyDeltas(plat, e.Tiles, e.Links, +1)
 			ad := released[e.App]
 			if ad == nil {
 				// A relocation with no release on record would mean the
@@ -75,9 +78,8 @@ func ReplayEvents(plat *arch.Platform, cfg core.Config, events []journal.Event) 
 			}
 			delete(released, e.App)
 			m.loadRelease(ad)
-			ad.plan = plan
-			m.loadCharge(ad)
-			m.running[e.App] = ad
+			m.loadChargeTiles(ad, e.Tiles)
+			m.running[e.App], placed[e.App] = ad, e
 		case journal.EvEvict:
 			if ad := released[e.App]; ad != nil {
 				delete(released, e.App)
@@ -92,24 +94,19 @@ func ReplayEvents(plat *arch.Platform, cfg core.Config, events []journal.Event) 
 		case journal.EvRestoreLink:
 			plat.RestoreLink(e.Link)
 		default:
-			return nil, fmt.Errorf("manager: replay: unknown event type %q (seq %d)", e.Type, e.Seq)
+			return nil, fmt.Errorf("manager: replay: unknown event type %s (seq %d)", e.Type, e.Seq)
 		}
 	}
-	if len(released) > 0 {
-		// Victims mid-evacuation at the crash: their release is sealed
-		// but their outcome is not. They hold no reservations, so the
-		// honest reconstruction is "gone" — exactly what the live manager
-		// would have concluded had it crashed after the release.
-		for name, ad := range released {
-			m.loadRelease(ad)
-			delete(released, name)
-		}
+	// Victims mid-evacuation at the crash: their release is sealed but
+	// their outcome is not. They hold no reservations, so the honest
+	// reconstruction is "gone" — exactly what the live manager would
+	// have concluded had it crashed after the release.
+	for _, ad := range released {
+		m.loadRelease(ad)
+	}
+	for name, ad := range m.running {
+		e := placed[name]
+		ad.plan = core.NewDeltaPlan(plat, name, e.Tiles, e.Links)
 	}
 	return m, nil
-}
-
-// replayPlan rebuilds one event's reservation plan from its deltas.
-func replayPlan(m *Manager, e *journal.Event) *core.Plan {
-	ts, ls := e.Reservations()
-	return core.NewDeltaPlan(m.plat, e.App, ts, ls)
 }

@@ -37,12 +37,80 @@ func replayStream(plat *arch.Platform, segments ...[]byte) (*Manager, int, error
 	for i, seg := range segments {
 		readers[i] = bytes.NewReader(seg)
 	}
-	events, tail, err := journal.VerifyChain(readers...)
+	rec, err := journal.Recover(readers...)
 	if err != nil {
-		return nil, tail, err
+		return nil, 0, err
 	}
-	m, err := ReplayEvents(plat, core.Config{}, events)
-	return m, tail, err
+	m, err := ReplayEvents(plat, core.Config{}, rec.Events)
+	return m, rec.Tail, err
+}
+
+// replayOracle is replay as it was before it applied journaled deltas
+// directly: a core.NewDeltaPlan per event, committed or released through
+// the plan. Kept as the reference the direct replay is compared against.
+func replayOracle(plat *arch.Platform, cfg core.Config, events []journal.Event) (*Manager, error) {
+	m := New(plat, cfg)
+	released := make(map[string]*Admission)
+	for i := range events {
+		e := &events[i]
+		plan := core.NewDeltaPlan(plat, e.App, e.Tiles, e.Links)
+		switch e.Type {
+		case journal.EvAdmit:
+			plan.Commit(plat)
+			m.seq++
+			prio := clampPriority(model.Priority(e.Priority))
+			ad := &Admission{
+				App:      model.NewApplication(e.App, model.QoS{Priority: prio}),
+				Seq:      m.seq,
+				Priority: prio,
+				plan:     plan,
+			}
+			m.running[e.App] = ad
+			m.loadCharge(ad)
+		case journal.EvDepart:
+			plan.Release(plat)
+			if ad := m.running[e.App]; ad != nil {
+				delete(m.running, e.App)
+				m.loadRelease(ad)
+			}
+		case journal.EvPreemptRelease, journal.EvFaultRelease:
+			plan.Release(plat)
+			if ad := m.running[e.App]; ad != nil {
+				delete(m.running, e.App)
+				released[e.App] = ad
+			}
+		case journal.EvRelocate:
+			plan.Commit(plat)
+			ad := released[e.App]
+			if ad == nil {
+				return nil, fmt.Errorf("oracle: relocate of %q without a prior release (seq %d)", e.App, e.Seq)
+			}
+			delete(released, e.App)
+			m.loadRelease(ad)
+			ad.plan = plan
+			m.loadCharge(ad)
+			m.running[e.App] = ad
+		case journal.EvEvict:
+			if ad := released[e.App]; ad != nil {
+				delete(released, e.App)
+				m.loadRelease(ad)
+			}
+		case journal.EvFailTile:
+			plat.FailTile(e.Tile)
+		case journal.EvRestoreTile:
+			plat.RestoreTile(e.Tile)
+		case journal.EvFailLink:
+			plat.FailLink(e.Link)
+		case journal.EvRestoreLink:
+			plat.RestoreLink(e.Link)
+		default:
+			return nil, fmt.Errorf("oracle: unknown event type %s (seq %d)", e.Type, e.Seq)
+		}
+	}
+	for _, ad := range released {
+		m.loadRelease(ad)
+	}
+	return m, nil
 }
 
 // runningNames is the manager's resident set, sorted for comparison.
@@ -69,6 +137,8 @@ func runningNames(m *Manager) []string {
 func TestCrashReplayReproducesLivePlatform(t *testing.T) {
 	plat := workload.SyntheticRegionPlatform(8, 8, 123, 4)
 	replayBase := plat.Clone() // pristine twin for the recovery
+	oracleBase := plat.Clone() // and one for the plan-per-event oracle
+	pristine := plat.Residual()
 	tiles := procTiles(plat)
 	if len(tiles) == 0 {
 		t.Fatal("no processing tiles on the synthetic platform")
@@ -197,6 +267,46 @@ func TestCrashReplayReproducesLivePlatform(t *testing.T) {
 	if err := rm.CheckInvariants(); err != nil {
 		t.Fatalf("replayed manager invariants: %v", err)
 	}
+
+	// The direct replay against the plan-per-event oracle, on the same
+	// verified events: same platform, residents, load estimate and
+	// invariants.
+	events, _, err := journal.Verify(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	om, err := replayOracle(oracleBase, core.Config{}, events)
+	if err != nil {
+		t.Fatalf("oracle replay: %v", err)
+	}
+	if err := arch.PlatformsIdentical(oracleBase, replayBase); err != nil {
+		t.Fatalf("direct replay differs from the plan-per-event oracle: %v", err)
+	}
+	if got, want := fmt.Sprint(gotNames), fmt.Sprint(runningNames(om)); got != want {
+		t.Fatalf("direct replay residents %s, oracle %s", got, want)
+	}
+	if got, want := rm.load.utilMilli.Load(), om.load.utilMilli.Load(); got != want || got <= 0 {
+		t.Fatalf("direct replay load estimate %d milli-tiles, oracle %d", got, want)
+	}
+	if err := om.CheckInvariants(); err != nil {
+		t.Fatalf("oracle invariants: %v", err)
+	}
+	// The plans materialised for the survivors release what replay
+	// reserved: stopping them all leaves the pristine residual.
+	for _, name := range gotNames {
+		if err := rm.Stop(name); err != nil {
+			t.Fatalf("stop recovered resident %s: %v", name, err)
+		}
+	}
+	for _, id := range replayBase.FailedTiles() {
+		rm.RestoreTile(id)
+	}
+	if got := replayBase.Residual(); !got.Equal(pristine) {
+		t.Fatal("stopping every recovered resident did not restore the pristine residual")
+	}
+	if got := rm.load.utilMilli.Load(); got != 0 {
+		t.Fatalf("load estimate %d milli-tiles with nobody resident", got)
+	}
 	t.Logf("crash replay: %d residents at seal, %d faults, %d torn events discarded", len(sealedNames), faultsFired, tail)
 }
 
@@ -230,7 +340,7 @@ func TestReplayRejectsCorruptStream(t *testing.T) {
 }
 
 // TestReplayRotatedPair pins journal rotation end to end: a live
-// run rotates its journal mid-stream, and VerifyChain plus ReplayEvents
+// run rotates its journal mid-stream, and Recover plus ReplayEvents
 // over the resulting segment pair rebuild the sealed live platform bit-for-bit,
 // exactly as a single unrotated journal would. It also pins the failure
 // modes: segments out of order and a lone later segment offered as a
@@ -296,7 +406,7 @@ func TestReplayRotatedPair(t *testing.T) {
 	// A later segment alone is an incomplete history: its snapshot head
 	// declares a non-genesis seed, so offering it as segment 0 of a
 	// chain must fail loudly rather than replay half the events.
-	if _, _, err := journal.VerifyChain(bytes.NewReader(seg2.Bytes())); err == nil {
+	if _, err := journal.Recover(bytes.NewReader(seg2.Bytes())); err == nil {
 		t.Fatal("replay accepted a mid-chain segment as a full history")
 	}
 }
