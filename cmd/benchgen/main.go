@@ -7,21 +7,32 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"rtsm/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		kind  = flag.String("kind", "hiperlan2", "bundle kind: hiperlan2|chain|forkjoin|layered")
-		mode  = flag.String("mode", "QPSK3/4", "HIPERLAN/2 mode (hiperlan2 kind)")
-		procs = flag.Int("procs", 8, "process count (synthetic kinds)")
-		seed  = flag.Int64("seed", 1, "generator seed (synthetic kinds)")
-		mesh  = flag.Int("mesh", 4, "mesh edge length (synthetic kinds)")
-		out   = flag.String("out", "", "output file (default stdout)")
+		kind  = fs.String("kind", "hiperlan2", "bundle kind: hiperlan2|chain|forkjoin|layered")
+		mode  = fs.String("mode", "QPSK3/4", "HIPERLAN/2 mode (hiperlan2 kind)")
+		procs = fs.Int("procs", 8, "process count (synthetic kinds)")
+		seed  = fs.Int64("seed", 1, "generator seed (synthetic kinds)")
+		mesh  = fs.Int("mesh", 4, "mesh edge length (synthetic kinds)")
+		out   = fs.String("out", "", "output file (default stdout)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "benchgen:", err)
+		return 1
+	}
 
 	var bundle *workload.Bundle
 	switch *kind {
@@ -34,7 +45,7 @@ func main() {
 			}
 		}
 		if m == nil {
-			fatal(fmt.Errorf("unknown mode %q", *mode))
+			return fatal(fmt.Errorf("unknown mode %q", *mode))
 		}
 		bundle = workload.NewBundle(
 			workload.Hiperlan2(*m),
@@ -48,24 +59,20 @@ func main() {
 		})
 		bundle = workload.NewBundle(app, lib, workload.SyntheticPlatform(*mesh, *mesh, *seed))
 	default:
-		fatal(fmt.Errorf("unknown kind %q", *kind))
+		return fatal(fmt.Errorf("unknown kind %q", *kind))
 	}
 
-	w := os.Stdout
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		defer f.Close()
 		w = f
 	}
 	if err := bundle.Write(w); err != nil {
-		fatal(err)
+		return fatal(err)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchgen:", err)
-	os.Exit(1)
+	return 0
 }

@@ -48,7 +48,7 @@ func report(w io.Writer, label string, r churn.Result) {
 		st.RepairedConflicts+st.RepairedTemplates, st.ConflictRetries+st.StaleTemplates,
 		st.RepairedConflicts, st.ConflictRetries, st.RepairedTemplates, st.StaleTemplates, st.FullRemaps)
 	if st.Snapshots > 0 {
-		fmt.Fprintf(w, "  snapshots         %d captured, %d CoW region faults\n", st.Snapshots, st.CoWFaults)
+		fmt.Fprintf(w, "  snapshots         %d captured\n", st.Snapshots)
 	}
 	if rate, ok := st.RepairRate(); ok {
 		fmt.Fprintf(w, "  repair rate       %.1f%%\n", 100*rate)
@@ -119,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Float64Var(&o.MaxUtil, "util", o.MaxUtil, "max per-implementation utilisation")
 	fs.Int64Var(&o.PeriodNs, "period", o.PeriodNs, "QoS period in ns")
 	fs.IntVar(&o.Resident, "resident", o.Resident, "applications kept running at once (0 = 4x workers)")
-	fs.IntVar(&o.RegionSize, "regionsize", 0, "side length of the mesh partition's regions: the copy-on-write and conflict-attribution grain (0 = one region)")
+	fs.IntVar(&o.RegionSize, "regionsize", 0, "side length of the mesh partition's regions: the conflict-attribution grain (0 = one region)")
 	fs.BoolVar(&o.Reuse, "reuse", o.Reuse, "reuse mapping templates for recurring structures")
 	fs.BoolVar(&o.Repair, "repair", o.Repair, "repair stale mappings instead of re-mapping from scratch")
 	fs.StringVar(&o.PrioMix, "priomix", "", "mixed admission classes as bestEffort:standard:critical weights, e.g. 70:20:10 (empty = all best-effort)")

@@ -7,6 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"rtsm/internal/core"
@@ -15,20 +16,26 @@ import (
 	"rtsm/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hiperlan2", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		modeName  = flag.String("mode", "QPSK3/4", "HIPERLAN/2 mode (see -modes)")
-		listModes = flag.Bool("modes", false, "list the seven modes and exit")
-		verbose   = flag.Bool("v", false, "print the full CSDF graph")
-		dot       = flag.Bool("dot", false, "emit the mapped CSDF graph (Figure 3) as Graphviz DOT and exit")
-		itemise   = flag.Bool("energy", false, "print the itemised energy report")
+		modeName  = fs.String("mode", "QPSK3/4", "HIPERLAN/2 mode (see -modes)")
+		listModes = fs.Bool("modes", false, "list the seven modes and exit")
+		verbose   = fs.Bool("v", false, "print the full CSDF graph")
+		dot       = fs.Bool("dot", false, "emit the mapped CSDF graph (Figure 3) as Graphviz DOT and exit")
+		itemise   = fs.Bool("energy", false, "print the itemised energy report")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *listModes {
 		for _, m := range workload.Hiperlan2Modes {
-			fmt.Printf("%-10s b=%d\n", m.Name, m.DemapBits)
+			fmt.Fprintf(stdout, "%-10s b=%d\n", m.Name, m.DemapBits)
 		}
-		return
+		return 0
 	}
 	var mode *workload.Hiperlan2Mode
 	for i := range workload.Hiperlan2Modes {
@@ -38,62 +45,63 @@ func main() {
 		}
 	}
 	if mode == nil {
-		fmt.Fprintf(os.Stderr, "hiperlan2: unknown mode %q (try -modes)\n", *modeName)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "hiperlan2: unknown mode %q (try -modes)\n", *modeName)
+		return 1
 	}
 
 	app := workload.Hiperlan2(*mode)
 	lib := workload.Hiperlan2Library(*mode)
 	plat := workload.Hiperlan2Platform()
-	fmt.Printf("Mapping %s onto %s\n\n", app.Name, plat.Name)
-	fmt.Print(plat)
+	fmt.Fprintf(stdout, "Mapping %s onto %s\n\n", app.Name, plat.Name)
+	fmt.Fprint(stdout, plat)
 
 	res, err := core.NewMapper(lib).Map(app, plat)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hiperlan2:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "hiperlan2:", err)
+		return 1
 	}
 	if *dot {
-		fmt.Print(res.Graph.DOT())
-		return
+		fmt.Fprint(stdout, res.Graph.DOT())
+		return 0
 	}
 
-	fmt.Println("\nStep 1 — implementation assignment (by desirability):")
+	fmt.Fprintln(stdout, "\nStep 1 — implementation assignment (by desirability):")
 	for _, r := range res.Trace.Step1 {
-		fmt.Println(" ", r)
+		fmt.Fprintln(stdout, " ", r)
 	}
-	fmt.Println("\nStep 2 — tile assignment (Table 2):")
-	fmt.Print(res.Trace.RenderStep2Table([]string{"ARM1", "ARM2", "MONTIUM1", "MONTIUM2"}))
-	fmt.Println("\nStep 3 — channel routing (non-increasing throughput):")
+	fmt.Fprintln(stdout, "\nStep 2 — tile assignment (Table 2):")
+	fmt.Fprint(stdout, res.Trace.RenderStep2Table([]string{"ARM1", "ARM2", "MONTIUM1", "MONTIUM2"}))
+	fmt.Fprintln(stdout, "\nStep 3 — channel routing (non-increasing throughput):")
 	for _, r := range res.Trace.Step3 {
-		fmt.Println(" ", r)
+		fmt.Fprintln(stdout, " ", r)
 	}
-	fmt.Println("\nStep 4 — QoS verification:")
-	fmt.Printf("  period  %.0f ns (required %d ns)\n", res.Analysis.Period, app.QoS.PeriodNs)
-	fmt.Printf("  latency %d ns\n", res.Analysis.Latency)
-	fmt.Printf("  buffers:")
+	fmt.Fprintln(stdout, "\nStep 4 — QoS verification:")
+	fmt.Fprintf(stdout, "  period  %.0f ns (required %d ns)\n", res.Analysis.Period, app.QoS.PeriodNs)
+	fmt.Fprintf(stdout, "  latency %d ns\n", res.Analysis.Latency)
+	fmt.Fprintf(stdout, "  buffers:")
 	for _, c := range app.StreamChannels() {
-		fmt.Printf("  %s=%d", c.Name, res.Mapping.Buffers[c.ID])
+		fmt.Fprintf(stdout, "  %s=%d", c.Name, res.Mapping.Buffers[c.ID])
 	}
-	fmt.Println()
-	fmt.Printf("  feasible: %v (refinements: %d)\n", res.Feasible, res.Refinements)
-	fmt.Printf("\nEnergy: %s\n", res.Energy)
+	fmt.Fprintln(stdout)
+	fmt.Fprintf(stdout, "  feasible: %v (refinements: %d)\n", res.Feasible, res.Refinements)
+	fmt.Fprintf(stdout, "\nEnergy: %s\n", res.Energy)
 	if *itemise {
 		params := energy.DefaultParams()
-		fmt.Print(params.Detailed(app, res.Platform, core.AssignmentView(res.Mapping)))
+		fmt.Fprint(stdout, params.Detailed(app, res.Platform, core.AssignmentView(res.Mapping)))
 	}
 
 	if *verbose {
-		fmt.Println("\nFinal CSDF graph (Figure 3):")
-		fmt.Print(res.Graph)
+		fmt.Fprintln(stdout, "\nFinal CSDF graph (Figure 3):")
+		fmt.Fprint(stdout, res.Graph)
 	}
 
 	if res.Feasible {
 		rep, err := sim.Validate(app, res)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hiperlan2: simulation:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "hiperlan2: simulation:", err)
+			return 1
 		}
-		fmt.Printf("\nIndependent check: %s\n", rep)
+		fmt.Fprintf(stdout, "\nIndependent check: %s\n", rep)
 	}
+	return 0
 }

@@ -54,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "verify":
 		last := rec.Segments[len(rec.Segments)-1]
 		fmt.Fprintf(stdout, "ok: %d sealed events in %d segments, chain %s seq %d; torn tail %d events, %d bytes\n",
-			len(rec.Events), len(paths), rec.Chain, rec.Seq, rec.Tail, last.Bytes-last.Sealed)
+			len(rec.Events), len(rec.Segments), rec.Chain, rec.Seq, rec.Tail, last.Bytes-last.Sealed)
 	case "stat":
 		fmt.Fprintf(stdout, "%-8s %-8s %-10s %-10s %-10s %s\n", "events", "seals", "bytes", "B/event", "torn", "segment")
 		for i, seg := range rec.Segments {

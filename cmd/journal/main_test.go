@@ -76,6 +76,11 @@ func TestRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	headless := filepath.Join(dir, "headless.journal.r1") // kill -9 inside the head frame
+	if err := os.WriteFile(headless, raw[:8+6+20], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	for _, tc := range []struct {
 		name   string
 		args   []string
@@ -85,6 +90,8 @@ func TestRun(t *testing.T) {
 	}{
 		{"verify a chain", append([]string{"verify"}, segs...), 0, []string{"ok: 8 sealed events in 2 segments", "seq 8", "torn tail 0 events, 0 bytes"}, ""},
 		{"verify a torn tail", []string{"verify", segs[0], torn}, 0, []string{"ok: 5 sealed events in 2 segments", "seq 5", "torn tail 3 events, 274 bytes"}, ""},
+		{"verify skips a final segment without its head", []string{"verify", segs[0], headless}, 0, []string{"ok: 5 sealed events in 1 segments", "seq 5"}, ""},
+		{"verify refuses a headless middle segment", []string{"verify", segs[0], headless, segs[1]}, 1, nil, "segment 1: offset 0: not a rotated segment: no head frame"},
 		{"verify names the bad frame", []string{"verify", segs[0], corrupt}, 1, nil, "segment 1: offset 54: record hash mismatch"},
 		{"verify refuses a lone later segment", []string{"verify", segs[1]}, 1, nil, "starts mid-chain"},
 		{"verify refuses a missing file", []string{"verify", filepath.Join(dir, "absent")}, 1, nil, "no such file"},

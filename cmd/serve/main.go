@@ -66,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&c.stack.Workers, "workers", 4, "admission worker goroutines")
 	fs.IntVar(&c.stack.Queue, "queue", 0, "backend work queue depth (0 = 16x workers)")
 	fs.IntVar(&c.stack.Mesh, "mesh", 12, "platform mesh width and height")
-	fs.IntVar(&c.stack.RegionSize, "regionsize", 3, "side length of the mesh partition's regions: the copy-on-write and conflict-attribution grain (0 = one region)")
+	fs.IntVar(&c.stack.RegionSize, "regionsize", 3, "side length of the mesh partition's regions: the conflict-attribution grain (0 = one region)")
 	fs.Int64Var(&c.stack.Seed, "seed", 123, "platform seed")
 	fs.IntVar(&c.stack.Catalogue, "catalogue", 6, "distinct application structures in rotation")
 	fs.Float64Var(&c.stack.MaxUtil, "util", 0.12, "max per-implementation utilisation")

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"rtsm/internal/core"
@@ -26,30 +27,42 @@ type jsonResult struct {
 	Buffers     map[string]int64  `json:"buffers"`   // channel -> tokens
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run exits 0 for a feasible mapping, 2 for an infeasible one or a bad
+// flag, 1 for any other error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("spatialmap", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		in       = flag.String("in", "", "bundle JSON file (default stdin)")
-		asJSON   = flag.Bool("json", false, "emit the result as JSON")
-		strategy = flag.String("strategy", "first", "step-2 strategy: first|best")
-		router   = flag.String("router", "adaptive", "step-3 routing: adaptive|xy")
-		weighted = flag.Bool("weighted", false, "traffic-weighted step-2 cost instead of hop sum")
-		tighten  = flag.Bool("tighten", false, "tighten buffer capacities (slower, smaller buffers)")
-		schedOut = flag.Bool("schedule", false, "derive and print per-tile static-order schedules")
+		in       = fs.String("in", "", "bundle JSON file (default stdin)")
+		asJSON   = fs.Bool("json", false, "emit the result as JSON")
+		strategy = fs.String("strategy", "first", "step-2 strategy: first|best")
+		router   = fs.String("router", "adaptive", "step-3 routing: adaptive|xy")
+		weighted = fs.Bool("weighted", false, "traffic-weighted step-2 cost instead of hop sum")
+		tighten  = fs.Bool("tighten", false, "tighten buffer capacities (slower, smaller buffers)")
+		schedOut = fs.Bool("schedule", false, "derive and print per-tile static-order schedules")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "spatialmap:", err)
+		return 1
+	}
 
 	r := os.Stdin
 	if *in != "" {
 		f, err := os.Open(*in)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		defer f.Close()
 		r = f
 	}
 	app, lib, plat, err := workload.ReadBundle(r)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 
 	cfg := core.Config{TightenBuffers: *tighten}
@@ -58,14 +71,14 @@ func main() {
 	case "best":
 		cfg.Strategy = core.BestImprovement
 	default:
-		fatal(fmt.Errorf("unknown strategy %q", *strategy))
+		return fatal(fmt.Errorf("unknown strategy %q", *strategy))
 	}
 	switch *router {
 	case "adaptive":
 	case "xy":
 		cfg.Router = core.XYOnly
 	default:
-		fatal(fmt.Errorf("unknown router %q", *router))
+		return fatal(fmt.Errorf("unknown router %q", *router))
 	}
 	if *weighted {
 		cfg.CommCost = core.TrafficWeighted
@@ -73,7 +86,7 @@ func main() {
 
 	res, err := (&core.Mapper{Lib: lib, Cfg: cfg}).Map(app, plat)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 
 	if *asJSON {
@@ -102,16 +115,16 @@ func main() {
 				out.Buffers[c.Name] = buf
 			}
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
-		return
+		return 0
 	}
 
-	fmt.Printf("application %q on platform %q\n\n", app.Name, plat.Name)
-	fmt.Println("placement:")
+	fmt.Fprintf(stdout, "application %q on platform %q\n\n", app.Name, plat.Name)
+	fmt.Fprintln(stdout, "placement:")
 	for _, p := range app.Processes {
 		tid, ok := res.Mapping.Tile[p.ID]
 		if !ok {
@@ -121,33 +134,29 @@ func main() {
 		if im := res.Mapping.Impl[p.ID]; im != nil {
 			impl = string(im.TileType)
 		}
-		fmt.Printf("  %-16s → %-12s %s\n", p.Name, res.Platform.Tile(tid).Name, impl)
+		fmt.Fprintf(stdout, "  %-16s → %-12s %s\n", p.Name, res.Platform.Tile(tid).Name, impl)
 	}
-	fmt.Println("\nroutes:")
+	fmt.Fprintln(stdout, "\nroutes:")
 	for _, r := range res.Trace.Step3 {
-		fmt.Println(" ", r)
+		fmt.Fprintln(stdout, " ", r)
 	}
 	if res.Analysis != nil {
-		fmt.Printf("\nperiod %.0f ns (required %d), latency %d ns\n",
+		fmt.Fprintf(stdout, "\nperiod %.0f ns (required %d), latency %d ns\n",
 			res.Analysis.Period, app.QoS.PeriodNs, res.Analysis.Latency)
 	}
-	fmt.Printf("energy: %s\nfeasible: %v\n", res.Energy, res.Feasible)
+	fmt.Fprintf(stdout, "energy: %s\nfeasible: %v\n", res.Energy, res.Feasible)
 	if *schedOut && res.Feasible {
 		sched, err := schedule.Build(app, res)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
-		fmt.Printf("\n%s", sched)
+		fmt.Fprintf(stdout, "\n%s", sched)
 	}
 	if !res.Feasible {
 		for _, n := range res.Trace.Notes {
-			fmt.Println("note:", n)
+			fmt.Fprintln(stdout, "note:", n)
 		}
-		os.Exit(2)
+		return 2
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "spatialmap:", err)
-	os.Exit(1)
+	return 0
 }

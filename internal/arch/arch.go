@@ -62,8 +62,10 @@ func abs(v int) int {
 	return v
 }
 
-// Tile is one processing element plus its network interface.
-type Tile struct {
+// TileInfo is the immutable description of a tile: what it is and where
+// it sits. It is written once by AttachTile and shared by every copy of
+// the platform, so reading it needs no lock.
+type TileInfo struct {
 	ID   TileID
 	Name string
 	Type TileType
@@ -85,6 +87,13 @@ type Tile struct {
 	// what makes "both MONTIUMs are occupied" (paper §4.4) exclude all
 	// further Montium implementations.
 	MaxOccupants int
+}
+
+// Tile is one processing element plus its network interface: the shared
+// description and this platform copy's reservation state. Platform.Clone
+// copies Tile values into one slab, so the state is kept small.
+type Tile struct {
+	*TileInfo
 
 	// Reserved resources. The mapper reserves resources as it commits
 	// decisions and releases them when refinement rolls decisions back.
@@ -97,7 +106,7 @@ type Tile struct {
 	// applications with different periods share a tile consistently.
 	ReservedUtil float64
 	// Occupants counts processes currently assigned to the tile.
-	Occupants int
+	Occupants int32
 	// Failed marks the tile as faulted at run time. A failed tile offers
 	// no free capacity (Residual reports it as exhausted and the mapper's
 	// step 1 skips it) but keeps its reservation ledger intact, so the
@@ -108,13 +117,9 @@ type Tile struct {
 // CycleBudget returns the number of clock cycles available on the tile per
 // period of the given duration in nanoseconds.
 func (t *Tile) CycleBudget(periodNs int64) int64 {
-	return cycleBudget(t.ClockHz, periodNs)
-}
-
-func cycleBudget(clockHz, periodNs int64) int64 {
 	// cycles = periodNs * ClockHz / 1e9, computed to avoid overflow for
 	// realistic clocks (<= ~10 GHz) and periods (<= seconds).
-	return periodNs * (clockHz / 1_000_000) / 1_000 // (ns * MHz) / 1000
+	return periodNs * (t.ClockHz / 1_000_000) / 1_000 // (ns * MHz) / 1000
 }
 
 // FreeMem returns the unreserved tile-local memory.
@@ -133,14 +138,21 @@ type Router struct {
 // LinkID indexes a directed link within a Platform.
 type LinkID int
 
-// Link is a directed NoC connection between two routers. Bidirectional
-// physical links are modelled as two Links. Guaranteed-throughput lanes are
-// modelled by capacity reservation: ReservedBps of CapBps is committed to
+// LinkInfo is the immutable description of a directed NoC connection
+// between two routers, shared by every copy of the platform like TileInfo.
+// Bidirectional physical links are modelled as two links.
+type LinkInfo struct {
+	ID       LinkID
+	From, To RouterID
+	CapBps   int64
+}
+
+// Link is a directed NoC link: the shared description and this platform
+// copy's reservation state. Guaranteed-throughput lanes are modelled by
+// capacity reservation: ReservedBps of CapBps is committed to
 // already-routed channels.
 type Link struct {
-	ID          LinkID
-	From, To    RouterID
-	CapBps      int64
+	*LinkInfo
 	ReservedBps int64
 	// Failed marks the link as faulted at run time. A failed link offers
 	// no free capacity — FreeBps reports 0, which keeps it out of every

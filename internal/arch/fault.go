@@ -14,15 +14,15 @@ import "fmt"
 //
 // All four mutators require the same serialization as any reservation
 // write: the owner's platform lock when the platform is shared between
-// goroutines. They are copy-on-write correct (WTile/WLink fault the region
-// in first), so outstanding snapshots keep the pre-fault state.
+// goroutines. Snapshots taken earlier are separate copies and keep the
+// pre-fault state.
 
 // FailTile marks a tile failed and records the change in the platform's
 // version. Idempotent: failing a failed tile reports false and bumps
 // nothing. The caller must hold the platform's lock when the platform
 // is shared.
 func (p *Platform) FailTile(id TileID) bool {
-	t := p.WTile(id)
+	t := p.Tile(id)
 	if t.Failed {
 		return false
 	}
@@ -34,7 +34,7 @@ func (p *Platform) FailTile(id TileID) bool {
 // FailLink marks a link failed, with the same versioning, idempotence and
 // locking contract as FailTile.
 func (p *Platform) FailLink(id LinkID) bool {
-	l := p.WLink(id)
+	l := p.Link(id)
 	if l.Failed {
 		return false
 	}
@@ -47,7 +47,7 @@ func (p *Platform) FailLink(id LinkID) bool {
 // tile rejoining the platform), bumping the version as FailTile does.
 // Idempotent; same locking contract.
 func (p *Platform) RestoreTile(id TileID) bool {
-	t := p.WTile(id)
+	t := p.Tile(id)
 	if !t.Failed {
 		return false
 	}
@@ -58,7 +58,7 @@ func (p *Platform) RestoreTile(id TileID) bool {
 
 // RestoreLink clears a link's failed flag; see RestoreTile.
 func (p *Platform) RestoreLink(id LinkID) bool {
-	l := p.WLink(id)
+	l := p.Link(id)
 	if !l.Failed {
 		return false
 	}
@@ -90,26 +90,35 @@ func (p *Platform) FailedLinks() []LinkID {
 }
 
 // PlatformsIdentical compares the complete reservation state of two
-// platforms struct by struct — every tile field (reservations, occupancy,
-// failure flag) and every link field must match exactly, bit for bit for
-// the float64 utilisation. Version counters are deliberately not compared:
-// two histories that reach the same resource state may disagree on how
-// many aborted commits bumped the counters along the way. The crash-replay
-// equivalence suite is built on this: a journal replay must land on a
-// platform for which PlatformsIdentical returns nil against the live one.
+// platforms struct by struct — every tile field (description by value,
+// reservations, occupancy, failure flag) and every link field must match
+// exactly, bit for bit for the float64 utilisation. Version counters are
+// deliberately not compared: two histories that reach the same resource
+// state may disagree on how many aborted commits bumped the counters along
+// the way. The crash-replay equivalence suite is built on this: a journal
+// replay must land on a platform for which PlatformsIdentical returns nil
+// against the live one.
 func PlatformsIdentical(a, b *Platform) error {
 	if len(a.Tiles) != len(b.Tiles) || len(a.Links) != len(b.Links) {
 		return fmt.Errorf("shape differs: %d/%d tiles, %d/%d links",
 			len(a.Tiles), len(b.Tiles), len(a.Links), len(b.Links))
 	}
 	for i := range a.Tiles {
-		if *a.Tiles[i] != *b.Tiles[i] {
-			return fmt.Errorf("tile %d differs: %+v vs %+v", i, *a.Tiles[i], *b.Tiles[i])
+		// A replayed platform has its own descriptions: compare them by
+		// value, then the states with the pointers out of the way.
+		x, y := *a.Tiles[i], *b.Tiles[i]
+		xi, yi := *x.TileInfo, *y.TileInfo
+		x.TileInfo, y.TileInfo = nil, nil
+		if xi != yi || x != y {
+			return fmt.Errorf("tile %d differs: %+v %+v vs %+v %+v", i, xi, x, yi, y)
 		}
 	}
 	for i := range a.Links {
-		if *a.Links[i] != *b.Links[i] {
-			return fmt.Errorf("link %d differs: %+v vs %+v", i, *a.Links[i], *b.Links[i])
+		x, y := *a.Links[i], *b.Links[i]
+		xi, yi := *x.LinkInfo, *y.LinkInfo
+		x.LinkInfo, y.LinkInfo = nil, nil
+		if xi != yi || x != y {
+			return fmt.Errorf("link %d differs: %+v %+v vs %+v %+v", i, xi, x, yi, y)
 		}
 	}
 	return nil

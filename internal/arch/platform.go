@@ -27,15 +27,6 @@ type Platform struct {
 	atRtr  map[RouterID][]TileID
 	ofType map[TileType][]TileID // tile type -> ids in declaration order
 
-	// Immutable static description, indexed by tile/link ID and shared by
-	// all clones. The lock-free plan path (core.NewPlan) reads topology
-	// and clocks through these instead of the Tiles/Links slices, whose
-	// elements copy-on-write faults swap under the owner's lock — a
-	// lock-free read of the same element would race.
-	tileRouters []RouterID
-	tileClocks  []int64
-	linkFroms   []RouterID
-
 	// version counts committed reservation changes across the whole
 	// platform; see Snapshot. It is atomic so the manager's staleness
 	// probe (Version) can read it without taking the platform lock.
@@ -43,21 +34,6 @@ type Platform struct {
 	// grid is the region partition (nil = one region covering the mesh).
 	// See region.go.
 	grid *regionGrid
-
-	// Copy-on-write state (see cow.go). shared[r] marks region r's tile
-	// and link structs as possibly referenced by another platform — the
-	// first write must copy the region; it is toggled under the same
-	// serialization as the reservation state. frozen marks an
-	// immutable snapshot base. tilesByRegion/linksByRegion index the
-	// resources per region (immutable once the platform is shared) so a
-	// fault copies exactly one region. cowFaults, when set, counts faults
-	// across the platform and everything derived from it.
-	shared        []bool
-	frozen        bool
-	cowChild      bool
-	tilesByRegion [][]TileID
-	linksByRegion [][]LinkID
-	cowFaults     *atomic.Uint64
 }
 
 // NewMesh creates a w×h mesh of routers with bidirectional links of the
@@ -86,8 +62,14 @@ func NewMesh(name string, w, h int, linkCapBps int64) *Platform {
 	p.in = make([][]LinkID, len(p.Routers))
 	link := func(a, b RouterID) {
 		id := LinkID(len(p.Links))
-		p.Links = append(p.Links, &Link{ID: id, From: a, To: b, CapBps: linkCapBps})
-		p.linkFroms = append(p.linkFroms, a)
+		// One allocation holds the description and the construction-time
+		// state; copies take only the state (Clone).
+		l := &struct {
+			Link
+			info LinkInfo
+		}{info: LinkInfo{ID: id, From: a, To: b, CapBps: linkCapBps}}
+		l.LinkInfo = &l.info
+		p.Links = append(p.Links, &l.Link)
 		p.out[a] = append(p.out[a], id)
 		p.in[b] = append(p.in[b], id)
 	}
@@ -106,7 +88,6 @@ func NewMesh(name string, w, h int, linkCapBps int64) *Platform {
 			}
 		}
 	}
-	p.ensureCoWState()
 	return p
 }
 
@@ -140,7 +121,10 @@ func (p *Platform) AttachTile(s TileSpec) *Tile {
 		panic(fmt.Sprintf("arch: duplicate tile name %q", s.Name))
 	}
 	r := p.RouterAt(s.At)
-	t := &Tile{
+	c := &struct {
+		Tile
+		info TileInfo
+	}{info: TileInfo{
 		ID:           TileID(len(p.Tiles)),
 		Name:         s.Name,
 		Type:         s.Type,
@@ -149,29 +133,14 @@ func (p *Platform) AttachTile(s TileSpec) *Tile {
 		MemBytes:     s.MemBytes,
 		NICapBps:     s.NICapBps,
 		MaxOccupants: s.MaxOccupants,
-	}
+	}}
+	c.TileInfo = &c.info
+	t := &c.Tile
 	p.Tiles = append(p.Tiles, t)
 	p.byName[s.Name] = t.ID
 	p.atRtr[r.ID] = append(p.atRtr[r.ID], t.ID)
 	p.ofType[s.Type] = append(p.ofType[s.Type], t.ID)
-	p.tileRouters = append(p.tileRouters, r.ID)
-	p.tileClocks = append(p.tileClocks, s.ClockHz)
-	if reg := p.RegionOfRouter(r.ID); int(reg) < len(p.tilesByRegion) {
-		p.tilesByRegion[reg] = append(p.tilesByRegion[reg], t.ID)
-	}
 	return t
-}
-
-// TileCycleBudget returns tile id's cycle budget per period, computed
-// from the platform's immutable static description. The lock-free plan
-// aggregation (core.NewPlan) uses it so planning never touches the
-// tile's reservation struct, whose pointer copy-on-write faults may be
-// swapping concurrently.
-func (p *Platform) TileCycleBudget(id TileID, periodNs int64) int64 {
-	if id < 0 || int(id) >= len(p.tileClocks) {
-		panic(fmt.Sprintf("arch: tile id %d out of range", id))
-	}
-	return cycleBudget(p.tileClocks[id], periodNs)
 }
 
 // Tile returns the tile with the given ID.
@@ -193,7 +162,7 @@ func (p *Platform) TileByName(name string) *Tile {
 
 // TilesOfType returns the IDs of the tiles of the given type in
 // declaration order. The slice is the platform's own index, shared by
-// every clone; Tile sees the struct a copy-on-write fault has installed.
+// every clone.
 func (p *Platform) TilesOfType(tt TileType) []TileID { return p.ofType[tt] }
 
 // TilesAtRouter returns the IDs of tiles attached to a router.
@@ -248,15 +217,8 @@ func (p *Platform) LinkBetween(a, b RouterID) *Link {
 // ResetReservations clears all resource reservations on tiles and links,
 // returning the platform to its pristine state. The mapper calls this
 // between independent mapping attempts; multi-application scenarios do not
-// call it, so reservations of admitted applications persist. Regions still
-// shared with a copy-on-write snapshot are faulted in first, so snapshots
-// keep their captured state.
+// call it, so reservations of admitted applications persist.
 func (p *Platform) ResetReservations() {
-	for r := range p.shared {
-		if p.shared[r] {
-			p.materializeRegion(RegionID(r))
-		}
-	}
 	for _, t := range p.Tiles {
 		t.ReservedMem = 0
 		t.ReservedInBps = 0
@@ -270,26 +232,48 @@ func (p *Platform) ResetReservations() {
 	p.version.Add(1)
 }
 
-// Clone returns a deep copy of the platform including reservation state.
-// Search procedures clone platforms to evaluate alternatives without
-// disturbing committed state. The copy owns all of its structs (nothing
-// is shared copy-on-write) and is never frozen, whatever p was; for the
-// cheap structure-sharing alternative see CloneCoW.
+// Clone returns a copy of the platform including reservation state, private
+// to whoever holds it. Search procedures clone platforms to evaluate
+// alternatives without disturbing committed state. The immutable
+// description — topology, lookup tables, partition geometry, TileInfo and
+// LinkInfo — is shared; the reservation state is copied into one slab of
+// tiles and one of links, so a copy is five allocations whatever the mesh
+// size. When p is shared between goroutines the caller holds whatever
+// serializes its writes.
 func (p *Platform) Clone() *Platform {
-	q := p.shallowMeta()
+	q := &Platform{
+		Name:       p.Name,
+		Width:      p.Width,
+		Height:     p.Height,
+		NoCClockHz: p.NoCClockHz,
+		Routers:    p.Routers,
+		out:        p.out,
+		in:         p.in,
+		byName:     p.byName,
+		atRtr:      p.atRtr,
+		ofType:     p.ofType,
+		grid:       p.grid,
+	}
 	q.version.Store(p.version.Load())
+	tiles := make([]Tile, len(p.Tiles))
 	q.Tiles = make([]*Tile, len(p.Tiles))
 	for i, t := range p.Tiles {
-		c := *t
-		q.Tiles[i] = &c
+		tiles[i] = *t
+		q.Tiles[i] = &tiles[i]
 	}
+	links := make([]Link, len(p.Links))
 	q.Links = make([]*Link, len(p.Links))
 	for i, l := range p.Links {
-		c := *l
-		q.Links[i] = &c
+		links[i] = *l
+		q.Links[i] = &links[i]
 	}
 	return q
 }
+
+// CloneCoW is Clone under the name the frozen benchmark calls
+// (bench/sut.go); copy-on-write sharing is gone. Delete it with the next
+// benchmark-only change.
+func (p *Platform) CloneCoW() *Platform { return p.Clone() }
 
 // String renders the platform as a coarse ASCII floor plan: one row per
 // mesh row, each router shown as R with the names of attached tiles.

@@ -6,13 +6,13 @@ import (
 )
 
 // This file partitions the mesh into contiguous rectangular regions. A
-// region is the grain of copy-on-write sharing (cow.go), of conflict
-// attribution (core.ValidationError.Region, which repair, template choice
-// and victim selection read) and of the synthetic workloads' endpoint
-// layout. It is not a locking unit: whoever shares a platform between
+// region is pure geometry: the grain of conflict attribution
+// (core.ValidationError.Region, which repair, template choice and victim
+// selection read) and of the synthetic workloads' endpoint layout. It is
+// neither a locking nor a copying unit: whoever shares a platform between
 // goroutines serializes its writes itself, as the manager does with one
-// mutex. An unpartitioned platform behaves as one region covering the
-// whole mesh.
+// mutex, and a copy is the whole mesh (Clone). An unpartitioned platform
+// behaves as one region covering the whole mesh.
 
 // RegionID indexes a region within its Platform's partition.
 type RegionID int
@@ -56,11 +56,9 @@ func (g *regionGrid) of(pt Point) RegionID {
 // PartitionRegions splits the mesh into square regions of the given side
 // length (in routers). size ≤ 0, or a size that covers the whole mesh in
 // one block, yields the single-region degenerate case. Partitioning must
-// happen before the platform is shared: it rebuilds the copy-on-write
-// bookkeeping that snapshots and clones of the platform index by region.
+// happen before the platform is shared or cloned: copies share the grid.
 // Returns the region count.
 func (p *Platform) PartitionRegions(size int) int {
-	defer p.ensureCoWState()
 	if size <= 0 {
 		p.grid = nil
 		return 1
@@ -98,26 +96,19 @@ func (p *Platform) RegionOfRouter(r RouterID) RegionID {
 }
 
 // RegionOfTile returns the region owning a tile: the region of the router
-// its network interface attaches to. It reads only the platform's
-// immutable static description, so it is safe lock-free even while
-// copy-on-write faults swap reservation structs in other goroutines.
+// its network interface attaches to. It reads only the tile's immutable
+// description, so it is safe without the lock that guards reservations.
 func (p *Platform) RegionOfTile(id TileID) RegionID {
-	if id < 0 || int(id) >= len(p.tileRouters) {
-		panic(fmt.Sprintf("arch: tile id %d out of range", id))
-	}
-	return p.RegionOfRouter(p.tileRouters[id])
+	return p.RegionOfRouter(p.Tile(id).Router)
 }
 
 // RegionOfLink returns the region owning a link. A link belongs to the
 // region of its source router — the canonical assignment that gives
 // boundary-crossing links exactly one owner, so a commit plan's region
-// footprint is well defined. Like RegionOfTile it reads only immutable
-// static data and is safe lock-free.
+// footprint is well defined. Like RegionOfTile it reads only the
+// immutable description.
 func (p *Platform) RegionOfLink(id LinkID) RegionID {
-	if id < 0 || int(id) >= len(p.linkFroms) {
-		panic(fmt.Sprintf("arch: link id %d out of range", id))
-	}
-	return p.RegionOfRouter(p.linkFroms[id])
+	return p.RegionOfRouter(p.Link(id).From)
 }
 
 // Region returns the geometry of one region of the current partition.

@@ -13,9 +13,8 @@ import (
 //   - every link has exactly one owning region, the region of its source
 //     router, and that region is within range.
 //
-// The mapper, plan footprints and the copy-on-write region index all
-// assume these properties; a counterexample here would mean two regions
-// could both "own" a resource.
+// The mapper and plan footprints assume these properties; a
+// counterexample here would mean two regions could both "own" a resource.
 func FuzzPartitionRegions(f *testing.F) {
 	f.Add(8, 8, 4)
 	f.Add(1, 1, 1)

@@ -10,34 +10,23 @@ package arch
 // phase detect cheaply whether any admission or departure landed since the
 // snapshot was taken.
 //
-// Snapshots come in two flavours: Platform.Snapshot deep-copies every
-// tile and link (the caller owns the copy outright and may mutate it),
-// while Platform.SnapshotCoW (cow.go) captures a frozen copy-on-write
-// view with two slice copies — the admission hot path's default,
-// shareable between any number of concurrent readers.
-//
 // Platform itself remains lock-free: callers that share a platform between
-// goroutines (package manager) serialize Snapshot, SnapshotCoW, Residual
-// and all reservation mutations behind their own lock. A deep Snapshot, once
-// taken, is owned by the goroutine that took it; a CoW snapshot is
-// immutable and may be shared.
+// goroutines (package manager) serialize Snapshot, Residual and all
+// reservation mutations behind their own lock. A Snapshot, once taken, is
+// owned by whoever took it.
 
 // Snapshot is a point-in-time view of a platform's full reservation state.
 type Snapshot struct {
-	// Plat carries the snapshot's reservation state. For a deep snapshot
-	// (Platform.Snapshot) it is a private copy the holder may freely
-	// mutate; for a copy-on-write snapshot (Platform.SnapshotCoW) it is
-	// frozen — derive a Writable snapshot before mutating.
+	// Plat is a private copy (Platform.Clone) the holder may freely mutate.
 	Plat *Platform
 	// Version is the platform's reservation version at the time the
 	// snapshot was taken.
 	Version uint64
 }
 
-// Snapshot returns a deep copy of the platform tagged with its current
+// Snapshot returns a copy of the platform tagged with its current
 // reservation version. The caller must hold whatever serializes
-// mutations of the platform. SnapshotCoW is the cheaper alternative, under
-// the same rule.
+// mutations of the platform.
 func (p *Platform) Snapshot() *Snapshot {
 	return &Snapshot{Plat: p.Clone(), Version: p.version.Load()}
 }
@@ -97,7 +86,7 @@ func (p *Platform) Residual() Residual {
 	for i, t := range p.Tiles {
 		slots := -1
 		if t.MaxOccupants > 0 {
-			slots = t.MaxOccupants - t.Occupants
+			slots = t.MaxOccupants - int(t.Occupants)
 		}
 		if t.Failed {
 			// A failed tile has no usable capacity left, whatever its

@@ -116,7 +116,7 @@ func BinPack(lib *model.Library, cfg core.Config, app *model.Application, plat *
 					ok = false
 					break
 				}
-				if t.MaxOccupants > 0 && t.Occupants+dOcc >= t.MaxOccupants {
+				if t.MaxOccupants > 0 && int(t.Occupants)+dOcc >= t.MaxOccupants {
 					ok = false
 					break
 				}
@@ -224,7 +224,7 @@ func randomPlacement(lib *model.Library, app *model.Application, plat *arch.Plat
 			if t.FreeMem()-mem[t.ID] < im.MemBytes || t.ReservedUtil+util[t.ID]+u > 1.0+1e-9 {
 				continue
 			}
-			if t.MaxOccupants > 0 && t.Occupants+occ[t.ID] >= t.MaxOccupants {
+			if t.MaxOccupants > 0 && int(t.Occupants)+occ[t.ID] >= t.MaxOccupants {
 				continue
 			}
 			chosen = t

@@ -220,9 +220,9 @@ func (r *runner) execute(inc *incarnation, st Step) (*incarnation, error) {
 	m := r.st.Manager
 	switch st.Op {
 	case OpFailTile, OpRestoreTile:
-		// Off a snapshot: admissions are in flight, and their commits swap
-		// the live platform's tile structs under the manager's lock.
-		tiles := churn.ProcTiles(m.Snapshot().Plat)
+		// Admissions are in flight; ProcTiles reads only the tiles'
+		// immutable description, which needs no lock.
+		tiles := churn.ProcTiles(m.Platform())
 		if len(tiles) == 0 {
 			return inc, fmt.Errorf("chaos: no processing tiles to fail")
 		}
@@ -235,7 +235,7 @@ func (r *runner) execute(inc *incarnation, st Step) (*incarnation, error) {
 			r.rep.Restores++
 		}
 	case OpFailLink, OpRestoreLink:
-		// Link IDs are indices; the count never changes, the structs do.
+		// Link IDs are indices; the count never changes.
 		n := len(m.Platform().Links)
 		if n == 0 {
 			return inc, fmt.Errorf("chaos: no links to fail")

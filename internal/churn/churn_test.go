@@ -53,8 +53,8 @@ func TestChurnRepairOffStillClean(t *testing.T) {
 // TestChurnShardedRegionsClean runs the churn scenario on a mesh
 // partitioned into four regions, arrivals pinned round-robin to
 // per-region stream endpoints. The CI test step runs this under -race:
-// copy-on-write faults and conflict attribution work per region, and the
-// ledger must still return exactly to pristine.
+// conflict attribution works per region, and the ledger must still
+// return exactly to pristine.
 func TestChurnShardedRegionsClean(t *testing.T) {
 	opts := Defaults()
 	opts.Apps = 80

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rtsm/internal/arch"
@@ -172,6 +173,74 @@ func TestOpenJournalRecovery(t *testing.T) {
 			t.Fatalf("recovered %d segments, want 3", j.Segments)
 		}
 		checkRecovered(t, s, sealed, names)
+	})
+
+	t.Run("restart segment without its head frame is re-created", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "j.journal")
+		sealed, names := crashed(t, path, false, 0, 24, 2)
+		// A second kill -9, between OpenFile creating .r1 and its first
+		// flush: the file is empty, or holds part of the magic or of the
+		// head frame (8 + 6 + 40 bytes). The base is then still the final
+		// segment, torn tail included.
+		r1 := journal.NextSegmentPath(path, 1)
+		if err := os.WriteFile(r1, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := journal.OpenFile(path, 0, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Segments != 1 || j.TornBytes <= 0 {
+			t.Fatalf("recovered %d segments with %d torn bytes, want the base and its torn tail", j.Segments, j.TornBytes)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(r1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cut := range []int{53, 14, 11, 8, 3, 0} {
+			if err := os.WriteFile(r1, raw[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j, err := journal.OpenFile(path, 0, true)
+			if err != nil {
+				t.Fatalf(".r1 cut to %d bytes: %v", cut, err)
+			}
+			if got := journal.SegmentPaths(path); j.Segments != 1 || len(got) != 2 {
+				t.Fatalf(".r1 cut to %d bytes: recovered %d segments, on disk %v; want .r1 re-created", cut, j.Segments, got)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(r1, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, j := recovered(t, path)
+		checkRecovered(t, s, sealed, names)
+		admitSome(t, s, 24, 40)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := journal.RecoverFiles(journal.SegmentPaths(path)...)
+		if err != nil || len(rec.Segments) != 2 || len(rec.Events) <= len(j.Recovered.Events) {
+			t.Fatalf("resumed chain: %v, %d segments, %d events (recovered %d before resuming)",
+				err, len(rec.Segments), len(rec.Events), len(j.Recovered.Events))
+		}
+
+		// Only a final segment may lack its head: with a later segment
+		// behind it, an empty .r1 means lost history.
+		if err := os.Rename(r1, journal.NextSegmentPath(path, 2)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(r1, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := journal.OpenFile(path, 0, true); err == nil || !strings.Contains(err.Error(), "no head frame") {
+			t.Fatalf("headless middle segment: %v, want a no-head-frame error", err)
+		}
 	})
 
 	t.Run("fresh chain drops stale restart segments", func(t *testing.T) {

@@ -159,8 +159,7 @@ type commitPlan struct {
 	// regions is the plan's region footprint: the owners of every tile
 	// and link the plan touches, ascending without duplicates. Validation
 	// and commit only read and mutate state inside these regions, so they
-	// are exactly the regions a commit faults in (copy-on-write) and the
-	// ones Overlaps compares.
+	// are exactly the ones Overlaps compares.
 	regions []arch.RegionID
 }
 
@@ -228,10 +227,9 @@ func planReservations(plat *arch.Platform, res *Result, strict bool) (*commitPla
 		}
 		d := pl.tile(tid)
 		d.mem += im.MemBytes
-		// The static cycle budget, not the tile struct: planning runs
-		// lock-free, and the struct pointer may be mid-swap by a
-		// copy-on-write fault in another goroutine.
-		d.util += utilisationOf(plat.TileCycleBudget(tid, app.QoS.PeriodNs), cyc)
+		// CycleBudget reads only the tile's immutable description:
+		// planning runs without the platform's lock.
+		d.util += utilisationOf(plat.Tile(tid).CycleBudget(app.QoS.PeriodNs), cyc)
 		d.occupants++
 	}
 	for _, c := range chans {
@@ -278,9 +276,9 @@ func (pl *commitPlan) violations(plat *arch.Platform) []ValidationError {
 			out = append(out, ValidationError{Kind: ResTileUtil, Tile: t.ID, TileName: t.Name, Link: -1,
 				Need: d.util, Avail: 1.0 - t.ReservedUtil})
 		}
-		if t.MaxOccupants > 0 && t.Occupants+d.occupants > t.MaxOccupants {
+		if t.MaxOccupants > 0 && int(t.Occupants)+d.occupants > t.MaxOccupants {
 			out = append(out, ValidationError{Kind: ResTileOccupancy, Tile: t.ID, TileName: t.Name, Link: -1,
-				Need: float64(d.occupants), Avail: float64(t.MaxOccupants - t.Occupants)})
+				Need: float64(d.occupants), Avail: float64(t.MaxOccupants - int(t.Occupants))})
 		}
 		if t.NICapBps > 0 && (t.ReservedInBps+d.inBps > t.NICapBps || t.ReservedOutBps+d.outBps > t.NICapBps) {
 			need, avail := d.inBps, t.NICapBps-t.ReservedInBps
@@ -354,17 +352,13 @@ func (pl *commitPlan) validate(plat *arch.Platform) error {
 
 // commit applies the plan and bumps the platform's version. sign is +1 to
 // reserve, -1 to release. The caller is the platform's one writer (it
-// holds the owner's lock when the platform is shared), which is what
-// makes the copy-on-write fault-in safe: regions still shared with a
-// snapshot are copied before the first mutation, so snapshots keep their
-// captured state while the live platform moves on.
+// holds the owner's lock when the platform is shared).
 func (pl *commitPlan) commit(plat *arch.Platform, sign int64) {
-	plat.MaterializeRegions(pl.regions)
 	for tid, d := range pl.tiles {
 		t := plat.Tile(tid)
 		t.ReservedMem += sign * d.mem
 		t.ReservedUtil += float64(sign) * d.util
-		t.Occupants += int(sign) * d.occupants
+		t.Occupants += int32(sign) * int32(d.occupants)
 		t.ReservedInBps += sign * d.inBps
 		t.ReservedOutBps += sign * d.outBps
 	}

@@ -59,23 +59,23 @@ func (p *Plan) Deltas() ([]TileReservation, []LinkReservation) {
 // ApplyDeltas adds (sign +1) or subtracts (sign -1) exported deltas on
 // the platform exactly as Commit or Release of the plan they came from
 // would: every field of every named resource receives the same single
-// addition — the one float among them, ReservedUtil, included — shared
-// regions are faulted in first and the version is bumped once. It is
+// addition — the one float among them, ReservedUtil, included — and the
+// version is bumped once. It is
 // journal replay's commit: no plan is built to apply an event. Each
 // resource must appear once, as Deltas exports them, and the caller must
 // be the platform's one writer.
 func ApplyDeltas(plat *arch.Platform, tiles []TileReservation, links []LinkReservation, sign int64) {
 	for i := range tiles {
 		d := &tiles[i]
-		t := plat.WTile(d.Tile)
+		t := plat.Tile(d.Tile)
 		t.ReservedMem += sign * d.MemBytes
 		t.ReservedUtil += float64(sign) * d.Util
-		t.Occupants += int(sign) * d.Occupants
+		t.Occupants += int32(sign) * int32(d.Occupants)
 		t.ReservedInBps += sign * d.InBps
 		t.ReservedOutBps += sign * d.OutBps
 	}
 	for _, l := range links {
-		plat.WLink(l.Link).ReservedBps += sign * l.Bps
+		plat.Link(l.Link).ReservedBps += sign * l.Bps
 	}
 	plat.BumpVersion()
 }

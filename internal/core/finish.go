@@ -82,7 +82,7 @@ func FinishAssignment(lib *model.Library, cfg Config, app *model.Application, pl
 		if !canHost(t, pl.Impl.MemBytes, util) {
 			return nil, fmt.Errorf("core: placement not adherent: tile %q cannot host %s", t.Name, pl.Impl)
 		}
-		wt := work.WTile(t.ID)
+		wt := work.Tile(t.ID)
 		wt.ReservedMem += pl.Impl.MemBytes
 		wt.ReservedUtil += util
 		wt.Occupants++

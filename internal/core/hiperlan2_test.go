@@ -248,8 +248,10 @@ func TestHiperlan2RenderTable2(t *testing.T) {
 }
 
 // TestHiperlan2MapAllocationBudget keeps a cold Map of the case study
-// cheap in objects: it was 17 114 while step 4 allocated per firing, and
-// is 398 now, up to 412 under -race, where sync.Pool drops engines.
+// cheap in objects: it was 17 114 while step 4 allocated per firing, 398
+// while each working clone copied the mesh struct by struct, and is 370
+// now, up to 388 under -race, where sync.Pool drops engines. The budget
+// is that plus 10 %.
 func TestHiperlan2MapAllocationBudget(t *testing.T) {
 	mode := workload.Hiperlan2Modes[3]
 	app := workload.Hiperlan2(mode)
@@ -260,7 +262,8 @@ func TestHiperlan2MapAllocationBudget(t *testing.T) {
 			t.Fatalf("Map: %v", err)
 		}
 	})
-	if allocs > 450 {
-		t.Errorf("Map allocates %v objects, want at most 450", allocs)
+	if allocs > 407 {
+		t.Errorf("Map allocates %v objects, want at most 407", allocs)
 	}
+	t.Logf("Map: %v objects", allocs)
 }

@@ -111,13 +111,12 @@ type Config struct {
 	// placements) and charges RegionBias cost units for opening a new
 	// region, and step 2 charges each move RegionBias per region its
 	// reassignment adds to the mapping's region span. A narrower span
-	// means the admission's commit faults in fewer copy-on-write regions
-	// and its conflicts stay attributable to one part of the mesh. The
-	// weight is in the same (mixed) units as the step costs it perturbs —
-	// energy in step 1, communication cost in step 2; values around 1–4
-	// bias ties and small gaps without overriding clear wins. 0 (the default) keeps the
-	// region-oblivious paper behaviour; unpartitioned platforms are
-	// unaffected either way.
+	// keeps the admission's conflicts attributable to one part of the
+	// mesh. The weight is in the same (mixed) units as the step costs it
+	// perturbs — energy in step 1, communication cost in step 2; values
+	// around 1–4 bias ties and small gaps without overriding clear wins.
+	// 0 (the default) keeps the region-oblivious paper behaviour;
+	// unpartitioned platforms are unaffected either way.
 	RegionBias float64
 }
 
@@ -288,28 +287,13 @@ func (m *Mapper) checkAdequacyPossible(app *model.Application, plat *arch.Platfo
 	return nil
 }
 
-// workClone returns the private platform an attempt speculatively
-// reserves on. Mapping against a frozen copy-on-write snapshot — the
-// admission hot path — or against a goroutine-private CoW child — the
-// preemption planner's writable probe — gets a CoW child that faults in
-// only the regions the attempt actually writes, instead of deep-copying
-// the whole mesh per refinement round; any other input keeps the
-// classic deep copy, so a caller's own platform is never silently
-// marked shared.
-func workClone(plat *arch.Platform) *arch.Platform {
-	if plat.Frozen() || plat.CoWClone() {
-		return plat.CloneCoW()
-	}
-	return plat.Clone()
-}
-
 // attempt runs steps 1–4 once on a private clone of the platform. A
 // non-nil seed pre-installs salvaged decisions from a stale mapping: its
 // placements are reserved up front and locked against steps 1 and 2, its
 // routes are reserved and skipped by step 3, so only what the seed leaves
 // open is re-decided (the incremental repair path).
 func (m *Mapper) attempt(app *model.Application, plat *arch.Platform, tabu *tabu, seed *seedMapping) (*Result, *feedback, error) {
-	work := workClone(plat)
+	work := plat.Clone()
 	trace := &Trace{}
 	mapping := &Mapping{
 		App:     app,

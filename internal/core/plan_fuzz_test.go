@@ -17,7 +17,7 @@ import (
 //     implementation memory plus stream buffers, utilisation, occupancy,
 //     NI bandwidth and link lanes;
 //   - every resource the commit changed lies inside the plan's region
-//     footprint (the regions a commit faults in are sufficient), and
+//     footprint (the footprint is sufficient), and
 //     the footprint never names a region the mapping touches no resource
 //     in (they are also necessary);
 //   - releasing the plan restores the residual bit-for-bit.
@@ -104,7 +104,7 @@ func FuzzPlanReservations(f *testing.F) {
 			}
 			s := at(tid)
 			s.mem += im.MemBytes
-			s.util += utilisationOf(plat.TileCycleBudget(tid, app.QoS.PeriodNs), cyc)
+			s.util += utilisationOf(plat.Tile(tid).CycleBudget(app.QoS.PeriodNs), cyc)
 			s.occ++
 		}
 		for _, c := range app.StreamChannels() {

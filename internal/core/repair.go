@@ -71,7 +71,7 @@ func (s *seedMapping) install(app *model.Application, work *arch.Platform, mp *M
 	for pid, im := range s.impl {
 		p := app.Process(pid)
 		tid := s.tile[pid]
-		t := work.WTile(tid)
+		t := work.Tile(tid)
 		cyc, err := im.CyclesPerPeriod(app, p)
 		if err != nil {
 			return fmt.Errorf("core: seeded implementation of %q no longer matches: %w", p.Name, err)
@@ -136,7 +136,7 @@ func budgetFor(t *arch.Tile) *tileBudget {
 		slots: -1,
 	}
 	if t.MaxOccupants > 0 {
-		b.slots = t.MaxOccupants - t.Occupants
+		b.slots = t.MaxOccupants - int(t.Occupants)
 	}
 	if t.NICapBps > 0 {
 		b.inBps = t.NICapBps - t.ReservedInBps
@@ -387,9 +387,6 @@ func (m *Mapper) Repair(res *Result, snap *arch.Snapshot) (*Result, error) {
 // snapshot's private platform is mutated — the live platform is untouched
 // and no lock is needed — so the caller can probe "would the arrival fit
 // if these victims left?" as cheaply as any other speculative mapping.
-// The snapshot must be writable: pass a deep snapshot or derive one from
-// a frozen copy-on-write snapshot with Snapshot.Writable first (mutating
-// a frozen snapshot panics).
 func HypotheticalEviction(snap *arch.Snapshot, victims ...*Result) {
 	for _, v := range victims {
 		Remove(snap.Plat, v)

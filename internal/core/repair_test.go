@@ -197,7 +197,7 @@ func TestRepairDegradesToFullRemap(t *testing.T) {
 		tile.ReservedUtil = 1.0
 		tile.ReservedMem = tile.MemBytes
 		if tile.MaxOccupants > 0 {
-			tile.Occupants = tile.MaxOccupants
+			tile.Occupants = int32(tile.MaxOccupants)
 		}
 	}
 	for _, l := range plat.Links {

@@ -65,10 +65,7 @@ func (m *Mapper) step1(app *model.Application, work *arch.Platform, mp *Mapping,
 		}
 		p := unassigned[pick.idx]
 		opt := pick.best
-		// Write through the CoW barrier: on a copy-on-write working
-		// platform the tile's region is faulted in first, so the shared
-		// snapshot structs the option was scored against stay untouched.
-		wt := work.WTile(opt.tile.ID)
+		wt := work.Tile(opt.tile.ID)
 		wt.ReservedMem += opt.im.MemBytes
 		wt.ReservedUtil += opt.util
 		wt.Occupants++
@@ -238,7 +235,7 @@ func canHost(t *arch.Tile, memBytes int64, util float64) bool {
 	if t.Failed {
 		return false
 	}
-	if t.MaxOccupants > 0 && t.Occupants >= t.MaxOccupants {
+	if t.MaxOccupants > 0 && int(t.Occupants) >= t.MaxOccupants {
 		return false
 	}
 	return t.FreeMem() >= memBytes && t.ReservedUtil+util <= 1.0+utilEps

@@ -314,8 +314,8 @@ func (s *searchState) swapFits(p *model.Process, pIm *model.Implementation, pTil
 func (s *searchState) applyCandidate(c *candidate) {
 	relocate := func(p *model.Process, to arch.TileID) {
 		im := s.mp.Impl[p.ID]
-		from := s.work.WTile(s.mp.Tile[p.ID])
-		dst := s.work.WTile(to)
+		from := s.work.Tile(s.mp.Tile[p.ID])
+		dst := s.work.Tile(to)
 		cyc, _ := im.CyclesPerPeriod(s.app, p)
 		from.ReservedMem -= im.MemBytes
 		from.ReservedUtil -= utilisation(from, cyc, s.app.QoS.PeriodNs)

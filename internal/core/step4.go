@@ -382,7 +382,7 @@ func (m *Mapper) reserveBuffers(app *model.Application, work *arch.Platform, mp 
 			}
 		}
 		if t.MemBytes > 0 {
-			work.WTile(tid).ReservedMem += need
+			work.Tile(tid).ReservedMem += need
 		}
 	}
 	return nil

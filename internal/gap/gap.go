@@ -90,7 +90,7 @@ func (s *Solver) Optimal(app *model.Application, plat *arch.Platform) (*Assignme
 	for i, t := range plat.Tiles {
 		ctx.mem[i] = t.FreeMem()
 		ctx.util[i] = t.ReservedUtil
-		ctx.occ[i] = t.Occupants
+		ctx.occ[i] = int(t.Occupants)
 	}
 	for _, p := range app.Processes {
 		if p.PinnedTile != "" && !p.Control {

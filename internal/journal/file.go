@@ -47,10 +47,12 @@ func OpenFile(path string, syncEvery int, resume bool) (*File, error) {
 		if j.Recovered, err = RecoverFiles(segs...); err != nil {
 			return nil, err
 		}
-		last := j.Recovered.Segments[len(segs)-1]
+		// Counted from what was recovered, not from what exists: a final
+		// segment that never got its head frame is re-created in place.
+		j.Segments = len(j.Recovered.Segments)
+		last := j.Recovered.Segments[j.Segments-1]
 		j.TornBytes = last.Bytes - last.Sealed
-		j.Segments = len(segs)
-		next = NextSegmentPath(path, len(segs))
+		next = NextSegmentPath(path, j.Segments)
 	}
 	f, err := os.Create(next)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -95,6 +96,10 @@ func (v *verifier) readFull(p []byte) (n int, short bool, err error) {
 	return n, false, err
 }
 
+// errTornHead reports a rotated segment that ends before its head frame
+// does: empty, or cut inside the magic or the head.
+var errTornHead = errors.New("offset 0: not a rotated segment: no head frame (the file ends inside it)")
+
 // segment verifies one segment in a single streaming pass, appending its
 // sealed events to v.events. want, when non-nil, pins the head frame
 // (chain continuity across a rotation); nil accepts a genesis segment or
@@ -132,6 +137,7 @@ func (v *verifier) segment(r io.Reader, want *position) (seg Segment, head *posi
 		seg.Sealed = seg.Bytes
 	}
 	lastSeq := end.seq
+	var kind byte // of the frame being read; 0 until a header is complete
 	for !short {
 		off = seg.Bytes
 		var h [headerLen]byte
@@ -143,7 +149,8 @@ func (v *verifier) segment(r io.Reader, want *position) (seg Segment, head *posi
 		if short {
 			break // the segment ends here, cleanly (n == 0) or inside a header
 		}
-		kind, size := h[0], int(binary.LittleEndian.Uint32(h[1:5]))
+		size := int(binary.LittleEndian.Uint32(h[1:5]))
+		kind = h[0]
 		switch {
 		case h[5] != headerCheck(h[:5]):
 			return fail("damaged frame header")
@@ -213,6 +220,10 @@ func (v *verifier) segment(r io.Reader, want *position) (seg Segment, head *posi
 		}
 	}
 	if want != nil && head == nil {
+		if off <= int64(len(magic)) && (kind == 0 || kind == kindHead) {
+			v.events = v.events[:first]
+			return Segment{}, nil, position{}, errTornHead
+		}
 		off = 0
 		return fail("not a rotated segment: no head frame continuing seal %s", want.chain)
 	}
@@ -232,7 +243,13 @@ func (v *verifier) segment(r io.Reader, want *position) (seg Segment, head *posi
 // replayed). The first segment must be a full history: it either has no
 // head frame or declares the genesis seed, so a mid-chain segment
 // offered alone (or with its predecessors missing) is rejected rather
-// than silently replaying half the log. Besides the events it returns
+// than silently replaying half the log. A final, non-first segment that
+// ends inside its head frame — kill -9 between creating the file and its
+// first flush — is treated as absent: nothing was journaled in it, and a
+// chain can be cut back to any seal of its last segment undetected
+// anyway. The segment before it is then the final one, torn tail and
+// all, and Recovered.Segments is one shorter than the input. A
+// headless segment anywhere else is an error. Besides the events it returns
 // the chain position needed to resume journaling after a crash: where
 // the next segment starts. Recover only reads; every segment is read
 // once, through one reused buffer.
@@ -245,15 +262,20 @@ func Recover(segments ...io.Reader) (Recovered, error) {
 	var want *position
 	for i, r := range segments {
 		seg, head, end, err := v.segment(r, want)
+		if errors.Is(err, errTornHead) && i > 0 && i == len(segments)-1 {
+			break
+		}
 		if err != nil {
 			return Recovered{}, fmt.Errorf("journal: segment %d: %w", i, err)
 		}
 		if i == 0 && head != nil && head.chain != (Hash{}) {
 			return Recovered{}, fmt.Errorf("journal: segment 0: starts mid-chain (head seed %s, seq %d); earlier segments are missing", head.chain, head.seq)
 		}
-		if i < len(segments)-1 && seg.Bytes > seg.Sealed {
-			return Recovered{}, fmt.Errorf("journal: segment %d: %d bytes (%d unsealed events) after the last seal before a rotation (segment truncated)",
-				i, seg.Bytes-seg.Sealed, seg.Tail)
+		if i > 0 {
+			if prev := rec.Segments[i-1]; prev.Bytes > prev.Sealed {
+				return Recovered{}, fmt.Errorf("journal: segment %d: %d bytes (%d unsealed events) after the last seal before a rotation (segment truncated)",
+					i-1, prev.Bytes-prev.Sealed, prev.Tail)
+			}
 		}
 		rec.Segments = append(rec.Segments, seg)
 		rec.Tail, rec.Chain, rec.Seq = seg.Tail, end.chain, end.seq
@@ -305,7 +327,8 @@ func NextSegmentPath(base string, existing int) string {
 // is verified (Recover), and only then is the final segment truncated
 // in place to its sealed prefix, discarding the torn tail. A chain that
 // does not verify leaves every file as it was. After it succeeds, resume
-// journaling with NewResumedWriter into NextSegmentPath and replay
+// journaling with NewResumedWriter into NextSegmentPath of the segments
+// Recovered lists (a headless final file is overwritten) and replay
 // Recovered.Events into a pristine platform (manager.ReplayEvents)
 // before serving.
 func RecoverFiles(paths ...string) (Recovered, error) {
@@ -325,7 +348,7 @@ func RecoverFiles(paths ...string) (Recovered, error) {
 	if err != nil {
 		return Recovered{}, err
 	}
-	last := len(paths) - 1
+	last := len(rec.Segments) - 1
 	if seg := &rec.Segments[last]; seg.Sealed < seg.Bytes {
 		if err := os.Truncate(paths[last], seg.Sealed); err != nil {
 			return Recovered{}, fmt.Errorf("journal: recover %s: %w", paths[last], err)

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rtsm/internal/arch"
@@ -180,16 +179,13 @@ type Stats struct {
 	// back to the full four-step map (repair disabled, refused or
 	// infeasible).
 	FullRemaps uint64
-	// Snapshots counts the copy-on-write snapshots captured for
-	// admissions and their retries. SnapshotsShared is always 0: the
-	// mechanism it counted is deleted, and the field leaves with the next
-	// benchmark-only change (bench/sut.go still reads it).
+	// Snapshots counts the platform copies captured for admissions and
+	// their retries. SnapshotsShared and CoWFaults are always 0: the
+	// mechanisms they counted are deleted, and the fields leave with the
+	// next benchmark-only change (bench/sut.go still reads them).
 	Snapshots       uint64
 	SnapshotsShared uint64
-	// CoWFaults counts regions faulted in by the copy-on-write engine —
-	// private region copies made on first write, on the live platform
-	// and on every snapshot and working clone derived from it.
-	CoWFaults uint64
+	CoWFaults       uint64
 	// Preemptions counts lower-priority victims displaced so a
 	// higher-priority arrival could be admitted on a full mesh. Every
 	// preempted victim ends up in exactly one of Relocations (kept
@@ -273,10 +269,6 @@ type Manager struct {
 
 	platMu sync.Mutex
 
-	// faults counts copy-on-write region faults platform-wide; the
-	// platform and all its snapshots and clones share this meter.
-	faults atomic.Uint64
-
 	mu      sync.Mutex
 	plat    *arch.Platform
 	running map[string]*Admission
@@ -318,7 +310,6 @@ func New(plat *arch.Platform, cfg core.Config) *Manager {
 		repair:     true,
 		preemption: true,
 	}
-	plat.SetCoWFaultMeter(&m.faults)
 	m.initLoadCapacity()
 	return m
 }
@@ -440,19 +431,19 @@ func (m *Manager) journalEvent(e journal.Event) {
 	m.jw.Append(e)
 }
 
-// Platform exposes the managed platform. It is safe to read only while no
-// admissions are in flight; concurrent inspectors should use Snapshot or
-// Residual instead.
+// Platform exposes the managed platform. Its shape and the tiles' and
+// links' immutable description (arch.TileInfo, arch.LinkInfo) may be read
+// at any time; reservation state is safe to read only while no admissions
+// are in flight — concurrent inspectors use Snapshot or Residual instead.
 func (m *Manager) Platform() *arch.Platform { return m.plat }
 
-// Snapshot returns a point-in-time copy-on-write snapshot of the managed
-// platform, captured under the platform lock: it holds every committed
-// plan whole or not at all. The returned snapshot is frozen: treat its
-// Plat as read-only, and derive arch.Snapshot.Writable before mutating.
+// Snapshot returns a point-in-time copy of the managed platform, taken
+// under the platform lock: it holds every committed plan whole or not at
+// all, and is the caller's own to mutate.
 func (m *Manager) Snapshot() *arch.Snapshot {
 	m.platMu.Lock()
 	defer m.platMu.Unlock()
-	return m.plat.SnapshotCoW()
+	return m.plat.Snapshot()
 }
 
 // snapshot is Snapshot counted in Stats.Snapshots: what an admission maps
@@ -477,9 +468,7 @@ func (m *Manager) Residual() arch.Residual {
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := m.stats
-	st.CoWFaults = m.faults.Load()
-	return st
+	return m.stats
 }
 
 // Start maps the application against the current platform state and
@@ -904,7 +893,7 @@ func (m *Manager) CheckInvariants() error {
 		if t.ReservedUtil < -eps || t.ReservedUtil > 1+eps {
 			return fmt.Errorf("tile %q utilisation out of range: %v", t.Name, t.ReservedUtil)
 		}
-		if t.Occupants < 0 || (t.MaxOccupants > 0 && t.Occupants > t.MaxOccupants) {
+		if t.Occupants < 0 || (t.MaxOccupants > 0 && int(t.Occupants) > t.MaxOccupants) {
 			return fmt.Errorf("tile %q occupancy out of range: %d", t.Name, t.Occupants)
 		}
 		if t.NICapBps > 0 && (t.ReservedInBps < 0 || t.ReservedInBps > t.NICapBps ||

@@ -97,10 +97,7 @@ func (m *Manager) pruneVictims(victims []*Admission, res *core.Result) []*Admiss
 	}
 	needed := victims
 	for i := 0; i < len(needed); {
-		// Writable: the hypothetical evictions below mutate the probe,
-		// which a frozen CoW snapshot forbids — the writable child still
-		// shares every untouched region with the capture.
-		probe := m.Snapshot().Writable()
+		probe := m.Snapshot()
 		for j, v := range needed {
 			if j != i {
 				core.HypotheticalEviction(probe, v.Result)
@@ -132,14 +129,14 @@ func (m *Manager) preemptAdmit(out *Outcome, app *model.Application, lib *model.
 	// Greedy victim accumulation on a hypothetical platform: evict the
 	// cheapest overlapping candidate, re-map, repeat until the arrival
 	// fits or the victim budget is spent. All of this runs on the
-	// snapshot's deep copy — the live platform is untouched and unlocked.
+	// snapshot's copy — the live platform is untouched and unlocked.
 	// A candidate is claimed before its plan and Result are read: once
 	// claimed, nobody else (Stop, a competing preemptor's relocation)
 	// touches the admission, so the read is race-free; a candidate that
 	// turns out not to overlap the target regions is unclaimed straight
 	// away.
 	mapStart := time.Now()
-	snap := m.Snapshot().Writable()
+	snap := m.Snapshot()
 	var victims []*Admission
 	var res *core.Result
 	for _, cand := range cands {

@@ -15,8 +15,7 @@ import (
 // TestShardedCommitStraddlingRegions hammers a 4-region platform with
 // admissions whose stream endpoints deliberately straddle region
 // boundaries (src in one quadrant, sink in another), interleaved with
-// region-local ones, while departures run concurrently. Straddling plans
-// fault in several copy-on-write regions per commit; under -race the
+// region-local ones, while departures run concurrently. Under -race the
 // reservation ledger must stay data-race-free and invariant-clean
 // throughout.
 func TestShardedCommitStraddlingRegions(t *testing.T) {

@@ -35,10 +35,7 @@ func TestStaleTemplateIsRepairedNotRemapped(t *testing.T) {
 	if err := m.Stop(first.Name); err != nil {
 		t.Fatal(err)
 	}
-	// Mutate through the CoW write barrier: the manager's snapshots may
-	// share this tile's struct, and the admission below will fault the
-	// region in — a cached pointer would go stale.
-	vt := plat.WTile(victim)
+	vt := plat.Tile(victim)
 	vt.ReservedUtil = 1.0
 	reservedMem := vt.FreeMem()
 	vt.ReservedMem += reservedMem
@@ -73,7 +70,6 @@ func TestStaleTemplateIsRepairedNotRemapped(t *testing.T) {
 	if err := m.Stop(second.Name); err != nil {
 		t.Fatal(err)
 	}
-	vt = plat.WTile(victim) // re-fetch: commits since may have faulted the region
 	vt.ReservedUtil = 0
 	vt.ReservedMem -= reservedMem
 	plat.BumpVersion()
@@ -103,7 +99,7 @@ func TestSetRepairOffFallsBackToFullRemap(t *testing.T) {
 	if err := m.Stop(first.Name); err != nil {
 		t.Fatal(err)
 	}
-	vt := plat.WTile(victim)
+	vt := plat.Tile(victim)
 	vt.ReservedUtil = 1.0
 	plat.BumpVersion()
 

@@ -42,7 +42,7 @@ func TestResidentDoesNotPinWorkingPlatform(t *testing.T) {
 	if err := m.Stop(first.Name); err != nil {
 		t.Fatal(err)
 	}
-	vt := plat.WTile(victim)
+	vt := plat.Tile(victim)
 	vt.ReservedUtil = 1.0
 	reservedMem := vt.FreeMem()
 	vt.ReservedMem += reservedMem
@@ -53,7 +53,6 @@ func TestResidentDoesNotPinWorkingPlatform(t *testing.T) {
 		t.Fatalf("stale template should resolve via repair: %+v", out)
 	}
 	check("repair", out.Admission)
-	vt = plat.WTile(victim)
 	vt.ReservedUtil = 0
 	vt.ReservedMem -= reservedMem
 	plat.BumpVersion()

@@ -171,29 +171,28 @@ func XY(p *arch.Platform, from, to arch.RouterID, needBps int64) (Path, error) {
 // Reserve commits bandwidth on every link of the path and on the network
 // interfaces of the endpoint tiles. It assumes availability was checked
 // during path construction; over-reservation indicates a mapper bug and
-// panics. Writes go through the platform's copy-on-write barrier, so
-// reserving on a CoW working clone faults in only the touched regions.
+// panics.
 func Reserve(p *arch.Platform, path Path, srcTile, dstTile arch.TileID, bps int64) {
 	for _, lid := range path.Links {
-		l := p.WLink(lid)
+		l := p.Link(lid)
 		if l.FreeBps() < bps {
 			panic(fmt.Sprintf("noc: over-reserving link %d", lid))
 		}
 		l.ReservedBps += bps
 	}
 	if path.Hops() > 0 {
-		p.WTile(srcTile).ReservedOutBps += bps
-		p.WTile(dstTile).ReservedInBps += bps
+		p.Tile(srcTile).ReservedOutBps += bps
+		p.Tile(dstTile).ReservedInBps += bps
 	}
 }
 
 // Release returns previously reserved bandwidth.
 func Release(p *arch.Platform, path Path, srcTile, dstTile arch.TileID, bps int64) {
 	for _, lid := range path.Links {
-		p.WLink(lid).ReservedBps -= bps
+		p.Link(lid).ReservedBps -= bps
 	}
 	if path.Hops() > 0 {
-		p.WTile(srcTile).ReservedOutBps -= bps
-		p.WTile(dstTile).ReservedInBps -= bps
+		p.Tile(srcTile).ReservedOutBps -= bps
+		p.Tile(dstTile).ReservedInBps -= bps
 	}
 }
