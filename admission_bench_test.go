@@ -91,10 +91,9 @@ func BenchmarkAdmissionThroughput(b *testing.B) {
 	reportAdmissions(b, m, base)
 }
 
-func benchmarkAdmissionParallel(b *testing.B, workers int, reuse, repair bool) {
+func benchmarkAdmissionParallel(b *testing.B, workers int) {
 	m := manager.New(workload.SyntheticPlatform(8, 8, 123), core.Config{})
-	m.SetMappingReuse(reuse)
-	m.SetRepair(repair)
+	m.SetMappingReuse(true)
 	warmCatalogue(b, m, churnApp)
 	base := m.Stats()
 	pipe := manager.NewPipeline(m, workers, workers)
@@ -140,30 +139,13 @@ func benchmarkAdmissionParallel(b *testing.B, workers int, reuse, repair bool) {
 // AND template reuse; on a single-core host (like the CI container)
 // reuse carries it alone — the %reused metric makes the split visible.
 func BenchmarkAdmissionThroughputParallel4(b *testing.B) {
-	benchmarkAdmissionParallel(b, 4, true, true)
-}
-
-// BenchmarkAdmissionThroughputParallel4NoRepair is the same deployment
-// with the incremental remapping engine off: every conflict retry and
-// stale template re-runs the full four-step map. Comparing it against
-// Parallel4 quantifies what repair buys under contention; CI uploads the
-// pair as the repair on/off comparison artifact.
-func BenchmarkAdmissionThroughputParallel4NoRepair(b *testing.B) {
-	benchmarkAdmissionParallel(b, 4, true, false)
+	benchmarkAdmissionParallel(b, 4)
 }
 
 // BenchmarkAdmissionThroughputParallel8 doubles the workers to expose the
 // scaling curve past the acceptance point.
 func BenchmarkAdmissionThroughputParallel8(b *testing.B) {
-	benchmarkAdmissionParallel(b, 8, true, true)
-}
-
-// BenchmarkAdmissionThroughputParallel4NoReuse isolates pure optimistic
-// concurrency: 4 mapping workers, every arrival fully mapped. This is
-// the number to watch on multi-core hosts; on one core it cannot beat
-// sequential (mapping is CPU-bound) and documents exactly that.
-func BenchmarkAdmissionThroughputParallel4NoReuse(b *testing.B) {
-	benchmarkAdmissionParallel(b, 4, false, true)
+	benchmarkAdmissionParallel(b, 8)
 }
 
 // spreadApp is churnApp pinned to one region's stream endpoints —
@@ -249,7 +231,7 @@ func BenchmarkAdmissionRegionSpread(b *testing.B) {
 
 // BenchmarkAdmissionRegionSpreadBias turns the region-aware placement
 // bias on: the mapper prices tiles outside the regions a spec already
-// occupies, so plans keep narrower region footprints, fewer
+// occupies, so mappings span fewer regions, fewer
 // templates go stale and racing workers collide less (retries/arrival
 // reads 0 against 0.006–0.010 unbiased). The pair is the starting
 // number for work on stale templates.

@@ -11,11 +11,8 @@
 //
 //	go run ./cmd/churn                       # 4 workers, 400 arrivals
 //	go run ./cmd/churn -workers 8 -apps 1000 # heavier
-//	go run ./cmd/churn -compare              # sequential vs pipeline
-//	go run ./cmd/churn -repair=false         # full remap on every retry
 //	go run ./cmd/churn -regionsize 4         # mesh partitioned into 4×4 regions
 //	go run ./cmd/churn -priomix 70:20:10     # mixed admission classes, preemption on
-//	go run ./cmd/churn -priomix 70:20:10 -preempt=false  # priority queue only
 //	go run ./cmd/churn -faultrate 0.02       # fail a tile per ~50 arrivals, measure recovery
 //	go run ./cmd/churn -journal run.journal    # stream the hash-chained admission journal
 package main
@@ -91,15 +88,12 @@ func report(w io.Writer, label string, r churn.Result) {
 	}
 }
 
-// validate fails fast on flag combinations that would silently run a
-// different scenario than the one asked for, instead of surfacing as a
-// confusing report later.
-func validate(o churn.Options, journalTo string, compare bool) error {
+// validate fails fast on flag values that would silently run a different
+// scenario than the one asked for, instead of surfacing as a confusing
+// report later.
+func validate(o churn.Options) error {
 	if o.FaultRate < 0 {
 		return fmt.Errorf("churn: -faultrate %g is negative", o.FaultRate)
-	}
-	if journalTo != "" && compare {
-		return fmt.Errorf("churn: -journal and -compare would write two runs' chains into one file; journal one run at a time")
 	}
 	_, err := churn.ParsePrioMix(o.PrioMix)
 	return err
@@ -119,18 +113,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Float64Var(&o.MaxUtil, "util", o.MaxUtil, "max per-implementation utilisation")
 	fs.Int64Var(&o.PeriodNs, "period", o.PeriodNs, "QoS period in ns")
 	fs.IntVar(&o.Resident, "resident", o.Resident, "applications kept running at once (0 = 4x workers)")
-	fs.IntVar(&o.RegionSize, "regionsize", 0, "side length of the mesh partition's regions: the conflict-attribution grain (0 = one region)")
-	fs.BoolVar(&o.Reuse, "reuse", o.Reuse, "reuse mapping templates for recurring structures")
-	fs.BoolVar(&o.Repair, "repair", o.Repair, "repair stale mappings instead of re-mapping from scratch")
+	fs.IntVar(&o.RegionSize, "regionsize", 0, "side length of the mesh partition's regions, each with its own SRC<r>/SINK<r> stream endpoints (0 = one region)")
 	fs.StringVar(&o.PrioMix, "priomix", "", "mixed admission classes as bestEffort:standard:critical weights, e.g. 70:20:10 (empty = all best-effort)")
-	fs.BoolVar(&o.Preempt, "preempt", o.Preempt, "let full-mesh priority arrivals preempt lower classes (relocation before eviction)")
 	fs.Float64Var(&o.FaultRate, "faultrate", 0, "inject run-time tile faults at this expected rate per arrival, evacuating and relocating residents (0 = off)")
 	journalTo := fs.String("journal", "", "stream the hash-chained admission journal to this file")
-	compare := fs.Bool("compare", false, "also run the sequential path and report the speedup")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if err := validate(o, *journalTo, *compare); err != nil {
+	if err := validate(o); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
@@ -141,8 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	// Resolve the defaults here so the -compare run keeps the same
-	// resident population as the pipeline run.
+	// Resolve the defaults here so the report names what actually runs.
 	o = o.WithDefaults()
 
 	fmt.Fprintf(stdout, "churn: %d arrivals from a %d-structure catalogue onto a %d×%d mesh\n\n", o.Apps, o.Catalogue, o.Mesh, o.Mesh)
@@ -151,22 +140,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, pipe.ConfigErr)
 		return 2
 	}
-	report(stdout, fmt.Sprintf("pipeline (%d workers, reuse %v, repair %v)", o.Workers, o.Reuse, o.Repair), pipe)
-	ok := pipe.Clean && pipe.LedgerErr == nil && pipe.JournalErr == nil
-
-	if *compare {
-		seqOpts := o
-		seqOpts.Workers, seqOpts.Queue = 1, 1
-		seqOpts.Reuse, seqOpts.Repair = false, false
-		fmt.Fprintln(stdout)
-		seq := churn.Run(seqOpts)
-		report(stdout, "sequential (1 worker, no reuse, no repair)", seq)
-		ok = ok && seq.Clean && seq.LedgerErr == nil
-		if seq.AdmissionsPerSec() > 0 {
-			fmt.Fprintf(stdout, "\nspeedup: %.2fx admissions/sec\n", pipe.AdmissionsPerSec()/seq.AdmissionsPerSec())
-		}
-	}
-	if !ok {
+	report(stdout, fmt.Sprintf("pipeline (%d workers)", o.Workers), pipe)
+	if !pipe.Clean || pipe.LedgerErr != nil || pipe.JournalErr != nil {
 		return 1
 	}
 	return 0

@@ -23,7 +23,6 @@ func TestRunSmoke(t *testing.T) {
 		with("-faultrate", "0.05"),
 		with("-regionsize", "3"),
 		with("-journal", filepath.Join(t.TempDir(), "run.journal")),
-		with("-compare"),
 		with("-apps", "0"),
 	} {
 		code, out, errw := churnCmd(args...)
@@ -40,13 +39,11 @@ func TestRunSmoke(t *testing.T) {
 // combination validate refuses, and for the retired flags: a stale
 // script must fail loudly, not silently run something else.
 func TestRejectedFlagCombinations(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "j.journal")
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
 		{[]string{"-faultrate", "-0.1"}, "is negative"},
-		{[]string{"-journal", journal, "-compare"}, "journal one run at a time"},
 		{[]string{"-priomix", "0:0:0"}, "zero total weight"},
 		{[]string{"-cow=false"}, "flag provided but not defined"},
 		{[]string{"-epoch=false"}, "flag provided but not defined"},
@@ -54,6 +51,10 @@ func TestRejectedFlagCombinations(t *testing.T) {
 		{[]string{"-faultbias", "0.5"}, "flag provided but not defined"},
 		{[]string{"-meshes", "2"}, "flag provided but not defined"},
 		{[]string{"-batch", "8"}, "flag provided but not defined"},
+		{[]string{"-compare"}, "flag provided but not defined"},
+		{[]string{"-reuse=false"}, "flag provided but not defined"},
+		{[]string{"-repair=false"}, "flag provided but not defined"},
+		{[]string{"-preempt=false"}, "flag provided but not defined"},
 	} {
 		code, out, errw := churnCmd(tc.args...)
 		if code != 2 {

@@ -59,14 +59,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// flags: every run, script and benchmark uses internal/stream's
 	// defaults plus a 1024-entry dead-letter queue.
 	c := config{stdout: stdout, stderr: stderr, server: stream.Options{DLQ: 1024}}
-	c.stack.Reuse, c.stack.Repair, c.stack.Preempt = true, true, true
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.IntVar(&c.stack.Apps, "arrivals", 100_000, "number of application arrivals to generate (soak and chaos modes)")
 	fs.IntVar(&c.stack.Workers, "workers", 4, "admission worker goroutines")
 	fs.IntVar(&c.stack.Queue, "queue", 0, "backend work queue depth (0 = 16x workers)")
 	fs.IntVar(&c.stack.Mesh, "mesh", 12, "platform mesh width and height")
-	fs.IntVar(&c.stack.RegionSize, "regionsize", 3, "side length of the mesh partition's regions: the conflict-attribution grain (0 = one region)")
+	fs.IntVar(&c.stack.RegionSize, "regionsize", 3, "side length of the mesh partition's regions, each with its own SRC<r>/SINK<r> stream endpoints (0 = one region)")
 	fs.Int64Var(&c.stack.Seed, "seed", 123, "platform seed")
 	fs.IntVar(&c.stack.Catalogue, "catalogue", 6, "distinct application structures in rotation")
 	fs.Float64Var(&c.stack.MaxUtil, "util", 0.12, "max per-implementation utilisation")

@@ -1,27 +1,21 @@
 package arch
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // This file partitions the mesh into contiguous rectangular regions. A
-// region is pure geometry: the grain of conflict attribution
-// (core.ValidationError.Region, which repair, template choice and victim
-// selection read) and of the synthetic workloads' endpoint layout. It is
-// neither a locking nor a copying unit: whoever shares a platform between
-// goroutines serializes its writes itself, as the manager does with one
-// mutex, and a copy is the whole mesh (Clone). An unpartitioned platform
-// behaves as one region covering the whole mesh.
+// region is pure geometry with two readers: the synthetic workloads lay
+// one stream-endpoint pair out per region, and core.Config.RegionBias
+// steers steps 1 and 2 toward the regions an application already
+// occupies. It is neither a locking, a copying nor a conflict-attribution
+// unit — conflicts name the tile or link itself (core.ValidationError).
+// An unpartitioned platform behaves as one region covering the whole
+// mesh.
 
 // RegionID indexes a region within its Platform's partition.
 type RegionID int
 
 // Region is one contiguous rectangular block of the mesh: all routers with
-// X0 ≤ x ≤ X1 and Y0 ≤ y ≤ Y1, the tiles attached to them, and the links
-// whose source router lies inside the rectangle (the canonical link
-// assignment: every link belongs to exactly one region, the region of its
-// From router).
+// X0 ≤ x ≤ X1 and Y0 ≤ y ≤ Y1 and the tiles attached to them.
 type Region struct {
 	ID RegionID
 	// X0, Y0, X1, Y1 are the inclusive router-coordinate bounds.
@@ -90,25 +84,11 @@ func (p *Platform) RegionOfPoint(pt Point) RegionID {
 	return p.grid.of(pt)
 }
 
-// RegionOfRouter returns the region owning a router.
-func (p *Platform) RegionOfRouter(r RouterID) RegionID {
-	return p.RegionOfPoint(p.Routers[r].Pos)
-}
-
 // RegionOfTile returns the region owning a tile: the region of the router
 // its network interface attaches to. It reads only the tile's immutable
 // description, so it is safe without the lock that guards reservations.
 func (p *Platform) RegionOfTile(id TileID) RegionID {
-	return p.RegionOfRouter(p.Tile(id).Router)
-}
-
-// RegionOfLink returns the region owning a link. A link belongs to the
-// region of its source router — the canonical assignment that gives
-// boundary-crossing links exactly one owner, so a commit plan's region
-// footprint is well defined. Like RegionOfTile it reads only the
-// immutable description.
-func (p *Platform) RegionOfLink(id LinkID) RegionID {
-	return p.RegionOfRouter(p.Link(id).From)
+	return p.RegionOfPoint(p.Routers[p.Tile(id).Router].Pos)
 }
 
 // Region returns the geometry of one region of the current partition.
@@ -141,24 +121,5 @@ func (p *Platform) Regions() []Region {
 	for i := range out {
 		out[i] = p.Region(RegionID(i))
 	}
-	return out
-}
-
-// RegionSet accumulates distinct regions while scanning resources and
-// hands them back in the canonical footprint representation: ascending,
-// no duplicates. Plan footprints, residual-diff attribution and conflict
-// reports all build their region lists through it.
-type RegionSet map[RegionID]struct{}
-
-// Add records one region.
-func (s RegionSet) Add(r RegionID) { s[r] = struct{}{} }
-
-// Sorted returns the accumulated regions ascending.
-func (s RegionSet) Sorted() []RegionID {
-	out := make([]RegionID, 0, len(s))
-	for r := range s {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -5,16 +5,13 @@ import (
 )
 
 // FuzzPartitionRegions drives the partition geometry with arbitrary mesh
-// dimensions and region sizes and checks the invariants everything
-// region-granular is built on:
+// dimensions and region sizes and checks the invariant everything
+// region-granular is built on: the regions tile the mesh — every router
+// (and so every tile attached to one) lies in exactly one region's
+// rectangle, and that region is RegionOfPoint's answer.
 //
-//   - the regions tile the mesh: every router lies in exactly one
-//     region's rectangle, and that region is RegionOfPoint's answer;
-//   - every link has exactly one owning region, the region of its source
-//     router, and that region is within range.
-//
-// The mapper and plan footprints assume these properties; a
-// counterexample here would mean two regions could both "own" a resource.
+// The endpoint layout and the mapper's region bias assume this; a
+// counterexample here would mean two regions could both "own" a tile.
 func FuzzPartitionRegions(f *testing.F) {
 	f.Add(8, 8, 4)
 	f.Add(1, 1, 1)
@@ -65,17 +62,6 @@ func FuzzPartitionRegions(f *testing.F) {
 				if containers != 1 {
 					t.Fatalf("router %v contained by %d regions, want exactly 1", pt, containers)
 				}
-			}
-		}
-
-		// Every link's owner is its source router's region, in range.
-		for _, l := range p.Links {
-			owner := p.RegionOfLink(l.ID)
-			if owner < 0 || int(owner) >= n {
-				t.Fatalf("link %d owned by out-of-range region %d", l.ID, owner)
-			}
-			if want := p.RegionOfRouter(l.From); owner != want {
-				t.Fatalf("link %d owned by region %d, want source router's region %d", l.ID, owner, want)
 			}
 		}
 	})

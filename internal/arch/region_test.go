@@ -4,7 +4,7 @@ import "testing"
 
 // TestPartitionSingleRegionDefault pins the degenerate case: an
 // unpartitioned platform is one region covering the whole mesh, and every
-// tile and link belongs to it.
+// tile belongs to it.
 func TestPartitionSingleRegionDefault(t *testing.T) {
 	p := NewMesh("m", 4, 3, 1000)
 	p.AttachTile(TileSpec{Name: "t", Type: TypeARM, At: Pt(2, 1), ClockHz: 1, MemBytes: 1})
@@ -17,11 +17,6 @@ func TestPartitionSingleRegionDefault(t *testing.T) {
 	}
 	if got := p.RegionOfTile(0); got != 0 {
 		t.Fatalf("RegionOfTile = %d, want 0", got)
-	}
-	for _, l := range p.Links {
-		if got := p.RegionOfLink(l.ID); got != 0 {
-			t.Fatalf("RegionOfLink(%d) = %d, want 0", l.ID, got)
-		}
 	}
 }
 
@@ -53,7 +48,7 @@ func TestPartitionLargerThanMesh(t *testing.T) {
 
 // TestPartitionGeometry checks the 8×8 / size-4 quadrant partition: four
 // regions, row-major, with every router owned by the quadrant containing
-// it and boundary-crossing links owned by their source router's region.
+// it.
 func TestPartitionGeometry(t *testing.T) {
 	p := NewMesh("m", 8, 8, 1000)
 	if got := p.PartitionRegions(4); got != 4 {
@@ -71,21 +66,6 @@ func TestPartitionGeometry(t *testing.T) {
 			t.Errorf("RegionOfPoint(%v) = %d, want %d", c.pt, got, c.want)
 		}
 	}
-	// A link crossing the vertical boundary from (3,0) to (4,0) belongs
-	// to region 0 (its source); the reverse link to region 1.
-	a := p.RouterAt(Pt(3, 0)).ID
-	b := p.RouterAt(Pt(4, 0)).ID
-	east := p.LinkBetween(a, b)
-	west := p.LinkBetween(b, a)
-	if east == nil || west == nil {
-		t.Fatal("expected boundary links in both directions")
-	}
-	if got := p.RegionOfLink(east.ID); got != 0 {
-		t.Errorf("eastward boundary link region = %d, want 0", got)
-	}
-	if got := p.RegionOfLink(west.ID); got != 1 {
-		t.Errorf("westward boundary link region = %d, want 1", got)
-	}
 	// Clipped partitions: 5×5 with size 3 → 2×2 regions, the right and
 	// bottom ones clipped.
 	q := NewMesh("m2", 5, 5, 1000)
@@ -94,27 +74,5 @@ func TestPartitionGeometry(t *testing.T) {
 	}
 	if r := q.Region(3); r.X0 != 3 || r.Y0 != 3 || r.X1 != 4 || r.Y1 != 4 {
 		t.Fatalf("clipped region 3 bounds = %+v, want (3,3)-(4,4)", r)
-	}
-}
-
-// TestResidualDiffRegions checks that a diff names exactly the regions of
-// the changed resources.
-func TestResidualDiffRegions(t *testing.T) {
-	p := NewMesh("m", 4, 4, 1000)
-	for y := 0; y < 4; y++ {
-		for x := 0; x < 4; x++ {
-			p.AttachTile(TileSpec{Name: Pt(x, y).String(), Type: TypeARM, At: Pt(x, y),
-				ClockHz: 1, MemBytes: 100})
-		}
-	}
-	p.PartitionRegions(2)
-	before := p.Residual()
-	// Consume memory on a region-3 tile and bandwidth on a region-0 link.
-	p.TileByName(Pt(3, 3).String()).ReservedMem = 10
-	p.Links[0].ReservedBps = 5
-	diff := before.Diff(p.Residual())
-	regions := diff.Regions(p)
-	if len(regions) != 2 || regions[0] != 0 || regions[1] != 3 {
-		t.Fatalf("diff regions = %v, want [0 3]", regions)
 	}
 }

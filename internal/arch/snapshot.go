@@ -90,8 +90,7 @@ func (p *Platform) Residual() Residual {
 		}
 		if t.Failed {
 			// A failed tile has no usable capacity left, whatever its
-			// ledger says; reporting it as exhausted is what makes the
-			// repair engine's residual diff blame it and remap away.
+			// ledger says.
 			r.Tiles[i] = TileResidual{Tile: t.ID}
 			continue
 		}
@@ -147,12 +146,6 @@ type TileDelta struct {
 	FreeSlots int
 }
 
-// Shrunk reports whether the tile lost capacity in any dimension.
-func (d TileDelta) Shrunk() bool {
-	return d.FreeMemBytes < 0 || d.FreeUtil < -utilCmpEps ||
-		d.FreeInBps < 0 || d.FreeOutBps < 0 || d.FreeSlots < 0
-}
-
 // LinkDelta is the change in one link's free bandwidth between two
 // residual views.
 type LinkDelta struct {
@@ -161,53 +154,12 @@ type LinkDelta struct {
 }
 
 // ResidualDiff is the per-resource difference between two residual views:
-// only tiles and links whose free capacity changed appear. The incremental
-// remapping engine uses it to decide whether a stale mapping can be kept
-// verbatim (empty diff) and, when not, which resources to blame.
+// only tiles and links whose free capacity changed appear. The churn
+// harness reports it when a drained platform is not back at its pristine
+// residual.
 type ResidualDiff struct {
 	Tiles []TileDelta
 	Links []LinkDelta
-}
-
-// Empty reports whether the two residual views were resource-identical.
-func (d ResidualDiff) Empty() bool { return len(d.Tiles) == 0 && len(d.Links) == 0 }
-
-// ShrunkTiles returns the IDs of tiles that lost capacity.
-func (d ResidualDiff) ShrunkTiles() []TileID {
-	var out []TileID
-	for _, t := range d.Tiles {
-		if t.Shrunk() {
-			out = append(out, t.Tile)
-		}
-	}
-	return out
-}
-
-// ShrunkLinks returns the IDs of links that lost bandwidth.
-func (d ResidualDiff) ShrunkLinks() []LinkID {
-	var out []LinkID
-	for _, l := range d.Links {
-		if l.FreeBps < 0 {
-			out = append(out, l.Link)
-		}
-	}
-	return out
-}
-
-// Regions returns the regions of p touched by the diff — the owners of
-// every tile and link whose free capacity changed — sorted ascending
-// without duplicates. The incremental repair engine intersects it with a
-// stale mapping's region footprint: a diff confined to foreign regions
-// cannot have invalidated the mapping.
-func (d ResidualDiff) Regions(p *Platform) []RegionID {
-	seen := make(RegionSet)
-	for _, t := range d.Tiles {
-		seen.Add(p.RegionOfTile(t.Tile))
-	}
-	for _, l := range d.Links {
-		seen.Add(p.RegionOfLink(l.Link))
-	}
-	return seen.Sorted()
 }
 
 // Diff computes o − r per resource: what changed between this residual
@@ -261,24 +213,6 @@ func (r Residual) Diff(o Residual) ResidualDiff {
 		d.Links = append(d.Links, LinkDelta{Link: o.Links[i].Link, FreeBps: o.Links[i].FreeBps})
 	}
 	return d
-}
-
-// TotalFreeMem sums the free tile-local memory over all tiles.
-func (r Residual) TotalFreeMem() int64 {
-	var s int64
-	for _, t := range r.Tiles {
-		s += t.FreeMemBytes
-	}
-	return s
-}
-
-// TotalFreeLinkBps sums the unreserved capacity over all links.
-func (r Residual) TotalFreeLinkBps() int64 {
-	var s int64
-	for _, l := range r.Links {
-		s += l.FreeBps
-	}
-	return s
 }
 
 // utilEqual compares utilisation fractions up to the accumulation noise of

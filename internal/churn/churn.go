@@ -48,12 +48,6 @@ type Options struct {
 	// length, each with its own SRC<r>/SINK<r> stream endpoints, and
 	// arrivals are pinned to them round-robin. 0 keeps one region with the global SRC0/SINK0 pair.
 	RegionSize int
-	// Reuse enables mapping-template reuse; Repair the incremental
-	// remapping engine; Preempt the preemption planner (full-mesh
-	// arrivals above BestEffort displace or relocate lower classes).
-	Reuse   bool
-	Repair  bool
-	Preempt bool
 	// PrioMix assigns admission classes to arrivals as
 	// "bestEffort:standard:critical" integer weights, e.g. "70:20:10",
 	// deterministically by arrival index. Empty keeps all BestEffort.
@@ -83,16 +77,13 @@ func Defaults() Options {
 		MaxUtil:   0.15,
 		PeriodNs:  40_000,
 		Resident:  8,
-		Reuse:     true,
-		Repair:    true,
-		Preempt:   true,
 	}
 }
 
 // WithDefaults resolves the zero-valued sizing fields — the one place
 // the mesh, queue and resident defaults live. NewStack applies it; it is
-// idempotent, so a caller deriving a second scenario from the first
-// (cmd/churn -compare) may apply it up front and share the values.
+// idempotent, so a caller that reports the values (cmd/churn) may apply it
+// up front.
 func (o Options) WithDefaults() Options {
 	o.Workers = max(o.Workers, 1)
 	o.Catalogue = max(o.Catalogue, 1)

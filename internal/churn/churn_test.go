@@ -29,32 +29,10 @@ func TestChurnSmokeSmall(t *testing.T) {
 	}
 }
 
-// TestChurnRepairOffStillClean pins the fallback path: with the repair
-// engine disabled every retry re-maps from scratch and the ledger still
-// churns clean.
-func TestChurnRepairOffStillClean(t *testing.T) {
-	opts := Defaults()
-	opts.Apps = 40
-	opts.Mesh = 6
-	opts.Catalogue = 8
-	opts.Repair = false
-	r := Run(opts)
-	if r.LedgerErr != nil {
-		t.Fatalf("ledger invariant violated: %v", r.LedgerErr)
-	}
-	if !r.Clean {
-		t.Fatal("ledger not pristine with repair off")
-	}
-	if r.Stats.RepairAttempts != 0 {
-		t.Fatalf("repair disabled but attempted %d times", r.Stats.RepairAttempts)
-	}
-}
-
 // TestChurnShardedRegionsClean runs the churn scenario on a mesh
 // partitioned into four regions, arrivals pinned round-robin to
-// per-region stream endpoints. The CI test step runs this under -race:
-// conflict attribution works per region, and the ledger must still
-// return exactly to pristine.
+// per-region stream endpoints. The CI test step runs this under -race;
+// the ledger must still return exactly to pristine.
 func TestChurnShardedRegionsClean(t *testing.T) {
 	opts := Defaults()
 	opts.Apps = 80

@@ -17,7 +17,7 @@ import (
 )
 
 // Stack is one assembled admission stack: a synthetic platform and its
-// manager with the configured reuse, repair and preemption engines, a
+// manager with the reuse, repair and preemption engines all on, a
 // pipeline behind stream.Backend, the optional journal, and the
 // resident Recycler. Every driver — Run, RunSoak, the chaos harness,
 // cmd/serve — builds it with NewStack and layers its own front-end on
@@ -57,9 +57,9 @@ func NewStack(o Options) (*Stack, error) {
 	if err != nil {
 		return nil, fmt.Errorf("churn: replay: %w", err)
 	}
-	m.SetMappingReuse(o.Reuse)
-	m.SetRepair(o.Repair)
-	m.SetPreemption(o.Preempt)
+	// Repair and preemption are on by default; reuse is the one engine a
+	// bare manager leaves off.
+	m.SetMappingReuse(true)
 	if o.Journal != nil {
 		m.SetJournal(o.Journal.Writer)
 	}

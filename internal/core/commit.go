@@ -77,10 +77,6 @@ type ValidationError struct {
 	Link  arch.LinkID
 	Need  float64
 	Avail float64
-	// Region is the mesh region owning the conflicted tile or link, so
-	// the manager's repair/retry and template selection can stay
-	// region-local. Zero on an unpartitioned platform.
-	Region arch.RegionID
 }
 
 // Error renders the violation with its resource, shortfall and tile or
@@ -114,10 +110,6 @@ type ConflictError struct {
 	// Violations attributes the conflict per resource: every exhausted
 	// tile dimension and link, not just the first one found.
 	Violations []ValidationError
-	// Regions lists the regions owning the conflicted resources, sorted
-	// ascending without duplicates. A retry that repairs region-locally
-	// knows from this which part of the mesh to re-examine.
-	Regions []arch.RegionID
 }
 
 // Error summarises the first violation and how many more there are.
@@ -156,25 +148,6 @@ type commitPlan struct {
 	// re-derived from the slice, so a fallback heap allocation past the
 	// pre-sized capacity is harmless.
 	arena []tileDelta
-	// regions is the plan's region footprint: the owners of every tile
-	// and link the plan touches, ascending without duplicates. Validation
-	// and commit only read and mutate state inside these regions, so they
-	// are exactly the ones Overlaps compares.
-	regions []arch.RegionID
-}
-
-// footprint computes the plan's region footprint on the given platform.
-// It reads only static topology (tile→router attachment, link endpoints,
-// the partition geometry), so it is safe to call without the platform's lock.
-func (pl *commitPlan) footprint(plat *arch.Platform) []arch.RegionID {
-	seen := make(arch.RegionSet)
-	for tid := range pl.tiles {
-		seen.Add(plat.RegionOfTile(tid))
-	}
-	for lid := range pl.links {
-		seen.Add(plat.RegionOfLink(lid))
-	}
-	return seen.Sorted()
 }
 
 func (pl *commitPlan) tile(id arch.TileID) *tileDelta {
@@ -249,7 +222,6 @@ func planReservations(plat *arch.Platform, res *Result, strict bool) (*commitPla
 			pl.tile(mp.Tile[c.Dst]).mem += buf * c.TokenBytes
 		}
 	}
-	pl.regions = pl.footprint(plat)
 	return pl, nil
 }
 
@@ -318,34 +290,14 @@ func (pl *commitPlan) violations(plat *arch.Platform) []ValidationError {
 			return a.Kind < b.Kind
 		})
 	}
-	for i := range out {
-		// Link violations carry Tile == arch.NoTile; attribute them via the
-		// link. ResLinkFailed included — the run-time FailLink path is the
-		// only producer and routing it through RegionOfTile(NoTile) panics.
-		if out[i].Link >= 0 {
-			out[i].Region = plat.RegionOfLink(out[i].Link)
-		} else {
-			out[i].Region = plat.RegionOfTile(out[i].Tile)
-		}
-	}
 	return out
-}
-
-// conflictRegions collects the distinct regions of a violation list,
-// ascending.
-func conflictRegions(vs []ValidationError) []arch.RegionID {
-	seen := make(arch.RegionSet, len(vs))
-	for _, v := range vs {
-		seen.Add(v.Region)
-	}
-	return seen.Sorted()
 }
 
 // validate checks the whole plan against the platform's live residual
 // capacity, returning a ConflictError attributing every exhausted resource.
 func (pl *commitPlan) validate(plat *arch.Platform) error {
 	if vs := pl.violations(plat); len(vs) > 0 {
-		return &ConflictError{App: pl.appName, Violations: vs, Regions: conflictRegions(vs)}
+		return &ConflictError{App: pl.appName, Violations: vs}
 	}
 	return nil
 }
@@ -378,18 +330,6 @@ func Validate(plat *arch.Platform, res *Result) error {
 		return err
 	}
 	return pl.validate(plat)
-}
-
-// Conflicts returns the per-resource violations committing res to plat
-// would hit — empty when Apply would succeed. It is Validate with the
-// attribution exposed; the repair engine diffs a stale mapping against the
-// fresh platform with it.
-func Conflicts(plat *arch.Platform, res *Result) ([]ValidationError, error) {
-	pl, err := planReservations(plat, res, true)
-	if err != nil {
-		return nil, err
-	}
-	return pl.violations(plat), nil
 }
 
 // Apply commits a mapping's resource reservations to a platform: tile
@@ -429,10 +369,10 @@ func Remove(plat *arch.Platform, res *Result) {
 
 // Plan is the aggregated reservation set of one mapping, ready to be
 // validated and committed. It is the unit of the manager's transaction:
-// NewPlan aggregates and computes the footprint without any lock (it
-// reads only the mapping and static platform topology), the caller then
-// takes the platform's lock and runs Validate/Commit, which touch
-// reservation state only inside the footprint's regions.
+// NewPlan aggregates without any lock (it reads only the mapping and the
+// tiles' immutable description), the caller then takes the platform's
+// lock and runs Validate/Commit, which touch reservation state only on
+// the tiles and links the plan names.
 type Plan struct {
 	pl *commitPlan
 }
@@ -462,18 +402,22 @@ func NewRemovalPlan(plat *arch.Platform, res *Result) (*Plan, error) {
 // App returns the name of the application the plan reserves for.
 func (p *Plan) App() string { return p.pl.appName }
 
-// Regions returns the plan's region footprint, ascending without
-// duplicates: exactly the regions Validate, Commit and Release touch.
-// The returned slice is owned by the plan; do not modify it.
-func (p *Plan) Regions() []arch.RegionID { return p.pl.regions }
-
-// Overlaps reports whether the plan's footprint shares at least one
-// region with the given ascending region list. The preemption planner
-// uses it to select victims whose reservations actually sit where a
-// failing admission ran out of resources (ConflictError.Regions). An
-// empty argument overlaps nothing.
-func (p *Plan) Overlaps(regions []arch.RegionID) bool {
-	return !regionsDisjoint(p.pl.regions, regions)
+// Overlaps reports whether the plan holds reservations on at least one
+// of the conflicted tiles or links. The preemption planner uses it to
+// select victims whose reservations sit exactly where a failing
+// admission ran out of resources (ConflictError.Violations). An empty
+// argument overlaps nothing.
+func (p *Plan) Overlaps(violations []ValidationError) bool {
+	for _, v := range violations {
+		if v.Link >= 0 {
+			if p.UsesLink(v.Link) {
+				return true
+			}
+		} else if p.UsesTile(v.Tile) {
+			return true
+		}
+	}
+	return false
 }
 
 // UsesTile reports whether the plan holds reservations on the tile. The
@@ -497,7 +441,7 @@ func (p *Plan) Violations(plat *arch.Platform) []ValidationError {
 }
 
 // Validate is Violations wrapped into the error Apply would return: nil,
-// or a *ConflictError naming the exhausted resources and their regions.
+// or a *ConflictError naming the exhausted resources.
 func (p *Plan) Validate(plat *arch.Platform) error {
 	return p.pl.validate(plat)
 }

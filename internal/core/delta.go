@@ -82,11 +82,10 @@ func ApplyDeltas(plat *arch.Platform, tiles []TileReservation, links []LinkReser
 
 // NewDeltaPlan rebuilds a Plan from journaled reservation deltas. The
 // result commits and releases exactly like the original plan — same
-// aggregated values, same region footprint — but carries no mapping, so
+// aggregated values — but carries no mapping, so
 // it cannot be repaired or relocated; it exists for releasing residents
 // whose Result did not survive a crash.
-func NewDeltaPlan(plat *arch.Platform, appName string,
-	tiles []TileReservation, links []LinkReservation) *Plan {
+func NewDeltaPlan(appName string, tiles []TileReservation, links []LinkReservation) *Plan {
 	pl := &commitPlan{
 		appName: appName,
 		tiles:   make(map[arch.TileID]*tileDelta, len(tiles)),
@@ -104,6 +103,5 @@ func NewDeltaPlan(plat *arch.Platform, appName string,
 	for _, lr := range links {
 		pl.links[lr.Link] += lr.Bps
 	}
-	pl.regions = pl.footprint(plat)
 	return &Plan{pl: pl}
 }

@@ -98,10 +98,8 @@ func FinishAssignment(lib *model.Library, cfg Config, app *model.Application, pl
 	if fb := m.step3(app, work, mp, trace); fb != nil {
 		res := m.infeasibleResult(app, work, mp, trace)
 		trace.Notes = append(trace.Notes, fb.String())
-		res.BaseResidual = plat.Residual()
 		return res, nil
 	}
 	res, _ := m.step4(app, work, mp, trace)
-	res.BaseResidual = plat.Residual()
 	return res, nil
 }

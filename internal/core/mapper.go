@@ -111,9 +111,10 @@ type Config struct {
 	// placements) and charges RegionBias cost units for opening a new
 	// region, and step 2 charges each move RegionBias per region its
 	// reassignment adds to the mapping's region span. A narrower span
-	// keeps the admission's conflicts attributable to one part of the
-	// mesh. The weight is in the same (mixed) units as the step costs it
-	// perturbs — energy in step 1, communication cost in step 2; values
+	// keeps arrivals pinned to different regions' endpoints off each
+	// other's tiles, so fewer templates go stale. The weight is in the
+	// same (mixed) units as the step costs it perturbs — energy in step
+	// 1, communication cost in step 2; values
 	// around 1–4 bias ties and small gaps without overriding clear wins.
 	// 0 (the default) keeps the region-oblivious paper behaviour;
 	// unpartitioned platforms are unaffected either way.
@@ -201,10 +202,6 @@ type Result struct {
 	// mapping's reservations applied. The caller's platform is never
 	// mutated by Map; use Apply to commit the mapping to it.
 	Platform *arch.Platform
-	// BaseResidual is the residual state of the platform the mapping was
-	// computed against, before this mapping's own reservations. Repair
-	// diffs it against the live residual to detect that nothing changed.
-	BaseResidual arch.Residual
 	// Repaired marks a result produced by Repair rather than a full
 	// four-step map; Pinned counts the process placements it preserved
 	// from the stale mapping (zero for full maps).
@@ -249,13 +246,11 @@ func (m *Mapper) Map(app *model.Application, plat *arch.Platform) (*Result, erro
 	}
 	if best != nil {
 		best.Refinements = refinements
-		best.BaseResidual = plat.Residual()
 		return best, nil
 	}
 	if last == nil {
 		return nil, fmt.Errorf("core: no mapping attempt completed for %q", app.Name)
 	}
-	last.BaseResidual = plat.Residual()
 	return last, nil
 }
 

@@ -16,15 +16,14 @@ import (
 //     per-resource sums recomputed independently from the mapping —
 //     implementation memory plus stream buffers, utilisation, occupancy,
 //     NI bandwidth and link lanes;
-//   - every resource the commit changed lies inside the plan's region
-//     footprint (the footprint is sufficient), and
-//     the footprint never names a region the mapping touches no resource
-//     in (they are also necessary);
+//   - UsesTile and UsesLink — what fault evacuation and preemption scope
+//     their victims by — answer yes for exactly the tiles and links the
+//     mapping reserves on;
 //   - releasing the plan restores the residual bit-for-bit.
 func FuzzPlanReservations(f *testing.F) {
 	f.Add(int64(1), 6, 3, 0, true)
 	f.Add(int64(123), 8, 5, 4, true)
-	f.Add(int64(7), 4, 2, 2, false) // single region: degenerate footprint
+	f.Add(int64(7), 4, 2, 2, false) // unpartitioned mesh
 	f.Add(int64(42), 6, 4, 7, true) // loaded platform: nonzero base state
 	f.Fuzz(func(t *testing.T, seed int64, mesh, procs, competitors int, regioned bool) {
 		mesh = 4 + abs(mesh)%5   // 4..8
@@ -61,17 +60,6 @@ func FuzzPlanReservations(f *testing.F) {
 		plan, err := NewPlan(plat, res)
 		if err != nil {
 			t.Fatalf("NewPlan on a feasible mapping: %v", err)
-		}
-
-		footprint := plan.Regions()
-		for i := 1; i < len(footprint); i++ {
-			if footprint[i] <= footprint[i-1] {
-				t.Fatalf("footprint not ascending unique: %v", footprint)
-			}
-		}
-		inFootprint := make(map[arch.RegionID]bool, len(footprint))
-		for _, r := range footprint {
-			inFootprint[r] = true
 		}
 
 		// The independent oracle: re-derive every reservation straight
@@ -125,30 +113,20 @@ func FuzzPlanReservations(f *testing.F) {
 			}
 		}
 
+		for _, tl := range plat.Tiles {
+			if _, reserves := tiles[tl.ID]; plan.UsesTile(tl.ID) != reserves {
+				t.Fatalf("UsesTile(%s) = %v, the mapping reserves there: %v", tl.Name, !reserves, reserves)
+			}
+		}
+		for _, l := range plat.Links {
+			if _, reserves := links[l.ID]; plan.UsesLink(l.ID) != reserves {
+				t.Fatalf("UsesLink(%d) = %v, the mapping reserves there: %v", l.ID, !reserves, reserves)
+			}
+		}
+
 		before := plat.Residual()
 		plan.Commit(plat)
 		after := plat.Residual()
-		diff := before.Diff(after)
-
-		// Sufficiency: nothing outside the footprint changed.
-		for _, r := range diff.Regions(plat) {
-			if !inFootprint[r] {
-				t.Fatalf("commit changed region %d outside footprint %v", r, footprint)
-			}
-		}
-		// Necessity: every footprint region owns a reserved resource.
-		touched := make(map[arch.RegionID]bool)
-		for tid := range tiles {
-			touched[plat.RegionOfTile(tid)] = true
-		}
-		for lid := range links {
-			touched[plat.RegionOfLink(lid)] = true
-		}
-		for _, r := range footprint {
-			if !touched[r] {
-				t.Fatalf("footprint names region %d but the mapping reserves nothing there", r)
-			}
-		}
 
 		// The plan's committed deltas equal the oracle's sums.
 		const utilTol = 1e-6

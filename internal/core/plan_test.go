@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -31,8 +30,9 @@ func mapOnto(t *testing.T, plat *arch.Platform, seed int64, src, sink string) *R
 }
 
 // TestPlanFootprintRegionLocal checks that a mapping pinned inside one
-// quadrant yields a plan whose footprint is an ascending, duplicate-free
-// list of regions, and that the plan commits and releases cleanly.
+// quadrant yields a plan that Overlaps a conflict on any tile or route
+// link of the mapping and on none elsewhere — what preemption scopes its
+// victims by — and that the plan commits and releases cleanly.
 func TestPlanFootprintRegionLocal(t *testing.T) {
 	plat := workload.SyntheticRegionPlatform(8, 8, 123, 4)
 	res := mapOnto(t, plat, 1, "SRC0", "SINK0")
@@ -40,13 +40,32 @@ func TestPlanFootprintRegionLocal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
-	fp := plan.Regions()
-	if len(fp) == 0 {
-		t.Fatal("empty footprint for a mapping with reservations")
+	held := make(map[arch.TileID]bool)
+	for _, tid := range res.Mapping.Tile {
+		held[tid] = true
 	}
-	for i := 1; i < len(fp); i++ {
-		if fp[i] <= fp[i-1] {
-			t.Fatalf("footprint not ascending unique: %v", fp)
+	routed := make(map[arch.LinkID]bool)
+	for _, path := range res.Mapping.Route {
+		for _, lid := range path.Links {
+			routed[lid] = true
+		}
+	}
+	if len(held) == 0 || len(routed) == 0 {
+		t.Fatal("fixture mapping holds no tile or no link")
+	}
+	if plan.Overlaps(nil) {
+		t.Fatal("a plan overlaps an empty violation list")
+	}
+	for _, tl := range plat.Tiles {
+		v := []ValidationError{{Kind: ResTileMem, Tile: tl.ID, TileName: tl.Name, Link: -1}}
+		if plan.Overlaps(v) != held[tl.ID] {
+			t.Fatalf("Overlaps(conflict on %s) = %v, want %v", tl.Name, !held[tl.ID], held[tl.ID])
+		}
+	}
+	for _, l := range plat.Links {
+		v := []ValidationError{{Kind: ResLink, Tile: arch.NoTile, Link: l.ID}}
+		if plan.Overlaps(v) != routed[l.ID] {
+			t.Fatalf("Overlaps(conflict on link %d) = %v, want %v", l.ID, !routed[l.ID], routed[l.ID])
 		}
 	}
 	if err := plan.Validate(plat); err != nil {
@@ -57,27 +76,6 @@ func TestPlanFootprintRegionLocal(t *testing.T) {
 	if err := plan.Validate(plat); err != nil {
 		t.Fatalf("validate after release: %v", err)
 	}
-}
-
-// TestPlanFootprintSpansAllRegions pins the stream endpoints in opposite
-// corner quadrants, so the route alone must cross every quadrant boundary
-// on its row/column; the footprint contains more than one region.
-func TestPlanFootprintSpansAllRegions(t *testing.T) {
-	plat := workload.SyntheticRegionPlatform(8, 8, 123, 4)
-	// SRC0 sits in quadrant 0, SINK3 in quadrant 3: any route between
-	// them leaves the source quadrant.
-	res := mapOnto(t, plat, 2, "SRC0", "SINK3")
-	plan, err := NewPlan(plat, res)
-	if err != nil {
-		t.Fatalf("plan: %v", err)
-	}
-	if len(plan.Regions()) < 2 {
-		t.Fatalf("corner-to-corner mapping footprint = %v, want ≥ 2 regions", plan.Regions())
-	}
-	if err := Apply(plat, res); err != nil {
-		t.Fatalf("apply: %v", err)
-	}
-	Remove(plat, res)
 }
 
 // TestViolationsOrderIsDeterministic exhausts every tile and link of a
@@ -116,72 +114,65 @@ func TestViolationsOrderIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestConflictErrorReportsRegions exhausts one tile and checks the
-// resulting ConflictError attributes the violation to the tile's region.
-func TestConflictErrorReportsRegions(t *testing.T) {
-	plat := workload.SyntheticRegionPlatform(8, 8, 123, 4)
-	res := mapOnto(t, plat, 3, "SRC2", "SINK2")
-	// Exhaust the memory of every tile the mapping uses.
-	var usedRegions []arch.RegionID
-	for _, tid := range res.Mapping.Tile {
-		tl := plat.Tile(tid)
-		tl.ReservedMem = tl.MemBytes
-		usedRegions = append(usedRegions, plat.RegionOfTile(tid))
-	}
-	err := Apply(plat, res)
-	var conflict *ConflictError
-	if !errors.As(err, &conflict) {
-		t.Fatalf("want *ConflictError, got %v", err)
-	}
-	if len(conflict.Regions) == 0 {
-		t.Fatal("conflict reports no regions")
-	}
-	want := make(map[arch.RegionID]bool)
-	for _, r := range usedRegions {
-		want[r] = true
-	}
-	for _, r := range conflict.Regions {
-		if !want[r] {
-			t.Errorf("conflict names region %d which holds no conflicted tile", r)
-		}
-	}
-	for _, v := range conflict.Violations {
-		if v.Kind != ResLink && v.Region != plat.RegionOfTile(v.Tile) {
-			t.Errorf("violation on tile %d carries region %d, want %d",
-				v.Tile, v.Region, plat.RegionOfTile(v.Tile))
-		}
-	}
-}
-
-// TestRepairRegionShortcut checks the region-aware early-out: a change
-// confined to a foreign region leaves a stale mapping committable
-// verbatim, so Repair returns it unmodified.
+// TestRepairRegionShortcut pins Repair's one staleness signal: the stale
+// result comes back pointer-identical exactly when its plan has no
+// violations on the snapshot. A change confined to a foreign region and a
+// change on the mapping's own tiles that still leaves room both return it
+// verbatim; exhausting a tile the mapping places a process on does not.
 func TestRepairRegionShortcut(t *testing.T) {
 	plat := workload.SyntheticRegionPlatform(8, 8, 123, 4)
-	res := mapOnto(t, plat, 4, "SRC0", "SINK0")
-	// Perturb a region-3 tile only (no tile of the mapping lives there:
-	// the footprint is confined to quadrant 0's side of the mesh).
+	app, lib := workload.Synthetic(workload.SynthOptions{
+		Shape: workload.ShapeChain, Processes: 3, Seed: 4,
+		MaxUtil: 0.15, PeriodNs: 40_000, SrcTile: "SRC0", SinkTile: "SINK0",
+	})
+	m := &Mapper{Lib: lib}
+	res, err := m.Map(app, plat)
+	if err != nil || !res.Feasible {
+		t.Fatalf("fixture mapping: feasible=%v err=%v", res != nil && res.Feasible, err)
+	}
 	plan, err := NewPlan(plat, res)
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
-	for _, r := range plan.Regions() {
-		if r == 3 {
-			t.Skip("fixture mapping unexpectedly reaches region 3; shortcut not testable with this seed")
+	repair := func(stage string) *Result {
+		t.Helper()
+		snap := plat.Snapshot()
+		fits := len(plan.Violations(snap.Plat)) == 0
+		rep, err := m.Repair(res, snap)
+		if fits && (err != nil || rep != res) {
+			t.Fatalf("%s: no violations, want the stale mapping verbatim; got %p, %v", stage, rep, err)
 		}
+		if !fits && rep == res {
+			t.Fatalf("%s: the plan has violations, yet Repair returned the stale mapping", stage)
+		}
+		return rep
 	}
-	victim := plat.RouterAt(arch.Pt(7, 7))
-	for _, tid := range plat.TilesAtRouter(victim.ID) {
+	repair("unchanged platform")
+
+	// A region-3 router's tiles, which the quadrant-0 mapping never holds.
+	for _, tid := range plat.TilesAtRouter(plat.RouterAt(arch.Pt(7, 7)).ID) {
+		if plan.UsesTile(tid) {
+			t.Fatalf("fixture mapping unexpectedly holds %s", plat.Tile(tid).Name)
+		}
 		plat.Tile(tid).ReservedMem = plat.Tile(tid).MemBytes
 	}
 	plat.BumpVersion()
-	snap := plat.Snapshot()
-	m := &Mapper{Lib: nil}
-	rep, err := m.Repair(res, snap)
-	if err != nil {
-		t.Fatalf("repair: %v", err)
+	repair("foreign-region change")
+
+	// The mapping's own tiles change, but every reservation still fits.
+	var own arch.TileID = arch.NoTile
+	for _, p := range app.MappableProcesses() {
+		own = res.Mapping.Tile[p.ID]
 	}
-	if rep != res {
-		t.Fatal("foreign-region change should return the stale mapping verbatim")
+	plat.Tile(own).ReservedMem++
+	plat.BumpVersion()
+	if rep := repair("own tile, still fitting"); rep != res {
+		t.Fatal("fixture broken: one byte exhausted the tile")
+	}
+
+	plat.Tile(own).ReservedMem = plat.Tile(own).MemBytes
+	plat.BumpVersion()
+	if rep := repair("own tile exhausted"); rep == res {
+		t.Fatal("fixture broken: an exhausted tile left no violation")
 	}
 }

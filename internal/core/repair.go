@@ -15,7 +15,7 @@ import (
 // tiles or links, and every other decision still holds. The paper's step-4
 // feedback loop already embodies the idea that a failed mapping should be
 // refined rather than discarded (§3); Repair extends it across commits. It
-// diffs the stale result against the fresh residual state, pins every
+// validates the stale result's plan against the fresh platform, pins every
 // process and channel whose tile, NI bandwidth and route still fit, and
 // re-enters steps 1–4 with only the conflicting processes unassigned.
 // Repair failures degrade gracefully: feedback naming a pinned process
@@ -95,23 +95,6 @@ func (s *seedMapping) install(app *model.Application, work *arch.Platform, mp *M
 		mp.Route[cid] = path
 	}
 	return nil
-}
-
-// regionsDisjoint reports whether two ascending region lists share no
-// element.
-func regionsDisjoint(a, b []arch.RegionID) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			return false
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return true
 }
 
 // tileBudget tracks the free capacity left on one conflicted tile while
@@ -289,11 +272,12 @@ func salvage(fresh *arch.Platform, res *Result, violations []ValidationError) (*
 }
 
 // Repair refits a stale mapping result to a fresh platform snapshot. When
-// the platform's residual state is unchanged since the mapping was
-// computed, the result is returned as-is; otherwise the conflicting
-// placements and routes are released and steps 1–4 re-run with everything
-// else pinned. The returned result reports Repaired=true and the number of
-// placements preserved in Pinned. A non-nil error — including when the
+// the mapping's reservation plan has no violations on the snapshot — the
+// platform did not change, or changed only where the mapping still fits —
+// the result is returned as-is; otherwise the conflicting placements and
+// routes are released and steps 1–4 re-run with everything else pinned.
+// The returned result reports Repaired=true and the number of placements
+// preserved in Pinned. A non-nil error — including when the
 // whole mapping conflicts and nothing can be pinned — means the caller
 // should fall back to a full Map; like Map, an unrepairable QoS violation
 // surfaces as Feasible=false, not as an error.
@@ -302,30 +286,13 @@ func (m *Mapper) Repair(res *Result, snap *arch.Snapshot) (*Result, error) {
 		return nil, fmt.Errorf("core: nothing to repair")
 	}
 	app := res.Mapping.App
-	// One plan serves both the region shortcut and the conflict
-	// attribution below; planning errors only matter once the shortcuts
-	// have not already proven the stale mapping still commits.
-	plan, planErr := NewPlan(snap.Plat, res)
-	if len(res.BaseResidual.Tiles) > 0 {
-		diff := res.BaseResidual.Diff(snap.Plat.Residual())
-		if diff.Empty() {
-			// Resource-identical platform: the stale mapping still commits.
-			return res, nil
-		}
-		// Region-aware shortcut: when everything that changed lies in
-		// regions the mapping never touches, no resource of the mapping's
-		// reservation plan moved, so it still commits verbatim — no need
-		// to re-validate the full plan.
-		if planErr == nil && snap.Plat.RegionCount() > 1 &&
-			regionsDisjoint(diff.Regions(snap.Plat), plan.Regions()) {
-			return res, nil
-		}
-	}
-	if planErr != nil {
-		return nil, planErr
+	plan, err := NewPlan(snap.Plat, res)
+	if err != nil {
+		return nil, err
 	}
 	violations := plan.Violations(snap.Plat)
 	if len(violations) == 0 {
+		// Everything the mapping reserves still fits: it commits verbatim.
 		return res, nil
 	}
 	if err := m.checkAdequacyPossible(app, snap.Plat); err != nil {
@@ -371,26 +338,12 @@ func (m *Mapper) Repair(res *Result, snap *arch.Snapshot) (*Result, error) {
 		refinements++
 	}
 	if best != nil {
-		best.BaseResidual = snap.Plat.Residual()
 		return best, nil
 	}
 	if last == nil {
 		return nil, fmt.Errorf("core: no repair attempt completed for %q", app.Name)
 	}
-	last.BaseResidual = snap.Plat.Residual()
 	return last, nil
-}
-
-// HypotheticalEviction releases the victims' reservations on a snapshot's
-// working platform, producing the post-eviction residual a preemption
-// planner speculatively maps a high-priority arrival against. Only the
-// snapshot's private platform is mutated — the live platform is untouched
-// and no lock is needed — so the caller can probe "would the arrival fit
-// if these victims left?" as cheaply as any other speculative mapping.
-func HypotheticalEviction(snap *arch.Snapshot, victims ...*Result) {
-	for _, v := range victims {
-		Remove(snap.Plat, v)
-	}
 }
 
 // Relocate is the preemption planner's relocation entry point: it refits a

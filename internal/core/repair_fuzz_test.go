@@ -65,9 +65,22 @@ func FuzzRepair(f *testing.F) {
 
 		snap := plat.Snapshot()
 		before := snap.Plat.Residual()
+		stale, err := NewPlan(snap.Plat, res)
+		if err != nil {
+			t.Fatalf("NewPlan on a feasible mapping: %v", err)
+		}
+		fits := len(stale.Violations(snap.Plat)) == 0
 		rep, err := m.Repair(res, snap)
 		if after := snap.Plat.Residual(); !after.Equal(before) {
 			t.Fatal("Repair mutated the snapshot's residual state")
+		}
+		// The one staleness signal: the stale mapping comes back verbatim
+		// exactly when its plan has no violations on the snapshot.
+		if fits && (err != nil || rep != res) {
+			t.Fatalf("stale plan has no violations, yet Repair returned %p, %v", rep, err)
+		}
+		if !fits && rep == res {
+			t.Fatal("stale plan has violations, yet Repair returned it verbatim")
 		}
 		if err != nil {
 			return // repair refused: the caller falls back to a full map

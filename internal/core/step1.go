@@ -109,9 +109,9 @@ func (m *Mapper) viableOptions(app *model.Application, work *arch.Platform, mp *
 		}
 		if used != nil {
 			if _, in := used[work.RegionOfTile(tile.ID)]; !in {
-				// Opening a region the mapping does not occupy yet widens
-				// the eventual plan's lock footprint; price it so an
-				// in-region option of comparable energy wins.
+				// Opening a region the mapping does not occupy yet spreads
+				// it over more of the mesh; price it so an in-region
+				// option of comparable energy wins.
 				cost += m.Cfg.RegionBias
 			}
 		}

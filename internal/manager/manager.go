@@ -298,8 +298,7 @@ type Manager struct {
 // New returns a manager over the given platform. The platform is owned by
 // the manager from here on: reservations of admitted applications live on
 // it, and all access to it is serialized behind the manager's platform
-// lock. Partition the platform (arch.PartitionRegions) before handing it
-// over.
+// lock.
 func New(plat *arch.Platform, cfg core.Config) *Manager {
 	m := &Manager{
 		plat:       plat,
@@ -547,11 +546,10 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 			if pool, start := tc.get(fp); len(pool) > 0 {
 				commitStart := time.Now()
 				// Each failed validation already computed the template's
-				// violation list; remember the least-conflicted template —
-				// fewest conflicted regions, then fewest violations — as
-				// the cheapest one to repair.
+				// violation list; remember the template with the fewest
+				// violations as the cheapest one to repair.
 				leastConflicted := pool[start]
-				leastRegions, leastViolations := -1, -1
+				leastViolations := -1
 				for k := 0; k < len(pool); k++ {
 					tpl := pool[(start+k)%len(pool)]
 					plan, perr := core.NewPlan(m.plat, tpl)
@@ -572,10 +570,8 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 					}
 					var conflict *core.ConflictError
 					if errors.As(verr, &conflict) {
-						nr, nv := len(conflict.Regions), len(conflict.Violations)
-						if leastViolations < 0 || nr < leastRegions ||
-							(nr == leastRegions && nv < leastViolations) {
-							leastConflicted, leastRegions, leastViolations = tpl, nr, nv
+						if nv := len(conflict.Violations); leastViolations < 0 || nv < leastViolations {
+							leastConflicted, leastViolations = tpl, nv
 						}
 					}
 				}
@@ -676,8 +672,8 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 			out.Commit += time.Since(commitStart)
 			// Full mesh, no retryable staleness: a priority arrival may
 			// displace lower-priority admissions instead of giving up. The
-			// mapper's infeasible verdict carries no region attribution,
-			// so every lower-priority victim is a candidate.
+			// mapper's infeasible verdict names no conflicted resource, so
+			// every lower-priority victim is a candidate.
 			if preemptOn && m.preemptAdmit(&out, app, lib, mapper, prio, nil) {
 				return out
 			}
@@ -740,10 +736,10 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 			out.Commit += time.Since(commitStart)
 			// Out of retries (or a non-retryable shortfall): before
 			// rejecting, a priority arrival may preempt. The conflict's
-			// region attribution scopes victim selection to admissions
-			// whose footprints overlap where this plan ran out of room.
+			// violations scope victim selection to admissions holding the
+			// very tiles and links this plan ran out of.
 			if preemptOn && isConflict &&
-				m.preemptAdmit(&out, app, lib, mapper, prio, conflict.Regions) {
+				m.preemptAdmit(&out, app, lib, mapper, prio, conflict.Violations) {
 				return out
 			}
 			m.mu.Lock()

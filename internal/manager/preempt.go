@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"rtsm/internal/arch"
 	"rtsm/internal/core"
 	"rtsm/internal/journal"
 	"rtsm/internal/model"
@@ -12,10 +11,10 @@ import (
 
 // The preemption planner: policy on top of the mechanism stack. The
 // pipeline made admissions concurrent, repair made stale mappings cheap
-// to refit, and regions attribute a conflict to a part of the mesh.
+// to refit, and a failed commit names the tiles and links it ran out of.
 // Preemption composes all three: when a priority arrival finds the mesh
-// full, the planner picks minimal-cost lower-priority victims whose
-// footprints overlap the failing plan's conflicted regions, verifies on a
+// full, the planner picks minimal-cost lower-priority victims that hold
+// the failing plan's conflicted tiles or links, verifies on a
 // hypothetical snapshot that their departure actually makes the arrival
 // feasible, swaps them in one transaction and then tries to *relocate*
 // each victim via core.Relocate (repair against the post-eviction
@@ -83,7 +82,7 @@ func (m *Manager) unclaimVictims(victims []*Admission) {
 
 // pruneVictims drops claimed victims whose eviction the found mapping
 // does not actually rely on, returning the minimal suffix-greedy set.
-// The greedy accumulation can collect dead weight: with no region
+// The greedy accumulation can collect dead weight: with no conflict
 // attribution every cheapest candidate is tried first, and one that
 // relieved nothing still sits in the set when a later victim finally
 // makes the arrival fit. Each victim is re-checked by validating the
@@ -100,7 +99,7 @@ func (m *Manager) pruneVictims(victims []*Admission, res *core.Result) []*Admiss
 		probe := m.Snapshot()
 		for j, v := range needed {
 			if j != i {
-				core.HypotheticalEviction(probe, v.Result)
+				v.plan.Release(probe.Plat)
 			}
 		}
 		if core.Validate(probe.Plat, res) == nil {
@@ -115,12 +114,12 @@ func (m *Manager) pruneVictims(victims []*Admission, res *core.Result) []*Admiss
 
 // preemptAdmit tries to admit a priority arrival by displacing
 // lower-priority victims. It is called on the rejection path, outside all
-// locks, with target naming the regions where the failing plan ran out of
-// resources (nil = no attribution, every victim eligible). On success the
+// locks, with target naming the tiles and links the failing plan ran out
+// of (nil = no attribution, every victim eligible). On success the
 // arrival is admitted, out is finished and true is returned; on failure
 // nothing has changed and the caller proceeds to reject as before.
 func (m *Manager) preemptAdmit(out *Outcome, app *model.Application, lib *model.Library,
-	mapper *core.Mapper, prio model.Priority, target []arch.RegionID) bool {
+	mapper *core.Mapper, prio model.Priority, target []core.ValidationError) bool {
 	cands := m.victimCandidates(prio)
 	if len(cands) == 0 {
 		return false
@@ -130,11 +129,10 @@ func (m *Manager) preemptAdmit(out *Outcome, app *model.Application, lib *model.
 	// cheapest overlapping candidate, re-map, repeat until the arrival
 	// fits or the victim budget is spent. All of this runs on the
 	// snapshot's copy — the live platform is untouched and unlocked.
-	// A candidate is claimed before its plan and Result are read: once
-	// claimed, nobody else (Stop, a competing preemptor's relocation)
-	// touches the admission, so the read is race-free; a candidate that
-	// turns out not to overlap the target regions is unclaimed straight
-	// away.
+	// A candidate is claimed before its plan is read: once claimed, nobody
+	// else (Stop, a competing preemptor's relocation) touches the
+	// admission, so the read is race-free; a candidate that holds none of
+	// the target resources is unclaimed straight away.
 	mapStart := time.Now()
 	snap := m.Snapshot()
 	var victims []*Admission
@@ -151,7 +149,7 @@ func (m *Manager) preemptAdmit(out *Outcome, app *model.Application, lib *model.
 			continue
 		}
 		victims = append(victims, cand)
-		core.HypotheticalEviction(snap, cand.Result)
+		cand.plan.Release(snap.Plat)
 		r, err := mapper.Map(app, snap.Plat)
 		if err != nil {
 			break

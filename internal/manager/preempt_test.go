@@ -257,6 +257,75 @@ func TestPruneVictimsDropsUnneededVictims(t *testing.T) {
 	}
 }
 
+// TestPreemptionScopesVictimsByConflictedResource pins what a conflict's
+// violations buy the planner: only residents holding a conflicted tile or
+// link are candidates. Two best-effort residents share a region; the
+// conflict names a tile (then a link) only the costlier one holds, and the
+// cheaper one — first in line by cost, and a victim under any coarser
+// attribution — is never displaced.
+func TestPreemptionScopesVictimsByConflictedResource(t *testing.T) {
+	for _, resource := range []string{"tile", "link"} {
+		plat := workload.SyntheticRegionPlatform(8, 8, 123, 4)
+		m := New(plat, core.Config{})
+		for i := 0; i < 2; i++ {
+			app, lib := workload.Synthetic(workload.SynthOptions{
+				Shape: workload.ShapeChain, Processes: 3 + i, Seed: int64(i + 1),
+				MaxUtil: 0.30, PeriodNs: 400_000, SrcTile: "SRC0", SinkTile: "SINK0",
+			})
+			app.Name = fmt.Sprintf("be-%d", i)
+			if out := m.Admit(app, lib); !out.Admitted {
+				t.Fatalf("fixture admission %d failed: %v", i, out.Err)
+			}
+		}
+		cands := m.victimCandidates(model.Critical)
+		bystander, holder := cands[0], cands[1]
+		var target []core.ValidationError
+		if resource == "tile" {
+			for _, tl := range plat.Tiles {
+				if holder.plan.UsesTile(tl.ID) && !bystander.plan.UsesTile(tl.ID) {
+					target = []core.ValidationError{{Kind: core.ResTileMem, Tile: tl.ID, TileName: tl.Name, Link: -1}}
+					break
+				}
+			}
+		} else {
+			for _, l := range plat.Links {
+				if holder.plan.UsesLink(l.ID) && !bystander.plan.UsesLink(l.ID) {
+					target = []core.ValidationError{{Kind: core.ResLink, Tile: arch.NoTile, Link: l.ID}}
+					break
+				}
+			}
+		}
+		if target == nil {
+			t.Fatalf("%s: fixture residents hold the same %ss", resource, resource)
+		}
+
+		crit, lib := workload.Synthetic(workload.SynthOptions{
+			Shape: workload.ShapeChain, Processes: 3, Seed: 9,
+			MaxUtil: 0.30, PeriodNs: 400_000, SrcTile: "SRC0", SinkTile: "SINK0", Priority: model.Critical,
+		})
+		crit.Name = "critical"
+		out := Outcome{App: crit.Name, Priority: model.Critical}
+		mapper := &core.Mapper{Lib: lib, Cfg: core.Config{}}
+		if !m.preemptAdmit(&out, crit, lib, mapper, model.Critical, target) {
+			t.Fatalf("%s: preemption failed with the holder evictable: %v", resource, out.Err)
+		}
+		if len(out.Preempted) != 1 || out.Preempted[0] != holder.App.Name {
+			t.Fatalf("%s: preempted %v, want only %s, the resident holding the conflicted %s",
+				resource, out.Preempted, holder.App.Name, resource)
+		}
+		still := false
+		for _, ad := range m.Running() {
+			still = still || ad == bystander
+		}
+		if !still {
+			t.Fatalf("%s: bystander %s is no longer running", resource, bystander.App.Name)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("%s: ledger after scoped preemption: %v", resource, err)
+		}
+	}
+}
+
 // TestStopDuringRelocationReturnsSentinel pins the Stop contract around
 // preemption: a victim claimed by the planner reports ErrRelocating
 // (recognisable through errors.Is) instead of vanishing or corrupting

@@ -106,7 +106,7 @@ func ReplayEvents(plat *arch.Platform, cfg core.Config, events []journal.Event) 
 	}
 	for name, ad := range m.running {
 		e := placed[name]
-		ad.plan = core.NewDeltaPlan(plat, name, e.Tiles, e.Links)
+		ad.plan = core.NewDeltaPlan(name, e.Tiles, e.Links)
 	}
 	return m, nil
 }

@@ -53,7 +53,7 @@ func replayOracle(plat *arch.Platform, cfg core.Config, events []journal.Event) 
 	released := make(map[string]*Admission)
 	for i := range events {
 		e := &events[i]
-		plan := core.NewDeltaPlan(plat, e.App, e.Tiles, e.Links)
+		plan := core.NewDeltaPlan(e.App, e.Tiles, e.Links)
 		switch e.Type {
 		case journal.EvAdmit:
 			plan.Commit(plat)

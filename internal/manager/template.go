@@ -178,9 +178,8 @@ func (c *templateCache) get(fp string) (pool []*core.Result, start int) {
 // The pool slice is copy-on-write: get hands out the current header
 // without copying, so the backing array must never be mutated in place.
 // The stored result is a shallow copy with the working-platform clone and
-// the trace stripped: commit and repair only read Mapping, Energy and
-// BaseResidual, and a long-lived pool must not pin a mesh deep copy per
-// template.
+// the trace stripped: commit and repair only read Mapping and Energy, and
+// a long-lived pool must not pin a mesh copy per template.
 func (c *templateCache) put(fp string, res *core.Result) {
 	slim := *res
 	slim.Platform = nil

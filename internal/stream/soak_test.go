@@ -182,7 +182,7 @@ func TestRunSoakSmoke(t *testing.T) {
 	res := churn.RunSoak(churn.Options{
 		Apps: 1200, Mesh: 8, RegionSize: 3, Seed: 7,
 		Workers: 2, Queue: 8, Catalogue: 4, MaxUtil: 0.2, PeriodNs: 40_000,
-		PrioMix: "60:30:10", Resident: 6, Reuse: true, Repair: true, Preempt: true,
+		PrioMix: "60:30:10", Resident: 6,
 	}, stream.Options{Ingress: 32, ClassBuf: 16,
 		DLQ: 128, DLQBelow: 0.6, DLQEvery: time.Millisecond})
 	if res.ConfigErr != nil {

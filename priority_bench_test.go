@@ -8,20 +8,16 @@ import (
 	"rtsm/internal/model"
 )
 
-// The priority benchmarks measure what preemption buys a latency-critical
-// arrival on a loaded platform. Both run the identical -priomix churn
-// workload — a 70:20:10 best-effort/standard/critical arrival mix kept
-// resident-heavy enough that the mesh saturates and rejections occur —
-// and differ only in whether the manager's preemption planner is on.
-// Compare the pair (CI uploads it as the priority on/off artifact) to
-// read off the critical class's admission-rate lift and latency cost:
-// preemption trades extra mapping work on the rejection path (the
-// hypothetical eviction probes and victim relocations) for a strictly
-// higher critical admission rate; relocations keep the displaced
-// best-effort work running. TestPreemptionRaisesCriticalAdmissionRate
-// pins the "strictly higher" claim deterministically; the benchmarks
-// quantify it.
-func benchmarkAdmissionPriority(b *testing.B, preempt bool) {
+// BenchmarkAdmissionPriorityPreempt measures what a latency-critical
+// arrival sees on a loaded platform: a -priomix churn workload — a
+// 70:20:10 best-effort/standard/critical arrival mix kept resident-heavy
+// enough that the mesh saturates and rejections occur — where full-mesh
+// critical arrivals displace minimal-cost best-effort victims and
+// relocate them when possible. It reports the critical class's admission
+// rate and latency and how many victims kept running;
+// TestPreemptionRaisesCriticalAdmissionRate pins that the rate is
+// strictly above the no-preemption one.
+func BenchmarkAdmissionPriorityPreempt(b *testing.B) {
 	opts := churn.Options{
 		Workers:   4,
 		Apps:      200,
@@ -31,10 +27,7 @@ func benchmarkAdmissionPriority(b *testing.B, preempt bool) {
 		MaxUtil:   0.30, // load the mesh enough that admissions fail
 		PeriodNs:  40_000,
 		Resident:  32, // heavy resident population: sustained pressure
-		Reuse:     true,
-		Repair:    true,
 		PrioMix:   "70:20:10",
-		Preempt:   preempt,
 	}
 	b.ResetTimer()
 	var admitted, rejected uint64
@@ -66,18 +59,4 @@ func benchmarkAdmissionPriority(b *testing.B, preempt bool) {
 	if preemptions > 0 {
 		b.ReportMetric(100*float64(relocations)/float64(preemptions), "%relocated")
 	}
-}
-
-// BenchmarkAdmissionPriorityPreempt runs the mixed-class churn with the
-// preemption planner on: full-mesh critical arrivals displace
-// minimal-cost best-effort victims and relocate them when possible.
-func BenchmarkAdmissionPriorityPreempt(b *testing.B) {
-	benchmarkAdmissionPriority(b, true)
-}
-
-// BenchmarkAdmissionPriorityNoPreempt is the ablation: the identical
-// workload with preemption off — the priority queue still orders
-// arrivals, but a full mesh rejects critical work like any other.
-func BenchmarkAdmissionPriorityNoPreempt(b *testing.B) {
-	benchmarkAdmissionPriority(b, false)
 }
