@@ -15,6 +15,7 @@
 //	go run ./cmd/churn -priomix 70:20:10     # mixed admission classes, preemption on
 //	go run ./cmd/churn -faultrate 0.02       # fail a tile per ~50 arrivals, measure recovery
 //	go run ./cmd/churn -journal run.journal    # stream the hash-chained admission journal
+//	go run ./cmd/churn -cpuprofile cpu.prof    # profile the run (-memprofile: the heap at its end)
 package main
 
 import (
@@ -117,6 +118,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.PrioMix, "priomix", "", "mixed admission classes as bestEffort:standard:critical weights, e.g. 70:20:10 (empty = all best-effort)")
 	fs.Float64Var(&o.FaultRate, "faultrate", 0, "inject run-time tile faults at this expected rate per arrival, evacuating and relocating residents (0 = off)")
 	journalTo := fs.String("journal", "", "stream the hash-chained admission journal to this file")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file when the run is over")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -134,15 +137,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Resolve the defaults here so the report names what actually runs.
 	o = o.WithDefaults()
 
-	fmt.Fprintf(stdout, "churn: %d arrivals from a %d-structure catalogue onto a %d×%d mesh\n\n", o.Apps, o.Catalogue, o.Mesh, o.Mesh)
-	pipe := churn.Run(o)
-	if pipe.ConfigErr != nil {
-		fmt.Fprintln(stderr, pipe.ConfigErr)
-		return 2
-	}
-	report(stdout, fmt.Sprintf("pipeline (%d workers)", o.Workers), pipe)
-	if !pipe.Clean || pipe.LedgerErr != nil || pipe.JournalErr != nil {
-		return 1
-	}
-	return 0
+	return churn.Profiled(*cpuProfile, *memProfile, stderr, func() int {
+		fmt.Fprintf(stdout, "churn: %d arrivals from a %d-structure catalogue onto a %d×%d mesh\n\n", o.Apps, o.Catalogue, o.Mesh, o.Mesh)
+		pipe := churn.Run(o)
+		if pipe.ConfigErr != nil {
+			fmt.Fprintln(stderr, pipe.ConfigErr)
+			return 2
+		}
+		report(stdout, fmt.Sprintf("pipeline (%d workers)", o.Workers), pipe)
+		if !pipe.Clean || pipe.LedgerErr != nil || pipe.JournalErr != nil {
+			return 1
+		}
+		return 0
+	})
 }

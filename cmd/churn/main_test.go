@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -18,12 +19,14 @@ func churnCmd(args ...string) (code int, stdout, stderr string) {
 func TestRunSmoke(t *testing.T) {
 	base := []string{"-apps", "60", "-mesh", "6", "-catalogue", "8"}
 	with := func(extra ...string) []string { return append(base[:len(base):len(base)], extra...) }
+	cpu, mem := filepath.Join(t.TempDir(), "cpu.prof"), filepath.Join(t.TempDir(), "mem.prof")
 	for _, args := range [][]string{
 		base,
 		with("-faultrate", "0.05"),
 		with("-regionsize", "3"),
 		with("-journal", filepath.Join(t.TempDir(), "run.journal")),
 		with("-apps", "0"),
+		with("-cpuprofile", cpu, "-memprofile", mem),
 	} {
 		code, out, errw := churnCmd(args...)
 		if code != 0 {
@@ -31,6 +34,17 @@ func TestRunSmoke(t *testing.T) {
 		}
 		if !strings.Contains(out, "ledger clean      true") {
 			t.Fatalf("churn %v: no clean ledger line:\n%s", args, out)
+		}
+	}
+	for _, profile := range []string{cpu, mem} {
+		if st, err := os.Stat(profile); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s missing or empty: %v", profile, err)
+		}
+	}
+	// A profile that cannot be written fails the run, at its start or end.
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		if code, out, errw := churnCmd(with(flag, filepath.Join(t.TempDir(), "no-such-dir", "p.prof"))...); code != 1 {
+			t.Errorf("churn %s into a missing directory: exit %d, want 1\n%s%s", flag, code, out, errw)
 		}
 	}
 }

@@ -84,6 +84,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&c.chaosPath, "chaos", "", "execute this chaos script against an in-process HTTP door and exit")
 	fs.BoolVar(&c.requireShed, "requireshed", false, "exit nonzero unless the run shed at least one arrival (CI smoke)")
 	fs.BoolVar(&c.requireDLQ, "requiredlq", false, "exit nonzero unless the DLQ recovered at least one arrival (CI smoke)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file when the run is over")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -109,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return c.fail(2, "%v", err)
 		}
 	}
-	return serve()
+	return churn.Profiled(*cpuProfile, *memProfile, stderr, serve)
 }
 
 // fail prints one diagnostic and returns the exit code.

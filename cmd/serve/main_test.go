@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,19 +14,34 @@ func serve(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errw.String()
 }
 
-// TestSoakSmoke runs a tiny storm through the default mode, once plain
-// and once journaled.
+// TestSoakSmoke runs a tiny storm through the default mode: plain,
+// journaled, and profiled.
 func TestSoakSmoke(t *testing.T) {
 	base := []string{"-arrivals", "400", "-mesh", "8", "-catalogue", "4"}
-	journaled := append(base[:len(base):len(base)],
-		"-journal", filepath.Join(t.TempDir(), "soak.journal"))
-	for _, args := range [][]string{base, journaled} {
+	with := func(extra ...string) []string { return append(base[:len(base):len(base)], extra...) }
+	cpu, mem := filepath.Join(t.TempDir(), "cpu.prof"), filepath.Join(t.TempDir(), "mem.prof")
+	for _, args := range [][]string{
+		base,
+		with("-journal", filepath.Join(t.TempDir(), "soak.journal")),
+		with("-cpuprofile", cpu, "-memprofile", mem),
+	} {
 		code, out, errw := serve(args...)
 		if code != 0 {
 			t.Fatalf("serve %v: exit %d\n%s%s", args, code, out, errw)
 		}
 		if !strings.Contains(out, "ledger ok         true") {
 			t.Fatalf("serve %v: no clean ledger line:\n%s", args, out)
+		}
+	}
+	for _, profile := range []string{cpu, mem} {
+		if st, err := os.Stat(profile); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s missing or empty: %v", profile, err)
+		}
+	}
+	// A profile that cannot be written fails the run, at its start or end.
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		if code, out, errw := serve(with(flag, filepath.Join(t.TempDir(), "no-such-dir", "p.prof"))...); code != 1 {
+			t.Errorf("serve %s into a missing directory: exit %d, want 1\n%s%s", flag, code, out, errw)
 		}
 	}
 }

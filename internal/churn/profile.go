@@ -1,0 +1,45 @@
+package churn
+
+import (
+	"fmt"
+	"io"
+	"os"
+	"runtime"
+	"runtime/pprof"
+)
+
+// Profiled runs a command's body under the profiles cmd/churn and
+// cmd/serve offer as -cpuprofile and -memprofile, so a scenario is
+// profiled as it ships: a CPU profile of the body into cpuPath, the heap
+// after it into memPath; an empty path skips that profile. It returns the
+// body's exit code, or 1 when a profile cannot be written.
+func Profiled(cpuPath, memPath string, stderr io.Writer, body func() int) int {
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			return fail(err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return fail(err)
+		}
+		defer pprof.StopCPUProfile()
+	}
+	code := body()
+	if memPath != "" {
+		f, err := os.Create(memPath)
+		if err != nil {
+			return fail(err)
+		}
+		defer f.Close()
+		runtime.GC() // the profile reports the heap as of the last collection
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			return fail(err)
+		}
+	}
+	return code
+}

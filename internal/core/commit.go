@@ -375,6 +375,9 @@ func Remove(plat *arch.Platform, res *Result) {
 // the tiles and links the plan names.
 type Plan struct {
 	pl *commitPlan
+	// What Deltas hands out, exported once by newPlan.
+	tiles []TileReservation
+	links []LinkReservation
 }
 
 // NewPlan aggregates the reservations res makes into a Plan, strictly: an
@@ -385,7 +388,7 @@ func NewPlan(plat *arch.Platform, res *Result) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{pl: pl}, nil
+	return newPlan(pl), nil
 }
 
 // NewRemovalPlan aggregates the reservations res holds for release,
@@ -396,7 +399,7 @@ func NewRemovalPlan(plat *arch.Platform, res *Result) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{pl: pl}, nil
+	return newPlan(pl), nil
 }
 
 // App returns the name of the application the plan reserves for.

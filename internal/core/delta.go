@@ -34,10 +34,18 @@ type LinkReservation struct {
 
 // Deltas returns the plan's aggregated per-tile and per-link reservation
 // deltas, sorted by resource ID. Together with the application name they
-// are sufficient to reconstruct the plan with NewDeltaPlan.
-func (p *Plan) Deltas() ([]TileReservation, []LinkReservation) {
-	tiles := make([]TileReservation, 0, len(p.pl.tiles))
-	for tid, d := range p.pl.tiles {
+// are sufficient to reconstruct the plan with NewDeltaPlan. They were
+// exported once, when the plan was built, and every call returns the same
+// slices: read-only.
+func (p *Plan) Deltas() ([]TileReservation, []LinkReservation) { return p.tiles, p.links }
+
+func byTile(a, b TileReservation) int { return cmp.Compare(a.Tile, b.Tile) }
+func byLink(a, b LinkReservation) int { return cmp.Compare(a.Link, b.Link) }
+
+// newPlan wraps an aggregated commit plan with its exported deltas.
+func newPlan(pl *commitPlan) *Plan {
+	tiles := make([]TileReservation, 0, len(pl.tiles))
+	for tid, d := range pl.tiles {
 		tiles = append(tiles, TileReservation{
 			Tile:      tid,
 			MemBytes:  d.mem,
@@ -47,13 +55,13 @@ func (p *Plan) Deltas() ([]TileReservation, []LinkReservation) {
 			OutBps:    d.outBps,
 		})
 	}
-	slices.SortFunc(tiles, func(a, b TileReservation) int { return cmp.Compare(a.Tile, b.Tile) })
-	links := make([]LinkReservation, 0, len(p.pl.links))
-	for lid, bps := range p.pl.links {
+	slices.SortFunc(tiles, byTile)
+	links := make([]LinkReservation, 0, len(pl.links))
+	for lid, bps := range pl.links {
 		links = append(links, LinkReservation{Link: lid, Bps: bps})
 	}
-	slices.SortFunc(links, func(a, b LinkReservation) int { return cmp.Compare(a.Link, b.Link) })
-	return tiles, links
+	slices.SortFunc(links, byLink)
+	return &Plan{pl: pl, tiles: tiles, links: links}
 }
 
 // ApplyDeltas adds (sign +1) or subtracts (sign -1) exported deltas on
@@ -84,7 +92,9 @@ func ApplyDeltas(plat *arch.Platform, tiles []TileReservation, links []LinkReser
 // result commits and releases exactly like the original plan — same
 // aggregated values — but carries no mapping, so
 // it cannot be repaired or relocated; it exists for releasing residents
-// whose Result did not survive a crash.
+// whose Result did not survive a crash. Deltas shaped as Deltas exports
+// them — sorted, each resource once: what a journal holds — are kept, not
+// copied, so the caller must leave them alone afterwards.
 func NewDeltaPlan(appName string, tiles []TileReservation, links []LinkReservation) *Plan {
 	pl := &commitPlan{
 		appName: appName,
@@ -103,5 +113,9 @@ func NewDeltaPlan(appName string, tiles []TileReservation, links []LinkReservati
 	for _, lr := range links {
 		pl.links[lr.Link] += lr.Bps
 	}
-	return &Plan{pl: pl}
+	if len(pl.tiles) == len(tiles) && len(pl.links) == len(links) &&
+		slices.IsSortedFunc(tiles, byTile) && slices.IsSortedFunc(links, byLink) {
+		return &Plan{pl: pl, tiles: tiles, links: links}
+	}
+	return newPlan(pl)
 }

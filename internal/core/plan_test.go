@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"rtsm/internal/arch"
@@ -174,5 +175,51 @@ func TestRepairRegionShortcut(t *testing.T) {
 	plat.BumpVersion()
 	if rep := repair("own tile exhausted"); rep == res {
 		t.Fatal("fixture broken: an exhausted tile left no violation")
+	}
+}
+
+// TestDeltaPlanDeltas: a plan rebuilt from deltas hands out what Deltas
+// promises — sorted by resource, each resource once — whether the deltas
+// came as a plan exported them, which it keeps without copying, or
+// shuffled and split, as only a damaged journal would hold them; and both
+// release what the original committed.
+func TestDeltaPlanDeltas(t *testing.T) {
+	plat := workload.SyntheticRegionPlatform(8, 8, 123, 4)
+	pristine := plat.Clone()
+	plan, err := NewPlan(plat, mapOnto(t, plat, 1, "SRC0", "SINK0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiles, links := plan.Deltas()
+	if again, _ := plan.Deltas(); &again[0] != &tiles[0] {
+		t.Error("Deltas exported the plan a second time")
+	}
+	if len(tiles) < 2 || len(links) < 2 {
+		t.Fatalf("fixture plan too small: %d tiles, %d links", len(tiles), len(links))
+	}
+
+	kept := NewDeltaPlan(plan.App(), tiles, links)
+	if kt, kl := kept.Deltas(); &kt[0] != &tiles[0] || &kl[0] != &links[0] {
+		t.Error("deltas in exported shape were copied")
+	}
+
+	// Reversed, and the first link's bandwidth split over two entries.
+	shuffledTiles, shuffledLinks := slices.Clone(tiles), slices.Clone(links)
+	slices.Reverse(shuffledTiles)
+	slices.Reverse(shuffledLinks)
+	half := links[0].Bps / 2
+	shuffledLinks[len(shuffledLinks)-1].Bps -= half
+	shuffledLinks = append(shuffledLinks, LinkReservation{Link: links[0].Link, Bps: half})
+	rebuilt := NewDeltaPlan(plan.App(), shuffledTiles, shuffledLinks)
+	if rt, rl := rebuilt.Deltas(); !slices.Equal(rt, tiles) || !slices.Equal(rl, links) {
+		t.Errorf("rebuilt Deltas = %v, %v; want %v, %v", rt, rl, tiles, links)
+	}
+
+	for _, p := range []*Plan{kept, rebuilt} {
+		plan.Commit(plat)
+		p.Release(plat)
+		if err := arch.PlatformsIdentical(plat, pristine); err != nil {
+			t.Fatalf("a delta plan does not release what the original committed: %v", err)
+		}
 	}
 }

@@ -85,7 +85,7 @@ func (s *searchState) init() {
 func (s *searchState) totalCost() float64 {
 	var total float64
 	for i, c := range s.chans {
-		total += s.weight[i] * float64(s.channelDist(c, nil))
+		total += s.weight[i] * float64(s.channelDist(c, current))
 	}
 	if s.m.Cfg.CommCost == TrafficWeighted {
 		params := s.m.Cfg.energyParams()
@@ -100,27 +100,42 @@ func (s *searchState) totalCost() float64 {
 	return total
 }
 
+// override places up to two processes on other tiles than the current
+// assignment does, to evaluate a candidate without mutating state: p on pt
+// and, for a swap, q on qt. A move has q == noProcess.
+type override struct {
+	p, q   model.ProcessID
+	pt, qt arch.TileID
+}
+
+const noProcess model.ProcessID = -1
+
+// current is the override that changes nothing.
+var current = override{p: noProcess, q: noProcess}
+
+func (o override) touches(p model.ProcessID) bool { return p == o.p || p == o.q }
+
 // channelDist returns the Manhattan distance of a channel under the
-// current assignment, with an optional override of tile positions (used
-// to evaluate candidates without mutating state). Channels with an
-// unplaced endpoint contribute nothing.
-func (s *searchState) channelDist(c *model.Channel, override map[model.ProcessID]arch.TileID) int {
-	src, ok := s.tileOf(c.Src, override)
+// current assignment as the override changes it. Channels with an unplaced
+// endpoint contribute nothing.
+func (s *searchState) channelDist(c *model.Channel, o override) int {
+	src, ok := s.tileOf(c.Src, o)
 	if !ok {
 		return 0
 	}
-	dst, ok := s.tileOf(c.Dst, override)
+	dst, ok := s.tileOf(c.Dst, o)
 	if !ok {
 		return 0
 	}
 	return s.work.Manhattan(src, dst)
 }
 
-func (s *searchState) tileOf(p model.ProcessID, override map[model.ProcessID]arch.TileID) (arch.TileID, bool) {
-	if override != nil {
-		if t, ok := override[p]; ok {
-			return t, true
-		}
+func (s *searchState) tileOf(p model.ProcessID, o override) (arch.TileID, bool) {
+	switch p {
+	case o.p:
+		return o.pt, true
+	case o.q:
+		return o.qt, true
 	}
 	t, ok := s.mp.Tile[p]
 	return t, ok
@@ -136,19 +151,19 @@ type candidate struct {
 }
 
 // deltaFor evaluates the cost change of a candidate by re-pricing only the
-// channels incident to the affected processes.
-func (s *searchState) deltaFor(override map[model.ProcessID]arch.TileID, affected map[model.ProcessID]bool) float64 {
+// channels incident to the processes it relocates.
+func (s *searchState) deltaFor(o override) float64 {
 	var delta float64
 	for i, c := range s.chans {
-		if !affected[c.Src] && !affected[c.Dst] {
+		if !o.touches(c.Src) && !o.touches(c.Dst) {
 			continue
 		}
-		delta += s.weight[i] * float64(s.channelDist(c, override)-s.channelDist(c, nil))
+		delta += s.weight[i] * float64(s.channelDist(c, o)-s.channelDist(c, current))
 	}
 	if s.m.Cfg.CommCost == TrafficWeighted {
-		delta += s.idleDelta(override)
+		delta += s.idleDelta(o)
 	}
-	delta += s.regionDelta(override)
+	delta += s.regionDelta(o)
 	return delta
 }
 
@@ -156,19 +171,19 @@ func (s *searchState) deltaFor(override map[model.ProcessID]arch.TileID, affecte
 // candidate causes: +RegionBias per region opened, -RegionBias per region
 // vacated. Zero when the bias is inactive, and zero for swaps (the set of
 // occupied tiles is unchanged).
-func (s *searchState) regionDelta(override map[model.ProcessID]arch.TileID) float64 {
+func (s *searchState) regionDelta(o override) float64 {
 	if s.regionOcc == nil {
 		return 0
 	}
 	var change map[arch.RegionID]int
-	for pid, to := range override {
+	shift := func(pid model.ProcessID, to arch.TileID) {
 		from, ok := s.mp.Tile[pid]
 		if !ok {
-			continue
+			return
 		}
 		fr, tr := s.work.RegionOfTile(from), s.work.RegionOfTile(to)
 		if fr == tr {
-			continue
+			return
 		}
 		if change == nil {
 			change = make(map[arch.RegionID]int, 2)
@@ -176,6 +191,8 @@ func (s *searchState) regionDelta(override map[model.ProcessID]arch.TileID) floa
 		change[fr]--
 		change[tr]++
 	}
+	shift(o.p, o.pt)
+	shift(o.q, o.qt)
 	var delta float64
 	for r, d := range change {
 		occ := s.regionOcc[r]
@@ -193,14 +210,14 @@ func (s *searchState) regionDelta(override map[model.ProcessID]arch.TileID) floa
 // "being able to turn off parts of the system that are not being used").
 // It compares the full before/after occupancy of the mappable processes,
 // so swaps — which leave both tiles powered — price to zero.
-func (s *searchState) idleDelta(override map[model.ProcessID]arch.TileID) float64 {
+func (s *searchState) idleDelta(o override) float64 {
 	params := s.m.Cfg.energyParams()
 	before := make(map[arch.TileID]int)
 	after := make(map[arch.TileID]int)
 	for _, p := range s.procs {
 		cur := s.mp.Tile[p.ID]
 		before[cur]++
-		next, _ := s.tileOf(p.ID, override)
+		next, _ := s.tileOf(p.ID, o)
 		after[next]++
 	}
 	var delta float64
@@ -255,8 +272,7 @@ func (s *searchState) bestCandidateFor(pi int) *candidate {
 		if !canHost(t, im.MemBytes, tUtil) || !ni.fits(t) {
 			continue
 		}
-		override := map[model.ProcessID]arch.TileID{p.ID: t.ID}
-		delta := s.deltaFor(override, map[model.ProcessID]bool{p.ID: true})
+		delta := s.deltaFor(override{p: p.ID, pt: t.ID, q: noProcess})
 		consider(candidate{kind: Move, p: p, to: t.ID, delta: delta})
 	}
 
@@ -277,8 +293,7 @@ func (s *searchState) bestCandidateFor(pi int) *candidate {
 		if !s.swapFits(p, im, cur, q, qIm, qTile) {
 			continue
 		}
-		override := map[model.ProcessID]arch.TileID{p.ID: qTile, q.ID: cur}
-		delta := s.deltaFor(override, map[model.ProcessID]bool{p.ID: true, q.ID: true})
+		delta := s.deltaFor(override{p: p.ID, pt: qTile, q: q.ID, qt: cur})
 		consider(candidate{kind: Swap, p: p, q: q, to: qTile, delta: delta})
 	}
 	return best
@@ -357,17 +372,13 @@ func (s *searchState) snapshot() map[string]string {
 
 // snapshotWith renders the assignment as it would look after a candidate.
 func (s *searchState) snapshotWith(c *candidate) map[string]string {
-	override := map[model.ProcessID]arch.TileID{}
-	switch c.kind {
-	case Move:
-		override[c.p.ID] = c.to
-	case Swap:
-		override[c.p.ID] = s.mp.Tile[c.q.ID]
-		override[c.q.ID] = s.mp.Tile[c.p.ID]
+	o := override{p: c.p.ID, pt: c.to, q: noProcess}
+	if c.kind == Swap {
+		o = override{p: c.p.ID, pt: s.mp.Tile[c.q.ID], q: c.q.ID, qt: s.mp.Tile[c.p.ID]}
 	}
 	out := make(map[string]string)
 	for _, p := range s.procs {
-		t, _ := s.tileOf(p.ID, override)
+		t, _ := s.tileOf(p.ID, o)
 		name := s.work.Tile(t).Name
 		if out[name] != "" {
 			out[name] += "+" + p.Name

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rtsm/internal/arch"
 	"rtsm/internal/model"
@@ -35,7 +36,7 @@ func (m *Mapper) step3(app *model.Application, work *arch.Platform, mp *Mapping,
 		jobs = append(jobs, job{c: c, bps: channelBps(c, app.QoS.PeriodNs)})
 	}
 	if !m.Cfg.UnsortedChannels {
-		sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].bps > jobs[j].bps })
+		slices.SortStableFunc(jobs, func(a, b job) int { return cmp.Compare(b.bps, a.bps) })
 	}
 	for _, j := range jobs {
 		st := mp.Tile[j.c.Src]

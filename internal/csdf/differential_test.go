@@ -419,9 +419,9 @@ func TestExecuteDifferential(t *testing.T) {
 // requireForwarded fails the test unless at least percent of the engine
 // runs it caused skipped cycles: the reference can only vouch for the
 // fast-forward on runs that take it.
-func requireForwarded(t *testing.T, share func() (runs, forwarded int64), percent int64) {
+func requireForwarded(t *testing.T, share func() (runs, forwarded, simulated int64), percent int64) {
 	t.Helper()
-	runs, forwarded := share()
+	runs, forwarded, _ := share()
 	t.Logf("%d of %d engine runs skipped at least one cycle", forwarded, runs)
 	if forwarded*100 < runs*percent {
 		t.Errorf("%d of %d engine runs skipped cycles, want at least %d%%", forwarded, runs, percent)

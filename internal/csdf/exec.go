@@ -208,8 +208,10 @@ type engine struct {
 
 	// The last two boundaries' snapshots, of equal length; see recurred.
 	snaps []int64
-	// Runs made, and those that skipped cycles: the tests floor the share.
-	runs, forwarded int64
+	// Runs made, those that skipped cycles and the completion instants
+	// simulated rather than skipped: the tests floor the share and cap the
+	// instants.
+	runs, forwarded, simulated int64
 }
 
 var enginePool = sync.Pool{New: func() any { return new(engine) }}
@@ -383,6 +385,7 @@ func (e *engine) run(opts ExecOptions) (*ExecResult, error) {
 			e.finish(e.pop())
 		}
 		events++
+		e.simulated++
 		if events > maxEvents {
 			return nil, fmt.Errorf("csdf: execution of %q exceeded %d events; graph may not settle", g.Name, opts.MaxEvents)
 		}
@@ -448,7 +451,8 @@ func (e *engine) run(opts ExecOptions) (*ExecResult, error) {
 // and, with startPhase, its donePhase and the space its firings hold
 // reserved (occupied − tokens); its verdict is what evaluating it now
 // would return; no actor is dirty. Two absolutes remain, the firing caps
-// and the event bound, and skipCycles stops short of both.
+// and the event bound: skipCycles stays within the event bound and lets an
+// actor reach its cap only where reaching it changes nothing it does.
 const snapCounters = 5 // now, pass, events, len(iterDone), len(iterSrcStart)
 
 // recurred records the state at an iteration boundary and reports whether
@@ -485,10 +489,17 @@ func (e *engine) recurred(events int64) bool {
 }
 
 // skipCycles advances the engine by as many repetitions of the cycle
-// between the two recorded boundaries as leave every actor short of its
-// firing cap — the cap silences an actor, so the iterations in which the
-// source leads the observed actor to it are simulated — and the event
-// count, which it returns, within its bound.
+// between the two recorded boundaries as keep the event count, which it
+// returns, within its bound and no actor's firing cap in the way. The cap
+// silences an actor from the start of its last firing on. An actor still
+// executing at the boundary (busyUntil > now) is silent from that start to
+// the boundary for being busy, so a skipped cycle that ends exactly on its
+// cap equals the simulated one: before the start the cap did not bind,
+// after it the rule answers silent either way. An actor idle at the
+// boundary — vetoed, or zero-WCET with busyUntil == now — would have been
+// evaluated, and charged its vetoes, where the cap says silent; it stays
+// one firing short, and the iterations in which it leads the observed
+// actor to the cap are simulated.
 func (e *engine) skipCycles(events, totalIters, maxEvents int64) int64 {
 	size := len(e.snaps) / 2
 	prev, cur := e.snaps[:size], e.snaps[size:]
@@ -499,7 +510,12 @@ func (e *engine) skipCycles(events, totalIters, maxEvents int64) int64 {
 	k := min((totalIters-int64(len(e.iterDone)))/int64(dDone), (maxEvents-events)/dEvents)
 	for a := range e.actors {
 		if d := delta(snapCounters + 2*a); d > 0 {
-			k = min(k, (e.actors[a].firingCap-1-e.actors[a].fired)/d)
+			st := &e.actors[a]
+			room := st.firingCap - st.fired
+			if st.busyUntil <= e.now {
+				room--
+			}
+			k = min(k, room/d)
 		}
 	}
 	if k <= 0 {

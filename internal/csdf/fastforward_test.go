@@ -9,22 +9,23 @@ import (
 
 // trackEngines swaps the engine pool for one that remembers every engine
 // it makes, until the test ends, and returns a function that sums their
-// run counters: how many runs the test caused, inside BufferSizes too, and
-// how many of them skipped at least one cycle. For tests that use engines
-// from one goroutine.
-func trackEngines(t *testing.T) func() (runs, forwarded int64) {
+// run counters: how many runs the test caused, inside BufferSizes too, how
+// many of them skipped at least one cycle, and how many completion
+// instants they simulated. For tests that use engines from one goroutine.
+func trackEngines(t *testing.T) func() (runs, forwarded, simulated int64) {
 	var made []*engine
 	enginePool = sync.Pool{New: func() any {
 		made = append(made, new(engine))
 		return made[len(made)-1]
 	}}
 	t.Cleanup(func() { enginePool = sync.Pool{New: func() any { return new(engine) }} })
-	return func() (runs, forwarded int64) {
+	return func() (runs, forwarded, simulated int64) {
 		for _, e := range made {
 			runs += e.runs
 			forwarded += e.forwarded
+			simulated += e.simulated
 		}
-		return runs, forwarded
+		return runs, forwarded, simulated
 	}
 }
 
@@ -45,7 +46,7 @@ func stages(name string, capacity int64, wcets ...Pattern) *Graph {
 // settlingGraphs are graphs whose self-timed execution reaches its
 // periodic phase within a few iterations, one family per way the recurring
 // state can hide: each stresses a different component of the snapshot
-// recurred compares, or one of the absolutes skipCycles stops short of.
+// recurred compares, or one of the absolutes skipCycles has to respect.
 func settlingGraphs() []*Graph {
 	// Multi-rate with back-pressure: the slow consumer keeps both
 	// producers blocked on space, with standing vetoes whose age differs
@@ -71,6 +72,16 @@ func settlingGraphs() []*Graph {
 	// hold, so it reaches its firing cap that many iterations early.
 	lead2 := stages("lead2", 1, Vals(2), Vals(3), Vals(2), Vals(11))
 	lead4 := stages("lead4", 2, Vals(1), Vals(2), Vals(1), Vals(7, 9))
+	// The two ways a leader can meet its cap at a boundary. In paced the
+	// source is the slowest stage and fires back to back, as the pinned
+	// source of a mapped graph does: it is executing at every boundary and
+	// the last skipped cycle ends exactly on its cap. In idlelead the
+	// source spends every boundary vetoed by the full channel behind the
+	// bottleneck, two firings ahead of the observed actor: a skip onto its
+	// cap would charge vetoes where the cap says silent, so it stays one
+	// firing short and the last iterations are simulated.
+	paced := stages("paced", 2, Vals(10), Vals(3), Vals(4))
+	idlelead := stages("idlelead", 1, Vals(1), Vals(10), Vals(3))
 	// A two-phase source makes an iteration two source firings, so the
 	// source can be in the middle of an iteration at a boundary.
 	halfway := stages("halfway", 1, Vals(2, 3), Vals(1, 1), Vals(6, 7))
@@ -120,7 +131,7 @@ func settlingGraphs() []*Graph {
 	outpaced.Channel(outpaced.Connect(a, outpaced.AddActor("drain", Vals(1)), Vals(1), Vals(1), 0)).Capacity = 1
 	outpaced.Channel(outpaced.Connect(b, c, Vals(1), Vals(1), 0)).Capacity = 1
 
-	return []*Graph{multirate, feedback, lead2, lead4, halfway, instant, relay, unbounded, mixed,
+	return []*Graph{multirate, feedback, lead2, lead4, paced, idlelead, halfway, instant, relay, unbounded, mixed,
 		lockstep, crossing, drifting, outpaced, hl2LikeGraph()}
 }
 
@@ -136,16 +147,7 @@ func TestFastForwardDifferential(t *testing.T) {
 			if r := checkExecute(t, g, opts); r == nil || r.Deadlocked {
 				t.Fatalf("%s does not run to its horizon: %+v", g.Name, r)
 			}
-			// The fewest events that let the reference finish.
-			lo, hi := 1, 1<<20
-			for lo < hi {
-				opts.MaxEvents = lo + (hi-lo)/2
-				if _, err := executeRef(g, opts); err != nil {
-					lo = opts.MaxEvents + 1
-				} else {
-					hi = opts.MaxEvents
-				}
-			}
+			lo := refInstants(g, opts)
 			for _, bound := range []int{lo / 3, lo / 2, lo - lo/4, lo - 1, lo} {
 				if bound > 0 {
 					opts.MaxEvents = bound
@@ -155,6 +157,56 @@ func TestFastForwardDifferential(t *testing.T) {
 		}
 	}
 	requireForwarded(t, share, 50)
+}
+
+// refInstants returns the number of completion instants the reference
+// simulates on the way to the horizon: the fewest events that let it
+// finish.
+func refInstants(g *Graph, opts ExecOptions) int {
+	lo, hi := 1, 1<<20
+	for lo < hi {
+		opts.MaxEvents = lo + (hi-lo)/2
+		if _, err := executeRef(g, opts); err != nil {
+			lo = opts.MaxEvents + 1
+		} else {
+			hi = opts.MaxEvents
+		}
+	}
+	return lo
+}
+
+// TestFastForwardSimulatesTwoIterations pins what the cap rule buys step
+// 4. Both graphs recur at their second boundary with a source that is
+// executing there. The paced source is one firing ahead of the observed
+// actor, as the pinned source of a mapped graph is, and is skipped exactly
+// onto its cap: 2 of the 12 iterations are simulated. The HIPERLAN/2-like
+// graph's first channel holds two source firings, so its source is two
+// ahead and the cap is reached one cycle earlier: 3 of 12, where the
+// strict bound simulated 4. The slack, an instant plus a hundredth, covers
+// the transient's first iteration taking a few instants more than the rest.
+func TestFastForwardSimulatesTwoIterations(t *testing.T) {
+	iterations := map[string]int64{"paced": 2, hl2LikeGraph().Name: 3}
+	for _, g := range settlingGraphs() {
+		want, pinned := iterations[g.Name]
+		if !pinned {
+			continue
+		}
+		delete(iterations, g.Name)
+		share := trackEngines(t)
+		opts := DefaultExecOptions()
+		if r, err := g.Execute(opts); err != nil || r.Deadlocked {
+			t.Fatalf("%s: Execute: %+v, %v", g.Name, r, err)
+		}
+		_, _, simulated := share()
+		total := int64(refInstants(g, opts))
+		if limit := total*want/12 + total/100 + 1; simulated > limit {
+			t.Errorf("%s: simulated %d of the reference's %d completion instants, want at most %d",
+				g.Name, simulated, total, limit)
+		}
+	}
+	if len(iterations) > 0 {
+		t.Errorf("not among the settling graphs: %v", iterations)
+	}
 }
 
 // TestFastForwardDeclinesGroupsAndOrders: a static order's position and a
@@ -174,7 +226,7 @@ func TestFastForwardDeclinesGroupsAndOrders(t *testing.T) {
 	checkExecute(t, g, opts)
 	opts.StaticOrders, opts.ExclusiveGroups = nil, [][]ActorID{{a, b}}
 	checkExecute(t, g, opts)
-	if runs, forwarded := share(); forwarded != 0 {
+	if runs, forwarded, _ := share(); forwarded != 0 {
 		t.Errorf("%d of %d runs with a static order or a group skipped cycles", forwarded, runs)
 	}
 }
@@ -189,7 +241,7 @@ func TestEngineStateIsClassified(t *testing.T) {
 		fixed    = "topology or options: set by load or at the start of run, constant during it"
 		compared = "relative state: in the snapshot recurred compares"
 		implied  = "relative state implied by the compared fields at a settled instant (see recurred)"
-		guarded  = "absolute: skipCycles stops short of where it changes behaviour"
+		guarded  = "absolute: skipCycles stops where going further would change behaviour"
 		additive = "counter: grows by the same amount every cycle, skipCycles multiplies it"
 		declined = "group and static-order state: runs that use it never fast-forward"
 		scratch  = "memory for load, the snapshots or the tests; run does not read it"
@@ -201,7 +253,7 @@ func TestEngineStateIsClassified(t *testing.T) {
 			"fired":      guarded + "; " + additive,
 			"startPhase": compared,
 			"donePhase":  implied,
-			"busyUntil":  implied,
+			"busyUntil":  implied + "; skipCycles reads it to place the firing cap",
 			"busyTime":   additive,
 			"verdict":    implied,
 			"evalPass":   compared,
@@ -223,7 +275,7 @@ func TestEngineStateIsClassified(t *testing.T) {
 			"source": fixed, "observe": fixed,
 			"sourceIn": compared, "observeIn": compared,
 			"iterDone": additive, "iterSrcStart": additive + "; its open tail is " + compared,
-			"snaps": scratch, "runs": scratch, "forwarded": scratch,
+			"snaps": scratch, "runs": scratch, "forwarded": scratch, "simulated": scratch,
 		},
 	}
 	for typ, class := range classes {

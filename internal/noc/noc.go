@@ -6,8 +6,8 @@
 package noc
 
 import (
-	"container/heap"
 	"fmt"
+	"sync"
 
 	"rtsm/internal/arch"
 )
@@ -35,89 +35,70 @@ func (e ErrNoPath) Error() string {
 	return fmt.Sprintf("noc: no path from router %d to %d with %d B/s free", e.From, e.To, e.NeedBps)
 }
 
-type pqItem struct {
-	router arch.RouterID
-	dist   int
-	seq    int
+// scratch is the working memory of one ShortestAvailable search, pooled so
+// that a search allocates only the path it returns. seen is stamped with
+// the search's epoch instead of being cleared per search.
+type scratch struct {
+	epoch uint32
+	seen  []uint32        // seen[r] == epoch: this search has discovered r
+	prev  []arch.LinkID   // the link r was discovered over
+	queue []arch.RouterID // discovered routers in FIFO order; each enters once
 }
 
-type pq []pqItem
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-func (q pq) Len() int { return len(q) }
-func (q pq) Less(i, j int) bool {
-	if q[i].dist != q[j].dist {
-		return q[i].dist < q[j].dist
+// begin readies the scratch for a search over n routers.
+func (s *scratch) begin(n int) {
+	if len(s.seen) < n {
+		s.seen, s.prev, s.queue = make([]uint32, n), make([]arch.LinkID, n), make([]arch.RouterID, n)
 	}
-	return q[i].seq < q[j].seq
-}
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
+	if s.epoch++; s.epoch == 0 { // wrapped: old stamps could pass for new
+		clear(s.seen)
+		s.epoch = 1
+	}
 }
 
 // ShortestAvailable finds a minimum-hop path from one router to another
-// using only links with at least needBps of unreserved capacity. Ties are
-// broken deterministically by router index, so repeated runs of the
-// mapper route identically.
+// using only links with at least needBps of unreserved capacity. The
+// search is breadth-first and stops at the router that discovers to:
+// routers are expanded in the order they were discovered and a router
+// keeps the link it was first discovered over, so ties are broken
+// deterministically by link order and repeated runs of the mapper route
+// identically.
 func ShortestAvailable(p *arch.Platform, from, to arch.RouterID, needBps int64) (Path, error) {
 	if from == to {
 		return Path{Routers: []arch.RouterID{from}}, nil
 	}
-	const unseen = int(^uint(0) >> 1)
-	dist := make([]int, len(p.Routers))
-	prevLink := make([]arch.LinkID, len(p.Routers))
-	for i := range dist {
-		dist[i] = unseen
-		prevLink[i] = -1
-	}
-	dist[from] = 0
-	q := &pq{{router: from}}
-	seq := 0
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
-		if it.router == to {
-			break
-		}
-		if it.dist > dist[it.router] {
-			continue
-		}
-		for _, lid := range p.OutLinks(it.router) {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.begin(len(p.Routers))
+	s.seen[from] = s.epoch
+	s.queue[0] = from
+	for head, tail := 0, 1; head < tail && s.seen[to] != s.epoch; head++ {
+		for _, lid := range p.OutLinks(s.queue[head]) {
 			l := p.Link(lid)
-			if l.FreeBps() < needBps {
-				continue
-			}
-			nd := it.dist + 1
-			if nd < dist[l.To] {
-				dist[l.To] = nd
-				prevLink[l.To] = lid
-				seq++
-				heap.Push(q, pqItem{router: l.To, dist: nd, seq: seq})
+			if l.FreeBps() >= needBps && s.seen[l.To] != s.epoch {
+				s.seen[l.To], s.prev[l.To] = s.epoch, lid
+				s.queue[tail] = l.To
+				tail++
 			}
 		}
 	}
-	if prevLink[to] == -1 {
+	if s.seen[to] != s.epoch {
 		return Path{}, ErrNoPath{From: from, To: to, NeedBps: needBps}
 	}
-	var links []arch.LinkID
-	for r := to; r != from; {
-		lid := prevLink[r]
-		links = append(links, lid)
+	hops := 0
+	for r := to; r != from; r = p.Link(s.prev[r]).From {
+		hops++
+	}
+	path := Path{Routers: make([]arch.RouterID, hops+1), Links: make([]arch.LinkID, hops)}
+	path.Routers[0] = from
+	for r := to; r != from; hops-- {
+		lid := s.prev[r]
+		path.Links[hops-1], path.Routers[hops] = lid, r
 		r = p.Link(lid).From
 	}
-	// Reverse into forward order and collect the router sequence.
-	for i, j := 0, len(links)-1; i < j; i, j = i+1, j-1 {
-		links[i], links[j] = links[j], links[i]
-	}
-	routers := []arch.RouterID{from}
-	for _, lid := range links {
-		routers = append(routers, p.Link(lid).To)
-	}
-	return Path{Routers: routers, Links: links}, nil
+	return path, nil
 }
 
 // XY computes the dimension-ordered route (first along x, then along y)

@@ -8,7 +8,7 @@
 # Usage: scripts/loc.sh   (from the repository root)
 set -euo pipefail
 
-budget=16038
+budget=16116
 
 lines=$(find . -name '*.go' -not -name '*_test.go' \
   -not -path './bench/*' -not -path './.bench_build/*' -print0 |
