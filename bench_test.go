@@ -74,15 +74,15 @@ func BenchmarkE5Fig3BufferSizing(b *testing.B) {
 	}
 	app := res.Mapping.App
 	lib := workload.Hiperlan2Library(experiments.DefaultMode)
+	plat := workload.Hiperlan2Platform()
 	var placement []core.PlacedProcess
 	for _, p := range app.MappableProcesses() {
 		placement = append(placement, core.PlacedProcess{
 			Process: p.Name,
 			Impl:    res.Mapping.Impl[p.ID],
-			Tile:    res.Platform.Tile(res.Mapping.Tile[p.ID]).Name,
+			Tile:    plat.Tile(res.Mapping.Tile[p.ID]).Name,
 		})
 	}
-	plat := workload.Hiperlan2Platform()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fin, err := core.FinishAssignment(lib, core.Config{}, app, plat, placement)
@@ -221,13 +221,14 @@ func BenchmarkE10BinPackBaseline(b *testing.B) {
 // mapped HIPERLAN/2 receiver.
 func BenchmarkE11SimValidate(b *testing.B) {
 	app := workload.Hiperlan2(experiments.DefaultMode)
+	plat := workload.Hiperlan2Platform()
 	res, err := experiments.MapHiperlan2(experiments.DefaultMode, core.Config{})
 	if err != nil || !res.Feasible {
 		b.Fatalf("mapping failed: %v", err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := sim.Validate(app, res)
+		rep, err := sim.Validate(app, plat, res)
 		if err != nil || !rep.MeetsThroughput {
 			b.Fatalf("validation failed: %v", err)
 		}

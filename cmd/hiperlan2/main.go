@@ -87,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "\nEnergy: %s\n", res.Energy)
 	if *itemise {
 		params := energy.DefaultParams()
-		fmt.Fprint(stdout, params.Detailed(app, res.Platform, core.AssignmentView(res.Mapping)))
+		fmt.Fprint(stdout, params.Detailed(app, plat, core.AssignmentView(res.Mapping)))
 	}
 
 	if *verbose {
@@ -96,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if res.Feasible {
-		rep, err := sim.Validate(app, res)
+		rep, err := sim.Validate(app, plat, res)
 		if err != nil {
 			fmt.Fprintln(stderr, "hiperlan2: simulation:", err)
 			return 1

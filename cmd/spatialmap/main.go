@@ -104,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		for _, p := range app.Processes {
 			if tid, ok := res.Mapping.Tile[p.ID]; ok {
-				out.Placement[p.Name] = res.Platform.Tile(tid).Name
+				out.Placement[p.Name] = plat.Tile(tid).Name
 			}
 		}
 		for _, c := range app.StreamChannels() {
@@ -134,7 +134,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if im := res.Mapping.Impl[p.ID]; im != nil {
 			impl = string(im.TileType)
 		}
-		fmt.Fprintf(stdout, "  %-16s → %-12s %s\n", p.Name, res.Platform.Tile(tid).Name, impl)
+		fmt.Fprintf(stdout, "  %-16s → %-12s %s\n", p.Name, plat.Tile(tid).Name, impl)
 	}
 	fmt.Fprintln(stdout, "\nroutes:")
 	for _, r := range res.Trace.Step3 {
@@ -146,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "energy: %s\nfeasible: %v\n", res.Energy, res.Feasible)
 	if *schedOut && res.Feasible {
-		sched, err := schedule.Build(app, res)
+		sched, err := schedule.Build(app, plat, res)
 		if err != nil {
 			return fatal(err)
 		}

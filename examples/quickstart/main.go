@@ -78,7 +78,7 @@ func main() {
 		if im := res.Mapping.Impl[p.ID]; im != nil {
 			what = fmt.Sprintf("as %s (%.0f nJ/period)", im.TileType, im.EnergyPerPeriod)
 		}
-		fmt.Printf("  %-8s on %-5s %s\n", p.Name, res.Platform.Tile(tid).Name, what)
+		fmt.Printf("  %-8s on %-5s %s\n", p.Name, plat.Tile(tid).Name, what)
 	}
 	fmt.Printf("\nenergy:   %s\n", res.Energy)
 	fmt.Printf("period:   %.0f ns (required %d ns)\n", res.Analysis.Period, app.QoS.PeriodNs)

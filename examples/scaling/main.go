@@ -37,7 +37,7 @@ func main() {
 			}
 			check := "-"
 			if res.Feasible {
-				rep, err := sim.Validate(app, res)
+				rep, err := sim.Validate(app, plat, res)
 				if err != nil {
 					log.Fatalf("%s/%d: sim: %v", shape, n, err)
 				}

@@ -34,8 +34,9 @@ func TestCloneAllocationBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkClone is the cost of a snapshot or a mapper working clone on
-// the benchmark's 12×12 mesh (docs/ARCHITECTURE.md quotes it).
+// BenchmarkClone is the cost of a private snapshot (Platform.Snapshot,
+// Manager.Snapshot) on the benchmark's 12×12 mesh; admissions and mapper
+// attempts CopyInto recycled platforms instead.
 func BenchmarkClone(b *testing.B) {
 	plat := workload.SyntheticRegionPlatform(12, 12, 1, 3)
 	b.ReportAllocs()

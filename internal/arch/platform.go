@@ -34,6 +34,11 @@ type Platform struct {
 	// grid is the region partition (nil = one region covering the mesh).
 	// See region.go.
 	grid *regionGrid
+
+	// tileSlab and linkSlab back Tiles and Links on a copy (CopyInto), so
+	// a later CopyInto can reuse them; nil on a constructed platform.
+	tileSlab []Tile
+	linkSlab []Link
 }
 
 // NewMesh creates a w×h mesh of routers with bidirectional links of the
@@ -233,41 +238,46 @@ func (p *Platform) ResetReservations() {
 }
 
 // Clone returns a copy of the platform including reservation state, private
-// to whoever holds it. Search procedures clone platforms to evaluate
-// alternatives without disturbing committed state. The immutable
-// description — topology, lookup tables, partition geometry, TileInfo and
-// LinkInfo — is shared; the reservation state is copied into one slab of
-// tiles and one of links, so a copy is five allocations whatever the mesh
-// size. When p is shared between goroutines the caller holds whatever
-// serializes its writes.
+// to whoever holds it: CopyInto a new platform, five allocations whatever
+// the mesh size. When p is shared between goroutines the caller holds
+// whatever serializes its writes.
 func (p *Platform) Clone() *Platform {
-	q := &Platform{
-		Name:       p.Name,
-		Width:      p.Width,
-		Height:     p.Height,
-		NoCClockHz: p.NoCClockHz,
-		Routers:    p.Routers,
-		out:        p.out,
-		in:         p.in,
-		byName:     p.byName,
-		atRtr:      p.atRtr,
-		ofType:     p.ofType,
-		grid:       p.grid,
+	q := &Platform{}
+	p.CopyInto(q)
+	return q
+}
+
+// CopyInto overwrites dst with a copy of p including reservation state,
+// as Clone does, but into dst's storage: the immutable description —
+// topology, lookup tables, partition geometry, TileInfo and LinkInfo — is
+// shared, and the reservation state lands in dst's tile and link slabs
+// whenever they are large enough, whatever platform they last held, so
+// copying into a recycled platform allocates nothing. dst must not be p,
+// and nothing may still hold a *Tile or *Link of dst's previous contents.
+func (p *Platform) CopyInto(dst *Platform) {
+	dst.Name, dst.Width, dst.Height, dst.NoCClockHz = p.Name, p.Width, p.Height, p.NoCClockHz
+	dst.Routers, dst.out, dst.in, dst.grid = p.Routers, p.out, p.in, p.grid
+	dst.byName, dst.atRtr, dst.ofType = p.byName, p.atRtr, p.ofType
+	dst.version.Store(p.version.Load())
+	tiles, tptrs := dst.tileSlab, dst.Tiles
+	if n := len(p.Tiles); cap(tiles) < n || cap(tptrs) < n {
+		tiles, tptrs = make([]Tile, n), make([]*Tile, n)
 	}
-	q.version.Store(p.version.Load())
-	tiles := make([]Tile, len(p.Tiles))
-	q.Tiles = make([]*Tile, len(p.Tiles))
+	tiles, tptrs = tiles[:len(p.Tiles)], tptrs[:len(p.Tiles)]
 	for i, t := range p.Tiles {
 		tiles[i] = *t
-		q.Tiles[i] = &tiles[i]
+		tptrs[i] = &tiles[i]
 	}
-	links := make([]Link, len(p.Links))
-	q.Links = make([]*Link, len(p.Links))
+	links, lptrs := dst.linkSlab, dst.Links
+	if n := len(p.Links); cap(links) < n || cap(lptrs) < n {
+		links, lptrs = make([]Link, n), make([]*Link, n)
+	}
+	links, lptrs = links[:len(p.Links)], lptrs[:len(p.Links)]
 	for i, l := range p.Links {
 		links[i] = *l
-		q.Links[i] = &links[i]
+		lptrs[i] = &links[i]
 	}
-	return q
+	dst.tileSlab, dst.Tiles, dst.linkSlab, dst.Links = tiles, tptrs, links, lptrs
 }
 
 // CloneCoW is Clone under the name the frozen benchmark calls

@@ -17,7 +17,9 @@ package arch
 
 // Snapshot is a point-in-time view of a platform's full reservation state.
 type Snapshot struct {
-	// Plat is a private copy (Platform.Clone) the holder may freely mutate.
+	// Plat is a private copy the holder may freely mutate: a Clone from
+	// Platform.Snapshot, or a recycled platform refilled by CopyInto, as
+	// the manager's admissions do with a pooled Snapshot every round.
 	Plat *Platform
 	// Version is the platform's reservation version at the time the
 	// snapshot was taken.

@@ -275,7 +275,7 @@ func DesignTime(worstLib, actualLib *model.Library, cfg core.Config, worstCase, 
 		placement = append(placement, core.PlacedProcess{
 			Process: p.Name,
 			Impl:    actualIm,
-			Tile:    worst.Platform.Tile(worst.Mapping.Tile[p.ID]).Name,
+			Tile:    designPlat.Tile(worst.Mapping.Tile[p.ID]).Name,
 		})
 	}
 	return core.FinishAssignment(actualLib, cfg, actual, runPlat, placement)

@@ -16,7 +16,7 @@ func TestBinPackHiperlan2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Mapping.Adequate(res.Platform) {
+	if !res.Mapping.Adequate(plat) {
 		t.Error("bin-pack mapping not adequate")
 	}
 	// Heterogeneity-blind packing must not beat the informed heuristic.
@@ -40,7 +40,7 @@ func TestRandomHiperlan2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Mapping.Adequate(res.Platform) {
+	if !res.Mapping.Adequate(plat) {
 		t.Error("random mapping not adequate")
 	}
 	// Determinism under a fixed seed.
@@ -103,7 +103,7 @@ func TestBinPackClusterRespectsMontiumOccupancy(t *testing.T) {
 	}
 	perTile := make(map[string]int)
 	for _, p := range app.MappableProcesses() {
-		tile := res.Platform.Tile(res.Mapping.Tile[p.ID])
+		tile := plat.Tile(res.Mapping.Tile[p.ID])
 		perTile[tile.Name]++
 		if tile.MaxOccupants > 0 && perTile[tile.Name] > tile.MaxOccupants {
 			t.Errorf("tile %s over-occupied", tile.Name)

@@ -6,6 +6,7 @@ import (
 	"rtsm/internal/arch"
 	"rtsm/internal/csdf"
 	"rtsm/internal/model"
+	"rtsm/internal/workload"
 )
 
 // lineFixture builds src → a → sink on a 3×1 mesh where DSP tiles can be
@@ -66,11 +67,11 @@ func TestStep2MoveToFreeTileAccepted(t *testing.T) {
 	// a ends at the source router (the accepted move); b cannot join it
 	// (utilisation 0.6 each forbids co-location) and settles adjacent.
 	a := app.ProcessByName("a")
-	if pos := res.Platform.Pos(res.Mapping.Tile[a.ID]); pos != arch.Pt(0, 0) {
+	if pos := plat.Pos(res.Mapping.Tile[a.ID]); pos != arch.Pt(0, 0) {
 		t.Errorf("a ended at %v, want the source router", pos)
 	}
 	b := app.ProcessByName("b")
-	if pos := res.Platform.Pos(res.Mapping.Tile[b.ID]); pos != arch.Pt(1, 0) {
+	if pos := plat.Pos(res.Mapping.Tile[b.ID]); pos != arch.Pt(1, 0) {
 		t.Errorf("b ended at %v, want adjacent to the chain", pos)
 	}
 }
@@ -235,7 +236,7 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestAdherentDetectsOvercommit(t *testing.T) {
 	res := mapHiperlan2(t, Config{})
-	work := res.Platform
+	work := applied(t, workload.Hiperlan2Platform(), res)
 	if !res.Mapping.Adherent(work) {
 		t.Fatal("baseline not adherent")
 	}

@@ -32,7 +32,9 @@ func FinishAssignment(lib *model.Library, cfg Config, app *model.Application, pl
 		return nil, err
 	}
 	m := &Mapper{Lib: lib, Cfg: cfg}
-	work := plat.Clone()
+	work := workPool.Get().(*arch.Platform)
+	defer workPool.Put(work)
+	plat.CopyInto(work)
 	trace := &Trace{}
 	mp := &Mapping{
 		App:     app,

@@ -41,7 +41,7 @@ func TestHiperlan2ModesGolden(t *testing.T) {
 			if im := res.Mapping.Impl[p.ID]; im != nil {
 				impl = im.String()
 			}
-			fmt.Fprintf(&got, "  tile   %-10s %-9s %s\n", p.Name, res.Platform.Tile(tid).Name, impl)
+			fmt.Fprintf(&got, "  tile   %-10s %-9s %s\n", p.Name, plat.Tile(tid).Name, impl)
 		}
 		for _, c := range app.StreamChannels() {
 			path := res.Mapping.Route[c.ID]

@@ -85,13 +85,14 @@ func TestHiperlan2Step2ReproducesTable2(t *testing.T) {
 	}
 	// Final assignment per Table 2's last kept row.
 	app := res.Mapping.App
+	plat := workload.Hiperlan2Platform()
 	want := map[string]string{
 		"Frq.off.": "ARM1", "Pfx.rem.": "ARM2",
 		"Rem.": "MONTIUM1", "Inv.OFDM": "MONTIUM2",
 	}
 	for name, tile := range want {
 		p := app.ProcessByName(name)
-		got := res.Platform.Tile(res.Mapping.Tile[p.ID]).Name
+		got := plat.Tile(res.Mapping.Tile[p.ID]).Name
 		if got != tile {
 			t.Errorf("%s mapped to %s, want %s", name, got, tile)
 		}
@@ -106,10 +107,11 @@ func TestHiperlan2Feasible(t *testing.T) {
 	if res.Analysis.Period > float64(workload.Hiperlan2SymbolPeriodNs) {
 		t.Errorf("period %.0f ns exceeds the 4 µs symbol period", res.Analysis.Period)
 	}
-	if !res.Mapping.Adequate(res.Platform) {
+	plat := workload.Hiperlan2Platform()
+	if !res.Mapping.Adequate(plat) {
 		t.Error("mapping not adequate")
 	}
-	if !res.Mapping.Adherent(res.Platform) {
+	if !res.Mapping.Adherent(applied(t, plat, res)) {
 		t.Error("mapping not adherent")
 	}
 	// Processing energy is the sum of the chosen Table 1 rows:
@@ -130,7 +132,7 @@ func TestHiperlan2BuffersComputedAndCharged(t *testing.T) {
 	}
 	// Buffers land in the consuming tiles' memory reservations.
 	pfx := app.ProcessByName("Pfx.rem.")
-	tile := res.Platform.Tile(res.Mapping.Tile[pfx.ID])
+	tile := applied(t, workload.Hiperlan2Platform(), res).Tile(res.Mapping.Tile[pfx.ID])
 	im := res.Mapping.Impl[pfx.ID]
 	if tile.ReservedMem <= im.MemBytes {
 		t.Errorf("tile %q reserved %d B, want implementation (%d B) plus stream buffer",
@@ -245,26 +247,4 @@ func TestHiperlan2RenderTable2(t *testing.T) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}
 	}
-}
-
-// TestHiperlan2MapAllocationBudget keeps a cold Map of the case study
-// cheap in objects: it was 17 114 while step 4 allocated per firing, 398
-// while each working clone copied the mesh struct by struct, 368 while
-// step 3 searched on a boxed heap and step 2 built two maps per candidate,
-// and is 282 now, 296 to 305 under -race, where sync.Pool drops engines
-// and search scratch. The budget is 282 plus 10 %.
-func TestHiperlan2MapAllocationBudget(t *testing.T) {
-	mode := workload.Hiperlan2Modes[3]
-	app := workload.Hiperlan2(mode)
-	plat := workload.Hiperlan2Platform()
-	m := NewMapper(workload.Hiperlan2Library(mode))
-	allocs := testing.AllocsPerRun(20, func() {
-		if res, err := m.Map(app, plat); err != nil || !res.Feasible {
-			t.Fatalf("Map: %v", err)
-		}
-	})
-	if allocs > 310 {
-		t.Errorf("Map allocates %v objects, want at most 310", allocs)
-	}
-	t.Logf("Map: %v objects", allocs)
 }

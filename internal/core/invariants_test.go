@@ -26,7 +26,7 @@ func TestMappingInvariants(t *testing.T) {
 			name := app.Name
 
 			// 1. Adequacy: implementation type matches tile type.
-			if !res.Mapping.Adequate(res.Platform) {
+			if !res.Mapping.Adequate(plat) {
 				t.Errorf("%s: mapping not adequate", name)
 			}
 			// 2. Completeness when feasible: every mappable process has
@@ -49,8 +49,8 @@ func TestMappingInvariants(t *testing.T) {
 						t.Errorf("%s: channel %s has no buffer", name, c.Name)
 					}
 				}
-				// 3. Adherence on the working platform.
-				if !res.Mapping.Adherent(res.Platform) {
+				// 3. Adherence once committed to the caller's platform.
+				if !res.Mapping.Adherent(applied(t, plat, res)) {
 					t.Errorf("%s: mapping not adherent", name)
 				}
 				// 4. The verified period honours the QoS constraint.
@@ -61,14 +61,14 @@ func TestMappingInvariants(t *testing.T) {
 			// 5. Routes are contiguous and respect the mesh.
 			for cid, path := range res.Mapping.Route {
 				for i, lid := range path.Links {
-					l := res.Platform.Link(lid)
+					l := plat.Link(lid)
 					if l.From != path.Routers[i] || l.To != path.Routers[i+1] {
 						t.Errorf("%s: channel %d has a discontiguous route", name, cid)
 					}
 				}
 				c := app.Channel(cid)
 				if st, ok := res.Mapping.Tile[c.Src]; ok && path.Hops() > 0 {
-					if res.Platform.Tile(st).Router != path.Routers[0] {
+					if plat.Tile(st).Router != path.Routers[0] {
 						t.Errorf("%s: channel %d route does not start at the source tile", name, cid)
 					}
 				}
@@ -92,7 +92,7 @@ func TestMappingInvariants(t *testing.T) {
 				}
 			}
 			for tid, n := range occ {
-				tile := res.Platform.Tile(tid)
+				tile := plat.Tile(tid)
 				if tile.MaxOccupants > 0 && n > tile.MaxOccupants {
 					t.Errorf("%s: tile %s holds %d processes (max %d)", name, tile.Name, n, tile.MaxOccupants)
 				}
@@ -104,25 +104,36 @@ func TestMappingInvariants(t *testing.T) {
 	}
 }
 
+// applied returns a copy of plat with res committed to it.
+func applied(t *testing.T, plat *arch.Platform, res *Result) *arch.Platform {
+	t.Helper()
+	work := plat.Clone()
+	if err := Apply(work, res); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	return work
+}
+
 // TestApplyMatchesWorkingPlatform verifies that committing a mapping to a
 // fresh platform reproduces exactly the reservations the mapper computed
 // on its working copy — the property multi-application admission depends
-// on.
+// on. The working copy is pooled and never handed out, so the test runs
+// one attempt on a platform of its own.
 func TestApplyMatchesWorkingPlatform(t *testing.T) {
+	checked := 0
 	for seed := int64(0); seed < 6; seed++ {
 		app, lib := workload.Synthetic(workload.SynthOptions{
 			Shape: workload.ShapeLayered, Processes: 8, Seed: seed})
 		plat := workload.SyntheticPlatform(4, 4, seed)
-		res, err := NewMapper(lib).Map(app, plat)
+		work := new(arch.Platform)
+		res, _, err := NewMapper(lib).attempt(app, plat, work, newTabu(), nil)
 		if err != nil || !res.Feasible {
 			continue
 		}
-		fresh := plat.Clone()
-		if err := Apply(fresh, res); err != nil {
-			t.Fatalf("seed %d: Apply: %v", seed, err)
-		}
+		checked++
+		fresh := applied(t, plat, res)
 		for i, tile := range fresh.Tiles {
-			want := res.Platform.Tiles[i]
+			want := work.Tiles[i]
 			if tile.ReservedMem != want.ReservedMem {
 				t.Errorf("seed %d: tile %s mem %d != working %d", seed, tile.Name, tile.ReservedMem, want.ReservedMem)
 			}
@@ -134,10 +145,13 @@ func TestApplyMatchesWorkingPlatform(t *testing.T) {
 			}
 		}
 		for i, l := range fresh.Links {
-			if l.ReservedBps != res.Platform.Links[i].ReservedBps {
-				t.Errorf("seed %d: link %d bps %d != working %d", seed, l.ID, l.ReservedBps, res.Platform.Links[i].ReservedBps)
+			if l.ReservedBps != work.Links[i].ReservedBps {
+				t.Errorf("seed %d: link %d bps %d != working %d", seed, l.ID, l.ReservedBps, work.Links[i].ReservedBps)
 			}
 		}
+	}
+	if checked == 0 {
+		t.Fatal("no seed produced a feasible first attempt; sweep too weak")
 	}
 }
 

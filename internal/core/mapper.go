@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"rtsm/internal/arch"
 	"rtsm/internal/csdf"
@@ -198,10 +199,6 @@ type Result struct {
 	Trace *Trace
 	// Refinements counts completed feedback iterations.
 	Refinements int
-	// Platform is the mapper's working copy of the platform with this
-	// mapping's reservations applied. The caller's platform is never
-	// mutated by Map; use Apply to commit the mapping to it.
-	Platform *arch.Platform
 	// Repaired marks a result produced by Repair rather than a full
 	// four-step map; Pinned counts the process placements it preserved
 	// from the stale mapping (zero for full maps).
@@ -212,8 +209,17 @@ type Result struct {
 // Map runs the four-step algorithm with iterative refinement and returns
 // the best feasible mapping found, or, if none is feasible within the
 // refinement budget, the last attempt with Feasible=false. The caller's
-// platform is not mutated; existing reservations on it are honoured.
+// platform is not mutated; existing reservations on it are honoured, and
+// Apply commits the result to it.
 func (m *Mapper) Map(app *model.Application, plat *arch.Platform) (*Result, error) {
+	work := workPool.Get().(*arch.Platform)
+	defer workPool.Put(work)
+	return m.mapOn(app, plat, work)
+}
+
+// mapOn is Map with the working platform every attempt overwrites
+// supplied by the caller.
+func (m *Mapper) mapOn(app *model.Application, plat, work *arch.Platform) (*Result, error) {
 	if err := app.Validate(); err != nil {
 		return nil, err
 	}
@@ -224,7 +230,7 @@ func (m *Mapper) Map(app *model.Application, plat *arch.Platform) (*Result, erro
 	var best, last *Result
 	refinements := 0
 	for round := 0; round <= m.Cfg.maxRefinements(); round++ {
-		res, fb, err := m.attempt(app, plat, tabu, nil)
+		res, fb, err := m.attempt(app, plat, work, tabu, nil)
 		if err != nil {
 			if best != nil {
 				break
@@ -282,13 +288,19 @@ func (m *Mapper) checkAdequacyPossible(app *model.Application, plat *arch.Platfo
 	return nil
 }
 
-// attempt runs steps 1–4 once on a private clone of the platform. A
-// non-nil seed pre-installs salvaged decisions from a stale mapping: its
-// placements are reserved up front and locked against steps 1 and 2, its
-// routes are reserved and skipped by step 3, so only what the seed leaves
-// open is re-decided (the incremental repair path).
-func (m *Mapper) attempt(app *model.Application, plat *arch.Platform, tabu *tabu, seed *seedMapping) (*Result, *feedback, error) {
-	work := plat.Clone()
+// workPool recycles the working platforms attempts reserve on. A working
+// copy never outlives the call that took it: a Result holds IDs, shared
+// descriptions and slices of its own, never a *Tile or *Link of the copy.
+var workPool = sync.Pool{New: func() any { return new(arch.Platform) }}
+
+// attempt runs steps 1–4 once on work, overwritten with a copy of the
+// platform first. A non-nil seed pre-installs salvaged decisions from a
+// stale mapping: its placements are reserved up front and locked against
+// steps 1 and 2, its routes are reserved and skipped by step 3, so only
+// what the seed leaves open is re-decided (the incremental repair path).
+// Tests call it directly to read the reservations the mapper made.
+func (m *Mapper) attempt(app *model.Application, plat, work *arch.Platform, tabu *tabu, seed *seedMapping) (*Result, *feedback, error) {
+	plat.CopyInto(work)
 	trace := &Trace{}
 	mapping := &Mapping{
 		App:     app,
@@ -331,7 +343,6 @@ func (m *Mapper) infeasibleResult(app *model.Application, work *arch.Platform, m
 		Feasible: false,
 		Energy:   params.Evaluate(app, work, AssignmentView(mapping)),
 		Trace:    trace,
-		Platform: work,
 	}
 }
 
@@ -382,7 +393,7 @@ func (mp *Mapping) Adequate(plat *arch.Platform) bool {
 
 // Adherent reports whether the mapping is adequate and no tile or link is
 // overcommitted on the given platform (paper §3). It checks the
-// reservation state, so call it on the Result's working platform.
+// reservation state, so call it on a platform the mapping was applied to.
 func (mp *Mapping) Adherent(plat *arch.Platform) bool {
 	if !mp.Adequate(plat) {
 		return false

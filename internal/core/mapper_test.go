@@ -138,7 +138,7 @@ func TestRefinementEscapesBufferTrap(t *testing.T) {
 	onDSP := 0
 	for _, name := range []string{"a", "b"} {
 		p := app.ProcessByName(name)
-		if res.Platform.Tile(res.Mapping.Tile[p.ID]).Name == "DSP0" {
+		if plat.Tile(res.Mapping.Tile[p.ID]).Name == "DSP0" {
 			onDSP++
 		}
 	}
@@ -232,7 +232,7 @@ func TestSyntheticChainsMapFeasibly(t *testing.T) {
 		if !res.Feasible {
 			t.Errorf("seed %d infeasible: %v", seed, res.Trace.Notes)
 		}
-		if !res.Mapping.Adherent(res.Platform) {
+		if !res.Mapping.Adherent(applied(t, plat, res)) {
 			t.Errorf("seed %d not adherent", seed)
 		}
 	}
@@ -291,16 +291,17 @@ func TestMultiApplicationAdmission(t *testing.T) {
 func TestFinishAssignmentMatchesMapperOnSamePlacement(t *testing.T) {
 	res := mapHiperlan2(t, Config{})
 	app := res.Mapping.App
+	plat := workload.Hiperlan2Platform()
 	var placement []PlacedProcess
 	for _, p := range app.MappableProcesses() {
 		placement = append(placement, PlacedProcess{
 			Process: p.Name,
 			Impl:    res.Mapping.Impl[p.ID],
-			Tile:    res.Platform.Tile(res.Mapping.Tile[p.ID]).Name,
+			Tile:    plat.Tile(res.Mapping.Tile[p.ID]).Name,
 		})
 	}
 	lib := workload.Hiperlan2Library(workload.Hiperlan2Modes[3])
-	fin, err := FinishAssignment(lib, Config{}, app, workload.Hiperlan2Platform(), placement)
+	fin, err := FinishAssignment(lib, Config{}, app, plat, placement)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,10 +29,10 @@ func biasApp() (*model.Application, *model.Library) {
 }
 
 // tileSpan returns the set of regions the mapping's tiles occupy.
-func tileSpan(res *Result) map[arch.RegionID]struct{} {
+func tileSpan(plat *arch.Platform, res *Result) map[arch.RegionID]struct{} {
 	span := make(map[arch.RegionID]struct{})
 	for _, tid := range res.Mapping.Tile {
-		span[res.Platform.RegionOfTile(tid)] = struct{}{}
+		span[plat.RegionOfTile(tid)] = struct{}{}
 	}
 	return span
 }
@@ -65,27 +65,29 @@ func TestRegionBiasNarrowsFootprint(t *testing.T) {
 
 	unbiased := NewMapper(lib)
 	unbiased.Cfg = Config{NoStep2: true}
-	res, err := unbiased.Map(app, build())
+	plat := build()
+	res, err := unbiased.Map(app, plat)
 	if err != nil || !res.Feasible {
 		t.Fatalf("unbiased map failed: %v", err)
 	}
-	if got := res.Platform.Tile(res.Mapping.Tile[aID]).Name; got != "ARM_far" {
+	if got := plat.Tile(res.Mapping.Tile[aID]).Name; got != "ARM_far" {
 		t.Fatalf("unbiased first-fit placed a on %s, want ARM_far (declaration order)", got)
 	}
-	if span := tileSpan(res); len(span) != 2 {
+	if span := tileSpan(plat, res); len(span) != 2 {
 		t.Fatalf("unbiased footprint spans %d regions, want 2", len(span))
 	}
 
 	biased := NewMapper(lib)
 	biased.Cfg = Config{NoStep2: true, RegionBias: 1}
-	res, err = biased.Map(app, build())
+	plat = build()
+	res, err = biased.Map(app, plat)
 	if err != nil || !res.Feasible {
 		t.Fatalf("biased map failed: %v", err)
 	}
-	if got := res.Platform.Tile(res.Mapping.Tile[aID]).Name; got != "ARM_near" {
+	if got := plat.Tile(res.Mapping.Tile[aID]).Name; got != "ARM_near" {
 		t.Fatalf("biased first-fit placed a on %s, want ARM_near (in-region)", got)
 	}
-	if span := tileSpan(res); len(span) != 1 {
+	if span := tileSpan(plat, res); len(span) != 1 {
 		t.Fatalf("biased footprint spans %d regions, want 1", len(span))
 	}
 }
@@ -116,24 +118,26 @@ func TestRegionBiasBlocksCrossRegionMove(t *testing.T) {
 	aID := app.ProcessByName("a").ID
 
 	unbiased := NewMapper(lib)
-	res, err := unbiased.Map(app, build())
+	plat := build()
+	res, err := unbiased.Map(app, plat)
 	if err != nil || !res.Feasible {
 		t.Fatalf("unbiased map failed: %v", err)
 	}
-	if got := res.Platform.Tile(res.Mapping.Tile[aID]).Name; got != "ARM_out" {
+	if got := plat.Tile(res.Mapping.Tile[aID]).Name; got != "ARM_out" {
 		t.Fatalf("unbiased step 2 left a on %s, want the hop-cheaper ARM_out", got)
 	}
 
 	biased := NewMapper(lib)
 	biased.Cfg = Config{RegionBias: 1e6}
-	res, err = biased.Map(app, build())
+	plat = build()
+	res, err = biased.Map(app, plat)
 	if err != nil || !res.Feasible {
 		t.Fatalf("biased map failed: %v", err)
 	}
-	if got := res.Platform.Tile(res.Mapping.Tile[aID]).Name; got != "ARM_in" {
+	if got := plat.Tile(res.Mapping.Tile[aID]).Name; got != "ARM_in" {
 		t.Fatalf("biased step 2 moved a to %s, want it held on ARM_in", got)
 	}
-	if span := tileSpan(res); len(span) != 1 {
+	if span := tileSpan(plat, res); len(span) != 1 {
 		t.Fatalf("biased footprint spans %d regions, want 1", len(span))
 	}
 }
@@ -160,11 +164,12 @@ func TestRegionBiasZeroIsPaperBehaviour(t *testing.T) {
 	app, lib := biasApp()
 	aID := app.ProcessByName("a").ID
 	for _, partition := range []bool{false, true} {
-		res, err := NewMapper(lib).Map(app, build(partition))
+		plat := build(partition)
+		res, err := NewMapper(lib).Map(app, plat)
 		if err != nil || !res.Feasible {
 			t.Fatalf("map failed (partition=%v): %v", partition, err)
 		}
-		want := res.Platform.Tile(res.Mapping.Tile[aID]).Name
+		want := plat.Tile(res.Mapping.Tile[aID]).Name
 		if partition && want == "" {
 			t.Fatal("unreachable")
 		}
@@ -172,11 +177,12 @@ func TestRegionBiasZeroIsPaperBehaviour(t *testing.T) {
 			continue
 		}
 		// Partitioned, bias zero: same tile as the unpartitioned run.
-		base, err := NewMapper(lib).Map(app, build(false))
+		basePlat := build(false)
+		base, err := NewMapper(lib).Map(app, basePlat)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := base.Platform.Tile(base.Mapping.Tile[aID]).Name; got != want {
+		if got := basePlat.Tile(base.Mapping.Tile[aID]).Name; got != want {
 			t.Fatalf("bias-off placement differs with partitioning: %s vs %s", want, got)
 		}
 	}

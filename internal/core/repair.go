@@ -306,12 +306,14 @@ func (m *Mapper) Repair(res *Result, snap *arch.Snapshot) (*Result, error) {
 		return nil, fmt.Errorf("core: mapping of %q conflicts everywhere, nothing to salvage", app.Name)
 	}
 
+	work := workPool.Get().(*arch.Platform)
+	defer workPool.Put(work)
 	tabu := newTabu()
 	var best, last *Result
 	refinements := 0
 	for round := 0; round <= m.Cfg.maxRepairRounds(); round++ {
 		pinned := len(seed.impl)
-		attempt, fb, err := m.attempt(app, snap.Plat, tabu, seed)
+		attempt, fb, err := m.attempt(app, snap.Plat, work, tabu, seed)
 		if err != nil {
 			if best != nil {
 				break

@@ -240,7 +240,6 @@ func (m *Mapper) step4(app *model.Application, work *arch.Platform, mp *Mapping,
 		Mapped:   mg,
 		Analysis: buf.Exec,
 		Trace:    tr,
-		Platform: work,
 	}
 	params := m.Cfg.energyParams()
 	res.Energy = params.Evaluate(app, work, AssignmentView(mp))

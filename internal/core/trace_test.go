@@ -159,13 +159,14 @@ func TestAdequateDetectsMismatch(t *testing.T) {
 	pfx := app.ProcessByName("Pfx.rem.")
 	// Corrupt the mapping: claim the ARM implementation runs on a
 	// Montium tile.
-	mont := res.Platform.TileByName("MONTIUM1")
+	plat := workload.Hiperlan2Platform()
+	mont := plat.TileByName("MONTIUM1")
 	broken := &Mapping{
 		App:  app,
 		Impl: map[model.ProcessID]*model.Implementation{pfx.ID: res.Mapping.Impl[pfx.ID]},
 		Tile: map[model.ProcessID]arch.TileID{pfx.ID: mont.ID},
 	}
-	if broken.Adequate(res.Platform) {
+	if broken.Adequate(plat) {
 		t.Error("inadequate mapping reported adequate")
 	}
 }

@@ -265,8 +265,15 @@ func RuntimeVsDesignTime() ([]ModeRow, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	wBps, wBuf := reservedResources(worstRes)
-	aBps, aBuf := reservedResources(actualRes)
+	// MapHiperlan2 maps onto a fresh Figure-2 platform: nothing reserved.
+	wBps, wBuf, err := reservedResources(workload.Hiperlan2Platform(), worstRes)
+	if err != nil {
+		return nil, "", err
+	}
+	aBps, aBuf, err := reservedResources(workload.Hiperlan2Platform(), actualRes)
+	if err != nil {
+		return nil, "", err
+	}
 	b.WriteString("\n(c) resources held reserved, worst-case configuration vs actual mode\n")
 	fmt.Fprintf(&b, "    NoC lane bandwidth: %d MB/s (QAM64 sizing) vs %d MB/s (BPSK1/2 actual)\n",
 		wBps/1_000_000, aBps/1_000_000)
@@ -286,17 +293,26 @@ func hiperlan2PlatformWithSpareMontium() *arch.Platform {
 	return p
 }
 
-// reservedResources sums the link bandwidth and stream buffer memory a
-// mapping holds reserved on its working platform.
-func reservedResources(res *core.Result) (bps int64, bufBytes int64) {
-	for _, l := range res.Platform.Links {
+// reservedResources sums the link bandwidth reserved on plat once res is
+// committed to it — what plat held already plus the plan's link deltas —
+// and the stream buffer memory the mapping holds.
+func reservedResources(plat *arch.Platform, res *core.Result) (bps int64, bufBytes int64, err error) {
+	plan, err := core.NewPlan(plat, res)
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, l := range plat.Links {
 		bps += l.ReservedBps
+	}
+	_, links := plan.Deltas()
+	for _, l := range links {
+		bps += l.Bps
 	}
 	app := res.Mapping.App
 	for _, c := range app.StreamChannels() {
 		bufBytes += res.Mapping.Buffers[c.ID] * c.TokenBytes
 	}
-	return bps, bufBytes
+	return bps, bufBytes, nil
 }
 
 // QualityRow is one instance of the E8 heuristic-vs-optimal comparison.
@@ -552,12 +568,12 @@ func ValidateAll() (string, error) {
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Instance\tMapper\tSimulator period [ns]\tAgree")
 	agree, total := 0, 0
-	check := func(label string, app *model.Application, res *core.Result) error {
+	check := func(label string, app *model.Application, plat *arch.Platform, res *core.Result) error {
 		if !res.Feasible {
 			fmt.Fprintf(w, "%s\tinfeasible\t-\t-\n", label)
 			return nil
 		}
-		rep, err := sim.Validate(app, res)
+		rep, err := sim.Validate(app, plat, res)
 		if err != nil {
 			return err
 		}
@@ -574,7 +590,7 @@ func ValidateAll() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		if err := check("hiperlan2-"+mode.Name, workload.Hiperlan2(mode), res); err != nil {
+		if err := check("hiperlan2-"+mode.Name, workload.Hiperlan2(mode), workload.Hiperlan2Platform(), res); err != nil {
 			return "", err
 		}
 	}
@@ -586,7 +602,7 @@ func ValidateAll() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		if err := check(app.Name, app, res); err != nil {
+		if err := check(app.Name, app, plat, res); err != nil {
 			return "", err
 		}
 	}

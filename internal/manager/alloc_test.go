@@ -5,10 +5,12 @@ package manager
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 
 	"rtsm/internal/core"
 	"rtsm/internal/journal"
+	"rtsm/internal/model"
 	"rtsm/internal/workload"
 )
 
@@ -17,8 +19,9 @@ import (
 // door-warm runs inside the manager — from gaining heap objects. Every
 // commit and release goes through transact, so a closure or an escaping
 // plan list added there would be paid on every admission. The budget is
-// the measured count (41) plus 10 %; the race detector changes allocation
-// counts, so the file is built without it.
+// the measured count (19; 41 while the fingerprint allocated per port map)
+// plus 10 %; the race detector changes allocation counts, so the file is
+// built without it.
 func TestTemplateHitAllocationBudget(t *testing.T) {
 	m := New(workload.SyntheticPlatform(6, 6, 1), core.Config{})
 	m.SetMappingReuse(true)
@@ -43,11 +46,100 @@ func TestTemplateHitAllocationBudget(t *testing.T) {
 	if hits := m.Stats().TemplateHits - before; hits != runs+1 {
 		t.Fatalf("%d of %d admissions were template hits; fixture broken", hits, runs+1)
 	}
-	const budget = 45
+	const budget = 21
 	if allocs > budget {
 		t.Errorf("template-hit Admit + Stop allocates %v objects, want at most %d", allocs, budget)
 	}
 	t.Logf("template-hit Admit + Stop: %v objects", allocs)
+}
+
+// TestStaleTemplateByteBudget keeps a stale-template admission — the
+// commonest door-churn operation — from copying the mesh: Admit finds the
+// one pooled template held by a resident of the same structure, snapshots,
+// repairs and commits, then Stop releases. The pool is reset to that one
+// template before every cycle, so each is the same stale round. It read
+// 83.6 KB while the snapshot and every repair attempt cloned the platform
+// — two 12×12 mesh copies, ≈ 59 KB — and the fingerprint grew a 5 KB
+// buffer. The budget is the measured bytes per cycle plus 10 %.
+func TestStaleTemplateByteBudget(t *testing.T) {
+	m := New(workload.SyntheticRegionPlatform(12, 12, 123, 3), core.Config{})
+	m.SetMappingReuse(true)
+	arrival := func(name string) (*model.Application, *model.Library) {
+		app, lib := workload.Synthetic(workload.SynthOptions{
+			Shape: workload.ShapeChain, Processes: 4, Seed: 1, MaxUtil: 0.12, PeriodNs: 40_000,
+			SrcTile: "SRC0", SinkTile: "SINK0"})
+		app.Name = name
+		return app, lib
+	}
+	resident, lib := arrival("resident")
+	if out := m.Admit(resident, lib); !out.Admitted {
+		t.Fatalf("resident: %v", out.Err)
+	}
+	fp, err := Fingerprint(resident, lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := m.templates.m[fp]
+	app, lib := arrival("arrival")
+	cycle := func() {
+		m.templates.m[fp] = stale // the resident holds the only template
+		if out := m.Admit(app, lib); !out.Admitted || !out.Repaired {
+			t.Fatalf("admit: admitted=%v repaired=%v err=%v", out.Admitted, out.Repaired, out.Err)
+		}
+		if err := m.Stop(app.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		cycle() // fill the pools
+	}
+	before := m.Stats()
+	const cycles = 50
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	start := ms.TotalAlloc
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&ms)
+	perCycle := (ms.TotalAlloc - start) / cycles
+	if s := m.Stats(); s.StaleTemplates-before.StaleTemplates != cycles || s.RepairedTemplates-before.RepairedTemplates != cycles {
+		t.Fatalf("%d stale, %d repaired of %d cycles; fixture broken",
+			s.StaleTemplates-before.StaleTemplates, s.RepairedTemplates-before.RepairedTemplates, cycles)
+	}
+	const budget = 20_900 // measured 19 016
+	if perCycle > budget {
+		t.Errorf("stale-template Admit + Stop allocates %d bytes, want at most %d", perCycle, budget)
+	}
+	t.Logf("stale-template Admit + Stop: %d bytes", perCycle)
+}
+
+// TestFingerprintDigestAndAllocations pins the fingerprint of one
+// door-churn catalogue arrival (index 1: a four-process chain on region
+// 1's endpoints) to the digest the byte encoding has always produced, and
+// keeps the call at a handful of objects: the hex string alone while the
+// encoding fits the stack buffer. It was 14 to 28 while every port map
+// sorted a fresh key slice and the buffer grew on the heap from 1 KiB.
+func TestFingerprintDigestAndAllocations(t *testing.T) {
+	app, lib := workload.Synthetic(workload.SynthOptions{
+		Shape: workload.ShapeChain, Processes: 4, Seed: 1, MaxUtil: 0.12, PeriodNs: 40_000,
+		SrcTile: "SRC1", SinkTile: "SINK1"})
+	fp, err := Fingerprint(app, lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "a1af7606c1f8872f54b6460a9ac3b5223075a1468e2b3ee6c79778c7922bd482"; fp != want {
+		t.Errorf("Fingerprint = %s, want %s", fp, want)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Fingerprint(app, lib); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("Fingerprint allocates %v objects, want at most 3", allocs)
+	}
+	t.Logf("Fingerprint: %v objects", allocs)
 }
 
 // TestReplayAllocationBudget keeps replay from growing back a plan per

@@ -64,18 +64,6 @@ type Admission struct {
 	plan *core.Plan
 }
 
-// forResident drops the mapper's working platform — the attempt's private
-// clone of the mesh, which nothing reads once the plan has committed —
-// from a result about to be recorded on a resident, so that running does
-// not pin it. Only a result fresh out of this admission's own Map, Repair
-// or Relocate still has one: the write never touches a pooled template.
-func forResident(res *core.Result) *core.Result {
-	if res.Platform != nil {
-		res.Platform = nil
-	}
-	return res
-}
-
 // Library returns the implementation library the application was admitted
 // with.
 func (a *Admission) Library() *model.Library { return a.lib }
@@ -445,14 +433,23 @@ func (m *Manager) Snapshot() *arch.Snapshot {
 	return m.plat.Snapshot()
 }
 
-// snapshot is Snapshot counted in Stats.Snapshots: what an admission maps
-// its first round and every retry round against.
-func (m *Manager) snapshot() *arch.Snapshot {
-	s := m.Snapshot()
+// snapPool recycles the platform copies admissions map against: admit
+// takes one, refills it for every round and puts it back when it returns.
+// Nothing an admission keeps points into it — its Result and plan hold
+// IDs and slices of their own.
+var snapPool = sync.Pool{New: func() any { return &arch.Snapshot{Plat: new(arch.Platform)} }}
+
+// snapshot overwrites s with a copy of the live platform taken under the
+// platform lock, as Snapshot does, counted in Stats.Snapshots: what an
+// admission maps its first round and every retry round against.
+func (m *Manager) snapshot(s *arch.Snapshot) {
+	m.platMu.Lock()
+	m.plat.CopyInto(s.Plat)
+	s.Version = m.plat.Version()
+	m.platMu.Unlock()
 	m.mu.Lock()
 	m.stats.Snapshots++
 	m.mu.Unlock()
-	return s
 }
 
 // Residual returns the platform's current free-capacity view, read under
@@ -533,7 +530,8 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 	// mapping from scratch; trigger records what made it stale.
 	var repairFrom *core.Result
 	trigger := triggerNone
-	var snap *arch.Snapshot
+	snap := snapPool.Get().(*arch.Snapshot)
+	defer snapPool.Put(snap)
 
 	var fp string
 	// Fast path: structurally identical application admitted before —
@@ -583,7 +581,7 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 				m.mu.Lock()
 				m.stats.StaleTemplates++
 				m.mu.Unlock()
-				snap = m.snapshot()
+				m.snapshot(snap)
 				out.Commit += time.Since(commitStart)
 				trigger = triggerTemplate
 				if repairOn {
@@ -593,8 +591,8 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 		}
 	}
 
-	if snap == nil {
-		snap = m.snapshot()
+	if trigger == triggerNone { // no stale template took one above
+		m.snapshot(snap)
 	}
 
 	// Counters accumulated outside the locks, folded into Stats at the
@@ -660,7 +658,7 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 			// version counter is atomic, so the staleness probe needs no
 			// lock.
 			if m.plat.Version() != snap.Version && out.Attempts <= maxRetries {
-				snap = m.snapshot()
+				m.snapshot(snap)
 				out.Commit += time.Since(commitStart)
 				trigger = triggerNone
 				continue
@@ -697,7 +695,7 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 				out.Commit += time.Since(commitStart)
 				m.mu.Lock()
 				m.seq++
-				ad := &Admission{App: app, Result: forResident(res), Seq: m.seq, Priority: prio, lib: lib, plan: plan}
+				ad := &Admission{App: app, Result: res, Seq: m.seq, Priority: prio, lib: lib, plan: plan}
 				m.running[app.Name] = ad
 				if repaired {
 					out.Repaired = true
@@ -725,7 +723,7 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 				// snapshot and commit: repair the mapping we just
 				// computed against fresh state (or re-map from scratch
 				// when repair is off).
-				snap = m.snapshot()
+				m.snapshot(snap)
 				out.Commit += time.Since(commitStart)
 				trigger = triggerConflict
 				if repairOn {

@@ -192,7 +192,7 @@ func (m *Manager) preemptAdmit(out *Outcome, app *model.Application, lib *model.
 
 	m.mu.Lock()
 	m.seq++
-	ad := &Admission{App: app, Result: forResident(res), Seq: m.seq, Priority: prio, lib: lib, plan: nplan}
+	ad := &Admission{App: app, Result: res, Seq: m.seq, Priority: prio, lib: lib, plan: nplan}
 	m.running[app.Name] = ad
 	m.stats.Preemptions += uint64(len(victims))
 	for _, v := range victims {
@@ -278,7 +278,7 @@ func (m *Manager) relocate(v *Admission) (ok bool, repair, commit time.Duration)
 	// The relocated mapping may use different tiles and energy; re-charge
 	// so the load estimate tracks the new placement.
 	m.loadRelease(v)
-	v.Result, v.plan = forResident(rep), repPlan
+	v.Result, v.plan = rep, repPlan
 	m.loadCharge(v)
 	delete(m.preempting, v.App.Name)
 	m.running[v.App.Name] = v

@@ -9,11 +9,12 @@ import (
 )
 
 // TestResidentDoesNotPinWorkingPlatform: a resident keeps its mapping, its
-// energy and the decision trace, but not the private mesh clone its mapper
-// attempt worked on — whichever path recorded it: a cold map, a repair of
-// a stale template, a fault relocation, or a preemptive admission with the
-// relocation of its victims. Stop, FailTile and preemption work on what is
-// kept.
+// energy, the decision trace and the plan it committed — a core.Result has
+// no platform to pin, the mapper's working copy goes back to its pool —
+// whichever path recorded it: a cold map, a repair of a stale template, a
+// fault relocation, or a preemptive admission with the relocation of its
+// victims. Stop, FailTile and preemption work on what is kept, and the
+// teardown ends pristine.
 func TestResidentDoesNotPinWorkingPlatform(t *testing.T) {
 	plat := workload.SyntheticPlatform(4, 4, 7)
 	pristine := plat.Residual()
@@ -21,8 +22,8 @@ func TestResidentDoesNotPinWorkingPlatform(t *testing.T) {
 	m.SetMappingReuse(true)
 	check := func(how string, ad *Admission) {
 		t.Helper()
-		if ad.Result.Platform != nil {
-			t.Errorf("resident %s (%s) still holds its mapper's working platform", ad.App.Name, how)
+		if ad.Result == nil || ad.Result.Mapping == nil || ad.plan == nil {
+			t.Errorf("resident %s (%s) lost its mapping or its plan", ad.App.Name, how)
 		}
 	}
 

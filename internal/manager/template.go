@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -44,88 +44,88 @@ import (
 // Implementations are visited in process declaration order and library
 // registration order, both part of the mapping's semantics (they encode
 // the paper's tie-breaking); port maps are visited in sorted-key order
-// so equal structures hash equally.
+// so equal structures hash equally. A catalogue structure encodes in
+// about 2 KiB, so the buffer starts on the stack and only a larger spec
+// grows it onto the heap.
 func Fingerprint(app *model.Application, lib *model.Library) (string, error) {
-	e := fpEncoder{buf: make([]byte, 0, 1024)}
-	e.i64(app.QoS.PeriodNs)
-	e.i64(app.QoS.LatencyNs)
-	e.i64(int64(len(app.Processes)))
+	var stack [4 << 10]byte
+	b := stack[:0]
+	b = appendI64(b, app.QoS.PeriodNs)
+	b = appendI64(b, app.QoS.LatencyNs)
+	b = appendI64(b, int64(len(app.Processes)))
 	for _, p := range app.Processes {
-		e.str(p.Name)
-		e.str(p.PinnedTile)
-		e.bool(p.Control)
+		b = appendStr(b, p.Name)
+		b = appendStr(b, p.PinnedTile)
+		b = appendBool(b, p.Control)
 	}
-	e.i64(int64(len(app.Channels)))
+	b = appendI64(b, int64(len(app.Channels)))
 	for _, c := range app.Channels {
-		e.str(c.Name)
-		e.i64(int64(c.Src))
-		e.i64(int64(c.Dst))
-		e.i64(c.TokensPerPeriod)
-		e.i64(c.TokenBytes)
-		e.str(c.SrcPort)
-		e.str(c.DstPort)
+		b = appendStr(b, c.Name)
+		b = appendI64(b, int64(c.Src))
+		b = appendI64(b, int64(c.Dst))
+		b = appendI64(b, c.TokensPerPeriod)
+		b = appendI64(b, c.TokenBytes)
+		b = appendStr(b, c.SrcPort)
+		b = appendStr(b, c.DstPort)
 	}
 	for _, p := range app.Processes {
 		for _, im := range lib.For(p.Name) {
-			e.str(im.Process)
-			e.str(string(im.TileType))
-			e.pattern(im.WCET)
-			e.ports(im.In)
-			e.ports(im.Out)
-			e.f64(im.EnergyPerPeriod)
-			e.i64(im.MemBytes)
+			b = appendStr(b, im.Process)
+			b = appendStr(b, string(im.TileType))
+			b = appendPattern(b, im.WCET)
+			b = appendPorts(b, im.In)
+			b = appendPorts(b, im.Out)
+			b = appendI64(b, int64(math.Float64bits(im.EnergyPerPeriod)))
+			b = appendI64(b, im.MemBytes)
 		}
 	}
-	sum := sha256.Sum256(e.buf)
-	return hex.EncodeToString(sum[:]), nil
+	sum := sha256.Sum256(b)
+	var digest [2 * sha256.Size]byte
+	hex.Encode(digest[:], sum[:])
+	return string(digest[:]), nil
 }
 
-// fpEncoder accumulates the fingerprint's unambiguous byte encoding:
-// every variable-length field is length-prefixed, so no two distinct
-// specs share an encoding.
-type fpEncoder struct {
-	buf []byte
+// The fingerprint's byte encoding is unambiguous: every variable-length
+// field is length-prefixed, so no two distinct specs share an encoding.
+// The helpers append to and return the buffer, as strconv's do, which
+// lets Fingerprint's stack buffer stay on the stack.
+
+func appendI64(b []byte, v int64) []byte {
+	return binary.LittleEndian.AppendUint64(b, uint64(v))
 }
 
-func (e *fpEncoder) i64(v int64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v))
+func appendStr(b []byte, s string) []byte {
+	return append(appendI64(b, int64(len(s))), s...)
 }
 
-func (e *fpEncoder) f64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
-
-func (e *fpEncoder) str(s string) {
-	e.i64(int64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-func (e *fpEncoder) bool(v bool) {
+func appendBool(b []byte, v bool) []byte {
 	if v {
-		e.buf = append(e.buf, 1)
-	} else {
-		e.buf = append(e.buf, 0)
+		return append(b, 1)
 	}
+	return append(b, 0)
 }
 
-func (e *fpEncoder) pattern(p csdf.Pattern) {
-	e.i64(int64(len(p)))
+func appendPattern(b []byte, p csdf.Pattern) []byte {
+	b = appendI64(b, int64(len(p)))
 	for _, v := range p {
-		e.i64(v)
+		b = appendI64(b, v)
 	}
+	return b
 }
 
-func (e *fpEncoder) ports(m map[string]csdf.Pattern) {
-	keys := make([]string, 0, len(m))
+func appendPorts(b []byte, m map[string]csdf.Pattern) []byte {
+	var stack [8]string // spills to the heap only past eight ports
+	keys := stack[:0]
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	e.i64(int64(len(keys)))
+	slices.Sort(keys)
+	b = appendI64(b, int64(len(keys)))
 	for _, k := range keys {
-		e.str(k)
-		e.pattern(m[k])
+		b = appendStr(b, k)
+		b = appendPattern(b, m[k])
 	}
+	return b
 }
 
 // templatePoolSize caps how many alternative placements are remembered
@@ -177,12 +177,11 @@ func (c *templateCache) get(fp string) (pool []*core.Result, start int) {
 // placed one is already there; the oldest entry is evicted past the cap.
 // The pool slice is copy-on-write: get hands out the current header
 // without copying, so the backing array must never be mutated in place.
-// The stored result is a shallow copy with the working-platform clone and
-// the trace stripped: commit and repair only read Mapping and Energy, and
-// a long-lived pool must not pin a mesh copy per template.
+// The stored result is a shallow copy without the decision trace: commit
+// and repair only read Mapping and Energy, and a long-lived pool need not
+// pin a step-2 table per template.
 func (c *templateCache) put(fp string, res *core.Result) {
 	slim := *res
-	slim.Platform = nil
 	slim.Trace = nil
 	res = &slim
 	c.mu.Lock()

@@ -69,8 +69,8 @@ func (s *Schedule) String() string {
 }
 
 // Build derives and verifies the static-order schedules for a mapping
-// produced by the spatial mapper.
-func Build(app *model.Application, res *core.Result) (*Schedule, error) {
+// produced by the spatial mapper on plat.
+func Build(app *model.Application, plat *arch.Platform, res *core.Result) (*Schedule, error) {
 	if res.Mapped == nil {
 		return nil, fmt.Errorf("schedule: result has no mapped graph")
 	}
@@ -100,7 +100,7 @@ func Build(app *model.Application, res *core.Result) (*Schedule, error) {
 
 	out := &Schedule{Buffers: make(map[model.ChannelID]int64)}
 	var orders [][]csdf.ActorID
-	for _, t := range res.Platform.Tiles { // deterministic order
+	for _, t := range plat.Tiles { // deterministic order
 		procs := byTile[t.ID]
 		if len(procs) < 2 {
 			continue

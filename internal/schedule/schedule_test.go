@@ -21,7 +21,7 @@ func TestScheduleHiperlan2Trivial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := Build(app, res)
+	sched, err := Build(app, plat, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestScheduleCoLocatedProcesses(t *testing.T) {
 	if !res.Feasible {
 		t.Skip("spatial mapping infeasible")
 	}
-	sched, err := Build(app, res)
+	sched, err := Build(app, plat, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestScheduleAdjacentCoLocationFeasible(t *testing.T) {
 	if !res.Feasible {
 		t.Fatalf("spatial mapping infeasible: %v", res.Trace.Notes)
 	}
-	sched, err := Build(app, res)
+	sched, err := Build(app, plat, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestScheduleString(t *testing.T) {
 
 func TestScheduleRejectsIncompleteResult(t *testing.T) {
 	app := workload.Hiperlan2(workload.Hiperlan2Modes[0])
-	if _, err := Build(app, &core.Result{}); err == nil {
+	if _, err := Build(app, workload.Hiperlan2Platform(), &core.Result{}); err == nil {
 		t.Error("expected error for result without mapped graph")
 	}
 }

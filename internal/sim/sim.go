@@ -49,8 +49,9 @@ func (r *Report) String() string {
 }
 
 // Validate re-executes the mapping's CSDF graph with actors grouped into
-// mutual exclusion sets per tile and reports the measured timing.
-func Validate(app *model.Application, res *core.Result) (*Report, error) {
+// mutual exclusion sets per tile and reports the measured timing. plat is
+// the platform res was mapped on; only its tiles' descriptions are read.
+func Validate(app *model.Application, plat *arch.Platform, res *core.Result) (*Report, error) {
 	if res.Mapped == nil || res.Graph == nil {
 		return nil, fmt.Errorf("sim: result has no mapped graph (mapping attempt aborted before step 4)")
 	}
@@ -63,7 +64,7 @@ func Validate(app *model.Application, res *core.Result) (*Report, error) {
 		groups[tile] = append(groups[tile], actor)
 	}
 	var exclusive [][]csdf.ActorID
-	for _, tile := range res.Platform.Tiles { // deterministic order
+	for _, tile := range plat.Tiles { // deterministic order
 		members := groups[tile.ID]
 		if len(members) > 1 {
 			// Sort members for reproducible arbitration.
@@ -97,7 +98,7 @@ func Validate(app *model.Application, res *core.Result) (*Report, error) {
 		if tile == arch.NoTile {
 			continue
 		}
-		rep.TileUtilisation[res.Platform.Tile(tile).Name] += exec.Utilisation(actor)
+		rep.TileUtilisation[plat.Tile(tile).Name] += exec.Utilisation(actor)
 	}
 	return rep, nil
 }

@@ -19,7 +19,7 @@ func TestValidateHiperlan2(t *testing.T) {
 		if !res.Feasible {
 			t.Fatalf("%s: mapper infeasible", mode.Name)
 		}
-		rep, err := Validate(app, res)
+		rep, err := Validate(app, plat, res)
 		if err != nil {
 			t.Fatalf("%s: %v", mode.Name, err)
 		}
@@ -43,7 +43,7 @@ func TestValidateAgreesWithStep4WhenExclusive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Validate(app, res)
+	rep, err := Validate(app, plat, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestValidateSyntheticCoLocation(t *testing.T) {
 	if !res.Feasible {
 		t.Skip("instance infeasible; co-location verdicts need a feasible base")
 	}
-	rep, err := Validate(app, res)
+	rep, err := Validate(app, plat, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestValidateSyntheticCoLocation(t *testing.T) {
 }
 
 func TestValidateRejectsIncompleteResult(t *testing.T) {
-	if _, err := Validate(workload.Hiperlan2(workload.Hiperlan2Modes[0]), &core.Result{}); err == nil {
+	if _, err := Validate(workload.Hiperlan2(workload.Hiperlan2Modes[0]), workload.Hiperlan2Platform(), &core.Result{}); err == nil {
 		t.Error("expected error for result without mapped graph")
 	}
 }

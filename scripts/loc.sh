@@ -8,7 +8,7 @@
 # Usage: scripts/loc.sh   (from the repository root)
 set -euo pipefail
 
-budget=16116
+budget=16156
 
 lines=$(find . -name '*.go' -not -name '*_test.go' \
   -not -path './bench/*' -not -path './.bench_build/*' -print0 |
