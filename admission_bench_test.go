@@ -148,97 +148,6 @@ func BenchmarkAdmissionThroughputParallel8(b *testing.B) {
 	benchmarkAdmissionParallel(b, 8)
 }
 
-// spreadApp is churnApp pinned to one region's stream endpoints —
-// arrival i rotates through both the 64-structure catalogue and the
-// platform's regions, so consecutive arrivals land in different mesh
-// regions — with a light QoS contract: utilisation low enough that the 16×16 mesh never runs out of capacity under the
-// benchmark's resident population, and a relaxed period so the shared
-// per-region stream interfaces stay uncontended. In this regime an
-// admission is pure pipeline overhead — queue hop, fingerprint,
-// validation, the commit, bookkeeping; heavier contracts shift the
-// measurement to repair throughput.
-func spreadApp(i, regions int) (*model.Application, *model.Library) {
-	s := i % 64
-	r := i % regions
-	app, lib := workload.Synthetic(workload.SynthOptions{
-		Shape:     workload.ShapeChain,
-		Processes: 3 + s%3,
-		Seed:      int64(s),
-		MaxUtil:   0.05,
-		PeriodNs:  400_000,
-		SrcTile:   fmt.Sprintf("SRC%d", r),
-		SinkTile:  fmt.Sprintf("SINK%d", r),
-	})
-	app.Name = fmt.Sprintf("churn-%d", i)
-	return app, lib
-}
-
-// benchmarkAdmissionRegionSpread drives a region-spread churn workload
-// (one arrival per region, round-robin over a 16-region 16×16 mesh)
-// through a 4-worker pipeline, queue hops and collector included. The
-// two variants differ only in the mapper configuration.
-func benchmarkAdmissionRegionSpread(b *testing.B, cfg core.Config) {
-	const regionSize, workers = 4, 4
-	plat := workload.SyntheticRegionPlatform(16, 16, 123, regionSize)
-	regions := plat.RegionCount()
-	m := manager.New(plat, cfg)
-	m.SetMappingReuse(true)
-	m.SetRepair(true)
-	warmCatalogue(b, m, func(s int) (*model.Application, *model.Library) {
-		return spreadApp(s, regions)
-	})
-	base := m.Stats()
-	pipe := manager.NewPipeline(m, workers, workers*8)
-	defer pipe.Close()
-	// The pending buffer caps the resident population (admissions the
-	// collector has not yet stopped). Keeping it below the region count
-	// leaves every region mostly free, so the remembered placements stay
-	// valid and the timed section measures pipeline overhead, not tile
-	// contention.
-	pending := make(chan (<-chan manager.Outcome), workers*3)
-	collectorDone := make(chan struct{})
-	go func() {
-		defer close(collectorDone)
-		for ch := range pending {
-			out := <-ch
-			if out.Admitted {
-				if err := m.Stop(out.App); err != nil {
-					b.Error(err)
-				}
-			}
-		}
-	}()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		app, lib := spreadApp(i, regions)
-		ch, err := pipe.Submit(app, lib)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pending <- ch
-	}
-	close(pending)
-	<-collectorDone
-	b.StopTimer()
-	reportAdmissions(b, m, base)
-}
-
-// BenchmarkAdmissionRegionSpread is the default mapper configuration on
-// the region-spread workload.
-func BenchmarkAdmissionRegionSpread(b *testing.B) {
-	benchmarkAdmissionRegionSpread(b, core.Config{})
-}
-
-// BenchmarkAdmissionRegionSpreadBias turns the region-aware placement
-// bias on: the mapper prices tiles outside the regions a spec already
-// occupies, so mappings span fewer regions, fewer
-// templates go stale and racing workers collide less (retries/arrival
-// reads 0 against 0.006–0.010 unbiased). The pair is the starting
-// number for work on stale templates.
-func BenchmarkAdmissionRegionSpreadBias(b *testing.B) {
-	benchmarkAdmissionRegionSpread(b, core.Config{RegionBias: 10})
-}
-
 // reportAdmissions derives the timed-section metrics: base is the stats
 // snapshot taken after the untimed warmup, so its arrivals don't count.
 func reportAdmissions(b *testing.B, m *manager.Manager, base manager.Stats) {

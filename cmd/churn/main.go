@@ -11,7 +11,7 @@
 //
 //	go run ./cmd/churn                       # 4 workers, 400 arrivals
 //	go run ./cmd/churn -workers 8 -apps 1000 # heavier
-//	go run ./cmd/churn -regionsize 4         # mesh partitioned into 4×4 regions
+//	go run ./cmd/churn -regionsize 4         # one SRC/SINK pair per 4×4 block
 //	go run ./cmd/churn -priomix 70:20:10     # mixed admission classes, preemption on
 //	go run ./cmd/churn -faultrate 0.02       # fail a tile per ~50 arrivals, measure recovery
 //	go run ./cmd/churn -journal run.journal    # stream the hash-chained admission journal
@@ -114,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Float64Var(&o.MaxUtil, "util", o.MaxUtil, "max per-implementation utilisation")
 	fs.Int64Var(&o.PeriodNs, "period", o.PeriodNs, "QoS period in ns")
 	fs.IntVar(&o.Resident, "resident", o.Resident, "applications kept running at once (0 = 4x workers)")
-	fs.IntVar(&o.RegionSize, "regionsize", 0, "side length of the mesh partition's regions, each with its own SRC<r>/SINK<r> stream endpoints (0 = one region)")
+	fs.IntVar(&o.RegionSize, "regionsize", 0, "side length of the mesh blocks that each get their own SRC<r>/SINK<r> stream endpoints (0 = one SRC0/SINK0 pair)")
 	fs.StringVar(&o.PrioMix, "priomix", "", "mixed admission classes as bestEffort:standard:critical weights, e.g. 70:20:10 (empty = all best-effort)")
 	fs.Float64Var(&o.FaultRate, "faultrate", 0, "inject run-time tile faults at this expected rate per arrival, evacuating and relocating residents (0 = off)")
 	journalTo := fs.String("journal", "", "stream the hash-chained admission journal to this file")

@@ -1,7 +1,7 @@
 // Command serve runs the streaming admission front-end in one of three
 // modes over the same churn.Stack. By default it drives a synthetic
-// arrival storm through the staged server (ingress throttle, per-class
-// dropping buffers, circuit breaker, dead-letter retry queue) into the
+// arrival storm through the staged server (per-class dropping buffers,
+// circuit breaker, dead-letter retry queue) into the
 // manager pipeline, printing the exactly-one-outcome ledger. With -listen
 // it becomes a real service: an HTTP front door (POST /admit, GET
 // /healthz, /readyz, /metricsz) with graceful drain on SIGINT/SIGTERM
@@ -16,7 +16,6 @@
 //
 //	go run ./cmd/serve                          # 100k arrivals
 //	go run ./cmd/serve -arrivals 2000000        # the EXPERIMENTS.md soak
-//	go run ./cmd/serve -slo 5ms                 # AIMD adaptive admit rate
 //	go run ./cmd/serve -listen :8080 -journal run.journal   # network service
 //	go run ./cmd/serve -chaos script.txt -journal c.journal # chaos harness
 package main
@@ -65,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&c.stack.Workers, "workers", 4, "admission worker goroutines")
 	fs.IntVar(&c.stack.Queue, "queue", 0, "backend work queue depth (0 = 16x workers)")
 	fs.IntVar(&c.stack.Mesh, "mesh", 12, "platform mesh width and height")
-	fs.IntVar(&c.stack.RegionSize, "regionsize", 3, "side length of the mesh partition's regions, each with its own SRC<r>/SINK<r> stream endpoints (0 = one region)")
+	fs.IntVar(&c.stack.RegionSize, "regionsize", 3, "side length of the mesh blocks that each get their own SRC<r>/SINK<r> stream endpoints (0 = one SRC0/SINK0 pair)")
 	fs.Int64Var(&c.stack.Seed, "seed", 123, "platform seed")
 	fs.IntVar(&c.stack.Catalogue, "catalogue", 6, "distinct application structures in rotation")
 	fs.Float64Var(&c.stack.MaxUtil, "util", 0.12, "max per-implementation utilisation")
@@ -73,10 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&c.stack.PrioMix, "priomix", "60:30:10", "admission classes as bestEffort:standard:critical weights")
 	fs.IntVar(&c.stack.Resident, "resident", 0, "admissions kept running at once (0 = 4x workers)")
 
-	s := &c.server
-	fs.DurationVar(&s.Breaker.Latency, "breaker-latency", 0, "admission latency counted as a failure (0 = off; -slo sets it too)")
-	fs.DurationVar(&s.AIMD.SLO, "slo", 0, "p99 admission-latency SLO: enables the AIMD adaptive admit rate and latency-SLO breaker mode")
-	fs.DurationVar(&s.Window, "window", time.Second, "rolling metrics window for p50/p99 and rate")
+	fs.DurationVar(&c.server.Window, "window", time.Second, "rolling metrics window for p50/p99 and rate")
 
 	fs.StringVar(&c.journalTo, "journal", "", "stream the hash-chained admission journal to this file")
 	fs.IntVar(&c.syncEvery, "syncevery", 0, "fsync the journal after every n-th event (0 = on acks only)")
@@ -88,12 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file when the run is over")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	// -slo wires the latency objective end to end: it enables the AIMD
-	// controller and, unless -breaker-latency overrides it, arms the
-	// breaker's latency-SLO mode with the same duration.
-	if s.Breaker.Latency == 0 {
-		s.Breaker.Latency = s.AIMD.SLO
 	}
 
 	// Only the service recovers what a previous process left in the
@@ -262,10 +252,6 @@ func (c *config) reportStream(rep stream.Report) {
 			rep.ShedBuffer, rep.ShedBreaker, rep.ShedQueue, rep.ShedDeadline)
 	}
 	fmt.Fprintf(w, "  breaker           %d opens (now %s)\n", rep.BreakerOpens, rep.BreakerState)
-	if rep.RateCuts+rep.RateRaises > 0 {
-		fmt.Fprintf(w, "  aimd              %.0f arrivals/sec now, %d raises, %d cuts\n",
-			rep.AdmitRate, rep.RateRaises, rep.RateCuts)
-	}
 	fmt.Fprintf(w, "  dead letters      %d recovered, %d expired\n", rep.Recovered, rep.Expired)
 	for p := range rep.RecoveredByClass {
 		if rep.RecoveredByClass[p]+rep.ExpiredByClass[p] > 0 {
@@ -276,7 +262,4 @@ func (c *config) reportStream(rep stream.Report) {
 	fmt.Fprintf(w, "  window            p50 %v, p99 %v, %.0f admissions/sec over %d samples\n",
 		rep.Window.P50.Round(time.Microsecond), rep.Window.P99.Round(time.Microsecond),
 		rep.Window.PerSec, rep.Window.Samples)
-	fmt.Fprintf(w, "  service           p50 %v, p99 %v over %d samples\n",
-		rep.Service.P50.Round(time.Microsecond), rep.Service.P99.Round(time.Microsecond),
-		rep.Service.Samples)
 }

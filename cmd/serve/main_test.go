@@ -50,7 +50,7 @@ func TestSoakSmoke(t *testing.T) {
 // at 300 arrivals, crash recovery included.
 func TestChaosSmoke(t *testing.T) {
 	code, out, errw := serve("-chaos", "../../scripts/chaos_smoke.chaos",
-		"-arrivals", "300", "-mesh", "8", "-catalogue", "4", "-slo", "20ms",
+		"-arrivals", "300", "-mesh", "8", "-catalogue", "4",
 		"-journal", filepath.Join(t.TempDir(), "chaos.journal"))
 	if code != 0 {
 		t.Fatalf("exit %d\n%s%s", code, out, errw)
@@ -77,6 +77,7 @@ func TestRejectedFlagCombinations(t *testing.T) {
 		{[]string{"-meshes", "2"}, "flag provided but not defined"},
 		{[]string{"-batch", "8"}, "flag provided but not defined"},
 		{[]string{"-dlq", "8"}, "flag provided but not defined"},
+		{[]string{"-slo", "20ms"}, "flag provided but not defined"},
 	} {
 		code, out, errw := serve(tc.args...)
 		if code != 2 {

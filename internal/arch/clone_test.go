@@ -6,11 +6,10 @@ import (
 	"testing"
 )
 
-// cloneTestPlatform builds a partitioned mesh with one tile per router,
-// ready for snapshot equivalence tests.
-func cloneTestPlatform(w, h, regionSize int) *Platform {
+// cloneTestPlatform builds a mesh with one tile per router, ready for
+// snapshot equivalence tests.
+func cloneTestPlatform(w, h int) *Platform {
 	p := NewMesh("clone", w, h, 1_000_000)
-	p.PartitionRegions(regionSize)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			p.AttachTile(TileSpec{
@@ -75,8 +74,8 @@ func snapshotMatches(s *Snapshot, ref *Platform) error {
 func TestCoWSnapshotMatchesDeepCopy(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			p := cloneTestPlatform(6, 6, 2+int(seed%3))
-			ref := cloneTestPlatform(6, 6, 2+int(seed%3))
+			p := cloneTestPlatform(6, 6)
+			ref := cloneTestPlatform(6, 6)
 			mutateRandomly(p, rand.New(rand.NewSource(seed)), 40)
 			mutateRandomly(ref, rand.New(rand.NewSource(seed)), 40)
 			if seed%2 == 1 {
@@ -112,7 +111,7 @@ func TestCoWSnapshotMatchesDeepCopy(t *testing.T) {
 // TestCoWSnapshotSequence: snapshots taken at different points each keep
 // their own point-in-time state.
 func TestCoWSnapshotSequence(t *testing.T) {
-	p := cloneTestPlatform(4, 4, 2)
+	p := cloneTestPlatform(4, 4)
 	s1 := p.Snapshot()
 	p.Tile(0).ReservedMem = 111
 	p.BumpVersion()
@@ -137,7 +136,7 @@ func TestCoWSnapshotSequence(t *testing.T) {
 // TestCloneIsDeepAndUnshared: a clone shares the description and none of
 // the state — writes on either side, to tiles or links, stay there.
 func TestCloneIsDeepAndUnshared(t *testing.T) {
-	p := cloneTestPlatform(4, 4, 2)
+	p := cloneTestPlatform(4, 4)
 	c := p.Snapshot().Plat.Clone()
 	c.Tile(0).ReservedMem = 123
 	c.Link(0).ReservedBps = 45
@@ -152,7 +151,7 @@ func TestCloneIsDeepAndUnshared(t *testing.T) {
 	if c.Tile(0).TileInfo != p.Tile(0).TileInfo || c.Link(0).LinkInfo != p.Link(0).LinkInfo {
 		t.Fatal("clone does not share the immutable description")
 	}
-	if c.RegionCount() != p.RegionCount() || c.TileByName("(1,1)").ID != p.TileByName("(1,1)").ID {
-		t.Fatal("clone lost the partition or the name index")
+	if c.TileByName("(1,1)").ID != p.TileByName("(1,1)").ID {
+		t.Fatal("clone lost the name index")
 	}
 }

@@ -31,9 +31,6 @@ type Platform struct {
 	// platform; see Snapshot. It is atomic so the manager's staleness
 	// probe (Version) can read it without taking the platform lock.
 	version atomic.Uint64
-	// grid is the region partition (nil = one region covering the mesh).
-	// See region.go.
-	grid *regionGrid
 
 	// tileSlab and linkSlab back Tiles and Links on a copy (CopyInto), so
 	// a later CopyInto can reuse them; nil on a constructed platform.
@@ -249,14 +246,14 @@ func (p *Platform) Clone() *Platform {
 
 // CopyInto overwrites dst with a copy of p including reservation state,
 // as Clone does, but into dst's storage: the immutable description —
-// topology, lookup tables, partition geometry, TileInfo and LinkInfo — is
-// shared, and the reservation state lands in dst's tile and link slabs
-// whenever they are large enough, whatever platform they last held, so
-// copying into a recycled platform allocates nothing. dst must not be p,
-// and nothing may still hold a *Tile or *Link of dst's previous contents.
+// topology, lookup tables, TileInfo and LinkInfo — is shared, and the
+// reservation state lands in dst's tile and link slabs whenever they are
+// large enough, whatever platform they last held, so copying into a
+// recycled platform allocates nothing. dst must not be p, and nothing may
+// still hold a *Tile or *Link of dst's previous contents.
 func (p *Platform) CopyInto(dst *Platform) {
 	dst.Name, dst.Width, dst.Height, dst.NoCClockHz = p.Name, p.Width, p.Height, p.NoCClockHz
-	dst.Routers, dst.out, dst.in, dst.grid = p.Routers, p.out, p.in, p.grid
+	dst.Routers, dst.out, dst.in = p.Routers, p.out, p.in
 	dst.byName, dst.atRtr, dst.ofType = p.byName, p.atRtr, p.ofType
 	dst.version.Store(p.version.Load())
 	tiles, tptrs := dst.tileSlab, dst.Tiles

@@ -88,7 +88,6 @@ func TestChaosSoak(t *testing.T) {
 		Stack: so,
 		Server: stream.Options{
 			DLQ: 256, DLQBelow: 0.8, DLQEvery: time.Millisecond,
-			AIMD: stream.AIMDConfig{SLO: 20 * time.Millisecond, Interval: 5 * time.Millisecond},
 		},
 	})
 	if err != nil {

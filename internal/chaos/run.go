@@ -410,8 +410,8 @@ func (b *spikeBackend) TrySubmit(app *model.Application, lib *model.Library) (fu
 }
 
 // addReport folds one incarnation's ledger into the aggregate. Counter
-// fields sum; point-in-time fields (breaker state, DLQ depth, admit
-// rate, window) keep the latest incarnation's values.
+// fields sum; point-in-time fields (breaker state, DLQ depth, window)
+// keep the latest incarnation's values.
 func addReport(dst *stream.Report, r stream.Report) {
 	dst.Submitted += r.Submitted
 	dst.Admitted += r.Admitted
@@ -428,14 +428,10 @@ func addReport(dst *stream.Report, r stream.Report) {
 	dst.ShedQueue += r.ShedQueue
 	dst.ShedDeadline += r.ShedDeadline
 	dst.BreakerOpens += r.BreakerOpens
-	dst.RateCuts += r.RateCuts
-	dst.RateRaises += r.RateRaises
 	dst.BreakerState = r.BreakerState
 	dst.DLQDepth = r.DLQDepth
 	dst.DLQDepthByClass = r.DLQDepthByClass
-	dst.AdmitRate = r.AdmitRate
 	dst.Window = r.Window
-	dst.Service = r.Service
 }
 
 // addStats folds one incarnation's door accounting into the aggregate.

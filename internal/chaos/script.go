@@ -48,7 +48,8 @@ const (
 	// OpRestoreLink restores the Nth NoC link.
 	OpRestoreLink Op = "restorelink"
 	// OpSpike delays the next N backend outcomes by Dur — an injected
-	// latency collapse the breaker and AIMD controller must absorb.
+	// latency spike whose late deliveries the ledger and the drain order
+	// must absorb.
 	OpSpike Op = "spike"
 	// OpDrain gracefully drains the front door and the stream server
 	// (readiness first, in-flight arrivals finish), then rebuilds both

@@ -44,9 +44,9 @@ type Options struct {
 	// Resident is how many applications are kept running at once
 	// (0 = 4x workers); see Recycler.
 	Resident int
-	// RegionSize partitions the mesh into square regions of this side
-	// length, each with its own SRC<r>/SINK<r> stream endpoints, and
-	// arrivals are pinned to them round-robin. 0 keeps one region with the global SRC0/SINK0 pair.
+	// RegionSize gives each square block of the mesh with this side
+	// length its own SRC<r>/SINK<r> stream endpoints, and arrivals are
+	// pinned to them round-robin. 0 keeps the one global SRC0/SINK0 pair.
 	RegionSize int
 	// PrioMix assigns admission classes to arrivals as
 	// "bestEffort:standard:critical" integer weights, e.g. "70:20:10",
@@ -147,9 +147,9 @@ func classOf(i int, w [model.NumPriorities]int) model.Priority {
 // Arrival builds the i-th arrival of the scenario: application structures
 // rotate through the catalogue, names stay unique, and with a PrioMix
 // the admission class rotates through the configured weights (the name
-// carries the class). endpointRegions is the number of per-region
-// stream-endpoint pairs the platform carries (its RegionCount as laid
-// out by SyntheticRegionPlatform); with more than one, arrivals are
+// carries the class). endpointRegions is the number of SRC<r>/SINK<r>
+// stream-endpoint pairs the platform carries (as laid out by
+// SyntheticRegionPlatform); with more than one, arrivals are
 // pinned round-robin to SRC<r>/SINK<r>. It parses PrioMix on every call;
 // the drivers go through Stack.Arrival, which parsed it once.
 func (o Options) Arrival(i, endpointRegions int) (*model.Application, *model.Library) {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"sort"
 
+	"rtsm/internal/arch"
 	"rtsm/internal/core"
 	"rtsm/internal/journal"
 	"rtsm/internal/manager"
@@ -64,7 +65,7 @@ func NewStack(o Options) (*Stack, error) {
 		m.SetJournal(o.Journal.Writer)
 	}
 	s.Manager = m
-	s.endpointRegions = plat.RegionCount()
+	s.endpointRegions = len(plat.TilesOfType(arch.TypeSource))
 	s.Reopen()
 	// Only a recovered stack starts with residents.
 	s.Recycler = &Recycler{stop: func(name string) error { return s.Backend.Stop(name) },

@@ -106,20 +106,6 @@ type Config struct {
 	CommEstimateInStep1 bool
 	// BufferOptions tunes the step-4 buffer sizing.
 	TightenBuffers bool
-	// RegionBias, when positive, makes placement region-aware on a
-	// partitioned platform: step 1's first-fit prefers tiles in mesh
-	// regions the mapping already occupies (pinned endpoints and earlier
-	// placements) and charges RegionBias cost units for opening a new
-	// region, and step 2 charges each move RegionBias per region its
-	// reassignment adds to the mapping's region span. A narrower span
-	// keeps arrivals pinned to different regions' endpoints off each
-	// other's tiles, so fewer templates go stale. The weight is in the
-	// same (mixed) units as the step costs it perturbs — energy in step
-	// 1, communication cost in step 2; values
-	// around 1–4 bias ties and small gaps without overriding clear wins.
-	// 0 (the default) keeps the region-oblivious paper behaviour;
-	// unpartitioned platforms are unaffected either way.
-	RegionBias float64
 }
 
 func (c Config) energyParams() energy.Params {

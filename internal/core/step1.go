@@ -87,7 +87,6 @@ func (m *Mapper) step1(app *model.Application, work *arch.Platform, mp *Mapping,
 // the paper prescribes: only implementations that currently fit on at
 // least one tile keep the eventual mapping adherent.
 func (m *Mapper) viableOptions(app *model.Application, work *arch.Platform, mp *Mapping, p *model.Process, tb *tabu) ([]option, *feedback) {
-	used := m.usedRegions(work, mp)
 	var opts []option
 	for _, im := range m.Lib.For(p.Name) {
 		if tb.bansImpl(p.ID, im.TileType) {
@@ -99,21 +98,13 @@ func (m *Mapper) viableOptions(app *model.Application, work *arch.Platform, mp *
 			// structure; it is not an option for this app.
 			continue
 		}
-		tile, util := m.firstFit(app, work, p, im, cyc, tb, used)
+		tile, util := m.firstFit(app, work, p, im, cyc, tb)
 		if tile == nil {
 			continue
 		}
 		cost := im.EnergyPerPeriod
 		if m.Cfg.CommEstimateInStep1 {
 			cost += m.commEstimate(app, work, mp, p, tile)
-		}
-		if used != nil {
-			if _, in := used[work.RegionOfTile(tile.ID)]; !in {
-				// Opening a region the mapping does not occupy yet spreads
-				// it over more of the mesh; price it so an in-region
-				// option of comparable energy wins.
-				cost += m.Cfg.RegionBias
-			}
 		}
 		opts = append(opts, option{im: im, tile: tile, util: util, cost: cost})
 	}
@@ -175,56 +166,18 @@ func (m *Mapper) step1Feedback(app *model.Application, work *arch.Platform, mp *
 	}
 }
 
-// usedRegions returns the set of mesh regions the mapping occupies so far
-// (pinned endpoints and earlier step-1 placements), or nil when the
-// region bias is off or the platform is a single region — the signal that
-// region-aware placement is inactive.
-func (m *Mapper) usedRegions(work *arch.Platform, mp *Mapping) map[arch.RegionID]struct{} {
-	if m.Cfg.RegionBias <= 0 || work.RegionCount() <= 1 {
-		return nil
-	}
-	used := make(map[arch.RegionID]struct{}, 4)
-	for _, tid := range mp.Tile {
-		used[work.RegionOfTile(tid)] = struct{}{}
-	}
-	return used
-}
-
 // firstFit returns the first tile (in platform declaration order: "the
 // first tile we come across", §3 step 1) that can host the implementation,
-// or nil. With the region bias active (used non-nil) the scan runs in two
-// passes — tiles inside regions the mapping already occupies first, the
-// rest of the mesh second — so a spec whose footprint can stay inside the
-// regions of its pinned endpoints does, and the plan's lock-union width
-// shrinks.
-func (m *Mapper) firstFit(app *model.Application, work *arch.Platform, p *model.Process, im *model.Implementation, cyclesPerPeriod int64, tb *tabu, used map[arch.RegionID]struct{}) (*arch.Tile, float64) {
+// or nil.
+func (m *Mapper) firstFit(app *model.Application, work *arch.Platform, p *model.Process, im *model.Implementation, cyclesPerPeriod int64, tb *tabu) (*arch.Tile, float64) {
 	ni := niDemandOf(app, p)
-	fits := func(t *arch.Tile) (float64, bool) {
-		if tb.bansTile(p.ID, t.ID) {
-			return 0, false
-		}
-		util := utilisation(t, cyclesPerPeriod, app.QoS.PeriodNs)
-		return util, canHost(t, im.MemBytes, util) && ni.fits(t)
-	}
-	if used != nil {
-		for _, tid := range work.TilesOfType(im.TileType) {
-			if _, in := used[work.RegionOfTile(tid)]; !in {
-				continue
-			}
-			t := work.Tile(tid)
-			if util, ok := fits(t); ok {
-				return t, util
-			}
-		}
-	}
 	for _, tid := range work.TilesOfType(im.TileType) {
-		if used != nil {
-			if _, in := used[work.RegionOfTile(tid)]; in {
-				continue // already scanned in the in-region pass
-			}
+		if tb.bansTile(p.ID, tid) {
+			continue
 		}
 		t := work.Tile(tid)
-		if util, ok := fits(t); ok {
+		util := utilisation(t, cyclesPerPeriod, app.QoS.PeriodNs)
+		if canHost(t, im.MemBytes, util) && ni.fits(t) {
 			return t, util
 		}
 	}

@@ -49,12 +49,6 @@ type searchState struct {
 	// HopSum, traffic × hop energy under TrafficWeighted.
 	weight []float64
 	cost   float64
-	// regionOcc counts mapping occupants (pinned endpoints included) per
-	// mesh region, maintained only when Config.RegionBias is active on a
-	// partitioned platform; nil otherwise. Moves that open a region pay
-	// RegionBias, moves that close one earn it back — swaps leave the
-	// occupied-region set untouched and price to zero.
-	regionOcc map[arch.RegionID]int
 }
 
 func (s *searchState) init() {
@@ -68,12 +62,6 @@ func (s *searchState) init() {
 			s.weight[i] = float64(c.BytesPerPeriod()) * params.HopPerByte
 		default:
 			s.weight[i] = 1
-		}
-	}
-	if s.m.Cfg.RegionBias > 0 && s.work.RegionCount() > 1 {
-		s.regionOcc = make(map[arch.RegionID]int, 4)
-		for _, tid := range s.mp.Tile {
-			s.regionOcc[s.work.RegionOfTile(tid)]++
 		}
 	}
 	s.cost = s.totalCost()
@@ -162,46 +150,6 @@ func (s *searchState) deltaFor(o override) float64 {
 	}
 	if s.m.Cfg.CommCost == TrafficWeighted {
 		delta += s.idleDelta(o)
-	}
-	delta += s.regionDelta(o)
-	return delta
-}
-
-// regionDelta prices the change in the mapping's occupied-region span a
-// candidate causes: +RegionBias per region opened, -RegionBias per region
-// vacated. Zero when the bias is inactive, and zero for swaps (the set of
-// occupied tiles is unchanged).
-func (s *searchState) regionDelta(o override) float64 {
-	if s.regionOcc == nil {
-		return 0
-	}
-	var change map[arch.RegionID]int
-	shift := func(pid model.ProcessID, to arch.TileID) {
-		from, ok := s.mp.Tile[pid]
-		if !ok {
-			return
-		}
-		fr, tr := s.work.RegionOfTile(from), s.work.RegionOfTile(to)
-		if fr == tr {
-			return
-		}
-		if change == nil {
-			change = make(map[arch.RegionID]int, 2)
-		}
-		change[fr]--
-		change[tr]++
-	}
-	shift(o.p, o.pt)
-	shift(o.q, o.qt)
-	var delta float64
-	for r, d := range change {
-		occ := s.regionOcc[r]
-		switch {
-		case occ == 0 && occ+d > 0:
-			delta += s.m.Cfg.RegionBias
-		case occ > 0 && occ+d == 0:
-			delta -= s.m.Cfg.RegionBias
-		}
 	}
 	return delta
 }
@@ -338,10 +286,6 @@ func (s *searchState) applyCandidate(c *candidate) {
 		dst.ReservedMem += im.MemBytes
 		dst.ReservedUtil += utilisation(dst, cyc, s.app.QoS.PeriodNs)
 		dst.Occupants++
-		if s.regionOcc != nil {
-			s.regionOcc[s.work.RegionOfTile(s.mp.Tile[p.ID])]--
-			s.regionOcc[s.work.RegionOfTile(to)]++
-		}
 		s.mp.Tile[p.ID] = to
 	}
 	switch c.kind {

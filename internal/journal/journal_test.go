@@ -30,7 +30,6 @@ func testPlatform() *arch.Platform {
 			})
 		}
 	}
-	p.PartitionRegions(2)
 	return p
 }
 

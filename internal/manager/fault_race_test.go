@@ -39,16 +39,16 @@ func TestFaultStormAccountingUnderChurn(t *testing.T) {
 	m.SetJournal(jw)
 	m.SetMappingReuse(true)
 	m.SetRepair(true)
-	m.SetPreemption(true)
 
-	// Region-0 processing tiles are the storm's targets.
+	// The processing tiles of region 0, the 4×4 block that holds SRC0 and
+	// SINK0, are the storm's targets.
 	var stormTiles []arch.TileID
 	for _, tl := range plat.Tiles {
 		switch tl.Type {
 		case arch.TypeSource, arch.TypeSink, arch.TypeNone:
 			continue
 		}
-		if plat.RegionOfTile(tl.ID) == 0 {
+		if pos := plat.Pos(tl.ID); pos.X < 4 && pos.Y < 4 {
 			stormTiles = append(stormTiles, tl.ID)
 		}
 	}

@@ -79,7 +79,6 @@ func TestRejectionRetryableSplit(t *testing.T) {
 	// Capacity: the single-set HIPERLAN/2 platform admits one receiver;
 	// the second identical one finds no feasible mapping.
 	m := New(workload.Hiperlan2Platform(), core.Config{})
-	m.SetPreemption(false)
 	mode := workload.Hiperlan2Modes[0]
 	lib := workload.Hiperlan2Library(mode)
 	first := workload.Hiperlan2(mode)

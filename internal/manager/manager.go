@@ -270,7 +270,6 @@ type Manager struct {
 	stats      Stats
 	templates  *templateCache // nil = mapping reuse disabled
 	repair     bool           // repair stale mappings instead of re-mapping
-	preemption bool           // displace lower classes for full-mesh arrivals
 
 	// load is the lock-free utilization summary the dead-letter queue
 	// gates on; maintained by loadCharge/loadRelease on the commit and
@@ -295,22 +294,9 @@ func New(plat *arch.Platform, cfg core.Config) *Manager {
 		pending:    make(map[string]struct{}),
 		preempting: make(map[string]*Admission),
 		repair:     true,
-		preemption: true,
 	}
 	m.initLoadCapacity()
 	return m
-}
-
-// SetPreemption enables or disables the preemption planner. When on (the
-// default), an arrival of priority above BestEffort that would be
-// rejected for lack of resources may displace minimal-cost lower-priority
-// admissions: each victim is relocated via core.Relocate when the
-// post-eviction residual allows it and evicted otherwise. When off, every
-// class competes for free capacity only — the pre-priority behaviour.
-func (m *Manager) SetPreemption(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.preemption = on
 }
 
 // SetRepair enables or disables the incremental remapping engine. When on
@@ -482,9 +468,11 @@ func (m *Manager) Start(app *model.Application, lib *model.Library) (*Admission,
 // Admit runs one admission through the pipeline — snapshot, speculative
 // map, serialized validate-and-commit, bounded retry — and reports the
 // outcome. The admission's priority is the application's QoS class
-// (app.QoS.Priority): above BestEffort it may preempt lower-priority
-// admissions when the mesh is full (see SetPreemption). Rejections are
-// reported in Outcome.Err, not returned.
+// (app.QoS.Priority): above BestEffort, an arrival that would be rejected
+// for lack of resources may displace minimal-cost lower-priority
+// admissions, each relocated via core.Relocate when the post-eviction
+// residual allows it and evicted otherwise. Rejections are reported in
+// Outcome.Err, not returned.
 func (m *Manager) Admit(app *model.Application, lib *model.Library) Outcome {
 	return m.admit(app, lib, 0)
 }
@@ -521,7 +509,7 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 	m.pending[app.Name] = struct{}{}
 	tc := m.templates
 	repairOn := m.repair
-	preemptOn := m.preemption && prio > model.BestEffort
+	preemptOn := prio > model.BestEffort
 	m.mu.Unlock()
 
 	mapper := &core.Mapper{Lib: lib, Cfg: m.cfg}

@@ -150,7 +150,6 @@ func TestCrashReplayReproducesLivePlatform(t *testing.T) {
 	m.SetJournal(jw)
 	m.SetMappingReuse(true)
 	m.SetRepair(true)
-	m.SetPreemption(true)
 
 	// Phase 1: four workers churn mixed-priority arrivals across all
 	// regions (straddlers included) while faults cycle through the

@@ -66,9 +66,10 @@ func TestSnapshotNeverTearsAPlan(t *testing.T) {
 		if plans[k], err = core.NewPlan(plat, res); err != nil {
 			t.Fatal(err)
 		}
-		regions := make(map[arch.RegionID]bool)
+		regions := make(map[arch.Point]bool) // 4×4 blocks, keyed by block coordinate
 		for _, tid := range res.Mapping.Tile {
-			regions[plat.RegionOfTile(tid)] = true
+			pos := plat.Pos(tid)
+			regions[arch.Pt(pos.X/4, pos.Y/4)] = true
 		}
 		if len(regions) < 2 {
 			t.Fatalf("%s touches regions %v; fixture must straddle", app.Name, regions)

@@ -129,7 +129,7 @@ func TestFaultStormAndPreemptionShareOneRegion(t *testing.T) {
 
 	var stormTiles []arch.TileID
 	for _, id := range procTiles(plat) {
-		if plat.RegionOfTile(id) == 0 {
+		if pos := plat.Pos(id); pos.X < 4 && pos.Y < 4 { // region 0: SRC0/SINK0's block
 			stormTiles = append(stormTiles, id)
 		}
 	}

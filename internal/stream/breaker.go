@@ -7,11 +7,10 @@ import (
 
 // BreakerConfig tunes the server's circuit breaker. The breaker watches
 // the outcomes of arrivals actually submitted to the backend (not the
-// ones shed earlier): sustained capacity rejections or latency breaches
-// open it (a structural rejection of an unmappable request counts for
-// nothing),
-// and while open the server sheds Standard and BestEffort arrivals at
-// the dispatch stage instead of burning mapping rounds on a saturated
+// ones shed earlier): sustained capacity rejections open it (a
+// structural rejection of an unmappable request counts for nothing), and
+// while open the server sheds Standard and BestEffort arrivals at the
+// dispatch stage instead of burning mapping rounds on a saturated
 // backend. Critical arrivals always pass through — their contract is
 // blocking backpressure, not fail-fast.
 type BreakerConfig struct {
@@ -24,11 +23,6 @@ type BreakerConfig struct {
 	MinSamples int
 	// Ratio is the failure fraction that opens the breaker (default 0.5).
 	Ratio float64
-	// Latency, when positive, counts an admission whose service latency
-	// (backend submission → outcome, excluding queue wait) exceeded this
-	// as a breach even though it succeeded — sustained latency collapse
-	// opens the breaker just like sustained rejection.
-	Latency time.Duration
 	// Cooldown is how long the breaker stays open before it half-opens
 	// and lets probe arrivals through (default 250ms).
 	Cooldown time.Duration
@@ -145,7 +139,7 @@ func (b *breaker) allow() bool {
 }
 
 // record feeds one backend outcome into the breaker: fail is a
-// retryable (capacity) rejection or a latency breach.
+// retryable (capacity) rejection.
 func (b *breaker) record(fail bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -181,8 +175,9 @@ func (b *breaker) record(fail bool) {
 }
 
 // returnProbe hands back the half-open probe slot of an arrival whose
-// outcome said nothing about saturation (a structural rejection), so the
-// breaker can still collect its Probes verdicts and close.
+// outcome said nothing about saturation (a structural rejection, or a
+// shed at the backend queue that never reached a mapper), so the breaker
+// can still collect its Probes verdicts and close.
 func (b *breaker) returnProbe() {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -6,8 +6,7 @@
 // The stage chain, in arrival order:
 //
 //	Submit → ingress (bounded, blocking = backpressure)
-//	       → throttle + classify (the AIMD controller's arrivals/sec
-//	         token bucket, when an SLO is set)
+//	       → classify
 //	       → per-QoS-class dropping buffers (BestEffort smallest, shed
 //	         first; Standard next; Critical sends block — its contract
 //	         is backpressure, never silent loss)
@@ -152,11 +151,6 @@ type Options struct {
 	// and BestEffort a quarter (min 1 each), so saturation sheds
 	// BestEffort first, then Standard (default 64).
 	ClassBuf int
-	// AIMD enables the adaptive overload controller when AIMD.SLO > 0:
-	// the dispatch rate is raised additively while windowed p99 holds
-	// under the SLO and cut multiplicatively on a breach or an open
-	// breaker. Without it dispatch is unthrottled.
-	AIMD AIMDConfig
 	// DLQ is the dead-letter queue capacity; 0 disables it (capacity
 	// rejections become final).
 	DLQ int
@@ -198,9 +192,6 @@ func (o Options) withDefaults() Options {
 	if o.Results <= 0 {
 		o.Results = 4 * o.Ingress
 	}
-	if o.AIMD.enabled() {
-		o.AIMD = o.AIMD.withDefaults()
-	}
 	return o
 }
 
@@ -223,21 +214,10 @@ type Server struct {
 	breaker *breaker
 	dlq     *dlq
 	win     *metricsWindow
-	// svcWin tracks service latency (backend submission → outcome),
-	// excluding ingress/class-buffer queue wait. It is the AIMD
-	// controller's feedback signal: queue wait under backpressure grows
-	// with buffer depth at any sub-capacity rate, so steering on it
-	// would drive the rate to the floor; service latency is what the
-	// dispatch rate can actually protect.
-	svcWin *metricsWindow
-	// rate is the live dispatch throttle in arrivals/sec (0 =
-	// unlimited); the AIMD controller is its one writer.
-	rate rateBox
 
 	stages   sync.WaitGroup // classify + dispatch
 	watchers sync.WaitGroup // one per backend submission in flight
 	dlqDone  chan struct{}
-	aimdDone chan struct{}
 	quit     chan struct{}
 
 	c counters
@@ -250,7 +230,6 @@ type counters struct {
 	shedByClass                                       [model.NumPriorities]atomic.Uint64
 	recoveredByClass, expiredByClass                  [model.NumPriorities]atomic.Uint64
 	shedBuffer, shedBreaker, shedQueue, shedDeadline  atomic.Uint64
-	rateCuts, rateRaises                              atomic.Uint64
 }
 
 // clampClass folds any priority into the valid class range, mirroring
@@ -279,7 +258,6 @@ func New(opts Options) (*Server, error) {
 		results: make(chan Result, opts.Results),
 		breaker: newBreaker(opts.Breaker),
 		win:     newMetricsWindow(opts.Window),
-		svcWin:  newMetricsWindow(opts.Window),
 		quit:    make(chan struct{}),
 	}
 	// Class buffer sizing is the shedding order: BestEffort saturates
@@ -295,13 +273,6 @@ func New(opts Options) (*Server, error) {
 		s.dlq = newDLQ(opts.DLQ)
 		s.dlqDone = make(chan struct{})
 		go s.dlqLoop()
-	}
-	if opts.AIMD.enabled() {
-		// Start optimistic: an unsaturated server pays no throttle tax,
-		// and the first SLO breach cuts multiplicatively anyway.
-		s.rate.store(opts.AIMD.MaxRate)
-		s.aimdDone = make(chan struct{})
-		go s.aimdLoop()
 	}
 	s.stages.Add(2)
 	go s.classify()
@@ -375,10 +346,8 @@ func (s *Server) Results() <-chan Result { return s.results }
 // and admissions/sec.
 func (s *Server) Metrics() WindowSnapshot { return s.win.Snapshot() }
 
-// classify drains ingress through the throttle into the per-class
-// buffers. The throttle's rate is read per arrival from the rate box,
-// so the AIMD controller's cuts and raises take effect immediately.
-// BestEffort and Standard sends drop on a full buffer (the shed,
+// classify drains ingress into the per-class buffers. BestEffort and
+// Standard sends drop on a full buffer (the shed,
 // cheapest possible: no mapping ran); Critical sends block, propagating
 // backpressure to Submit through ingress. A non-Critical arrival whose
 // request deadline already passed is shed before it ever costs a
@@ -390,29 +359,7 @@ func (s *Server) classify() {
 			close(c)
 		}
 	}()
-	var tokens float64
-	last := time.Now()
 	for a := range s.ingress {
-		if rate := s.rate.load(); rate > 0 {
-			burst := rate / 100
-			if burst < 1 {
-				burst = 1
-			}
-			now := time.Now()
-			tokens += now.Sub(last).Seconds() * rate
-			if tokens > burst {
-				tokens = burst
-			}
-			last = now
-			if tokens < 1 {
-				wait := time.Duration((1 - tokens) / rate * float64(time.Second))
-				time.Sleep(wait)
-				now = time.Now()
-				tokens += now.Sub(last).Seconds() * rate
-				last = now
-			}
-			tokens--
-		}
 		c := clampClass(a.App.QoS.Priority)
 		if c == model.Critical {
 			s.classes[c] <- a
@@ -525,7 +472,9 @@ func (s *Server) handle(a Arrival, c model.Priority) {
 	}
 	wait, ok := s.backend.TrySubmit(a.App, a.Lib)
 	if !ok {
-		// The backend's bounded queue is full.
+		// The backend's bounded queue is full. The arrival never produces
+		// an outcome, so it hands back any half-open probe slot allow took.
+		s.breaker.returnProbe()
 		s.c.shedQueue.Add(1)
 		s.shed(a, c, ShedAtQueue)
 		return
@@ -546,17 +495,14 @@ func (s *Server) shed(a Arrival, c model.Priority, at ShedStage) {
 // queue-depth + workers outcomes are ever pending.
 func (s *Server) watch(a Arrival, c model.Priority, wait func() manager.Outcome, attempts int) {
 	s.watchers.Add(1)
-	submitted := time.Now()
 	go func() {
 		defer s.watchers.Done()
 		out := wait()
 		lat := time.Since(a.t)
-		svc := time.Since(submitted)
 		if out.Admitted {
 			recovered := attempts > 1
-			s.breaker.record(s.opts.Breaker.Latency > 0 && svc > s.opts.Breaker.Latency)
+			s.breaker.record(false)
 			s.win.add(lat)
-			s.svcWin.add(svc)
 			s.deliver(a.notify, Result{
 				App: a.App.Name, Class: c, Verdict: VerdictAdmitted,
 				Recovered: recovered, Latency: lat, Outcome: out,
@@ -677,13 +623,10 @@ func (s *Server) Shutdown() Report {
 	s.stages.Wait() // classify drained ingress; dispatch drained classes
 	// Stop the DLQ retry loop BEFORE waiting on watchers: the loop
 	// spawns watcher goroutines, and a WaitGroup must not grow while
-	// being waited on. The AIMD controller rides the same quit signal.
+	// being waited on.
 	close(s.quit)
 	if s.dlq != nil {
 		<-s.dlqDone
-	}
-	if s.aimdDone != nil {
-		<-s.aimdDone
 	}
 	s.watchers.Wait() // every submitted outcome delivered (or parked in DLQ)
 	if s.dlq != nil {
@@ -728,17 +671,9 @@ type Report struct {
 	BreakerState    string
 	DLQDepth        int
 	DLQDepthByClass [model.NumPriorities]int
-	// AdmitRate is the dispatch throttle's rate at report time (0 =
-	// unlimited); RateCuts and RateRaises count the AIMD controller's
-	// multiplicative cuts and additive raises.
-	AdmitRate            float64
-	RateCuts, RateRaises uint64
 	// Window is the rolling-window snapshot of end-to-end admission
-	// latency at report time; Service is the same window over service
-	// latency only (backend submission → outcome, excluding queue wait)
-	// — the AIMD controller's and latency breaker's feedback signal.
-	Window  WindowSnapshot
-	Service WindowSnapshot
+	// latency at report time.
+	Window WindowSnapshot
 }
 
 // Shed sums the per-class shed counts.
@@ -770,11 +705,7 @@ func (s *Server) Report() Report {
 		ShedDeadline: s.c.shedDeadline.Load(),
 		BreakerOpens: s.breaker.Opens(),
 		BreakerState: s.breaker.State().String(),
-		AdmitRate:    s.rate.load(),
-		RateCuts:     s.c.rateCuts.Load(),
-		RateRaises:   s.c.rateRaises.Load(),
 		Window:       s.win.Snapshot(),
-		Service:      s.svcWin.Snapshot(),
 	}
 	for c := range r.ShedByClass {
 		r.ShedByClass[c] = s.c.shedByClass[c].Load()

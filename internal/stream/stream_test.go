@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -651,6 +652,57 @@ func TestServerBreakerIgnoresStructuralRejections(t *testing.T) {
 	}
 	if rep.Admitted != 1 || rep.Rejected != bad || !rep.LedgerOK() {
 		t.Fatalf("admitted %d, rejected %d, want 1 and %d: %+v", rep.Admitted, rep.Rejected, bad, rep)
+	}
+}
+
+// TestServerBreakerHalfOpenSurvivesQueueSheds pins that an arrival the
+// backend queue refuses hands back the half-open probe slot it took: it
+// never produces an outcome, so a kept slot could never be settled, and
+// after Probes such sheds the breaker would stay half-open and shed every
+// Standard and BestEffort arrival until a Critical outcome closed it.
+func TestServerBreakerHalfOpenSurvivesQueueSheds(t *testing.T) {
+	fb := &fakeBackend{}
+	srv, err := New(Options{
+		Backend: fb, Ingress: 8, ClassBuf: 8,
+		Breaker: BreakerConfig{Window: time.Minute, MinSamples: 4, Ratio: 0.5,
+			Cooldown: 20 * time.Millisecond, Probes: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, _ := collect(srv)
+	// SubmitWait returns after the watcher fed the breaker, so every step
+	// below sees the breaker state the previous arrival left.
+	send := func(tag string, i int) Result {
+		app, lib := taggedArrival(tag, i, model.Standard)
+		r, err := srv.SubmitWait(context.Background(), app, lib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for i := 0; i < 4; i++ {
+		send("reject", i)
+	}
+	if srv.breaker.Opens() != 1 {
+		t.Fatalf("breaker opens = %d after four capacity rejections, want 1", srv.breaker.Opens())
+	}
+	time.Sleep(40 * time.Millisecond) // past the cooldown: half-open
+	for i := 0; i < 2; i++ {
+		if r := send("full", 4+i); r.ShedAt != ShedAtQueue {
+			t.Fatalf("full-queue arrival %d: %+v, want shed at the queue", i, r)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		if r := send("admit", 6+i); r.Verdict != VerdictAdmitted {
+			t.Fatalf("arrival %d after the queue sheds: %s at %s (breaker %s), want admitted",
+				i, r.Verdict, r.ShedAt, srv.breaker.State())
+		}
+	}
+	rep := srv.Shutdown()
+	<-done
+	if rep.BreakerState != "closed" || rep.Admitted != 10 || !rep.LedgerOK() {
+		t.Fatalf("breaker %s, admitted %d, want closed and 10: %+v", rep.BreakerState, rep.Admitted, rep)
 	}
 }
 

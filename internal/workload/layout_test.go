@@ -1,10 +1,44 @@
 package workload
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"rtsm/internal/arch"
 )
+
+// TestSyntheticRegionPlatformLayout pins the stream endpoints
+// SyntheticRegionPlatform attaches after the processing tiles: names and
+// router coordinates, in attachment order. Blocks are row-major and
+// clipped at the mesh edge, so together they tile the mesh; a size ≤ 0 or
+// one that covers the mesh gives the single SRC0/SINK0 pair.
+func TestSyntheticRegionPlatformLayout(t *testing.T) {
+	cases := []struct {
+		w, h, size int
+		want       string
+	}{
+		{12, 12, 3, "SRC0@0,2 SINK0@2,0 SRC1@3,2 SINK1@5,0 SRC2@6,2 SINK2@8,0 SRC3@9,2 SINK3@11,0 SRC4@0,5 SINK4@2,3 SRC5@3,5 SINK5@5,3 SRC6@6,5 SINK6@8,3 SRC7@9,5 SINK7@11,3 SRC8@0,8 SINK8@2,6 SRC9@3,8 SINK9@5,6 SRC10@6,8 SINK10@8,6 SRC11@9,8 SINK11@11,6 SRC12@0,11 SINK12@2,9 SRC13@3,11 SINK13@5,9 SRC14@6,11 SINK14@8,9 SRC15@9,11 SINK15@11,9"},
+		{8, 8, 3, "SRC0@0,2 SINK0@2,0 SRC1@3,2 SINK1@5,0 SRC2@6,2 SINK2@7,0 SRC3@0,5 SINK3@2,3 SRC4@3,5 SINK4@5,3 SRC5@6,5 SINK5@7,3 SRC6@0,7 SINK6@2,6 SRC7@3,7 SINK7@5,6 SRC8@6,7 SINK8@7,6"},
+		{8, 8, 0, "SRC0@0,7 SINK0@7,0"},
+		{7, 5, 4, "SRC0@0,3 SINK0@3,0 SRC1@4,3 SINK1@6,0 SRC2@0,4 SINK2@3,4 SRC3@4,4 SINK3@6,4"},
+		{6, 6, 6, "SRC0@0,5 SINK0@5,0"},
+		{6, 6, 9, "SRC0@0,5 SINK0@5,0"},
+		{16, 16, 4, "SRC0@0,3 SINK0@3,0 SRC1@4,3 SINK1@7,0 SRC2@8,3 SINK2@11,0 SRC3@12,3 SINK3@15,0 SRC4@0,7 SINK4@3,4 SRC5@4,7 SINK5@7,4 SRC6@8,7 SINK6@11,4 SRC7@12,7 SINK7@15,4 SRC8@0,11 SINK8@3,8 SRC9@4,11 SINK9@7,8 SRC10@8,11 SINK10@11,8 SRC11@12,11 SINK11@15,8 SRC12@0,15 SINK12@3,12 SRC13@4,15 SINK13@7,12 SRC14@8,15 SINK14@11,12 SRC15@12,15 SINK15@15,12"},
+		{5, 9, 2, "SRC0@0,1 SINK0@1,0 SRC1@2,1 SINK1@3,0 SRC2@4,1 SINK2@4,0 SRC3@0,3 SINK3@1,2 SRC4@2,3 SINK4@3,2 SRC5@4,3 SINK5@4,2 SRC6@0,5 SINK6@1,4 SRC7@2,5 SINK7@3,4 SRC8@4,5 SINK8@4,4 SRC9@0,7 SINK9@1,6 SRC10@2,7 SINK10@3,6 SRC11@4,7 SINK11@4,6 SRC12@0,8 SINK12@1,8 SRC13@2,8 SINK13@3,8 SRC14@4,8 SINK14@4,8"},
+	}
+	for _, c := range cases {
+		p := SyntheticRegionPlatform(c.w, c.h, 1, c.size)
+		var got []string
+		for _, tl := range p.Tiles[c.w*c.h:] {
+			pos := p.Pos(tl.ID)
+			got = append(got, fmt.Sprintf("%s@%d,%d", tl.Name, pos.X, pos.Y))
+		}
+		if g := strings.Join(got, " "); g != c.want {
+			t.Errorf("%d×%d size %d:\n got %s\nwant %s", c.w, c.h, c.size, g, c.want)
+		}
+	}
+}
 
 // TestFigure2LayoutDerivation re-derives the tile placement used by
 // Hiperlan2Platform, making the EXPERIMENTS.md claim reproducible inside

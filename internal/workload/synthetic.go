@@ -41,8 +41,8 @@ type SynthOptions struct {
 	// SrcTile and SinkTile name the tiles the application's stream
 	// endpoints are pinned to (empty = "SRC0" / "SINK0", the endpoints
 	// SyntheticPlatform provides). Region-spread scenarios pin arrivals
-	// to the per-region endpoints of SyntheticRegionPlatform instead, so
-	// admissions land in disjoint mesh regions.
+	// to the per-block endpoints of SyntheticRegionPlatform instead, so
+	// admissions start and end in different corners of the mesh.
 	SrcTile  string
 	SinkTile string
 	// Priority tags the generated application's admission QoS class
@@ -273,28 +273,33 @@ func SyntheticPlatform(w, h int, seed int64) *arch.Platform {
 	return p
 }
 
-// SyntheticRegionPlatform builds the same mesh as SyntheticPlatform but
-// partitioned into square regions of the given side length, with one
-// stream-source and one stream-sink tile per region: "SRC<r>" at the
-// region's bottom-left router and "SINK<r>" at its top-right. An
-// application pinned to region r's endpoints (SynthOptions.SrcTile /
-// SinkTile) keeps its whole reservation footprint inside that region —
-// minimal routes between two routers of a rectangle stay inside it — so
-// arrivals pinned to different regions never collide. regionSize ≤ 0 or covering the whole mesh yields the
-// single-region platform (endpoints then match SyntheticPlatform's
-// SRC0/SINK0 placement).
+// SyntheticRegionPlatform builds the same mesh as SyntheticPlatform with
+// one stream-source and one stream-sink tile per square block of
+// regionSize×regionSize routers, blocks numbered row-major and clipped at
+// the mesh edge: "SRC<r>" at block r's bottom-left router and "SINK<r>" at
+// its top-right. An application pinned to block r's endpoints
+// (SynthOptions.SrcTile / SinkTile) starts and ends inside that block.
+// regionSize ≤ 0 or covering the whole mesh yields one block (endpoints
+// then match SyntheticPlatform's SRC0/SINK0 placement).
 func SyntheticRegionPlatform(w, h int, seed int64, regionSize int) *arch.Platform {
 	p := SyntheticPlatformWithoutEndpoints(w, h, seed)
-	p.PartitionRegions(regionSize)
-	for _, reg := range p.Regions() {
-		p.AttachTile(arch.TileSpec{
-			Name: fmt.Sprintf("SRC%d", reg.ID), Type: arch.TypeSource, At: arch.Pt(reg.X0, reg.Y1),
-			ClockHz: 200_000_000, MemBytes: 64 << 10, NICapBps: 800_000_000,
-		})
-		p.AttachTile(arch.TileSpec{
-			Name: fmt.Sprintf("SINK%d", reg.ID), Type: arch.TypeSink, At: arch.Pt(reg.X1, reg.Y0),
-			ClockHz: 200_000_000, MemBytes: 64 << 10, NICapBps: 800_000_000,
-		})
+	if regionSize <= 0 {
+		regionSize = max(w, h)
+	}
+	r := 0
+	for y0 := 0; y0 < h; y0 += regionSize {
+		for x0 := 0; x0 < w; x0 += regionSize {
+			x1, y1 := min(x0+regionSize, w)-1, min(y0+regionSize, h)-1
+			p.AttachTile(arch.TileSpec{
+				Name: fmt.Sprintf("SRC%d", r), Type: arch.TypeSource, At: arch.Pt(x0, y1),
+				ClockHz: 200_000_000, MemBytes: 64 << 10, NICapBps: 800_000_000,
+			})
+			p.AttachTile(arch.TileSpec{
+				Name: fmt.Sprintf("SINK%d", r), Type: arch.TypeSink, At: arch.Pt(x1, y0),
+				ClockHz: 200_000_000, MemBytes: 64 << 10, NICapBps: 800_000_000,
+			})
+			r++
+		}
 	}
 	return p
 }

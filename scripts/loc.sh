@@ -8,7 +8,7 @@
 # Usage: scripts/loc.sh   (from the repository root)
 set -euo pipefail
 
-budget=16156
+budget=15676
 
 lines=$(find . -name '*.go' -not -name '*_test.go' \
   -not -path './bench/*' -not -path './.bench_build/*' -print0 |

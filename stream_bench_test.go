@@ -2,18 +2,17 @@ package rtsm
 
 import (
 	"testing"
-	"time"
 
 	"rtsm/internal/churn"
 	"rtsm/internal/stream"
 )
 
-// streamBenchOptions is the scenario all three streaming benchmarks run:
-// an unsaturated all-Critical churn on one region-partitioned 8×8 mesh.
-// All-Critical keeps the comparisons honest: Critical is the
+// streamBenchOptions is the scenario both streaming benchmarks run: an
+// unsaturated all-Critical churn on an 8×8 mesh with one endpoint pair per
+// 3×3 block. All-Critical keeps the comparison honest: Critical is the
 // blocking-backpressure path, so the server admits exactly the arrivals
-// the bare pipeline would (nothing sheds) and throughput differences are
-// pure stage overhead or throttle tax.
+// the bare pipeline would (nothing sheds) and the throughput difference is
+// pure stage overhead.
 func streamBenchOptions(n int) churn.Options {
 	o := churn.Defaults()
 	o.Apps = n
@@ -57,23 +56,7 @@ func BenchmarkStreamServeServer(b *testing.B) {
 	benchmarkStreamSoak(b, stream.Options{Ingress: 256, ClassBuf: 64})
 }
 
-// BenchmarkStreamAdaptiveAIMD prices the AIMD overload controller: the
-// BenchmarkStreamServeServer scenario (nothing sheds, both admit exactly
-// b.N arrivals) with a 250ms p99 service-latency SLO, so the
-// admissions/sec difference against the unthrottled server is pure
-// throttle tax.
-func BenchmarkStreamAdaptiveAIMD(b *testing.B) {
-	const slo = 250 * time.Millisecond
-	res := benchmarkStreamSoak(b, stream.Options{
-		Ingress: 256, ClassBuf: 64,
-		AIMD: stream.AIMDConfig{SLO: slo},
-	})
-	if p99 := res.Report.Service.P99; p99 > slo {
-		b.Logf("windowed p99 service latency %v over the %v SLO at shutdown", p99, slo)
-	}
-}
-
-func benchmarkStreamSoak(b *testing.B, server stream.Options) churn.Result {
+func benchmarkStreamSoak(b *testing.B, server stream.Options) {
 	o := streamBenchOptions(b.N)
 	b.ResetTimer()
 	res := churn.RunSoak(o, server)
@@ -92,5 +75,4 @@ func benchmarkStreamSoak(b *testing.B, server stream.Options) churn.Result {
 	if elapsed := b.Elapsed(); elapsed > 0 {
 		b.ReportMetric(float64(res.Report.Admitted)/elapsed.Seconds(), "admissions/sec")
 	}
-	return res
 }
