@@ -45,8 +45,10 @@ func TestRepairUnchangedAllocationBudget(t *testing.T) {
 // cheap in objects: it was 17 114 while step 4 allocated per firing, 398
 // while each working clone copied the mesh struct by struct, 368 while
 // step 3 searched on a boxed heap and step 2 built two maps per candidate,
-// 282 while every attempt cloned the platform, and is 277 now that the
-// working copy is pooled. The budget is 277 plus 10 %.
+// 282 while every attempt cloned the platform, 277 while step 1 re-scored
+// every process per pick, step 2 copied the assignment per trace row and
+// the CSDF graph allocated per actor and channel, and is 105 now. The
+// budget is 105 plus 10 %.
 func TestHiperlan2MapAllocationBudget(t *testing.T) {
 	mode := workload.Hiperlan2Modes[3]
 	app := workload.Hiperlan2(mode)
@@ -57,8 +59,30 @@ func TestHiperlan2MapAllocationBudget(t *testing.T) {
 			t.Fatalf("Map: %v", err)
 		}
 	})
-	if allocs > 305 {
-		t.Errorf("Map allocates %v objects, want at most 305", allocs)
+	if allocs > 115 {
+		t.Errorf("Map allocates %v objects, want at most 115", allocs)
+	}
+	t.Logf("Map: %v objects", allocs)
+}
+
+// TestSyntheticMapAllocationBudget does the same for the map-cold case
+// with the longest steps 1 and 2, a ten-process layered application on a
+// 6×6 mesh hosting twelve background applications. It was 1 549 objects
+// before step 1 went incremental and is 211 now; the budget is 211 plus
+// 10 %.
+func TestSyntheticMapAllocationBudget(t *testing.T) {
+	plat := loadedPlatform(t, 6, 12)
+	app, lib := workload.Synthetic(workload.SynthOptions{
+		Shape: workload.ShapeLayered, Processes: 10, Seed: 105, MaxUtil: 0.2, PeriodNs: 40_000,
+	})
+	m := NewMapper(lib)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := m.Map(app, plat); err != nil {
+			t.Fatalf("Map: %v", err)
+		}
+	})
+	if allocs > 232 {
+		t.Errorf("Map allocates %v objects, want at most 232", allocs)
 	}
 	t.Logf("Map: %v objects", allocs)
 }

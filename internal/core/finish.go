@@ -92,16 +92,17 @@ func FinishAssignment(lib *model.Library, cfg Config, app *model.Application, pl
 		mp.Tile[p.ID] = t.ID
 		placed[pl.Process] = true
 	}
-	for _, p := range app.MappableProcesses() {
+	ix := newAppIndex(app)
+	for _, p := range ix.procs {
 		if !placed[p.Name] {
 			return nil, fmt.Errorf("core: placement is missing process %q", p.Name)
 		}
 	}
-	if fb := m.step3(app, work, mp, trace); fb != nil {
+	if fb := m.step3(ix, work, mp, trace); fb != nil {
 		res := m.infeasibleResult(app, work, mp, trace)
 		trace.Notes = append(trace.Notes, fb.String())
 		return res, nil
 	}
-	res, _ := m.step4(app, work, mp, trace)
+	res, _ := m.step4(ix, work, mp, trace)
 	return res, nil
 }

@@ -126,7 +126,7 @@ func TestApplyMatchesWorkingPlatform(t *testing.T) {
 			Shape: workload.ShapeLayered, Processes: 8, Seed: seed})
 		plat := workload.SyntheticPlatform(4, 4, seed)
 		work := new(arch.Platform)
-		res, _, err := NewMapper(lib).attempt(app, plat, work, newTabu(), nil)
+		res, _, err := NewMapper(lib).attempt(newAppIndex(app), plat, work, newTabu(), nil)
 		if err != nil || !res.Feasible {
 			continue
 		}

@@ -192,6 +192,24 @@ type Result struct {
 	Pinned   int
 }
 
+// TileOf returns the tile the mapping places process p on.
+func (r *Result) TileOf(p model.ProcessID) (arch.TileID, bool) {
+	t, ok := r.Mapping.Tile[p]
+	return t, ok
+}
+
+// RouteOf returns the NoC path of stream channel c (empty within a tile).
+func (r *Result) RouteOf(c model.ChannelID) (noc.Path, bool) {
+	p, ok := r.Mapping.Route[c]
+	return p, ok
+}
+
+// BufferOf returns the buffer capacity step 4 sized for c, in tokens.
+func (r *Result) BufferOf(c model.ChannelID) (int64, bool) {
+	b, ok := r.Mapping.Buffers[c]
+	return b, ok
+}
+
 // Map runs the four-step algorithm with iterative refinement and returns
 // the best feasible mapping found, or, if none is feasible within the
 // refinement budget, the last attempt with Feasible=false. The caller's
@@ -209,14 +227,15 @@ func (m *Mapper) mapOn(app *model.Application, plat, work *arch.Platform) (*Resu
 	if err := app.Validate(); err != nil {
 		return nil, err
 	}
-	if err := m.checkAdequacyPossible(app, plat); err != nil {
+	ix := newAppIndex(app)
+	if err := m.checkAdequacyPossible(ix, plat); err != nil {
 		return nil, err
 	}
 	tabu := newTabu()
 	var best, last *Result
 	refinements := 0
 	for round := 0; round <= m.Cfg.maxRefinements(); round++ {
-		res, fb, err := m.attempt(app, plat, work, tabu, nil)
+		res, fb, err := m.attempt(ix, plat, work, tabu, nil)
 		if err != nil {
 			if best != nil {
 				break
@@ -249,8 +268,8 @@ func (m *Mapper) mapOn(app *model.Application, plat, work *arch.Platform) (*Resu
 // checkAdequacyPossible verifies that every mappable process has at least
 // one implementation whose tile type exists on the platform — the paper's
 // precondition for an adequate mapping.
-func (m *Mapper) checkAdequacyPossible(app *model.Application, plat *arch.Platform) error {
-	for _, p := range app.MappableProcesses() {
+func (m *Mapper) checkAdequacyPossible(ix *appIndex, plat *arch.Platform) error {
+	for _, p := range ix.procs {
 		ims := m.Lib.For(p.Name)
 		if len(ims) == 0 {
 			return fmt.Errorf("core: process %q has no implementations", p.Name)
@@ -266,7 +285,7 @@ func (m *Mapper) checkAdequacyPossible(app *model.Application, plat *arch.Platfo
 			return fmt.Errorf("core: no tile on %q can run any implementation of %q", plat.Name, p.Name)
 		}
 	}
-	for _, p := range app.Processes {
+	for _, p := range ix.app.Processes {
 		if p.PinnedTile != "" && plat.TileByName(p.PinnedTile) == nil {
 			return fmt.Errorf("core: process %q pinned to unknown tile %q", p.Name, p.PinnedTile)
 		}
@@ -285,7 +304,8 @@ var workPool = sync.Pool{New: func() any { return new(arch.Platform) }}
 // steps 1 and 2, its routes are reserved and skipped by step 3, so only
 // what the seed leaves open is re-decided (the incremental repair path).
 // Tests call it directly to read the reservations the mapper made.
-func (m *Mapper) attempt(app *model.Application, plat, work *arch.Platform, tabu *tabu, seed *seedMapping) (*Result, *feedback, error) {
+func (m *Mapper) attempt(ix *appIndex, plat, work *arch.Platform, tabu *tabu, seed *seedMapping) (*Result, *feedback, error) {
+	app := ix.app
 	plat.CopyInto(work)
 	trace := &Trace{}
 	mapping := &Mapping{
@@ -309,16 +329,16 @@ func (m *Mapper) attempt(app *model.Application, plat, work *arch.Platform, tabu
 		return nil, nil, err
 	}
 
-	if fb := m.step1(app, work, mapping, tabu, trace); fb != nil {
+	if fb := m.step1(ix, work, mapping, tabu, trace); fb != nil {
 		return m.infeasibleResult(app, work, mapping, trace), fb, nil
 	}
 	if !m.Cfg.NoStep2 {
-		m.step2(app, work, mapping, seed.lockedSet(), trace)
+		m.step2(ix, work, mapping, seed.lockedSet(), trace)
 	}
-	if fb := m.step3(app, work, mapping, trace); fb != nil {
+	if fb := m.step3(ix, work, mapping, trace); fb != nil {
 		return m.infeasibleResult(app, work, mapping, trace), fb, nil
 	}
-	res, fb := m.step4(app, work, mapping, trace)
+	res, fb := m.step4(ix, work, mapping, trace)
 	return res, fb, nil
 }
 

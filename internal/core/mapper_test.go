@@ -353,3 +353,39 @@ func TestMapDeterministic(t *testing.T) {
 		}
 	}
 }
+
+func TestResultReads(t *testing.T) {
+	res := mapHiperlan2(t, Config{})
+	app := res.Mapping.App
+	placed, routed, sized := 0, 0, 0
+	for _, p := range app.Processes {
+		tid, ok := res.TileOf(p.ID)
+		if ok == p.Control {
+			t.Errorf("TileOf(%q) ok=%v for a control=%v process", p.Name, ok, p.Control)
+		}
+		if ok {
+			placed++
+			if tid != res.Mapping.Tile[p.ID] {
+				t.Errorf("TileOf(%q) = %d, mapping says %d", p.Name, tid, res.Mapping.Tile[p.ID])
+			}
+		}
+	}
+	for _, c := range app.Channels {
+		if path, ok := res.RouteOf(c.ID); ok {
+			routed++
+			if want := res.Mapping.Route[c.ID]; path.Hops() != want.Hops() {
+				t.Errorf("RouteOf(%q) has %d hops, mapping says %d", c.Name, path.Hops(), want.Hops())
+			}
+		}
+		if buf, ok := res.BufferOf(c.ID); ok {
+			sized++
+			if buf != res.Mapping.Buffers[c.ID] {
+				t.Errorf("BufferOf(%q) = %d, mapping says %d", c.Name, buf, res.Mapping.Buffers[c.ID])
+			}
+		}
+	}
+	if placed != len(res.Mapping.Tile) || routed != len(res.Mapping.Route) || sized != len(res.Mapping.Buffers) {
+		t.Errorf("reads found %d tiles, %d routes, %d buffers; mapping holds %d, %d, %d",
+			placed, routed, sized, len(res.Mapping.Tile), len(res.Mapping.Route), len(res.Mapping.Buffers))
+	}
+}

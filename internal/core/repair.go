@@ -46,7 +46,7 @@ func (s *seedMapping) lockedSet() map[model.ProcessID]bool {
 // unpin releases one process from the seed: its placement is forgotten and
 // every kept route touching it is dropped, so the next attempt re-decides
 // them. Reports whether anything was released.
-func (s *seedMapping) unpin(app *model.Application, pid model.ProcessID) bool {
+func (s *seedMapping) unpin(ix *appIndex, pid model.ProcessID) bool {
 	if s == nil {
 		return false
 	}
@@ -55,8 +55,8 @@ func (s *seedMapping) unpin(app *model.Application, pid model.ProcessID) bool {
 	}
 	delete(s.impl, pid)
 	delete(s.tile, pid)
-	for _, c := range app.ChannelsOf(pid) {
-		delete(s.routes, c.ID)
+	for _, ci := range ix.incident[pid] {
+		delete(s.routes, ix.chans[ci].ID)
 	}
 	return true
 }
@@ -137,9 +137,9 @@ func budgetFor(t *arch.Tile) *tileBudget {
 // Routes survive when both endpoints kept their tiles and no link of the
 // path is conflicted; dropped routes with kept endpoints are re-routed by
 // step 3 around the congestion.
-func salvage(fresh *arch.Platform, res *Result, violations []ValidationError) (*seedMapping, error) {
+func salvage(ix *appIndex, fresh *arch.Platform, res *Result, violations []ValidationError) (*seedMapping, error) {
 	mp := res.Mapping
-	app := mp.App
+	app := ix.app
 	badTile := make(map[arch.TileID]bool)
 	badNI := make(map[arch.TileID]bool)
 	badLink := make(map[arch.LinkID]bool)
@@ -161,7 +161,7 @@ func salvage(fresh *arch.Platform, res *Result, violations []ValidationError) (*
 	// (whose step 3 rejects it promptly with the honest reason).
 	for tid := range badNI {
 		relievable := false
-		for _, p := range app.MappableProcesses() {
+		for _, p := range ix.procs {
 			if t, ok := mp.Tile[p.ID]; ok && t == tid {
 				relievable = true
 				break
@@ -178,7 +178,7 @@ func salvage(fresh *arch.Platform, res *Result, violations []ValidationError) (*
 		routes: make(map[model.ChannelID]noc.Path),
 	}
 	budgets := make(map[arch.TileID]*tileBudget)
-	for _, p := range app.MappableProcesses() {
+	for _, p := range ix.procs {
 		im := mp.Impl[p.ID]
 		tid, ok := mp.Tile[p.ID]
 		if im == nil || !ok {
@@ -209,7 +209,8 @@ func salvage(fresh *arch.Platform, res *Result, violations []ValidationError) (*
 		// truth for what Apply will eventually demand per resource.
 		mem := im.MemBytes
 		var inBps, outBps int64
-		for _, c := range app.ChannelsOf(p.ID) {
+		for _, ci := range ix.incident[p.ID] {
+			c := ix.chans[ci]
 			if c.Dst == p.ID {
 				mem += mp.Buffers[c.ID] * c.TokenBytes
 			}
@@ -238,7 +239,7 @@ func salvage(fresh *arch.Platform, res *Result, violations []ValidationError) (*
 		seed.impl[p.ID] = im
 		seed.tile[p.ID] = tid
 	}
-	for _, c := range app.StreamChannels() {
+	for _, c := range ix.chans {
 		path, ok := mp.Route[c.ID]
 		if !ok {
 			continue
@@ -295,10 +296,11 @@ func (m *Mapper) Repair(res *Result, snap *arch.Snapshot) (*Result, error) {
 		// Everything the mapping reserves still fits: it commits verbatim.
 		return res, nil
 	}
-	if err := m.checkAdequacyPossible(app, snap.Plat); err != nil {
+	ix := newAppIndex(app)
+	if err := m.checkAdequacyPossible(ix, snap.Plat); err != nil {
 		return nil, err
 	}
-	seed, err := salvage(snap.Plat, res, violations)
+	seed, err := salvage(ix, snap.Plat, res, violations)
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +315,7 @@ func (m *Mapper) Repair(res *Result, snap *arch.Snapshot) (*Result, error) {
 	refinements := 0
 	for round := 0; round <= m.Cfg.maxRepairRounds(); round++ {
 		pinned := len(seed.impl)
-		attempt, fb, err := m.attempt(app, snap.Plat, work, tabu, seed)
+		attempt, fb, err := m.attempt(ix, snap.Plat, work, tabu, seed)
 		if err != nil {
 			if best != nil {
 				break
@@ -333,7 +335,7 @@ func (m *Mapper) Repair(res *Result, snap *arch.Snapshot) (*Result, error) {
 		// Graceful degradation: feedback naming a pinned process releases
 		// it, so constraints the salvage missed still get repaired, and
 		// with everything released a repair round is a full remap.
-		released := seed.unpin(app, fb.process)
+		released := seed.unpin(ix, fb.process)
 		if !tabu.apply(fb) && !released {
 			break // nothing new to try
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rtsm/internal/arch"
 	"rtsm/internal/model"
@@ -17,6 +18,13 @@ type option struct {
 	cost float64
 }
 
+// pending is a process step 1 has yet to assign, with its options sorted
+// by cost as of the last time they were scored; none means stale.
+type pending struct {
+	p    *model.Process
+	opts []option
+}
+
 // step1 assigns an implementation — and thereby a tile type — to every
 // mappable process (paper §3, step 1). Processes are picked iteratively by
 // desirability: the cost gap between their cheapest and second cheapest
@@ -24,47 +32,44 @@ type option struct {
 // (desirability +Inf), matching the paper's "chosen per default". The
 // chosen implementation is packed first-fit onto a concrete tile so that
 // an adhering assignment is known to exist after this step.
-func (m *Mapper) step1(app *model.Application, work *arch.Platform, mp *Mapping, tb *tabu, tr *Trace) *feedback {
+func (m *Mapper) step1(ix *appIndex, work *arch.Platform, mp *Mapping, tb *tabu, tr *Trace) *feedback {
 	// Processes already carrying an implementation were seeded by the
 	// repair path; their placement is settled and step 1 leaves it alone.
-	var unassigned []*model.Process
-	for _, p := range app.MappableProcesses() {
+	// The others keep their options between picks, at most one per
+	// implementation.
+	var todo []pending
+	for _, p := range ix.procs {
 		if mp.Impl[p.ID] == nil {
-			unassigned = append(unassigned, p)
+			todo = append(todo, pending{p, make([]option, 0, len(m.Lib.For(p.Name)))})
 		}
 	}
 
-	for len(unassigned) > 0 {
-		type scored struct {
-			idx          int // index into unassigned
-			desirability float64
-			best         option
-		}
-		var pick *scored
-		for i, p := range unassigned {
-			opts, fb := m.viableOptions(app, work, mp, p, tb)
-			if fb != nil {
-				return fb
+	for len(todo) > 0 {
+		pick, pickDesirability := -1, 0.0
+		for i := range todo {
+			u := &todo[i]
+			if len(u.opts) == 0 {
+				var fb *feedback
+				if u.opts, fb = m.viableOptions(ix, work, mp, u.p, tb, u.opts); fb != nil {
+					return fb
+				}
 			}
-			s := scored{idx: i, best: opts[0]}
-			if len(opts) == 1 {
-				s.desirability = math.Inf(1)
-			} else {
-				s.desirability = opts[1].cost - opts[0].cost
+			desirability := math.Inf(1)
+			if len(u.opts) > 1 {
+				desirability = u.opts[1].cost - u.opts[0].cost
 			}
 			if m.Cfg.ArbitraryOrder {
 				// Ablation: take processes in declaration order, ignoring
 				// desirability entirely.
-				pick = &s
+				pick, pickDesirability = i, desirability
 				break
 			}
-			if pick == nil || s.desirability > pick.desirability {
-				s := s
-				pick = &s
+			if pick < 0 || desirability > pickDesirability {
+				pick, pickDesirability = i, desirability
 			}
 		}
-		p := unassigned[pick.idx]
-		opt := pick.best
+		p := todo[pick].p
+		opt := todo[pick].opts[0]
 		wt := work.Tile(opt.tile.ID)
 		wt.ReservedMem += opt.im.MemBytes
 		wt.ReservedUtil += opt.util
@@ -73,21 +78,31 @@ func (m *Mapper) step1(app *model.Application, work *arch.Platform, mp *Mapping,
 		mp.Tile[p.ID] = opt.tile.ID
 		tr.Step1 = append(tr.Step1, Step1Record{
 			Process:      p.Name,
-			Desirability: pick.desirability,
+			Desirability: pickDesirability,
 			Impl:         opt.im.String(),
 			Tile:         opt.tile.Name,
 		})
-		unassigned = append(unassigned[:pick.idx], unassigned[pick.idx+1:]...)
+		todo = append(todo[:pick], todo[pick+1:]...)
+		// Reservations only grow during step 1 and the tabu is fixed, so
+		// a first fit ahead of the picked tile still fits and one behind
+		// it still does not: only options on the picked tile are stale.
+		// The communication estimate also reads placed neighbours, so
+		// under it every option is.
+		for i := range todo {
+			if m.Cfg.CommEstimateInStep1 || slices.ContainsFunc(todo[i].opts, func(o option) bool { return o.tile == opt.tile }) {
+				todo[i].opts = todo[i].opts[:0]
+			}
+		}
 	}
 	return nil
 }
 
-// viableOptions returns the process's options sorted by cost (cheapest
-// first; ties by library registration order). Options are filtered the way
-// the paper prescribes: only implementations that currently fit on at
-// least one tile keep the eventual mapping adherent.
-func (m *Mapper) viableOptions(app *model.Application, work *arch.Platform, mp *Mapping, p *model.Process, tb *tabu) ([]option, *feedback) {
-	var opts []option
+// viableOptions appends to opts the process's options sorted by cost
+// (cheapest first; ties by library registration order). Options are
+// filtered the way the paper prescribes: only implementations that
+// currently fit on at least one tile keep the eventual mapping adherent.
+func (m *Mapper) viableOptions(ix *appIndex, work *arch.Platform, mp *Mapping, p *model.Process, tb *tabu, opts []option) ([]option, *feedback) {
+	app := ix.app
 	for _, im := range m.Lib.For(p.Name) {
 		if tb.bansImpl(p.ID, im.TileType) {
 			continue
@@ -98,18 +113,18 @@ func (m *Mapper) viableOptions(app *model.Application, work *arch.Platform, mp *
 			// structure; it is not an option for this app.
 			continue
 		}
-		tile, util := m.firstFit(app, work, p, im, cyc, tb)
+		tile, util := m.firstFit(ix, work, p, im, cyc, tb)
 		if tile == nil {
 			continue
 		}
 		cost := im.EnergyPerPeriod
 		if m.Cfg.CommEstimateInStep1 {
-			cost += m.commEstimate(app, work, mp, p, tile)
+			cost += m.commEstimate(ix, work, mp, p, tile)
 		}
 		opts = append(opts, option{im: im, tile: tile, util: util, cost: cost})
 	}
 	if len(opts) == 0 {
-		return nil, m.step1Feedback(app, work, mp, p, tb)
+		return nil, m.step1Feedback(ix, work, mp, p, tb)
 	}
 	// Insertion sort by cost keeps registration order on ties and avoids
 	// pulling in sort for a handful of options.
@@ -128,12 +143,12 @@ func (m *Mapper) viableOptions(app *model.Application, work *arch.Platform, mp *
 // find a tile type the starved process could use, pick an already-assigned
 // occupant of that type that has an alternative tile type, and ban the
 // occupant's choice so the next attempt frees a slot.
-func (m *Mapper) step1Feedback(app *model.Application, work *arch.Platform, mp *Mapping, p *model.Process, tb *tabu) *feedback {
+func (m *Mapper) step1Feedback(ix *appIndex, work *arch.Platform, mp *Mapping, p *model.Process, tb *tabu) *feedback {
 	for _, im := range m.Lib.For(p.Name) {
 		if tb.bansImpl(p.ID, im.TileType) {
 			continue
 		}
-		for _, q := range app.MappableProcesses() {
+		for _, q := range ix.procs {
 			qIm := mp.Impl[q.ID]
 			if qIm == nil || qIm.TileType != im.TileType || tb.bansImpl(q.ID, qIm.TileType) {
 				continue
@@ -169,14 +184,14 @@ func (m *Mapper) step1Feedback(app *model.Application, work *arch.Platform, mp *
 // firstFit returns the first tile (in platform declaration order: "the
 // first tile we come across", §3 step 1) that can host the implementation,
 // or nil.
-func (m *Mapper) firstFit(app *model.Application, work *arch.Platform, p *model.Process, im *model.Implementation, cyclesPerPeriod int64, tb *tabu) (*arch.Tile, float64) {
-	ni := niDemandOf(app, p)
+func (m *Mapper) firstFit(ix *appIndex, work *arch.Platform, p *model.Process, im *model.Implementation, cyclesPerPeriod int64, tb *tabu) (*arch.Tile, float64) {
+	ni := ix.ni[p.ID]
 	for _, tid := range work.TilesOfType(im.TileType) {
 		if tb.bansTile(p.ID, tid) {
 			continue
 		}
 		t := work.Tile(tid)
-		util := utilisation(t, cyclesPerPeriod, app.QoS.PeriodNs)
+		util := utilisation(t, cyclesPerPeriod, ix.app.QoS.PeriodNs)
 		if canHost(t, im.MemBytes, util) && ni.fits(t) {
 			return t, util
 		}
@@ -196,21 +211,8 @@ func canHost(t *arch.Tile, memBytes int64, util float64) bool {
 
 // niDemand is the throughput all of a process's stream channels together
 // ask of its tile's network interface. It does not depend on the tile, so
-// the tile scans of steps 1 and 2 compute it once per process.
+// the application index holds it once per process.
 type niDemand struct{ inBps, outBps int64 }
-
-func niDemandOf(app *model.Application, p *model.Process) niDemand {
-	var d niDemand
-	for _, c := range app.ChannelsOf(p.ID) {
-		bps := channelBps(c, app.QoS.PeriodNs)
-		if c.Dst == p.ID {
-			d.inBps += bps
-		} else {
-			d.outBps += bps
-		}
-	}
-	return d
-}
 
 // fits conservatively checks that the tile's network interface could
 // carry all of the process's stream traffic, the "at least, locally"
@@ -227,10 +229,11 @@ func (d niDemand) fits(t *arch.Tile) bool {
 // commEstimate prices the process's channels to already-placed neighbours
 // (pinned endpoints and processes assigned in earlier step-1 iterations)
 // by Manhattan distance, the optional step-1 look-ahead.
-func (m *Mapper) commEstimate(app *model.Application, work *arch.Platform, mp *Mapping, p *model.Process, t *arch.Tile) float64 {
+func (m *Mapper) commEstimate(ix *appIndex, work *arch.Platform, mp *Mapping, p *model.Process, t *arch.Tile) float64 {
 	params := m.Cfg.energyParams()
 	var e float64
-	for _, c := range app.ChannelsOf(p.ID) {
+	for _, ci := range ix.incident[p.ID] {
+		c := ix.chans[ci]
 		peer := c.Src
 		if peer == p.ID {
 			peer = c.Dst

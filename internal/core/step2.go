@@ -18,15 +18,10 @@ import (
 // locked processes (seeded by the repair path) keep their tiles: they are
 // neither moved nor offered as swap partners, but their channels still
 // price into the cost every candidate is scored by.
-func (m *Mapper) step2(app *model.Application, work *arch.Platform, mp *Mapping, locked map[model.ProcessID]bool, tr *Trace) {
-	s := &searchState{m: m, app: app, work: work, mp: mp, locked: locked}
+func (m *Mapper) step2(ix *appIndex, work *arch.Platform, mp *Mapping, locked map[model.ProcessID]bool, tr *Trace) {
+	s := &searchState{m: m, ix: ix, work: work, mp: mp, locked: locked}
 	s.init()
-	tr.Step2 = append(tr.Step2, Step2Record{
-		Kind:       Initial,
-		Assignment: s.snapshot(),
-		Cost:       s.cost,
-		Remark:     "Initial (greedy) assignment",
-	})
+	tr.Step2 = append(tr.Step2, s.initialRecord())
 	switch m.Cfg.Strategy {
 	case BestImprovement:
 		s.runBestImprovement(tr)
@@ -38,12 +33,10 @@ func (m *Mapper) step2(app *model.Application, work *arch.Platform, mp *Mapping,
 // searchState carries the mutable view of the assignment during step 2.
 type searchState struct {
 	m    *Mapper
-	app  *model.Application
+	ix   *appIndex
 	work *arch.Platform
 	mp   *Mapping
 
-	procs  []*model.Process         // mappable processes in declaration order
-	chans  []*model.Channel         // stream channels
 	locked map[model.ProcessID]bool // processes step 2 must not relocate
 	// weight[i] multiplies the Manhattan distance of chans[i]; 1 under
 	// HopSum, traffic × hop energy under TrafficWeighted.
@@ -52,11 +45,9 @@ type searchState struct {
 }
 
 func (s *searchState) init() {
-	s.procs = s.app.MappableProcesses()
-	s.chans = s.app.StreamChannels()
-	s.weight = make([]float64, len(s.chans))
+	s.weight = make([]float64, len(s.ix.chans))
 	params := s.m.Cfg.energyParams()
-	for i, c := range s.chans {
+	for i, c := range s.ix.chans {
 		switch s.m.Cfg.CommCost {
 		case TrafficWeighted:
 			s.weight[i] = float64(c.BytesPerPeriod()) * params.HopPerByte
@@ -72,13 +63,13 @@ func (s *searchState) init() {
 // the traffic-weighted model.
 func (s *searchState) totalCost() float64 {
 	var total float64
-	for i, c := range s.chans {
+	for i, c := range s.ix.chans {
 		total += s.weight[i] * float64(s.channelDist(c, current))
 	}
 	if s.m.Cfg.CommCost == TrafficWeighted {
 		params := s.m.Cfg.energyParams()
 		powered := make(map[arch.TileID]bool)
-		for _, p := range s.procs {
+		for _, p := range s.ix.procs {
 			powered[s.mp.Tile[p.ID]] = true
 		}
 		for tid := range powered {
@@ -100,8 +91,6 @@ const noProcess model.ProcessID = -1
 
 // current is the override that changes nothing.
 var current = override{p: noProcess, q: noProcess}
-
-func (o override) touches(p model.ProcessID) bool { return p == o.p || p == o.q }
 
 // channelDist returns the Manhattan distance of a channel under the
 // current assignment as the override changes it. Channels with an unplaced
@@ -139,13 +128,27 @@ type candidate struct {
 }
 
 // deltaFor evaluates the cost change of a candidate by re-pricing only the
-// channels incident to the processes it relocates.
+// channels incident to the processes it relocates, merging their incident
+// lists so the terms add up in channel order: TrafficWeighted terms are
+// not integers, and another order could round differently.
 func (s *searchState) deltaFor(o override) float64 {
+	a := s.ix.incident[o.p]
+	var b []int32
+	if o.q != noProcess {
+		b = s.ix.incident[o.q]
+	}
 	var delta float64
-	for i, c := range s.chans {
-		if !o.touches(c.Src) && !o.touches(c.Dst) {
-			continue
+	for len(a) > 0 || len(b) > 0 {
+		var i int32
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0] < b[0]:
+			i, a = a[0], a[1:]
+		case len(a) == 0 || b[0] < a[0]:
+			i, b = b[0], b[1:]
+		default: // a channel between the two processes
+			i, a, b = a[0], a[1:], b[1:]
 		}
+		c := s.ix.chans[i]
 		delta += s.weight[i] * float64(s.channelDist(c, o)-s.channelDist(c, current))
 	}
 	if s.m.Cfg.CommCost == TrafficWeighted {
@@ -162,7 +165,7 @@ func (s *searchState) idleDelta(o override) float64 {
 	params := s.m.Cfg.energyParams()
 	before := make(map[arch.TileID]int)
 	after := make(map[arch.TileID]int)
-	for _, p := range s.procs {
+	for _, p := range s.ix.procs {
 		cur := s.mp.Tile[p.ID]
 		before[cur]++
 		next, _ := s.tileOf(p.ID, o)
@@ -187,36 +190,34 @@ func (s *searchState) idleDelta(o override) float64 {
 // the best available tile of the same type. Alternatively, we try to swap
 // the process with another process mapped to the same tile type." Swap
 // partners are restricted to later-declared processes so each unordered
-// pair is evaluated once per pass. Returns nil if p has no candidates.
-func (s *searchState) bestCandidateFor(pi int) *candidate {
-	p := s.procs[pi]
+// pair is evaluated once per pass. Reports false if p has no candidates.
+func (s *searchState) bestCandidateFor(pi int) (best candidate, found bool) {
+	p := s.ix.procs[pi]
 	if s.locked[p.ID] {
-		return nil
+		return best, false
 	}
 	cur := s.mp.Tile[p.ID]
 	im := s.mp.Impl[p.ID]
 	curTile := s.work.Tile(cur)
-	var best *candidate
 
 	consider := func(c candidate) {
-		if best == nil || c.delta < best.delta {
-			cc := c
-			best = &cc
+		if !found || c.delta < best.delta {
+			best, found = c, true
 		}
 	}
 
 	// Moves to free capacity on tiles of the same type.
-	cyc, err := im.CyclesPerPeriod(s.app, p)
+	cyc, err := im.CyclesPerPeriod(s.ix.app, p)
 	if err != nil {
-		return nil
+		return best, false
 	}
-	ni := niDemandOf(s.app, p)
+	ni := s.ix.ni[p.ID]
 	for _, tid := range s.work.TilesOfType(im.TileType) {
 		if tid == cur {
 			continue
 		}
 		t := s.work.Tile(tid)
-		tUtil := utilisation(t, cyc, s.app.QoS.PeriodNs)
+		tUtil := utilisation(t, cyc, s.ix.app.QoS.PeriodNs)
 		if !canHost(t, im.MemBytes, tUtil) || !ni.fits(t) {
 			continue
 		}
@@ -225,8 +226,8 @@ func (s *searchState) bestCandidateFor(pi int) *candidate {
 	}
 
 	// Swaps with later-declared processes on the same tile type.
-	for qi := pi + 1; qi < len(s.procs); qi++ {
-		q := s.procs[qi]
+	for qi := pi + 1; qi < len(s.ix.procs); qi++ {
+		q := s.ix.procs[qi]
 		if s.locked[q.ID] {
 			continue
 		}
@@ -244,27 +245,27 @@ func (s *searchState) bestCandidateFor(pi int) *candidate {
 		delta := s.deltaFor(override{p: p.ID, pt: qTile, q: q.ID, qt: cur})
 		consider(candidate{kind: Swap, p: p, q: q, to: qTile, delta: delta})
 	}
-	return best
+	return best, found
 }
 
 // swapFits checks that each tile can absorb the other process after the
 // swap (memory and utilisation with both old reservations removed).
 func (s *searchState) swapFits(p *model.Process, pIm *model.Implementation, pTile arch.TileID,
 	q *model.Process, qIm *model.Implementation, qTile arch.TileID) bool {
-	pc, err := pIm.CyclesPerPeriod(s.app, p)
+	pc, err := pIm.CyclesPerPeriod(s.ix.app, p)
 	if err != nil {
 		return false
 	}
-	qc, err := qIm.CyclesPerPeriod(s.app, q)
+	qc, err := qIm.CyclesPerPeriod(s.ix.app, q)
 	if err != nil {
 		return false
 	}
 	tp := s.work.Tile(pTile)
 	tq := s.work.Tile(qTile)
-	pUtilAtQ := utilisation(tq, pc, s.app.QoS.PeriodNs)
-	qUtilAtP := utilisation(tp, qc, s.app.QoS.PeriodNs)
-	pUtilAtP := utilisation(tp, pc, s.app.QoS.PeriodNs)
-	qUtilAtQ := utilisation(tq, qc, s.app.QoS.PeriodNs)
+	pUtilAtQ := utilisation(tq, pc, s.ix.app.QoS.PeriodNs)
+	qUtilAtP := utilisation(tp, qc, s.ix.app.QoS.PeriodNs)
+	pUtilAtP := utilisation(tp, pc, s.ix.app.QoS.PeriodNs)
+	qUtilAtQ := utilisation(tq, qc, s.ix.app.QoS.PeriodNs)
 	memOKp := tp.ReservedMem-pIm.MemBytes+qIm.MemBytes <= tp.MemBytes
 	memOKq := tq.ReservedMem-qIm.MemBytes+pIm.MemBytes <= tq.MemBytes
 	utilOKp := tp.ReservedUtil-pUtilAtP+qUtilAtP <= 1.0+utilEps
@@ -274,17 +275,17 @@ func (s *searchState) swapFits(p *model.Process, pIm *model.Implementation, pTil
 
 // applyCandidate commits a candidate to the mapping and the platform's
 // reservation state.
-func (s *searchState) applyCandidate(c *candidate) {
+func (s *searchState) applyCandidate(c candidate) {
 	relocate := func(p *model.Process, to arch.TileID) {
 		im := s.mp.Impl[p.ID]
 		from := s.work.Tile(s.mp.Tile[p.ID])
 		dst := s.work.Tile(to)
-		cyc, _ := im.CyclesPerPeriod(s.app, p)
+		cyc, _ := im.CyclesPerPeriod(s.ix.app, p)
 		from.ReservedMem -= im.MemBytes
-		from.ReservedUtil -= utilisation(from, cyc, s.app.QoS.PeriodNs)
+		from.ReservedUtil -= utilisation(from, cyc, s.ix.app.QoS.PeriodNs)
 		from.Occupants--
 		dst.ReservedMem += im.MemBytes
-		dst.ReservedUtil += utilisation(dst, cyc, s.app.QoS.PeriodNs)
+		dst.ReservedUtil += utilisation(dst, cyc, s.ix.app.QoS.PeriodNs)
 		dst.Occupants++
 		s.mp.Tile[p.ID] = to
 	}
@@ -300,53 +301,35 @@ func (s *searchState) applyCandidate(c *candidate) {
 	s.cost += c.delta
 }
 
-// snapshot renders tile name → process names for trace records.
-func (s *searchState) snapshot() map[string]string {
-	out := make(map[string]string)
-	for _, p := range s.procs {
-		name := s.work.Tile(s.mp.Tile[p.ID]).Name
-		if out[name] != "" {
-			out[name] += "+" + p.Name
-		} else {
-			out[name] = p.Name
-		}
+// initialRecord is the trace row of step 1's greedy assignment, the one
+// row that carries the placement later rows replay their moves onto.
+func (s *searchState) initialRecord() Step2Record {
+	r := Step2Record{
+		Kind:   Initial,
+		Procs:  make([]string, len(s.ix.procs)),
+		Tiles:  make([]string, len(s.ix.procs)),
+		Cost:   s.cost,
+		Remark: "Initial (greedy) assignment",
 	}
-	return out
+	for i, p := range s.ix.procs {
+		r.Procs[i], r.Tiles[i] = p.Name, s.work.Tile(s.mp.Tile[p.ID]).Name
+	}
+	return r
 }
 
-// snapshotWith renders the assignment as it would look after a candidate.
-func (s *searchState) snapshotWith(c *candidate) map[string]string {
-	o := override{p: c.p.ID, pt: c.to, q: noProcess}
-	if c.kind == Swap {
-		o = override{p: c.p.ID, pt: s.mp.Tile[c.q.ID], q: c.q.ID, qt: s.mp.Tile[c.p.ID]}
-	}
-	out := make(map[string]string)
-	for _, p := range s.procs {
-		t, _ := s.tileOf(p.ID, o)
-		name := s.work.Tile(t).Name
-		if out[name] != "" {
-			out[name] += "+" + p.Name
-		} else {
-			out[name] = p.Name
-		}
-	}
-	return out
-}
-
-func (s *searchState) record(tr *Trace, iter int, c *candidate, accepted bool) {
+func (s *searchState) record(tr *Trace, iter int, c candidate, accepted bool) {
 	remark := "No improvement, revert"
 	if accepted {
 		remark = "Improvement, keep"
 	}
 	rec := Step2Record{
-		Iteration:  iter,
-		Kind:       c.kind,
-		ProcA:      c.p.Name,
-		TileA:      s.work.Tile(s.mp.Tile[c.p.ID]).Name,
-		Assignment: s.snapshotWith(c),
-		Cost:       s.cost + c.delta,
-		Accepted:   accepted,
-		Remark:     remark,
+		Iteration: iter,
+		Kind:      c.kind,
+		ProcA:     c.p.Name,
+		TileA:     s.work.Tile(s.mp.Tile[c.p.ID]).Name,
+		Cost:      s.cost + c.delta,
+		Accepted:  accepted,
+		Remark:    remark,
 	}
 	if c.q != nil {
 		rec.ProcB = c.q.Name
@@ -366,9 +349,9 @@ func (s *searchState) runFirstImprovement(tr *Trace) {
 	maxIter := s.m.Cfg.maxStep2()
 	for {
 		improved := false
-		for pi := range s.procs {
-			c := s.bestCandidateFor(pi)
-			if c == nil {
+		for pi := range s.ix.procs {
+			c, ok := s.bestCandidateFor(pi)
+			if !ok {
 				continue
 			}
 			iter++
@@ -398,13 +381,14 @@ func (s *searchState) runBestImprovement(tr *Trace) {
 	iter := 0
 	maxIter := s.m.Cfg.maxStep2()
 	for {
-		var best *candidate
-		for pi := range s.procs {
-			if c := s.bestCandidateFor(pi); c != nil && (best == nil || c.delta < best.delta) {
-				best = c
+		var best candidate
+		found := false
+		for pi := range s.ix.procs {
+			if c, ok := s.bestCandidateFor(pi); ok && (!found || c.delta < best.delta) {
+				best, found = c, true
 			}
 		}
-		if best == nil {
+		if !found {
 			tr.Notes = append(tr.Notes, "No further choices")
 			return
 		}

@@ -15,13 +15,14 @@ import (
 // first pick, then each channel is routed over a capacity-aware shortest
 // path considering the loads of previously mapped channels, and its
 // guaranteed-throughput lane is reserved incrementally.
-func (m *Mapper) step3(app *model.Application, work *arch.Platform, mp *Mapping, tr *Trace) *feedback {
+func (m *Mapper) step3(ix *appIndex, work *arch.Platform, mp *Mapping, tr *Trace) *feedback {
+	app := ix.app
 	type job struct {
 		c   *model.Channel
 		bps int64
 	}
 	var jobs []job
-	for _, c := range app.StreamChannels() {
+	for _, c := range ix.chans {
 		if _, routed := mp.Route[c.ID]; routed {
 			// Salvaged by the repair path: the route is already reserved
 			// on the working platform.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"rtsm/internal/arch"
@@ -15,15 +16,17 @@ import (
 // entities back to the mapping.
 type MappedGraph struct {
 	Graph *csdf.Graph
-	// ActorTile gives the tile hosting each actor; router actors map to
-	// arch.NoTile.
-	ActorTile map[csdf.ActorID]arch.TileID
-	// ProcActor maps data processes to their actor.
-	ProcActor map[model.ProcessID]csdf.ActorID
-	// StreamEdge maps each stream channel to its consumer-side CSDF
-	// channel, the edge whose capacity is the stream buffer B_i that
-	// step 4 sizes and charges to the consumer's tile.
-	StreamEdge map[model.ChannelID]csdf.ChannelID
+	// ActorTile gives the tile hosting each actor, indexed by actor ID;
+	// router actors map to arch.NoTile.
+	ActorTile []arch.TileID
+	// ProcActor gives each data process's actor, indexed by process ID;
+	// control processes have none (-1).
+	ProcActor []csdf.ActorID
+	// StreamEdge gives each stream channel's consumer-side CSDF channel,
+	// indexed by channel ID (-1 for control channels): the edge whose
+	// capacity is the stream buffer B_i that step 4 sizes and charges to
+	// the consumer's tile.
+	StreamEdge []csdf.ChannelID
 	// Source and Sink delimit latency measurements.
 	Source, Sink csdf.ActorID
 }
@@ -55,9 +58,9 @@ func BuildMappedGraph(app *model.Application, plat *arch.Platform, mp *Mapping) 
 	g.Grow(len(app.Processes)+totalHops, len(chans)+totalHops)
 	out := &MappedGraph{
 		Graph:      g,
-		ActorTile:  make(map[csdf.ActorID]arch.TileID, len(app.Processes)+totalHops),
-		ProcActor:  make(map[model.ProcessID]csdf.ActorID, len(app.Processes)),
-		StreamEdge: make(map[model.ChannelID]csdf.ChannelID, len(chans)),
+		ActorTile:  make([]arch.TileID, 0, len(app.Processes)+totalHops),
+		ProcActor:  slices.Repeat([]csdf.ActorID{-1}, len(app.Processes)),
+		StreamEdge: slices.Repeat([]csdf.ChannelID{-1}, len(app.Channels)),
 		Source:     -1,
 		Sink:       -1,
 	}
@@ -76,7 +79,7 @@ func BuildMappedGraph(app *model.Application, plat *arch.Platform, mp *Mapping) 
 			} else {
 				aid = g.AddActor(p.Name, csdf.Vals(1))
 			}
-			out.ActorTile[aid] = plat.TileByName(p.PinnedTile).ID
+			out.ActorTile = append(out.ActorTile, plat.TileByName(p.PinnedTile).ID)
 		default:
 			im := mp.Impl[p.ID]
 			tid, ok := mp.Tile[p.ID]
@@ -88,7 +91,7 @@ func BuildMappedGraph(app *model.Application, plat *arch.Platform, mp *Mapping) 
 				return nil, fmt.Errorf("core: tile %q has no clock", plat.Tile(tid).Name)
 			}
 			aid = g.AddActor(p.Name, im.WCET.ScaleDiv(1_000_000_000, clock))
-			out.ActorTile[aid] = tid
+			out.ActorTile = append(out.ActorTile, tid)
 		}
 		out.ProcActor[p.ID] = aid
 		if streamIn[p.ID] == 0 && out.Source < 0 {
@@ -125,7 +128,7 @@ func BuildMappedGraph(app *model.Application, plat *arch.Platform, mp *Mapping) 
 		prevPat := prod
 		for h := 0; h < hops; h++ {
 			r := g.AddActor("R("+c.Name+"#"+strconv.Itoa(h)+")", routerWCET)
-			out.ActorTile[r] = arch.NoTile
+			out.ActorTile = append(out.ActorTile, arch.NoTile)
 			edge := g.Connect(prev, r, prevPat, perToken, 0)
 			if h == 0 {
 				// The producer-side buffer belongs to the implementation
@@ -204,7 +207,8 @@ func maxInt64(a, b int64) int64 {
 // dataflow analysis, verifies the throughput and latency constraints, and
 // verifies the buffers fit the consuming tiles' memories. On violation it
 // produces feedback identifying the decision to revisit.
-func (m *Mapper) step4(app *model.Application, work *arch.Platform, mp *Mapping, tr *Trace) (*Result, *feedback) {
+func (m *Mapper) step4(ix *appIndex, work *arch.Platform, mp *Mapping, tr *Trace) (*Result, *feedback) {
+	app := ix.app
 	mg, err := BuildMappedGraph(app, work, mp)
 	if err != nil {
 		tr.Notes = append(tr.Notes, "step 4: "+err.Error())
@@ -225,11 +229,11 @@ func (m *Mapper) step4(app *model.Application, work *arch.Platform, mp *Mapping,
 	if err != nil {
 		tr.Notes = append(tr.Notes, "step 4: "+err.Error())
 		res := m.infeasibleResult(app, work, mp, tr)
-		return res, m.throughputFeedback(app, work, mp, mg, nil)
+		return res, m.throughputFeedback(ix, mp, mg, nil)
 	}
 	for cid, edge := range mg.StreamEdge {
 		if cap, ok := buf.Capacities[edge]; ok {
-			mp.Buffers[cid] = cap
+			mp.Buffers[model.ChannelID(cid)] = cap
 			mg.Graph.Channel(edge).Capacity = cap
 		}
 	}
@@ -246,13 +250,13 @@ func (m *Mapper) step4(app *model.Application, work *arch.Platform, mp *Mapping,
 
 	if !buf.Met {
 		tr.Notes = append(tr.Notes, fmt.Sprintf("step 4: period %.0f ns exceeds required %d ns", buf.Exec.Period, app.QoS.PeriodNs))
-		return res, m.throughputFeedback(app, work, mp, mg, buf.Exec)
+		return res, m.throughputFeedback(ix, mp, mg, buf.Exec)
 	}
 	if app.QoS.LatencyNs > 0 && buf.Exec.Latency > app.QoS.LatencyNs {
 		tr.Notes = append(tr.Notes, fmt.Sprintf("step 4: latency %d ns exceeds bound %d ns", buf.Exec.Latency, app.QoS.LatencyNs))
-		return res, m.latencyFeedback(app, mp)
+		return res, m.latencyFeedback(ix, mp)
 	}
-	if fb := m.reserveBuffers(app, work, mp); fb != nil {
+	if fb := m.reserveBuffers(ix, work, mp); fb != nil {
 		tr.Notes = append(tr.Notes, "step 4: "+fb.detail)
 		return res, fb
 	}
@@ -264,16 +268,12 @@ func (m *Mapper) step4(app *model.Application, work *arch.Platform, mp *Mapping,
 // is a process actor, its implementation choice is banned so step 1 tries
 // another tile type; if only routers are busy, the consumer of the slowest
 // route is displaced instead.
-func (m *Mapper) throughputFeedback(app *model.Application, work *arch.Platform, mp *Mapping, mg *MappedGraph, exec *csdf.ExecResult) *feedback {
+func (m *Mapper) throughputFeedback(ix *appIndex, mp *Mapping, mg *MappedGraph, exec *csdf.ExecResult) *feedback {
 	var bottleneck *model.Process
 	var worst float64
 	if exec != nil {
-		for _, p := range app.MappableProcesses() {
-			aid, ok := mg.ProcActor[p.ID]
-			if !ok {
-				continue
-			}
-			if u := exec.Utilisation(aid); u > worst {
+		for _, p := range ix.procs {
+			if u := exec.Utilisation(mg.ProcActor[p.ID]); u > worst {
 				worst = u
 				bottleneck = p
 			}
@@ -283,12 +283,12 @@ func (m *Mapper) throughputFeedback(app *model.Application, work *arch.Platform,
 		// No execution data: displace the process with the largest
 		// per-period cycle demand, the likeliest culprit.
 		var worstCyc int64 = -1
-		for _, p := range app.MappableProcesses() {
+		for _, p := range ix.procs {
 			im := mp.Impl[p.ID]
 			if im == nil {
 				continue
 			}
-			if cyc, err := im.CyclesPerPeriod(app, p); err == nil && cyc > worstCyc {
+			if cyc, err := im.CyclesPerPeriod(ix.app, p); err == nil && cyc > worstCyc {
 				worstCyc = cyc
 				bottleneck = p
 			}
@@ -316,10 +316,10 @@ func (m *Mapper) throughputFeedback(app *model.Application, work *arch.Platform,
 }
 
 // latencyFeedback displaces the endpoint of the longest route.
-func (m *Mapper) latencyFeedback(app *model.Application, mp *Mapping) *feedback {
+func (m *Mapper) latencyFeedback(ix *appIndex, mp *Mapping) *feedback {
 	var worst *model.Channel
 	hops := -1
-	for _, c := range app.StreamChannels() {
+	for _, c := range ix.chans {
 		if path, ok := mp.Route[c.ID]; ok && path.Hops() > hops {
 			hops = path.Hops()
 			worst = c
@@ -329,10 +329,10 @@ func (m *Mapper) latencyFeedback(app *model.Application, mp *Mapping) *feedback 
 		return nil
 	}
 	pid := worst.Src
-	if isPinned(app, pid) {
+	if isPinned(ix.app, pid) {
 		pid = worst.Dst
 	}
-	if isPinned(app, pid) {
+	if isPinned(ix.app, pid) {
 		return nil
 	}
 	return &feedback{
@@ -348,8 +348,9 @@ func (m *Mapper) latencyFeedback(app *model.Application, mp *Mapping) *feedback 
 // memory (paper §4.4: "an attempt should be made to allocate the
 // additional required buffer size on the tiles the consuming actor is
 // mapped onto").
-func (m *Mapper) reserveBuffers(app *model.Application, work *arch.Platform, mp *Mapping) *feedback {
-	for _, c := range app.StreamChannels() {
+func (m *Mapper) reserveBuffers(ix *appIndex, work *arch.Platform, mp *Mapping) *feedback {
+	app := ix.app
+	for _, c := range ix.chans {
 		buf, ok := mp.Buffers[c.ID]
 		if !ok || buf == 0 {
 			continue

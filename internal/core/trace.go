@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"rtsm/internal/arch"
@@ -71,11 +72,13 @@ type Step2Record struct {
 	// ProcA moves (to TileB) or swaps with ProcB.
 	ProcA, ProcB string
 	TileA, TileB string
-	// Assignment snapshots tile name → process name as evaluated.
-	Assignment map[string]string
-	Cost       float64
-	Accepted   bool
-	Remark     string
+	// Procs and Tiles hold step 1's assignment on the Initial record only:
+	// the mappable processes in declaration order and the tile of each.
+	// RenderStep2Table replays later rows from them.
+	Procs, Tiles []string
+	Cost         float64
+	Accepted     bool
+	Remark       string
 }
 
 // String renders the record as one line of the step-2 (Table 2) trace.
@@ -111,7 +114,8 @@ func (r Step3Record) String() string {
 
 // RenderStep2Table renders the step-2 trace in the layout of the paper's
 // Table 2: one column per tile, one row per iteration, with cost and
-// remark. Tile columns appear in the given order.
+// remark. Tile columns appear in the given order. A row shows its move or
+// swap applied to the assignment as of the last accepted row.
 func (t *Trace) RenderStep2Table(tileOrder []string) string {
 	var b strings.Builder
 	b.WriteString("Iter")
@@ -119,14 +123,30 @@ func (t *Trace) RenderStep2Table(tileOrder []string) string {
 		fmt.Fprintf(&b, "\t%s", tile)
 	}
 	b.WriteString("\tCost\tRemark\n")
+	var procs, cur []string // the replayed assignment: procs[i] is on cur[i]
 	for _, r := range t.Step2 {
-		iter := "-"
-		if r.Kind != Initial {
-			iter = fmt.Sprintf("%d", r.Iteration)
+		iter, row := fmt.Sprintf("%d", r.Iteration), slices.Clone(cur)
+		switch r.Kind {
+		case Initial:
+			iter, procs, row = "-", r.Procs, r.Tiles
+		case Swap:
+			row[slices.Index(procs, r.ProcB)] = r.TileA
+			fallthrough
+		case Move:
+			row[slices.Index(procs, r.ProcA)] = r.TileB
+		}
+		if r.Kind == Initial || r.Accepted {
+			cur = row
 		}
 		b.WriteString(iter)
 		for _, tile := range tileOrder {
-			proc := r.Assignment[tile]
+			var on []string
+			for i, host := range row {
+				if host == tile {
+					on = append(on, procs[i])
+				}
+			}
+			proc := strings.Join(on, "+")
 			if proc == "" {
 				proc = "·"
 			}

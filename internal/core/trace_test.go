@@ -47,9 +47,9 @@ func TestMoveKindString(t *testing.T) {
 func TestRenderStep2TableColumns(t *testing.T) {
 	tr := &Trace{Step2: []Step2Record{
 		{Kind: Initial, Cost: 11, Remark: "Initial (greedy) assignment",
-			Assignment: map[string]string{"T0": "a", "T1": "b"}},
-		{Iteration: 1, Kind: Swap, ProcA: "a", ProcB: "b", Cost: 9, Remark: "Improvement, keep",
-			Assignment: map[string]string{"T0": "b", "T1": "a"}},
+			Procs: []string{"a", "b"}, Tiles: []string{"T0", "T1"}},
+		{Iteration: 1, Kind: Swap, ProcA: "a", ProcB: "b", TileA: "T0", TileB: "T1",
+			Cost: 9, Accepted: true, Remark: "Improvement, keep"},
 	}}
 	out := tr.RenderStep2Table([]string{"T0", "T1", "T2"})
 	lines := strings.Split(strings.TrimSpace(out), "\n")

@@ -224,15 +224,16 @@ func tighten(e *engine, free []ChannelID, opts BufferOptions, meets func(*ExecRe
 	return last
 }
 
-// cloneForBuffers copies the graph with fresh Channel structs so capacity
+// cloneForBuffers copies the graph's channels into one slab so capacity
 // edits do not leak into the caller's graph. Actors are shared (immutable
 // during analysis).
 func cloneForBuffers(g *Graph) *Graph {
 	q := &Graph{Name: g.Name, Actors: g.Actors, in: g.in, out: g.out}
 	q.Channels = make([]*Channel, len(g.Channels))
+	slab := make([]Channel, len(g.Channels))
 	for i, c := range g.Channels {
-		cc := *c
-		q.Channels[i] = &cc
+		slab[i] = *c
+		q.Channels[i] = &slab[i]
 	}
 	return q
 }

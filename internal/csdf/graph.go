@@ -52,26 +52,48 @@ type Graph struct {
 
 	in  [][]ChannelID // actor -> incoming channels
 	out [][]ChannelID // actor -> outgoing channels
+
+	// Room Grow reserves: AddActor and Connect fill it before they
+	// allocate one by one.
+	actorSlab []Actor
+	chanSlab  []Channel
+	endSlab   []ChannelID // the first entry of every in and out list
 }
 
 // NewGraph returns an empty named graph.
 func NewGraph(name string) *Graph { return &Graph{Name: name} }
 
 // Grow reserves room for the given numbers of further actors and
-// channels, so that a builder that knows its sizes appends without
-// reallocating.
+// channels, so that a builder that knows its sizes adds them in a few
+// allocations instead of a few per actor and channel.
 func (g *Graph) Grow(actors, channels int) {
 	g.Actors = slices.Grow(g.Actors, actors)
 	g.in = slices.Grow(g.in, actors)
 	g.out = slices.Grow(g.out, actors)
 	g.Channels = slices.Grow(g.Channels, channels)
+	g.actorSlab = make([]Actor, 0, actors)
+	g.chanSlab = make([]Channel, 0, channels)
+	g.endSlab = slices.Grow(g.endSlab, 2*actors)
+}
+
+// next returns the slab's next reserved element, or a fresh one when
+// none is left.
+func next[T any](slab *[]T) *T {
+	n := len(*slab)
+	if n == cap(*slab) {
+		return new(T)
+	}
+	*slab = (*slab)[:n+1]
+	return &(*slab)[n]
 }
 
 // AddActor appends an actor with the given per-phase WCET pattern and
 // returns its ID.
 func (g *Graph) AddActor(name string, wcet Pattern) ActorID {
 	id := ActorID(len(g.Actors))
-	g.Actors = append(g.Actors, &Actor{ID: id, Name: name, WCET: wcet})
+	a := next(&g.actorSlab)
+	*a = Actor{ID: id, Name: name, WCET: wcet}
+	g.Actors = append(g.Actors, a)
 	g.in = append(g.in, nil)
 	g.out = append(g.out, nil)
 	return id
@@ -81,12 +103,24 @@ func (g *Graph) AddActor(name string, wcet Pattern) ActorID {
 // consumption patterns and initial token count, and returns its ID.
 func (g *Graph) Connect(src, dst ActorID, prod, cons Pattern, initial int64) ChannelID {
 	id := ChannelID(len(g.Channels))
-	g.Channels = append(g.Channels, &Channel{
-		ID: id, Src: src, Dst: dst, Prod: prod, Cons: cons, Initial: initial,
-	})
-	g.out[src] = append(g.out[src], id)
-	g.in[dst] = append(g.in[dst], id)
+	c := next(&g.chanSlab)
+	*c = Channel{ID: id, Src: src, Dst: dst, Prod: prod, Cons: cons, Initial: initial}
+	g.Channels = append(g.Channels, c)
+	g.out[src] = g.attach(g.out[src], id)
+	g.in[dst] = g.attach(g.in[dst], id)
 	return id
+}
+
+// attach appends a channel to one of an actor's lists. A list starts as a
+// clipped cell of the slab, so one channel per side, as every router
+// actor has, costs no allocation. Cells never change once written, so
+// the slab may move to a larger array as it grows.
+func (g *Graph) attach(ends []ChannelID, id ChannelID) []ChannelID {
+	if ends != nil {
+		return append(ends, id)
+	}
+	g.endSlab = append(g.endSlab, id)
+	return slices.Clip(g.endSlab[len(g.endSlab)-1:])
 }
 
 // Actor returns the actor with the given ID.

@@ -300,7 +300,7 @@ func (im *Implementation) Phases() int { return len(im.WCET) }
 
 // String identifies the implementation for traces and errors.
 func (im *Implementation) String() string {
-	return fmt.Sprintf("%s@%s", im.Process, im.TileType)
+	return im.Process + "@" + string(im.TileType)
 }
 
 // Validate checks pattern shape consistency.

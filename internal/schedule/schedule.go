@@ -87,11 +87,7 @@ func Build(app *model.Application, plat *arch.Platform, res *core.Result) (*Sche
 	// Collect per-tile actor lists in stream topological order.
 	byTile := make(map[arch.TileID][]model.ProcessID)
 	for _, pid := range topo {
-		aid, ok := mg.ProcActor[pid]
-		if !ok {
-			continue
-		}
-		tid := mg.ActorTile[aid]
+		tid := mg.ActorTile[mg.ProcActor[pid]]
 		if tid == arch.NoTile {
 			continue
 		}
@@ -137,10 +133,13 @@ func Build(app *model.Application, plat *arch.Platform, res *core.Result) (*Sche
 	out.PeriodNs = buf.Exec.Period
 	out.Feasible = buf.Met
 	for cid, edge := range mg.StreamEdge {
+		if edge < 0 {
+			continue
+		}
 		if cap, ok := buf.Capacities[edge]; ok {
-			out.Buffers[cid] = cap
+			out.Buffers[model.ChannelID(cid)] = cap
 		} else {
-			out.Buffers[cid] = mg.Graph.Channel(edge).Capacity
+			out.Buffers[model.ChannelID(cid)] = mg.Graph.Channel(edge).Capacity
 		}
 	}
 	return out, nil

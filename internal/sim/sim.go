@@ -56,23 +56,18 @@ func Validate(app *model.Application, plat *arch.Platform, res *core.Result) (*R
 		return nil, fmt.Errorf("sim: result has no mapped graph (mapping attempt aborted before step 4)")
 	}
 	mg := res.Mapped
+	// Members join their group in ascending actor order, which keeps
+	// arbitration reproducible.
 	groups := make(map[arch.TileID][]csdf.ActorID)
 	for actor, tile := range mg.ActorTile {
 		if tile == arch.NoTile {
 			continue
 		}
-		groups[tile] = append(groups[tile], actor)
+		groups[tile] = append(groups[tile], csdf.ActorID(actor))
 	}
 	var exclusive [][]csdf.ActorID
 	for _, tile := range plat.Tiles { // deterministic order
-		members := groups[tile.ID]
-		if len(members) > 1 {
-			// Sort members for reproducible arbitration.
-			for i := 1; i < len(members); i++ {
-				for j := i; j > 0 && members[j] < members[j-1]; j-- {
-					members[j], members[j-1] = members[j-1], members[j]
-				}
-			}
+		if members := groups[tile.ID]; len(members) > 1 {
 			exclusive = append(exclusive, members)
 		}
 	}
@@ -98,7 +93,7 @@ func Validate(app *model.Application, plat *arch.Platform, res *core.Result) (*R
 		if tile == arch.NoTile {
 			continue
 		}
-		rep.TileUtilisation[plat.Tile(tile).Name] += exec.Utilisation(actor)
+		rep.TileUtilisation[plat.Tile(tile).Name] += exec.Utilisation(csdf.ActorID(actor))
 	}
 	return rep, nil
 }

@@ -8,7 +8,10 @@
 # Usage: scripts/loc.sh   (from the repository root)
 set -euo pipefail
 
-budget=15676
+# The last raise, 15676 -> 15776, bought the mapper's per-call application
+# index, step 1's option cache, the replayed Table 2, the CSDF graph slabs
+# and Result.TileOf/RouteOf/BufferOf.
+budget=15776
 
 lines=$(find . -name '*.go' -not -name '*_test.go' \
   -not -path './bench/*' -not -path './.bench_build/*' -print0 |
