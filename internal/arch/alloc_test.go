@@ -44,3 +44,27 @@ func BenchmarkClone(b *testing.B) {
 		cloneSink = plat.Clone()
 	}
 }
+
+var buildSink *arch.Platform
+
+// TestPlatformBuildAllocationBudget pins what a restart pays to rebuild
+// its mesh: NewMesh carves routers, links and adjacency lists out of a
+// fixed handful of slabs whatever the size, and attaching tiles costs a
+// chunk per mesh-full of tiles, a name each and the index appends.
+// Measured 16 and 305 objects; the region budget is 305 + 10 %.
+func TestPlatformBuildAllocationBudget(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		build  func()
+		budget float64
+	}{
+		{"NewMesh(12,12)", func() { buildSink = arch.NewMesh("m", 12, 12, 1) }, 20},
+		{"SyntheticRegionPlatform(12,12,123,3)", func() { buildSink = workload.SyntheticRegionPlatform(12, 12, 123, 3) }, 336},
+	} {
+		allocs := testing.AllocsPerRun(20, c.build)
+		if allocs > c.budget {
+			t.Errorf("%s allocates %v objects, want at most %v", c.name, allocs, c.budget)
+		}
+		t.Logf("%s: %v objects", c.name, allocs)
+	}
+}

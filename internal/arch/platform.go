@@ -21,10 +21,10 @@ type Platform struct {
 	Routers    []*Router
 	Links      []*Link
 
-	out    [][]LinkID        // router -> outgoing link IDs
-	in     [][]LinkID        // router -> incoming link IDs
-	byName map[string]TileID // tile name -> id
-	atRtr  map[RouterID][]TileID
+	out    [][]LinkID            // router -> outgoing link IDs
+	in     [][]LinkID            // router -> incoming link IDs
+	byName map[string]TileID     // tile name -> id
+	atRtr  [][]TileID            // router -> attached tile IDs
 	ofType map[TileType][]TileID // tile type -> ids in declaration order
 
 	// version counts committed reservation changes across the whole
@@ -36,58 +36,73 @@ type Platform struct {
 	// a later CopyInto can reuse them; nil on a constructed platform.
 	tileSlab []Tile
 	linkSlab []Link
+	// cells is the chunk AttachTile carves new tiles from; a full chunk
+	// is replaced, never grown, so every *Tile handed out stays valid.
+	cells []tileCell
+}
+
+// tileCell holds a description and its construction-time state in one
+// slab element, as NewMesh's link slab does; copies take only the state.
+type tileCell struct {
+	Tile
+	info TileInfo
 }
 
 // NewMesh creates a w×h mesh of routers with bidirectional links of the
 // given capacity between horizontal and vertical neighbours. Routers get
 // the paper's 4-cycle worst-case latency. No tiles are attached yet.
+// Routers, links and the adjacency lists live in slabs sized from w×h: a
+// mesh router has at most four neighbours, so each router's link lists
+// are carved with capacity 4 and never leave their slab.
 func NewMesh(name string, w, h int, linkCapBps int64) *Platform {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("arch: invalid mesh dimensions %d×%d", w, h))
 	}
+	n, nLinks := w*h, 2*((w-1)*h+w*(h-1))
 	p := &Platform{
 		Name:       name,
 		Width:      w,
 		Height:     h,
 		NoCClockHz: 200_000_000,
-		byName:     make(map[string]TileID),
-		atRtr:      make(map[RouterID][]TileID),
+		Routers:    make([]*Router, n),
+		Links:      make([]*Link, nLinks),
+		Tiles:      make([]*Tile, 0, n),
+		out:        make([][]LinkID, n),
+		in:         make([][]LinkID, n),
+		byName:     make(map[string]TileID, n),
+		atRtr:      make([][]TileID, n),
 		ofType:     make(map[TileType][]TileID),
 	}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			id := RouterID(len(p.Routers))
-			p.Routers = append(p.Routers, &Router{ID: id, Pos: Point{x, y}, LatencyCycles: 4})
-		}
+	routers, adj, at := make([]Router, n), make([]LinkID, 8*n), make([]TileID, n)
+	for i := range routers {
+		routers[i] = Router{ID: RouterID(i), Pos: Point{i % w, i / w}, LatencyCycles: 4}
+		p.Routers[i] = &routers[i]
+		p.out[i], p.in[i] = adj[8*i:8*i:8*i+4], adj[8*i+4:8*i+4:8*i+8]
+		p.atRtr[i] = at[i : i : i+1] // the first tile at a router stays in the slab
 	}
-	p.out = make([][]LinkID, len(p.Routers))
-	p.in = make([][]LinkID, len(p.Routers))
+	links := make([]struct {
+		Link
+		info LinkInfo
+	}, nLinks)
+	k := 0
 	link := func(a, b RouterID) {
-		id := LinkID(len(p.Links))
-		// One allocation holds the description and the construction-time
-		// state; copies take only the state (Clone).
-		l := &struct {
-			Link
-			info LinkInfo
-		}{info: LinkInfo{ID: id, From: a, To: b, CapBps: linkCapBps}}
+		l := &links[k]
+		l.info = LinkInfo{ID: LinkID(k), From: a, To: b, CapBps: linkCapBps}
 		l.LinkInfo = &l.info
-		p.Links = append(p.Links, &l.Link)
-		p.out[a] = append(p.out[a], id)
-		p.in[b] = append(p.in[b], id)
+		p.Links[k] = &l.Link
+		p.out[a] = append(p.out[a], LinkID(k))
+		p.in[b] = append(p.in[b], LinkID(k))
+		k++
 	}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			r := p.RouterAt(Point{x, y}).ID
-			if x+1 < w {
-				r2 := p.RouterAt(Point{x + 1, y}).ID
-				link(r, r2)
-				link(r2, r)
-			}
-			if y+1 < h {
-				r2 := p.RouterAt(Point{x, y + 1}).ID
-				link(r, r2)
-				link(r2, r)
-			}
+	for r := range routers {
+		a := RouterID(r)
+		if r%w+1 < w {
+			link(a, a+1)
+			link(a+1, a)
+		}
+		if r+w < n {
+			link(a, a+RouterID(w))
+			link(a+RouterID(w), a)
 		}
 	}
 	return p
@@ -123,10 +138,10 @@ func (p *Platform) AttachTile(s TileSpec) *Tile {
 		panic(fmt.Sprintf("arch: duplicate tile name %q", s.Name))
 	}
 	r := p.RouterAt(s.At)
-	c := &struct {
-		Tile
-		info TileInfo
-	}{info: TileInfo{
+	if len(p.cells) == cap(p.cells) {
+		p.cells = make([]tileCell, 0, max(len(p.Routers), 16))
+	}
+	p.cells = append(p.cells, tileCell{info: TileInfo{
 		ID:           TileID(len(p.Tiles)),
 		Name:         s.Name,
 		Type:         s.Type,
@@ -135,7 +150,8 @@ func (p *Platform) AttachTile(s TileSpec) *Tile {
 		MemBytes:     s.MemBytes,
 		NICapBps:     s.NICapBps,
 		MaxOccupants: s.MaxOccupants,
-	}}
+	}})
+	c := &p.cells[len(p.cells)-1]
 	c.TileInfo = &c.info
 	t := &c.Tile
 	p.Tiles = append(p.Tiles, t)

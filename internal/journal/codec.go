@@ -150,10 +150,23 @@ func (r *reader) count(minLen int) int {
 }
 
 // slabs hands out the delta slices of decoded events from shared backing
-// arrays, one allocation per few hundred deltas instead of two per event.
+// arrays, one allocation per few hundred deltas instead of two per event,
+// and interns application names: a depart repeats its admit's name, and
+// every event of one application shares one string.
 type slabs struct {
 	tiles []core.TileReservation
 	links []core.LinkReservation
+	names map[string]string
+}
+
+// intern returns b as a string, allocating only a name not seen before.
+func (s *slabs) intern(b []byte) string {
+	name, ok := s.names[string(b)]
+	if !ok {
+		name = string(b)
+		s.names[name] = name
+	}
+	return name
 }
 
 // carve returns n fresh elements off the slab, capped so an append by
@@ -177,7 +190,7 @@ func decodeEvent(p []byte, e *Event, s *slabs) error {
 	if t := r.bytes(1); t != nil {
 		e.Type = EventType(t[0])
 	}
-	e.App = string(r.bytes(r.uvarint()))
+	e.App = s.intern(r.bytes(r.uvarint()))
 	e.Priority = int(r.varint())
 	e.Tile = arch.TileID(r.varint())
 	e.Link = arch.LinkID(r.varint())

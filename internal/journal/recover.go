@@ -72,10 +72,11 @@ type position struct {
 }
 
 // verifier carries what one recovery reuses from segment to segment: the
-// read buffer, the frame body, the unsealed batch's hashes, and the
-// events decoded so far.
+// read buffer, the frame header and body, the unsealed batch's hashes,
+// and the events decoded so far.
 type verifier struct {
 	br     *bufio.Reader
+	header [headerLen]byte
 	body   []byte
 	hashes []Hash
 	events []Event
@@ -83,7 +84,7 @@ type verifier struct {
 }
 
 func newVerifier() *verifier {
-	return &verifier{br: bufio.NewReaderSize(nil, 16<<10)}
+	return &verifier{br: bufio.NewReaderSize(nil, 16<<10), slabs: slabs{names: make(map[string]string)}}
 }
 
 // readFull fills p from the segment. short reports that the segment
@@ -140,8 +141,8 @@ func (v *verifier) segment(r io.Reader, want *position) (seg Segment, head *posi
 	var kind byte // of the frame being read; 0 until a header is complete
 	for !short {
 		off = seg.Bytes
-		var h [headerLen]byte
-		n, short, err = v.readFull(h[:])
+		h := v.header[:]
+		n, short, err = v.readFull(h)
 		seg.Bytes += int64(n)
 		if err != nil {
 			return fail("%v", err)

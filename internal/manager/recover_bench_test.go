@@ -46,9 +46,9 @@ func churnJournal(tb testing.TB, arrivals int) []byte {
 	return buf.Bytes()
 }
 
-// BenchmarkRecover times the two halves of a restart separately, per
-// event: verifying and decoding the journal, and replaying the events
-// into a fresh platform.
+// BenchmarkRecover times the three parts of a restart separately, per
+// event: building the fresh platform, verifying and decoding the
+// journal, and replaying the events into the platform.
 func BenchmarkRecover(b *testing.B) {
 	data := churnJournal(b, 200)
 	events, _, err := journal.Verify(bytes.NewReader(data))
@@ -57,10 +57,11 @@ func BenchmarkRecover(b *testing.B) {
 	}
 	base := workload.SyntheticRegionPlatform(12, 12, 1, 3)
 	var plat *arch.Platform
-	for _, half := range []struct {
+	for _, part := range []struct {
 		name        string
 		prepare, op func()
 	}{
+		{"build", func() {}, func() { plat = workload.SyntheticRegionPlatform(12, 12, 1, 3) }},
 		{"verify", func() {}, func() {
 			if _, _, err := journal.Verify(bytes.NewReader(data)); err != nil {
 				b.Fatal(err)
@@ -72,17 +73,17 @@ func BenchmarkRecover(b *testing.B) {
 			}
 		}},
 	} {
-		b.Run(half.name, func(b *testing.B) {
+		b.Run(part.name, func(b *testing.B) {
 			var ms runtime.MemStats
 			var mallocs uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				half.prepare()
+				part.prepare()
 				runtime.ReadMemStats(&ms)
 				before := ms.Mallocs
 				b.StartTimer()
-				half.op()
+				part.op()
 				b.StopTimer()
 				runtime.ReadMemStats(&ms)
 				mallocs += ms.Mallocs - before

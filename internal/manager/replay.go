@@ -27,64 +27,49 @@ import (
 // core.ApplyDeltas, which gives every tile the same single addition the
 // live Commit or Release did — so the replayed ledger, including the
 // order-sensitive ReservedUtil float sums, equals the live one exactly.
-// No plan is built per event; only the residents still running when the
-// stream ends get one, from the event that last placed them.
+// Nothing is built per event: only the residents still running when the
+// stream ends get an Admission, an Application, a plan (from the event
+// that last placed them) and their integer load charge.
 //
 // Rebuilt residents carry no Result or library (those did not survive
 // the crash): they can be stopped, inspected and displaced by faults,
 // but not relocated or preempted.
 func ReplayEvents(plat *arch.Platform, cfg core.Config, events []journal.Event) (*Manager, error) {
 	m := New(plat, cfg)
-	// placed is the event whose deltas each running resident holds.
-	placed := make(map[string]*journal.Event)
-	// released holds residents between a preemption or fault release and
-	// the matching relocate (back to running) or evict (gone). Live
-	// bookkeeping keeps a victim's load charged until its outcome;
-	// replay mirrors that.
-	released := make(map[string]*Admission)
+	// running holds the residents; released holds them between a
+	// preemption or fault release and the matching relocate (back to
+	// running) or evict (gone).
+	running := make(map[string]replayed)
+	released := make(map[string]replayed)
 	for i := range events {
 		e := &events[i]
 		switch e.Type {
 		case journal.EvAdmit:
 			core.ApplyDeltas(plat, e.Tiles, e.Links, +1)
 			m.seq++
-			prio := clampPriority(model.Priority(e.Priority))
-			ad := &Admission{
-				App:      model.NewApplication(e.App, model.QoS{Priority: prio}),
-				Seq:      m.seq,
-				Priority: prio,
-			}
-			m.running[e.App], placed[e.App] = ad, e
-			m.loadChargeTiles(ad, e.Tiles)
+			running[e.App] = replayed{e, m.seq, clampPriority(model.Priority(e.Priority))}
 		case journal.EvDepart:
 			core.ApplyDeltas(plat, e.Tiles, e.Links, -1)
-			if ad := m.running[e.App]; ad != nil {
-				delete(m.running, e.App)
-				m.loadRelease(ad)
-			}
+			delete(running, e.App)
 		case journal.EvPreemptRelease, journal.EvFaultRelease:
 			core.ApplyDeltas(plat, e.Tiles, e.Links, -1)
-			if ad := m.running[e.App]; ad != nil {
-				delete(m.running, e.App)
-				released[e.App] = ad
+			if r, ok := running[e.App]; ok {
+				delete(running, e.App)
+				released[e.App] = r
 			}
 		case journal.EvRelocate:
 			core.ApplyDeltas(plat, e.Tiles, e.Links, +1)
-			ad := released[e.App]
-			if ad == nil {
+			r, ok := released[e.App]
+			if !ok {
 				// A relocation with no release on record would mean the
 				// journal skipped a reservation change.
 				return nil, fmt.Errorf("manager: replay: relocate of %q without a prior release (seq %d)", e.App, e.Seq)
 			}
 			delete(released, e.App)
-			m.loadRelease(ad)
-			m.loadChargeTiles(ad, e.Tiles)
-			m.running[e.App], placed[e.App] = ad, e
+			r.placed = e
+			running[e.App] = r
 		case journal.EvEvict:
-			if ad := released[e.App]; ad != nil {
-				delete(released, e.App)
-				m.loadRelease(ad)
-			}
+			delete(released, e.App)
 		case journal.EvFailTile:
 			plat.FailTile(e.Tile)
 		case journal.EvRestoreTile:
@@ -97,16 +82,27 @@ func ReplayEvents(plat *arch.Platform, cfg core.Config, events []journal.Event) 
 			return nil, fmt.Errorf("manager: replay: unknown event type %s (seq %d)", e.Type, e.Seq)
 		}
 	}
-	// Victims mid-evacuation at the crash: their release is sealed but
-	// their outcome is not. They hold no reservations, so the honest
-	// reconstruction is "gone" — exactly what the live manager would
-	// have concluded had it crashed after the release.
-	for _, ad := range released {
-		m.loadRelease(ad)
-	}
-	for name, ad := range m.running {
-		e := placed[name]
-		ad.plan = core.NewDeltaPlan(name, e.Tiles, e.Links)
+	// Victims mid-evacuation at the crash (still in released) hold no
+	// reservations: the honest reconstruction is "gone", as the live
+	// manager would have concluded had it crashed after the release.
+	for name, r := range running {
+		ad := &Admission{
+			App:      model.NewApplication(name, model.QoS{Priority: r.prio}),
+			Seq:      r.seq,
+			Priority: r.prio,
+			plan:     core.NewDeltaPlan(name, r.placed.Tiles, r.placed.Links),
+		}
+		m.running[name] = ad
+		m.loadChargeTiles(ad, r.placed.Tiles)
 	}
 	return m, nil
+}
+
+// replayed is what replay keeps of an application until the stream ends:
+// the event whose deltas it holds, its admission order and its admit-time
+// priority.
+type replayed struct {
+	placed *journal.Event
+	seq    int
+	prio   model.Priority
 }

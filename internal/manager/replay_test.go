@@ -45,74 +45,6 @@ func replayStream(plat *arch.Platform, segments ...[]byte) (*Manager, int, error
 	return m, rec.Tail, err
 }
 
-// replayOracle is replay as it was before it applied journaled deltas
-// directly: a core.NewDeltaPlan per event, committed or released through
-// the plan. Kept as the reference the direct replay is compared against.
-func replayOracle(plat *arch.Platform, cfg core.Config, events []journal.Event) (*Manager, error) {
-	m := New(plat, cfg)
-	released := make(map[string]*Admission)
-	for i := range events {
-		e := &events[i]
-		plan := core.NewDeltaPlan(e.App, e.Tiles, e.Links)
-		switch e.Type {
-		case journal.EvAdmit:
-			plan.Commit(plat)
-			m.seq++
-			prio := clampPriority(model.Priority(e.Priority))
-			ad := &Admission{
-				App:      model.NewApplication(e.App, model.QoS{Priority: prio}),
-				Seq:      m.seq,
-				Priority: prio,
-				plan:     plan,
-			}
-			m.running[e.App] = ad
-			m.loadCharge(ad)
-		case journal.EvDepart:
-			plan.Release(plat)
-			if ad := m.running[e.App]; ad != nil {
-				delete(m.running, e.App)
-				m.loadRelease(ad)
-			}
-		case journal.EvPreemptRelease, journal.EvFaultRelease:
-			plan.Release(plat)
-			if ad := m.running[e.App]; ad != nil {
-				delete(m.running, e.App)
-				released[e.App] = ad
-			}
-		case journal.EvRelocate:
-			plan.Commit(plat)
-			ad := released[e.App]
-			if ad == nil {
-				return nil, fmt.Errorf("oracle: relocate of %q without a prior release (seq %d)", e.App, e.Seq)
-			}
-			delete(released, e.App)
-			m.loadRelease(ad)
-			ad.plan = plan
-			m.loadCharge(ad)
-			m.running[e.App] = ad
-		case journal.EvEvict:
-			if ad := released[e.App]; ad != nil {
-				delete(released, e.App)
-				m.loadRelease(ad)
-			}
-		case journal.EvFailTile:
-			plat.FailTile(e.Tile)
-		case journal.EvRestoreTile:
-			plat.RestoreTile(e.Tile)
-		case journal.EvFailLink:
-			plat.FailLink(e.Link)
-		case journal.EvRestoreLink:
-			plat.RestoreLink(e.Link)
-		default:
-			return nil, fmt.Errorf("oracle: unknown event type %s (seq %d)", e.Type, e.Seq)
-		}
-	}
-	for _, ad := range released {
-		m.loadRelease(ad)
-	}
-	return m, nil
-}
-
 // runningNames is the manager's resident set, sorted for comparison.
 func runningNames(m *Manager) []string {
 	var names []string

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"rtsm/internal/arch"
 	"rtsm/internal/csdf"
@@ -291,11 +292,11 @@ func SyntheticRegionPlatform(w, h int, seed int64, regionSize int) *arch.Platfor
 		for x0 := 0; x0 < w; x0 += regionSize {
 			x1, y1 := min(x0+regionSize, w)-1, min(y0+regionSize, h)-1
 			p.AttachTile(arch.TileSpec{
-				Name: fmt.Sprintf("SRC%d", r), Type: arch.TypeSource, At: arch.Pt(x0, y1),
+				Name: "SRC" + strconv.Itoa(r), Type: arch.TypeSource, At: arch.Pt(x0, y1),
 				ClockHz: 200_000_000, MemBytes: 64 << 10, NICapBps: 800_000_000,
 			})
 			p.AttachTile(arch.TileSpec{
-				Name: fmt.Sprintf("SINK%d", r), Type: arch.TypeSink, At: arch.Pt(x1, y0),
+				Name: "SINK" + strconv.Itoa(r), Type: arch.TypeSink, At: arch.Pt(x1, y0),
 				ClockHz: 200_000_000, MemBytes: 64 << 10, NICapBps: 800_000_000,
 			})
 			r++
@@ -315,7 +316,7 @@ func SyntheticPlatformWithoutEndpoints(w, h int, seed int64) *arch.Platform {
 		for x := 0; x < w; x++ {
 			tt := synthTypes[rng.Intn(len(synthTypes))]
 			spec := arch.TileSpec{
-				Name:     fmt.Sprintf("%s%d", tt, i),
+				Name:     string(tt) + strconv.Itoa(i),
 				Type:     tt,
 				At:       arch.Pt(x, y),
 				ClockHz:  200_000_000,
