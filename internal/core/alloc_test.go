@@ -86,3 +86,26 @@ func TestSyntheticMapAllocationBudget(t *testing.T) {
 	}
 	t.Logf("Map: %v objects", allocs)
 }
+
+// TestPlanAllocationBudget keeps a plan three objects — the Plan and its
+// two exactly sized delta slices — for the case study's BPSK1/2 mapping.
+// It was 15 while the plan aggregated into two Go maps and an arena,
+// exported sorted copies of them, and listed the mappable processes and
+// stream channels into slices of their own.
+func TestPlanAllocationBudget(t *testing.T) {
+	mode := workload.Hiperlan2Modes[0]
+	plat := workload.Hiperlan2Platform()
+	res, err := NewMapper(workload.Hiperlan2Library(mode)).Map(workload.Hiperlan2(mode), plat)
+	if err != nil || !res.Feasible {
+		t.Fatalf("Map: feasible=%v err=%v", res != nil && res.Feasible, err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := NewPlan(plat, res); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("NewPlan allocates %v objects, want at most 3", allocs)
+	}
+	t.Logf("NewPlan: %v objects", allocs)
+}

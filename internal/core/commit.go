@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rtsm/internal/arch"
 )
@@ -106,6 +107,8 @@ func (e ValidationError) Error() string {
 // pipeline retries on it with a fresh snapshot; the incremental repair
 // engine reads Violations to keep everything that still fits.
 type ConflictError struct {
+	// App names the arrival whose commit was refused. A plan names no
+	// application, so Plan.Validate leaves it empty for its caller to fill.
 	App string
 	// Violations attributes the conflict per resource: every exhausted
 	// tile dimension and link, not just the first one found.
@@ -124,65 +127,29 @@ func (e *ConflictError) Error() string {
 	return fmt.Sprintf("core: cannot commit %q: %s", e.App, detail)
 }
 
-// tileDelta aggregates what a mapping adds to one tile.
-type tileDelta struct {
-	mem       int64
-	util      float64
-	occupants int
-	inBps     int64
-	outBps    int64
-}
-
-// commitPlan is the full set of reservations one mapping makes, aggregated
-// per tile and per link so it can be validated against residual capacity
-// in one pass and applied atomically.
-type commitPlan struct {
-	// appName identifies the application the plan reserves for. Only the
-	// name is kept (not the model.Application) so replay can rebuild
-	// plans from journaled deltas without the original workload objects.
-	appName string
-	tiles   map[arch.TileID]*tileDelta
-	links   map[arch.LinkID]int64
-	// arena backs the tileDelta values in one allocation; tile() hands
-	// out pointers into it while capacity lasts. Entries are never
-	// re-derived from the slice, so a fallback heap allocation past the
-	// pre-sized capacity is harmless.
-	arena []tileDelta
-}
-
-func (pl *commitPlan) tile(id arch.TileID) *tileDelta {
-	d := pl.tiles[id]
-	if d == nil {
-		if len(pl.arena) < cap(pl.arena) {
-			pl.arena = pl.arena[:len(pl.arena)+1]
-			d = &pl.arena[len(pl.arena)-1]
-		} else {
-			d = &tileDelta{}
-		}
-		pl.tiles[id] = d
-	}
-	return d
-}
-
-// planReservations computes the commit plan of a mapping result. In strict
-// mode an incomplete mapping (a mappable process without implementation or
-// tile) is an error; lenient mode skips such processes, matching Remove's
-// tolerance for partially built mappings.
-func planReservations(plat *arch.Platform, res *Result, strict bool) (*commitPlan, error) {
+// planReservations computes the reservation plan of a mapping result. In
+// strict mode an incomplete mapping (a mappable process without
+// implementation or tile) is an error; lenient mode skips such processes,
+// matching Remove's tolerance for partially built mappings.
+//
+// It aggregates into stack buffers and keeps exactly sized copies: a tile's
+// entry is found by linear scan (a mapping touches a handful of tiles) and
+// its Util summed in MappableProcesses order, the order the journal's
+// bit-for-bit replay was recorded in; link hops are appended, then sorted
+// and folded.
+func planReservations(plat *arch.Platform, res *Result, strict bool) (*Plan, error) {
 	mp := res.Mapping
 	app := mp.App
-	// Size the aggregation maps from the mapping itself: one tile entry
-	// per placed process at most, a handful of links per routed channel.
-	// Pre-sizing keeps the per-admission allocation count flat — this
-	// plan is rebuilt on every validate/commit round of the hot path.
-	chans := app.StreamChannels()
-	pl := &commitPlan{
-		appName: app.Name,
-		tiles:   make(map[arch.TileID]*tileDelta, len(mp.Tile)),
-		links:   make(map[arch.LinkID]int64, 4*len(chans)),
-		arena:   make([]tileDelta, 0, len(mp.Tile)),
-	}
-	for _, p := range app.MappableProcesses() {
+	var tileBuf [32]TileReservation
+	var linkBuf [64]LinkReservation
+	tiles, links := tileBuf[:0], linkBuf[:0]
+	var d *TileReservation
+	// The two loops filter in place what MappableProcesses and
+	// StreamChannels would allocate.
+	for _, p := range app.Processes {
+		if !p.Mappable() {
+			continue
+		}
 		im := mp.Impl[p.ID]
 		tid, ok := mp.Tile[p.ID]
 		if im == nil || !ok {
@@ -198,126 +165,81 @@ func planReservations(plat *arch.Platform, res *Result, strict bool) (*commitPla
 			}
 			continue
 		}
-		d := pl.tile(tid)
-		d.mem += im.MemBytes
+		tiles, d = tileEntry(tiles, tid)
+		d.MemBytes += im.MemBytes
 		// CycleBudget reads only the tile's immutable description:
 		// planning runs without the platform's lock.
-		d.util += utilisationOf(plat.Tile(tid).CycleBudget(app.QoS.PeriodNs), cyc)
-		d.occupants++
+		d.Util += utilisationOf(plat.Tile(tid).CycleBudget(app.QoS.PeriodNs), cyc)
+		d.Occupants++
 	}
-	for _, c := range chans {
+	for _, c := range app.Channels {
 		path, ok := mp.Route[c.ID]
-		if !ok {
+		if !ok || !app.InStream(c) {
 			continue
 		}
 		bps := channelBps(c, app.QoS.PeriodNs)
 		for _, lid := range path.Links {
-			pl.links[lid] += bps
+			links = append(links, LinkReservation{Link: lid, Bps: bps})
 		}
 		if path.Hops() > 0 {
-			pl.tile(mp.Tile[c.Src]).outBps += bps
-			pl.tile(mp.Tile[c.Dst]).inBps += bps
+			tiles, d = tileEntry(tiles, mp.Tile[c.Src])
+			d.OutBps += bps
+			tiles, d = tileEntry(tiles, mp.Tile[c.Dst])
+			d.InBps += bps
 		}
 		if buf := mp.Buffers[c.ID]; buf > 0 {
-			pl.tile(mp.Tile[c.Dst]).mem += buf * c.TokenBytes
+			tiles, d = tileEntry(tiles, mp.Tile[c.Dst])
+			d.MemBytes += buf * c.TokenBytes
 		}
 	}
+	slices.SortFunc(tiles, byTile)
+	slices.SortFunc(links, byLink)
+	links = foldLinks(links)
+	pl := &Plan{
+		tiles: make([]TileReservation, len(tiles)),
+		links: make([]LinkReservation, len(links)),
+	}
+	copy(pl.tiles, tiles)
+	copy(pl.links, links)
 	return pl, nil
 }
 
-// violations checks the whole plan against the platform's live residual
-// capacity and attributes every conflict to the resource it exhausts. Only
-// the resources the plan touches are visited — this runs inside the
-// manager's serialized commit section, on every commit, so a plan that
-// fits allocates nothing here. The report is deterministic: tiles by ID
-// (each tile's dimensions in ResourceKind order), then links by ID.
-func (pl *commitPlan) violations(plat *arch.Platform) []ValidationError {
-	var out []ValidationError
-	for tid, d := range pl.tiles {
-		t := plat.Tile(tid)
-		if t.Failed {
-			out = append(out, ValidationError{Kind: ResTileFailed, Tile: t.ID, TileName: t.Name, Link: -1,
-				Need: float64(d.occupants)})
-			continue
-		}
-		if t.ReservedMem+d.mem > t.MemBytes {
-			out = append(out, ValidationError{Kind: ResTileMem, Tile: t.ID, TileName: t.Name, Link: -1,
-				Need: float64(d.mem), Avail: float64(t.FreeMem())})
-		}
-		if t.ReservedUtil+d.util > 1.0+utilEps {
-			out = append(out, ValidationError{Kind: ResTileUtil, Tile: t.ID, TileName: t.Name, Link: -1,
-				Need: d.util, Avail: 1.0 - t.ReservedUtil})
-		}
-		if t.MaxOccupants > 0 && int(t.Occupants)+d.occupants > t.MaxOccupants {
-			out = append(out, ValidationError{Kind: ResTileOccupancy, Tile: t.ID, TileName: t.Name, Link: -1,
-				Need: float64(d.occupants), Avail: float64(t.MaxOccupants - int(t.Occupants))})
-		}
-		if t.NICapBps > 0 && (t.ReservedInBps+d.inBps > t.NICapBps || t.ReservedOutBps+d.outBps > t.NICapBps) {
-			need, avail := d.inBps, t.NICapBps-t.ReservedInBps
-			if t.ReservedOutBps+d.outBps > t.NICapBps {
-				need, avail = d.outBps, t.NICapBps-t.ReservedOutBps
-			}
-			out = append(out, ValidationError{Kind: ResTileNI, Tile: t.ID, TileName: t.Name, Link: -1,
-				Need: float64(need), Avail: float64(avail)})
+// tileEntry returns the tile's entry in tiles, appending a zero one when
+// the tile has none yet.
+func tileEntry(tiles []TileReservation, id arch.TileID) ([]TileReservation, *TileReservation) {
+	for i := range tiles {
+		if tiles[i].Tile == id {
+			return tiles, &tiles[i]
 		}
 	}
-	for lid, bps := range pl.links {
-		l := plat.Link(lid)
-		if l.Failed {
-			out = append(out, ValidationError{Kind: ResLinkFailed, Tile: arch.NoTile, Link: lid,
-				Need: float64(bps)})
-			continue
+	tiles = append(tiles, TileReservation{Tile: id})
+	return tiles, &tiles[len(tiles)-1]
+}
+
+// foldLinks sums the entries of each link in sorted deltas in place.
+func foldLinks(links []LinkReservation) []LinkReservation {
+	out := links[:0]
+	for _, l := range links {
+		if n := len(out); n > 0 && out[n-1].Link == l.Link {
+			out[n-1].Bps += l.Bps
+		} else {
+			out = append(out, l)
 		}
-		if l.ReservedBps+bps > l.CapBps {
-			out = append(out, ValidationError{Kind: ResLink, Tile: arch.NoTile, Link: lid,
-				Need: float64(bps), Avail: float64(l.FreeBps())})
-		}
-	}
-	// The maps were walked in no particular order; a tile's dimensions were
-	// appended in Kind order and a resource's (kind, id) pair is unique.
-	if len(out) > 1 {
-		sort.Slice(out, func(i, j int) bool {
-			a, b := out[i], out[j]
-			if (a.Link >= 0) != (b.Link >= 0) {
-				return b.Link >= 0
-			}
-			if a.Tile != b.Tile {
-				return a.Tile < b.Tile
-			}
-			if a.Link != b.Link {
-				return a.Link < b.Link
-			}
-			return a.Kind < b.Kind
-		})
 	}
 	return out
 }
 
-// validate checks the whole plan against the platform's live residual
-// capacity, returning a ConflictError attributing every exhausted resource.
-func (pl *commitPlan) validate(plat *arch.Platform) error {
-	if vs := pl.violations(plat); len(vs) > 0 {
-		return &ConflictError{App: pl.appName, Violations: vs}
+// checked plans res and validates the plan against plat, naming res's
+// application in a conflict.
+func checked(plat *arch.Platform, res *Result) (*Plan, error) {
+	pl, err := NewPlan(plat, res)
+	if err != nil {
+		return nil, err
 	}
-	return nil
-}
-
-// commit applies the plan and bumps the platform's version. sign is +1 to
-// reserve, -1 to release. The caller is the platform's one writer (it
-// holds the owner's lock when the platform is shared).
-func (pl *commitPlan) commit(plat *arch.Platform, sign int64) {
-	for tid, d := range pl.tiles {
-		t := plat.Tile(tid)
-		t.ReservedMem += sign * d.mem
-		t.ReservedUtil += float64(sign) * d.util
-		t.Occupants += int32(sign) * int32(d.occupants)
-		t.ReservedInBps += sign * d.inBps
-		t.ReservedOutBps += sign * d.outBps
+	if vs := pl.Violations(plat); len(vs) > 0 {
+		return nil, &ConflictError{App: res.Mapping.App.Name, Violations: vs}
 	}
-	for lid, bps := range pl.links {
-		plat.Link(lid).ReservedBps += sign * bps
-	}
-	plat.BumpVersion()
+	return pl, nil
 }
 
 // Validate checks whether a mapping computed against a (possibly stale)
@@ -325,11 +247,8 @@ func (pl *commitPlan) commit(plat *arch.Platform, sign int64) {
 // anything. A nil error means Apply would succeed on the platform as it
 // is now.
 func Validate(plat *arch.Platform, res *Result) error {
-	pl, err := planReservations(plat, res, true)
-	if err != nil {
-		return err
-	}
-	return pl.validate(plat)
+	_, err := checked(plat, res)
+	return err
 }
 
 // Apply commits a mapping's resource reservations to a platform: tile
@@ -346,11 +265,8 @@ func Validate(plat *arch.Platform, res *Result) error {
 // share plat between goroutines use NewPlan instead, which separates the
 // lock-free planning from the locked validate-and-commit.
 func Apply(plat *arch.Platform, res *Result) error {
-	pl, err := NewPlan(plat, res)
+	pl, err := checked(plat, res)
 	if err != nil {
-		return err
-	}
-	if err := pl.Validate(plat); err != nil {
 		return err
 	}
 	pl.Commit(plat)
@@ -367,15 +283,18 @@ func Remove(plat *arch.Platform, res *Result) {
 	pl.Release(plat)
 }
 
-// Plan is the aggregated reservation set of one mapping, ready to be
-// validated and committed. It is the unit of the manager's transaction:
-// NewPlan aggregates without any lock (it reads only the mapping and the
-// tiles' immutable description), the caller then takes the platform's
-// lock and runs Validate/Commit, which touch reservation state only on
-// the tiles and links the plan names.
+// Plan is the aggregated reservation set of one mapping: its per-tile and
+// per-link deltas, sorted by resource ID with each resource once — what
+// Deltas hands out and the journal records. It is the unit of the
+// manager's transaction: NewPlan aggregates without any lock (it reads
+// only the mapping and the tiles' immutable description), the caller then
+// takes the platform's lock and runs Validate/Commit, which touch
+// reservation state only on the tiles and links the plan names.
+//
+// A plan is never mutated after it is built, so one plan may be shared:
+// a mapping template carries its plan, and every resident committed from
+// the template commits and releases that same value.
 type Plan struct {
-	pl *commitPlan
-	// What Deltas hands out, exported once by newPlan.
 	tiles []TileReservation
 	links []LinkReservation
 }
@@ -384,26 +303,15 @@ type Plan struct {
 // incomplete mapping is an error. No reservation state is read, so no
 // lock is needed.
 func NewPlan(plat *arch.Platform, res *Result) (*Plan, error) {
-	pl, err := planReservations(plat, res, true)
-	if err != nil {
-		return nil, err
-	}
-	return newPlan(pl), nil
+	return planReservations(plat, res, true)
 }
 
 // NewRemovalPlan aggregates the reservations res holds for release,
 // leniently: processes a partially built mapping never placed are
 // skipped, matching Remove's tolerance.
 func NewRemovalPlan(plat *arch.Platform, res *Result) (*Plan, error) {
-	pl, err := planReservations(plat, res, false)
-	if err != nil {
-		return nil, err
-	}
-	return newPlan(pl), nil
+	return planReservations(plat, res, false)
 }
-
-// App returns the name of the application the plan reserves for.
-func (p *Plan) App() string { return p.pl.appName }
 
 // Overlaps reports whether the plan holds reservations on at least one
 // of the conflicted tiles or links. The preemption planner uses it to
@@ -426,38 +334,87 @@ func (p *Plan) Overlaps(violations []ValidationError) bool {
 // UsesTile reports whether the plan holds reservations on the tile. The
 // fault evacuation uses it to find the residents a failed tile carried.
 func (p *Plan) UsesTile(id arch.TileID) bool {
-	_, ok := p.pl.tiles[id]
+	_, ok := slices.BinarySearchFunc(p.tiles, id, func(d TileReservation, id arch.TileID) int { return cmp.Compare(d.Tile, id) })
 	return ok
 }
 
 // UsesLink reports whether the plan holds reservations on the link.
 func (p *Plan) UsesLink(id arch.LinkID) bool {
-	_, ok := p.pl.links[id]
+	_, ok := slices.BinarySearchFunc(p.links, id, func(d LinkReservation, id arch.LinkID) int { return cmp.Compare(d.Link, id) })
 	return ok
 }
 
 // Violations checks the plan against the platform's live residual
-// capacity and attributes every conflict. The caller must hold the
-// platform's lock when the platform is shared.
+// capacity and attributes every conflict to the resource it exhausts. The
+// caller must hold the platform's lock when the platform is shared. Only
+// the resources the plan touches are visited, so a plan that fits
+// allocates nothing here. The report follows the plan's order: tiles by
+// ID (each tile's dimensions in ResourceKind order), then links by ID.
 func (p *Plan) Violations(plat *arch.Platform) []ValidationError {
-	return p.pl.violations(plat)
+	var out []ValidationError
+	for i := range p.tiles {
+		d := &p.tiles[i]
+		t := plat.Tile(d.Tile)
+		if t.Failed {
+			out = append(out, ValidationError{Kind: ResTileFailed, Tile: t.ID, TileName: t.Name, Link: -1,
+				Need: float64(d.Occupants)})
+			continue
+		}
+		if t.ReservedMem+d.MemBytes > t.MemBytes {
+			out = append(out, ValidationError{Kind: ResTileMem, Tile: t.ID, TileName: t.Name, Link: -1,
+				Need: float64(d.MemBytes), Avail: float64(t.FreeMem())})
+		}
+		if t.ReservedUtil+d.Util > 1.0+utilEps {
+			out = append(out, ValidationError{Kind: ResTileUtil, Tile: t.ID, TileName: t.Name, Link: -1,
+				Need: d.Util, Avail: 1.0 - t.ReservedUtil})
+		}
+		if t.MaxOccupants > 0 && int(t.Occupants)+d.Occupants > t.MaxOccupants {
+			out = append(out, ValidationError{Kind: ResTileOccupancy, Tile: t.ID, TileName: t.Name, Link: -1,
+				Need: float64(d.Occupants), Avail: float64(t.MaxOccupants - int(t.Occupants))})
+		}
+		if t.NICapBps > 0 && (t.ReservedInBps+d.InBps > t.NICapBps || t.ReservedOutBps+d.OutBps > t.NICapBps) {
+			need, avail := d.InBps, t.NICapBps-t.ReservedInBps
+			if t.ReservedOutBps+d.OutBps > t.NICapBps {
+				need, avail = d.OutBps, t.NICapBps-t.ReservedOutBps
+			}
+			out = append(out, ValidationError{Kind: ResTileNI, Tile: t.ID, TileName: t.Name, Link: -1,
+				Need: float64(need), Avail: float64(avail)})
+		}
+	}
+	for _, d := range p.links {
+		l := plat.Link(d.Link)
+		if l.Failed {
+			out = append(out, ValidationError{Kind: ResLinkFailed, Tile: arch.NoTile, Link: d.Link,
+				Need: float64(d.Bps)})
+			continue
+		}
+		if l.ReservedBps+d.Bps > l.CapBps {
+			out = append(out, ValidationError{Kind: ResLink, Tile: arch.NoTile, Link: d.Link,
+				Need: float64(d.Bps), Avail: float64(l.FreeBps())})
+		}
+	}
+	return out
 }
 
-// Validate is Violations wrapped into the error Apply would return: nil,
-// or a *ConflictError naming the exhausted resources.
+// Validate is Violations wrapped into a *ConflictError naming the
+// exhausted resources, or nil. The error names no application: the
+// caller, which knows the arrival, fills in ConflictError.App.
 func (p *Plan) Validate(plat *arch.Platform) error {
-	return p.pl.validate(plat)
+	if vs := p.Violations(plat); len(vs) > 0 {
+		return &ConflictError{Violations: vs}
+	}
+	return nil
 }
 
 // Commit reserves the plan on the platform and bumps its version. The
 // caller must hold the platform's lock when the platform is shared and
 // have seen Validate succeed under it.
 func (p *Plan) Commit(plat *arch.Platform) {
-	p.pl.commit(plat, +1)
+	ApplyDeltas(plat, p.tiles, p.links, +1)
 }
 
 // Release subtracts the plan's reservations, undoing Commit. The caller
 // must hold the platform's lock when the platform is shared.
 func (p *Plan) Release(plat *arch.Platform) {
-	p.pl.commit(plat, -1)
+	ApplyDeltas(plat, p.tiles, p.links, -1)
 }

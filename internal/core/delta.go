@@ -33,36 +33,13 @@ type LinkReservation struct {
 }
 
 // Deltas returns the plan's aggregated per-tile and per-link reservation
-// deltas, sorted by resource ID. Together with the application name they
-// are sufficient to reconstruct the plan with NewDeltaPlan. They were
-// exported once, when the plan was built, and every call returns the same
-// slices: read-only.
+// deltas, sorted by resource ID with each resource once. They are the plan
+// itself — NewDeltaPlan rebuilds it from them — and every call returns the
+// same slices: read-only.
 func (p *Plan) Deltas() ([]TileReservation, []LinkReservation) { return p.tiles, p.links }
 
 func byTile(a, b TileReservation) int { return cmp.Compare(a.Tile, b.Tile) }
 func byLink(a, b LinkReservation) int { return cmp.Compare(a.Link, b.Link) }
-
-// newPlan wraps an aggregated commit plan with its exported deltas.
-func newPlan(pl *commitPlan) *Plan {
-	tiles := make([]TileReservation, 0, len(pl.tiles))
-	for tid, d := range pl.tiles {
-		tiles = append(tiles, TileReservation{
-			Tile:      tid,
-			MemBytes:  d.mem,
-			Util:      d.util,
-			Occupants: d.occupants,
-			InBps:     d.inBps,
-			OutBps:    d.outBps,
-		})
-	}
-	slices.SortFunc(tiles, byTile)
-	links := make([]LinkReservation, 0, len(pl.links))
-	for lid, bps := range pl.links {
-		links = append(links, LinkReservation{Link: lid, Bps: bps})
-	}
-	slices.SortFunc(links, byLink)
-	return &Plan{pl: pl, tiles: tiles, links: links}
-}
 
 // ApplyDeltas adds (sign +1) or subtracts (sign -1) exported deltas on
 // the platform exactly as Commit or Release of the plan they came from
@@ -94,28 +71,44 @@ func ApplyDeltas(plat *arch.Platform, tiles []TileReservation, links []LinkReser
 // it cannot be repaired or relocated; it exists for releasing residents
 // whose Result did not survive a crash. Deltas shaped as Deltas exports
 // them — sorted, each resource once: what a journal holds — are kept, not
-// copied, so the caller must leave them alone afterwards.
-func NewDeltaPlan(appName string, tiles []TileReservation, links []LinkReservation) *Plan {
-	pl := &commitPlan{
-		appName: appName,
-		tiles:   make(map[arch.TileID]*tileDelta, len(tiles)),
-		links:   make(map[arch.LinkID]int64, len(links)),
-		arena:   make([]tileDelta, 0, len(tiles)),
+// copied, so the caller must leave them alone afterwards. Any other input
+// is copied, stable-sorted and folded, each resource's values added in
+// input order.
+func NewDeltaPlan(tiles []TileReservation, links []LinkReservation) *Plan {
+	if !strictlySorted(tiles, byTile) {
+		tiles = slices.Clone(tiles)
+		slices.SortStableFunc(tiles, byTile)
+		out := tiles[:0]
+		for _, d := range tiles {
+			n := len(out)
+			if n == 0 || out[n-1].Tile != d.Tile {
+				out = append(out, d)
+				continue
+			}
+			o := &out[n-1]
+			o.MemBytes += d.MemBytes
+			o.Util += d.Util
+			o.Occupants += d.Occupants
+			o.InBps += d.InBps
+			o.OutBps += d.OutBps
+		}
+		tiles = out
 	}
-	for _, tr := range tiles {
-		d := pl.tile(tr.Tile)
-		d.mem += tr.MemBytes
-		d.util += tr.Util
-		d.occupants += tr.Occupants
-		d.inBps += tr.InBps
-		d.outBps += tr.OutBps
+	if !strictlySorted(links, byLink) {
+		links = slices.Clone(links)
+		slices.SortStableFunc(links, byLink)
+		links = foldLinks(links)
 	}
-	for _, lr := range links {
-		pl.links[lr.Link] += lr.Bps
+	return &Plan{tiles: tiles, links: links}
+}
+
+// strictlySorted reports whether s is sorted by compare with no two
+// elements equal.
+func strictlySorted[E any](s []E, compare func(a, b E) int) bool {
+	for i := 1; i < len(s); i++ {
+		if compare(s[i-1], s[i]) >= 0 {
+			return false
+		}
 	}
-	if len(pl.tiles) == len(tiles) && len(pl.links) == len(links) &&
-		slices.IsSortedFunc(tiles, byTile) && slices.IsSortedFunc(links, byLink) {
-		return &Plan{pl: pl, tiles: tiles, links: links}
-	}
-	return newPlan(pl)
+	return true
 }

@@ -12,6 +12,9 @@ import (
 // aggregation (planReservations, the source of truth for what a mapping
 // reserves) and checks its double-entry bookkeeping:
 //
+//   - the plan matches the map planner it replaced (plan_ref_test.go) on
+//     deltas bit for bit, violations on loaded, exhausted and failed
+//     platforms, committed platforms and UsesTile/UsesLink;
 //   - committing the plan changes the platform's residual by exactly the
 //     per-resource sums recomputed independently from the mapping —
 //     implementation memory plus stream buffers, utilisation, occupancy,
@@ -61,6 +64,7 @@ func FuzzPlanReservations(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewPlan on a feasible mapping: %v", err)
 		}
+		requireMatchesMapPlanner(t, plat, res)
 
 		// The independent oracle: re-derive every reservation straight
 		// from the mapping, without the plan's aggregation.

@@ -82,8 +82,9 @@ func TestPlanFootprintRegionLocal(t *testing.T) {
 // TestViolationsOrderIsDeterministic exhausts every tile and link of a
 // multi-region mapping and checks the report's order — tiles by ID, each
 // tile's dimensions in ResourceKind order, then links by ID — over many
-// rounds, since the plan walks Go maps: repair and template selection
-// read Violations[0] and the counts, and must see the same list each time.
+// rounds: repair and template selection read Violations[0] and the
+// counts, and must see the same list each time, which the plan's sorted
+// deltas give by construction.
 func TestViolationsOrderIsDeterministic(t *testing.T) {
 	plat := workload.SyntheticRegionPlatform(8, 8, 123, 4)
 	res := mapOnto(t, plat, 2, "SRC0", "SINK3")
@@ -198,7 +199,7 @@ func TestDeltaPlanDeltas(t *testing.T) {
 		t.Fatalf("fixture plan too small: %d tiles, %d links", len(tiles), len(links))
 	}
 
-	kept := NewDeltaPlan(plan.App(), tiles, links)
+	kept := NewDeltaPlan(tiles, links)
 	if kt, kl := kept.Deltas(); &kt[0] != &tiles[0] || &kl[0] != &links[0] {
 		t.Error("deltas in exported shape were copied")
 	}
@@ -210,7 +211,7 @@ func TestDeltaPlanDeltas(t *testing.T) {
 	half := links[0].Bps / 2
 	shuffledLinks[len(shuffledLinks)-1].Bps -= half
 	shuffledLinks = append(shuffledLinks, LinkReservation{Link: links[0].Link, Bps: half})
-	rebuilt := NewDeltaPlan(plan.App(), shuffledTiles, shuffledLinks)
+	rebuilt := NewDeltaPlan(shuffledTiles, shuffledLinks)
 	if rt, rl := rebuilt.Deltas(); !slices.Equal(rt, tiles) || !slices.Equal(rl, links) {
 		t.Errorf("rebuilt Deltas = %v, %v; want %v, %v", rt, rl, tiles, links)
 	}

@@ -371,10 +371,11 @@ func (m *Manager) transact(removals []change, reserve change) error {
 	}
 	var err error
 	if reserve.plan != nil {
-		if err = reserve.plan.Validate(m.plat); err == nil {
+		if vs := reserve.plan.Violations(m.plat); len(vs) == 0 {
 			reserve.plan.Commit(m.plat)
 			m.journalPlan(reserve)
 		} else {
+			err = &core.ConflictError{App: reserve.app, Violations: vs}
 			for _, r := range removals {
 				r.plan.Commit(m.plat)
 				r.ev = journal.EvRelocate
@@ -534,20 +535,16 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 				// Each failed validation already computed the template's
 				// violation list; remember the template with the fewest
 				// violations as the cheapest one to repair.
-				leastConflicted := pool[start]
+				leastConflicted := pool[start].res
 				leastViolations := -1
 				for k := 0; k < len(pool); k++ {
 					tpl := pool[(start+k)%len(pool)]
-					plan, perr := core.NewPlan(m.plat, tpl)
-					if perr != nil {
-						continue
-					}
-					verr := m.transact(nil, change{plan, journal.EvAdmit, app.Name, prio})
+					verr := m.transact(nil, change{tpl.plan, journal.EvAdmit, app.Name, prio})
 					if verr == nil {
 						out.Commit += time.Since(commitStart)
 						m.mu.Lock()
 						m.seq++
-						ad := &Admission{App: app, Result: tpl, Seq: m.seq, Priority: prio, lib: lib, plan: plan}
+						ad := &Admission{App: app, Result: tpl.res, Seq: m.seq, Priority: prio, lib: lib, plan: tpl.plan}
 						m.running[app.Name] = ad
 						m.stats.TemplateHits++
 						m.finishLocked(&out, ad, nil)
@@ -557,7 +554,7 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 					var conflict *core.ConflictError
 					if errors.As(verr, &conflict) {
 						if nv := len(conflict.Violations); leastViolations < 0 || nv < leastViolations {
-							leastConflicted, leastViolations = tpl, nv
+							leastConflicted, leastViolations = tpl.res, nv
 						}
 					}
 				}
@@ -691,7 +688,7 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 				m.finishLocked(&out, ad, nil)
 				m.mu.Unlock()
 				if tc != nil && fp != "" {
-					tc.put(fp, res)
+					tc.put(fp, res, plan)
 				}
 				return out
 			}

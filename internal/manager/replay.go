@@ -90,7 +90,7 @@ func ReplayEvents(plat *arch.Platform, cfg core.Config, events []journal.Event) 
 			App:      model.NewApplication(name, model.QoS{Priority: r.prio}),
 			Seq:      r.seq,
 			Priority: r.prio,
-			plan:     core.NewDeltaPlan(name, r.placed.Tiles, r.placed.Links),
+			plan:     core.NewDeltaPlan(r.placed.Tiles, r.placed.Links),
 		}
 		m.running[name] = ad
 		m.loadChargeTiles(ad, r.placed.Tiles)

@@ -26,7 +26,7 @@ func replayOracle(plat *arch.Platform, cfg core.Config, events []journal.Event) 
 	released := make(map[string]*Admission)
 	for i := range events {
 		e := &events[i]
-		plan := core.NewDeltaPlan(e.App, e.Tiles, e.Links)
+		plan := core.NewDeltaPlan(e.Tiles, e.Links)
 		switch e.Type {
 		case journal.EvAdmit:
 			plan.Commit(plat)
@@ -163,7 +163,7 @@ func replayEager(plat *arch.Platform, cfg core.Config, events []journal.Event) (
 	}
 	for name, ad := range m.running {
 		e := placed[name]
-		ad.plan = core.NewDeltaPlan(name, e.Tiles, e.Links)
+		ad.plan = core.NewDeltaPlan(e.Tiles, e.Links)
 	}
 	return m, nil
 }

@@ -50,12 +50,14 @@ func TestSnapshotNeverTearsAPlan(t *testing.T) {
 	pairs := [][2]string{{"SRC0", "SINK1"}, {"SRC1", "SINK3"}, {"SRC3", "SINK2"}, {"SRC2", "SINK0"}}
 	scratch := plat.Clone()
 	plans := make([]*core.Plan, len(pairs))
+	names := make([]string, len(pairs))
 	for k, pair := range pairs {
 		app, lib := workload.Synthetic(workload.SynthOptions{
 			Shape: workload.ShapeChain, Processes: 3, Seed: int64(k),
 			MaxUtil: 0.10, PeriodNs: 40_000, SrcTile: pair[0], SinkTile: pair[1],
 		})
 		app.Name = fmt.Sprintf("straddler-%d", k)
+		names[k] = app.Name
 		res, err := (&core.Mapper{Lib: lib}).Map(app, scratch)
 		if err != nil || !res.Feasible {
 			t.Fatalf("%s: no feasible mapping (%v)", app.Name, err)
@@ -92,11 +94,10 @@ func TestSnapshotNeverTearsAPlan(t *testing.T) {
 	stop := make(chan struct{})
 	var workers sync.WaitGroup
 	var cycles atomic.Int64
-	for _, plan := range plans {
+	for k, plan := range plans {
 		workers.Add(1)
-		go func(plan *core.Plan) {
+		go func(c change) {
 			defer workers.Done()
-			c := change{plan, journal.EvAdmit, plan.App(), model.BestEffort}
 			for {
 				select {
 				case <-stop:
@@ -104,13 +105,13 @@ func TestSnapshotNeverTearsAPlan(t *testing.T) {
 				default:
 				}
 				if err := m.transact(nil, c); err != nil {
-					t.Errorf("commit %s: %v", plan.App(), err)
+					t.Errorf("commit %s: %v", c.app, err)
 					return
 				}
 				m.transact([]change{c}, change{})
 				cycles.Add(1)
 			}
-		}(plan)
+		}(change{plan, journal.EvAdmit, names[k], model.BestEffort})
 	}
 	for n := 1; n <= snapshots && !t.Failed(); n++ {
 		snap := m.Snapshot()

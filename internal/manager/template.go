@@ -135,21 +135,29 @@ func appendPorts(b []byte, m map[string]csdf.Pattern) []byte {
 // cheaper than one mapper run.
 const templatePoolSize = 8
 
+// template is one remembered placement: a committed mapping and the plan
+// it committed. The plan is immutable, so every hit commits this same
+// value and every resident committed from the template shares it.
+type template struct {
+	res  *core.Result
+	plan *core.Plan
+}
+
 // templateCache remembers recently committed mappings per fingerprint.
-// Results stored here are treated as immutable; Apply and Remove only
-// read them. Per fingerprint a pool of differently placed mappings is
+// Templates stored here are treated as immutable; commits and releases
+// only read them. Per fingerprint a pool of differently placed mappings is
 // kept, with a rotating start index so concurrent instances of the same
 // structure spread over tiles instead of all contending for the first
 // template's.
 type templateCache struct {
 	mu   sync.RWMutex
-	m    map[string][]*core.Result
+	m    map[string][]template
 	next map[string]*uint64
 }
 
 func newTemplateCache() *templateCache {
 	return &templateCache{
-		m:    make(map[string][]*core.Result),
+		m:    make(map[string][]template),
 		next: make(map[string]*uint64),
 	}
 }
@@ -162,7 +170,7 @@ func newTemplateCache() *templateCache {
 // the cache's own copy-on-write header: it must not be modified, and
 // handing it out allocation-free is what keeps a warm template hit off
 // the heap entirely (pinned by BenchmarkTemplateGet).
-func (c *templateCache) get(fp string) (pool []*core.Result, start int) {
+func (c *templateCache) get(fp string) (pool []template, start int) {
 	c.mu.RLock()
 	pool = c.m[fp]
 	ctr := c.next[fp]
@@ -173,14 +181,14 @@ func (c *templateCache) get(fp string) (pool []*core.Result, start int) {
 	return pool, int(atomic.AddUint64(ctr, 1) % uint64(len(pool)))
 }
 
-// put adds a mapping to the fingerprint's pool unless an identically
-// placed one is already there; the oldest entry is evicted past the cap.
-// The pool slice is copy-on-write: get hands out the current header
-// without copying, so the backing array must never be mutated in place.
-// The stored result is a shallow copy without the decision trace: commit
-// and repair only read Mapping and Energy, and a long-lived pool need not
-// pin a step-2 table per template.
-func (c *templateCache) put(fp string, res *core.Result) {
+// put adds a mapping and the plan it committed to the fingerprint's pool
+// unless an identically placed one is already there; the oldest entry is
+// evicted past the cap. The pool slice is copy-on-write: get hands out
+// the current header without copying, so the backing array must never be
+// mutated in place. The stored result is a shallow copy without the
+// decision trace: commit and repair only read Mapping and Energy, and a
+// long-lived pool need not pin a step-2 table per template.
+func (c *templateCache) put(fp string, res *core.Result, plan *core.Plan) {
 	slim := *res
 	slim.Trace = nil
 	res = &slim
@@ -188,16 +196,16 @@ func (c *templateCache) put(fp string, res *core.Result) {
 	defer c.mu.Unlock()
 	pool := c.m[fp]
 	for _, have := range pool {
-		if samePlacement(have, res) {
+		if samePlacement(have.res, res) {
 			return
 		}
 	}
 	if len(pool) >= templatePoolSize {
 		pool = pool[1:]
 	}
-	next := make([]*core.Result, 0, len(pool)+1)
+	next := make([]template, 0, len(pool)+1)
 	next = append(next, pool...)
-	c.m[fp] = append(next, res)
+	c.m[fp] = append(next, template{res, plan})
 	if c.next[fp] == nil {
 		c.next[fp] = new(uint64)
 	}

@@ -16,7 +16,7 @@ func fullTemplatePool() (*templateCache, string) {
 	for i := 0; i < templatePoolSize; i++ {
 		tc.put(fp, &core.Result{Mapping: &core.Mapping{
 			Tile: map[model.ProcessID]arch.TileID{0: arch.TileID(i)},
-		}})
+		}}, nil)
 	}
 	return tc, fp
 }
@@ -62,7 +62,7 @@ func BenchmarkTemplateGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pool, start := tc.get(fp)
-		if pool[start%len(pool)] == nil {
+		if pool[start%len(pool)].res == nil {
 			b.Fatal("nil template")
 		}
 	}
@@ -76,7 +76,7 @@ func BenchmarkTemplateGetParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			pool, start := tc.get(fp)
-			if pool[start%len(pool)] == nil {
+			if pool[start%len(pool)].res == nil {
 				b.Fatal("nil template")
 			}
 		}

@@ -27,7 +27,7 @@ func TestTemplateCachePoolEvictionRace(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 4*templatePoolSize; i++ {
-				tc.put(fp, placement(w*1000+i))
+				tc.put(fp, placement(w*1000+i), nil)
 			}
 		}(w)
 		go func() {
@@ -35,7 +35,7 @@ func TestTemplateCachePoolEvictionRace(t *testing.T) {
 			for i := 0; i < 8*templatePoolSize; i++ {
 				pool, start := tc.get(fp)
 				for k := 0; k < len(pool); k++ {
-					if res := pool[(start+k)%len(pool)]; res == nil || res.Mapping == nil {
+					if res := pool[(start+k)%len(pool)].res; res == nil || res.Mapping == nil {
 						t.Error("torn pool entry observed")
 						return
 					}

@@ -189,12 +189,16 @@ func (a *Application) ProcessByName(name string) *Process {
 // Channel returns the channel with the given ID.
 func (a *Application) Channel(id ChannelID) *Channel { return a.Channels[id] }
 
-// MappableProcesses returns the processes the spatial mapper must place:
-// neither pinned nor control processes.
+// Mappable reports whether the spatial mapper must place the process:
+// neither pinned nor a control process.
+func (p *Process) Mappable() bool { return p.PinnedTile == "" && !p.Control }
+
+// MappableProcesses returns the processes the spatial mapper must place,
+// in declaration order.
 func (a *Application) MappableProcesses() []*Process {
 	var out []*Process
 	for _, p := range a.Processes {
-		if p.PinnedTile == "" && !p.Control {
+		if p.Mappable() {
 			out = append(out, p)
 		}
 	}
@@ -206,14 +210,15 @@ func (a *Application) MappableProcesses() []*Process {
 func (a *Application) StreamChannels() []*Channel {
 	out := make([]*Channel, 0, len(a.Channels))
 	for _, c := range a.Channels {
-		if a.inStream(c) {
+		if a.InStream(c) {
 			out = append(out, c)
 		}
 	}
 	return out
 }
 
-func (a *Application) inStream(c *Channel) bool {
+// InStream reports whether the channel belongs to the data stream.
+func (a *Application) InStream(c *Channel) bool {
 	return !a.Processes[c.Src].Control && !a.Processes[c.Dst].Control
 }
 
@@ -221,7 +226,7 @@ func (a *Application) inStream(c *Channel) bool {
 func (a *Application) ChannelsOf(p ProcessID) []*Channel {
 	var out []*Channel
 	for _, c := range a.Channels {
-		if (c.Src == p || c.Dst == p) && a.inStream(c) {
+		if (c.Src == p || c.Dst == p) && a.InStream(c) {
 			out = append(out, c)
 		}
 	}
@@ -334,7 +339,7 @@ func (im *Implementation) CyclesPerPeriod(app *Application, p *Process) (int64, 
 	for _, c := range app.Channels {
 		var pat csdf.Pattern
 		switch {
-		case !app.inStream(c):
+		case !app.InStream(c):
 		case c.Dst == p.ID:
 			pat = im.In[c.DstPort]
 		case c.Src == p.ID:
