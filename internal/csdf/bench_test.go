@@ -34,6 +34,7 @@ func BenchmarkRepetitionVector(b *testing.B) {
 func BenchmarkSelfTimedExecution(b *testing.B) {
 	g := hl2LikeGraph()
 	opts := ExecOptions{WarmupIterations: 4, MeasureIterations: 8, Observe: -1, Source: -1}
+	share := trackEngines(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r, err := g.Execute(opts)
@@ -41,6 +42,7 @@ func BenchmarkSelfTimedExecution(b *testing.B) {
 			b.Fatalf("execution failed: %v", err)
 		}
 	}
+	reportInstants(b, share())
 }
 
 func BenchmarkBufferSizing(b *testing.B) {
@@ -49,12 +51,22 @@ func BenchmarkBufferSizing(b *testing.B) {
 	for _, c := range base.Channels {
 		c.Capacity = 0
 	}
+	share := trackEngines(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := BufferSizes(base, BufferOptions{TargetPeriod: 4000})
 		if err != nil || !res.Met {
 			b.Fatalf("sizing failed: %v", err)
 		}
+	}
+	reportInstants(b, share())
+}
+
+// reportInstants reports the completion instants an engine run simulated
+// rather than skipped, on average.
+func reportInstants(b *testing.B, c engineCounts) {
+	if c.runs > 0 {
+		b.ReportMetric(float64(c.simulated)/float64(c.runs), "instants/run")
 	}
 }
 

@@ -56,21 +56,22 @@ func BufferSizes(g *Graph, opts BufferOptions) (*BufferResult, error) {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = 256
 	}
-	work := cloneForBuffers(g)
 	// One engine serves every round: the topology and the repetition
 	// vector do not change, only the capacities run re-reads.
 	e := enginePool.Get().(*engine)
 	defer e.release()
+	work := e.workOn(g)
 	if err := e.load(work); err != nil {
 		return nil, err
 	}
-	free := make([]ChannelID, 0, len(g.Channels)) // channels we may size
+	free := e.free[:0]
 	for _, c := range g.Channels {
 		if c.Capacity == 0 {
 			free = append(free, c.ID)
 			work.Channels[c.ID].Capacity = lowerBound(c)
 		}
 	}
+	e.free = free
 
 	meets := func(r *ExecResult) bool {
 		if r.Deadlocked {
@@ -222,18 +223,4 @@ func tighten(e *engine, free []ChannelID, opts BufferOptions, meets func(*ExecRe
 		last = r
 	}
 	return last
-}
-
-// cloneForBuffers copies the graph's channels into one slab so capacity
-// edits do not leak into the caller's graph. Actors are shared (immutable
-// during analysis).
-func cloneForBuffers(g *Graph) *Graph {
-	q := &Graph{Name: g.Name, Actors: g.Actors, in: g.in, out: g.out}
-	q.Channels = make([]*Channel, len(g.Channels))
-	slab := make([]Channel, len(g.Channels))
-	for i, c := range g.Channels {
-		slab[i] = *c
-		q.Channels[i] = &slab[i]
-	}
-	return q
 }

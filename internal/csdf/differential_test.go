@@ -419,12 +419,12 @@ func TestExecuteDifferential(t *testing.T) {
 // requireForwarded fails the test unless at least percent of the engine
 // runs it caused skipped cycles: the reference can only vouch for the
 // fast-forward on runs that take it.
-func requireForwarded(t *testing.T, share func() (runs, forwarded, simulated int64), percent int64) {
+func requireForwarded(t *testing.T, share func() engineCounts, percent int64) {
 	t.Helper()
-	runs, forwarded, _ := share()
-	t.Logf("%d of %d engine runs skipped at least one cycle", forwarded, runs)
-	if forwarded*100 < runs*percent {
-		t.Errorf("%d of %d engine runs skipped cycles, want at least %d%%", forwarded, runs, percent)
+	c := share()
+	t.Logf("%d of %d engine runs skipped at least one cycle, %d from a restored boundary", c.forwarded, c.runs, c.restored)
+	if c.forwarded*100 < c.runs*percent {
+		t.Errorf("%d of %d engine runs skipped cycles, want at least %d%%", c.forwarded, c.runs, percent)
 	}
 }
 
@@ -537,7 +537,8 @@ func FuzzExecuteDifferential(f *testing.F) {
 		f.Add(spec.encode())
 	}
 	// Graphs that settle at the step-4 horizon, so mutation starts from
-	// runs that skip cycles.
+	// runs that skip cycles; the routed one confirms its cycle at the
+	// source and skips from a restored boundary.
 	for _, g := range settlingGraphs() {
 		settling := specOf(g, DefaultExecOptions())
 		f.Add(settling.encode())

@@ -206,12 +206,26 @@ type engine struct {
 	iterDone            []int64
 	iterSrcStart        []int64
 
-	// The last two boundaries' snapshots, of equal length; see recurred.
-	snaps []int64
-	// Runs made, those that skipped cycles and the completion instants
-	// simulated rather than skipped: the tests floor the share and cap the
-	// instants.
-	runs, forwarded, simulated int64
+	// The last two snapshots at observed-actor boundaries and at source
+	// iteration starts, each pair of equal length; see recurred.
+	sinkSnaps, sourceSnaps []int64
+	// A copy of the actor and channel state and of the heap at the last
+	// observed-actor boundary, which restore returns to.
+	savedActors   []actorState
+	savedChannels []channelState
+	savedHeap     []execEvent
+	// Runs made, those that skipped cycles, those that skipped from a
+	// restored boundary and the completion instants simulated rather than
+	// skipped: the tests floor the shares and cap the instants.
+	runs, forwarded, restored, simulated int64
+
+	// BufferSizes' working copy of its graph: the caller's actors and a
+	// copy of its channels, whose capacities the search edits; and the
+	// channels it may size.
+	work      Graph
+	workSlab  []Channel
+	workChans []*Channel
+	free      []ChannelID
 }
 
 var enginePool = sync.Pool{New: func() any { return new(engine) }}
@@ -219,9 +233,25 @@ var enginePool = sync.Pool{New: func() any { return new(engine) }}
 func (e *engine) release() {
 	// Drop what points into caller memory so a pooled engine pins no graph.
 	e.g, e.groups, e.orders = nil, nil, nil
+	e.work = Graph{}
 	clear(e.actors)
+	clear(e.savedActors)
 	clear(e.edges)
+	clear(e.workSlab)
 	enginePool.Put(e)
+}
+
+// workOn returns a copy of g for BufferSizes to edit capacities in. Actors
+// are shared: analysis does not change them.
+func (e *engine) workOn(g *Graph) *Graph {
+	e.workSlab = resize(e.workSlab, len(g.Channels))
+	e.workChans = resize(e.workChans, len(g.Channels))
+	for i, c := range g.Channels {
+		e.workSlab[i] = *c
+		e.workChans[i] = &e.workSlab[i]
+	}
+	e.work = Graph{Name: g.Name, Actors: g.Actors, Channels: e.workChans, in: g.in, out: g.out}
+	return &e.work
 }
 
 // resize returns s with length n and every element zero, reusing its
@@ -357,18 +387,31 @@ func (e *engine) run(opts ExecOptions) (*ExecResult, error) {
 	// Group arbitration and static orders compare absolute firing counts,
 	// which no periodic phase repeats.
 	lookForPeriod := len(e.groups) == 0 && len(e.orders) == 0
-	e.snaps = e.snaps[:0]
+	e.sinkSnaps, e.sourceSnaps = e.sinkSnaps[:0], e.sourceSnaps[:0]
 	e.runs++
-	maxEvents, boundary := int64(opts.MaxEvents), 0
+	maxEvents, done, begun := int64(opts.MaxEvents), 0, 0
 	deadlocked := false
 	for events := int64(0); ; {
 		for e.schedulingPass() {
 		}
-		if lookForPeriod && len(e.iterDone) > boundary {
-			boundary = len(e.iterDone)
-			if e.recurred(events) {
-				events = e.skipCycles(events, totalIters, maxEvents)
+		if lookForPeriod && len(e.iterDone) > done {
+			done = len(e.iterDone)
+			if e.recurred(&e.sinkSnaps, events) {
+				events = e.skipCycles(e.sinkSnaps, events, totalIters, maxEvents)
 				lookForPeriod = false
+			} else {
+				e.savedActors = append(e.savedActors[:0], e.actors...)
+				e.savedChannels = append(e.savedChannels[:0], e.channels...)
+				e.savedHeap = append(e.savedHeap[:0], e.heap...)
+			}
+		}
+		if lookForPeriod && len(e.iterSrcStart) > begun {
+			begun = len(e.iterSrcStart)
+			if e.recurred(&e.sourceSnaps, events) {
+				if at, ok := e.restore(); ok {
+					events = e.skipCycles(e.sourceSnaps, at, totalIters, maxEvents)
+					lookForPeriod = false
+				}
 			}
 		}
 		if int64(len(e.iterDone)) >= totalIters {
@@ -434,50 +477,58 @@ func (e *engine) run(opts ExecOptions) (*ExecResult, error) {
 }
 
 // Self-timed execution of a consistent, bounded graph is a transient
-// followed by a strictly periodic phase. At each iteration boundary — the
-// observed actor has closed an iteration and the instant's scheduling
-// passes have settled — the engine snapshots its state relative to now;
-// when two successive boundaries agree, everything the firing rule will
-// read repeats, every counter grows by the same amount per cycle, and the
-// cycles can be added instead of simulated.
+// followed by a strictly periodic phase. At two kinds of settled instant —
+// the observed actor has closed an iteration, or the source has begun one,
+// and the instant's scheduling passes are done — the engine snapshots its
+// state relative to now; when two successive snapshots of one kind agree,
+// everything the firing rule will read repeats, every counter grows by the
+// same amount per cycle, and the cycles can be added instead of simulated.
 //
-// A snapshot is the counters a skip multiplies (snapCounters for the run,
-// fired and busyTime per actor, blocks), then the relative state: per
-// actor the phase of its next start and the age of its cached verdict,
-// per channel its tokens, how far the source and the observed actor are
-// into their iterations, and the pending completions as (time−now, actor)
-// in heap order; sorting them first let no measured run skip more. The
-// rest follows from these at a settled instant: an actor's pending completions fix its busyUntil
-// and, with startPhase, its donePhase and the space its firings hold
-// reserved (occupied − tokens); its verdict is what evaluating it now
-// would return; no actor is dirty. Two absolutes remain, the firing caps
-// and the event bound: skipCycles stays within the event bound and lets an
-// actor reach its cap only where reaching it changes nothing it does.
+// A snapshot first charges every standing veto for the passes up to now
+// (settle charges only the passes after), so no verdict carries an age.
+// It is the counters a skip multiplies (snapCounters for the run, fired
+// and busyTime per actor, blocks), then the relative state: per actor the
+// phase of its next start, per channel its tokens, how far the source and
+// the observed actor are into their iterations, and the pending
+// completions as (time−now, actor) in heap order; sorting them first let
+// no measured run skip more. The rest follows from these at a settled
+// instant: an actor's pending completions fix its busyUntil and, with
+// startPhase, its donePhase and the space its firings hold reserved
+// (occupied − tokens); its verdict is what evaluating it now would return;
+// its evalPass is pass+1; no actor is dirty. Two absolutes remain, the
+// firing caps and the event bound: skipCycles stays within the event
+// bound and lets an actor reach its cap only where reaching it changes
+// nothing it does.
 const snapCounters = 5 // now, pass, events, len(iterDone), len(iterSrcStart)
 
-// recurred records the state at an iteration boundary and reports whether
-// it equals, relative to now, the state at the boundary before.
-func (e *engine) recurred(events int64) bool {
+// recurred records the state in the pair of snapshots it is given and
+// reports whether it equals, relative to now, the state the pair recorded
+// before.
+func (e *engine) recurred(pair *[]int64, events int64) bool {
 	n, nch := len(e.actors), len(e.channels)
 	relative := snapCounters + 2*n + 2*nch
-	size := relative + 2*n + nch + 2 + 2*len(e.heap)
+	size := relative + n + nch + 2 + 2*len(e.heap)
 	// The older snapshot makes way; one of another length cannot match.
-	fresh := len(e.snaps) != 2*size
+	fresh := len(*pair) != 2*size
 	if fresh {
-		e.snaps = resize(e.snaps, 2*size)
+		*pair = resize(*pair, 2*size)
 	} else {
-		copy(e.snaps, e.snaps[size:])
+		copy(*pair, (*pair)[size:])
 	}
-	s := e.snaps[size:]
+	s := (*pair)[size:]
 	s[0], s[1], s[2], s[3], s[4] = e.now, e.pass, events, int64(len(e.iterDone)), int64(len(e.iterSrcStart))
 	counters, rel := s[snapCounters:], s[relative:]
 	for a := range e.actors {
 		st := &e.actors[a]
+		if st.verdict >= vetoBase {
+			e.blocks[st.verdict-vetoBase] += e.pass + 1 - st.evalPass
+		}
+		st.evalPass = e.pass + 1
 		counters[2*a], counters[2*a+1] = st.fired, st.busyTime
-		rel[2*a], rel[2*a+1] = int64(st.startPhase), e.pass-st.evalPass
+		rel[a] = int64(st.startPhase)
 	}
 	copy(counters[2*n:], e.blocks)
-	rel = rel[2*n:]
+	rel = rel[n:]
 	for c := range e.channels {
 		rel[c] = e.channels[c].tokens
 	}
@@ -485,11 +536,46 @@ func (e *engine) recurred(events int64) bool {
 	for i, ev := range e.heap {
 		rel[nch+2+2*i], rel[nch+3+2*i] = ev.time-e.now, int64(ev.actor)
 	}
-	return !fresh && slices.Equal(e.snaps[relative:size], s[relative:])
+	return !fresh && slices.Equal((*pair)[relative:size], s[relative:])
+}
+
+// restore is called when the two source snapshots agree, so the run is
+// periodic from the older one on. If an iteration ended in the cycle
+// between them, the last observed-actor boundary lies inside it, and its
+// state recurs a cycle later too. restore returns the engine to that
+// boundary and reports the event count there, so that the skipped cycles
+// end on a boundary and leave no tail to simulate. A skip repeats, a cycle
+// on, the last iteration ends and starts recorded before the boundary: the
+// cycle's dDone ends all precede it, but its dBegun starts were all
+// recorded at the newer snapshot, so the dBegun starts before the boundary
+// must be the older snapshot's. Otherwise restore reports false and
+// changes nothing.
+func (e *engine) restore() (events int64, ok bool) {
+	size := len(e.sourceSnaps) / 2
+	older, cur := e.sourceSnaps[:size], e.sourceSnaps[size:]
+	if cur[3] == older[3] {
+		return 0, false
+	}
+	b := e.sinkSnaps[len(e.sinkSnaps)/2:]
+	dBegun, begun := int(cur[4]-older[4]), int(b[4])
+	if begun < dBegun || e.iterSrcStart[begun-dBegun] < older[0] {
+		return 0, false
+	}
+	n, nch := len(e.actors), len(e.channels)
+	copy(e.actors, e.savedActors)
+	copy(e.channels, e.savedChannels)
+	e.heap = append(e.heap[:0], e.savedHeap...)
+	e.now, e.pass = b[0], b[1]
+	e.iterDone, e.iterSrcStart = e.iterDone[:b[3]], e.iterSrcStart[:begun]
+	copy(e.blocks, b[snapCounters+2*n:])
+	rel := b[snapCounters+2*n+2*nch:]
+	e.sourceIn, e.observeIn = rel[n+nch], rel[n+nch+1]
+	e.restored++
+	return b[2], true
 }
 
 // skipCycles advances the engine by as many repetitions of the cycle
-// between the two recorded boundaries as keep the event count, which it
+// between the pair's two snapshots as keep the event count, which it
 // returns, within its bound and no actor's firing cap in the way. The cap
 // silences an actor from the start of its last firing on. An actor still
 // executing at the boundary (busyUntil > now) is silent from that start to
@@ -500,13 +586,14 @@ func (e *engine) recurred(events int64) bool {
 // evaluated, and charged its vetoes, where the cap says silent; it stays
 // one firing short, and the iterations in which it leads the observed
 // actor to the cap are simulated.
-func (e *engine) skipCycles(events, totalIters, maxEvents int64) int64 {
-	size := len(e.snaps) / 2
-	prev, cur := e.snaps[:size], e.snaps[size:]
+func (e *engine) skipCycles(pair []int64, events, totalIters, maxEvents int64) int64 {
+	size := len(pair) / 2
+	prev, cur := pair[:size], pair[size:]
 	delta := func(i int) int64 { return cur[i] - prev[i] }
 	dNow, dPass, dEvents, dDone, dBegun := delta(0), delta(1), delta(2), int(delta(3)), int(delta(4))
 
-	// Each boundary has a completion instant of its own: no zero divisor.
+	// Every snapshot has a completion instant of its own, and restore
+	// declines a cycle in which no iteration ends: no zero divisor.
 	k := min((totalIters-int64(len(e.iterDone)))/int64(dDone), (maxEvents-events)/dEvents)
 	for a := range e.actors {
 		if d := delta(snapCounters + 2*a); d > 0 {
@@ -532,8 +619,6 @@ func (e *engine) skipCycles(events, totalIters, maxEvents int64) int64 {
 		st.busyUntil += k * dNow
 		st.evalPass += k * dPass
 	}
-	// The raw veto counts: the charge settle still owes is part of the
-	// recurring state, so it is the same at both boundaries.
 	for i := range e.blocks {
 		e.blocks[i] += k * delta(snapCounters+2*len(e.actors)+i)
 	}

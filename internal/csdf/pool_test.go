@@ -2,6 +2,7 @@ package csdf
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -120,5 +121,65 @@ func TestExecuteAllocatesOnlyItsResult(t *testing.T) {
 	run() // size the pooled engine
 	if allocs := testing.AllocsPerRun(50, run); allocs > 8 {
 		t.Errorf("warm Execute allocates %v objects, want at most 8", allocs)
+	}
+}
+
+// TestBufferSizesAllocatesOnlyItsResult guards BufferSizes' pooled working
+// copy: a warm call allocates its BufferResult, the Capacities map (a
+// header and one group) and each run's ExecResult (a struct and one
+// slab), nothing else.
+func TestBufferSizesAllocatesOnlyItsResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	g := hl2LikeGraph()
+	for _, c := range g.Channels {
+		c.Capacity = 0
+	}
+	share := trackEngines(t)
+	run := func() {
+		if r, err := BufferSizes(g, BufferOptions{TargetPeriod: 4000}); err != nil || !r.Met {
+			t.Fatalf("BufferSizes: %+v, %v", r, err)
+		}
+	}
+	run() // size the pooled engine
+	runs := share().runs
+	if allocs, want := testing.AllocsPerRun(50, run), float64(1+2+2*runs); allocs > want {
+		t.Errorf("warm BufferSizes allocates %v objects in %d runs, want at most %v", allocs, runs, want)
+	}
+}
+
+// TestReleasedEngineHoldsNoGraph: a pooled engine pins no graph it ran.
+// After BufferSizes its working copy, its actor states and the copy of
+// them it keeps to restore a boundary no longer point into the caller's
+// actors, patterns or channel lists.
+func TestReleasedEngineHoldsNoGraph(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	g := hl2LikeGraph()
+	for _, c := range g.Channels {
+		c.Capacity = 0
+	}
+	if _, err := BufferSizes(g, BufferOptions{TargetPeriod: 4000}); err != nil {
+		t.Fatal(err)
+	}
+	e := enginePool.Get().(*engine)
+	defer enginePool.Put(e)
+	if len(e.savedActors) == 0 || len(e.workSlab) == 0 {
+		t.Skip("the pool handed out another engine")
+	}
+	if e.g != nil || !reflect.DeepEqual(e.work, Graph{}) {
+		t.Errorf("released engine keeps a graph: %v, %+v", e.g, e.work)
+	}
+	for _, st := range append(slices.Clone(e.actors), e.savedActors...) {
+		if st.wcet != nil || st.ins != nil || st.outs != nil {
+			t.Fatalf("released engine keeps an actor's topology: %+v", st)
+		}
+	}
+	for _, c := range e.workSlab {
+		if c.Prod != nil || c.Cons != nil {
+			t.Fatalf("released engine keeps a channel's rates: %+v", c)
+		}
 	}
 }

@@ -422,6 +422,20 @@ func lcmInt(a, b *big.Int) *big.Int {
 	return out.Mul(out, b)
 }
 
+// cloneForBuffers copies the graph's channels into one slab so capacity
+// edits do not leak into the caller's graph. Actors are shared (immutable
+// during analysis).
+func cloneForBuffers(g *Graph) *Graph {
+	q := &Graph{Name: g.Name, Actors: g.Actors, in: g.in, out: g.out}
+	q.Channels = make([]*Channel, len(g.Channels))
+	slab := make([]Channel, len(g.Channels))
+	for i, c := range g.Channels {
+		slab[i] = *c
+		q.Channels[i] = &slab[i]
+	}
+	return q
+}
+
 // bufferSizesRef is BufferSizes as it was, over executeRef.
 func bufferSizesRef(g *Graph, opts BufferOptions) (*BufferResult, error) {
 	if err := g.Validate(); err != nil {
