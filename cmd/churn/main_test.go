@@ -59,6 +59,8 @@ func TestRejectedFlagCombinations(t *testing.T) {
 	}{
 		{[]string{"-faultrate", "-0.1"}, "is negative"},
 		{[]string{"-priomix", "0:0:0"}, "zero total weight"},
+		{[]string{"-priomix", "4611686018427387904:4611686018427387904"}, "priority mix"},
+		{[]string{"-priomix", "9223372036854775807:9223372036854775807:1"}, "priority mix"},
 		{[]string{"-cow=false"}, "flag provided but not defined"},
 		{[]string{"-epoch=false"}, "flag provided but not defined"},
 		{[]string{"-retries", "1"}, "flag provided but not defined"},

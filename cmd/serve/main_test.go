@@ -71,6 +71,8 @@ func TestRejectedFlagCombinations(t *testing.T) {
 		want string
 	}{
 		{[]string{"-arrivals", "10", "-priomix", "1:x"}, "priority mix"},
+		{[]string{"-arrivals", "10", "-priomix", "4611686018427387904:4611686018427387904"}, "priority mix"},
+		{[]string{"-arrivals", "10", "-priomix", "9223372036854775807:9223372036854775807:1"}, "priority mix"},
 		{[]string{"-chaos", "no-such-script"}, "no-such-script"},
 		{[]string{"-chaos", "../../scripts/chaos_smoke.chaos", "-arrivals", "300"}, "crash steps need -journal"},
 		{[]string{"-cow=false"}, "flag provided but not defined"},

@@ -11,6 +11,7 @@ package churn
 import (
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -101,7 +102,8 @@ func (o Options) WithDefaults() Options {
 
 // ParsePrioMix parses "bestEffort:standard:critical" integer weights
 // (e.g. "70:20:10"; missing trailing fields default to 0). An empty
-// string is the all-BestEffort mix.
+// string is the all-BestEffort mix. A total weight that overflows an int
+// is refused: the class cycle would wrap and run a different mix.
 func ParsePrioMix(s string) ([model.NumPriorities]int, error) {
 	var w [model.NumPriorities]int
 	if s == "" {
@@ -117,6 +119,9 @@ func ParsePrioMix(s string) ([model.NumPriorities]int, error) {
 		n, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil || n < 0 {
 			return w, fmt.Errorf("churn: priority mix %q: field %d is not a non-negative integer", s, i)
+		}
+		if n > math.MaxInt-total {
+			return w, fmt.Errorf("churn: priority mix %q: total weight overflows", s)
 		}
 		w[i] = n
 		total += n

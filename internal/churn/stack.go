@@ -58,9 +58,6 @@ func NewStack(o Options) (*Stack, error) {
 	if err != nil {
 		return nil, fmt.Errorf("churn: replay: %w", err)
 	}
-	// Repair and preemption are on by default; reuse is the one engine a
-	// bare manager leaves off.
-	m.SetMappingReuse(true)
 	if o.Journal != nil {
 		m.SetJournal(o.Journal.Writer)
 	}

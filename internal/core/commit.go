@@ -127,17 +127,16 @@ func (e *ConflictError) Error() string {
 	return fmt.Sprintf("core: cannot commit %q: %s", e.App, detail)
 }
 
-// planReservations computes the reservation plan of a mapping result. In
-// strict mode an incomplete mapping (a mappable process without
-// implementation or tile) is an error; lenient mode skips such processes,
-// matching Remove's tolerance for partially built mappings.
+// NewPlan aggregates the reservations res makes into a Plan. An
+// incomplete mapping (a mappable process without implementation or tile)
+// is an error. No reservation state is read, so no lock is needed.
 //
 // It aggregates into stack buffers and keeps exactly sized copies: a tile's
 // entry is found by linear scan (a mapping touches a handful of tiles) and
 // its Util summed in MappableProcesses order, the order the journal's
 // bit-for-bit replay was recorded in; link hops are appended, then sorted
 // and folded.
-func planReservations(plat *arch.Platform, res *Result, strict bool) (*Plan, error) {
+func NewPlan(plat *arch.Platform, res *Result) (*Plan, error) {
 	mp := res.Mapping
 	app := mp.App
 	var tileBuf [32]TileReservation
@@ -153,17 +152,11 @@ func planReservations(plat *arch.Platform, res *Result, strict bool) (*Plan, err
 		im := mp.Impl[p.ID]
 		tid, ok := mp.Tile[p.ID]
 		if im == nil || !ok {
-			if strict {
-				return nil, fmt.Errorf("core: mapping incomplete for process %q", p.Name)
-			}
-			continue
+			return nil, fmt.Errorf("core: mapping incomplete for process %q", p.Name)
 		}
 		cyc, err := im.CyclesPerPeriod(app, p)
 		if err != nil {
-			if strict {
-				return nil, err
-			}
-			continue
+			return nil, err
 		}
 		tiles, d = tileEntry(tiles, tid)
 		d.MemBytes += im.MemBytes
@@ -274,13 +267,13 @@ func Apply(plat *arch.Platform, res *Result) error {
 }
 
 // Remove releases a previously applied mapping's reservations. Like
-// Apply it assumes the caller serializes all access to plat.
+// Apply it assumes the caller serializes all access to plat. Apply
+// commits only complete mappings, which plan without error; Remove
+// releases nothing for a mapping Apply would have refused.
 func Remove(plat *arch.Platform, res *Result) {
-	pl, err := NewRemovalPlan(plat, res)
-	if err != nil {
-		return // lenient planning never errors; keep the compiler honest
+	if pl, err := NewPlan(plat, res); err == nil {
+		pl.Release(plat)
 	}
-	pl.Release(plat)
 }
 
 // Plan is the aggregated reservation set of one mapping: its per-tile and
@@ -297,20 +290,6 @@ func Remove(plat *arch.Platform, res *Result) {
 type Plan struct {
 	tiles []TileReservation
 	links []LinkReservation
-}
-
-// NewPlan aggregates the reservations res makes into a Plan, strictly: an
-// incomplete mapping is an error. No reservation state is read, so no
-// lock is needed.
-func NewPlan(plat *arch.Platform, res *Result) (*Plan, error) {
-	return planReservations(plat, res, true)
-}
-
-// NewRemovalPlan aggregates the reservations res holds for release,
-// leniently: processes a partially built mapping never placed are
-// skipped, matching Remove's tolerance.
-func NewRemovalPlan(plat *arch.Platform, res *Result) (*Plan, error) {
-	return planReservations(plat, res, false)
 }
 
 // Overlaps reports whether the plan holds reservations on at least one

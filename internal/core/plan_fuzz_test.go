@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzPlanReservations throws randomized mappings at the commit-plan
-// aggregation (planReservations, the source of truth for what a mapping
+// aggregation (NewPlan, the source of truth for what a mapping
 // reserves) and checks its double-entry bookkeeping:
 //
 //   - the plan matches the map planner it replaced (plan_ref_test.go) on

@@ -39,7 +39,7 @@ func (pl *refPlan) tile(id arch.TileID) *refTileDelta {
 	return d
 }
 
-func refPlanReservations(plat *arch.Platform, res *Result, strict bool) (*refPlan, error) {
+func refPlanReservations(plat *arch.Platform, res *Result) (*refPlan, error) {
 	mp := res.Mapping
 	app := mp.App
 	pl := &refPlan{tiles: make(map[arch.TileID]*refTileDelta), links: make(map[arch.LinkID]int64)}
@@ -47,17 +47,11 @@ func refPlanReservations(plat *arch.Platform, res *Result, strict bool) (*refPla
 		im := mp.Impl[p.ID]
 		tid, ok := mp.Tile[p.ID]
 		if im == nil || !ok {
-			if strict {
-				return nil, fmt.Errorf("core: mapping incomplete for process %q", p.Name)
-			}
-			continue
+			return nil, fmt.Errorf("core: mapping incomplete for process %q", p.Name)
 		}
 		cyc, err := im.CyclesPerPeriod(app, p)
 		if err != nil {
-			if strict {
-				return nil, err
-			}
-			continue
+			return nil, err
 		}
 		d := pl.tile(tid)
 		d.mem += im.MemBytes
@@ -229,7 +223,7 @@ func requireMatchesMapPlanner(t *testing.T, plat *arch.Platform, res *Result) {
 	if err != nil {
 		t.Fatalf("NewPlan: %v", err)
 	}
-	ref, err := refPlanReservations(plat, res, true)
+	ref, err := refPlanReservations(plat, res)
 	if err != nil {
 		t.Fatalf("map planner: %v", err)
 	}
@@ -333,8 +327,7 @@ func TestPlanMatchesMapPlanner(t *testing.T) {
 		t.Fatal("no stale mapping was repaired; fixture broken")
 	}
 
-	// A partially built mapping: strict planning refuses it in both
-	// planners, lenient planning skips the same process.
+	// A partially built mapping: both planners refuse it.
 	plat := workload.SyntheticPlatform(6, 6, 7)
 	app, lib := workload.Synthetic(workload.SynthOptions{
 		Shape: workload.ShapeChain, Processes: 4, Seed: 3, MaxUtil: 0.2, PeriodNs: 40_000})
@@ -350,17 +343,7 @@ func TestPlanMatchesMapPlanner(t *testing.T) {
 	if _, err := NewPlan(plat, &partial); err == nil {
 		t.Fatal("NewPlan accepted a partially built mapping")
 	}
-	if _, err := refPlanReservations(plat, &partial, true); err == nil {
+	if _, err := refPlanReservations(plat, &partial); err == nil {
 		t.Fatal("the map planner accepted a partially built mapping")
-	}
-	lenient, err := NewRemovalPlan(plat, &partial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, _ := refPlanReservations(plat, &partial, false)
-	gt, gl := lenient.Deltas()
-	wt, wl := ref.deltas()
-	if !sameDeltas(gt, gl, wt, wl) {
-		t.Fatalf("lenient deltas differ:\nslice %v %v\nmap   %v %v", gt, gl, wt, wl)
 	}
 }

@@ -205,7 +205,7 @@ func salvage(ix *appIndex, fresh *arch.Platform, res *Result, violations []Valid
 		// re-sizes and charges them to the consumer's tile, and a kept
 		// placement that cannot afford its buffers would only bounce
 		// back as buffer-overflow feedback a full attempt later. The
-		// accounting mirrors planReservations (commit.go), the source of
+		// accounting mirrors NewPlan (commit.go), the source of
 		// truth for what Apply will eventually demand per resource.
 		mem := im.MemBytes
 		var inBps, outBps int64
@@ -216,7 +216,7 @@ func salvage(ix *appIndex, fresh *arch.Platform, res *Result, violations []Valid
 			}
 			if t.NICapBps > 0 && mp.Tile[c.Src] != mp.Tile[c.Dst] {
 				// Same-tile channels never touch the NI, matching the
-				// hops-0 exemption in planReservations.
+				// hops-0 exemption in NewPlan.
 				bps := channelBps(c, app.QoS.PeriodNs)
 				if c.Dst == p.ID {
 					inBps += bps

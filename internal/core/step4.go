@@ -136,7 +136,7 @@ func BuildMappedGraph(app *model.Application, plat *arch.Platform, mp *Mapping) 
 				// full production bursts so the producer can fill burst
 				// k+1 while the NoC drains burst k; a single burst would
 				// throttle every producer to burst time plus drain time.
-				g.Channel(edge).Capacity = maxInt64(routerFIFOTokens, 2*prevPat.Max())
+				g.Channel(edge).Capacity = max(routerFIFOTokens, 2*prevPat.Max())
 			} else {
 				g.Channel(edge).Capacity = routerFIFOTokens
 			}
@@ -193,13 +193,6 @@ func ratePattern(app *model.Application, mp *Mapping, c *model.Channel, pid mode
 		return nil, fmt.Errorf("core: implementation %s has no %s port %q for channel %q", im, side, port, c.Name)
 	}
 	return pat, nil
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // step4 checks the application constraints on the mapped CSDF graph

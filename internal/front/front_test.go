@@ -79,7 +79,6 @@ func drainResults(srv *stream.Server) chan struct{} {
 func TestFrontEndToEnd(t *testing.T) {
 	plat := workload.SyntheticRegionPlatform(8, 8, 99, 0)
 	m := manager.New(plat, core.Config{})
-	m.SetMappingReuse(true)
 	pipe := manager.NewPipeline(m, 4, 16)
 	srv, err := stream.New(stream.Options{Backend: stream.NewPipelineBackend(m, pipe)})
 	if err != nil {

@@ -26,7 +26,6 @@ import (
 // detector changes allocation counts, so the file is built without it.
 func TestTemplateHitAllocationBudget(t *testing.T) {
 	m := New(workload.SyntheticPlatform(6, 6, 1), core.Config{})
-	m.SetMappingReuse(true)
 	jw := journal.NewWriter(io.Discard, journal.Options{})
 	defer jw.Close()
 	m.SetJournal(jw)
@@ -67,7 +66,6 @@ func TestTemplateHitAllocationBudget(t *testing.T) {
 // 10 %.
 func TestStaleTemplateByteBudget(t *testing.T) {
 	m := New(workload.SyntheticRegionPlatform(12, 12, 123, 3), core.Config{})
-	m.SetMappingReuse(true)
 	arrival := func(name string) (*model.Application, *model.Library) {
 		app, lib := workload.Synthetic(workload.SynthOptions{
 			Shape: workload.ShapeChain, Processes: 4, Seed: 1, MaxUtil: 0.12, PeriodNs: 40_000,

@@ -37,8 +37,6 @@ func TestFaultStormAccountingUnderChurn(t *testing.T) {
 	jw := journal.NewWriter(&buf, journal.Options{BatchSize: 32})
 	m := New(plat, core.Config{})
 	m.SetJournal(jw)
-	m.SetMappingReuse(true)
-	m.SetRepair(true)
 
 	// The processing tiles of region 0, the 4×4 block that holds SRC0 and
 	// SINK0, are the storm's targets.

@@ -51,11 +51,6 @@ type Admission struct {
 	// without the original caller's involvement.
 	lib *model.Library
 
-	// loadUtilMilli caches the admission's contribution to the manager's
-	// LoadEstimate, set by loadCharge at commit so loadRelease subtracts
-	// exactly what was added.
-	loadUtilMilli int64
-
 	// plan is the reservation plan the admission committed — or, for a
 	// replay-rebuilt resident whose Result and lib did not survive the
 	// crash, the one rebuilt from its journaled deltas. Stop, preemption
@@ -145,7 +140,7 @@ type Stats struct {
 	// stale snapshots (Attempts beyond the first, summed over arrivals).
 	Retries uint64
 	// TemplateHits counts admissions committed from a reused mapping
-	// template without running the mapper (see SetMappingReuse).
+	// template without running the mapper (see Fingerprint).
 	TemplateHits uint64
 	// StaleTemplates counts template instantiations where a pool existed
 	// but no remembered placement fit the live platform.
@@ -164,8 +159,7 @@ type Stats struct {
 	// RepairAttempts counts core.Repair invocations, successful or not.
 	RepairAttempts uint64
 	// FullRemaps counts conflict-retry and stale-template rounds that fell
-	// back to the full four-step map (repair disabled, refused or
-	// infeasible).
+	// back to the full four-step map (repair refused or infeasible).
 	FullRemaps uint64
 	// Snapshots counts the platform copies captured for admissions and
 	// their retries. SnapshotsShared and CoWFaults are always 0: the
@@ -220,7 +214,7 @@ type ClassStats struct {
 // AdmissionRate reports the fraction of the class's arrivals that were
 // admitted; the second value is false when the class saw no arrivals.
 func (s Stats) AdmissionRate(p model.Priority) (float64, bool) {
-	c := s.ByClass[clampPriority(p)]
+	c := s.ByClass[p.Clamp()]
 	total := c.Admitted + c.Rejected
 	if total == 0 {
 		return 0, false
@@ -250,8 +244,7 @@ func (s Stats) RepairRate() (float64, bool) {
 //     links (Snapshot, Residual, Load, CheckInvariants). Journal appends
 //     happen inside it, so journal order is commit order.
 //   - mu serializes the admission bookkeeping: the running and pending
-//     sets, the sequence counter, the configuration flags and the
-//     statistics.
+//     sets, the sequence counter and the statistics.
 type Manager struct {
 	cfg core.Config
 
@@ -268,13 +261,9 @@ type Manager struct {
 	preempting map[string]*Admission
 	seq        int
 	stats      Stats
-	templates  *templateCache // nil = mapping reuse disabled
-	repair     bool           // repair stale mappings instead of re-mapping
-
-	// load is the lock-free utilization summary the dead-letter queue
-	// gates on; maintained by loadCharge/loadRelease on the commit and
-	// stop paths.
-	load LoadEstimate
+	// templates is the mapping template cache, built by New and guarded
+	// by its own lock.
+	templates *templateCache
 
 	// jw is the durable admission journal, nil when journaling is off.
 	// Wired once by SetJournal before the first admission and read
@@ -287,45 +276,28 @@ type Manager struct {
 // it, and all access to it is serialized behind the manager's platform
 // lock.
 func New(plat *arch.Platform, cfg core.Config) *Manager {
-	m := &Manager{
+	return &Manager{
 		plat:       plat,
 		cfg:        cfg,
 		running:    make(map[string]*Admission),
 		pending:    make(map[string]struct{}),
 		preempting: make(map[string]*Admission),
-		repair:     true,
-	}
-	m.initLoadCapacity()
-	return m
-}
-
-// SetRepair enables or disables the incremental remapping engine. When on
-// (the default), a commit conflict or a stale template is repaired —
-// core.Repair pins everything that still fits and re-places only the
-// conflicting processes — and the full four-step map runs only when repair
-// refuses or comes back infeasible. When off, every retry re-maps from
-// scratch, the pre-repair behaviour.
-func (m *Manager) SetRepair(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.repair = on
-}
-
-// SetMappingReuse enables or disables the mapping template cache: when
-// on, an arrival whose structure (Fingerprint) matches a previously
-// admitted application first tries to commit that application's mapping —
-// re-validated transactionally against the live platform — and only runs
-// the full mapper when the template no longer fits. Reuse trades mapping
-// optimality under load for admission latency; it is off by default.
-func (m *Manager) SetMappingReuse(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if on && m.templates == nil {
-		m.templates = newTemplateCache()
-	} else if !on {
-		m.templates = nil
+		templates:  newTemplateCache(),
 	}
 }
+
+// SetRepair does nothing: a commit conflict or a stale template is always
+// repaired — core.Repair pins everything that still fits and re-places
+// only the conflicting processes — and the full four-step map runs only
+// when repair refuses or comes back infeasible. The frozen benchmark
+// (bench/sut.go) still calls it; delete it with the next benchmark-only
+// change (ROADMAP item 1(c)).
+func (m *Manager) SetRepair(bool) {}
+
+// SetMappingReuse does nothing: the mapping template cache is always on
+// (see Fingerprint). The frozen benchmark (bench/sut.go) still calls it;
+// delete it with the next benchmark-only change (ROADMAP item 1(c)).
+func (m *Manager) SetMappingReuse(bool) {}
 
 // SetJournal wires the durable admission journal: every reservation
 // change — admission, departure, preemption release, relocation,
@@ -489,7 +461,7 @@ const (
 )
 
 func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Duration) Outcome {
-	prio := clampPriority(app.QoS.Priority)
+	prio := app.QoS.Priority.Clamp()
 	out := Outcome{App: app.Name, Wait: wait, Priority: prio}
 	// Claim the name for this in-flight admission; finishLocked releases
 	// the pending entry.
@@ -508,8 +480,6 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 		return out
 	}
 	m.pending[app.Name] = struct{}{}
-	tc := m.templates
-	repairOn := m.repair
 	preemptOn := prio > model.BestEffort
 	m.mu.Unlock()
 
@@ -527,52 +497,48 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 	// try committing its mapping directly. Validation against the live
 	// platform makes a stale template harmless — it can be refused, not
 	// applied wrongly.
-	if tc != nil {
-		if f, err := Fingerprint(app, lib); err == nil {
-			fp = f
-			if pool, start := tc.get(fp); len(pool) > 0 {
-				commitStart := time.Now()
-				// Each failed validation already computed the template's
-				// violation list; remember the template with the fewest
-				// violations as the cheapest one to repair.
-				leastConflicted := pool[start].res
-				leastViolations := -1
-				for k := 0; k < len(pool); k++ {
-					tpl := pool[(start+k)%len(pool)]
-					verr := m.transact(nil, change{tpl.plan, journal.EvAdmit, app.Name, prio})
-					if verr == nil {
-						out.Commit += time.Since(commitStart)
-						m.mu.Lock()
-						m.seq++
-						ad := &Admission{App: app, Result: tpl.res, Seq: m.seq, Priority: prio, lib: lib, plan: tpl.plan}
-						m.running[app.Name] = ad
-						m.stats.TemplateHits++
-						m.finishLocked(&out, ad, nil)
-						m.mu.Unlock()
-						return out
-					}
-					var conflict *core.ConflictError
-					if errors.As(verr, &conflict) {
-						if nv := len(conflict.Violations); leastViolations < 0 || nv < leastViolations {
-							leastConflicted, leastViolations = tpl.res, nv
-						}
-					}
+	if f, err := Fingerprint(app, lib); err == nil {
+		fp = f
+		if pool, start := m.templates.get(fp); len(pool) > 0 {
+			commitStart := time.Now()
+			// Each failed validation already computed the template's
+			// violation list; remember the template with the fewest
+			// violations as the cheapest one to repair.
+			leastConflicted := pool[start].res
+			leastViolations := -1
+			for k := 0; k < len(pool); k++ {
+				tpl := pool[(start+k)%len(pool)]
+				verr := m.transact(nil, change{tpl.plan, journal.EvAdmit, app.Name, prio})
+				if verr == nil {
+					out.Commit += time.Since(commitStart)
+					m.mu.Lock()
+					m.seq++
+					ad := &Admission{App: app, Result: tpl.res, Seq: m.seq, Priority: prio, lib: lib, plan: tpl.plan}
+					m.running[app.Name] = ad
+					m.stats.TemplateHits++
+					m.finishLocked(&out, ad, nil)
+					m.mu.Unlock()
+					return out
 				}
-				// No remembered placement fits the current residual
-				// state. Instead of discarding the pool, repair a
-				// template against a fresh snapshot: the placements that
-				// still fit stay, only the conflicting processes are
-				// re-placed.
-				m.mu.Lock()
-				m.stats.StaleTemplates++
-				m.mu.Unlock()
-				m.snapshot(snap)
-				out.Commit += time.Since(commitStart)
-				trigger = triggerTemplate
-				if repairOn {
-					repairFrom = leastConflicted
+				var conflict *core.ConflictError
+				if errors.As(verr, &conflict) {
+					if nv := len(conflict.Violations); leastViolations < 0 || nv < leastViolations {
+						leastConflicted, leastViolations = tpl.res, nv
+					}
 				}
 			}
+			// No remembered placement fits the current residual
+			// state. Instead of discarding the pool, repair a
+			// template against a fresh snapshot: the placements that
+			// still fit stay, only the conflicting processes are
+			// re-placed.
+			m.mu.Lock()
+			m.stats.StaleTemplates++
+			m.mu.Unlock()
+			m.snapshot(snap)
+			out.Commit += time.Since(commitStart)
+			trigger = triggerTemplate
+			repairFrom = leastConflicted
 		}
 	}
 
@@ -601,7 +567,7 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 		}
 		if res == nil {
 			// Full four-step map: the first round of a normal admission,
-			// or the fallback when repair is off, refused or infeasible.
+			// or the fallback when repair refused or came back infeasible.
 			if trigger != triggerNone {
 				fullRemaps++
 			}
@@ -687,8 +653,8 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 				}
 				m.finishLocked(&out, ad, nil)
 				m.mu.Unlock()
-				if tc != nil && fp != "" {
-					tc.put(fp, res, plan)
+				if fp != "" {
+					m.templates.put(fp, res, plan)
 				}
 				return out
 			}
@@ -706,14 +672,11 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 			if retry {
 				// A competing admission won the resources between
 				// snapshot and commit: repair the mapping we just
-				// computed against fresh state (or re-map from scratch
-				// when repair is off).
+				// computed against fresh state.
 				m.snapshot(snap)
 				out.Commit += time.Since(commitStart)
 				trigger = triggerConflict
-				if repairOn {
-					repairFrom = res
-				}
+				repairFrom = res
 				continue
 			}
 			out.Commit += time.Since(commitStart)
@@ -740,12 +703,11 @@ func (m *Manager) finishLocked(out *Outcome, ad *Admission, err error) {
 		out.Admitted = true
 		out.Admission = ad
 		m.stats.Admitted++
-		m.stats.ByClass[clampPriority(out.Priority)].Admitted++
-		m.loadCharge(ad)
+		m.stats.ByClass[out.Priority.Clamp()].Admitted++
 	} else {
 		out.Err = err
 		m.stats.Rejected++
-		m.stats.ByClass[clampPriority(out.Priority)].Rejected++
+		m.stats.ByClass[out.Priority.Clamp()].Rejected++
 	}
 	if out.Attempts > 0 {
 		m.stats.Retries += uint64(out.Attempts - 1)
@@ -754,7 +716,7 @@ func (m *Manager) finishLocked(out *Outcome, ad *Admission, err error) {
 	m.stats.Map += out.Map
 	m.stats.Repair += out.Repair
 	m.stats.Commit += out.Commit
-	m.stats.ByClass[clampPriority(out.Priority)].Latency +=
+	m.stats.ByClass[out.Priority.Clamp()].Latency +=
 		out.Wait + out.Map + out.Repair + out.Commit
 }
 
@@ -783,7 +745,6 @@ func (m *Manager) Stop(name string) error {
 		return fmt.Errorf("manager: application %q is not running", name)
 	}
 	delete(m.running, name)
-	m.loadRelease(ad)
 	m.mu.Unlock()
 	m.transact([]change{{ad.plan, journal.EvDepart, name, ad.Priority}}, change{})
 	return nil
@@ -819,12 +780,17 @@ func (m *Manager) TotalEnergy() float64 {
 }
 
 // Load summarises platform occupancy: fraction of tiles powered, mean
-// utilisation of powered tiles, and fraction of total link capacity
-// reserved.
+// utilisation of powered tiles, the share of the mesh's processing
+// capacity reserved, and fraction of total link capacity reserved.
 type Load struct {
 	TilesPowered int
 	TilesTotal   int
 	MeanUtil     float64
+	// Utilization is the reserved utilisation summed over all processing
+	// tiles, divided by their count: what the stream server's dead-letter
+	// queue gates its retries on. A mesh without processing tiles reads
+	// as fully loaded.
+	Utilization  float64
 	LinkReserved float64 // fraction of aggregate link capacity
 }
 
@@ -846,6 +812,10 @@ func (m *Manager) Load() Load {
 	}
 	if l.TilesPowered > 0 {
 		l.MeanUtil = utilSum / float64(l.TilesPowered)
+	}
+	l.Utilization = 1
+	if l.TilesTotal > 0 {
+		l.Utilization = utilSum / float64(l.TilesTotal)
 	}
 	var cap, res int64
 	for _, link := range m.plat.Links {

@@ -170,3 +170,45 @@ func TestChurnInvariant(t *testing.T) {
 	}
 	t.Logf("churn: %d admitted, %d rejected", admitted, rejected)
 }
+
+// TestRejectionRetryableSplit pins the retry signal: capacity rejections
+// are retryable (a later attempt could admit the identical app), while
+// structural rejections are not (they fail the same way every time).
+func TestRejectionRetryableSplit(t *testing.T) {
+	// Capacity: the single-set HIPERLAN/2 platform admits one receiver;
+	// the second identical one finds no feasible mapping.
+	m := New(workload.Hiperlan2Platform(), core.Config{})
+	mode := workload.Hiperlan2Modes[0]
+	lib := workload.Hiperlan2Library(mode)
+	first := workload.Hiperlan2(mode)
+	if out := m.Admit(first, lib); !out.Admitted {
+		t.Fatalf("first admission failed: %v", out.Err)
+	}
+	second := workload.Hiperlan2(mode)
+	second.Name = "rx-second"
+	out := m.Admit(second, lib)
+	if out.Admitted {
+		t.Fatal("second receiver fit a full platform")
+	}
+	if !IsRetryableRejection(out.Err) {
+		t.Fatalf("capacity rejection not retryable: %v", out.Err)
+	}
+
+	// Structural: an app pinned to a tile this platform does not have is
+	// hopeless.
+	broken := workload.Hiperlan2(mode)
+	broken.Name = "rx-broken"
+	for _, p := range broken.Processes {
+		if p.PinnedTile != "" {
+			p.PinnedTile = "NO_SUCH_TILE"
+			break
+		}
+	}
+	out = m.Admit(broken, lib)
+	if out.Admitted {
+		t.Fatal("admitted an app pinned to a nonexistent tile")
+	}
+	if IsRetryableRejection(out.Err) {
+		t.Fatalf("structural rejection marked retryable: %v", out.Err)
+	}
+}

@@ -115,7 +115,7 @@ var errPipelineClosed = fmt.Errorf("manager: pipeline is closed")
 func newJob(app *model.Application, lib *model.Library) *job {
 	return &job{
 		req:  Request{App: app, Lib: lib},
-		prio: clampPriority(app.QoS.Priority),
+		prio: app.QoS.Priority.Clamp(),
 		done: make(chan Outcome, 1),
 	}
 }

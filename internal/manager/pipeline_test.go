@@ -135,7 +135,6 @@ func TestMappingReuseSemantics(t *testing.T) {
 	plat := workload.SyntheticPlatform(6, 6, 1)
 	pristine := plat.Residual()
 	m := New(plat, core.Config{})
-	m.SetMappingReuse(true)
 
 	mk := func(name string) (*model.Application, *model.Library) {
 		app, lib := workload.Synthetic(workload.SynthOptions{

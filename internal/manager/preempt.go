@@ -272,14 +272,9 @@ func (m *Manager) relocate(v *Admission) (ok bool, repair, commit time.Duration)
 		// the eviction to the newcomer.
 		m.journalEvent(journal.Event{Type: journal.EvEvict, App: v.App.Name})
 		delete(m.preempting, v.App.Name)
-		m.loadRelease(v)
 		return false, repair, commit
 	}
-	// The relocated mapping may use different tiles and energy; re-charge
-	// so the load estimate tracks the new placement.
-	m.loadRelease(v)
 	v.Result, v.plan = rep, repPlan
-	m.loadCharge(v)
 	delete(m.preempting, v.App.Name)
 	m.running[v.App.Name] = v
 	return true, repair, commit

@@ -51,22 +51,10 @@ func newPrioQueue(depth int, aging time.Duration) *prioQueue {
 	return q
 }
 
-// clampPriority folds out-of-range classes into the valid range so a
-// wild priority value cannot index outside the per-class queues.
-func clampPriority(p model.Priority) model.Priority {
-	if p < 0 {
-		return 0
-	}
-	if int(p) >= model.NumPriorities {
-		return model.Priority(model.NumPriorities - 1)
-	}
-	return p
-}
-
 // effectiveClass is the class the job competes at now: its own class plus
 // one level per aging interval spent queued, capped at the top class.
 func (q *prioQueue) effectiveClass(j *job, now time.Time) int {
-	c := int(clampPriority(j.prio))
+	c := int(j.prio.Clamp())
 	if q.aging <= 0 {
 		return c
 	}
@@ -111,7 +99,7 @@ func (q *prioQueue) enqueueLocked(j *job) {
 	// agree by construction (they used to diverge when jobs stamped
 	// themselves with time.Now at construction).
 	j.enqueued = q.now()
-	c := clampPriority(j.prio)
+	c := j.prio.Clamp()
 	q.queues[c] = append(q.queues[c], j)
 	q.size++
 	q.notEmpty.Signal()

@@ -122,7 +122,7 @@ func TestPriorityQueueFairnessProperties(t *testing.T) {
 			}
 			var lastByClass [model.NumPriorities]time.Time
 			for _, j := range popped {
-				c := clampPriority(j.prio)
+				c := j.prio.Clamp()
 				if j.enqueued.Before(lastByClass[c]) {
 					t.Fatalf("class %v dequeued out of FIFO order", c)
 				}

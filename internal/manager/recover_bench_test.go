@@ -20,7 +20,6 @@ func churnJournal(tb testing.TB, arrivals int) []byte {
 	var buf bytes.Buffer
 	jw := journal.NewWriter(&buf, journal.Options{})
 	m := New(workload.SyntheticRegionPlatform(12, 12, 1, 3), core.Config{})
-	m.SetMappingReuse(true)
 	m.SetJournal(jw)
 	var residents []string
 	for i := 0; i < arrivals; i++ {

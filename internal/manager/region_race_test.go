@@ -21,7 +21,6 @@ import (
 func TestShardedCommitStraddlingRegions(t *testing.T) {
 	plat := workload.SyntheticRegionPlatform(8, 8, 123, 4)
 	m := New(plat, core.Config{})
-	m.SetMappingReuse(true)
 	pristine := m.Residual()
 
 	// Endpoint pairs: four region-local, plus straddlers crossing every

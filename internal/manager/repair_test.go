@@ -22,7 +22,6 @@ func repairTestArrival(name string, seed int64) (*model.Application, *model.Libr
 func TestStaleTemplateIsRepairedNotRemapped(t *testing.T) {
 	plat := workload.SyntheticPlatform(4, 4, 7)
 	m := New(plat, core.Config{})
-	m.SetMappingReuse(true)
 
 	first, lib := repairTestArrival("tpl-seed", 3)
 	ad, err := m.Start(first, lib)
@@ -79,41 +78,5 @@ func TestStaleTemplateIsRepairedNotRemapped(t *testing.T) {
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSetRepairOffFallsBackToFullRemap pins the pre-repair behaviour
-// behind the toggle: a stale template goes straight to the full mapper.
-func TestSetRepairOffFallsBackToFullRemap(t *testing.T) {
-	plat := workload.SyntheticPlatform(4, 4, 7)
-	m := New(plat, core.Config{})
-	m.SetMappingReuse(true)
-	m.SetRepair(false)
-
-	first, lib := repairTestArrival("tpl-seed", 3)
-	ad, err := m.Start(first, lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := ad.Result.Mapping.Tile[first.MappableProcesses()[0].ID]
-	if err := m.Stop(first.Name); err != nil {
-		t.Fatal(err)
-	}
-	vt := plat.Tile(victim)
-	vt.ReservedUtil = 1.0
-	plat.BumpVersion()
-
-	second, lib2 := repairTestArrival("tpl-replay", 3)
-	out := m.Admit(second, lib2)
-	if out.Err != nil {
-		t.Fatalf("admission failed: %v", out.Err)
-	}
-	if out.Repaired {
-		t.Fatal("repair is off; outcome must not be repaired")
-	}
-	st := m.Stats()
-	if st.StaleTemplates != 1 || st.RepairAttempts != 0 || st.FullRemaps != 1 {
-		t.Fatalf("stats: StaleTemplates=%d RepairAttempts=%d FullRemaps=%d, want 1/0/1",
-			st.StaleTemplates, st.RepairAttempts, st.FullRemaps)
 	}
 }

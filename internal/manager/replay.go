@@ -47,7 +47,7 @@ func ReplayEvents(plat *arch.Platform, cfg core.Config, events []journal.Event) 
 		case journal.EvAdmit:
 			core.ApplyDeltas(plat, e.Tiles, e.Links, +1)
 			m.seq++
-			running[e.App] = replayed{e, m.seq, clampPriority(model.Priority(e.Priority))}
+			running[e.App] = replayed{e, m.seq, model.Priority(e.Priority).Clamp()}
 		case journal.EvDepart:
 			core.ApplyDeltas(plat, e.Tiles, e.Links, -1)
 			delete(running, e.App)
@@ -93,7 +93,6 @@ func ReplayEvents(plat *arch.Platform, cfg core.Config, events []journal.Event) 
 			plan:     core.NewDeltaPlan(r.placed.Tiles, r.placed.Links),
 		}
 		m.running[name] = ad
-		m.loadChargeTiles(ad, r.placed.Tiles)
 	}
 	return m, nil
 }

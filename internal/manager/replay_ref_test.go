@@ -31,7 +31,7 @@ func replayOracle(plat *arch.Platform, cfg core.Config, events []journal.Event) 
 		case journal.EvAdmit:
 			plan.Commit(plat)
 			m.seq++
-			prio := clampPriority(model.Priority(e.Priority))
+			prio := model.Priority(e.Priority).Clamp()
 			ad := &Admission{
 				App:      model.NewApplication(e.App, model.QoS{Priority: prio}),
 				Seq:      m.seq,
@@ -39,13 +39,9 @@ func replayOracle(plat *arch.Platform, cfg core.Config, events []journal.Event) 
 				plan:     plan,
 			}
 			m.running[e.App] = ad
-			m.loadCharge(ad)
 		case journal.EvDepart:
 			plan.Release(plat)
-			if ad := m.running[e.App]; ad != nil {
-				delete(m.running, e.App)
-				m.loadRelease(ad)
-			}
+			delete(m.running, e.App)
 		case journal.EvPreemptRelease, journal.EvFaultRelease:
 			plan.Release(plat)
 			if ad := m.running[e.App]; ad != nil {
@@ -59,15 +55,10 @@ func replayOracle(plat *arch.Platform, cfg core.Config, events []journal.Event) 
 				return nil, fmt.Errorf("oracle: relocate of %q without a prior release (seq %d)", e.App, e.Seq)
 			}
 			delete(released, e.App)
-			m.loadRelease(ad)
 			ad.plan = plan
-			m.loadCharge(ad)
 			m.running[e.App] = ad
 		case journal.EvEvict:
-			if ad := released[e.App]; ad != nil {
-				delete(released, e.App)
-				m.loadRelease(ad)
-			}
+			delete(released, e.App)
 		case journal.EvFailTile:
 			plat.FailTile(e.Tile)
 		case journal.EvRestoreTile:
@@ -80,24 +71,18 @@ func replayOracle(plat *arch.Platform, cfg core.Config, events []journal.Event) 
 			return nil, fmt.Errorf("oracle: unknown event type %s (seq %d)", e.Type, e.Seq)
 		}
 	}
-	for _, ad := range released {
-		m.loadRelease(ad)
-	}
 	return m, nil
 }
 
 // replayEager is replay as it was before it built admissions only for
 // the survivors: the journaled deltas are applied directly, but every
-// admit builds its Admission and Application and charges its load at
-// once, and releases give the charge back.
+// admit builds its Admission and Application at once.
 func replayEager(plat *arch.Platform, cfg core.Config, events []journal.Event) (*Manager, error) {
 	m := New(plat, cfg)
 	// placed is the event whose deltas each running resident holds.
 	placed := make(map[string]*journal.Event)
 	// released holds residents between a preemption or fault release and
-	// the matching relocate (back to running) or evict (gone). Live
-	// bookkeeping keeps a victim's load charged until its outcome;
-	// replay mirrors that.
+	// the matching relocate (back to running) or evict (gone).
 	released := make(map[string]*Admission)
 	for i := range events {
 		e := &events[i]
@@ -105,20 +90,16 @@ func replayEager(plat *arch.Platform, cfg core.Config, events []journal.Event) (
 		case journal.EvAdmit:
 			core.ApplyDeltas(plat, e.Tiles, e.Links, +1)
 			m.seq++
-			prio := clampPriority(model.Priority(e.Priority))
+			prio := model.Priority(e.Priority).Clamp()
 			ad := &Admission{
 				App:      model.NewApplication(e.App, model.QoS{Priority: prio}),
 				Seq:      m.seq,
 				Priority: prio,
 			}
 			m.running[e.App], placed[e.App] = ad, e
-			m.loadChargeTiles(ad, e.Tiles)
 		case journal.EvDepart:
 			core.ApplyDeltas(plat, e.Tiles, e.Links, -1)
-			if ad := m.running[e.App]; ad != nil {
-				delete(m.running, e.App)
-				m.loadRelease(ad)
-			}
+			delete(m.running, e.App)
 		case journal.EvPreemptRelease, journal.EvFaultRelease:
 			core.ApplyDeltas(plat, e.Tiles, e.Links, -1)
 			if ad := m.running[e.App]; ad != nil {
@@ -134,14 +115,9 @@ func replayEager(plat *arch.Platform, cfg core.Config, events []journal.Event) (
 				return nil, fmt.Errorf("eager: relocate of %q without a prior release (seq %d)", e.App, e.Seq)
 			}
 			delete(released, e.App)
-			m.loadRelease(ad)
-			m.loadChargeTiles(ad, e.Tiles)
 			m.running[e.App], placed[e.App] = ad, e
 		case journal.EvEvict:
-			if ad := released[e.App]; ad != nil {
-				delete(released, e.App)
-				m.loadRelease(ad)
-			}
+			delete(released, e.App)
 		case journal.EvFailTile:
 			plat.FailTile(e.Tile)
 		case journal.EvRestoreTile:
@@ -154,13 +130,10 @@ func replayEager(plat *arch.Platform, cfg core.Config, events []journal.Event) (
 			return nil, fmt.Errorf("eager: unknown event type %s (seq %d)", e.Type, e.Seq)
 		}
 	}
-	// Victims mid-evacuation at the crash: their release is sealed but
-	// their outcome is not. They hold no reservations, so the honest
-	// reconstruction is "gone" — exactly what the live manager would
-	// have concluded had it crashed after the release.
-	for _, ad := range released {
-		m.loadRelease(ad)
-	}
+	// Victims mid-evacuation at the crash (still in released) hold no
+	// reservations, so the honest reconstruction is "gone" — exactly what
+	// the live manager would have concluded had it crashed after the
+	// release.
 	for name, ad := range m.running {
 		e := placed[name]
 		ad.plan = core.NewDeltaPlan(e.Tiles, e.Links)
@@ -170,15 +143,14 @@ func replayEager(plat *arch.Platform, cfg core.Config, events []journal.Event) (
 
 // TestReplayMatchesEager replays the same journals through ReplayEvents
 // and replayEager and requires the same platform, the same running set —
-// names, admission order, priorities and plan deltas — and the same load
-// estimate.
+// names, admission order, priorities and plan deltas.
 func TestReplayMatchesEager(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		journal []byte
 	}{
 		{"churn", churnJournal(t, 200)},
-		{"preempt and faults", faultJournal(t)},
+		{"preempt and faults", faultJournal(t, nil)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			events, _, err := journal.Verify(bytes.NewReader(c.journal))
@@ -210,9 +182,6 @@ func TestReplayMatchesEager(t *testing.T) {
 						name, g.Seq, g.Priority, w.Seq, w.Priority)
 				}
 			}
-			if g, w := got.load.utilMilli.Load(), want.load.utilMilli.Load(); g != w {
-				t.Fatalf("load estimate %d milli-tiles, eager %d", g, w)
-			}
 			t.Logf("%d events, %d residents", len(events), len(names))
 		})
 	}
@@ -221,14 +190,21 @@ func TestReplayMatchesEager(t *testing.T) {
 // faultJournal journals a sequential run on the 12×12 region mesh that
 // writes every event type: a full region 0, Critical arrivals that
 // preempt (relocating or evicting their victims), stops, and tile and
-// link faults that evacuate residents before they are restored.
-func faultJournal(t *testing.T) []byte {
+// link faults that evacuate residents before they are restored. A
+// non-nil step runs on the live manager after every admission, stop,
+// fault and restore.
+func faultJournal(t *testing.T, step func(*Manager)) []byte {
 	t.Helper()
 	plat := workload.SyntheticRegionPlatform(12, 12, 1, 3)
 	var buf bytes.Buffer
 	jw := journal.NewWriter(&buf, journal.Options{})
 	m := New(plat, core.Config{})
 	m.SetJournal(jw)
+	after := func() {
+		if step != nil {
+			step(m)
+		}
+	}
 	arrive := func(name string, n int, util float64, prio model.Priority) {
 		app, lib := workload.Synthetic(workload.SynthOptions{
 			Shape: workload.ShapeChain, Processes: 3 + n%2, Seed: int64(n % 5),
@@ -236,6 +212,7 @@ func faultJournal(t *testing.T) []byte {
 		})
 		app.Name = name
 		m.Admit(app, lib)
+		after()
 	}
 	for i := 0; i < 60; i++ {
 		arrive(fmt.Sprintf("bg-%d", i), i, 0.30, model.BestEffort)
@@ -246,17 +223,22 @@ func faultJournal(t *testing.T) []byte {
 	for i, ad := range m.Running() {
 		if i%3 == 0 {
 			_ = m.Stop(ad.App.Name)
+			after()
 		}
 	}
 	// Fail what the residents use, one resource at a time.
 	for _, ad := range m.Running() {
 		tiles, links := ad.plan.Deltas()
 		if len(links) > 0 && m.FailLink(links[0].Link).Failed {
+			after()
 			m.RestoreLink(links[0].Link)
+			after()
 		}
 		for _, d := range tiles {
 			if tl := plat.Tile(d.Tile); tl.Type != arch.TypeSource && tl.Type != arch.TypeSink && m.FailTile(d.Tile).Failed {
+				after()
 				m.RestoreTile(d.Tile)
+				after()
 				break
 			}
 		}

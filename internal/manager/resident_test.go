@@ -19,7 +19,6 @@ func TestResidentDoesNotPinWorkingPlatform(t *testing.T) {
 	plat := workload.SyntheticPlatform(4, 4, 7)
 	pristine := plat.Residual()
 	m := New(plat, core.Config{})
-	m.SetMappingReuse(true)
 	check := func(how string, ad *Admission) {
 		t.Helper()
 		if ad.Result == nil || ad.Result.Mapping == nil || ad.plan == nil {

@@ -28,8 +28,7 @@ import (
 //
 // Reuse trades mapping optimality for admission latency: a template
 // computed against a different residual state may power tiles a fresh
-// mapping would avoid. Managers therefore default to reuse off; enable
-// it with SetMappingReuse for throughput-oriented deployments.
+// mapping would avoid; every manager accepts that trade.
 
 // Fingerprint identifies the structure of a mapping problem: everything
 // Mapper.Map's outcome depends on except the platform's residual state

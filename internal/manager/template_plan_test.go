@@ -48,7 +48,6 @@ func learnTemplate(t *testing.T, m *Manager, name string, seed int64) template {
 // filled the template.
 func TestConflictNamesArrival(t *testing.T) {
 	m := New(workload.SyntheticPlatform(6, 6, 1), core.Config{})
-	m.SetMappingReuse(true)
 	tpl := learnTemplate(t, m, "a", 5)
 	if got := tpl.res.Mapping.App.Name; got != "a" {
 		t.Fatalf("template maps %q; fixture broken", got)
@@ -81,7 +80,6 @@ func TestTemplateHitReusesPlan(t *testing.T) {
 	}
 	pristine := plat.Clone()
 	m := New(plat, core.Config{})
-	m.SetMappingReuse(true)
 	const seed = 3 // one process per Montium
 	tpl := learnTemplate(t, m, "learn", seed)
 	fresh, err := core.NewPlan(plat, tpl.res)

@@ -125,7 +125,6 @@ func TestFaultStormAndPreemptionShareOneRegion(t *testing.T) {
 	jw := journal.NewWriter(&buf, journal.Options{BatchSize: 32})
 	m := New(plat, core.Config{})
 	m.SetJournal(jw)
-	m.SetMappingReuse(true)
 
 	var stormTiles []arch.TileID
 	for _, id := range procTiles(plat) {

@@ -78,6 +78,14 @@ const (
 // NumPriorities is the number of admission classes, for per-class arrays.
 const NumPriorities = int(Critical) + 1
 
+// Clamp folds an out-of-range class into the valid range, so a wild
+// value cannot index outside a per-class array. The manager's queues and
+// ledger, the stream server's stages and its dead-letter queue all bucket
+// by it, so they agree on where a wild value lands.
+func (p Priority) Clamp() Priority {
+	return min(max(p, BestEffort), Critical)
+}
+
 // String names the class for reports.
 func (p Priority) String() string {
 	switch p {

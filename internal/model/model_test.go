@@ -192,3 +192,16 @@ func TestApplicationJSONRoundTrip(t *testing.T) {
 		t.Errorf("QoS mismatch: %v vs %v", back.QoS, app.QoS)
 	}
 }
+
+// TestPriorityClamp pins where a wild class lands: below the range on
+// BestEffort, above it on Critical, valid classes on themselves.
+func TestPriorityClamp(t *testing.T) {
+	for p, want := range map[Priority]Priority{
+		-7: BestEffort, -1: BestEffort, BestEffort: BestEffort, Standard: Standard,
+		Critical: Critical, Critical + 1: Critical, 1 << 40: Critical,
+	} {
+		if got := p.Clamp(); got != want {
+			t.Errorf("Priority(%d).Clamp() = %v, want %v", int(p), got, want)
+		}
+	}
+}

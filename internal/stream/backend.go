@@ -18,8 +18,8 @@ type Backend interface {
 	// TrySubmit enqueues without blocking; false sheds the arrival (full
 	// queue or a closed backend).
 	TrySubmit(app *model.Application, lib *model.Library) (func() manager.Outcome, bool)
-	// Utilization is the backend's reserved-capacity estimate in [0, 1];
-	// the DLQ gates retries on it.
+	// Utilization is the share of the backend's processing capacity
+	// reserved, in [0, 1]; the DLQ gates retries on it.
 	Utilization() float64
 	// Stop departs a resident, freeing its reservations.
 	Stop(name string) error
@@ -59,7 +59,7 @@ func (b *PipelineBackend) TrySubmit(app *model.Application, lib *model.Library) 
 }
 
 // Utilization implements Backend.
-func (b *PipelineBackend) Utilization() float64 { return b.m.LoadEstimate().Utilization() }
+func (b *PipelineBackend) Utilization() float64 { return b.m.Load().Utilization }
 
 // Stop implements Backend.
 func (b *PipelineBackend) Stop(name string) error { return b.m.Stop(name) }

@@ -49,7 +49,7 @@ func newDLQ(capacity int) *dlq {
 func (d *dlq) add(e dlqEntry) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	c := clampClass(e.class)
+	c := e.class.Clamp()
 	if len(d.entries[c]) >= d.caps[c] {
 		return false
 	}
@@ -107,5 +107,5 @@ func (d *dlq) depth() int {
 func (d *dlq) depthOf(c model.Priority) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.entries[clampClass(c)])
+	return len(d.entries[c.Clamp()])
 }

@@ -28,8 +28,6 @@ import (
 func TestServerSoakSaturationBreakerAndDLQ(t *testing.T) {
 	plat := workload.SyntheticRegionPlatform(8, 8, 99, 0)
 	m := manager.New(plat, core.Config{})
-	m.SetMappingReuse(true)
-	m.SetRepair(true)
 	pipe := manager.NewPipeline(m, 4, 8)
 	backend := stream.NewPipelineBackend(m, pipe)
 	srv, err := stream.New(stream.Options{

@@ -232,19 +232,6 @@ type counters struct {
 	shedBuffer, shedBreaker, shedQueue, shedDeadline  atomic.Uint64
 }
 
-// clampClass folds any priority into the valid class range, mirroring
-// the manager's own clamping so both ledgers bucket a wild value the
-// same way.
-func clampClass(p model.Priority) model.Priority {
-	if p < 0 {
-		return 0
-	}
-	if int(p) >= model.NumPriorities {
-		return model.Priority(model.NumPriorities - 1)
-	}
-	return p
-}
-
 // New builds and starts a server over the given backend.
 func New(opts Options) (*Server, error) {
 	if opts.Backend == nil {
@@ -360,7 +347,7 @@ func (s *Server) classify() {
 		}
 	}()
 	for a := range s.ingress {
-		c := clampClass(a.App.QoS.Priority)
+		c := a.App.QoS.Priority.Clamp()
 		if c == model.Critical {
 			s.classes[c] <- a
 			continue
@@ -540,7 +527,8 @@ func (s *Server) watch(a Arrival, c model.Priority, wait func() manager.Outcome,
 }
 
 // dlqLoop periodically retries parked entries once utilization drops
-// below the threshold.
+// below the threshold. An empty queue skips the utilization read, which
+// takes the platform's lock.
 func (s *Server) dlqLoop() {
 	defer close(s.dlqDone)
 	t := time.NewTicker(s.opts.DLQEvery)
@@ -550,7 +538,7 @@ func (s *Server) dlqLoop() {
 		case <-s.quit:
 			return
 		case <-t.C:
-			if s.backend.Utilization() >= s.opts.DLQBelow {
+			if s.dlq.depth() == 0 || s.backend.Utilization() >= s.opts.DLQBelow {
 				continue
 			}
 			for _, e := range s.dlq.popN(8) {
@@ -584,15 +572,15 @@ func (s *Server) deliver(notify chan Result, r Result) {
 		s.c.admitted.Add(1)
 		if r.Recovered {
 			s.c.recovered.Add(1)
-			s.c.recoveredByClass[clampClass(r.Class)].Add(1)
+			s.c.recoveredByClass[r.Class.Clamp()].Add(1)
 		}
 	case VerdictRejected:
 		s.c.rejected.Add(1)
 	case VerdictShed:
-		s.c.shedByClass[clampClass(r.Class)].Add(1)
+		s.c.shedByClass[r.Class.Clamp()].Add(1)
 	case VerdictExpired:
 		s.c.expired.Add(1)
-		s.c.expiredByClass[clampClass(r.Class)].Add(1)
+		s.c.expiredByClass[r.Class.Clamp()].Add(1)
 	}
 	if notify != nil {
 		select {
@@ -719,11 +707,4 @@ func (s *Server) Report() Report {
 		}
 	}
 	return r
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -354,6 +354,8 @@ type fakeBackend struct {
 	mode atomic.Int32
 	util atomic.Uint64 // float64 bits… keep it simple: percent
 	subs atomic.Uint64
+	// utilReads counts Utilization calls.
+	utilReads atomic.Uint64
 }
 
 const (
@@ -409,9 +411,12 @@ func (f *fakeBackend) TrySubmit(app *model.Application, lib *model.Library) (fun
 	return func() manager.Outcome { return out }, true
 }
 
-func (f *fakeBackend) Utilization() float64 { return float64(f.util.Load()) / 100 }
-func (f *fakeBackend) Stop(string) error    { return nil }
-func (f *fakeBackend) Close()               {}
+func (f *fakeBackend) Utilization() float64 {
+	f.utilReads.Add(1)
+	return float64(f.util.Load()) / 100
+}
+func (f *fakeBackend) Stop(string) error { return nil }
+func (f *fakeBackend) Close()            {}
 
 func synthArrival(i int, prio model.Priority) (*model.Application, *model.Library) {
 	app, lib := workload.Synthetic(workload.SynthOptions{
@@ -550,6 +555,50 @@ func TestServerDLQRecoversAfterLoadDrops(t *testing.T) {
 			t.Fatalf("result %+v, want recovered admission", r)
 		}
 	}
+}
+
+// TestServerDLQIdleSkipsUtilization: the retry loop reads the backend's
+// utilization, which takes the platform's lock on a real mesh, only while
+// something is parked. Admissions that never park leave it unread; the
+// first parked entry starts the reads.
+func TestServerDLQIdleSkipsUtilization(t *testing.T) {
+	fb := &fakeBackend{}
+	fb.util.Store(95)
+	srv, err := New(Options{
+		Backend: fb, Ingress: 16, ClassBuf: 256,
+		DLQ: 64, DLQBelow: 0.5, DLQRetries: 3, DLQEvery: time.Millisecond,
+		Breaker: BreakerConfig{MinSamples: 1 << 30},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, _ := collect(srv)
+	for i := 0; i < 20; i++ {
+		if err := srv.Submit(taggedArrival("admit", i, model.Standard)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.c.admitted.Load() < 20 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	// No event marks a tick that correctly did nothing; give the loop
+	// about twenty of them to read utilization wrongly.
+	time.Sleep(20 * time.Millisecond)
+	if n := fb.utilReads.Load(); n != 0 {
+		t.Fatalf("empty DLQ read utilization %d times", n)
+	}
+	if err := srv.Submit(taggedArrival("reject", 20, model.Standard)); err != nil {
+		t.Fatal(err)
+	}
+	for fb.utilReads.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if fb.utilReads.Load() == 0 {
+		t.Fatal("a parked entry never read utilization")
+	}
+	srv.Shutdown()
+	<-done
 }
 
 // TestServerDLQExpiresOnShutdownAndBudget pins the two expiry paths:

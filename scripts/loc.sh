@@ -11,8 +11,12 @@ set -euo pipefail
 # The last raise, 15763 -> 15835, bought step 4's one-iteration
 # confirmation: snapshots at the source's iteration starts with vetoes
 # charged in place, the restore to the observed actor's last boundary,
-# and BufferSizes' working copy kept in the pooled engine.
-budget=15835
+# and BufferSizes' working copy kept in the pooled engine. The last cut,
+# 15835 -> 15664, deleted the manager's second copy of the reservation
+# ledger (LoadEstimate: the DLQ reads Load().Utilization off the
+# platform), the off positions of template reuse and repair, the lenient
+# plan mode with NewRemovalPlan, and two local clamp and max helpers.
+budget=15664
 
 lines=$(find . -name '*.go' -not -name '*_test.go' \
   -not -path './bench/*' -not -path './.bench_build/*' -print0 |
