@@ -2,7 +2,9 @@
 // cmd/churn write with -journal. Every mode verifies the segments it is
 // given as one chain first — magic, frame headers, record hashes, Merkle
 // seals, the hash chain and the rotation heads that link one segment to
-// the next — and never writes to them.
+// the next — and never writes to them. A final segment that ends inside
+// its head frame is treated as absent, as recovery treats it; verify and
+// stat name it on a line of their own.
 //
 //	go run ./cmd/journal verify run.journal run.journal.r1   # exit 1 naming the segment and offset of the first bad frame
 //	go run ./cmd/journal stat run.journal                    # events / seals / bytes / B per event / torn bytes per segment
@@ -73,6 +75,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return 1
 			}
 		}
+	}
+	if mode != "dump" && len(rec.Segments) < len(paths) {
+		// Recover treats a final segment cut inside its head frame as absent.
+		fmt.Fprintf(stdout, "skipped %s: no head frame, so nothing was journaled there\n", paths[len(paths)-1])
 	}
 	return 0
 }

@@ -90,12 +90,13 @@ func TestRun(t *testing.T) {
 	}{
 		{"verify a chain", append([]string{"verify"}, segs...), 0, []string{"ok: 8 sealed events in 2 segments", "seq 8", "torn tail 0 events, 0 bytes"}, ""},
 		{"verify a torn tail", []string{"verify", segs[0], torn}, 0, []string{"ok: 5 sealed events in 2 segments", "seq 5", "torn tail 3 events, 274 bytes"}, ""},
-		{"verify skips a final segment without its head", []string{"verify", segs[0], headless}, 0, []string{"ok: 5 sealed events in 1 segments", "seq 5"}, ""},
+		{"verify skips a final segment without its head", []string{"verify", segs[0], headless}, 0, []string{"ok: 5 sealed events in 1 segments", "seq 5", "skipped " + headless + ": no head frame, so nothing was journaled there"}, ""},
 		{"verify refuses a headless middle segment", []string{"verify", segs[0], headless, segs[1]}, 1, nil, "segment 1: offset 0: not a rotated segment: no head frame"},
 		{"verify names the bad frame", []string{"verify", segs[0], corrupt}, 1, nil, "segment 1: offset 54: record hash mismatch"},
 		{"verify refuses a lone later segment", []string{"verify", segs[1]}, 1, nil, "starts mid-chain"},
 		{"verify refuses a missing file", []string{"verify", filepath.Join(dir, "absent")}, 1, nil, "no such file"},
 		{"stat", append([]string{"stat"}, segs...), 0, []string{"B/event", "5        3  ", "3        1  ", segs[1]}, ""},
+		{"stat names a final segment without its head", []string{"stat", segs[0], headless}, 0, []string{"5        3  ", "skipped " + headless + ": no head frame, so nothing was journaled there"}, ""},
 		{"stat does not describe a corrupt chain", []string{"stat", segs[0], corrupt}, 1, nil, "record hash mismatch"},
 		{"dump", append([]string{"dump"}, segs...), 0, []string{`{"seq":1,"type":"admit","app":"app","prio":1,"tiles":[{"tile":0,"mem":64,"util":4593671619917905920,"occ":1}],"links":[{"link":3,"bps":1000}]}`, `{"seq":3,"type":"fail-tile","ftile":2}`}, ""},
 		{"no mode", nil, 2, nil, "usage"},

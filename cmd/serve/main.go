@@ -193,7 +193,7 @@ func (c *config) serveHTTP() int {
 	}
 	if j := c.stack.Journal; j != nil && j.Segments > 0 {
 		fmt.Fprintf(c.stdout, "recovered %d events (%d residents) from %d segment(s), resuming at seq %d\n",
-			len(j.Recovered.Events), len(st.Manager.Running()), j.Segments, j.Recovered.Seq)
+			st.Replayed, len(st.Manager.Running()), j.Segments, j.Recovered.Seq)
 	}
 	c.server.Backend = st.Backend
 	srv, err := stream.New(c.server)

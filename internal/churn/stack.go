@@ -33,6 +33,8 @@ type Stack struct {
 	// Recycler bounds the resident population; a recovered stack starts
 	// with its replayed residents queued in sorted-name order.
 	Recycler *Recycler
+	// Replayed counts the journal events NewStack replayed.
+	Replayed int
 
 	weights         [model.NumPriorities]int
 	endpointRegions int
@@ -40,8 +42,11 @@ type Stack struct {
 
 // NewStack builds the stack the options describe. A journal that
 // recovered earlier segments is replayed into the fresh platform first,
-// so the stack starts where the crashed one was last sealed. On error
-// nothing is left running and the journal stays the caller's to close.
+// so the stack starts where the crashed one was last sealed, and its
+// Recovered.Events are dropped: the journal lives as long as the stack,
+// and the replayed residents keep only the deltas their plans hold. On
+// error nothing is left running and the journal stays the caller's to
+// close.
 func NewStack(o Options) (*Stack, error) {
 	o = o.WithDefaults()
 	s := &Stack{Options: o}
@@ -59,9 +64,10 @@ func NewStack(o Options) (*Stack, error) {
 		return nil, fmt.Errorf("churn: replay: %w", err)
 	}
 	if o.Journal != nil {
+		o.Journal.Recovered.Events = nil
 		m.SetJournal(o.Journal.Writer)
 	}
-	s.Manager = m
+	s.Manager, s.Replayed = m, len(events)
 	s.endpointRegions = len(plat.TilesOfType(arch.TypeSource))
 	s.Reopen()
 	// Only a recovered stack starts with residents.

@@ -123,9 +123,9 @@ func TestOpenJournalRecovery(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "j.journal")
 		sealed, names := crashed(t, path, false, 0, 24, 0)
 		s, j := recovered(t, path)
-		if j.Segments != 1 || j.TornBytes != 0 || len(j.Recovered.Events) == 0 {
+		if j.Segments != 1 || j.TornBytes != 0 || s.Replayed == 0 {
 			t.Fatalf("recovery accounting off: segments %d, torn %d, events %d",
-				j.Segments, j.TornBytes, len(j.Recovered.Events))
+				j.Segments, j.TornBytes, s.Replayed)
 		}
 		checkRecovered(t, s, sealed, names)
 	})
@@ -225,9 +225,9 @@ func TestOpenJournalRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec, err := journal.RecoverFiles(journal.SegmentPaths(path)...)
-		if err != nil || len(rec.Segments) != 2 || len(rec.Events) <= len(j.Recovered.Events) {
+		if err != nil || len(rec.Segments) != 2 || len(rec.Events) <= s.Replayed {
 			t.Fatalf("resumed chain: %v, %d segments, %d events (recovered %d before resuming)",
-				err, len(rec.Segments), len(rec.Events), len(j.Recovered.Events))
+				err, len(rec.Segments), len(rec.Events), s.Replayed)
 		}
 
 		// Only a final segment may lack its head: with a later segment
@@ -253,6 +253,29 @@ func TestOpenJournalRecovery(t *testing.T) {
 		}
 		recovered(t, path)
 	})
+}
+
+// TestNewStackDropsReplayedEvents pins what a restarted service keeps
+// of its history: once NewStack has replayed the recovered events, the
+// journal it goes on writing no longer holds them, the stack keeps their
+// count, and the residents still match the checkpoint.
+func TestNewStackDropsReplayedEvents(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.journal")
+	sealed, names := crashed(t, path, false, 0, 24, 0)
+	j, err := journal.OpenFile(path, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(j.Recovered.Events)
+	s, err := NewStack(journalOptions(j))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	if j.Recovered.Events != nil || n == 0 || s.Replayed != n {
+		t.Fatalf("after NewStack: %d events still held, %d replayed, %d recovered", len(j.Recovered.Events), s.Replayed, n)
+	}
+	checkRecovered(t, s, sealed, names)
 }
 
 // TestRecyclerSeededInSortedOrder pins which resident is "oldest" after

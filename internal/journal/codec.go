@@ -101,52 +101,29 @@ const (
 
 var errMalformed = errors.New("malformed event payload")
 
-// reader decodes a payload; the first failure sticks and every later
-// read returns zero.
-type reader struct {
-	b   []byte
-	bad bool
+// uvarint decodes the unsigned varint at p[i:]. It returns the value and
+// the index just past it, or -1 when the payload ends first or the value
+// overflows 64 bits (binary.Uvarint's ten-byte rule).
+func uvarint(p []byte, i int) (uint64, int) {
+	var x uint64
+	for s := uint(0); s < 64 && uint(i) < uint(len(p)); s += 7 {
+		b := p[i]
+		i++
+		if b < 0x80 {
+			if s == 63 && b > 1 {
+				return 0, -1
+			}
+			return x | uint64(b)<<s, i
+		}
+		x |= uint64(b&0x7f) << s
+	}
+	return 0, -1
 }
 
-func (r *reader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.bad, r.b = true, nil
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *reader) varint() int64 {
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.bad, r.b = true, nil
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *reader) bytes(n uint64) []byte {
-	if n > uint64(len(r.b)) {
-		r.bad, r.b = true, nil
-		return nil
-	}
-	p := r.b[:n]
-	r.b = r.b[n:]
-	return p
-}
-
-// count reads an element count and rejects one the rest of the payload
-// could not hold, so a damaged count never sizes an allocation.
-func (r *reader) count(minLen int) int {
-	n := r.uvarint()
-	if n > uint64(len(r.b)/minLen) {
-		r.bad, r.b = true, nil
-		return 0
-	}
-	return int(n)
+// varint decodes the zig-zag varint at p[i:]; see uvarint.
+func varint(p []byte, i int) (int64, int) {
+	u, i := uvarint(p, i)
+	return int64(u>>1) ^ -int64(u&1), i
 }
 
 // slabs hands out the delta slices of decoded events from shared backing
@@ -183,34 +160,76 @@ func carve[T any](slab *[]T, n int) []T {
 	return (*slab)[lo : lo+n : lo+n]
 }
 
-// decodeEvent decodes one payload, which must be consumed exactly.
+// decodeEvent decodes one payload in a single pass over a local index.
+// The payload must be consumed exactly, and the first malformed field
+// refuses it. An element count the rest of the payload could not hold
+// is refused before it sizes anything.
 func decodeEvent(p []byte, e *Event, s *slabs) error {
-	r := reader{b: p}
-	e.Seq = r.uvarint()
-	if t := r.bytes(1); t != nil {
-		e.Type = EventType(t[0])
+	var n uint64
+	var v int64
+	i := 0
+	if e.Seq, i = uvarint(p, i); i < 0 || i >= len(p) {
+		return errMalformed
 	}
-	e.App = s.intern(r.bytes(r.uvarint()))
-	e.Priority = int(r.varint())
-	e.Tile = arch.TileID(r.varint())
-	e.Link = arch.LinkID(r.varint())
-	e.Tiles = carve(&s.tiles, r.count(minTileLen))
-	for i := range e.Tiles {
-		t := &e.Tiles[i]
-		t.Tile = arch.TileID(r.varint())
-		t.MemBytes = r.varint()
-		if u := r.bytes(8); u != nil {
-			t.Util = math.Float64frombits(binary.LittleEndian.Uint64(u))
+	if e.Type = EventType(p[i]); e.Type < EvAdmit || e.Type > EvRestoreLink {
+		return errMalformed
+	}
+	if n, i = uvarint(p, i+1); i < 0 || n > uint64(len(p)-i) {
+		return errMalformed
+	}
+	e.App = s.intern(p[i : i+int(n)])
+	if v, i = varint(p, i+int(n)); i < 0 {
+		return errMalformed
+	}
+	e.Priority = int(v)
+	if v, i = varint(p, i); i < 0 {
+		return errMalformed
+	}
+	e.Tile = arch.TileID(v)
+	if v, i = varint(p, i); i < 0 {
+		return errMalformed
+	}
+	e.Link = arch.LinkID(v)
+	if n, i = uvarint(p, i); i < 0 || n > uint64((len(p)-i)/minTileLen) {
+		return errMalformed
+	}
+	e.Tiles = carve(&s.tiles, int(n))
+	for k := range e.Tiles {
+		t := &e.Tiles[k]
+		if v, i = varint(p, i); i < 0 {
+			return errMalformed
 		}
-		t.Occupants = int(r.varint())
-		t.InBps = r.varint()
-		t.OutBps = r.varint()
+		t.Tile = arch.TileID(v)
+		if t.MemBytes, i = varint(p, i); i < 0 || len(p)-i < 8 {
+			return errMalformed
+		}
+		t.Util = math.Float64frombits(binary.LittleEndian.Uint64(p[i:]))
+		if v, i = varint(p, i+8); i < 0 {
+			return errMalformed
+		}
+		t.Occupants = int(v)
+		if t.InBps, i = varint(p, i); i < 0 {
+			return errMalformed
+		}
+		if t.OutBps, i = varint(p, i); i < 0 {
+			return errMalformed
+		}
 	}
-	e.Links = carve(&s.links, r.count(minLinkLen))
-	for i := range e.Links {
-		e.Links[i] = core.LinkReservation{Link: arch.LinkID(r.varint()), Bps: r.varint()}
+	if n, i = uvarint(p, i); i < 0 || n > uint64((len(p)-i)/minLinkLen) {
+		return errMalformed
 	}
-	if r.bad || len(r.b) != 0 || e.Type < EvAdmit || e.Type > EvRestoreLink {
+	e.Links = carve(&s.links, int(n))
+	for k := range e.Links {
+		l := &e.Links[k]
+		if v, i = varint(p, i); i < 0 {
+			return errMalformed
+		}
+		l.Link = arch.LinkID(v)
+		if l.Bps, i = varint(p, i); i < 0 {
+			return errMalformed
+		}
+	}
+	if i != len(p) {
 		return errMalformed
 	}
 	return nil

@@ -11,8 +11,9 @@ type File struct {
 	*Writer
 	// Recovered is what the earlier segments yielded — the sealed events
 	// to replay and the chain position this segment continues; zero for a
-	// fresh chain. Segments counts those earlier segments and TornBytes
-	// the unsealed tail recovery truncated from the last of them.
+	// fresh chain. Whoever replays the events may drop them (churn.NewStack
+	// does). Segments counts those earlier segments and TornBytes the
+	// unsealed tail recovery truncated from the last of them.
 	Recovered Recovered
 	Segments  int
 	TornBytes int64

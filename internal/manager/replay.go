@@ -17,7 +17,9 @@ import (
 // fresh platform.
 // plat must be pristine and topologically identical to the crashed
 // manager's (same mesh, same partition); the journal carries reservation
-// deltas, not topology.
+// deltas, not topology. An event naming a tile or link plat does not
+// have is refused with an error before it is applied, and plat is then
+// left part-replayed.
 //
 // The reconstruction is bit-for-bit: every journaled event carries the
 // exact aggregated per-tile float delta its live commit applied (raw
@@ -43,6 +45,9 @@ func ReplayEvents(plat *arch.Platform, cfg core.Config, events []journal.Event) 
 	released := make(map[string]replayed)
 	for i := range events {
 		e := &events[i]
+		if err := checkIDs(plat, e); err != nil {
+			return nil, err
+		}
 		switch e.Type {
 		case journal.EvAdmit:
 			core.ApplyDeltas(plat, e.Tiles, e.Links, +1)
@@ -95,6 +100,33 @@ func ReplayEvents(plat *arch.Platform, cfg core.Config, events []journal.Event) 
 		m.running[name] = ad
 	}
 	return m, nil
+}
+
+// checkIDs refuses an event naming a tile or link the platform does not
+// have — a journal written for another mesh, or a hand-made one — before
+// any of its deltas is applied. It takes the largest id of each kind as
+// unsigned, one compare per delta, so a negative id is the largest.
+func checkIDs(plat *arch.Platform, e *journal.Event) error {
+	var tile, link uint
+	for i := range e.Tiles {
+		tile = max(tile, uint(e.Tiles[i].Tile))
+	}
+	for i := range e.Links {
+		link = max(link, uint(e.Links[i].Link))
+	}
+	switch e.Type {
+	case journal.EvFailTile, journal.EvRestoreTile:
+		tile = max(tile, uint(e.Tile))
+	case journal.EvFailLink, journal.EvRestoreLink:
+		link = max(link, uint(e.Link))
+	}
+	if n := len(plat.Tiles); tile >= uint(n) {
+		return fmt.Errorf("manager: replay: seq %d: tile id %d out of range for the platform's %d tiles (journal written for another mesh?)", e.Seq, int(tile), n)
+	}
+	if n := len(plat.Links); link >= uint(n) {
+		return fmt.Errorf("manager: replay: seq %d: link id %d out of range for the platform's %d links (journal written for another mesh?)", e.Seq, int(link), n)
+	}
+	return nil
 }
 
 // replayed is what replay keeps of an application until the stream ends:

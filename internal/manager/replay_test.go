@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -258,6 +259,35 @@ func TestReplayRejectsCorruptStream(t *testing.T) {
 	raw[len(raw)/2] ^= 0x20
 	if _, _, err := replayStream(workload.SyntheticPlatform(4, 4, 7), raw); err == nil {
 		t.Fatal("replay accepted a corrupted journal")
+	}
+}
+
+// TestReplayRefusesForeignIDs pins the other failure mode: a journal
+// that verifies but names tiles or links the platform does not have — a
+// 12×12 run restarted on an 8×8 mesh, or a negative id — is an error
+// naming the event's seq and the id, not an index panic.
+func TestReplayRefusesForeignIDs(t *testing.T) {
+	events, _, err := journal.Verify(bytes.NewReader(churnJournal(t, 40)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := workload.SyntheticRegionPlatform(8, 8, 1, 3)
+	for _, c := range []struct {
+		name   string
+		events []journal.Event
+		want   string
+	}{
+		{"12x12 journal on an 8x8 mesh", events, "out of range for the platform's"},
+		{"negative link id", []journal.Event{{Seq: 7, Type: journal.EvAdmit, App: "x",
+			Links: []core.LinkReservation{{Link: -1, Bps: 1000}}}}, "seq 7: link id -1 out of range"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := ReplayEvents(small.Clone(), core.Config{}, c.events)
+			if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "seq ") {
+				t.Fatalf("replay: %v, want an error containing %q", err, c.want)
+			}
+			t.Log(err)
+		})
 	}
 }
 

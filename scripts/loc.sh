@@ -8,15 +8,18 @@
 # Usage: scripts/loc.sh   (from the repository root)
 set -euo pipefail
 
-# The last raise, 15763 -> 15835, bought step 4's one-iteration
-# confirmation: snapshots at the source's iteration starts with vetoes
-# charged in place, the restore to the observed actor's last boundary,
-# and BufferSizes' working copy kept in the pooled engine. The last cut,
+# The last raise, 15664 -> 15728, bought crash recovery's indexed
+# decoder (uvarint and varint return the next index, and every field of
+# a record is checked where it is read, in place of a sticky-error
+# reader), replay's refusal of tile and link ids the platform lacks,
+# NewStack dropping the events it replayed, and cmd/journal naming the
+# headless final segment it skipped. The raise before it, 15763 ->
+# 15835, bought step 4's one-iteration confirmation. The last cut,
 # 15835 -> 15664, deleted the manager's second copy of the reservation
 # ledger (LoadEstimate: the DLQ reads Load().Utilization off the
 # platform), the off positions of template reuse and repair, the lenient
 # plan mode with NewRemovalPlan, and two local clamp and max helpers.
-budget=15664
+budget=15728
 
 lines=$(find . -name '*.go' -not -name '*_test.go' \
   -not -path './bench/*' -not -path './.bench_build/*' -print0 |
