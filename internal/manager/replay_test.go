@@ -277,16 +277,15 @@ func TestReplayRefusesForeignIDs(t *testing.T) {
 		events []journal.Event
 		want   string
 	}{
-		{"12x12 journal on an 8x8 mesh", events, "out of range for the platform's"},
+		{"12x12 journal on an 8x8 mesh", events, "seq 1: tile id 145 out of range for the platform's 82 tiles"},
 		{"negative link id", []journal.Event{{Seq: 7, Type: journal.EvAdmit, App: "x",
 			Links: []core.LinkReservation{{Link: -1, Bps: 1000}}}}, "seq 7: link id -1 out of range"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := ReplayEvents(small.Clone(), core.Config{}, c.events)
-			if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "seq ") {
+			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("replay: %v, want an error containing %q", err, c.want)
 			}
-			t.Log(err)
 		})
 	}
 }
