@@ -138,12 +138,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	o = o.WithDefaults()
 
 	return churn.Profiled(*cpuProfile, *memProfile, stderr, func() int {
-		fmt.Fprintf(stdout, "churn: %d arrivals from a %d-structure catalogue onto a %d×%d mesh\n\n", o.Apps, o.Catalogue, o.Mesh, o.Mesh)
 		pipe := churn.Run(o)
 		if pipe.ConfigErr != nil {
 			fmt.Fprintln(stderr, pipe.ConfigErr)
 			return 2
 		}
+		fmt.Fprintf(stdout, "churn: %d arrivals from a %d-structure catalogue onto a %d×%d mesh\n\n", o.Apps, o.Catalogue, o.Mesh, o.Mesh)
 		report(stdout, fmt.Sprintf("pipeline (%d workers)", o.Workers), pipe)
 		if !pipe.Clean || pipe.LedgerErr != nil || pipe.JournalErr != nil {
 			return 1

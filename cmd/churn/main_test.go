@@ -61,6 +61,12 @@ func TestRejectedFlagCombinations(t *testing.T) {
 		{[]string{"-priomix", "0:0:0"}, "zero total weight"},
 		{[]string{"-priomix", "4611686018427387904:4611686018427387904"}, "priority mix"},
 		{[]string{"-priomix", "9223372036854775807:9223372036854775807:1"}, "priority mix"},
+		{[]string{"-mesh", "-3"}, "Mesh -3 is negative"},
+		{[]string{"-period", "-5"}, "PeriodNs -5 is negative"},
+		{[]string{"-util", "5"}, "MaxUtil 5 is outside [0, 1]"},
+		{[]string{"-util", "-1"}, "MaxUtil -1 is outside [0, 1]"},
+		{[]string{"-apps", "-5"}, "Apps -5 is negative"},
+		{[]string{"-regionsize", "-2"}, "RegionSize -2 is negative"},
 		{[]string{"-cow=false"}, "flag provided but not defined"},
 		{[]string{"-epoch=false"}, "flag provided but not defined"},
 		{[]string{"-retries", "1"}, "flag provided but not defined"},

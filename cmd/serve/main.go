@@ -85,6 +85,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// churn.NewStack refuses the stack's fields; these two never reach it.
+	if c.server.Window < 0 {
+		return c.fail(2, "-window %v is negative", c.server.Window)
+	}
+	if c.syncEvery < 0 {
+		return c.fail(2, "-syncevery %d is negative", c.syncEvery)
+	}
 
 	// Only the service recovers what a previous process left in the
 	// journal; the soak and the chaos harness start a fresh chain.
@@ -168,8 +175,8 @@ func (c *config) chaos() int {
 			rep.ReplayChecks, rep.TornDiscarded)
 	}
 	c.reportStream(rep.Stream)
-	fmt.Fprintf(c.stdout, "  door              %d requests, %d admitted, %d busy, %d rejected, %d retries\n",
-		rep.Door.Requests, rep.Door.Admitted, rep.Door.Busy, rep.Door.Rejected, rep.Door.Retries)
+	fmt.Fprintf(c.stdout, "  door              %d requests, %d admitted, %d busy, %d rejected\n",
+		rep.Door.Requests, rep.Door.Admitted, rep.Door.Busy, rep.Door.Rejected)
 	fmt.Fprintf(c.stdout, "  ledger ok         %v\n", rep.LedgerOK)
 	code := 0
 	if !rep.LedgerOK {
@@ -200,7 +207,7 @@ func (c *config) serveHTTP() int {
 	if err != nil {
 		return c.fail(2, "%v", err)
 	}
-	door, err := front.Listen(front.Options{Server: srv, Addr: c.listen, Seed: c.stack.Seed, Decode: st.Decode})
+	door, err := front.Listen(front.Options{Server: srv, Addr: c.listen, Decode: st.Decode})
 	if err != nil {
 		srv.Shutdown()
 		return c.fail(2, "%v", err)
@@ -226,8 +233,8 @@ func (c *config) serveHTTP() int {
 
 	ds := door.Stats()
 	fmt.Fprintf(c.stdout, "front door:\n")
-	fmt.Fprintf(c.stdout, "  requests          %d (%d admitted, %d busy, %d rejected, %d timeout, %d bad, %d retries)\n",
-		ds.Requests, ds.Admitted, ds.Busy, ds.Rejected, ds.Timeout, ds.BadRequest, ds.Retries)
+	fmt.Fprintf(c.stdout, "  requests          %d (%d admitted, %d busy, %d rejected, %d timeout, %d bad)\n",
+		ds.Requests, ds.Admitted, ds.Busy, ds.Rejected, ds.Timeout, ds.BadRequest)
 	c.reportStream(rep)
 	fmt.Fprintf(c.stdout, "  ledger ok         %v\n", rep.LedgerOK())
 	if !rep.LedgerOK() {

@@ -75,6 +75,14 @@ func TestRejectedFlagCombinations(t *testing.T) {
 		{[]string{"-arrivals", "10", "-priomix", "9223372036854775807:9223372036854775807:1"}, "priority mix"},
 		{[]string{"-chaos", "no-such-script"}, "no-such-script"},
 		{[]string{"-chaos", "../../scripts/chaos_smoke.chaos", "-arrivals", "300"}, "crash steps need -journal"},
+		{[]string{"-arrivals", "10", "-mesh", "-3"}, "Mesh -3 is negative"},
+		{[]string{"-arrivals", "10", "-period", "-5"}, "PeriodNs -5 is negative"},
+		{[]string{"-arrivals", "10", "-util", "5"}, "MaxUtil 5 is outside [0, 1]"},
+		{[]string{"-arrivals", "10", "-util", "-1"}, "MaxUtil -1 is outside [0, 1]"},
+		{[]string{"-arrivals", "10", "-regionsize", "-2"}, "RegionSize -2 is negative"},
+		{[]string{"-arrivals", "-5"}, "Apps -5 is negative"},
+		{[]string{"-arrivals", "10", "-window", "-1s"}, "-window -1s is negative"},
+		{[]string{"-arrivals", "10", "-syncevery", "-1"}, "-syncevery -1 is negative"},
 		{[]string{"-cow=false"}, "flag provided but not defined"},
 		{[]string{"-meshes", "2"}, "flag provided but not defined"},
 		{[]string{"-batch", "8"}, "flag provided but not defined"},

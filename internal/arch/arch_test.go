@@ -150,8 +150,8 @@ func TestLinkAdjacency(t *testing.T) {
 		t.Errorf("center out-degree = %d, want 4", got)
 	}
 	corner := p.RouterAt(Point{0, 0}).ID
-	if got := len(p.InLinks(corner)); got != 2 {
-		t.Errorf("corner in-degree = %d, want 2", got)
+	if got := len(p.OutLinks(corner)); got != 2 {
+		t.Errorf("corner out-degree = %d, want 2", got)
 	}
 	for _, id := range p.OutLinks(center) {
 		if p.Link(id).From != center {

@@ -78,17 +78,6 @@ func (p *Platform) FailedTiles() []TileID {
 	return out
 }
 
-// FailedLinks returns the IDs of currently failed links, ascending.
-func (p *Platform) FailedLinks() []LinkID {
-	var out []LinkID
-	for _, l := range p.Links {
-		if l.Failed {
-			out = append(out, l.ID)
-		}
-	}
-	return out
-}
-
 // PlatformsIdentical compares the complete reservation state of two
 // platforms struct by struct — every tile field (description by value,
 // reservations, occupancy, failure flag) and every link field must match

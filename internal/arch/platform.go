@@ -22,7 +22,6 @@ type Platform struct {
 	Links      []*Link
 
 	out    [][]LinkID            // router -> outgoing link IDs
-	in     [][]LinkID            // router -> incoming link IDs
 	byName map[string]TileID     // tile name -> id
 	atRtr  [][]TileID            // router -> attached tile IDs
 	ofType map[TileType][]TileID // tile type -> ids in declaration order
@@ -52,8 +51,8 @@ type tileCell struct {
 // given capacity between horizontal and vertical neighbours. Routers get
 // the paper's 4-cycle worst-case latency. No tiles are attached yet.
 // Routers, links and the adjacency lists live in slabs sized from w×h: a
-// mesh router has at most four neighbours, so each router's link lists
-// are carved with capacity 4 and never leave their slab.
+// mesh router has at most four neighbours, so each router's outgoing
+// link list is carved with capacity 4 and never leaves its slab.
 func NewMesh(name string, w, h int, linkCapBps int64) *Platform {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("arch: invalid mesh dimensions %d×%d", w, h))
@@ -68,16 +67,15 @@ func NewMesh(name string, w, h int, linkCapBps int64) *Platform {
 		Links:      make([]*Link, nLinks),
 		Tiles:      make([]*Tile, 0, n),
 		out:        make([][]LinkID, n),
-		in:         make([][]LinkID, n),
 		byName:     make(map[string]TileID, n),
 		atRtr:      make([][]TileID, n),
 		ofType:     make(map[TileType][]TileID),
 	}
-	routers, adj, at := make([]Router, n), make([]LinkID, 8*n), make([]TileID, n)
+	routers, adj, at := make([]Router, n), make([]LinkID, 4*n), make([]TileID, n)
 	for i := range routers {
 		routers[i] = Router{ID: RouterID(i), Pos: Point{i % w, i / w}, LatencyCycles: 4}
 		p.Routers[i] = &routers[i]
-		p.out[i], p.in[i] = adj[8*i:8*i:8*i+4], adj[8*i+4:8*i+4:8*i+8]
+		p.out[i] = adj[4*i : 4*i : 4*i+4]
 		p.atRtr[i] = at[i : i : i+1] // the first tile at a router stays in the slab
 	}
 	links := make([]struct {
@@ -91,7 +89,6 @@ func NewMesh(name string, w, h int, linkCapBps int64) *Platform {
 		l.LinkInfo = &l.info
 		p.Links[k] = &l.Link
 		p.out[a] = append(p.out[a], LinkID(k))
-		p.in[b] = append(p.in[b], LinkID(k))
 		k++
 	}
 	for r := range routers {
@@ -211,9 +208,6 @@ func (p *Platform) Manhattan(a, b TileID) int {
 // OutLinks returns the IDs of links leaving a router.
 func (p *Platform) OutLinks(r RouterID) []LinkID { return p.out[r] }
 
-// InLinks returns the IDs of links entering a router.
-func (p *Platform) InLinks(r RouterID) []LinkID { return p.in[r] }
-
 // Link returns the link with the given ID.
 func (p *Platform) Link(id LinkID) *Link {
 	if id < 0 || int(id) >= len(p.Links) {
@@ -269,7 +263,7 @@ func (p *Platform) Clone() *Platform {
 // still hold a *Tile or *Link of dst's previous contents.
 func (p *Platform) CopyInto(dst *Platform) {
 	dst.Name, dst.Width, dst.Height, dst.NoCClockHz = p.Name, p.Width, p.Height, p.NoCClockHz
-	dst.Routers, dst.out, dst.in = p.Routers, p.out, p.in
+	dst.Routers, dst.out = p.Routers, p.out
 	dst.byName, dst.atRtr, dst.ofType = p.byName, p.atRtr, p.ofType
 	dst.version.Store(p.version.Load())
 	tiles, tptrs := dst.tileSlab, dst.Tiles

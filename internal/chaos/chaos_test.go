@@ -116,6 +116,11 @@ func TestChaosSoak(t *testing.T) {
 	if rep.Stream.Admitted == 0 || rep.Door.Requests == 0 {
 		t.Fatalf("run admitted nothing: %+v / %+v", rep.Stream, rep.Door)
 	}
+	// The door submits each request at most once: capacity rejections
+	// are retried behind it, by the DLQ, inside one submission.
+	if rep.Stream.Submitted > rep.Door.Requests {
+		t.Fatalf("%d submissions for %d door requests", rep.Stream.Submitted, rep.Door.Requests)
+	}
 	t.Logf("chaos soak: %+v", rep)
 }
 

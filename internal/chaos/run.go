@@ -17,6 +17,10 @@ import (
 	"rtsm/internal/stream"
 )
 
+// clients is the HTTP submission concurrency within a script segment.
+// Steps are barriers regardless.
+const clients = 4
+
 // Options configures a chaos run: a churn stack like the soak's, but
 // arrivals travel over real HTTP through a front.Door, and the script
 // can kill the incarnation mid-run.
@@ -26,15 +30,8 @@ type Options struct {
 	// across all incarnations; Stack.Journal is required when the script
 	// contains crash steps, optional otherwise.
 	Stack churn.Options
-	// Clients is the HTTP submission concurrency within a script segment
-	// (default 4). Steps are barriers regardless.
-	Clients int
 	// Server tunes the stream stages (Backend is overridden).
 	Server stream.Options
-	// RequestTimeout and Retries tune the door (front.Options defaults
-	// apply when zero).
-	RequestTimeout time.Duration
-	Retries        int
 }
 
 // Report is a chaos run's aggregate accounting across incarnations.
@@ -89,9 +86,6 @@ type runner struct {
 // IO, HTTP transport failure) — invariant violations are reported in
 // Report, not as errors, so callers can print the full accounting.
 func Run(script Script, o Options) (Report, error) {
-	if o.Clients < 1 {
-		o.Clients = 4
-	}
 	for _, st := range script.Steps {
 		if st.At > o.Stack.Apps {
 			return Report{}, fmt.Errorf("chaos: step @%d beyond the %d-arrival run", st.At, o.Stack.Apps)
@@ -157,13 +151,7 @@ func (r *runner) boot() (*incarnation, error) {
 	if err != nil {
 		return nil, err
 	}
-	door, err := front.Listen(front.Options{
-		Server:         srv,
-		Decode:         r.st.Decode,
-		RequestTimeout: r.o.RequestTimeout,
-		Retries:        r.o.Retries,
-		Seed:           r.o.Stack.Seed,
-	})
+	door, err := front.Listen(front.Options{Server: srv, Decode: r.st.Decode})
 	if err != nil {
 		srv.Shutdown()
 		return nil, err
@@ -171,7 +159,7 @@ func (r *runner) boot() (*incarnation, error) {
 	return &incarnation{spike: spike, srv: srv, door: door, collected: r.st.Collect(srv)}, nil
 }
 
-// submitRange issues arrivals [lo, hi) over HTTP with Clients-way
+// submitRange issues arrivals [lo, hi) over HTTP with clients-way
 // concurrency, returning once every response has arrived (the step
 // barrier).
 func (r *runner) submitRange(inc *incarnation, lo, hi int) error {
@@ -181,9 +169,9 @@ func (r *runner) submitRange(inc *incarnation, lo, hi int) error {
 	client := &http.Client{}
 	url := "http://" + inc.door.Addr() + "/admit"
 	idx := make(chan int)
-	errc := make(chan error, r.o.Clients)
+	errc := make(chan error, clients)
 	var wg sync.WaitGroup
-	for w := 0; w < r.o.Clients; w++ {
+	for w := 0; w < clients; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -442,6 +430,5 @@ func addStats(dst *front.Stats, s front.Stats) {
 	dst.Rejected += s.Rejected
 	dst.Timeout += s.Timeout
 	dst.BadRequest += s.BadRequest
-	dst.Retries += s.Retries
 	dst.Draining += s.Draining
 }

@@ -84,11 +84,11 @@ func Defaults() Options {
 // WithDefaults resolves the zero-valued sizing fields — the one place
 // the mesh, queue and resident defaults live. NewStack applies it; it is
 // idempotent, so a caller that reports the values (cmd/churn) may apply it
-// up front.
+// up front. A negative mesh is left for NewStack to refuse.
 func (o Options) WithDefaults() Options {
 	o.Workers = max(o.Workers, 1)
 	o.Catalogue = max(o.Catalogue, 1)
-	if o.Mesh <= 0 {
+	if o.Mesh == 0 {
 		o.Mesh = 8
 	}
 	if o.Queue <= 0 {
@@ -98,6 +98,23 @@ func (o Options) WithDefaults() Options {
 		o.Resident = 4 * o.Workers
 	}
 	return o
+}
+
+// check refuses the values that would run a different scenario than the
+// one asked for, naming the field; zero keeps each field's default.
+func (o Options) check() error {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"Mesh", int64(o.Mesh)}, {"Apps", int64(o.Apps)}, {"RegionSize", int64(o.RegionSize)}, {"PeriodNs", o.PeriodNs}} {
+		if f.v < 0 {
+			return fmt.Errorf("churn: %s %d is negative", f.name, f.v)
+		}
+	}
+	if !(o.MaxUtil >= 0 && o.MaxUtil <= 1) {
+		return fmt.Errorf("churn: MaxUtil %g is outside [0, 1]", o.MaxUtil)
+	}
+	return nil
 }
 
 // ParsePrioMix parses "bestEffort:standard:critical" integer weights

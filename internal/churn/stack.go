@@ -48,6 +48,9 @@ type Stack struct {
 // error nothing is left running and the journal stays the caller's to
 // close.
 func NewStack(o Options) (*Stack, error) {
+	if err := o.check(); err != nil {
+		return nil, err
+	}
 	o = o.WithDefaults()
 	s := &Stack{Options: o}
 	var err error

@@ -167,68 +167,11 @@ func TestStep1FeedbackDeadEndWithoutAlternative(t *testing.T) {
 	}
 }
 
-func TestCommEstimateInStep1PrefersCloseTile(t *testing.T) {
-	// With the communication look-ahead on, a slightly more expensive
-	// implementation on a tile adjacent to the source beats a cheaper one
-	// three hops away.
-	app := model.NewApplication("est", model.QoS{PeriodNs: 4000})
-	src := app.AddPinnedProcess("src", "SRC")
-	a := app.AddProcess("a")
-	sink := app.AddPinnedProcess("sink", "SINK")
-	app.Connect(src, a, 100, 4) // heavy input traffic
-	app.Connect(a, sink, 1, 4)
-	lib := model.NewLibrary()
-	lib.Add(&model.Implementation{
-		Process: "a", TileType: arch.TypeDSP, // declared first: cheaper
-		WCET:            csdf.Vals(1, 10, 1),
-		In:              map[string]csdf.Pattern{"in": csdf.Vals(100, 0, 0)},
-		Out:             map[string]csdf.Pattern{"out": csdf.Vals(0, 0, 1)},
-		EnergyPerPeriod: 10, MemBytes: 128,
-	})
-	lib.Add(&model.Implementation{
-		Process: "a", TileType: arch.TypeARM,
-		WCET:            csdf.Vals(1, 10, 1),
-		In:              map[string]csdf.Pattern{"in": csdf.Vals(100, 0, 0)},
-		Out:             map[string]csdf.Pattern{"out": csdf.Vals(0, 0, 1)},
-		EnergyPerPeriod: 14, MemBytes: 128,
-	})
-	plat := arch.NewMesh("estplat", 4, 1, 800_000_000)
-	plat.AttachTile(arch.TileSpec{Name: "DSP0", Type: arch.TypeDSP, At: arch.Pt(3, 0),
-		ClockHz: 200e6, MemBytes: 32 << 10})
-	plat.AttachTile(arch.TileSpec{Name: "ARM0", Type: arch.TypeARM, At: arch.Pt(0, 0),
-		ClockHz: 200e6, MemBytes: 64 << 10})
-	plat.AttachTile(arch.TileSpec{Name: "SRC", Type: arch.TypeSource, At: arch.Pt(0, 0),
-		ClockHz: 200e6, MemBytes: 8 << 10})
-	plat.AttachTile(arch.TileSpec{Name: "SINK", Type: arch.TypeSink, At: arch.Pt(0, 0),
-		ClockHz: 200e6, MemBytes: 8 << 10})
-
-	plain, err := (&Mapper{Lib: lib, Cfg: Config{NoStep2: true}}).Map(app, plat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aware, err := (&Mapper{Lib: lib, Cfg: Config{NoStep2: true, CommEstimateInStep1: true}}).Map(app, plat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := app.ProcessByName("a")
-	if got := plain.Mapping.Impl[p.ID].TileType; got != arch.TypeDSP {
-		t.Errorf("without look-ahead: a on %s, want the cheap DSP", got)
-	}
-	if got := aware.Mapping.Impl[p.ID].TileType; got != arch.TypeARM {
-		t.Errorf("with look-ahead: a on %s, want the adjacent ARM", got)
-	}
-}
-
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}
-	if c.maxStep2() != 10000 || c.maxRefinements() != 8 {
-		t.Errorf("defaults wrong: %d, %d", c.maxStep2(), c.maxRefinements())
+	if maxStep2Iterations != 10000 || maxRefinements != 8 || maxRepairRounds != 3 {
+		t.Errorf("limits changed: %d, %d, %d", maxStep2Iterations, maxRefinements, maxRepairRounds)
 	}
-	c = Config{MaxStep2Iterations: 3, MaxRefinements: 2}
-	if c.maxStep2() != 3 || c.maxRefinements() != 2 {
-		t.Errorf("overrides ignored: %d, %d", c.maxStep2(), c.maxRefinements())
-	}
-	params := c.energyParams()
+	params := Config{}.energyParams()
 	if params.HopPerByte <= 0 {
 		t.Error("default energy params missing")
 	}

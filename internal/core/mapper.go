@@ -74,18 +74,6 @@ type Config struct {
 	// Strategy and CommCost control step 2.
 	Strategy Strategy
 	CommCost CommCostModel
-	// MinGain is the minimum cost improvement for step 2 to keep going;
-	// the paper names this threshold as one of the stop criteria.
-	MinGain float64
-	// MaxStep2Iterations bounds step-2 candidate evaluations (0 = 10000).
-	MaxStep2Iterations int
-	// MaxRefinements bounds the step-4 feedback loop (0 = 8).
-	MaxRefinements int
-	// MaxRepairRounds bounds Repair's refinement loop (0 = 3). Repair is
-	// the cheap path: it either succeeds within a few rounds — little
-	// changed, little to re-decide — or should hand off to the full map
-	// instead of burning a full refinement budget first.
-	MaxRepairRounds int
 	// ArbitraryOrder disables desirability ordering in step 1, taking
 	// processes in declaration order instead (ablation).
 	ArbitraryOrder bool
@@ -99,11 +87,6 @@ type Config struct {
 	NoRefinement bool
 	// Router selects the step-3 routing algorithm.
 	Router RouterPolicy
-	// CommEstimateInStep1 adds a Manhattan-distance communication
-	// estimate to step 1's implementation costs. The paper's worked
-	// example costs step 1 by processing energy alone, so this defaults
-	// to off.
-	CommEstimateInStep1 bool
 	// BufferOptions tunes the step-4 buffer sizing.
 	TightenBuffers bool
 }
@@ -115,26 +98,17 @@ func (c Config) energyParams() energy.Params {
 	return energy.DefaultParams()
 }
 
-func (c Config) maxStep2() int {
-	if c.MaxStep2Iterations > 0 {
-		return c.MaxStep2Iterations
-	}
-	return 10000
-}
-
-func (c Config) maxRefinements() int {
-	if c.MaxRefinements > 0 {
-		return c.MaxRefinements
-	}
-	return 8
-}
-
-func (c Config) maxRepairRounds() int {
-	if c.MaxRepairRounds > 0 {
-		return c.MaxRepairRounds
-	}
-	return 3
-}
+const (
+	// maxStep2Iterations bounds step-2 candidate evaluations.
+	maxStep2Iterations = 10000
+	// maxRefinements bounds the step-4 feedback loop.
+	maxRefinements = 8
+	// maxRepairRounds bounds Repair's refinement loop. Repair is the
+	// cheap path: it either succeeds within a few rounds — little
+	// changed, little to re-decide — or should hand off to the full map
+	// instead of burning a full refinement budget first.
+	maxRepairRounds = 3
+)
 
 // Mapper binds a configuration and an implementation library.
 type Mapper struct {
@@ -234,7 +208,7 @@ func (m *Mapper) mapOn(app *model.Application, plat, work *arch.Platform) (*Resu
 	tabu := newTabu()
 	var best, last *Result
 	refinements := 0
-	for round := 0; round <= m.Cfg.maxRefinements(); round++ {
+	for round := 0; round <= maxRefinements; round++ {
 		res, fb, err := m.attempt(ix, plat, work, tabu, nil)
 		if err != nil {
 			if best != nil {

@@ -211,7 +211,6 @@ func (s refSearch) record(tr *Trace, iter int, c *candidate, accepted bool) {
 
 func (s refSearch) runFirstImprovement(tr *Trace) {
 	iter := 0
-	maxIter := s.m.Cfg.maxStep2()
 	for {
 		improved := false
 		for pi := range s.ix.procs {
@@ -220,11 +219,11 @@ func (s refSearch) runFirstImprovement(tr *Trace) {
 				continue
 			}
 			iter++
-			if iter > maxIter {
-				tr.Notes = append(tr.Notes, fmt.Sprintf("step 2 stopped at iteration cap %d", maxIter))
+			if iter > maxStep2Iterations {
+				tr.Notes = append(tr.Notes, fmt.Sprintf("step 2 stopped at iteration cap %d", maxStep2Iterations))
 				return
 			}
-			accept := c.delta < -s.m.Cfg.MinGain
+			accept := c.delta < 0
 			s.record(tr, iter, c, accept)
 			if accept {
 				s.applyCandidate(*c)
@@ -241,7 +240,6 @@ func (s refSearch) runFirstImprovement(tr *Trace) {
 
 func (s refSearch) runBestImprovement(tr *Trace) {
 	iter := 0
-	maxIter := s.m.Cfg.maxStep2()
 	for {
 		var best *candidate
 		for pi := range s.ix.procs {
@@ -254,11 +252,11 @@ func (s refSearch) runBestImprovement(tr *Trace) {
 			return
 		}
 		iter++
-		if iter > maxIter {
-			tr.Notes = append(tr.Notes, fmt.Sprintf("step 2 stopped at iteration cap %d", maxIter))
+		if iter > maxStep2Iterations {
+			tr.Notes = append(tr.Notes, fmt.Sprintf("step 2 stopped at iteration cap %d", maxStep2Iterations))
 			return
 		}
-		accept := best.delta < -s.m.Cfg.MinGain
+		accept := best.delta < 0
 		s.record(tr, iter, best, accept)
 		if !accept {
 			return

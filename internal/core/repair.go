@@ -313,7 +313,7 @@ func (m *Mapper) Repair(res *Result, snap *arch.Snapshot) (*Result, error) {
 	tabu := newTabu()
 	var best, last *Result
 	refinements := 0
-	for round := 0; round <= m.Cfg.maxRepairRounds(); round++ {
+	for round := 0; round <= maxRepairRounds; round++ {
 		pinned := len(seed.impl)
 		attempt, fb, err := m.attempt(ix, snap.Plat, work, tabu, seed)
 		if err != nil {

@@ -86,10 +86,8 @@ func (m *Mapper) step1(ix *appIndex, work *arch.Platform, mp *Mapping, tb *tabu,
 		// Reservations only grow during step 1 and the tabu is fixed, so
 		// a first fit ahead of the picked tile still fits and one behind
 		// it still does not: only options on the picked tile are stale.
-		// The communication estimate also reads placed neighbours, so
-		// under it every option is.
 		for i := range todo {
-			if m.Cfg.CommEstimateInStep1 || slices.ContainsFunc(todo[i].opts, func(o option) bool { return o.tile == opt.tile }) {
+			if slices.ContainsFunc(todo[i].opts, func(o option) bool { return o.tile == opt.tile }) {
 				todo[i].opts = todo[i].opts[:0]
 			}
 		}
@@ -117,11 +115,7 @@ func (m *Mapper) viableOptions(ix *appIndex, work *arch.Platform, mp *Mapping, p
 		if tile == nil {
 			continue
 		}
-		cost := im.EnergyPerPeriod
-		if m.Cfg.CommEstimateInStep1 {
-			cost += m.commEstimate(ix, work, mp, p, tile)
-		}
-		opts = append(opts, option{im: im, tile: tile, util: util, cost: cost})
+		opts = append(opts, option{im: im, tile: tile, util: util, cost: im.EnergyPerPeriod})
 	}
 	if len(opts) == 0 {
 		return nil, m.step1Feedback(ix, work, mp, p, tb)
@@ -224,24 +218,4 @@ func (d niDemand) fits(t *arch.Tile) bool {
 		return true // NI unconstrained
 	}
 	return t.ReservedInBps+d.inBps <= t.NICapBps && t.ReservedOutBps+d.outBps <= t.NICapBps
-}
-
-// commEstimate prices the process's channels to already-placed neighbours
-// (pinned endpoints and processes assigned in earlier step-1 iterations)
-// by Manhattan distance, the optional step-1 look-ahead.
-func (m *Mapper) commEstimate(ix *appIndex, work *arch.Platform, mp *Mapping, p *model.Process, t *arch.Tile) float64 {
-	params := m.Cfg.energyParams()
-	var e float64
-	for _, ci := range ix.incident[p.ID] {
-		c := ix.chans[ci]
-		peer := c.Src
-		if peer == p.ID {
-			peer = c.Dst
-		}
-		if peerTile, ok := mp.Tile[peer]; ok {
-			hops := work.Pos(t.ID).Manhattan(work.Pos(peerTile))
-			e += params.CommEnergy(c, hops)
-		}
-	}
-	return e
 }

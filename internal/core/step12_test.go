@@ -32,9 +32,8 @@ var step12Configs = []Config{
 	{},
 	{Strategy: BestImprovement},
 	{CommCost: TrafficWeighted},
-	{CommEstimateInStep1: true},
 	{ArbitraryOrder: true},
-	{Strategy: BestImprovement, CommCost: TrafficWeighted, CommEstimateInStep1: true},
+	{Strategy: BestImprovement, CommCost: TrafficWeighted},
 }
 
 var step12Shapes = []workload.Shape{workload.ShapeChain, workload.ShapeForkJoin, workload.ShapeLayered}

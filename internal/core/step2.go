@@ -346,7 +346,6 @@ func (s *searchState) record(tr *Trace, iter int, c candidate, accepted bool) {
 // discipline under which the paper's Table 2 unfolds row by row.
 func (s *searchState) runFirstImprovement(tr *Trace) {
 	iter := 0
-	maxIter := s.m.Cfg.maxStep2()
 	for {
 		improved := false
 		for pi := range s.ix.procs {
@@ -355,11 +354,13 @@ func (s *searchState) runFirstImprovement(tr *Trace) {
 				continue
 			}
 			iter++
-			if iter > maxIter {
-				tr.Notes = append(tr.Notes, fmt.Sprintf("step 2 stopped at iteration cap %d", maxIter))
+			if iter > maxStep2Iterations {
+				tr.Notes = append(tr.Notes, fmt.Sprintf("step 2 stopped at iteration cap %d", maxStep2Iterations))
 				return
 			}
-			accept := c.delta < -s.m.Cfg.MinGain
+			// The paper stops step 2 once no reassignment gains more than
+			// a minimum; here it is zero: any strict improvement is kept.
+			accept := c.delta < 0
 			s.record(tr, iter, c, accept)
 			if accept {
 				s.applyCandidate(c)
@@ -379,7 +380,6 @@ func (s *searchState) runFirstImprovement(tr *Trace) {
 // actually performed every iteration".
 func (s *searchState) runBestImprovement(tr *Trace) {
 	iter := 0
-	maxIter := s.m.Cfg.maxStep2()
 	for {
 		var best candidate
 		found := false
@@ -393,11 +393,11 @@ func (s *searchState) runBestImprovement(tr *Trace) {
 			return
 		}
 		iter++
-		if iter > maxIter {
-			tr.Notes = append(tr.Notes, fmt.Sprintf("step 2 stopped at iteration cap %d", maxIter))
+		if iter > maxStep2Iterations {
+			tr.Notes = append(tr.Notes, fmt.Sprintf("step 2 stopped at iteration cap %d", maxStep2Iterations))
 			return
 		}
-		accept := best.delta < -s.m.Cfg.MinGain
+		accept := best.delta < 0
 		s.record(tr, iter, best, accept)
 		if !accept {
 			return // the best candidate does not improve: local optimum

@@ -2,11 +2,15 @@
 // over HTTP so external producers can drive the run-time spatial mapper
 // without linking against it. The door is deliberately transport-only —
 // it decodes requests with a caller-supplied Decoder, propagates a
-// per-request deadline into the staged pipeline via context, retries
-// retryable capacity rejections a bounded number of times with jittered
-// backoff, and drains gracefully: readiness flips first, in-flight
-// requests finish, and the stream ledger stays exact because every
-// submission still yields exactly one outcome.
+// per-request deadline into the staged pipeline via context, submits
+// each request exactly once, and drains gracefully: readiness flips
+// first, in-flight requests finish, and the stream ledger stays exact
+// because every submission still yields exactly one outcome.
+//
+// The door never retries. A capacity rejection is retried in one place,
+// the stream server's dead-letter queue, which re-submits only while the
+// mesh has room; what the DLQ gives up on reaches the client as 503 with
+// Retry-After, and the client decides whether to come back.
 //
 // Endpoints:
 //
@@ -21,10 +25,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -34,7 +36,7 @@ import (
 )
 
 // Decoder turns one /admit request body into an arrival. The door owns
-// transport and retry; the caller owns the wire format (cmd/serve and
+// transport; the caller owns the wire format (cmd/serve and
 // the chaos harness both use a churn-catalogue index decoder).
 type Decoder func(r *http.Request) (*model.Application, *model.Library, error)
 
@@ -53,15 +55,8 @@ type Options struct {
 	// deadline, so a Standard or BestEffort arrival nobody is waiting
 	// for anymore is shed instead of mapped.
 	RequestTimeout time.Duration
-	// Retries is how many extra submissions a retryable capacity
-	// rejection earns before the door reports 503 (default 2). Each
-	// retry is a fresh submission with its own ledger outcome.
-	Retries int
-	// RetryBackoff is the base delay between retries (default 2ms); the
-	// actual delay is jittered uniformly in [backoff/2, backoff) per
-	// attempt to decorrelate synchronized clients.
-	RetryBackoff time.Duration
-	// Seed seeds the backoff jitter for deterministic tests (default 1).
+	// Seed is ignored. It stays only because the benchmark still sets
+	// it.
 	Seed int64
 }
 
@@ -71,15 +66,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 2 * time.Second
-	}
-	if o.Retries <= 0 {
-		o.Retries = 2
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 2 * time.Millisecond
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
@@ -96,15 +82,15 @@ const (
 )
 
 // Stats is the door's own ledger, disjoint from the stream server's:
-// it counts HTTP requests, not arrivals (one request can cost several
-// submissions via retries).
+// it counts HTTP requests, not arrivals. A request that reaches the
+// pipeline is submitted exactly once.
 type Stats struct {
 	// Requests counts /admit requests accepted for decoding.
 	Requests uint64
 	// Admitted counts /admit requests answered 200.
 	Admitted uint64
-	// Busy counts 503s: capacity rejections past the retry budget,
-	// sheds, expiries, and requests refused while draining.
+	// Busy counts 503s: capacity rejections, sheds, DLQ expiries, and
+	// requests refused while draining.
 	Busy uint64
 	// Rejected counts 422s — structural rejections no retry can fix.
 	Rejected uint64
@@ -113,7 +99,8 @@ type Stats struct {
 	// BadRequest counts 400s from the decoder and 413s for bodies over
 	// the door's size cap.
 	BadRequest uint64
-	// Retries counts extra submissions spent on retryable rejections.
+	// Retries is always 0: the door submits each request once. It stays
+	// only because the benchmark still reads it.
 	Retries uint64
 	// Draining counts requests refused because readiness already
 	// flipped (a subset of Busy).
@@ -132,12 +119,8 @@ type Door struct {
 	done     chan struct{}
 	serveErr error
 
-	jmu   sync.Mutex
-	jrand *rand.Rand
-
 	requests, admitted, busy, rejected atomic.Uint64
-	timeout, badRequest                atomic.Uint64
-	retries, draining503               atomic.Uint64
+	timeout, badRequest, draining503   atomic.Uint64
 }
 
 // Listen binds the address and starts serving. The returned Door is
@@ -151,12 +134,7 @@ func Listen(opts Options) (*Door, error) {
 	if err != nil {
 		return nil, fmt.Errorf("front: listen %s: %w", opts.Addr, err)
 	}
-	d := &Door{
-		opts:  opts,
-		ln:    ln,
-		done:  make(chan struct{}),
-		jrand: rand.New(rand.NewSource(opts.Seed)),
-	}
+	d := &Door{opts: opts, ln: ln, done: make(chan struct{})}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /admit", d.handleAdmit)
 	mux.HandleFunc("GET /healthz", d.handleHealthz)
@@ -203,7 +181,6 @@ func (d *Door) Stats() Stats {
 		Rejected:   d.rejected.Load(),
 		Timeout:    d.timeout.Load(),
 		BadRequest: d.badRequest.Load(),
-		Retries:    d.retries.Load(),
 		Draining:   d.draining503.Load(),
 	}
 }
@@ -216,10 +193,7 @@ type AdmitResponse struct {
 	Recovered bool   `json:"recovered,omitempty"`
 	ShedAt    string `json:"shed_at,omitempty"`
 	LatencyNs int64  `json:"latency_ns"`
-	// Attempts counts backend submissions the door spent on the
-	// request: 1 plus any retries.
-	Attempts int    `json:"attempts"`
-	Error    string `json:"error,omitempty"`
+	Error     string `json:"error,omitempty"`
 }
 
 // Metrics is the /metricsz response body.
@@ -275,66 +249,21 @@ func (d *Door) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), d.opts.RequestTimeout)
 	defer cancel()
-
-	attempts := 0
-	for {
-		attempts++
-		res, err := d.opts.Server.SubmitWait(ctx, app, lib)
-		if err != nil {
-			d.respondErr(w, err)
-			return
-		}
-		if d.retryable(res) && attempts <= d.opts.Retries {
-			d.retries.Add(1)
-			if !d.backoff(ctx) {
-				d.timeout.Add(1)
-				writeJSON(w, http.StatusGatewayTimeout, AdmitResponse{
-					App: res.App, Attempts: attempts, Error: context.DeadlineExceeded.Error(),
-				})
-				return
-			}
-			continue
-		}
-		d.respond(w, res, attempts)
+	res, err := d.opts.Server.SubmitWait(ctx, app, lib)
+	if err != nil {
+		d.respondErr(w, err)
 		return
 	}
+	d.respond(w, res)
 }
 
-// retryable reports whether one more submission could help: a capacity
-// rejection or a DLQ expiry on a capacity rejection — transient states
-// a recovering mesh clears. Structural rejections and sheds are final
-// for this request (the pipeline already chose to drop it).
-func (d *Door) retryable(res stream.Result) bool {
-	switch res.Verdict {
-	case stream.VerdictRejected, stream.VerdictExpired:
-		return manager.IsRetryableRejection(res.Outcome.Err)
-	}
-	return false
-}
-
-// backoff sleeps one jittered retry delay; false means the request
-// deadline expired first.
-func (d *Door) backoff(ctx context.Context) bool {
-	base := d.opts.RetryBackoff
-	d.jmu.Lock()
-	delay := base/2 + time.Duration(d.jrand.Int63n(int64(base/2)+1))
-	d.jmu.Unlock()
-	select {
-	case <-time.After(delay):
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-func (d *Door) respond(w http.ResponseWriter, res stream.Result, attempts int) {
+func (d *Door) respond(w http.ResponseWriter, res stream.Result) {
 	resp := AdmitResponse{
 		App:       res.App,
 		Class:     res.Class.String(),
 		Verdict:   res.Verdict.String(),
 		Recovered: res.Recovered,
 		LatencyNs: int64(res.Latency),
-		Attempts:  attempts,
 	}
 	status := http.StatusOK
 	switch res.Verdict {
@@ -345,7 +274,7 @@ func (d *Door) respond(w http.ResponseWriter, res stream.Result, attempts int) {
 			resp.Error = res.Outcome.Err.Error()
 		}
 		if manager.IsRetryableRejection(res.Outcome.Err) {
-			// Capacity, retry budget spent: busy, try again later.
+			// Capacity, and no DLQ behind the server: busy, try again later.
 			d.busy.Add(1)
 			status = http.StatusServiceUnavailable
 			w.Header().Set("Retry-After", "1")

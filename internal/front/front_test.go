@@ -97,9 +97,6 @@ func TestFrontEndToEnd(t *testing.T) {
 		if status != http.StatusOK || ar.Verdict != "admitted" {
 			t.Fatalf("admit %d: status %d, verdict %q (err %q)", i, status, ar.Verdict, ar.Error)
 		}
-		if ar.Attempts != 1 {
-			t.Fatalf("admit %d took %d attempts on an empty mesh", i, ar.Attempts)
-		}
 	}
 
 	for _, ep := range []string{"healthz", "readyz"} {
@@ -210,8 +207,8 @@ func (b *scriptBackend) Utilization() float64 { return 1.0 }
 func (b *scriptBackend) Stop(string) error    { return nil }
 func (b *scriptBackend) Close()               {}
 
-// newScriptedServer builds a stream server without a DLQ (so retryable
-// rejections surface immediately as final results the door can retry).
+// newScriptedServer builds a stream server without a DLQ, so a
+// retryable rejection surfaces at once as the request's final result.
 func newScriptedServer(t testing.TB, b stream.Backend) *stream.Server {
 	t.Helper()
 	srv, err := stream.New(stream.Options{Backend: b})
@@ -237,47 +234,16 @@ func rejectAllDecoder() Decoder {
 	}
 }
 
-// TestFrontRetryRecovers pins the bounded-retry path: two retryable
-// capacity rejections, then an admission — the door's jittered backoff
-// absorbs the transient and answers 200 with three attempts.
-func TestFrontRetryRecovers(t *testing.T) {
+// TestFrontCapacityRejectionIsFinal pins one submission per request:
+// the backend rejects the first two submissions for capacity, and the
+// door answers the first with 503 and a Retry-After hint instead of
+// re-submitting behind the server. Retrying a capacity rejection is the
+// stream server's DLQ's job, not the door's.
+func TestFrontCapacityRejectionIsFinal(t *testing.T) {
 	b := &scriptBackend{rejectFirst: 2}
 	srv := newScriptedServer(t, b)
 	collector := drainResults(srv)
-	d, err := Listen(Options{Server: srv, Decode: rejectAllDecoder(), Retries: 2, RetryBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	status, ar := postAdmit(t, d.Addr(), 0)
-	if status != http.StatusOK || ar.Verdict != "admitted" {
-		t.Fatalf("retried admit: status %d, verdict %q (err %q)", status, ar.Verdict, ar.Error)
-	}
-	if ar.Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3 (original + 2 retries)", ar.Attempts)
-	}
-	if st := d.Stats(); st.Retries != 2 || st.Admitted != 1 {
-		t.Fatalf("stats after retry: %+v", st)
-	}
-	if err := d.Drain(t.Context()); err != nil {
-		t.Fatal(err)
-	}
-	rep := srv.Shutdown()
-	<-collector
-	// Three submissions, three outcomes: the retries are real ledger
-	// entries, not hidden resubmissions.
-	if !rep.LedgerOK() || rep.Submitted != 3 || rep.Admitted != 1 || rep.Rejected != 2 {
-		t.Fatalf("ledger after retries: %+v", rep)
-	}
-}
-
-// TestFrontRetryBudgetExhausted pins the other side: a backend that
-// stays out of capacity longer than the budget yields 503 with a
-// Retry-After hint after exactly 1 + Retries attempts.
-func TestFrontRetryBudgetExhausted(t *testing.T) {
-	b := &scriptBackend{rejectFirst: 1 << 30}
-	srv := newScriptedServer(t, b)
-	collector := drainResults(srv)
-	d, err := Listen(Options{Server: srv, Decode: rejectAllDecoder(), Retries: 2, RetryBackoff: time.Millisecond})
+	d, err := Listen(Options{Server: srv, Decode: rejectAllDecoder()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,16 +264,19 @@ func TestFrontRetryBudgetExhausted(t *testing.T) {
 	if err := json.Unmarshal(raw, &ar); err != nil {
 		t.Fatal(err)
 	}
-	if ar.Attempts != 3 || ar.Verdict != "rejected" {
-		t.Fatalf("exhausted budget: attempts %d, verdict %q", ar.Attempts, ar.Verdict)
+	if ar.Verdict != "rejected" {
+		t.Fatalf("verdict %q, want rejected", ar.Verdict)
+	}
+	if st := d.Stats(); st.Busy != 1 || st.Admitted != 0 || st.Retries != 0 {
+		t.Fatalf("door stats: %+v", st)
 	}
 	if err := d.Drain(t.Context()); err != nil {
 		t.Fatal(err)
 	}
 	rep := srv.Shutdown()
 	<-collector
-	if !rep.LedgerOK() || rep.Submitted != 3 || rep.Rejected != 3 {
-		t.Fatalf("ledger after exhausted budget: %+v", rep)
+	if !rep.LedgerOK() || rep.Submitted != 1 || rep.Rejected != 1 {
+		t.Fatalf("ledger: %+v, want one submission, rejected", rep)
 	}
 }
 

@@ -66,7 +66,7 @@ const (
 	// via a DLQ retry — see Result.Recovered).
 	VerdictAdmitted Verdict = iota
 	// VerdictRejected: the backend rejected it for good (structural, or
-	// capacity with no DLQ configured / retry budget spent... final).
+	// capacity with no DLQ configured).
 	VerdictRejected
 	// VerdictShed: dropped before mapping — full class buffer, open
 	// circuit breaker, or saturated backend queue.
@@ -166,8 +166,6 @@ type Options struct {
 	Breaker BreakerConfig
 	// Window is the rolling metrics window (default 1s).
 	Window time.Duration
-	// Results is the results channel buffer (default 4× Ingress).
-	Results int
 }
 
 func (o Options) withDefaults() Options {
@@ -188,9 +186,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Window <= 0 {
 		o.Window = time.Second
-	}
-	if o.Results <= 0 {
-		o.Results = 4 * o.Ingress
 	}
 	return o
 }
@@ -242,7 +237,7 @@ func New(opts Options) (*Server, error) {
 		opts:    opts,
 		backend: opts.Backend,
 		ingress: make(chan Arrival, opts.Ingress),
-		results: make(chan Result, opts.Results),
+		results: make(chan Result, 4*opts.Ingress),
 		breaker: newBreaker(opts.Breaker),
 		win:     newMetricsWindow(opts.Window),
 		quit:    make(chan struct{}),
@@ -377,8 +372,11 @@ func (s *Server) dispatch() {
 		// Strict priority: take a Critical arrival whenever one is ready
 		// before even looking at the lower buffers, and a Standard one
 		// before BestEffort — so under pressure the BestEffort buffer
-		// drains last and sheds first. Aging inside the backend's own
-		// queue keeps this starvation-free end to end.
+		// drains last and sheds first. It is not starvation-free: handle
+		// blocks in backend.Submit while the backend queue is full, so a
+		// sustained Critical stream keeps a buffered BestEffort arrival
+		// from ever reaching the backend's aging queue. What holds: the
+		// lower buffers are bounded and shed when full.
 		if crit != nil {
 			select {
 			case a, ok := <-crit:

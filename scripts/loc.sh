@@ -8,18 +8,25 @@
 # Usage: scripts/loc.sh   (from the repository root)
 set -euo pipefail
 
-# The last raise, 15664 -> 15728, bought crash recovery's indexed
+# The last cut, 15728 -> 15600, made the stream server's dead-letter
+# queue the only place a capacity rejection is retried: the door's retry
+# loop, backoff jitter and their options went, and so did options no
+# caller set (chaos Clients/RequestTimeout/Retries, stream Results, core
+# MinGain, the three core loop bounds and the step-1 communication
+# estimate) and arch's in-adjacency with InLinks and FailedLinks. It
+# spent about 25 of the freed lines on refusing out-of-range scenario values
+# in churn.NewStack and cmd/serve. The raise before it, 15664 -> 15728,
+# bought crash recovery's indexed
 # decoder (uvarint and varint return the next index, and every field of
 # a record is checked where it is read, in place of a sticky-error
 # reader), replay's refusal of tile and link ids the platform lacks,
 # NewStack dropping the events it replayed, and cmd/journal naming the
-# headless final segment it skipped. The raise before it, 15763 ->
-# 15835, bought step 4's one-iteration confirmation. The last cut,
-# 15835 -> 15664, deleted the manager's second copy of the reservation
+# headless final segment it skipped. The cut before that, 15835 ->
+# 15664, deleted the manager's second copy of the reservation
 # ledger (LoadEstimate: the DLQ reads Load().Utilization off the
 # platform), the off positions of template reuse and repair, the lenient
 # plan mode with NewRemovalPlan, and two local clamp and max helpers.
-budget=15728
+budget=15600
 
 lines=$(find . -name '*.go' -not -name '*_test.go' \
   -not -path './bench/*' -not -path './.bench_build/*' -print0 |
