@@ -169,12 +169,20 @@ func TestFrontDrainRefusesNewAdmits(t *testing.T) {
 
 // scriptBackend is a deterministic stream.Backend: the first
 // rejectFirst submissions are rejected retryably (capacity), the rest
-// admitted; every outcome is delayed by delay.
+// admitted; every outcome is delayed by delay. It reports full
+// utilization unless idle, which lets a DLQ behind the server retry.
 type scriptBackend struct {
 	mu          sync.Mutex
 	rejectFirst int
 	delay       time.Duration
+	idle        bool
 	subs        int
+}
+
+func (b *scriptBackend) submissions() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.subs
 }
 
 func (b *scriptBackend) outcome(app *model.Application) func() manager.Outcome {
@@ -203,15 +211,31 @@ func (b *scriptBackend) TrySubmit(app *model.Application, _ *model.Library) (fun
 	return b.outcome(app), true
 }
 
-func (b *scriptBackend) Utilization() float64 { return 1.0 }
-func (b *scriptBackend) Stop(string) error    { return nil }
-func (b *scriptBackend) Close()               {}
+func (b *scriptBackend) Utilization() float64 {
+	if b.idle {
+		return 0
+	}
+	return 1.0
+}
+func (b *scriptBackend) Stop(string) error { return nil }
+func (b *scriptBackend) Close()            {}
 
 // newScriptedServer builds a stream server without a DLQ, so a
 // retryable rejection surfaces at once as the request's final result.
 func newScriptedServer(t testing.TB, b stream.Backend) *stream.Server {
 	t.Helper()
 	srv, err := stream.New(stream.Options{Backend: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
+// newDLQServer builds a stream server whose DLQ retries a capacity
+// rejection every millisecond, up to three submissions in all.
+func newDLQServer(t testing.TB, b stream.Backend) *stream.Server {
+	t.Helper()
+	srv, err := stream.New(stream.Options{Backend: b, DLQ: 4, DLQRetries: 3, DLQEvery: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,6 +301,85 @@ func TestFrontCapacityRejectionIsFinal(t *testing.T) {
 	<-collector
 	if !rep.LedgerOK() || rep.Submitted != 1 || rep.Rejected != 1 {
 		t.Fatalf("ledger: %+v, want one submission, rejected", rep)
+	}
+}
+
+// TestFrontRetryRecovers pins the retry path behind the door: two
+// capacity rejections, then an admission. The door submits once; the
+// server's DLQ re-submits, and the client gets 200 marked recovered.
+func TestFrontRetryRecovers(t *testing.T) {
+	b := &scriptBackend{rejectFirst: 2, idle: true}
+	srv := newDLQServer(t, b)
+	collector := drainResults(srv)
+	d, err := Listen(Options{Server: srv, Decode: rejectAllDecoder()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, ar := postAdmit(t, d.Addr(), 0)
+	if status != http.StatusOK || ar.Verdict != "admitted" || !ar.Recovered {
+		t.Fatalf("retried admit: status %d, verdict %q, recovered %v (err %q)", status, ar.Verdict, ar.Recovered, ar.Error)
+	}
+	if n := b.submissions(); n != 3 {
+		t.Fatalf("backend saw %d submissions, want 3 (original + 2 DLQ retries)", n)
+	}
+	if st := d.Stats(); st.Retries != 0 || st.Admitted != 1 {
+		t.Fatalf("stats after retry: %+v", st)
+	}
+	if err := d.Drain(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	rep := srv.Shutdown()
+	<-collector
+	// One arrival, one verdict: the DLQ's retries are not new arrivals.
+	if !rep.LedgerOK() || rep.Submitted != 1 || rep.Admitted != 1 || rep.Recovered != 1 {
+		t.Fatalf("ledger after retries: %+v", rep)
+	}
+}
+
+// TestFrontRetryBudgetExhausted pins the other side: a backend that
+// stays out of capacity longer than the DLQ's budget yields 503 with a
+// Retry-After hint after exactly DLQRetries submissions.
+func TestFrontRetryBudgetExhausted(t *testing.T) {
+	b := &scriptBackend{rejectFirst: 1 << 30, idle: true}
+	srv := newDLQServer(t, b)
+	collector := drainResults(srv)
+	d, err := Listen(Options{Server: srv, Decode: rejectAllDecoder()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(admitReq{Index: 0})
+	resp, err := http.Post("http://"+d.Addr()+"/admit", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503 (body %s)", resp.StatusCode, raw)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("503 without Retry-After hint")
+	}
+	var ar AdmitResponse
+	if err := json.Unmarshal(raw, &ar); err != nil {
+		t.Fatal(err)
+	}
+	if ar.Verdict != "expired" {
+		t.Fatalf("exhausted budget: verdict %q, want expired", ar.Verdict)
+	}
+	if n := b.submissions(); n != 3 {
+		t.Fatalf("backend saw %d submissions, want 3 (the DLQ budget)", n)
+	}
+	if st := d.Stats(); st.Busy != 1 || st.Retries != 0 {
+		t.Fatalf("door stats: %+v", st)
+	}
+	if err := d.Drain(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	rep := srv.Shutdown()
+	<-collector
+	if !rep.LedgerOK() || rep.Submitted != 1 || rep.Expired != 1 {
+		t.Fatalf("ledger after exhausted budget: %+v", rep)
 	}
 }
 
