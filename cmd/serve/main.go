@@ -255,7 +255,7 @@ func (c *config) reportStream(rep stream.Report) {
 		}
 	}
 	if rep.Shed() > 0 {
-		fmt.Fprintf(w, "  shed stages       %d at class buffers, %d at the breaker, %d at the backend queue, %d at deadlines\n",
+		fmt.Fprintf(w, "  shed stages       %d at class shares, %d at the breaker, %d at the backend queue, %d at deadlines\n",
 			rep.ShedBuffer, rep.ShedBreaker, rep.ShedQueue, rep.ShedDeadline)
 	}
 	fmt.Fprintf(w, "  breaker           %d opens (now %s)\n", rep.BreakerOpens, rep.BreakerState)

@@ -8,14 +8,9 @@ import (
 	"rtsm/internal/model"
 )
 
-// Request is one admission to run through a Pipeline.
-type Request struct {
-	App *model.Application
-	Lib *model.Library
-}
-
 type job struct {
-	req  Request
+	app  *model.Application
+	lib  *model.Library
 	prio model.Priority
 	// enqueued is stamped by the queue itself (prioQueue.enqueueLocked)
 	// with the queue's own clock, so wait accounting and aging promotion
@@ -42,18 +37,9 @@ type job struct {
 // Departures need no queue — call Manager.Stop directly, it only takes
 // the short commit lock.
 type Pipeline struct {
-	m *Manager
-	q *prioQueue
-
-	// closing serializes Close itself (idempotence); it is NOT held
-	// across queue operations. Submitters never take it: close detection
-	// lives in the queue, so a Submit blocked on a full queue wakes and
-	// returns the close error the moment Close lands, instead of
-	// stalling Close behind a reader lock held across the blocking push
-	// (the pipeline-shutdown stall this layout fixes).
-	closing sync.Mutex
-	closed  bool
-	wg      sync.WaitGroup
+	m  *Manager
+	q  *prioQueue
+	wg sync.WaitGroup
 }
 
 // NewPipeline starts a pipeline with the given number of admission
@@ -79,7 +65,7 @@ func (p *Pipeline) worker() {
 			return
 		}
 		wait := p.q.clock().Sub(j.enqueued)
-		j.done <- p.m.admit(j.req.App, j.req.Lib, wait)
+		j.done <- p.m.admit(j.app, j.lib, wait)
 	}
 }
 
@@ -114,7 +100,8 @@ var errPipelineClosed = fmt.Errorf("manager: pipeline is closed")
 
 func newJob(app *model.Application, lib *model.Library) *job {
 	return &job{
-		req:  Request{App: app, Lib: lib},
+		app:  app,
+		lib:  lib,
 		prio: app.QoS.Priority.Clamp(),
 		done: make(chan Outcome, 1),
 	}
@@ -124,15 +111,9 @@ func newJob(app *model.Application, lib *model.Library) *job {
 // workers to finish. Outcomes of already-submitted requests are still
 // delivered. Close never waits on submitters: closing the queue wakes
 // every Submit blocked on a full queue (each returns the close error),
-// so Close completes even under a continuous submit storm.
+// so Close completes even under a continuous submit storm. Close is
+// idempotent.
 func (p *Pipeline) Close() {
-	p.closing.Lock()
-	if p.closed {
-		p.closing.Unlock()
-		return
-	}
-	p.closed = true
-	p.closing.Unlock()
 	// Workers drain the queue after close(): pop keeps delivering queued
 	// jobs and only reports done once the queue is empty.
 	p.q.close()

@@ -65,7 +65,7 @@ func TestPriorityQueueFairnessProperties(t *testing.T) {
 						enqueued: clk.t,
 						done:     make(chan Outcome, 1),
 					}
-					j.req.App = nil // payload is irrelevant to ordering
+					j.app = nil // payload is irrelevant to ordering
 					_ = next
 					next++
 					if !q.tryPush(j) {

@@ -9,9 +9,8 @@ import (
 // the outcomes of arrivals actually submitted to the backend (not the
 // ones shed earlier): sustained capacity rejections open it (a
 // structural rejection of an unmappable request counts for nothing), and
-// while open the server sheds Standard and BestEffort arrivals at the
-// dispatch stage instead of burning mapping rounds on a saturated
-// backend. Critical arrivals always pass through — their contract is
+// while open the server sheds Standard and BestEffort arrivals at
+// submit instead of burning mapping rounds on a saturated backend. Critical arrivals always pass through — their contract is
 // blocking backpressure, not fail-fast.
 type BreakerConfig struct {
 	// Window is the rolling interval over which the failure ratio is

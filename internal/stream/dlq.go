@@ -9,7 +9,7 @@ import (
 // dlqEntry is one capacity-rejected arrival parked for retry: the spec
 // was structurally fine, the mesh was just full when it arrived.
 type dlqEntry struct {
-	arr Arrival
+	arr arrival
 	// class is the arrival's clamped admission class; it selects the
 	// per-class quota the entry occupies.
 	class model.Priority
@@ -24,8 +24,8 @@ type dlqEntry struct {
 // quota — Critical the full configured capacity, Standard half,
 // BestEffort a quarter — so a flood of BestEffort rejections can fill
 // only its own lane and never expires a parked Critical retry. Retry
-// rounds drain the highest class first, mirroring the dispatch stage's
-// strict priority. All methods are safe for concurrent use.
+// rounds drain the highest class first, as the pipeline's queue serves
+// them. All methods are safe for concurrent use.
 type dlq struct {
 	mu      sync.Mutex
 	entries [model.NumPriorities][]dlqEntry
@@ -34,7 +34,7 @@ type dlq struct {
 
 // newDLQ sizes the per-class quotas from the configured capacity:
 // Critical gets all of it, Standard half, BestEffort a quarter (min 1
-// each), the same asymmetry as the class buffers.
+// each), the same asymmetry as the class shares of the backend.
 func newDLQ(capacity int) *dlq {
 	d := &dlq{}
 	d.caps[model.Critical] = capacity

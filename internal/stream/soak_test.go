@@ -16,7 +16,7 @@ import (
 	"rtsm/internal/workload"
 )
 
-// TestServerSoakSaturationBreakerAndDLQ drives the full stage chain over
+// TestServerSoakSaturationBreakerAndDLQ drives the full server over
 // a real mesh in three phases. Phase A saturates: no resident ever
 // departs, so admissions fill the mesh, capacity rejections mount, the
 // breaker opens and retryable rejections park in the DLQ (utilization is
@@ -24,7 +24,8 @@ import (
 // drops below the DLQ threshold and parked entries recover. Phase C
 // shuts down gracefully and checks the ledger: exactly one outcome per
 // arrival, BestEffort shed at least as hard as Standard, Critical never
-// shed. Run with -race: the phases exercise every stage concurrently.
+// shed. Run with -race: the phases exercise submitters, watchers and the
+// DLQ loop concurrently.
 func TestServerSoakSaturationBreakerAndDLQ(t *testing.T) {
 	plat := workload.SyntheticRegionPlatform(8, 8, 99, 0)
 	m := manager.New(plat, core.Config{})
@@ -61,7 +62,7 @@ func TestServerSoakSaturationBreakerAndDLQ(t *testing.T) {
 	}()
 
 	// Phase A: saturating burst. Apps are fat (MaxUtil 0.3) so a handful
-	// fill the mesh; the even class mix exposes the per-class buffer
+	// fill the mesh; the even class mix exposes the per-class share
 	// asymmetry.
 	co := churn.Options{Catalogue: 4, MaxUtil: 0.3, PeriodNs: 40_000, PrioMix: "1:1:1"}
 	deadline := time.Now().Add(30 * time.Second)
@@ -143,11 +144,11 @@ func TestServerSoakSaturationBreakerAndDLQ(t *testing.T) {
 	if rep.ShedByClass[model.Critical] != 0 {
 		t.Fatalf("Critical arrivals were shed: %+v", rep)
 	}
-	// Buffer-shed onset order: the first BestEffort arrival dropped at
-	// its class buffer must precede (in submission order) the first
-	// Standard one — BestEffort has the smallest buffer and dispatch
-	// drains it last, so it overflows first. Queue and breaker sheds hit
-	// whatever class is dispatched when the queue fills or the breaker
+	// Share-shed onset order: the first BestEffort arrival dropped
+	// because its class had its share of the backend must precede (in
+	// submission order) the first Standard one — BestEffort's share is
+	// the smaller, so it is spent first. Queue and breaker sheds hit
+	// whatever class is submitted when the queue fills or the breaker
 	// opens, so they carry no onset ordering. Arrival names are churn's
 	// "app-<i>-<class>".
 	firstShed := map[model.Priority]int{}

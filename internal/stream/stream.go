@@ -1,20 +1,21 @@
-// Package stream is the long-lived admission front-end: it composes a
-// manager pipeline into context-aware channel stages so the run-time
-// spatial mapper can serve sustained million-arrival traffic instead of
-// a test driver's bounded batch.
+// Package stream is the long-lived admission front-end: it puts a
+// manager pipeline behind load shedding, a circuit breaker, a
+// dead-letter queue and a ledger, so the run-time spatial mapper can
+// serve sustained million-arrival traffic instead of a test driver's
+// bounded batch.
 //
-// The stage chain, in arrival order:
+// The pipeline's priority queue is the only queue an arrival waits in.
+// Submit decides on the caller's goroutine whether the arrival enters
+// the backend, cheapest check first, then hands it over:
 //
-//	Submit → ingress (bounded, blocking = backpressure)
-//	       → classify
-//	       → per-QoS-class dropping buffers (BestEffort smallest, shed
-//	         first; Standard next; Critical sends block — its contract
-//	         is backpressure, never silent loss)
-//	       → dispatcher (highest class first; circuit breaker sheds
-//	         Standard/BestEffort while open; Critical submits blocking,
-//	         the rest via TrySubmit so a saturated queue sheds instead
-//	         of stalling the stage)
-//	       → per-arrival watcher → Results
+//	Critical             → blocking backend Submit (backpressure: never
+//	                       shed, never deadline-shed)
+//	Standard, BestEffort → shed if the request deadline passed,
+//	                       if the class already has its share in the
+//	                       backend (BestEffort's is the smaller, so it
+//	                       sheds first), if the circuit breaker is open,
+//	                       or if the backend queue is full (TrySubmit)
+//	→ per-arrival watcher → Results
 //
 // Capacity rejections (manager.IsRetryableRejection) park in a bounded
 // dead-letter queue and are re-enqueued once measured utilization drops
@@ -24,8 +25,8 @@
 //
 // Every arrival accepted by Submit produces exactly one Result:
 // admitted (possibly via DLQ recovery), rejected, shed, or expired.
-// Report.LedgerOK checks that identity; the graceful Shutdown drains
-// every stage so it holds even across the shutdown edge.
+// Report.LedgerOK checks that identity; the graceful Shutdown awaits
+// every outcome so it holds even across the shutdown edge.
 package stream
 
 import (
@@ -40,20 +41,21 @@ import (
 	"rtsm/internal/model"
 )
 
-// Arrival is one admission request flowing through the server.
-type Arrival struct {
+// arrival is one admission request on its way through the server.
+type arrival struct {
 	App *model.Application
 	Lib *model.Library
 	// t is the Submit timestamp, the start of the latency measurement.
 	t time.Time
 	// deadline, when set, is the request's drop-dead time: a Standard or
-	// BestEffort arrival still queued past it is shed (ShedAtDeadline)
+	// BestEffort arrival submitted past it is shed (ShedAtDeadline)
 	// instead of burning a mapping round nobody is waiting for. Critical
 	// arrivals are never deadline-shed — their contract is backpressure,
-	// and the deadline only bounds how long a SubmitWait caller waits.
+	// and the deadline only bounds how long a SubmitWait caller waits
+	// for the outcome.
 	deadline time.Time
 	// notify, when set, receives a copy of the arrival's single Result
-	// (capacity 1, so the delivery never blocks the stages).
+	// (capacity 1, so the delivery never blocks).
 	notify chan Result
 }
 
@@ -68,8 +70,8 @@ const (
 	// VerdictRejected: the backend rejected it for good (structural, or
 	// capacity with no DLQ configured).
 	VerdictRejected
-	// VerdictShed: dropped before mapping — full class buffer, open
-	// circuit breaker, or saturated backend queue.
+	// VerdictShed: dropped before mapping — passed deadline, class
+	// share spent, open circuit breaker, or saturated backend queue.
 	VerdictShed
 	// VerdictExpired: parked in the DLQ but never recovered (queue full,
 	// retry budget spent on capacity rejections, or server shutdown).
@@ -100,7 +102,7 @@ type Result struct {
 	Recovered bool
 	// Latency is Submit → verdict, including any DLQ parking time.
 	Latency time.Duration
-	// ShedAt names the stage that dropped a shed arrival; ShedAtNone
+	// ShedAt names the check that dropped a shed arrival; ShedAtNone
 	// for every other verdict.
 	ShedAt ShedStage
 	// Outcome is the backend's report for admitted/rejected verdicts;
@@ -108,24 +110,26 @@ type Result struct {
 	Outcome manager.Outcome
 }
 
-// ShedStage attributes a shed to the stage that dropped the arrival.
+// ShedStage attributes a shed to the submit check that dropped the
+// arrival.
 type ShedStage int
 
 const (
 	// ShedAtNone marks a non-shed result.
 	ShedAtNone ShedStage = iota
-	// ShedAtBuffer: the arrival's class buffer was full at classify.
+	// ShedAtBuffer: the arrival's class already had its share of the
+	// backend (Options.ClassBuf) in flight at submit.
 	ShedAtBuffer
-	// ShedAtBreaker: the circuit breaker was open at dispatch.
+	// ShedAtBreaker: the circuit breaker was open at submit.
 	ShedAtBreaker
 	// ShedAtQueue: the backend queue refused the non-blocking submit.
 	ShedAtQueue
-	// ShedAtDeadline: the arrival's request deadline passed while it was
-	// still queued in a server stage.
+	// ShedAtDeadline: the arrival's request deadline had passed at
+	// submit.
 	ShedAtDeadline
 )
 
-// String names the shedding stage for reports.
+// String names the shedding check for reports.
 func (s ShedStage) String() string {
 	switch s {
 	case ShedAtBuffer:
@@ -144,12 +148,15 @@ func (s ShedStage) String() string {
 // serviceable defaults.
 type Options struct {
 	Backend Backend
-	// Ingress is the ingress buffer depth (default 256). Submit blocks
-	// when it is full — the outermost backpressure.
+	// Ingress sizes the Results buffer: 4×Ingress outcomes wait for the
+	// consumer before a delivery blocks (default 256). No arrival queues
+	// in the server itself.
 	Ingress int
-	// ClassBuf is the Critical class buffer capacity; Standard gets half
-	// and BestEffort a quarter (min 1 each), so saturation sheds
-	// BestEffort first, then Standard (default 64).
+	// ClassBuf sets each class's share of the backend: at most ClassBuf/2
+	// Standard and ClassBuf/4 BestEffort arrivals (min 1 each) await
+	// their first outcome at once, and one more sheds at submit
+	// (ShedAtBuffer), so saturation sheds BestEffort first, then
+	// Standard. Critical has no share: it blocks (default 64).
 	ClassBuf int
 	// DLQ is the dead-letter queue capacity; 0 disables it (capacity
 	// rejections become final).
@@ -200,17 +207,23 @@ type Server struct {
 	opts    Options
 	backend Backend
 
-	mu      sync.RWMutex // guards closed vs Submit's ingress send
+	// mu is held for reading from a submit's closed check to its
+	// hand-over, so Shutdown, once it holds it, has every accepted
+	// arrival shed, delivered, watched or parked.
+	mu      sync.RWMutex
 	closed  bool
-	ingress chan Arrival
-	classes [model.NumPriorities]chan Arrival
+	drained chan struct{} // closed when the first Shutdown returns
 	results chan Result
+
+	// share caps each class's first submissions awaiting an outcome
+	// (Critical's is unused); inBackend counts them.
+	share     [model.NumPriorities]int64
+	inBackend [model.NumPriorities]atomic.Int64
 
 	breaker *breaker
 	dlq     *dlq
 	win     *metricsWindow
 
-	stages   sync.WaitGroup // classify + dispatch
 	watchers sync.WaitGroup // one per backend submission in flight
 	dlqDone  chan struct{}
 	quit     chan struct{}
@@ -218,13 +231,13 @@ type Server struct {
 	c counters
 }
 
-// counters are the server's ledger, all atomic (bumped from watchers,
-// stages and the DLQ loop concurrently).
+// counters are the server's ledger, all atomic (bumped from submitters,
+// watchers and the DLQ loop concurrently).
 type counters struct {
 	submitted, admitted, recovered, rejected, expired atomic.Uint64
 	shedByClass                                       [model.NumPriorities]atomic.Uint64
 	recoveredByClass, expiredByClass                  [model.NumPriorities]atomic.Uint64
-	shedBuffer, shedBreaker, shedQueue, shedDeadline  atomic.Uint64
+	shedAt                                            [ShedAtDeadline + 1]atomic.Uint64
 }
 
 // New builds and starts a server over the given backend.
@@ -236,58 +249,45 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:    opts,
 		backend: opts.Backend,
-		ingress: make(chan Arrival, opts.Ingress),
+		drained: make(chan struct{}),
 		results: make(chan Result, 4*opts.Ingress),
 		breaker: newBreaker(opts.Breaker),
 		win:     newMetricsWindow(opts.Window),
 		quit:    make(chan struct{}),
 	}
-	// Class buffer sizing is the shedding order: BestEffort saturates
-	// (and sheds) first, Standard second, Critical never — it blocks.
-	caps := [model.NumPriorities]int{}
-	caps[model.Critical] = opts.ClassBuf
-	caps[model.Standard] = max(1, opts.ClassBuf/2)
-	caps[model.BestEffort] = max(1, opts.ClassBuf/4)
-	for c := range s.classes {
-		s.classes[c] = make(chan Arrival, caps[c])
-	}
+	// The shares are the shedding order: BestEffort's is spent (and
+	// sheds) first, Standard's second, Critical never — it blocks.
+	s.share[model.Standard] = int64(max(1, opts.ClassBuf/2))
+	s.share[model.BestEffort] = int64(max(1, opts.ClassBuf/4))
 	if opts.DLQ > 0 {
 		s.dlq = newDLQ(opts.DLQ)
 		s.dlqDone = make(chan struct{})
 		go s.dlqLoop()
 	}
-	s.stages.Add(2)
-	go s.classify()
-	go s.dispatch()
 	return s, nil
 }
 
-// Submit hands one arrival to the server. It blocks while the ingress
-// buffer is full (backpressure toward the producer) and fails only
-// after Shutdown began. Every accepted arrival yields exactly one
+// Submit hands one arrival to the server and fails only after Shutdown
+// began. A Critical arrival blocks while the backend queue is full
+// (backpressure toward the producer); any other class never waits for
+// queue room — it sheds. Every accepted arrival yields exactly one
 // Result on Results.
 func (s *Server) Submit(app *model.Application, lib *model.Library) error {
-	return s.SubmitCtx(context.Background(), app, lib)
-}
-
-// SubmitCtx is Submit with a context: a cancellation or deadline can
-// abandon the wait for ingress space (the arrival never entered and is
-// not counted), and a context deadline rides with the arrival through
-// the stages — a Standard or BestEffort arrival still queued past it is
-// shed rather than mapped for a caller that already gave up.
-func (s *Server) SubmitCtx(ctx context.Context, app *model.Application, lib *model.Library) error {
-	_, err := s.submit(ctx, app, lib, nil)
-	return err
+	return s.submit(context.Background(), app, lib, nil)
 }
 
 // SubmitWait submits one arrival and blocks until its single Result
 // arrives (or ctx ends first — the arrival still runs to its verdict
 // and is counted in the ledger; only the wait is abandoned). It is the
 // request/response shape the network front door needs: one goroutine
-// per in-flight request, no shared Results() demultiplexing.
+// per in-flight request, no shared Results() demultiplexing. A ctx
+// already done is refused and the arrival is not counted; a ctx
+// deadline rides with the arrival, so a Standard or BestEffort arrival
+// submitted past it is shed rather than mapped for a caller that gave
+// up. A Critical arrival's wait for queue room ignores ctx.
 func (s *Server) SubmitWait(ctx context.Context, app *model.Application, lib *model.Library) (Result, error) {
-	notify, err := s.submit(ctx, app, lib, make(chan Result, 1))
-	if err != nil {
+	notify := make(chan Result, 1)
+	if err := s.submit(ctx, app, lib, notify); err != nil {
 		return Result{}, err
 	}
 	select {
@@ -298,148 +298,35 @@ func (s *Server) SubmitWait(ctx context.Context, app *model.Application, lib *mo
 	}
 }
 
-// submit places one arrival into ingress, respecting ctx while blocked.
-func (s *Server) submit(ctx context.Context, app *model.Application, lib *model.Library, notify chan Result) (chan Result, error) {
+// submit accepts one arrival and hands it to enter under the read lock.
+func (s *Server) submit(ctx context.Context, app *model.Application, lib *model.Library, notify chan Result) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return nil, ErrServerClosed
+		return ErrServerClosed
 	}
-	a := Arrival{App: app, Lib: lib, t: time.Now(), notify: notify}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	a := arrival{App: app, Lib: lib, t: time.Now(), notify: notify}
 	if d, ok := ctx.Deadline(); ok {
 		a.deadline = d
 	}
-	select {
-	case s.ingress <- a:
-		s.c.submitted.Add(1)
-		return notify, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	s.c.submitted.Add(1)
+	s.enter(a, app.QoS.Priority.Clamp())
+	return nil
 }
 
 // Results delivers each accepted arrival's single terminal Result. The
 // consumer must keep draining it until it closes (at the end of
-// Shutdown); an undrained results channel eventually blocks the whole
-// chain — that is backpressure, not a bug.
+// Shutdown); an undrained results channel eventually blocks Submit and
+// every watcher — that is backpressure, not a bug.
 func (s *Server) Results() <-chan Result { return s.results }
 
-// Metrics is the live rolling-window view: p50/p99 admission latency
-// and admissions/sec.
-func (s *Server) Metrics() WindowSnapshot { return s.win.Snapshot() }
-
-// classify drains ingress into the per-class buffers. BestEffort and
-// Standard sends drop on a full buffer (the shed,
-// cheapest possible: no mapping ran); Critical sends block, propagating
-// backpressure to Submit through ingress. A non-Critical arrival whose
-// request deadline already passed is shed before it ever costs a
-// buffer slot.
-func (s *Server) classify() {
-	defer s.stages.Done()
-	defer func() {
-		for _, c := range s.classes {
-			close(c)
-		}
-	}()
-	for a := range s.ingress {
-		c := a.App.QoS.Priority.Clamp()
-		if c == model.Critical {
-			s.classes[c] <- a
-			continue
-		}
-		if !a.deadline.IsZero() && time.Now().After(a.deadline) {
-			s.c.shedDeadline.Add(1)
-			s.shed(a, c, ShedAtDeadline)
-			continue
-		}
-		select {
-		case s.classes[c] <- a:
-		default:
-			s.c.shedBuffer.Add(1)
-			s.shed(a, c, ShedAtBuffer)
-		}
-	}
-}
-
-// dispatch drains the class buffers highest class first and submits to
-// the backend. It exits once every class buffer is closed and drained.
-func (s *Server) dispatch() {
-	defer s.stages.Done()
-	crit := s.classes[model.Critical]
-	std := s.classes[model.Standard]
-	be := s.classes[model.BestEffort]
-	for crit != nil || std != nil || be != nil {
-		// Strict priority: take a Critical arrival whenever one is ready
-		// before even looking at the lower buffers, and a Standard one
-		// before BestEffort — so under pressure the BestEffort buffer
-		// drains last and sheds first. It is not starvation-free: handle
-		// blocks in backend.Submit while the backend queue is full, so a
-		// sustained Critical stream keeps a buffered BestEffort arrival
-		// from ever reaching the backend's aging queue. What holds: the
-		// lower buffers are bounded and shed when full.
-		if crit != nil {
-			select {
-			case a, ok := <-crit:
-				if !ok {
-					crit = nil
-					continue
-				}
-				s.handle(a, model.Critical)
-				continue
-			default:
-			}
-		}
-		if std != nil {
-			select {
-			case a, ok := <-std:
-				if !ok {
-					std = nil
-					continue
-				}
-				s.handle(a, model.Standard)
-				continue
-			default:
-			}
-		}
-		select {
-		case a, ok := <-crit:
-			if !ok {
-				crit = nil
-				continue
-			}
-			s.handle(a, model.Critical)
-		case a, ok := <-std:
-			if !ok {
-				std = nil
-				continue
-			}
-			s.handle(a, model.Standard)
-		case a, ok := <-be:
-			if !ok {
-				be = nil
-				continue
-			}
-			s.handle(a, model.BestEffort)
-		}
-	}
-}
-
-// handle submits one dispatched arrival to the backend: Critical blocks
-// (backpressure), the rest shed on a saturated queue or an open
-// breaker.
-func (s *Server) handle(a Arrival, c model.Priority) {
-	if c != model.Critical && !a.deadline.IsZero() && time.Now().After(a.deadline) {
-		// The request deadline expired while the arrival sat in its class
-		// buffer; mapping it now would serve nobody.
-		s.c.shedDeadline.Add(1)
-		s.shed(a, c, ShedAtDeadline)
-		return
-	}
-	if c != model.Critical && !s.breaker.allow() {
-		s.c.shedBreaker.Add(1)
-		s.shed(a, c, ShedAtBreaker)
-		return
-	}
+// enter decides whether an arrival enters the backend and hands it
+// over: Critical blocks in backend.Submit (backpressure), the rest shed
+// at the first check that fails, cheapest first.
+func (s *Server) enter(a arrival, c model.Priority) {
 	if c == model.Critical {
 		wait, err := s.backend.Submit(a.App, a.Lib)
 		if err != nil {
@@ -455,21 +342,31 @@ func (s *Server) handle(a Arrival, c model.Priority) {
 		s.watch(a, c, wait, 1)
 		return
 	}
-	wait, ok := s.backend.TrySubmit(a.App, a.Lib)
-	if !ok {
-		// The backend's bounded queue is full. The arrival never produces
-		// an outcome, so it hands back any half-open probe slot allow took.
-		s.breaker.returnProbe()
-		s.c.shedQueue.Add(1)
-		s.shed(a, c, ShedAtQueue)
-		return
+	switch {
+	case !a.deadline.IsZero() && time.Now().After(a.deadline):
+		s.shed(a, c, ShedAtDeadline)
+	case s.inBackend[c].Load() >= s.share[c]:
+		s.shed(a, c, ShedAtBuffer)
+	case !s.breaker.allow():
+		s.shed(a, c, ShedAtBreaker)
+	default:
+		wait, ok := s.backend.TrySubmit(a.App, a.Lib)
+		if !ok {
+			// The backend's bounded queue is full. The arrival never
+			// produces an outcome, so it hands back any half-open probe
+			// slot allow took.
+			s.breaker.returnProbe()
+			s.shed(a, c, ShedAtQueue)
+			return
+		}
+		s.watch(a, c, wait, 1)
 	}
-	s.watch(a, c, wait, 1)
 }
 
-// shed drops an arrival at a server stage; deliver books it in the
-// server's ledger.
-func (s *Server) shed(a Arrival, c model.Priority, at ShedStage) {
+// shed drops an arrival before it reaches the backend; deliver books
+// it in the server's ledger.
+func (s *Server) shed(a arrival, c model.Priority, at ShedStage) {
+	s.c.shedAt[at].Add(1)
 	s.deliver(a.notify, Result{App: a.App.Name, Class: c, Verdict: VerdictShed, Latency: time.Since(a.t), ShedAt: at})
 }
 
@@ -478,11 +375,20 @@ func (s *Server) shed(a Arrival, c model.Priority, at ShedStage) {
 // watcher population is naturally bounded: TrySubmit refuses when the
 // backend queue is full and Critical Submit blocks, so at most
 // queue-depth + workers outcomes are ever pending.
-func (s *Server) watch(a Arrival, c model.Priority, wait func() manager.Outcome, attempts int) {
+func (s *Server) watch(a arrival, c model.Priority, wait func() manager.Outcome, attempts int) {
+	// A first submission counts against its class share until its
+	// outcome returns; a DLQ re-submission does not, its lane has a quota.
+	first := attempts == 1
+	if first {
+		s.inBackend[c].Add(1)
+	}
 	s.watchers.Add(1)
 	go func() {
 		defer s.watchers.Done()
 		out := wait()
+		if first {
+			s.inBackend[c].Add(-1)
+		}
 		lat := time.Since(a.t)
 		if out.Admitted {
 			recovered := attempts > 1
@@ -562,8 +468,8 @@ func (s *Server) dlqLoop() {
 
 // deliver finalizes one arrival: ledger counters, the per-request
 // notify channel (capacity 1, never blocks), then the results channel
-// (which may block — backpressure toward the stages when the consumer
-// lags).
+// (which may block — backpressure toward submitters and watchers when
+// the consumer lags).
 func (s *Server) deliver(notify chan Result, r Result) {
 	switch r.Verdict {
 	case VerdictAdmitted:
@@ -589,24 +495,22 @@ func (s *Server) deliver(notify chan Result, r Result) {
 	s.results <- r
 }
 
-// Shutdown drains the server gracefully: Submit starts refusing, every
-// stage drains in order, in-flight outcomes are awaited, remaining DLQ
-// entries expire, the results channel closes, and finally the backend
-// is closed. The consumer must keep draining Results() while Shutdown
-// runs. It returns the final Report; calling it twice is an error on
-// the second call's part — it returns the same report without
-// re-draining.
+// Shutdown drains the server gracefully: Submit starts refusing,
+// in-flight outcomes are awaited, remaining DLQ entries expire, the
+// results channel closes, and finally the backend is closed. The
+// consumer must keep draining Results() while Shutdown runs. It returns
+// the final Report; a second call waits for the first to finish and
+// returns the same report without re-draining.
 func (s *Server) Shutdown() Report {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		<-s.drained
 		return s.Report()
 	}
 	s.closed = true
 	s.mu.Unlock()
 
-	close(s.ingress)
-	s.stages.Wait() // classify drained ingress; dispatch drained classes
 	// Stop the DLQ retry loop BEFORE waiting on watchers: the loop
 	// spawns watcher goroutines, and a WaitGroup must not grow while
 	// being waited on.
@@ -627,6 +531,7 @@ func (s *Server) Shutdown() Report {
 	}
 	close(s.results)
 	s.backend.Close()
+	close(s.drained)
 	return s.Report()
 }
 
@@ -647,7 +552,7 @@ type Report struct {
 	// class, so a per-class budget squeeze is visible in the ledger.
 	RecoveredByClass, ExpiredByClass [model.NumPriorities]uint64
 	// ShedBuffer, ShedBreaker, ShedQueue and ShedDeadline attribute
-	// sheds to the stage that dropped: full class buffer, open circuit
+	// sheds to the check that dropped: class share spent, open circuit
 	// breaker, saturated backend queue, expired request deadline.
 	ShedBuffer, ShedBreaker, ShedQueue, ShedDeadline uint64
 	// BreakerOpens counts breaker trips; BreakerState names the state at
@@ -685,10 +590,10 @@ func (s *Server) Report() Report {
 		Recovered:    s.c.recovered.Load(),
 		Rejected:     s.c.rejected.Load(),
 		Expired:      s.c.expired.Load(),
-		ShedBuffer:   s.c.shedBuffer.Load(),
-		ShedBreaker:  s.c.shedBreaker.Load(),
-		ShedQueue:    s.c.shedQueue.Load(),
-		ShedDeadline: s.c.shedDeadline.Load(),
+		ShedBuffer:   s.c.shedAt[ShedAtBuffer].Load(),
+		ShedBreaker:  s.c.shedAt[ShedAtBreaker].Load(),
+		ShedQueue:    s.c.shedAt[ShedAtQueue].Load(),
+		ShedDeadline: s.c.shedAt[ShedAtDeadline].Load(),
 		BreakerOpens: s.breaker.Opens(),
 		BreakerState: s.breaker.State().String(),
 		Window:       s.win.Snapshot(),

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -301,7 +302,7 @@ func TestDLQPerClassBudgetsAndOrder(t *testing.T) {
 	mk := func(c model.Priority, i int) dlqEntry {
 		app, lib := workload.Synthetic(workload.SynthOptions{Shape: workload.ShapeChain, Processes: 3, MaxUtil: 0.1, PeriodNs: 40_000})
 		app.Name = fmt.Sprintf("dlq-%s-%d", c, i)
-		return dlqEntry{arr: Arrival{App: app, Lib: lib}, class: c, attempts: 1}
+		return dlqEntry{arr: arrival{App: app, Lib: lib}, class: c, attempts: 1}
 	}
 	// BestEffort pressure fills only its own lane...
 	for i := 0; i < 2; i++ {
@@ -346,7 +347,7 @@ func TestDLQPerClassBudgetsAndOrder(t *testing.T) {
 	}
 }
 
-// fakeBackend scripts backend behaviour so server-stage semantics are
+// fakeBackend scripts backend behaviour so the server's semantics are
 // testable without mesh physics. Mode transitions are atomic.
 type fakeBackend struct {
 	// mode: 0 admit, 1 retryable rejection, 2 structural rejection,
@@ -368,7 +369,7 @@ const (
 // behavior resolves an arrival's scripted fate: a name tag ("admit-…",
 // "reject-…", "structural-…", "full-…") wins over the global mode, so
 // tests that interleave behaviours stay deterministic even though
-// dispatch is asynchronous.
+// outcomes are watched asynchronously.
 func (f *fakeBackend) behavior(app *model.Application) int32 {
 	switch {
 	case strings.HasPrefix(app.Name, "admit-"):
@@ -428,7 +429,7 @@ func synthArrival(i int, prio model.Priority) (*model.Application, *model.Librar
 }
 
 // taggedArrival names the app so fakeBackend.behavior scripts its fate
-// deterministically regardless of dispatch timing.
+// deterministically regardless of outcome timing.
 func taggedArrival(tag string, i int, prio model.Priority) (*model.Application, *model.Library) {
 	app, lib := synthArrival(i, prio)
 	app.Name = fmt.Sprintf("%s-%d-%d", tag, prio, i)
@@ -672,7 +673,7 @@ func TestServerDLQExpiresOnShutdownAndBudget(t *testing.T) {
 func TestServerBreakerIgnoresStructuralRejections(t *testing.T) {
 	fb := &fakeBackend{}
 	srv, err := New(Options{
-		Backend: fb, Ingress: 64, ClassBuf: 128, // Standard's buffer holds all forty
+		Backend: fb, Ingress: 64, ClassBuf: 128, // Standard's share covers all forty
 		Breaker: BreakerConfig{Window: time.Minute, MinSamples: 20, Ratio: 0.5},
 	})
 	if err != nil {
@@ -756,7 +757,7 @@ func TestServerBreakerHalfOpenSurvivesQueueSheds(t *testing.T) {
 }
 
 // TestServerBreakerShedsNonCritical scripts sustained rejection until
-// the breaker opens, then checks Standard/BestEffort shed at dispatch
+// the breaker opens, then checks Standard/BestEffort shed at submit
 // while Critical still reaches the backend.
 func TestServerBreakerShedsNonCritical(t *testing.T) {
 	fb := &fakeBackend{}
@@ -784,7 +785,7 @@ func TestServerBreakerShedsNonCritical(t *testing.T) {
 		t.Fatal("breaker never opened under sustained rejection")
 	}
 	subsBefore := fb.subs.Load()
-	// With the breaker open, non-critical arrivals shed at dispatch and
+	// With the breaker open, non-critical arrivals shed at submit and
 	// Critical still submits.
 	fb.mode.Store(fakeAdmit)
 	for j := 0; j < 10; j++ {
@@ -817,5 +818,236 @@ func TestServerBreakerShedsNonCritical(t *testing.T) {
 	}
 	if crit != 1 {
 		t.Fatalf("critical results = %d, want 1", crit)
+	}
+}
+
+// queueBackend is a backend with a bounded queue and one worker that
+// admits each queued arrival after delay, once hold (if set) is closed:
+// Submit blocks while the queue is full and TrySubmit refuses.
+type queueBackend struct {
+	q     chan queuedArrival
+	calls atomic.Int64 // Submit and TrySubmit calls
+}
+
+type queuedArrival struct {
+	app *model.Application
+	out chan manager.Outcome
+}
+
+func newQueueBackend(slots int, delay time.Duration, hold <-chan struct{}) *queueBackend {
+	b := &queueBackend{q: make(chan queuedArrival, slots)}
+	go func() {
+		if hold != nil {
+			<-hold
+		}
+		for j := range b.q {
+			time.Sleep(delay)
+			j.out <- manager.Outcome{App: j.app.Name, Admitted: true, Priority: j.app.QoS.Priority}
+		}
+	}()
+	return b
+}
+
+func (b *queueBackend) Submit(app *model.Application, _ *model.Library) (func() manager.Outcome, error) {
+	b.calls.Add(1)
+	j := queuedArrival{app: app, out: make(chan manager.Outcome, 1)}
+	b.q <- j
+	return func() manager.Outcome { return <-j.out }, nil
+}
+
+func (b *queueBackend) TrySubmit(app *model.Application, _ *model.Library) (func() manager.Outcome, bool) {
+	b.calls.Add(1)
+	j := queuedArrival{app: app, out: make(chan manager.Outcome, 1)}
+	select {
+	case b.q <- j:
+		return func() manager.Outcome { return <-j.out }, true
+	default:
+		return nil, false
+	}
+}
+
+func (b *queueBackend) Utilization() float64 { return 0 }
+func (b *queueBackend) Stop(string) error    { return nil }
+func (b *queueBackend) Close()               { close(b.q) }
+
+// TestBestEffortReachesBackendUnderCriticalStream pins that a sustained
+// Critical stream cannot keep a BestEffort arrival from its outcome:
+// four producers keep a two-slot backend queue full, and one BestEffort
+// SubmitWait still returns a Result — admitted, or shed at a named
+// check — well inside its one-second context.
+func TestBestEffortReachesBackendUnderCriticalStream(t *testing.T) {
+	qb := newQueueBackend(2, 2*time.Millisecond, nil)
+	srv, err := New(Options{Backend: qb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, _ := collect(srv)
+	stop := make(chan struct{})
+	var producers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		producers.Add(1)
+		go func(g int) {
+			defer producers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if srv.Submit(synthArrival(1000*(g+1)+i, model.Critical)) != nil {
+					return
+				}
+			}
+		}(g)
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(qb.q) < cap(qb.q); {
+		if time.Now().After(deadline) {
+			t.Fatal("the Critical stream never filled the backend queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	app, lib := synthArrival(0, model.BestEffort)
+	r, err := srv.SubmitWait(ctx, app, lib)
+	close(stop)
+	producers.Wait()
+	rep := srv.Shutdown()
+	<-done
+	if err != nil {
+		t.Fatalf("BestEffort arrival got no outcome under a Critical stream: %v", err)
+	}
+	if r.Verdict != VerdictAdmitted && r.ShedAt == ShedAtNone {
+		t.Fatalf("BestEffort result %+v, want admitted or shed at a named check", r)
+	}
+	if rep.ShedByClass[model.Critical] != 0 || !rep.LedgerOK() {
+		t.Fatalf("Critical shed %d, ledger ok %v: %+v", rep.ShedByClass[model.Critical], rep.LedgerOK(), rep)
+	}
+}
+
+// TestSecondShutdownWaitsForDrain pins Shutdown's promise of the same
+// report to a second caller: while the first call still awaits outcomes
+// held by the backend, a concurrent second call waits for it instead of
+// returning the ledger mid-drain.
+func TestSecondShutdownWaitsForDrain(t *testing.T) {
+	hold := make(chan struct{})
+	qb := newQueueBackend(4, 0, hold)
+	srv, err := New(Options{Backend: qb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, _ := collect(srv)
+	for i := 0; i < 4; i++ {
+		if err := srv.Submit(taggedArrival("admit", i, model.Standard)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reports := make(chan Report, 2)
+	go func() { reports <- srv.Shutdown() }()
+	for {
+		srv.mu.RLock()
+		closed := srv.closed
+		srv.mu.RUnlock()
+		if closed {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	go func() { reports <- srv.Shutdown() }()
+	time.Sleep(20 * time.Millisecond) // room for the second call to return early
+	close(hold)
+	a, b := <-reports, <-reports
+	<-done
+	for _, r := range []Report{a, b} {
+		if r.Submitted != 4 || r.Admitted != 4 || !r.LedgerOK() {
+			t.Fatalf("Shutdown report: submitted %d, admitted %d, ledger ok %v; want 4, 4, true",
+				r.Submitted, r.Admitted, r.LedgerOK())
+		}
+	}
+	if a.Rejected != b.Rejected || a.Shed() != b.Shed() || a.Expired != b.Expired {
+		t.Fatalf("the two Shutdown calls disagree: %+v vs %+v", a, b)
+	}
+}
+
+// TestShutdownWithCriticalSubmittersBlocked pins the shutdown edge of
+// the blocking path: Shutdown lands while Critical submitters wait for
+// room in a full backend queue, and still completes. Each of those
+// arrivals gets exactly one outcome, none of them a shed.
+func TestShutdownWithCriticalSubmittersBlocked(t *testing.T) {
+	qb := newQueueBackend(2, 5*time.Millisecond, nil)
+	srv, err := New(Options{Backend: qb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, _ := collect(srv)
+	const n = 8
+	results := make([]Result, n)
+	errs := make([]error, n)
+	var submitters sync.WaitGroup
+	for i := 0; i < n; i++ {
+		submitters.Add(1)
+		go func(i int) {
+			defer submitters.Done()
+			app, lib := synthArrival(i, model.Critical)
+			results[i], errs[i] = srv.SubmitWait(context.Background(), app, lib)
+		}(i)
+	}
+	for deadline := time.Now().Add(5 * time.Second); qb.calls.Load() < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d Critical arrivals reached the backend", qb.calls.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	reported := make(chan Report, 1)
+	go func() { reported <- srv.Shutdown() }()
+	var rep Report
+	select {
+	case rep = <-reported:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Shutdown stalled behind blocked Critical submitters")
+	}
+	submitters.Wait()
+	all := <-done
+	for i := range results {
+		if errs[i] != nil {
+			t.Fatalf("Critical arrival %d: %v", i, errs[i])
+		}
+		if results[i].Verdict == VerdictShed {
+			t.Fatalf("Critical arrival %d shed at %s", i, results[i].ShedAt)
+		}
+	}
+	if rep.Submitted != n || len(all) != n || !rep.LedgerOK() {
+		t.Fatalf("submitted %d, %d results, ledger ok %v; want %d, %d, true: %+v",
+			rep.Submitted, len(all), rep.LedgerOK(), n, n, rep)
+	}
+	seen := make(map[string]int, len(all))
+	for _, r := range all {
+		if seen[r.App]++; seen[r.App] > 1 {
+			t.Fatalf("app %s got two outcomes", r.App)
+		}
+	}
+}
+
+// TestSubmitWaitRefusesDoneContext: a context that is already done
+// refuses the arrival before it is counted or reaches the backend.
+func TestSubmitWaitRefusesDoneContext(t *testing.T) {
+	fb := &fakeBackend{}
+	srv, err := New(Options{Backend: fb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, _ := collect(srv)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []model.Priority{model.Critical, model.Standard, model.BestEffort} {
+		app, lib := taggedArrival("admit", 0, c)
+		if _, err := srv.SubmitWait(ctx, app, lib); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s SubmitWait on a done context: err %v, want context.Canceled", c, err)
+		}
+	}
+	rep := srv.Shutdown()
+	<-done
+	if rep.Submitted != 0 || fb.subs.Load() != 0 {
+		t.Fatalf("refused arrivals counted: submitted %d, backend submissions %d", rep.Submitted, fb.subs.Load())
 	}
 }
