@@ -53,7 +53,8 @@ type Options struct {
 	// RequestTimeout is the per-request deadline applied to every /admit
 	// (default 2s). It rides into the pipeline as the arrival's context
 	// deadline, so a Standard or BestEffort arrival nobody is waiting
-	// for anymore is shed instead of mapped.
+	// for anymore is shed instead of mapped, and a Critical one waits
+	// for queue room no longer than the deadline (504).
 	RequestTimeout time.Duration
 	// Seed is ignored. It stays only because the benchmark still sets
 	// it.

@@ -412,6 +412,50 @@ func TestFrontDeadlinePropagates(t *testing.T) {
 	}
 }
 
+// fullBackend's queue never has room: TrySubmit refuses and Submit
+// blocks until Close.
+type fullBackend struct{ closed chan struct{} }
+
+func (b *fullBackend) Submit(*model.Application, *model.Library) (func() manager.Outcome, error) {
+	<-b.closed
+	return nil, errors.New("closed")
+}
+func (b *fullBackend) TrySubmit(*model.Application, *model.Library) (func() manager.Outcome, bool) {
+	return nil, false
+}
+func (b *fullBackend) Utilization() float64 { return 1 }
+func (b *fullBackend) Stop(string) error    { return nil }
+func (b *fullBackend) Close()               { close(b.closed) }
+
+// TestFrontCriticalFullQueueTimesOut pins that the request deadline
+// bounds a Critical arrival's wait for queue room: on a queue that never
+// frees, the client gets 504 at the deadline, and the arrival that never
+// got in is not in the stream's ledger.
+func TestFrontCriticalFullQueueTimesOut(t *testing.T) {
+	srv := newScriptedServer(t, &fullBackend{closed: make(chan struct{})})
+	collector := drainResults(srv)
+	d, err := Listen(Options{Server: srv, Decode: rejectAllDecoder(), RequestTimeout: 30 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	status, ar := postAdmit(t, d.Addr(), 0)
+	if status != http.StatusGatewayTimeout {
+		t.Fatalf("Critical on a full queue: status %d (err %q), want 504", status, ar.Error)
+	}
+	if waited := time.Since(start); waited > 2*time.Second {
+		t.Fatalf("504 came %v after a 30ms deadline", waited)
+	}
+	if err := d.Drain(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	rep := srv.Shutdown()
+	<-collector
+	if rep.Submitted != 0 || !rep.LedgerOK() {
+		t.Fatalf("an arrival that never got in was counted: %+v", rep)
+	}
+}
+
 // TestFrontBadRequest pins the 400 path: decoder errors never reach the
 // pipeline, and neither does a body over the door's size cap — the
 // decoder is cut off mid-read and the request answers 413.

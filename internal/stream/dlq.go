@@ -34,7 +34,7 @@ type dlq struct {
 
 // newDLQ sizes the per-class quotas from the configured capacity:
 // Critical gets all of it, Standard half, BestEffort a quarter (min 1
-// each), the same asymmetry as the class shares of the backend.
+// each), the same asymmetry as the class shares.
 func newDLQ(capacity int) *dlq {
 	d := &dlq{}
 	d.caps[model.Critical] = capacity

@@ -32,7 +32,7 @@ func TestServerSoakSaturationBreakerAndDLQ(t *testing.T) {
 	pipe := manager.NewPipeline(m, 4, 8)
 	backend := stream.NewPipelineBackend(m, pipe)
 	srv, err := stream.New(stream.Options{
-		Backend: backend, Ingress: 64, ClassBuf: 8,
+		Backend: backend, ClassBuf: 8,
 		DLQ: 512, DLQBelow: 0.5, DLQRetries: 10_000, DLQEvery: time.Millisecond,
 		Breaker: stream.BreakerConfig{Window: 250 * time.Millisecond, MinSamples: 8,
 			Ratio: 0.5, Cooldown: 25 * time.Millisecond, Probes: 2},
@@ -145,7 +145,7 @@ func TestServerSoakSaturationBreakerAndDLQ(t *testing.T) {
 		t.Fatalf("Critical arrivals were shed: %+v", rep)
 	}
 	// Share-shed onset order: the first BestEffort arrival dropped
-	// because its class had its share of the backend must precede (in
+	// because its class had its share awaiting outcomes must precede (in
 	// submission order) the first Standard one — BestEffort's share is
 	// the smaller, so it is spent first. Queue and breaker sheds hit
 	// whatever class is submitted when the queue fills or the breaker
@@ -182,7 +182,7 @@ func TestRunSoakSmoke(t *testing.T) {
 		Apps: 1200, Mesh: 8, RegionSize: 3, Seed: 7,
 		Workers: 2, Queue: 8, Catalogue: 4, MaxUtil: 0.2, PeriodNs: 40_000,
 		PrioMix: "60:30:10", Resident: 6,
-	}, stream.Options{Ingress: 32, ClassBuf: 16,
+	}, stream.Options{ClassBuf: 16,
 		DLQ: 128, DLQBelow: 0.6, DLQEvery: time.Millisecond})
 	if res.ConfigErr != nil {
 		t.Fatal(res.ConfigErr)

@@ -8,11 +8,12 @@
 // Submit decides on the caller's goroutine whether the arrival enters
 // the backend, cheapest check first, then hands it over:
 //
-//	Critical             → blocking backend Submit (backpressure: never
-//	                       shed, never deadline-shed)
+//	Critical             → waits for backend queue room (backpressure:
+//	                       never shed, never deadline-shed; a SubmitWait
+//	                       caller's context bounds the wait)
 //	Standard, BestEffort → shed if the request deadline passed,
-//	                       if the class already has its share in the
-//	                       backend (BestEffort's is the smaller, so it
+//	                       if the class already has its share awaiting
+//	                       outcomes (BestEffort's is the smaller, so it
 //	                       sheds first), if the circuit breaker is open,
 //	                       or if the backend queue is full (TrySubmit)
 //	→ per-arrival watcher → Results
@@ -80,16 +81,7 @@ const (
 
 // String names the verdict for reports.
 func (v Verdict) String() string {
-	switch v {
-	case VerdictAdmitted:
-		return "admitted"
-	case VerdictRejected:
-		return "rejected"
-	case VerdictShed:
-		return "shed"
-	default:
-		return "expired"
-	}
+	return [...]string{"admitted", "rejected", "shed", "expired"}[min(v, VerdictExpired)]
 }
 
 // Result is the single terminal outcome of one accepted arrival.
@@ -117,8 +109,8 @@ type ShedStage int
 const (
 	// ShedAtNone marks a non-shed result.
 	ShedAtNone ShedStage = iota
-	// ShedAtBuffer: the arrival's class already had its share of the
-	// backend (Options.ClassBuf) in flight at submit.
+	// ShedAtBuffer: the arrival's class already had its share
+	// (Options.ClassBuf) awaiting outcomes at submit.
 	ShedAtBuffer
 	// ShedAtBreaker: the circuit breaker was open at submit.
 	ShedAtBreaker
@@ -131,32 +123,24 @@ const (
 
 // String names the shedding check for reports.
 func (s ShedStage) String() string {
-	switch s {
-	case ShedAtBuffer:
-		return "buffer"
-	case ShedAtBreaker:
-		return "breaker"
-	case ShedAtQueue:
-		return "queue"
-	case ShedAtDeadline:
-		return "deadline"
+	if s < ShedAtNone || s > ShedAtDeadline {
+		return "none"
 	}
-	return "none"
+	return [...]string{"none", "buffer", "breaker", "queue", "deadline"}[s]
 }
 
 // Options configures a Server. Backend is required; everything else has
 // serviceable defaults.
 type Options struct {
 	Backend Backend
-	// Ingress sizes the Results buffer: 4×Ingress outcomes wait for the
-	// consumer before a delivery blocks (default 256). No arrival queues
-	// in the server itself.
+	// Ingress is ignored. It stays only because the benchmark still sets
+	// it.
 	Ingress int
-	// ClassBuf sets each class's share of the backend: at most ClassBuf/2
-	// Standard and ClassBuf/4 BestEffort arrivals (min 1 each) await
-	// their first outcome at once, and one more sheds at submit
-	// (ShedAtBuffer), so saturation sheds BestEffort first, then
-	// Standard. Critical has no share: it blocks (default 64).
+	// ClassBuf sets each class's share: at most ClassBuf/2 Standard and
+	// ClassBuf/4 BestEffort arrivals (min 1 each) await their outcome at
+	// once, in the backend or parked in the DLQ, and one more sheds at
+	// submit (ShedAtBuffer), so saturation sheds BestEffort first, then
+	// Standard. Critical has no share: it waits (default 64).
 	ClassBuf int
 	// DLQ is the dead-letter queue capacity; 0 disables it (capacity
 	// rejections become final).
@@ -176,9 +160,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Ingress <= 0 {
-		o.Ingress = 256
-	}
 	if o.ClassBuf <= 0 {
 		o.ClassBuf = 64
 	}
@@ -196,6 +177,10 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// resultsBuf is how many outcomes wait for the Results consumer before
+// a delivery blocks.
+const resultsBuf = 1024
 
 // ErrServerClosed is returned by Submit after Shutdown began.
 var ErrServerClosed = errors.New("stream: server is closed")
@@ -215,10 +200,10 @@ type Server struct {
 	drained chan struct{} // closed when the first Shutdown returns
 	results chan Result
 
-	// share caps each class's first submissions awaiting an outcome
-	// (Critical's is unused); inBackend counts them.
-	share     [model.NumPriorities]int64
-	inBackend [model.NumPriorities]atomic.Int64
+	// share caps each class's accepted arrivals awaiting an outcome
+	// (Critical's is unused); pending counts them.
+	share   [model.NumPriorities]int64
+	pending [model.NumPriorities]atomic.Int64
 
 	breaker *breaker
 	dlq     *dlq
@@ -250,13 +235,13 @@ func New(opts Options) (*Server, error) {
 		opts:    opts,
 		backend: opts.Backend,
 		drained: make(chan struct{}),
-		results: make(chan Result, 4*opts.Ingress),
+		results: make(chan Result, resultsBuf),
 		breaker: newBreaker(opts.Breaker),
 		win:     newMetricsWindow(opts.Window),
 		quit:    make(chan struct{}),
 	}
 	// The shares are the shedding order: BestEffort's is spent (and
-	// sheds) first, Standard's second, Critical never — it blocks.
+	// sheds) first, Standard's second, Critical never — it waits.
 	s.share[model.Standard] = int64(max(1, opts.ClassBuf/2))
 	s.share[model.BestEffort] = int64(max(1, opts.ClassBuf/4))
 	if opts.DLQ > 0 {
@@ -284,7 +269,8 @@ func (s *Server) Submit(app *model.Application, lib *model.Library) error {
 // already done is refused and the arrival is not counted; a ctx
 // deadline rides with the arrival, so a Standard or BestEffort arrival
 // submitted past it is shed rather than mapped for a caller that gave
-// up. A Critical arrival's wait for queue room ignores ctx.
+// up. A Critical arrival waits for queue room only until ctx ends; one
+// that never got in returns ctx.Err() and is not counted.
 func (s *Server) SubmitWait(ctx context.Context, app *model.Application, lib *model.Library) (Result, error) {
 	notify := make(chan Result, 1)
 	if err := s.submit(ctx, app, lib, notify); err != nil {
@@ -298,7 +284,9 @@ func (s *Server) SubmitWait(ctx context.Context, app *model.Application, lib *mo
 	}
 }
 
-// submit accepts one arrival and hands it to enter under the read lock.
+// submit accepts one arrival and, under the read lock, hands it to the
+// backend: Critical waits for queue room, the rest shed at the first
+// check that fails, cheapest first.
 func (s *Server) submit(ctx context.Context, app *model.Application, lib *model.Library, notify chan Result) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -312,40 +300,31 @@ func (s *Server) submit(ctx context.Context, app *model.Application, lib *model.
 	if d, ok := ctx.Deadline(); ok {
 		a.deadline = d
 	}
-	s.c.submitted.Add(1)
-	s.enter(a, app.QoS.Priority.Clamp())
-	return nil
-}
-
-// Results delivers each accepted arrival's single terminal Result. The
-// consumer must keep draining it until it closes (at the end of
-// Shutdown); an undrained results channel eventually blocks Submit and
-// every watcher — that is backpressure, not a bug.
-func (s *Server) Results() <-chan Result { return s.results }
-
-// enter decides whether an arrival enters the backend and hands it
-// over: Critical blocks in backend.Submit (backpressure), the rest shed
-// at the first check that fails, cheapest first.
-func (s *Server) enter(a arrival, c model.Priority) {
+	c := app.QoS.Priority.Clamp()
 	if c == model.Critical {
-		wait, err := s.backend.Submit(a.App, a.Lib)
+		wait, err := s.submitCritical(ctx, a)
+		if err != nil && err == ctx.Err() {
+			return err // never got in: not counted
+		}
+		s.c.submitted.Add(1)
 		if err != nil {
-			// Backend refused outright (closed or duplicate): deliver a
-			// final rejection so the arrival still gets its one outcome.
-			s.deliver(a.notify, Result{
-				App: a.App.Name, Class: c, Verdict: VerdictRejected,
-				Latency: time.Since(a.t),
-				Outcome: manager.Outcome{App: a.App.Name, Err: err, Priority: c},
-			})
-			return
+			// Backend refused outright (closed or duplicate): the watcher
+			// delivers a final rejection, the arrival's one outcome.
+			wait = func() manager.Outcome { return manager.Outcome{App: app.Name, Err: err, Priority: c} }
 		}
 		s.watch(a, c, wait, 1)
-		return
+		return nil
 	}
+	s.c.submitted.Add(1)
+	// The arrival counts against its class share from here until
+	// deliver books its outcome, DLQ parking included. Counting it
+	// before the checks means concurrent submitters cannot all pass a
+	// full share together.
+	pending := s.pending[c].Add(1)
 	switch {
 	case !a.deadline.IsZero() && time.Now().After(a.deadline):
 		s.shed(a, c, ShedAtDeadline)
-	case s.inBackend[c].Load() >= s.share[c]:
+	case pending > s.share[c]:
 		s.shed(a, c, ShedAtBuffer)
 	case !s.breaker.allow():
 		s.shed(a, c, ShedAtBreaker)
@@ -357,11 +336,40 @@ func (s *Server) enter(a arrival, c model.Priority) {
 			// slot allow took.
 			s.breaker.returnProbe()
 			s.shed(a, c, ShedAtQueue)
-			return
+			return nil
 		}
 		s.watch(a, c, wait, 1)
 	}
+	return nil
 }
+
+// submitCritical waits for room in the backend queue. A context that
+// can never end waits in the blocking backend Submit; any other polls
+// TrySubmit until the arrival gets in or ctx ends, since Backend has no
+// cancellable Submit. It returns ctx.Err() when ctx ended first.
+func (s *Server) submitCritical(ctx context.Context, a arrival) (func() manager.Outcome, error) {
+	if ctx.Done() == nil {
+		return s.backend.Submit(a.App, a.Lib)
+	}
+	for pause := 50 * time.Microsecond; ; pause = min(2*pause, 5*time.Millisecond) {
+		if wait, ok := s.backend.TrySubmit(a.App, a.Lib); ok {
+			return wait, nil
+		}
+		t := time.NewTimer(pause)
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return nil, ctx.Err()
+		case <-t.C:
+		}
+	}
+}
+
+// Results delivers each accepted arrival's single terminal Result. The
+// consumer must keep draining it until it closes (at the end of
+// Shutdown); an undrained results channel eventually blocks Submit and
+// every watcher — that is backpressure, not a bug.
+func (s *Server) Results() <-chan Result { return s.results }
 
 // shed drops an arrival before it reaches the backend; deliver books
 // it in the server's ledger.
@@ -376,19 +384,10 @@ func (s *Server) shed(a arrival, c model.Priority, at ShedStage) {
 // backend queue is full and Critical Submit blocks, so at most
 // queue-depth + workers outcomes are ever pending.
 func (s *Server) watch(a arrival, c model.Priority, wait func() manager.Outcome, attempts int) {
-	// A first submission counts against its class share until its
-	// outcome returns; a DLQ re-submission does not, its lane has a quota.
-	first := attempts == 1
-	if first {
-		s.inBackend[c].Add(1)
-	}
 	s.watchers.Add(1)
 	go func() {
 		defer s.watchers.Done()
 		out := wait()
-		if first {
-			s.inBackend[c].Add(-1)
-		}
 		lat := time.Since(a.t)
 		if out.Admitted {
 			recovered := attempts > 1
@@ -446,24 +445,25 @@ func (s *Server) dlqLoop() {
 				continue
 			}
 			for _, e := range s.dlq.popN(8) {
-				c := e.class
 				wait, ok := s.backend.TrySubmit(e.arr.App, e.arr.Lib)
 				if !ok {
 					// Queue refilled between the utilization read and the
 					// submit; park it again without burning retry budget
 					// (no mapping round ran).
 					if !s.dlq.add(e) {
-						s.deliver(e.arr.notify, Result{
-							App: e.arr.App.Name, Class: c, Verdict: VerdictExpired,
-							Latency: time.Since(e.arr.t),
-						})
+						s.expire(e)
 					}
 					continue
 				}
-				s.watch(e.arr, c, wait, e.attempts+1)
+				s.watch(e.arr, e.class, wait, e.attempts+1)
 			}
 		}
 	}
+}
+
+// expire delivers the expiry of an entry that leaves the DLQ unrecovered.
+func (s *Server) expire(e dlqEntry) {
+	s.deliver(e.arr.notify, Result{App: e.arr.App.Name, Class: e.class, Verdict: VerdictExpired, Latency: time.Since(e.arr.t)})
 }
 
 // deliver finalizes one arrival: ledger counters, the per-request
@@ -471,6 +471,9 @@ func (s *Server) dlqLoop() {
 // (which may block — backpressure toward submitters and watchers when
 // the consumer lags).
 func (s *Server) deliver(notify chan Result, r Result) {
+	if r.Class != model.Critical {
+		s.pending[r.Class].Add(-1) // the outcome frees its share
+	}
 	switch r.Verdict {
 	case VerdictAdmitted:
 		s.c.admitted.Add(1)
@@ -521,12 +524,7 @@ func (s *Server) Shutdown() Report {
 	s.watchers.Wait() // every submitted outcome delivered (or parked in DLQ)
 	if s.dlq != nil {
 		for _, e := range s.dlq.drain() {
-			s.deliver(e.arr.notify, Result{
-				App:     e.arr.App.Name,
-				Class:   e.class,
-				Verdict: VerdictExpired,
-				Latency: time.Since(e.arr.t),
-			})
+			s.expire(e)
 		}
 	}
 	close(s.results)

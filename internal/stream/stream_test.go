@@ -455,7 +455,7 @@ func collect(srv *Server) (<-chan []Result, func()) {
 // detection per app.
 func TestServerExactlyOneOutcome(t *testing.T) {
 	fb := &fakeBackend{}
-	srv, err := New(Options{Backend: fb, Ingress: 16, ClassBuf: 16,
+	srv, err := New(Options{Backend: fb, ClassBuf: 16,
 		// A breaker would (correctly) trip on the scripted rejection
 		// storm and shed everything; this test wants every verdict path
 		// live, so it is effectively disabled.
@@ -512,7 +512,7 @@ func TestServerDLQRecoversAfterLoadDrops(t *testing.T) {
 	fb.mode.Store(fakeRejectRetryable)
 	fb.util.Store(95)
 	srv, err := New(Options{
-		Backend: fb, Ingress: 16, ClassBuf: 256,
+		Backend: fb, ClassBuf: 256,
 		DLQ: 64, DLQBelow: 0.5, DLQRetries: 3, DLQEvery: time.Millisecond,
 		Breaker: BreakerConfig{MinSamples: 1 << 30},
 	})
@@ -566,7 +566,7 @@ func TestServerDLQIdleSkipsUtilization(t *testing.T) {
 	fb := &fakeBackend{}
 	fb.util.Store(95)
 	srv, err := New(Options{
-		Backend: fb, Ingress: 16, ClassBuf: 256,
+		Backend: fb, ClassBuf: 256,
 		DLQ: 64, DLQBelow: 0.5, DLQRetries: 3, DLQEvery: time.Millisecond,
 		Breaker: BreakerConfig{MinSamples: 1 << 30},
 	})
@@ -611,7 +611,7 @@ func TestServerDLQExpiresOnShutdownAndBudget(t *testing.T) {
 	fb := &fakeBackend{}
 	fb.mode.Store(fakeRejectRetryable)
 	fb.util.Store(95) // never retries
-	srv, err := New(Options{Backend: fb, Ingress: 8, ClassBuf: 256,
+	srv, err := New(Options{Backend: fb, ClassBuf: 256,
 		DLQ: 64, DLQBelow: 0.5, DLQRetries: 5, DLQEvery: time.Millisecond,
 		Breaker: BreakerConfig{MinSamples: 1 << 30}})
 	if err != nil {
@@ -642,7 +642,7 @@ func TestServerDLQExpiresOnShutdownAndBudget(t *testing.T) {
 	fb2 := &fakeBackend{}
 	fb2.mode.Store(fakeRejectRetryable)
 	fb2.util.Store(10) // retries run immediately — and keep failing
-	srv2, err := New(Options{Backend: fb2, Ingress: 8, ClassBuf: 256,
+	srv2, err := New(Options{Backend: fb2, ClassBuf: 256,
 		DLQ: 64, DLQBelow: 0.5, DLQRetries: 2, DLQEvery: time.Millisecond,
 		Breaker: BreakerConfig{MinSamples: 1 << 30}})
 	if err != nil {
@@ -673,7 +673,7 @@ func TestServerDLQExpiresOnShutdownAndBudget(t *testing.T) {
 func TestServerBreakerIgnoresStructuralRejections(t *testing.T) {
 	fb := &fakeBackend{}
 	srv, err := New(Options{
-		Backend: fb, Ingress: 64, ClassBuf: 128, // Standard's share covers all forty
+		Backend: fb, ClassBuf: 128, // Standard's share covers all forty
 		Breaker: BreakerConfig{Window: time.Minute, MinSamples: 20, Ratio: 0.5},
 	})
 	if err != nil {
@@ -713,7 +713,7 @@ func TestServerBreakerIgnoresStructuralRejections(t *testing.T) {
 func TestServerBreakerHalfOpenSurvivesQueueSheds(t *testing.T) {
 	fb := &fakeBackend{}
 	srv, err := New(Options{
-		Backend: fb, Ingress: 8, ClassBuf: 8,
+		Backend: fb, ClassBuf: 8,
 		Breaker: BreakerConfig{Window: time.Minute, MinSamples: 4, Ratio: 0.5,
 			Cooldown: 20 * time.Millisecond, Probes: 2},
 	})
@@ -763,7 +763,7 @@ func TestServerBreakerShedsNonCritical(t *testing.T) {
 	fb := &fakeBackend{}
 	fb.mode.Store(fakeRejectRetryable)
 	srv, err := New(Options{
-		Backend: fb, Ingress: 8, ClassBuf: 8,
+		Backend: fb, ClassBuf: 8,
 		Breaker: BreakerConfig{Window: time.Second, MinSamples: 10, Ratio: 0.5,
 			Cooldown: time.Hour, Probes: 1}, // open stays open for the test
 	})
@@ -870,12 +870,12 @@ func (b *queueBackend) Utilization() float64 { return 0 }
 func (b *queueBackend) Stop(string) error    { return nil }
 func (b *queueBackend) Close()               { close(b.q) }
 
-// TestBestEffortReachesBackendUnderCriticalStream pins that a sustained
-// Critical stream cannot keep a BestEffort arrival from its outcome:
+// TestBestEffortNeverBlocksUnderCriticalStream pins that a sustained
+// Critical stream cannot leave a BestEffort arrival without an outcome:
 // four producers keep a two-slot backend queue full, and one BestEffort
-// SubmitWait still returns a Result — admitted, or shed at a named
-// check — well inside its one-second context.
-func TestBestEffortReachesBackendUnderCriticalStream(t *testing.T) {
+// SubmitWait returns well inside its one-second context, shed at the
+// full queue. It is shed, not served: the stream keeps every slot taken.
+func TestBestEffortNeverBlocksUnderCriticalStream(t *testing.T) {
 	qb := newQueueBackend(2, 2*time.Millisecond, nil)
 	srv, err := New(Options{Backend: qb})
 	if err != nil {
@@ -917,8 +917,8 @@ func TestBestEffortReachesBackendUnderCriticalStream(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BestEffort arrival got no outcome under a Critical stream: %v", err)
 	}
-	if r.Verdict != VerdictAdmitted && r.ShedAt == ShedAtNone {
-		t.Fatalf("BestEffort result %+v, want admitted or shed at a named check", r)
+	if r.Verdict != VerdictShed || r.ShedAt != ShedAtQueue {
+		t.Fatalf("BestEffort result %+v, want shed at the queue", r)
 	}
 	if rep.ShedByClass[model.Critical] != 0 || !rep.LedgerOK() {
 		t.Fatalf("Critical shed %d, ledger ok %v: %+v", rep.ShedByClass[model.Critical], rep.LedgerOK(), rep)
@@ -1049,5 +1049,128 @@ func TestSubmitWaitRefusesDoneContext(t *testing.T) {
 	<-done
 	if rep.Submitted != 0 || fb.subs.Load() != 0 {
 		t.Fatalf("refused arrivals counted: submitted %d, backend submissions %d", rep.Submitted, fb.subs.Load())
+	}
+}
+
+// TestCriticalSubmitWaitHonoursDeadline: a Critical SubmitWait waits for
+// room in a full backend queue only until its context ends. It then
+// returns the context's error, and the arrival is neither counted nor
+// left in the backend.
+func TestCriticalSubmitWaitHonoursDeadline(t *testing.T) {
+	hold := make(chan struct{})
+	qb := newQueueBackend(2, 0, hold)
+	srv, err := New(Options{Backend: qb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, _ := collect(srv)
+	for i := 0; i < 2; i++ {
+		if err := srv.Submit(synthArrival(i, model.Critical)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	app, lib := synthArrival(2, model.Critical)
+	start := time.Now()
+	_, err = srv.SubmitWait(ctx, app, lib)
+	waited := time.Since(start)
+	close(hold)
+	rep := srv.Shutdown()
+	all := <-done
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Critical SubmitWait on a full queue: err %v, want context.DeadlineExceeded", err)
+	}
+	if waited > 2*time.Second {
+		t.Fatalf("Critical SubmitWait returned %v after a 50ms deadline", waited)
+	}
+	if rep.Submitted != 2 || rep.Admitted != 2 || len(all) != 2 || !rep.LedgerOK() {
+		t.Fatalf("submitted %d, admitted %d, %d results; want 2 each: %+v", rep.Submitted, rep.Admitted, len(all), rep)
+	}
+}
+
+// TestClassShareHoldsUnderConcurrentSubmitters: concurrent BestEffort
+// submitters cannot overshoot their class share together. An arrival
+// counts against the share before the backend sees it, so with the
+// backend held exactly share arrivals reach it and every other one sheds
+// at the share.
+func TestClassShareHoldsUnderConcurrentSubmitters(t *testing.T) {
+	hold := make(chan struct{})
+	qb := newQueueBackend(64, 0, hold)
+	srv, err := New(Options{Backend: qb, ClassBuf: 8}) // BestEffort share 2
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, _ := collect(srv)
+	const n = 64
+	start := make(chan struct{})
+	var submitters sync.WaitGroup
+	for i := 0; i < n; i++ {
+		submitters.Add(1)
+		go func(i int) {
+			defer submitters.Done()
+			<-start
+			if err := srv.Submit(synthArrival(i, model.BestEffort)); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	close(start)
+	submitters.Wait()
+	share := srv.share[model.BestEffort]
+	pending := srv.pending[model.BestEffort].Load()
+	calls := qb.calls.Load()
+	close(hold)
+	rep := srv.Shutdown()
+	<-done
+	if pending != share || calls != share {
+		t.Fatalf("BestEffort pending %d, backend submissions %d; want the share, %d", pending, calls, share)
+	}
+	if rep.ShedBuffer != n-uint64(share) || rep.Admitted != uint64(share) || !rep.LedgerOK() {
+		t.Fatalf("shed at the share %d, admitted %d; want %d and %d: %+v", rep.ShedBuffer, rep.Admitted, n-share, share, rep)
+	}
+}
+
+// TestClassShareCountsDLQParking: an arrival parked in the dead-letter
+// queue still counts against its class share, so a class whose share is
+// all parked sheds its next arrival at the share instead of adding
+// mapping rounds for a saturated mesh.
+func TestClassShareCountsDLQParking(t *testing.T) {
+	fb := &fakeBackend{}
+	fb.mode.Store(fakeRejectRetryable)
+	fb.util.Store(95)                                 // parked entries never retry
+	srv, err := New(Options{Backend: fb, ClassBuf: 8, // BestEffort share 2
+		DLQ: 64, DLQBelow: 0.5, DLQEvery: time.Millisecond,
+		Breaker: BreakerConfig{MinSamples: 1 << 30}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, _ := collect(srv)
+	for i := 0; i < 2; i++ {
+		if err := srv.Submit(synthArrival(i, model.BestEffort)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.dlq.depth() < 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("DLQ parked %d of 2", srv.dlq.depth())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	app, lib := synthArrival(2, model.BestEffort)
+	r, err := srv.SubmitWait(context.Background(), app, lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := srv.Shutdown()
+	<-done
+	if r.ShedAt != ShedAtBuffer {
+		t.Fatalf("third BestEffort arrival: %+v, want shed at the share", r)
+	}
+	if rep.Expired != 2 || !rep.LedgerOK() {
+		t.Fatalf("expired %d, want the 2 parked: %+v", rep.Expired, rep)
+	}
+	if n := srv.pending[model.BestEffort].Load(); n != 0 {
+		t.Fatalf("BestEffort pending %d after Shutdown, want 0", n)
 	}
 }
