@@ -45,6 +45,26 @@ func BenchmarkSelfTimedExecution(b *testing.B) {
 	reportInstants(b, share())
 }
 
+// BenchmarkSelfTimedExecutionRouted runs burst, the shape of a mapped
+// graph's router hops: each iteration streams a burst of 117 tokens
+// through seven per-token routers. It reports the stream windows a run
+// skips as well as the instants it simulates.
+func BenchmarkSelfTimedExecutionRouted(b *testing.B) {
+	g := streamGraphs()[0]
+	opts := DefaultExecOptions()
+	share := trackEngines(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r, err := g.Execute(opts)
+		if err != nil || r.Deadlocked {
+			b.Fatalf("execution failed: %v", err)
+		}
+	}
+	c := share()
+	reportInstants(b, c)
+	b.ReportMetric(float64(c.streamed)/float64(c.runs), "windows/run")
+}
+
 func BenchmarkBufferSizing(b *testing.B) {
 	base := hl2LikeGraph()
 	// Unbind the capacities so the sizing has work to do.

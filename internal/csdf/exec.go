@@ -2,6 +2,7 @@ package csdf
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"strings"
@@ -144,6 +145,12 @@ type actorState struct {
 	group     int32 // its exclusive group, or -1
 	order     int32 // its static order, or -1
 
+	actorRun
+}
+
+// actorRun is the part of an actor's state that firings change, the part
+// restore returns to.
+type actorRun struct {
 	fired      int64 // started firings
 	startPhase int32 // phase of the next firing to start
 	donePhase  int32 // phase of the next firing to complete
@@ -156,6 +163,7 @@ type actorState struct {
 	// are evaluated afresh whenever their group is idle and stay silent
 	// here.
 	verdict  verdict
+	pending  int32 // its completions in the heap
 	evalPass int64
 }
 
@@ -184,9 +192,14 @@ type engine struct {
 	channels []channelState
 	edges    []edge // every channel end, grouped by actor
 
-	// Repetition-solver memory.
+	// Repetition-solver memory, which load carves from actorMem.
 	cycles, balance []int64
 	queue           []ActorID
+	// Five words per actor for load, then for the stream window's record
+	// (see record); blocks and three words per channel for that record.
+	// The actors recorded are listed in queue, after load is done with it.
+	actorMem, chanMem []int64
+	recorded          int
 
 	groups      [][]ActorID
 	groupActive []int32
@@ -211,13 +224,32 @@ type engine struct {
 	sinkSnaps, sourceSnaps []int64
 	// A copy of the actor and channel state and of the heap at the last
 	// observed-actor boundary, which restore returns to.
-	savedActors   []actorState
+	savedActors   []actorRun
 	savedChannels []channelState
 	savedHeap     []execEvent
+	// The stream fast-forward (see stream): the hash of the current
+	// instant's completions, the signatures of the last four
+	// settled instants, latest first, and the time and pass count at the
+	// last one. Bit p of signed is set once there are p signatures; bit p
+	// of matched if the last settled instant repeated the one p back.
+	instHash          uint64
+	sigs              [4]uint64
+	lastNow, lastPass int64
+	signed, matched   uint8
+	// The window being confirmed: its length in instants (0 when
+	// disarmed) and the instants still to go; the windows since the last
+	// skip that did not pay, the instants signed outside windows since
+	// then, and the instants to go before signing again.
+	window, windowLeft   int
+	fails, dry, cooldown int64
+	// The window's start, S0: its time, pass and event count.
+	then, thenPass, thenEvents int64
+
 	// Runs made, those that skipped cycles, those that skipped from a
-	// restored boundary and the completion instants simulated rather than
-	// skipped: the tests floor the shares and cap the instants.
-	runs, forwarded, restored, simulated int64
+	// restored boundary, the stream windows skipped and the completion
+	// instants simulated rather than skipped: the tests floor the shares
+	// and cap the instants.
+	runs, forwarded, restored, streamed, simulated int64
 
 	// BufferSizes' working copy of its graph: the caller's actors and a
 	// copy of its channels, whose capacities the search edits; and the
@@ -235,7 +267,6 @@ func (e *engine) release() {
 	e.g, e.groups, e.orders = nil, nil, nil
 	e.work = Graph{}
 	clear(e.actors)
-	clear(e.savedActors)
 	clear(e.edges)
 	clear(e.workSlab)
 	enginePool.Put(e)
@@ -265,13 +296,22 @@ func resize[T any](s []T, n int) []T {
 	return s
 }
 
+// empty returns s with length 0 and room for n elements without growing,
+// reusing its backing array when that is large enough.
+func empty[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
 // load binds the engine to g: it solves the balance equations and lays the
 // channel ends out per actor.
 func (e *engine) load(g *Graph) error {
 	n := len(g.Actors)
 	e.g = g
-	e.cycles = resize(e.cycles, n)
-	e.balance = resize(e.balance, 2*n)
+	e.actorMem = resize(e.actorMem, 5*n)
+	e.cycles, e.balance = e.actorMem[:n:n], e.actorMem[n:3*n]
 	e.queue = resize(e.queue, n)
 	if err := solveBalance(g, e.cycles, e.balance, e.queue); err != nil {
 		return err
@@ -373,20 +413,25 @@ func (e *engine) run(opts ExecOptions) (*ExecResult, error) {
 	for i, c := range g.Channels {
 		e.channels[i] = channelState{capacity: c.Capacity, tokens: c.Initial, occupied: c.Initial}
 	}
-	e.blocks = resize(e.blocks, 2*nch)
+	e.chanMem = resize(e.chanMem, 5*nch)
+	e.blocks = e.chanMem[: 2*nch : 2*nch]
 	e.dirty = resize(e.dirty, (n+63)/64)
+	e.window = 0 // no window is open to record actors in
 	for a := 0; a < n; a++ {
 		e.mark(int32(a))
 	}
 	e.pass, e.now = 0, 0
 	e.heap = e.heap[:0]
 	e.sourceIn, e.observeIn = 0, 0
-	e.iterDone = e.iterDone[:0]
-	e.iterSrcStart = e.iterSrcStart[:0]
+	e.iterDone = empty(e.iterDone, int(totalIters)+1)
+	e.iterSrcStart = empty(e.iterSrcStart, int(totalIters)+1)
 
 	// Group arbitration and static orders compare absolute firing counts,
-	// which no periodic phase repeats.
+	// which no periodic phase repeats; streams outlive the cycle skip.
 	lookForPeriod := len(e.groups) == 0 && len(e.orders) == 0
+	lookForStream := lookForPeriod
+	e.clearStream()
+	e.fails, e.dry, e.cooldown = 0, 0, 0
 	e.sinkSnaps, e.sourceSnaps = e.sinkSnaps[:0], e.sourceSnaps[:0]
 	e.runs++
 	maxEvents, done, begun := int64(opts.MaxEvents), 0, 0
@@ -394,13 +439,24 @@ func (e *engine) run(opts ExecOptions) (*ExecResult, error) {
 	for events := int64(0); ; {
 		for e.schedulingPass() {
 		}
+		if lookForStream {
+			if e.cooldown == 0 {
+				events = e.stream(events, maxEvents)
+			} else if e.cooldown--; e.cooldown == 0 {
+				e.clearStream()
+			}
+		}
 		if lookForPeriod && len(e.iterDone) > done {
 			done = len(e.iterDone)
 			if e.recurred(&e.sinkSnaps, events) {
 				events = e.skipCycles(e.sinkSnaps, events, totalIters, maxEvents)
 				lookForPeriod = false
+				e.clearStream()
 			} else {
-				e.savedActors = append(e.savedActors[:0], e.actors...)
+				e.savedActors = empty(e.savedActors, n)
+				for a := range e.actors {
+					e.savedActors = append(e.savedActors, e.actors[a].actorRun)
+				}
 				e.savedChannels = append(e.savedChannels[:0], e.channels...)
 				e.savedHeap = append(e.savedHeap[:0], e.heap...)
 			}
@@ -411,6 +467,7 @@ func (e *engine) run(opts ExecOptions) (*ExecResult, error) {
 				if at, ok := e.restore(); ok {
 					events = e.skipCycles(e.sourceSnaps, at, totalIters, maxEvents)
 					lookForPeriod = false
+					e.clearStream()
 				}
 			}
 		}
@@ -562,7 +619,9 @@ func (e *engine) restore() (events int64, ok bool) {
 		return 0, false
 	}
 	n, nch := len(e.actors), len(e.channels)
-	copy(e.actors, e.savedActors)
+	for a, saved := range e.savedActors {
+		e.actors[a].actorRun = saved
+	}
 	copy(e.channels, e.savedChannels)
 	e.heap = append(e.heap[:0], e.savedHeap...)
 	e.now, e.pass = b[0], b[1]
@@ -637,6 +696,345 @@ func (e *engine) skipCycles(pair []int64, events, totalIters, maxEvents int64) i
 	return events + k*dEvents
 }
 
+// Inside an iteration a mapped graph streams each burst through a chain
+// of per-token routers: the instants repeat with a short period while
+// only some channels' token counts move, the burst's first channel
+// draining and its last one filling. The engine signs every settled
+// instant with its time step, its pass count, the completions it applied
+// (actor and phase) and the completions left pending. When two instants
+// in a row repeat the signature P ≤ 4 instants back, a window of the next
+// P instants opens at S0. The window records the state at S0 of each
+// actor it changes and of that actor's channels before it changes them
+// (see record); nothing else changes. If the P signatures repeat too and
+// the state at the window's end, S1, equals S0 up to the drift, the
+// window repeats from S1 for as long as every test the firing rule made
+// in it keeps its outcome, and confirmStream adds k windows instead of
+// simulating them.
+//
+// At S1, after charging the standing vetoes of the recorded actors as
+// recurred does, an actor is active if it started in the window. Every
+// recorded actor must have the phase, verdict and number of pending
+// completions it had at S0, and neither the source nor the observed actor
+// may be active, so no iteration boundary is skipped over. The pending
+// completion of an active actor compares relative to now; those of the
+// others are passive, unchanged, and bound k, since every skipped instant
+// must precede them. A channel may drift: its tokens and its occupied
+// count change by the same d. In the window its consumer took C tokens
+// and its producer reserved P, so its counts stayed within [S0 − C,
+// S0 + P]. Its consumer tests tokens against the rates of its pattern and
+// its producer tests occupied against capacity less a rate; k stops
+// before either range, moved by d per window, would reach a threshold,
+// and is 0 if one lies inside it already. The firing caps and MaxEvents
+// bound k as in skipCycles.
+const (
+	finishMix  = 0xc2b2ae3d27d4eb4f
+	pendingMix = 0x9e3779b97f4a7c15
+	timeMix    = 0x165667b19e3779f9
+	passMix    = 0x27d4eb2f165667c5
+	// The instants signed outside windows since the last skip after which
+	// signing pauses, and the longest pause, in instants: a graph that
+	// does not stream signs a few instants in every maxCooldown.
+	dryInstants = 64
+	maxCooldown = 64
+	// The fewest windows a skip must add to count as one.
+	minSkip = 4
+)
+
+// clearStream forgets the signed instants and disarms.
+func (e *engine) clearStream() {
+	e.signed, e.matched, e.window = 0, 0, 0
+	e.instHash, e.lastNow, e.lastPass = 0, e.now, e.pass
+}
+
+// stream signs the settled instant; it arms, confirms a window or skips
+// windows, and returns the event count.
+func (e *engine) stream(events, maxEvents int64) int64 {
+	sig := e.instHash + uint64(e.now-e.lastNow)*timeMix + uint64(e.pass-e.lastPass)*passMix + uint64(len(e.heap))*pendingMix
+	e.instHash, e.lastNow, e.lastPass = 0, e.now, e.pass
+	// Bit p of matched: this instant repeats the one p back.
+	h, matched := &e.sigs, uint8(0)
+	if sig == h[0] {
+		matched |= 1 << 1
+	}
+	if sig == h[1] {
+		matched |= 1 << 2
+	}
+	if sig == h[2] {
+		matched |= 1 << 3
+	}
+	if sig == h[3] {
+		matched |= 1 << 4
+	}
+	h[0], h[1], h[2], h[3] = sig, h[0], h[1], h[2]
+	matched &= e.signed
+	full := e.signed == 0x1e
+	e.signed = (e.signed<<1 | 1<<1) & 0x1e
+	twice := matched & e.matched
+	e.matched = matched
+	switch {
+	case e.window > 0:
+		if matched&(1<<e.window) == 0 {
+			e.declineStream()
+		} else if e.windowLeft--; e.windowLeft == 0 {
+			if k, dEvents := e.confirmStream(events, maxEvents); k > 0 {
+				e.clearStream()
+				if k >= minSkip {
+					e.fails, e.dry = 0, 0
+				} else {
+					e.backOff()
+				}
+				return events + k*dEvents
+			}
+			e.declineStream()
+		}
+	case twice != 0:
+		e.armStream(bits.TrailingZeros8(twice), events)
+	case full:
+		if e.dry++; e.dry >= dryInstants {
+			e.cooldown = min(e.dry, maxCooldown)
+		}
+	}
+	return events
+}
+
+// declineStream disarms and backs off.
+func (e *engine) declineStream() {
+	e.window = 0
+	e.backOff()
+}
+
+// backOff waits longer before signing again, after a window that did not
+// repeat or a skip too short to pay for its window.
+func (e *engine) backOff() {
+	e.fails++
+	e.cooldown = min(int64(1)<<min(e.fails, 16), maxCooldown)
+}
+
+// armStream begins a window at S0, the state now.
+func (e *engine) armStream(window int, events int64) {
+	e.recorded = 0
+	e.then, e.thenPass, e.thenEvents = e.now, e.pass, events
+	e.window, e.windowLeft = window, window
+}
+
+// The window's record of an actor at S0 is its fired count, busyUntil,
+// busyTime, one word holding its verdict and its pending completions, and
+// its place in the list of recorded actors. A channel's is its tokens and its
+// two veto counts, recorded with the first of its ends. A channel's
+// occupied count less its tokens is the space its producer's firings in
+// flight hold, which the producer's phase and pending completions fix.
+const actorWords = 5
+
+func (e *engine) actorRecord(a int32) []int64 {
+	return e.actorMem[actorWords*a : actorWords*a+actorWords]
+}
+
+func (e *engine) chanRecord(c int32) []int64 {
+	at := 2*int32(len(e.channels)) + 3*c
+	return e.chanMem[at : at+3]
+}
+
+// recordedAt reports whether the window has recorded actor a. Records
+// left from load or from earlier windows do not name a place in the list
+// that names them back.
+func (e *engine) recordedAt(a int32) bool {
+	at := e.actorMem[actorWords*a+4]
+	return at >= 0 && at < int64(e.recorded) && e.queue[at] == ActorID(a)
+}
+
+// record records the state at S0 of actor a and of those of its channels
+// whose other end the window has not recorded, unless it has recorded a.
+// The window records an actor before it first re-evaluates it or
+// completes one of its firings: nothing else changes an actor, and only
+// an actor's starts and completions change its channels. It charges the
+// actor's standing veto for the passes up to S0, as recurred charges every
+// actor's.
+func (e *engine) record(a int32) {
+	if e.recordedAt(a) {
+		return
+	}
+	st := &e.actors[a]
+	for _, ends := range [2][]edge{st.ins, st.outs} {
+		for _, x := range ends {
+			if x.peer == a || !e.recordedAt(x.peer) {
+				c := e.chanRecord(x.ch)
+				c[0], c[1], c[2] = e.channels[x.ch].tokens, e.blocks[2*x.ch], e.blocks[2*x.ch+1]
+			}
+		}
+	}
+	if v := st.verdict - vetoBase; v >= 0 {
+		charge := e.thenPass + 1 - st.evalPass
+		e.blocks[v] += charge
+		e.chanRecord(int32(v / 2))[1+v%2] += charge
+	}
+	st.evalPass = e.thenPass + 1
+	w := e.actorRecord(a)
+	w[0], w[1], w[2], w[3], w[4] = st.fired, st.busyUntil, st.busyTime, int64(st.verdict)<<32|int64(st.pending), int64(e.recorded)
+	e.queue[e.recorded] = ActorID(a)
+	e.recorded++
+}
+
+// dFired returns the starts of actor a since S0.
+func (e *engine) dFired(a int32) int64 {
+	if e.recordedAt(a) {
+		return e.actors[a].fired - e.actorMem[actorWords*a]
+	}
+	return 0
+}
+
+// confirmStream compares S1, the state now, with S0. If the window between
+// them repeats, it adds as many more windows as its bounds allow and
+// returns their number and the events in one; otherwise it returns k = 0
+// and changes nothing but the veto charges.
+//
+// At a settled instant an actor's pending completions are all due now
+// except the last, due at busyUntil: firings complete in the order they
+// start, and one due later keeps the actor busy. So per actor the count
+// of pending completions and busyUntil stand for the heap. The channels
+// the window recorded are those of the recorded actors; each is visited
+// from its consumer, or from its producer if the consumer is unrecorded.
+func (e *engine) confirmStream(events, maxEvents int64) (k, dEvents int64) {
+	dNow, dPass := e.now-e.then, e.pass-e.thenPass
+	dEvents = events - e.thenEvents
+	recorded := e.queue[:e.recorded]
+
+	k = (maxEvents - events) / dEvents
+	for _, id := range recorded {
+		a := int32(id)
+		w, st := e.actorRecord(a), &e.actors[a]
+		if v := st.verdict - vetoBase; v >= 0 {
+			e.blocks[v] += e.pass + 1 - st.evalPass
+		}
+		st.evalPass = e.pass + 1
+		d := st.fired - w[0]
+		if int64(st.verdict)<<32|int64(st.pending) != w[3] || d%int64(len(st.wcet)) != 0 {
+			return 0, 0
+		}
+		switch {
+		case d == 0:
+		case a == e.source || a == e.observe:
+			return 0, 0
+		case st.pending > 0 && st.busyUntil-e.now != w[1]-e.then:
+			return 0, 0
+		default:
+			room := st.firingCap - st.fired
+			if st.busyUntil <= e.now {
+				room--
+			}
+			k = min(k, room/d)
+		}
+	}
+	passive := false // a completion of an actor that did not start is pending
+	for _, ev := range e.heap {
+		if e.dFired(ev.actor) == 0 {
+			passive = true
+			if dNow > 0 {
+				k = min(k, (ev.time-e.now-1)/dNow)
+			}
+		}
+	}
+	for _, id := range recorded {
+		for _, x := range e.actors[id].ins {
+			k = min(k, e.drift(x.ch))
+		}
+		for _, x := range e.actors[id].outs {
+			if !e.recordedAt(x.peer) {
+				k = min(k, e.drift(x.ch))
+			}
+		}
+	}
+	if k <= 0 {
+		return 0, 0
+	}
+
+	e.streamed += k
+	e.now += k * dNow
+	e.pass += k * dPass
+	for i := range e.heap {
+		if ev := &e.heap[i]; e.dFired(ev.actor) > 0 {
+			ev.time += k * dNow
+		}
+	}
+	if passive {
+		// Only some completions moved: push them all back in place.
+		h := e.heap
+		e.heap = h[:0]
+		for _, ev := range h {
+			e.push(ev)
+		}
+	}
+	for _, id := range recorded {
+		w, st := e.actorRecord(int32(id)), &e.actors[id]
+		if d := st.fired - w[0]; d > 0 {
+			st.fired += k * d
+			st.busyTime += k * (st.busyTime - w[2])
+			st.busyUntil += k * dNow
+		}
+		st.evalPass += k * dPass
+		for _, x := range st.ins {
+			e.shift(x.ch, k)
+		}
+		for _, x := range st.outs {
+			if !e.recordedAt(x.peer) {
+				e.shift(x.ch, k)
+			}
+		}
+	}
+	return k, dEvents
+}
+
+// drift bounds the windows channel c can repeat for: when its counts move
+// by d per window, until the range its tokens took in the window would
+// reach one of its consumer's rates, or the range of its occupied count
+// the capacity less one of its producer's rates. In the window its
+// consumer took C tokens and its producer reserved P, and its phases
+// repeat, so both ends fired whole cycles of their patterns.
+func (e *engine) drift(c int32) int64 {
+	ch, w := &e.channels[c], e.chanRecord(c)
+	d := ch.tokens - w[0]
+	if d == 0 {
+		return math.MaxInt64
+	}
+	def, k := e.g.Channels[c], int64(math.MaxInt64)
+	took := e.dFired(int32(def.Dst)) / int64(len(def.Cons)) * def.Cons.Sum()
+	put := e.dFired(int32(def.Src)) / int64(len(def.Prod)) * def.Prod.Sum()
+	for _, r := range def.Cons {
+		k = min(k, stay(w[0]-took, w[0]+put, d, r))
+	}
+	if ch.capacity > 0 {
+		occupied := ch.occupied - d
+		for _, r := range def.Prod {
+			k = min(k, stay(occupied-took, occupied+put, d, ch.capacity-r+1))
+		}
+	}
+	return k
+}
+
+// shift adds k windows' drift and veto counts to channel c.
+func (e *engine) shift(c int32, k int64) {
+	ch, w := &e.channels[c], e.chanRecord(c)
+	d := ch.tokens - w[0]
+	ch.tokens += k * d
+	ch.occupied += k * d
+	e.blocks[2*c] += k * (e.blocks[2*c] - w[1])
+	e.blocks[2*c+1] += k * (e.blocks[2*c+1] - w[2])
+}
+
+// stay returns how many windows a count that spans [lo, hi] in one window
+// and moves by d per window can repeat before the test count >= th
+// changes its outcome somewhere in one.
+func stay(lo, hi, d, th int64) int64 {
+	switch {
+	case lo < th && th <= hi:
+		return 0
+	case d > 0 && th > hi:
+		return (th - 1 - hi) / d
+	case d < 0 && th <= lo:
+		return (lo - th) / -d
+	}
+	return math.MaxInt64
+}
+
 // mark schedules actor a for re-evaluation at its next turn: later in the
 // current pass if its index is still ahead, in the next pass otherwise.
 // Group members have no turn of their own.
@@ -667,6 +1065,9 @@ func (e *engine) schedulingPass() bool {
 			bit := bits.TrailingZeros64(e.dirty[w] & ahead)
 			ahead = ^uint64(0) << bit << 1
 			a := int32(w<<6 + bit)
+			if e.window > 0 {
+				e.record(a)
+			}
 			st := &e.actors[a]
 			e.settle(st)
 			v := e.evaluate(a, st)
@@ -771,6 +1172,7 @@ func (e *engine) start(a int32, st *actorState) {
 	}
 	st.startPhase = phase
 	st.fired++
+	st.pending++
 	st.busyUntil = e.now + w
 	st.busyTime += w
 	if st.group >= 0 {
@@ -787,6 +1189,9 @@ func (e *engine) start(a int32, st *actorState) {
 // tokens, which matter only to a consumer blocked on exactly those, and
 // the actor itself may be idle again.
 func (e *engine) finish(a int32) {
+	if e.window > 0 {
+		e.record(a)
+	}
 	st := &e.actors[a]
 	phase := st.donePhase
 	for _, out := range st.outs {
@@ -797,10 +1202,12 @@ func (e *engine) finish(a int32) {
 			}
 		}
 	}
+	e.instHash += (uint64(a)<<32 | uint64(phase)) * finishMix
 	if phase++; int(phase) == len(st.wcet) {
 		phase = 0
 	}
 	st.donePhase = phase
+	st.pending--
 	if st.verdict == silent {
 		e.mark(a)
 	}

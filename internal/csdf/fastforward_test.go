@@ -10,9 +10,9 @@ import (
 // engineCounts sums the run counters of the engines trackEngines saw: how
 // many runs the test caused, inside BufferSizes too, how many of them
 // skipped at least one cycle, how many of those skipped from a restored
-// observed-actor boundary, and how many completion instants they
-// simulated.
-type engineCounts struct{ runs, forwarded, restored, simulated int64 }
+// observed-actor boundary, how many stream windows they skipped, and how
+// many completion instants they simulated.
+type engineCounts struct{ runs, forwarded, restored, streamed, simulated int64 }
 
 // trackEngines swaps the engine pool for one that remembers every engine
 // it makes, until the test ends, and returns a function that sums their
@@ -29,6 +29,7 @@ func trackEngines(tb testing.TB) func() engineCounts {
 			c.runs += e.runs
 			c.forwarded += e.forwarded
 			c.restored += e.restored
+			c.streamed += e.streamed
 			c.simulated += e.simulated
 		}
 		return c
@@ -137,8 +138,68 @@ func settlingGraphs() []*Graph {
 	outpaced.Channel(outpaced.Connect(a, outpaced.AddActor("drain", Vals(1)), Vals(1), Vals(1), 0)).Capacity = 1
 	outpaced.Channel(outpaced.Connect(b, c, Vals(1), Vals(1), 0)).Capacity = 1
 
-	return []*Graph{multirate, feedback, lead2, lead4, paced, idlelead, halfway, instant, relay, unbounded, mixed,
-		lockstep, crossing, drifting, outpaced, hl2LikeGraph(), routedGraph()}
+	return append([]*Graph{multirate, feedback, lead2, lead4, paced, idlelead, halfway, instant, relay, unbounded, mixed,
+		lockstep, crossing, drifting, outpaced, hl2LikeGraph(), routedGraph()}, streamGraphs()...)
+}
+
+// streamGraphs are shaped like the bursts of a mapped graph, which the
+// engine streams through: a pinned source emits a burst of tokens that
+// per-token routers with FIFOs of 4 forward one by one, so within an
+// iteration the instants repeat while only some channels' counts drift.
+// In burst a consumer needs the whole burst. In crossed two bursts leave
+// the source together but travel out of phase, so the instants repeat
+// every two. In interrupted a long firing elsewhere completes mid-stream:
+// a passive completion the skipped windows must stop short of. In capped
+// the routers start from a backlog the source never lets run dry and run
+// into their firing cap mid-stream, while the slow consumer keeps the
+// observed actor far behind.
+func streamGraphs() []*Graph {
+	burst := NewGraph("burst")
+	src := burst.AddActor("src", Vals(4000))
+	cons := burst.AddActor("cons", Vals(300))
+	burst.Channel(burst.Connect(routerChain(burst, src, 117, 7, 20), cons, Vals(1), Vals(117), 0)).Capacity = 117
+	burst.Connect(cons, burst.AddActor("sink", Vals(1)), Vals(1), Vals(1), 0)
+
+	crossed := NewGraph("crossed")
+	src = crossed.AddActor("src", Vals(4000))
+	delay := crossed.AddActor("delay", Vals(10))
+	join := crossed.AddActor("join", Vals(50))
+	crossed.Channel(crossed.Connect(src, delay, Vals(60), Vals(60), 0)).Capacity = 120
+	crossed.Channel(crossed.Connect(routerChain(crossed, src, 60, 3, 20), join, Vals(1), Vals(60), 0)).Capacity = 60
+	crossed.Channel(crossed.Connect(routerChain(crossed, delay, 60, 3, 20), join, Vals(1), Vals(60), 0)).Capacity = 60
+	crossed.Connect(join, crossed.AddActor("sink", Vals(1)), Vals(1), Vals(1), 0)
+
+	interrupted := NewGraph("interrupted")
+	src = interrupted.AddActor("src", Vals(4000))
+	slow := interrupted.AddActor("slow", Vals(700))
+	cons = interrupted.AddActor("cons", Vals(100))
+	interrupted.Channel(interrupted.Connect(routerChain(interrupted, src, 117, 4, 20), cons, Vals(1), Vals(117), 0)).Capacity = 117
+	interrupted.Channel(interrupted.Connect(src, slow, Vals(1), Vals(1), 0)).Capacity = 2
+	interrupted.Channel(interrupted.Connect(slow, cons, Vals(1), Vals(1), 0)).Capacity = 1
+	interrupted.Connect(cons, interrupted.AddActor("sink", Vals(1)), Vals(1), Vals(1), 0)
+
+	capped := NewGraph("capped")
+	src = capped.AddActor("src", Vals(2000))
+	cons = capped.AddActor("cons", Vals(5000))
+	backlog := len(capped.Channels)
+	capped.Connect(routerChain(capped, src, 117, 3, 20), cons, Vals(1), Vals(117), 0)
+	capped.Channels[backlog].Capacity, capped.Channels[backlog].Initial = 0, 14*117
+	capped.Connect(cons, capped.AddActor("sink", Vals(1)), Vals(1), Vals(1), 0)
+
+	return []*Graph{burst, crossed, interrupted, capped}
+}
+
+// routerChain sends from's burst of size tokens through hops per-token
+// routers of the given WCET, as BuildMappedGraph does, and returns the
+// last router.
+func routerChain(g *Graph, from ActorID, size int64, hops int, wcet int64) ActorID {
+	prev, rate := from, Vals(size)
+	for h := 0; h < hops; h++ {
+		r := g.AddActor(fmt.Sprintf("R%d#%d", from, h), Vals(wcet))
+		g.Channel(g.Connect(prev, r, rate, Vals(1), 0)).Capacity = max(4, 2*rate.Max())
+		prev, rate = r, Vals(1)
+	}
+	return prev
 }
 
 // routedGraph has the shape BuildMappedGraph gives a mapped application:
@@ -217,10 +278,13 @@ func refInstants(g *Graph, opts ExecOptions) int {
 // iteration, and paced 1.33 where it simulated 2. The HIPERLAN/2-like
 // graph's first channel holds two source firings, so its source reaches
 // its cap a cycle before the sink and the last cycles are simulated: 2.71
-// where it simulated 3. The slack, an instant plus a hundredth, covers the
-// transient's first iteration taking a few instants more than the rest.
+// where it simulated 3. In burst the 117 tokens of an iteration stream
+// through seven routers, and the one iteration simulated skips its stream:
+// 0.17, where cycle skipping alone simulated 1.01. The slack, an instant
+// plus a hundredth, covers the transient's first iteration taking a few
+// instants more than the rest.
 func TestFastForwardSimulatedIterations(t *testing.T) {
-	iterations := map[string]float64{"routed": 1.08, "paced": 1.34, hl2LikeGraph().Name: 2.72}
+	iterations := map[string]float64{"routed": 1.08, "paced": 1.34, hl2LikeGraph().Name: 2.72, "burst": 0.18}
 	for _, g := range settlingGraphs() {
 		want, pinned := iterations[g.Name]
 		if !pinned {
@@ -280,16 +344,18 @@ func TestFastForwardDeclinesGroupsAndOrders(t *testing.T) {
 	checkExecute(t, g, opts)
 	opts.StaticOrders, opts.ExclusiveGroups = nil, [][]ActorID{{a, b}}
 	checkExecute(t, g, opts)
-	if c := share(); c.forwarded != 0 {
-		t.Errorf("%d of %d runs with a static order or a group skipped cycles", c.forwarded, c.runs)
+	if c := share(); c.forwarded != 0 || c.streamed != 0 {
+		t.Errorf("of %d runs with a static order or a group, %d skipped cycles and %d stream windows", c.runs, c.forwarded, c.streamed)
 	}
 }
 
 // TestEngineStateIsClassified fails when the engine gains a field nobody
-// has decided how fast-forwarding treats. Skipping cycles is exact only
-// because every piece of run state is one of: fixed for the run, compared
-// between boundaries, implied by what is compared, an absolute the skip
-// stops short of, or a counter the skip multiplies.
+// has decided how fast-forwarding treats. Skipping cycles, and skipping
+// stream windows, is exact only because every piece of run state is one
+// of: fixed for the run, compared between boundaries or windows, implied
+// by what is compared, an absolute the skip stops short of, a counter the
+// skip multiplies, or a count that drifts linearly within a stream whose
+// skip stops before a threshold.
 func TestEngineStateIsClassified(t *testing.T) {
 	const (
 		fixed    = "topology or options: set by load or at the start of run, constant during it"
@@ -300,31 +366,39 @@ func TestEngineStateIsClassified(t *testing.T) {
 		declined = "group and static-order state: runs that use it never fast-forward"
 		scratch  = "memory for load, the snapshots or the tests; run does not read it"
 		restore  = "a copy of the state at the last observed-actor boundary; run reads it only to return there (see restore)"
+		recorded = "in a stream window's record, which confirmStream compares at its end (see record)"
+		drifts   = "drifts linearly in a stream window; confirmStream stops k before a test of it changes its outcome"
+		stream   = "stream fast-forward bookkeeping: the signatures, the open window and its record; run resets it, and a cycle skip clears it"
 	)
 	classes := map[reflect.Type]map[string]string{
 		reflect.TypeOf(actorState{}): {
 			"ins": fixed, "outs": fixed, "wcet": fixed, "perIter": fixed,
 			"firingCap": fixed, "group": fixed, "order": fixed,
-			"fired":      guarded + "; " + additive,
-			"startPhase": compared,
+			"actorRun": "the state firings change, classified below",
+		},
+		reflect.TypeOf(actorRun{}): {
+			"fired":      guarded + "; " + additive + "; " + recorded,
+			"startPhase": compared + "; " + recorded + ", as fired modulo the phases",
 			"donePhase":  implied,
-			"busyUntil":  implied + "; skipCycles reads it to place the firing cap",
-			"busyTime":   additive,
-			"verdict":    implied,
-			"evalPass":   implied + ": each snapshot charges the standing veto, so it is pass+1 there",
+			"busyUntil":  implied + "; skipCycles reads it to place the firing cap; " + recorded,
+			"busyTime":   additive + "; " + recorded,
+			"verdict":    implied + "; " + recorded,
+			"pending":    implied + ": the actor's completions in the heap; " + recorded,
+			"evalPass":   implied + ": each snapshot and each record charges the standing veto, so it is pass+1 there",
 		},
 		reflect.TypeOf(channelState{}): {
 			"capacity": fixed,
-			"tokens":   compared,
-			"occupied": implied,
+			"tokens":   compared + "; " + recorded + "; " + drifts,
+			"occupied": implied + "; " + drifts,
 		},
 		reflect.TypeOf(engine{}): {
 			"g": fixed, "actors": fixed, "channels": fixed, "edges": fixed,
-			"cycles": scratch, "balance": scratch, "queue": scratch,
+			"cycles": scratch, "balance": scratch, "queue": scratch + "; lists the actors a stream window recorded",
+			"actorMem": scratch + "; holds a stream window's actor records", "chanMem": "holds blocks and a stream window's channel records",
 			"groups": declined, "groupActive": declined, "orders": declined, "orderPos": declined, "orderBusy": declined,
 			"dirty":  implied,
 			"pass":   additive,
-			"blocks": additive,
+			"blocks": additive + "; " + recorded,
 			"now":    additive,
 			"heap":   compared,
 			"source": fixed, "observe": fixed,
@@ -332,7 +406,10 @@ func TestEngineStateIsClassified(t *testing.T) {
 			"iterDone": additive, "iterSrcStart": additive + "; its open tail is " + compared,
 			"sinkSnaps": scratch, "sourceSnaps": scratch,
 			"savedActors": restore, "savedChannels": restore, "savedHeap": restore,
-			"runs": scratch, "forwarded": scratch, "restored": scratch, "simulated": scratch,
+			"instHash": stream, "sigs": stream, "lastNow": stream, "lastPass": stream, "signed": stream, "matched": stream,
+			"window": stream, "windowLeft": stream, "fails": stream, "dry": stream, "cooldown": stream,
+			"recorded": stream, "then": stream, "thenPass": stream, "thenEvents": stream,
+			"runs": scratch, "forwarded": scratch, "restored": scratch, "streamed": scratch, "simulated": scratch,
 			"work": fixed, "workSlab": fixed, "workChans": fixed, "free": scratch,
 		},
 	}
@@ -340,7 +417,7 @@ func TestEngineStateIsClassified(t *testing.T) {
 		for i := 0; i < typ.NumField(); i++ {
 			name := typ.Field(i).Name
 			if class[name] == "" {
-				t.Errorf("%s.%s is not classified: decide how skipCycles treats it, then add it here", typ.Name(), name)
+				t.Errorf("%s.%s is not classified: decide how skipCycles and confirmStream treat it, then add it here", typ.Name(), name)
 			}
 			delete(class, name)
 		}

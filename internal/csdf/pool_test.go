@@ -2,7 +2,6 @@ package csdf
 
 import (
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 )
@@ -150,9 +149,9 @@ func TestBufferSizesAllocatesOnlyItsResult(t *testing.T) {
 }
 
 // TestReleasedEngineHoldsNoGraph: a pooled engine pins no graph it ran.
-// After BufferSizes its working copy, its actor states and the copy of
-// them it keeps to restore a boundary no longer point into the caller's
-// actors, patterns or channel lists.
+// After BufferSizes its working copy and its actor states no longer point
+// into the caller's actors, patterns or channel lists, and the copy of
+// actor state it keeps to restore a boundary holds nothing that could.
 func TestReleasedEngineHoldsNoGraph(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -172,9 +171,15 @@ func TestReleasedEngineHoldsNoGraph(t *testing.T) {
 	if e.g != nil || !reflect.DeepEqual(e.work, Graph{}) {
 		t.Errorf("released engine keeps a graph: %v, %+v", e.g, e.work)
 	}
-	for _, st := range append(slices.Clone(e.actors), e.savedActors...) {
+	for _, st := range e.actors {
 		if st.wcet != nil || st.ins != nil || st.outs != nil {
 			t.Fatalf("released engine keeps an actor's topology: %+v", st)
+		}
+	}
+	saved := reflect.TypeOf(e.savedActors).Elem()
+	for i := 0; i < saved.NumField(); i++ {
+		if f := saved.Field(i); f.Type.Kind() < reflect.Int || f.Type.Kind() > reflect.Uint64 {
+			t.Errorf("the actor state the engine keeps to restore a boundary holds %s %s, which may point into a graph", f.Name, f.Type)
 		}
 	}
 	for _, c := range e.workSlab {
