@@ -736,7 +736,7 @@ const (
 	// does not stream signs a few instants in every maxCooldown.
 	dryInstants = 64
 	maxCooldown = 64
-	// The fewest windows a skip must add to count as one.
+	// A shorter skip does not pay for its window; it backs off as a failure.
 	minSkip = 4
 )
 
