@@ -1,10 +1,10 @@
 // Command serve runs the streaming admission front-end in one of three
 // modes over the same churn.Stack. By default it drives a synthetic
-// arrival storm through the staged server (per-class dropping buffers,
-// circuit breaker, dead-letter retry queue) into the
-// manager pipeline, printing the exactly-one-outcome ledger. With -listen
-// it becomes a real service: an HTTP front door (POST /admit, GET
-// /healthz, /readyz, /metricsz) with graceful drain on SIGINT/SIGTERM
+// arrival storm through the stream server (class shares, dead-letter
+// retry queue) into the manager pipeline, printing the
+// exactly-one-outcome ledger. With -listen it becomes a real service:
+// an HTTP front door (POST /admit, GET /healthz, /readyz, /metricsz)
+// with graceful drain on SIGINT/SIGTERM
 // and — when -journal names a file with previous segments —
 // crash-restart recovery: the chain is verified, the torn tail
 // truncated, and the platform plus resident set replayed before the
@@ -54,9 +54,9 @@ type config struct {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	// The stage sizes, dead-letter policy and breaker tuning are not
-	// flags: every run, script and benchmark uses internal/stream's
-	// defaults plus a 1024-entry dead-letter queue.
+	// The class shares and dead-letter policy are not flags: every run,
+	// script and benchmark uses internal/stream's defaults plus a
+	// 1024-entry dead-letter queue.
 	c := config{stdout: stdout, stderr: stderr, server: stream.Options{DLQ: 1024}}
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -255,10 +255,9 @@ func (c *config) reportStream(rep stream.Report) {
 		}
 	}
 	if rep.Shed() > 0 {
-		fmt.Fprintf(w, "  shed stages       %d at class shares, %d at the breaker, %d at the backend queue, %d at deadlines\n",
-			rep.ShedBuffer, rep.ShedBreaker, rep.ShedQueue, rep.ShedDeadline)
+		fmt.Fprintf(w, "  shed stages       %d at class shares, %d at the backend queue, %d at deadlines\n",
+			rep.ShedShare, rep.ShedQueue, rep.ShedDeadline)
 	}
-	fmt.Fprintf(w, "  breaker           %d opens (now %s)\n", rep.BreakerOpens, rep.BreakerState)
 	fmt.Fprintf(w, "  dead letters      %d recovered, %d expired\n", rep.Recovered, rep.Expired)
 	for p := range rep.RecoveredByClass {
 		if rep.RecoveredByClass[p]+rep.ExpiredByClass[p] > 0 {

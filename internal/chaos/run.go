@@ -398,8 +398,8 @@ func (b *spikeBackend) TrySubmit(app *model.Application, lib *model.Library) (fu
 }
 
 // addReport folds one incarnation's ledger into the aggregate. Counter
-// fields sum; point-in-time fields (breaker state, DLQ depth, window)
-// keep the latest incarnation's values.
+// fields sum; point-in-time fields (DLQ depth, window) keep the latest
+// incarnation's values.
 func addReport(dst *stream.Report, r stream.Report) {
 	dst.Submitted += r.Submitted
 	dst.Admitted += r.Admitted
@@ -411,12 +411,9 @@ func addReport(dst *stream.Report, r stream.Report) {
 		dst.RecoveredByClass[c] += r.RecoveredByClass[c]
 		dst.ExpiredByClass[c] += r.ExpiredByClass[c]
 	}
-	dst.ShedBuffer += r.ShedBuffer
-	dst.ShedBreaker += r.ShedBreaker
+	dst.ShedShare += r.ShedShare
 	dst.ShedQueue += r.ShedQueue
 	dst.ShedDeadline += r.ShedDeadline
-	dst.BreakerOpens += r.BreakerOpens
-	dst.BreakerState = r.BreakerState
 	dst.DLQDepth = r.DLQDepth
 	dst.DLQDepthByClass = r.DLQDepthByClass
 	dst.Window = r.Window

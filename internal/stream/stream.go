@@ -1,8 +1,7 @@
 // Package stream is the long-lived admission front-end: it puts a
-// manager pipeline behind load shedding, a circuit breaker, a
-// dead-letter queue and a ledger, so the run-time spatial mapper can
-// serve sustained million-arrival traffic instead of a test driver's
-// bounded batch.
+// manager pipeline behind load shedding, a dead-letter queue and a
+// ledger, so the run-time spatial mapper can serve sustained
+// million-arrival traffic instead of a test harness's bounded batch.
 //
 // The pipeline's priority queue is the only queue an arrival waits in.
 // Submit decides on the caller's goroutine whether the arrival enters
@@ -14,15 +13,18 @@
 //	Standard, BestEffort → shed if the request deadline passed,
 //	                       if the class already has its share awaiting
 //	                       outcomes (BestEffort's is the smaller, so it
-//	                       sheds first), if the circuit breaker is open,
-//	                       or if the backend queue is full (TrySubmit)
+//	                       sheds first), or if the backend queue is
+//	                       full (TrySubmit)
 //	→ per-arrival watcher → Results
 //
 // Capacity rejections (manager.IsRetryableRejection) park in a bounded
 // dead-letter queue and are re-enqueued once measured utilization drops
-// below a threshold; recovered admissions and expired entries are
-// accounted in the backend's manager.Stats. A rolling window reports
-// live p50/p99 admission latency and admissions/sec.
+// below a threshold. A parked arrival keeps counting against its class
+// share, so once a saturated mesh has parked a class's share, further
+// arrivals of that class shed at the share without a mapping round.
+// Recovered admissions and expired entries are counted in Report. A
+// rolling window reports live p50/p99 admission latency and
+// admissions/sec.
 //
 // Every arrival accepted by Submit produces exactly one Result:
 // admitted (possibly via DLQ recovery), rejected, shed, or expired.
@@ -72,7 +74,7 @@ const (
 	// capacity with no DLQ configured).
 	VerdictRejected
 	// VerdictShed: dropped before mapping — passed deadline, class
-	// share spent, open circuit breaker, or saturated backend queue.
+	// share spent, or saturated backend queue.
 	VerdictShed
 	// VerdictExpired: parked in the DLQ but never recovered (queue full,
 	// retry budget spent on capacity rejections, or server shutdown).
@@ -109,11 +111,9 @@ type ShedStage int
 const (
 	// ShedAtNone marks a non-shed result.
 	ShedAtNone ShedStage = iota
-	// ShedAtBuffer: the arrival's class already had its share
+	// ShedAtShare: the arrival's class already had its share
 	// (Options.ClassBuf) awaiting outcomes at submit.
-	ShedAtBuffer
-	// ShedAtBreaker: the circuit breaker was open at submit.
-	ShedAtBreaker
+	ShedAtShare
 	// ShedAtQueue: the backend queue refused the non-blocking submit.
 	ShedAtQueue
 	// ShedAtDeadline: the arrival's request deadline had passed at
@@ -126,20 +126,21 @@ func (s ShedStage) String() string {
 	if s < ShedAtNone || s > ShedAtDeadline {
 		return "none"
 	}
-	return [...]string{"none", "buffer", "breaker", "queue", "deadline"}[s]
+	return [...]string{"none", "share", "queue", "deadline"}[s]
 }
 
 // Options configures a Server. Backend is required; everything else has
 // serviceable defaults.
 type Options struct {
 	Backend Backend
-	// Ingress is ignored. It stays only because the benchmark still sets
-	// it.
+	// Ingress and Breaker are ignored. They stay only because the
+	// benchmark still sets them.
 	Ingress int
+	Breaker BreakerConfig
 	// ClassBuf sets each class's share: at most ClassBuf/2 Standard and
 	// ClassBuf/4 BestEffort arrivals (min 1 each) await their outcome at
 	// once, in the backend or parked in the DLQ, and one more sheds at
-	// submit (ShedAtBuffer), so saturation sheds BestEffort first, then
+	// submit (ShedAtShare), so saturation sheds BestEffort first, then
 	// Standard. Critical has no share: it waits (default 64).
 	ClassBuf int
 	// DLQ is the dead-letter queue capacity; 0 disables it (capacity
@@ -153,10 +154,16 @@ type Options struct {
 	DLQRetries int
 	// DLQEvery is the retry loop's poll period (default 5ms).
 	DLQEvery time.Duration
-	// Breaker tunes the circuit breaker; the zero value gets defaults.
-	Breaker BreakerConfig
 	// Window is the rolling metrics window (default 1s).
 	Window time.Duration
+}
+
+// BreakerConfig is ignored; the benchmark still sets it through
+// Options.Breaker.
+type BreakerConfig struct {
+	Window, Cooldown   time.Duration
+	MinSamples, Probes int
+	Ratio              float64
 }
 
 func (o Options) withDefaults() Options {
@@ -205,9 +212,8 @@ type Server struct {
 	share   [model.NumPriorities]int64
 	pending [model.NumPriorities]atomic.Int64
 
-	breaker *breaker
-	dlq     *dlq
-	win     *metricsWindow
+	dlq *dlq
+	win *metricsWindow
 
 	watchers sync.WaitGroup // one per backend submission in flight
 	dlqDone  chan struct{}
@@ -236,7 +242,6 @@ func New(opts Options) (*Server, error) {
 		backend: opts.Backend,
 		drained: make(chan struct{}),
 		results: make(chan Result, resultsBuf),
-		breaker: newBreaker(opts.Breaker),
 		win:     newMetricsWindow(opts.Window),
 		quit:    make(chan struct{}),
 	}
@@ -325,20 +330,13 @@ func (s *Server) submit(ctx context.Context, app *model.Application, lib *model.
 	case !a.deadline.IsZero() && time.Now().After(a.deadline):
 		s.shed(a, c, ShedAtDeadline)
 	case pending > s.share[c]:
-		s.shed(a, c, ShedAtBuffer)
-	case !s.breaker.allow():
-		s.shed(a, c, ShedAtBreaker)
+		s.shed(a, c, ShedAtShare)
 	default:
-		wait, ok := s.backend.TrySubmit(a.App, a.Lib)
-		if !ok {
-			// The backend's bounded queue is full. The arrival never
-			// produces an outcome, so it hands back any half-open probe
-			// slot allow took.
-			s.breaker.returnProbe()
+		if wait, ok := s.backend.TrySubmit(a.App, a.Lib); ok {
+			s.watch(a, c, wait, 1)
+		} else {
 			s.shed(a, c, ShedAtQueue)
-			return nil
 		}
-		s.watch(a, c, wait, 1)
 	}
 	return nil
 }
@@ -390,26 +388,17 @@ func (s *Server) watch(a arrival, c model.Priority, wait func() manager.Outcome,
 		out := wait()
 		lat := time.Since(a.t)
 		if out.Admitted {
-			recovered := attempts > 1
-			s.breaker.record(false)
 			s.win.add(lat)
 			s.deliver(a.notify, Result{
 				App: a.App.Name, Class: c, Verdict: VerdictAdmitted,
-				Recovered: recovered, Latency: lat, Outcome: out,
+				Recovered: attempts > 1, Latency: lat, Outcome: out,
 			})
 			return
 		}
-		// Only a capacity rejection says the mesh is saturated. A
+		// Only a capacity rejection parks: the mesh may free up. A
 		// structural one (no implementation, unknown pinned tile,
-		// duplicate name) is a property of the request: counting it
-		// would let one client's bad specs shed everyone else's arrivals.
-		retryable := manager.IsRetryableRejection(out.Err)
-		if retryable {
-			s.breaker.record(true)
-		} else if c != model.Critical {
-			s.breaker.returnProbe()
-		}
-		if s.dlq != nil && retryable {
+		// duplicate name) is a property of the request and final.
+		if s.dlq != nil && manager.IsRetryableRejection(out.Err) {
 			if attempts < s.opts.DLQRetries {
 				if s.dlq.add(dlqEntry{arr: a, class: c, attempts: attempts}) {
 					return // verdict deferred to the retry or the expiry
@@ -549,15 +538,15 @@ type Report struct {
 	// RecoveredByClass and ExpiredByClass split the DLQ outcomes per QoS
 	// class, so a per-class budget squeeze is visible in the ledger.
 	RecoveredByClass, ExpiredByClass [model.NumPriorities]uint64
-	// ShedBuffer, ShedBreaker, ShedQueue and ShedDeadline attribute
-	// sheds to the check that dropped: class share spent, open circuit
-	// breaker, saturated backend queue, expired request deadline.
-	ShedBuffer, ShedBreaker, ShedQueue, ShedDeadline uint64
-	// BreakerOpens counts breaker trips; BreakerState names the state at
-	// report time; DLQDepth is the queue's total depth at report time
-	// (nonzero only mid-run) and DLQDepthByClass splits it per lane.
-	BreakerOpens    uint64
-	BreakerState    string
+	// ShedShare, ShedQueue and ShedDeadline attribute sheds to the
+	// check that dropped: class share spent, saturated backend queue,
+	// expired request deadline.
+	ShedShare, ShedQueue, ShedDeadline uint64
+	// BreakerOpens is always 0. It stays only because the benchmark
+	// still reads it.
+	BreakerOpens uint64
+	// DLQDepth is the queue's total depth at report time (nonzero only
+	// mid-run) and DLQDepthByClass splits it per lane.
 	DLQDepth        int
 	DLQDepthByClass [model.NumPriorities]int
 	// Window is the rolling-window snapshot of end-to-end admission
@@ -588,12 +577,9 @@ func (s *Server) Report() Report {
 		Recovered:    s.c.recovered.Load(),
 		Rejected:     s.c.rejected.Load(),
 		Expired:      s.c.expired.Load(),
-		ShedBuffer:   s.c.shedAt[ShedAtBuffer].Load(),
-		ShedBreaker:  s.c.shedAt[ShedAtBreaker].Load(),
+		ShedShare:    s.c.shedAt[ShedAtShare].Load(),
 		ShedQueue:    s.c.shedAt[ShedAtQueue].Load(),
 		ShedDeadline: s.c.shedAt[ShedAtDeadline].Load(),
-		BreakerOpens: s.breaker.Opens(),
-		BreakerState: s.breaker.State().String(),
 		Window:       s.win.Snapshot(),
 	}
 	for c := range r.ShedByClass {

@@ -15,7 +15,7 @@ import (
 	"rtsm/internal/workload"
 )
 
-// fakeClock drives breaker/window tests deterministically.
+// fakeClock drives the metrics window tests deterministically.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -31,200 +31,6 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Lock()
 	c.t = c.t.Add(d)
 	c.mu.Unlock()
-}
-
-func TestBreakerOpensHalfOpensCloses(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	b := newBreaker(BreakerConfig{
-		Window: 500 * time.Millisecond, MinSamples: 10, Ratio: 0.5,
-		Cooldown: 100 * time.Millisecond, Probes: 3,
-	})
-	b.now = clk.now
-	b.bucketAt = clk.now()
-
-	// Below MinSamples nothing trips, even at 100% failure.
-	for i := 0; i < 9; i++ {
-		b.record(true)
-	}
-	if !b.allow() {
-		t.Fatal("breaker tripped below MinSamples")
-	}
-	b.record(true) // 10th failure: ratio 1.0 over ≥ MinSamples
-	if b.allow() {
-		t.Fatal("breaker stayed closed under sustained failure")
-	}
-	if b.Opens() != 1 {
-		t.Fatalf("opens = %d, want 1", b.Opens())
-	}
-	// Still open inside the cooldown.
-	clk.advance(50 * time.Millisecond)
-	if b.allow() {
-		t.Fatal("breaker half-opened before the cooldown")
-	}
-	// Past the cooldown: half-open admits exactly Probes arrivals.
-	clk.advance(60 * time.Millisecond)
-	for i := 0; i < 3; i++ {
-		if !b.allow() {
-			t.Fatalf("probe %d refused in half-open", i)
-		}
-	}
-	if b.allow() {
-		t.Fatal("half-open admitted more than Probes arrivals")
-	}
-	// A probe whose outcome said nothing (a structural rejection) hands
-	// its slot back, or the breaker could never collect Probes verdicts.
-	b.returnProbe()
-	if !b.allow() || b.allow() {
-		t.Fatal("a returned probe slot must admit exactly one more arrival")
-	}
-	// Successful probes close it.
-	for i := 0; i < 3; i++ {
-		b.record(false)
-	}
-	if b.State() != breakerClosed {
-		t.Fatal("breaker did not close after successful probes")
-	}
-	if !b.allow() {
-		t.Fatal("closed breaker refused an arrival")
-	}
-}
-
-func TestBreakerReopensOnFailedProbe(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(2000, 0)}
-	b := newBreaker(BreakerConfig{
-		Window: 500 * time.Millisecond, MinSamples: 5, Ratio: 0.5,
-		Cooldown: 100 * time.Millisecond, Probes: 3,
-	})
-	b.now = clk.now
-	b.bucketAt = clk.now()
-	for i := 0; i < 5; i++ {
-		b.record(true)
-	}
-	clk.advance(150 * time.Millisecond)
-	if !b.allow() {
-		t.Fatal("no probe after cooldown")
-	}
-	b.record(true) // the probe fails
-	if b.State() != breakerOpen {
-		t.Fatal("failed probe did not reopen the breaker")
-	}
-	if b.Opens() != 2 {
-		t.Fatalf("opens = %d, want 2", b.Opens())
-	}
-}
-
-// TestBreakerHalfOpenProbesConcurrent pins the half-open contract under
-// contention (run with -race): no matter how many goroutines race
-// allow(), exactly Probes arrivals pass while half-open — no thundering
-// herd onto a recovering backend — and concurrent probe outcomes settle
-// the state exactly once: all-success closes it, any failure reopens it
-// exactly one more time.
-func TestBreakerHalfOpenProbesConcurrent(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(4000, 0)}
-	const probes = 5
-	b := newBreaker(BreakerConfig{
-		Window: 500 * time.Millisecond, MinSamples: 5, Ratio: 0.5,
-		Cooldown: 100 * time.Millisecond, Probes: probes,
-	})
-	b.now = clk.now
-	b.bucketAt = clk.now()
-
-	trip := func() {
-		for i := 0; i < 5; i++ {
-			b.record(true)
-		}
-		if b.allow() {
-			t.Fatal("breaker did not trip")
-		}
-		clk.advance(150 * time.Millisecond)
-	}
-	// hammer races many goroutines against allow() and returns how many
-	// arrivals were admitted.
-	hammer := func() int {
-		var admitted atomic.Int64
-		var wg sync.WaitGroup
-		for g := 0; g < 16; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 50; i++ {
-					if b.allow() {
-						admitted.Add(1)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		return int(admitted.Load())
-	}
-
-	// Round 1: exactly Probes admitted, concurrent successes close it.
-	trip()
-	if got := hammer(); got != probes {
-		t.Fatalf("half-open admitted %d arrivals, want exactly %d", got, probes)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < probes; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b.record(false)
-		}()
-	}
-	wg.Wait()
-	if b.State() != breakerClosed {
-		t.Fatalf("breaker %s after %d concurrent successful probes, want closed", b.State(), probes)
-	}
-	opens := b.Opens()
-
-	// Round 2: exactly Probes admitted again, and one failure among the
-	// concurrent probe outcomes reopens it exactly once, whatever the
-	// interleaving (4 successes cannot close a Probes=5 breaker).
-	trip()
-	opens = b.Opens() // the trip itself is one open
-	if got := hammer(); got != probes {
-		t.Fatalf("second half-open admitted %d arrivals, want exactly %d", got, probes)
-	}
-	for i := 0; i < probes; i++ {
-		wg.Add(1)
-		go func(fail bool) {
-			defer wg.Done()
-			b.record(fail)
-		}(i == 0)
-	}
-	wg.Wait()
-	if b.State() != breakerOpen {
-		t.Fatalf("breaker %s after a failed probe, want open", b.State())
-	}
-	if b.Opens() != opens+1 {
-		t.Fatalf("opens = %d after one failed probe round, want %d", b.Opens(), opens+1)
-	}
-	if b.allow() {
-		t.Fatal("reopened breaker admitted an arrival inside the cooldown")
-	}
-}
-
-func TestBreakerRatioDecaysOutOfWindow(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(3000, 0)}
-	b := newBreaker(BreakerConfig{
-		Window: 500 * time.Millisecond, MinSamples: 10, Ratio: 0.5,
-		Cooldown: 100 * time.Millisecond, Probes: 3,
-	})
-	b.now = clk.now
-	b.bucketAt = clk.now()
-	// Nine failures, then the whole window elapses: the stale failures
-	// must not combine with fresh successes into a trip.
-	for i := 0; i < 9; i++ {
-		b.record(true)
-	}
-	clk.advance(600 * time.Millisecond)
-	for i := 0; i < 20; i++ {
-		b.record(false)
-	}
-	b.record(true)
-	if b.State() != breakerClosed {
-		t.Fatal("stale failures outside the window tripped the breaker")
-	}
 }
 
 func TestWindowPercentilesAndRate(t *testing.T) {
@@ -257,10 +63,10 @@ func TestWindowPercentilesAndRate(t *testing.T) {
 	}
 }
 
-// TestRingsKeepTheirSpanAtLowRates pins both bucket rings to their
-// configured span when calls arrive slower than one per bucket: one event
-// every 1.9 bucket spans used to rotate one bucket per call and restart
-// it at the call, so the ring came to cover 1.9 windows.
+// TestRingsKeepTheirSpanAtLowRates pins the metrics window's bucket ring
+// to its configured span when calls arrive slower than one per bucket:
+// one event every 1.9 bucket spans used to rotate one bucket per call and
+// restart it at the call, so the ring came to cover 1.9 windows.
 func TestRingsKeepTheirSpanAtLowRates(t *testing.T) {
 	t.Run("window", func(t *testing.T) {
 		clk := &fakeClock{t: time.Unix(5000, 0)}
@@ -274,24 +80,6 @@ func TestRingsKeepTheirSpanAtLowRates(t *testing.T) {
 		// True rate 10.5/s; the stretched ring read 20.
 		if got := w.Snapshot().PerSec; got < 9 || got > 12 {
 			t.Fatalf("rate = %.1f/s at one admission per 95 ms, want ~10.5/s", got)
-		}
-	})
-	t.Run("breaker", func(t *testing.T) {
-		clk := &fakeClock{t: time.Unix(6000, 0)}
-		b := newBreaker(BreakerConfig{ // 10 buckets of 100 ms
-			Window: time.Second, MinSamples: 8, Ratio: 1,
-			Cooldown: time.Hour, Probes: 1,
-		})
-		b.now = clk.now
-		b.bucketAt = clk.now()
-		// One failure per 190 ms puts at most six in any one-second
-		// window, short of MinSamples; the stretched ring held ten.
-		for i := 0; i < 20; i++ {
-			b.record(true)
-			clk.advance(190 * time.Millisecond)
-		}
-		if n := b.Opens(); n != 0 {
-			t.Fatalf("breaker opened %d time(s) on six failures a window, below MinSamples 8", n)
 		}
 	})
 }
@@ -452,14 +240,12 @@ func collect(srv *Server) (<-chan []Result, func()) {
 
 // TestServerExactlyOneOutcome pins the ledger identity on the fake
 // backend across every verdict path, including duplicate result
-// detection per app.
+// detection per app. A Standard or BestEffort arrival the backend queue
+// refuses sheds there (or at its share, if that filled first); a
+// Critical one waits in the blocking Submit and is never shed.
 func TestServerExactlyOneOutcome(t *testing.T) {
 	fb := &fakeBackend{}
-	srv, err := New(Options{Backend: fb, ClassBuf: 16,
-		// A breaker would (correctly) trip on the scripted rejection
-		// storm and shed everything; this test wants every verdict path
-		// live, so it is effectively disabled.
-		Breaker: BreakerConfig{MinSamples: 1 << 30}})
+	srv, err := New(Options{Backend: fb, ClassBuf: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,13 +275,22 @@ func TestServerExactlyOneOutcome(t *testing.T) {
 	seen := make(map[string]int)
 	for _, r := range all {
 		seen[r.App]++
+		full := strings.HasPrefix(r.App, "full-")
+		switch {
+		case r.Class == model.Critical && r.Verdict == VerdictShed:
+			t.Fatalf("Critical arrival %s shed at %s", r.App, r.ShedAt)
+		case r.Class != model.Critical && full && r.ShedAt != ShedAtQueue && r.ShedAt != ShedAtShare:
+			t.Fatalf("refused arrival %s: %s at %s, want shed at the queue or the share", r.App, r.Verdict, r.ShedAt)
+		case !full && r.ShedAt == ShedAtQueue:
+			t.Fatalf("arrival %s shed at the queue, which never refused it", r.App)
+		}
 	}
 	for app, c := range seen {
 		if c != 1 {
 			t.Fatalf("app %s got %d results", app, c)
 		}
 	}
-	if rep.Admitted == 0 || rep.Rejected == 0 || rep.Shed() == 0 {
+	if rep.Admitted == 0 || rep.Rejected == 0 || rep.ShedQueue == 0 {
 		t.Fatalf("expected a mix of verdicts, got %+v", rep)
 	}
 	if err := srv.Submit(synthArrival(n, model.BestEffort)); err == nil {
@@ -506,7 +301,8 @@ func TestServerExactlyOneOutcome(t *testing.T) {
 // TestServerDLQRecoversAfterLoadDrops scripts the dead-letter cycle:
 // retryable rejections park, nothing retries while utilization is
 // high, and once it drops the entries are re-submitted and admitted
-// with Recovered set — each still yielding exactly one outcome.
+// with Recovered set — each still yielding exactly one outcome. A
+// structural rejection is final: it never parks.
 func TestServerDLQRecoversAfterLoadDrops(t *testing.T) {
 	fb := &fakeBackend{}
 	fb.mode.Store(fakeRejectRetryable)
@@ -514,25 +310,30 @@ func TestServerDLQRecoversAfterLoadDrops(t *testing.T) {
 	srv, err := New(Options{
 		Backend: fb, ClassBuf: 256,
 		DLQ: 64, DLQBelow: 0.5, DLQRetries: 3, DLQEvery: time.Millisecond,
-		Breaker: BreakerConfig{MinSamples: 1 << 30},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	done, _ := collect(srv)
-	const n = 20
+	const n, bad = 20, 5
 	for i := 0; i < n; i++ {
 		if err := srv.Submit(synthArrival(i, model.Standard)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Wait until every arrival is parked in the DLQ.
+	for i := 0; i < bad; i++ {
+		if err := srv.Submit(taggedArrival("structural", n+i, model.Standard)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Wait until every capacity rejection is parked in the DLQ and every
+	// structural one is delivered.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.dlq.depth() < n && time.Now().Before(deadline) {
+	for (srv.dlq.depth() < n || srv.c.rejected.Load() < bad) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if d := srv.dlq.depth(); d != n {
-		t.Fatalf("DLQ parked %d of %d", d, n)
+	if d, r := srv.dlq.depth(), srv.c.rejected.Load(); d != n || r != bad {
+		t.Fatalf("DLQ parked %d of %d, rejected %d of %d", d, n, r, bad)
 	}
 	// Load drops and the backend heals: retries must recover.
 	fb.mode.Store(fakeAdmit)
@@ -542,8 +343,9 @@ func TestServerDLQRecoversAfterLoadDrops(t *testing.T) {
 	}
 	rep := srv.Shutdown()
 	all := <-done
-	if rep.Recovered != n || rep.Admitted != n {
-		t.Fatalf("recovered %d admitted %d, want %d each\n%+v", rep.Recovered, rep.Admitted, n, rep)
+	if rep.Recovered != n || rep.Admitted != n || rep.Rejected != bad {
+		t.Fatalf("recovered %d admitted %d rejected %d, want %d, %d and %d\n%+v",
+			rep.Recovered, rep.Admitted, rep.Rejected, n, n, bad, rep)
 	}
 	if !rep.LedgerOK() {
 		t.Fatalf("ledger broken: %+v", rep)
@@ -552,8 +354,9 @@ func TestServerDLQRecoversAfterLoadDrops(t *testing.T) {
 		t.Fatalf("results delivered %d, want %d", len(all), rep.Submitted)
 	}
 	for _, r := range all {
-		if !r.Recovered || r.Verdict != VerdictAdmitted {
-			t.Fatalf("result %+v, want recovered admission", r)
+		structural := strings.HasPrefix(r.App, "structural-")
+		if structural && r.Verdict != VerdictRejected || !structural && (!r.Recovered || r.Verdict != VerdictAdmitted) {
+			t.Fatalf("result %+v, want a final rejection for a structural one and a recovered admission otherwise", r)
 		}
 	}
 }
@@ -568,7 +371,6 @@ func TestServerDLQIdleSkipsUtilization(t *testing.T) {
 	srv, err := New(Options{
 		Backend: fb, ClassBuf: 256,
 		DLQ: 64, DLQBelow: 0.5, DLQRetries: 3, DLQEvery: time.Millisecond,
-		Breaker: BreakerConfig{MinSamples: 1 << 30},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -612,8 +414,7 @@ func TestServerDLQExpiresOnShutdownAndBudget(t *testing.T) {
 	fb.mode.Store(fakeRejectRetryable)
 	fb.util.Store(95) // never retries
 	srv, err := New(Options{Backend: fb, ClassBuf: 256,
-		DLQ: 64, DLQBelow: 0.5, DLQRetries: 5, DLQEvery: time.Millisecond,
-		Breaker: BreakerConfig{MinSamples: 1 << 30}})
+		DLQ: 64, DLQBelow: 0.5, DLQRetries: 5, DLQEvery: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -643,8 +444,7 @@ func TestServerDLQExpiresOnShutdownAndBudget(t *testing.T) {
 	fb2.mode.Store(fakeRejectRetryable)
 	fb2.util.Store(10) // retries run immediately — and keep failing
 	srv2, err := New(Options{Backend: fb2, ClassBuf: 256,
-		DLQ: 64, DLQBelow: 0.5, DLQRetries: 2, DLQEvery: time.Millisecond,
-		Breaker: BreakerConfig{MinSamples: 1 << 30}})
+		DLQ: 64, DLQBelow: 0.5, DLQRetries: 2, DLQEvery: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -665,159 +465,50 @@ func TestServerDLQExpiresOnShutdownAndBudget(t *testing.T) {
 	}
 }
 
-// TestServerBreakerIgnoresStructuralRejections pins that unmappable
-// requests say nothing about saturation: forty structural rejections
-// inside one breaker window — twice MinSamples, at a failure ratio of
-// one had they counted — leave the breaker closed, and the next
-// BestEffort arrival is admitted, not shed.
-func TestServerBreakerIgnoresStructuralRejections(t *testing.T) {
+// TestServerRejectionsShedNothing: rejections never make the server shed
+// arrivals the backend could serve. Twenty structural and thirty
+// capacity rejections with no DLQ are final verdicts; once the backend
+// admits again, the next ten BestEffort arrivals are all admitted.
+func TestServerRejectionsShedNothing(t *testing.T) {
 	fb := &fakeBackend{}
-	srv, err := New(Options{
-		Backend: fb, ClassBuf: 128, // Standard's share covers all forty
-		Breaker: BreakerConfig{Window: time.Minute, MinSamples: 20, Ratio: 0.5},
-	})
+	srv, err := New(Options{Backend: fb})
 	if err != nil {
 		t.Fatal(err)
 	}
 	done, _ := collect(srv)
-	const bad = 40
-	for i := 0; i < bad; i++ {
-		if err := srv.Submit(taggedArrival("structural", i, model.Standard)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for deadline := time.Now().Add(5 * time.Second); srv.Report().Rejected < bad; {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d structural rejections delivered", srv.Report().Rejected, bad)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := srv.Submit(taggedArrival("admit", bad, model.BestEffort)); err != nil {
-		t.Fatal(err)
-	}
-	rep := srv.Shutdown()
-	<-done
-	if rep.BreakerOpens != 0 || rep.ShedBreaker != 0 {
-		t.Fatalf("structural rejections opened the breaker: %d opens, %d shed at it", rep.BreakerOpens, rep.ShedBreaker)
-	}
-	if rep.Admitted != 1 || rep.Rejected != bad || !rep.LedgerOK() {
-		t.Fatalf("admitted %d, rejected %d, want 1 and %d: %+v", rep.Admitted, rep.Rejected, bad, rep)
-	}
-}
-
-// TestServerBreakerHalfOpenSurvivesQueueSheds pins that an arrival the
-// backend queue refuses hands back the half-open probe slot it took: it
-// never produces an outcome, so a kept slot could never be settled, and
-// after Probes such sheds the breaker would stay half-open and shed every
-// Standard and BestEffort arrival until a Critical outcome closed it.
-func TestServerBreakerHalfOpenSurvivesQueueSheds(t *testing.T) {
-	fb := &fakeBackend{}
-	srv, err := New(Options{
-		Backend: fb, ClassBuf: 8,
-		Breaker: BreakerConfig{Window: time.Minute, MinSamples: 4, Ratio: 0.5,
-			Cooldown: 20 * time.Millisecond, Probes: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done, _ := collect(srv)
-	// SubmitWait returns after the watcher fed the breaker, so every step
-	// below sees the breaker state the previous arrival left.
-	send := func(tag string, i int) Result {
-		app, lib := taggedArrival(tag, i, model.Standard)
+	// SubmitWait one arrival at a time, so no class share ever binds.
+	send := func(i int, c model.Priority) Result {
+		app, lib := synthArrival(i, c)
 		r, err := srv.SubmitWait(context.Background(), app, lib)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	for i := 0; i < 4; i++ {
-		send("reject", i)
-	}
-	if srv.breaker.Opens() != 1 {
-		t.Fatalf("breaker opens = %d after four capacity rejections, want 1", srv.breaker.Opens())
-	}
-	time.Sleep(40 * time.Millisecond) // past the cooldown: half-open
-	for i := 0; i < 2; i++ {
-		if r := send("full", 4+i); r.ShedAt != ShedAtQueue {
-			t.Fatalf("full-queue arrival %d: %+v, want shed at the queue", i, r)
-		}
-	}
-	for i := 0; i < 10; i++ {
-		if r := send("admit", 6+i); r.Verdict != VerdictAdmitted {
-			t.Fatalf("arrival %d after the queue sheds: %s at %s (breaker %s), want admitted",
-				i, r.Verdict, r.ShedAt, srv.breaker.State())
+	i := 0
+	for _, phase := range []struct {
+		mode  int32
+		n     int
+		class model.Priority
+		want  Verdict
+	}{
+		{fakeRejectStructural, 20, model.Standard, VerdictRejected},
+		{fakeRejectRetryable, 30, model.Standard, VerdictRejected},
+		{fakeAdmit, 10, model.BestEffort, VerdictAdmitted},
+	} {
+		fb.mode.Store(phase.mode)
+		for j := 0; j < phase.n; j++ {
+			if r := send(i, phase.class); r.Verdict != phase.want {
+				t.Fatalf("arrival %d: %s at %s, want %s", i, r.Verdict, r.ShedAt, phase.want)
+			}
+			i++
 		}
 	}
 	rep := srv.Shutdown()
 	<-done
-	if rep.BreakerState != "closed" || rep.Admitted != 10 || !rep.LedgerOK() {
-		t.Fatalf("breaker %s, admitted %d, want closed and 10: %+v", rep.BreakerState, rep.Admitted, rep)
-	}
-}
-
-// TestServerBreakerShedsNonCritical scripts sustained rejection until
-// the breaker opens, then checks Standard/BestEffort shed at submit
-// while Critical still reaches the backend.
-func TestServerBreakerShedsNonCritical(t *testing.T) {
-	fb := &fakeBackend{}
-	fb.mode.Store(fakeRejectRetryable)
-	srv, err := New(Options{
-		Backend: fb, ClassBuf: 8,
-		Breaker: BreakerConfig{Window: time.Second, MinSamples: 10, Ratio: 0.5,
-			Cooldown: time.Hour, Probes: 1}, // open stays open for the test
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done, _ := collect(srv)
-	// Feed failures until the breaker trips.
-	deadline := time.Now().Add(5 * time.Second)
-	i := 0
-	for srv.breaker.Opens() == 0 && time.Now().Before(deadline) {
-		if err := srv.Submit(synthArrival(i, model.Standard)); err != nil {
-			t.Fatal(err)
-		}
-		i++
-		time.Sleep(time.Millisecond)
-	}
-	if srv.breaker.Opens() == 0 {
-		t.Fatal("breaker never opened under sustained rejection")
-	}
-	subsBefore := fb.subs.Load()
-	// With the breaker open, non-critical arrivals shed at submit and
-	// Critical still submits.
-	fb.mode.Store(fakeAdmit)
-	for j := 0; j < 10; j++ {
-		if err := srv.Submit(synthArrival(1000+j, model.BestEffort)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := srv.Submit(synthArrival(2000, model.Critical)); err != nil {
-		t.Fatal(err)
-	}
-	rep := srv.Shutdown()
-	all := <-done
-	if rep.ShedBreaker == 0 {
-		t.Fatalf("open breaker shed nothing: %+v", rep)
-	}
-	if fb.subs.Load() == subsBefore {
-		t.Fatal("Critical arrival never reached the backend through the open breaker")
-	}
-	if !rep.LedgerOK() || uint64(len(all)) != rep.Submitted {
-		t.Fatalf("ledger broken: %+v (%d results)", rep, len(all))
-	}
-	crit := 0
-	for _, r := range all {
-		if r.Class == model.Critical {
-			crit++
-			if r.Verdict == VerdictShed {
-				t.Fatal("Critical arrival was shed")
-			}
-		}
-	}
-	if crit != 1 {
-		t.Fatalf("critical results = %d, want 1", crit)
+	if rep.Admitted != 10 || rep.Rejected != 50 || rep.ShedByClass != [model.NumPriorities]uint64{} || !rep.LedgerOK() {
+		t.Fatalf("admitted %d, rejected %d, shed %v; want 10, 50 and none: %+v",
+			rep.Admitted, rep.Rejected, rep.ShedByClass, rep)
 	}
 }
 
@@ -1126,8 +817,8 @@ func TestClassShareHoldsUnderConcurrentSubmitters(t *testing.T) {
 	if pending != share || calls != share {
 		t.Fatalf("BestEffort pending %d, backend submissions %d; want the share, %d", pending, calls, share)
 	}
-	if rep.ShedBuffer != n-uint64(share) || rep.Admitted != uint64(share) || !rep.LedgerOK() {
-		t.Fatalf("shed at the share %d, admitted %d; want %d and %d: %+v", rep.ShedBuffer, rep.Admitted, n-share, share, rep)
+	if rep.ShedShare != n-uint64(share) || rep.Admitted != uint64(share) || !rep.LedgerOK() {
+		t.Fatalf("shed at the share %d, admitted %d; want %d and %d: %+v", rep.ShedShare, rep.Admitted, n-share, share, rep)
 	}
 }
 
@@ -1140,8 +831,7 @@ func TestClassShareCountsDLQParking(t *testing.T) {
 	fb.mode.Store(fakeRejectRetryable)
 	fb.util.Store(95)                                 // parked entries never retry
 	srv, err := New(Options{Backend: fb, ClassBuf: 8, // BestEffort share 2
-		DLQ: 64, DLQBelow: 0.5, DLQEvery: time.Millisecond,
-		Breaker: BreakerConfig{MinSamples: 1 << 30}})
+		DLQ: 64, DLQBelow: 0.5, DLQEvery: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1164,7 +854,7 @@ func TestClassShareCountsDLQParking(t *testing.T) {
 	}
 	rep := srv.Shutdown()
 	<-done
-	if r.ShedAt != ShedAtBuffer {
+	if r.ShedAt != ShedAtShare {
 		t.Fatalf("third BestEffort arrival: %+v, want shed at the share", r)
 	}
 	if rep.Expired != 2 || !rep.LedgerOK() {

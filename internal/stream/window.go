@@ -7,8 +7,7 @@ import (
 )
 
 // windowBuckets subdivide the metrics window for the admissions/sec
-// rate, like the breaker's ring: counting survives any arrival rate in
-// O(buckets) memory.
+// rate: counting survives any arrival rate in O(buckets) memory.
 const windowBuckets = 20
 
 // windowSampleCap bounds the latency reservoir. Percentiles are
@@ -63,13 +62,13 @@ func newMetricsWindow(window time.Duration) *metricsWindow {
 	return w
 }
 
-// ringAdvance is the rotation both bucket rings (this window's counts and
-// the breaker's outcomes) share: how many of a ring's n buckets of the
-// given span to rotate past to reach now, and when the then-current
-// bucket started. The start moves by whole spans, so the part of a span
-// already elapsed stays elapsed; restarting the bucket at now instead
-// would stretch the ring whenever calls come slower than one per span.
-// Only a ring that expired as a whole restarts at now.
+// ringAdvance is the metrics window's bucket rotation: how many of a
+// ring's n buckets of the given span to rotate past to reach now, and
+// when the then-current bucket started. The start moves by whole spans,
+// so the part of a span already elapsed stays elapsed; restarting the
+// bucket at now instead would stretch the ring whenever calls come
+// slower than one per span. Only a ring that expired as a whole
+// restarts at now.
 func ringAdvance(bucketAt, now time.Time, span time.Duration, n int) (steps int, at time.Time) {
 	steps = int(now.Sub(bucketAt) / span)
 	switch {
