@@ -512,6 +512,107 @@ func TestServerRejectionsShedNothing(t *testing.T) {
 	}
 }
 
+// TestServerBreakerHalfOpenSurvivesQueueSheds pins that sheds leave no
+// shedding state behind (the name is from when a circuit breaker could
+// be left half-open): capacity rejections and more queue sheds than the
+// Standard share holds, then every following Standard arrival is
+// admitted. A queue-refused arrival never reaches the backend, so it
+// must hand its class share back when it is shed.
+func TestServerBreakerHalfOpenSurvivesQueueSheds(t *testing.T) {
+	fb := &fakeBackend{}
+	srv, err := New(Options{Backend: fb, ClassBuf: 8}) // Standard share 4
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, _ := collect(srv)
+	// SubmitWait returns after the arrival's outcome is booked, so every
+	// step below sees the share the previous arrival left.
+	send := func(tag string, i int) Result {
+		app, lib := taggedArrival(tag, i, model.Standard)
+		r, err := srv.SubmitWait(context.Background(), app, lib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for i := 0; i < 4; i++ {
+		if r := send("reject", i); r.Verdict != VerdictRejected {
+			t.Fatalf("capacity rejection %d: %s at %s, want rejected", i, r.Verdict, r.ShedAt)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		if r := send("full", 4+i); r.ShedAt != ShedAtQueue {
+			t.Fatalf("full-queue arrival %d: %+v, want shed at the queue", i, r)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		if r := send("admit", 10+i); r.Verdict != VerdictAdmitted {
+			t.Fatalf("arrival %d after the queue sheds: %s at %s, want admitted", i, r.Verdict, r.ShedAt)
+		}
+	}
+	rep := srv.Shutdown()
+	<-done
+	if rep.Admitted != 10 || rep.Rejected != 4 || rep.ShedQueue != 6 || rep.ShedShare != 0 || !rep.LedgerOK() {
+		t.Fatalf("admitted %d, rejected %d, shed %d at the queue and %d at the share; want 10, 4, 6 and 0: %+v",
+			rep.Admitted, rep.Rejected, rep.ShedQueue, rep.ShedShare, rep)
+	}
+}
+
+// TestServerBreakerShedsNonCritical scripts sustained rejection and then
+// a full backend queue (the name is from when a circuit breaker did the
+// shedding): Standard and BestEffort arrivals shed at submit, while a
+// Critical one still reaches the backend and is never shed.
+func TestServerBreakerShedsNonCritical(t *testing.T) {
+	fb := &fakeBackend{}
+	fb.mode.Store(fakeRejectRetryable)
+	srv, err := New(Options{Backend: fb, ClassBuf: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, _ := collect(srv)
+	for i := 0; i < 20; i++ {
+		if err := srv.Submit(synthArrival(i, model.Standard)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	subsBefore := fb.subs.Load()
+	// With the queue refusing, non-critical arrivals shed at submit and
+	// Critical waits in the blocking Submit.
+	fb.mode.Store(fakeFull)
+	for j := 0; j < 10; j++ {
+		if err := srv.Submit(synthArrival(1000+j, model.BestEffort)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Submit(synthArrival(2000, model.Critical)); err != nil {
+		t.Fatal(err)
+	}
+	rep := srv.Shutdown()
+	all := <-done
+	if rep.ShedByClass[model.BestEffort] != 10 || rep.ShedQueue == 0 {
+		t.Fatalf("BestEffort shed %d, %d at the queue; want 10 and some at the queue: %+v",
+			rep.ShedByClass[model.BestEffort], rep.ShedQueue, rep)
+	}
+	if fb.subs.Load() != subsBefore+1 {
+		t.Fatalf("backend submissions %d after the queue filled, want only the Critical arrival", fb.subs.Load()-subsBefore)
+	}
+	if !rep.LedgerOK() || uint64(len(all)) != rep.Submitted {
+		t.Fatalf("ledger broken: %+v (%d results)", rep, len(all))
+	}
+	crit := 0
+	for _, r := range all {
+		if r.Class == model.Critical {
+			crit++
+			if r.Verdict == VerdictShed {
+				t.Fatal("Critical arrival was shed")
+			}
+		}
+	}
+	if crit != 1 {
+		t.Fatalf("critical results = %d, want 1", crit)
+	}
+}
+
 // queueBackend is a backend with a bounded queue and one worker that
 // admits each queued arrival after delay, once hold (if set) is closed:
 // Submit blocks while the queue is full and TrySubmit refuses.
