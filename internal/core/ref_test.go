@@ -11,9 +11,10 @@ import (
 
 // The steps 1 and 2 the incremental ones replaced, kept as the oracle of
 // the differential tests: step 1 re-scores every unassigned process after
-// every pick, step 2 prices a candidate by walking all stream channels
-// and records every evaluated row with a full copy of the assignment,
-// which the eager table renderer reads back.
+// every pick, step 2 prices a candidate by walking all stream channels,
+// reads tiles from Mapping.Tile and positions from the routers, checks a
+// tile's room before pricing it, and records every evaluated row with a
+// full copy of the assignment, which the eager table renderer reads back.
 
 // refStep1 is step 1 re-scoring every unassigned process after each pick.
 func (m *Mapper) refStep1(ix *appIndex, work *arch.Platform, mp *Mapping, tb *tabu, tr *Trace) *feedback {
@@ -69,8 +70,9 @@ func (m *Mapper) refStep1(ix *appIndex, work *arch.Platform, mp *Mapping, tb *ta
 	return nil
 }
 
-// refSearch is step 2's search with the all-channel delta and eager
-// snapshots; everything else it shares with searchState.
+// refSearch is step 2's search with the all-channel delta, map and router
+// lookups and eager snapshots; the rest (weights, swapFits,
+// applyCandidate, initialRecord) it shares with searchState.
 type refSearch struct {
 	*searchState
 	snaps *[]map[string]string // tile name → process names, one per row
@@ -81,6 +83,7 @@ type refSearch struct {
 func (m *Mapper) refStep2(ix *appIndex, work *arch.Platform, mp *Mapping, locked map[model.ProcessID]bool, tr *Trace) []map[string]string {
 	s := refSearch{&searchState{m: m, ix: ix, work: work, mp: mp, locked: locked}, new([]map[string]string)}
 	s.init()
+	s.cost = s.totalCost()
 	tr.Step2 = append(tr.Step2, s.initialRecord())
 	*s.snaps = append(*s.snaps, s.snapshotWith(nil))
 	switch m.Cfg.Strategy {
@@ -90,6 +93,71 @@ func (m *Mapper) refStep2(ix *appIndex, work *arch.Platform, mp *Mapping, locked
 		s.runFirstImprovement(tr)
 	}
 	return *s.snaps
+}
+
+func (s refSearch) tileOf(p model.ProcessID, o override) (arch.TileID, bool) {
+	switch p {
+	case o.p:
+		return o.pt, true
+	case o.q:
+		return o.qt, true
+	}
+	t, ok := s.mp.Tile[p]
+	return t, ok
+}
+
+func (s refSearch) channelDist(c *model.Channel, o override) int {
+	src, ok := s.tileOf(c.Src, o)
+	if !ok {
+		return 0
+	}
+	dst, ok := s.tileOf(c.Dst, o)
+	if !ok {
+		return 0
+	}
+	pos := func(id arch.TileID) arch.Point { return s.work.Routers[s.work.Tile(id).Router].Pos }
+	return pos(src).Manhattan(pos(dst))
+}
+
+func (s refSearch) totalCost() float64 {
+	var total float64
+	for i, c := range s.ix.chans {
+		total += s.weight[i] * float64(s.channelDist(c, current))
+	}
+	if s.m.Cfg.CommCost == TrafficWeighted {
+		params := s.m.Cfg.energyParams()
+		powered := make(map[arch.TileID]bool)
+		for _, p := range s.ix.procs {
+			powered[s.mp.Tile[p.ID]] = true
+		}
+		for tid := range powered {
+			total += params.IdleEnergy(s.work.Tile(tid))
+		}
+	}
+	return total
+}
+
+func (s refSearch) idleDelta(o override) float64 {
+	params := s.m.Cfg.energyParams()
+	before := make(map[arch.TileID]int)
+	after := make(map[arch.TileID]int)
+	for _, p := range s.ix.procs {
+		before[s.mp.Tile[p.ID]]++
+		next, _ := s.tileOf(p.ID, o)
+		after[next]++
+	}
+	var delta float64
+	for tid := range before {
+		if after[tid] == 0 {
+			delta -= params.IdleEnergy(s.work.Tile(tid))
+		}
+	}
+	for tid := range after {
+		if before[tid] == 0 {
+			delta += params.IdleEnergy(s.work.Tile(tid))
+		}
+	}
+	return delta
 }
 
 // deltaFor re-prices every stream channel with a relocated endpoint,

@@ -20,7 +20,7 @@ type step12Case struct {
 	shape      workload.Shape
 	procs      int
 	seed       int64
-	mesh       int // 6 or 8
+	mesh       int // one of step12Meshes
 	background int // 0, 12 or 24 background applications
 	bans       int
 	cfg        Config
@@ -37,6 +37,12 @@ var step12Configs = []Config{
 }
 
 var step12Shapes = []workload.Shape{workload.ShapeChain, workload.ShapeForkJoin, workload.ShapeLayered}
+
+// step12Meshes are the square meshes the cases map onto: the two the
+// benchmark maps on, and two larger ones, where step 2's price-first skip
+// passes over most tiles. A 24×24 case costs about twenty small ones, so
+// TestStep1Step2MatchRecompute draws the last mesh a tenth as often.
+var step12Meshes = []int{6, 8, 12, 24}
 
 var (
 	loadedMu    sync.Mutex
@@ -176,18 +182,22 @@ func checkStep12(t *testing.T, c step12Case) {
 }
 
 // TestStep1Step2MatchRecompute holds the incremental step 1 and the
-// incident-channel step 2 to the code they replaced on 540 seeded
-// synthetic applications: 3–12 processes of every shape, 6×6 and 8×8
+// dense, price-first step 2 to the code they replaced on 540 seeded
+// synthetic applications: 3–12 processes of every shape, 6×6 to 24×24
 // meshes carrying 0, 12 or 24 background applications, random tabu bans
 // and every configuration in step12Configs.
 func TestStep1Step2MatchRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for i := 0; i < 540; i++ {
+		mesh := step12Meshes[rng.Intn(len(step12Meshes)-1)]
+		if rng.Intn(10) == 0 {
+			mesh = step12Meshes[len(step12Meshes)-1]
+		}
 		checkStep12(t, step12Case{
 			shape:      step12Shapes[i%len(step12Shapes)],
 			procs:      3 + rng.Intn(10),
 			seed:       int64(i),
-			mesh:       6 + 2*rng.Intn(2),
+			mesh:       mesh,
 			background: 12 * rng.Intn(3),
 			bans:       rng.Intn(4),
 			cfg:        step12Configs[i%len(step12Configs)],
@@ -222,18 +232,23 @@ func TestRenderStep2TableReplay(t *testing.T) {
 }
 
 // FuzzStep12Differential runs the same oracle on fuzzer-chosen seeds,
-// sizes, shapes, loads, bans and configurations.
+// sizes, shapes, meshes, loads, bans and configurations. Step 2 prices a
+// move from its dense tiles and the tiles' own coordinates, and checks a
+// tile's room only when the price beats the best move so far; the oracle
+// reads Mapping.Tile and the routers and checks every tile's room first,
+// so the two share no lookup and no pruning.
 func FuzzStep12Differential(f *testing.F) {
 	f.Add(int64(1), 5, 0, 0, 0, 0)
 	f.Add(int64(7), 12, 2, 3, 2, 1)
 	f.Add(int64(42), 9, 1, 5, 3, 5)
+	f.Add(int64(3), 10, 1, 6, 1, 0)
 	f.Fuzz(func(t *testing.T, seed int64, procs, shape, load, bans, cfg int) {
 		checkStep12(t, step12Case{
 			shape:      step12Shapes[abs(shape)%len(step12Shapes)],
 			procs:      3 + abs(procs)%10,
 			seed:       seed,
-			mesh:       6 + 2*(abs(load)%2),
-			background: 12 * (abs(load) / 2 % 3),
+			mesh:       step12Meshes[abs(load)%len(step12Meshes)],
+			background: 12 * (abs(load) / len(step12Meshes) % 3),
 			bans:       abs(bans) % 6,
 			cfg:        step12Configs[abs(cfg)%len(step12Configs)],
 		})

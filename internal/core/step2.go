@@ -19,7 +19,8 @@ import (
 // neither moved nor offered as swap partners, but their channels still
 // price into the cost every candidate is scored by.
 func (m *Mapper) step2(ix *appIndex, work *arch.Platform, mp *Mapping, locked map[model.ProcessID]bool, tr *Trace) {
-	s := &searchState{m: m, ix: ix, work: work, mp: mp, locked: locked}
+	var tiles [32]int // a small application's dense tiles stay on the stack
+	s := &searchState{m: m, ix: ix, work: work, mp: mp, locked: locked, tile: tiles[:0]}
 	s.init()
 	tr.Step2 = append(tr.Step2, s.initialRecord())
 	switch m.Cfg.Strategy {
@@ -38,6 +39,9 @@ type searchState struct {
 	mp   *Mapping
 
 	locked map[model.ProcessID]bool // processes step 2 must not relocate
+	// tile is mp.Tile by ProcessID (-1 unplaced), in the caller's storage
+	// if large enough; applyCandidate keeps the two in step.
+	tile []int
 	// weight[i] multiplies the Manhattan distance of chans[i]; 1 under
 	// HopSum, traffic × hop energy under TrafficWeighted.
 	weight []float64
@@ -45,6 +49,17 @@ type searchState struct {
 }
 
 func (s *searchState) init() {
+	n := len(s.ix.app.Processes)
+	if cap(s.tile) < n {
+		s.tile = make([]int, n)
+	}
+	s.tile = s.tile[:n]
+	for i := range s.tile {
+		s.tile[i] = -1
+	}
+	for p, t := range s.mp.Tile {
+		s.tile[p] = int(t)
+	}
 	s.weight = make([]float64, len(s.ix.chans))
 	params := s.m.Cfg.energyParams()
 	for i, c := range s.ix.chans {
@@ -104,7 +119,7 @@ func (s *searchState) channelDist(c *model.Channel, o override) int {
 	if !ok {
 		return 0
 	}
-	return s.work.Manhattan(src, dst)
+	return s.work.Tiles[src].Pos.Manhattan(s.work.Tiles[dst].Pos)
 }
 
 func (s *searchState) tileOf(p model.ProcessID, o override) (arch.TileID, bool) {
@@ -114,8 +129,8 @@ func (s *searchState) tileOf(p model.ProcessID, o override) (arch.TileID, bool) 
 	case o.q:
 		return o.qt, true
 	}
-	t, ok := s.mp.Tile[p]
-	return t, ok
+	t := s.tile[p]
+	return arch.TileID(t), t >= 0
 }
 
 // candidate is one evaluated reassignment.
@@ -191,14 +206,18 @@ func (s *searchState) idleDelta(o override) float64 {
 // the process with another process mapped to the same tile type." Swap
 // partners are restricted to later-declared processes so each unordered
 // pair is evaluated once per pass. Reports false if p has no candidates.
+// Under HopSum a tile whose move cannot beat the best so far is skipped
+// before its room is checked: consider keeps only a strictly lower delta,
+// so answer and tie-break are unchanged. TrafficWeighted checks room
+// first, because its price allocates (idleDelta).
 func (s *searchState) bestCandidateFor(pi int) (best candidate, found bool) {
 	p := s.ix.procs[pi]
 	if s.locked[p.ID] {
 		return best, false
 	}
-	cur := s.mp.Tile[p.ID]
+	cur := arch.TileID(s.tile[p.ID])
 	im := s.mp.Impl[p.ID]
-	curTile := s.work.Tile(cur)
+	curTile := s.work.Tiles[cur]
 
 	consider := func(c candidate) {
 		if !found || c.delta < best.delta {
@@ -212,17 +231,18 @@ func (s *searchState) bestCandidateFor(pi int) (best candidate, found bool) {
 		return best, false
 	}
 	ni := s.ix.ni[p.ID]
+	priceFirst := s.m.Cfg.CommCost != TrafficWeighted
 	for _, tid := range s.work.TilesOfType(im.TileType) {
-		if tid == cur {
+		o := override{p: p.ID, pt: tid, q: noProcess}
+		if tid == cur || priceFirst && found && s.deltaFor(o) >= best.delta {
 			continue
 		}
-		t := s.work.Tile(tid)
+		t := s.work.Tiles[tid]
 		tUtil := utilisation(t, cyc, s.ix.app.QoS.PeriodNs)
 		if !canHost(t, im.MemBytes, tUtil) || !ni.fits(t) {
 			continue
 		}
-		delta := s.deltaFor(override{p: p.ID, pt: t.ID, q: noProcess})
-		consider(candidate{kind: Move, p: p, to: t.ID, delta: delta})
+		consider(candidate{kind: Move, p: p, to: tid, delta: s.deltaFor(o)})
 	}
 
 	// Swaps with later-declared processes on the same tile type.
@@ -231,12 +251,12 @@ func (s *searchState) bestCandidateFor(pi int) (best candidate, found bool) {
 		if s.locked[q.ID] {
 			continue
 		}
-		qTile := s.mp.Tile[q.ID]
+		qTile := arch.TileID(s.tile[q.ID])
 		if qTile == cur {
 			continue
 		}
 		qIm := s.mp.Impl[q.ID]
-		if s.work.Tile(qTile).Type != curTile.Type || qIm.TileType != im.TileType {
+		if s.work.Tiles[qTile].Type != curTile.Type || qIm.TileType != im.TileType {
 			continue
 		}
 		if !s.swapFits(p, im, cur, q, qIm, qTile) {
@@ -288,6 +308,7 @@ func (s *searchState) applyCandidate(c candidate) {
 		dst.ReservedUtil += utilisation(dst, cyc, s.ix.app.QoS.PeriodNs)
 		dst.Occupants++
 		s.mp.Tile[p.ID] = to
+		s.tile[p.ID] = int(to)
 	}
 	switch c.kind {
 	case Move:

@@ -83,6 +83,12 @@ func TestFaultStormAccountingUnderChurn(t *testing.T) {
 	}()
 	const churnWorkers = 2
 	const perWorker = 40
+	// A churn application the mapper placed partly on a region-0 tile can
+	// be dropped by a fault between its Admit and its Stop; such a Stop
+	// fails with ErrNotRunning, and the name must then be in a report's
+	// Dropped.
+	var goneMu sync.Mutex
+	var gone []string
 	for w := 0; w < churnWorkers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -96,7 +102,12 @@ func TestFaultStormAccountingUnderChurn(t *testing.T) {
 				})
 				app.Name = fmt.Sprintf("r3-%d-%d", w, i)
 				if out := m.Admit(app, lib); out.Admitted {
-					if err := m.Stop(app.Name); err != nil && !errors.Is(err, ErrRelocating) {
+					switch err := m.Stop(app.Name); {
+					case errors.Is(err, ErrNotRunning):
+						goneMu.Lock()
+						gone = append(gone, app.Name)
+						goneMu.Unlock()
+					case err != nil && !errors.Is(err, ErrRelocating):
 						t.Errorf("churn stop %s: %v", app.Name, err)
 						return
 					}
@@ -107,6 +118,17 @@ func TestFaultStormAccountingUnderChurn(t *testing.T) {
 	wg.Wait()
 	if len(reports) == 0 {
 		t.Fatal("storm injected no faults; fixture broken")
+	}
+	droppedBy := map[string]bool{}
+	for _, rep := range reports {
+		for _, name := range rep.Dropped {
+			droppedBy[name] = true
+		}
+	}
+	for _, name := range gone {
+		if !droppedBy[name] {
+			t.Fatalf("churn stop %s: not running, yet no fault dropped it", name)
+		}
 	}
 
 	// Property 1: each report partitions its residents.

@@ -727,6 +727,10 @@ func (m *Manager) finishLocked(out *Outcome, ad *Admission, err error) {
 // recognises it through the wrapping.
 var ErrRelocating = errors.New("being relocated by the preemption planner")
 
+// ErrNotRunning reports a Stop of an application never admitted, already
+// stopped, or dropped by a fault or preemption; errors.Is recognises it.
+var ErrNotRunning = errors.New("not running")
+
 // Stop releases the named application's resources: the plan it committed,
 // in one transaction.
 func (m *Manager) Stop(name string) error {
@@ -742,7 +746,7 @@ func (m *Manager) Stop(name string) error {
 	ad, ok := m.running[name]
 	if !ok {
 		m.mu.Unlock()
-		return fmt.Errorf("manager: application %q is not running", name)
+		return fmt.Errorf("manager: application %q is %w", name, ErrNotRunning)
 	}
 	delete(m.running, name)
 	m.mu.Unlock()
