@@ -71,7 +71,6 @@ type TileInfo struct {
 	Type TileType
 	// Router is the mesh router the tile's network interface attaches to.
 	Router RouterID
-	Pos    Point // Router's mesh coordinate, for distance estimates
 	// ClockHz is the processing element's clock frequency. Worst-case
 	// execution times of implementations are expressed in clock cycles of
 	// the tile they run on.

@@ -143,7 +143,6 @@ func (p *Platform) AttachTile(s TileSpec) *Tile {
 		Name:         s.Name,
 		Type:         s.Type,
 		Router:       r.ID,
-		Pos:          r.Pos,
 		ClockHz:      s.ClockHz,
 		MemBytes:     s.MemBytes,
 		NICapBps:     s.NICapBps,
@@ -199,7 +198,7 @@ func (p *Platform) TileTypes() []TileType {
 }
 
 // Pos returns the mesh coordinate of the tile's router.
-func (p *Platform) Pos(id TileID) Point { return p.Tile(id).Pos }
+func (p *Platform) Pos(id TileID) Point { return p.Routers[p.Tile(id).Router].Pos }
 
 // Manhattan returns the router-grid Manhattan distance between two tiles.
 func (p *Platform) Manhattan(a, b TileID) int {

@@ -88,54 +88,3 @@ func TestSlabMeshTopology(t *testing.T) {
 		})
 	}
 }
-
-// TestTilePosIsRouterPos checks the coordinate AttachTile copies into a
-// tile's description against the tile's router, on a hand-built mesh and
-// on the generators' platforms, and on every kind of copy: Clone,
-// CopyInto (into a fresh platform and into one that held another) and
-// Snapshot. Each copy must also stay PlatformsIdentical to its original.
-func TestTilePosIsRouterPos(t *testing.T) {
-	mesh := arch.NewMesh("3x4", 3, 4, 1000)
-	for i, r := range mesh.Routers {
-		mesh.AttachTile(arch.TileSpec{
-			Name: fmt.Sprintf("t%d", i), Type: arch.TypeARM,
-			At: r.Pos, ClockHz: 1, MemBytes: 1, NICapBps: 1,
-		})
-	}
-	plats := []struct {
-		name string
-		p    *arch.Platform
-	}{
-		{"NewMesh", mesh},
-		{"Hiperlan2Platform", workload.Hiperlan2Platform()},
-		{"SyntheticPlatform", workload.SyntheticPlatform(8, 8, 123)},
-		{"SyntheticRegionPlatform", workload.SyntheticRegionPlatform(12, 12, 123, 3)},
-	}
-	recycled := new(arch.Platform)
-	for _, pl := range plats {
-		fresh := new(arch.Platform)
-		pl.p.CopyInto(fresh)
-		pl.p.CopyInto(recycled)
-		copies := []struct {
-			name string
-			p    *arch.Platform
-		}{
-			{"original", pl.p},
-			{"Clone", pl.p.Clone()},
-			{"CopyInto", fresh},
-			{"CopyInto recycled", recycled},
-			{"Snapshot", pl.p.Snapshot().Plat},
-		}
-		for _, c := range copies {
-			for _, tl := range c.p.Tiles {
-				if want := c.p.Routers[tl.Router].Pos; tl.Pos != want || c.p.Pos(tl.ID) != want {
-					t.Fatalf("%s %s: tile %q at %v, Pos %v, its router at %v",
-						pl.name, c.name, tl.Name, tl.Pos, c.p.Pos(tl.ID), want)
-				}
-			}
-			if err := arch.PlatformsIdentical(pl.p, c.p); err != nil {
-				t.Fatalf("%s %s: %v", pl.name, c.name, err)
-			}
-		}
-	}
-}

@@ -233,14 +233,16 @@ func TestRenderStep2TableReplay(t *testing.T) {
 
 // FuzzStep12Differential runs the same oracle on fuzzer-chosen seeds,
 // sizes, shapes, meshes, loads, bans and configurations. Step 2 prices a
-// move from its dense tiles and the tiles' own coordinates, and checks a
-// tile's room only when the price beats the best move so far; the oracle
-// reads Mapping.Tile and the routers and checks every tile's room first,
-// so the two share no lookup and no pruning.
+// move from its dense tiles, and checks a tile's room only when the price
+// beats the best move so far; the oracle reads Mapping.Tile and checks
+// every tile's room first, so the two share no tile lookup and no
+// pruning. The fourth seed is an 8×8 mesh with 24 background
+// applications, where the room check turns most tiles away.
 func FuzzStep12Differential(f *testing.F) {
 	f.Add(int64(1), 5, 0, 0, 0, 0)
 	f.Add(int64(7), 12, 2, 3, 2, 1)
 	f.Add(int64(42), 9, 1, 5, 3, 5)
+	f.Add(int64(42), 9, 1, 9, 3, 5)
 	f.Add(int64(3), 10, 1, 6, 1, 0)
 	f.Fuzz(func(t *testing.T, seed int64, procs, shape, load, bans, cfg int) {
 		checkStep12(t, step12Case{

@@ -119,7 +119,8 @@ func (s *searchState) channelDist(c *model.Channel, o override) int {
 	if !ok {
 		return 0
 	}
-	return s.work.Tiles[src].Pos.Manhattan(s.work.Tiles[dst].Pos)
+	r := s.work.Routers
+	return r[s.work.Tiles[src].Router].Pos.Manhattan(r[s.work.Tiles[dst].Router].Pos)
 }
 
 func (s *searchState) tileOf(p model.ProcessID, o override) (arch.TileID, bool) {
@@ -206,10 +207,9 @@ func (s *searchState) idleDelta(o override) float64 {
 // the process with another process mapped to the same tile type." Swap
 // partners are restricted to later-declared processes so each unordered
 // pair is evaluated once per pass. Reports false if p has no candidates.
-// Under HopSum a tile whose move cannot beat the best so far is skipped
-// before its room is checked: consider keeps only a strictly lower delta,
-// so answer and tie-break are unchanged. TrafficWeighted checks room
-// first, because its price allocates (idleDelta).
+// A tile whose move cannot beat the best so far is skipped before its
+// room is checked: consider keeps only a strictly lower delta, so answer
+// and tie-break are unchanged.
 func (s *searchState) bestCandidateFor(pi int) (best candidate, found bool) {
 	p := s.ix.procs[pi]
 	if s.locked[p.ID] {
@@ -231,10 +231,12 @@ func (s *searchState) bestCandidateFor(pi int) (best candidate, found bool) {
 		return best, false
 	}
 	ni := s.ix.ni[p.ID]
-	priceFirst := s.m.Cfg.CommCost != TrafficWeighted
 	for _, tid := range s.work.TilesOfType(im.TileType) {
-		o := override{p: p.ID, pt: tid, q: noProcess}
-		if tid == cur || priceFirst && found && s.deltaFor(o) >= best.delta {
+		if tid == cur {
+			continue
+		}
+		delta := s.deltaFor(override{p: p.ID, pt: tid, q: noProcess})
+		if found && delta >= best.delta {
 			continue
 		}
 		t := s.work.Tiles[tid]
@@ -242,7 +244,7 @@ func (s *searchState) bestCandidateFor(pi int) (best candidate, found bool) {
 		if !canHost(t, im.MemBytes, tUtil) || !ni.fits(t) {
 			continue
 		}
-		consider(candidate{kind: Move, p: p, to: tid, delta: s.deltaFor(o)})
+		consider(candidate{kind: Move, p: p, to: tid, delta: delta})
 	}
 
 	// Swaps with later-declared processes on the same tile type.
