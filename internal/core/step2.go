@@ -39,9 +39,7 @@ type searchState struct {
 	mp   *Mapping
 
 	locked map[model.ProcessID]bool // processes step 2 must not relocate
-	// tile is mp.Tile by ProcessID (-1 unplaced), in the caller's storage
-	// if large enough; applyCandidate keeps the two in step.
-	tile []int
+	tile   []int                    // mp.Tile by ProcessID, -1 unplaced
 	// weight[i] multiplies the Manhattan distance of chans[i]; 1 under
 	// HopSum, traffic × hop energy under TrafficWeighted.
 	weight []float64
@@ -207,9 +205,9 @@ func (s *searchState) idleDelta(o override) float64 {
 // the process with another process mapped to the same tile type." Swap
 // partners are restricted to later-declared processes so each unordered
 // pair is evaluated once per pass. Reports false if p has no candidates.
-// A tile whose move cannot beat the best so far is skipped before its
-// room is checked: consider keeps only a strictly lower delta, so answer
-// and tie-break are unchanged.
+// Under HopSum a tile whose move cannot beat the best so far skips its
+// room check; consider keeps only a strictly lower delta, so the answer
+// stands. TrafficWeighted's price walks every process, so room goes first.
 func (s *searchState) bestCandidateFor(pi int) (best candidate, found bool) {
 	p := s.ix.procs[pi]
 	if s.locked[p.ID] {
@@ -231,18 +229,23 @@ func (s *searchState) bestCandidateFor(pi int) (best candidate, found bool) {
 		return best, false
 	}
 	ni := s.ix.ni[p.ID]
+	priceFirst := s.m.Cfg.CommCost == HopSum
 	for _, tid := range s.work.TilesOfType(im.TileType) {
 		if tid == cur {
 			continue
 		}
-		delta := s.deltaFor(override{p: p.ID, pt: tid, q: noProcess})
-		if found && delta >= best.delta {
-			continue
+		o, delta := override{p: p.ID, pt: tid, q: noProcess}, 0.0
+		if priceFirst {
+			if delta = s.deltaFor(o); found && delta >= best.delta {
+				continue
+			}
 		}
 		t := s.work.Tiles[tid]
-		tUtil := utilisation(t, cyc, s.ix.app.QoS.PeriodNs)
-		if !canHost(t, im.MemBytes, tUtil) || !ni.fits(t) {
+		if !canHost(t, im.MemBytes, utilisation(t, cyc, s.ix.app.QoS.PeriodNs)) || !ni.fits(t) {
 			continue
+		}
+		if !priceFirst {
+			delta = s.deltaFor(o)
 		}
 		consider(candidate{kind: Move, p: p, to: tid, delta: delta})
 	}
