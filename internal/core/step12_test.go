@@ -233,10 +233,10 @@ func TestRenderStep2TableReplay(t *testing.T) {
 
 // FuzzStep12Differential runs the same oracle on fuzzer-chosen seeds,
 // sizes, shapes, meshes, loads, bans and configurations. Step 2 prices a
-// move from its dense tiles, and checks a tile's room only when the price
-// beats the best move so far; the oracle reads Mapping.Tile and checks
-// every tile's room first, so the two share no tile lookup and no
-// pruning. The fourth seed is an 8×8 mesh with 24 background
+// move from its dense tiles and, under HopSum, checks a tile's room only
+// when the price beats the best move so far; the oracle reads
+// Mapping.Tile and checks every tile's room first, so the two share no
+// tile lookup and no pruning. The fourth seed is an 8×8 mesh with 24 background
 // applications, where the room check turns most tiles away.
 func FuzzStep12Differential(f *testing.F) {
 	f.Add(int64(1), 5, 0, 0, 0, 0)
