@@ -12,7 +12,6 @@ import (
 	"os"
 
 	"rtsm/internal/core"
-	"rtsm/internal/schedule"
 	"rtsm/internal/workload"
 )
 
@@ -40,53 +39,51 @@ func run(args []string, stdout, stderr io.Writer) int {
 		strategy = fs.String("strategy", "first", "step-2 strategy: first|best")
 		router   = fs.String("router", "adaptive", "step-3 routing: adaptive|xy")
 		weighted = fs.Bool("weighted", false, "traffic-weighted step-2 cost instead of hop sum")
-		tighten  = fs.Bool("tighten", false, "tighten buffer capacities (slower, smaller buffers)")
-		schedOut = fs.Bool("schedule", false, "derive and print per-tile static-order schedules")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	fatal := func(err error) int {
+	fail := func(code int, err error) int {
 		fmt.Fprintln(stderr, "spatialmap:", err)
-		return 1
+		return code
 	}
 
-	r := os.Stdin
-	if *in != "" {
-		f, err := os.Open(*in)
-		if err != nil {
-			return fatal(err)
-		}
-		defer f.Close()
-		r = f
-	}
-	app, lib, plat, err := workload.ReadBundle(r)
-	if err != nil {
-		return fatal(err)
-	}
-
-	cfg := core.Config{TightenBuffers: *tighten}
+	var cfg core.Config
 	switch *strategy {
 	case "first":
 	case "best":
 		cfg.Strategy = core.BestImprovement
 	default:
-		return fatal(fmt.Errorf("unknown strategy %q", *strategy))
+		return fail(2, fmt.Errorf("unknown strategy %q", *strategy))
 	}
 	switch *router {
 	case "adaptive":
 	case "xy":
 		cfg.Router = core.XYOnly
 	default:
-		return fatal(fmt.Errorf("unknown router %q", *router))
+		return fail(2, fmt.Errorf("unknown router %q", *router))
 	}
 	if *weighted {
 		cfg.CommCost = core.TrafficWeighted
 	}
 
+	r := os.Stdin
+	if *in != "" {
+		f, err := os.Open(*in)
+		if err != nil {
+			return fail(1, err)
+		}
+		defer f.Close()
+		r = f
+	}
+	app, lib, plat, err := workload.ReadBundle(r)
+	if err != nil {
+		return fail(1, err)
+	}
+
 	res, err := (&core.Mapper{Lib: lib, Cfg: cfg}).Map(app, plat)
 	if err != nil {
-		return fatal(err)
+		return fail(1, err)
 	}
 
 	if *asJSON {
@@ -118,7 +115,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			return fatal(err)
+			return fail(1, err)
+		}
+		if !res.Feasible {
+			return 2
 		}
 		return 0
 	}
@@ -145,13 +145,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			res.Analysis.Period, app.QoS.PeriodNs, res.Analysis.Latency)
 	}
 	fmt.Fprintf(stdout, "energy: %s\nfeasible: %v\n", res.Energy, res.Feasible)
-	if *schedOut && res.Feasible {
-		sched, err := schedule.Build(app, plat, res)
-		if err != nil {
-			return fatal(err)
-		}
-		fmt.Fprintf(stdout, "\n%s", sched)
-	}
 	if !res.Feasible {
 		for _, n := range res.Trace.Notes {
 			fmt.Fprintln(stdout, "note:", n)

@@ -87,8 +87,6 @@ type Config struct {
 	NoRefinement bool
 	// Router selects the step-3 routing algorithm.
 	Router RouterPolicy
-	// BufferOptions tunes the step-4 buffer sizing.
-	TightenBuffers bool
 }
 
 func (c Config) energyParams() energy.Params {

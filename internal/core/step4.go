@@ -216,7 +216,6 @@ func (m *Mapper) step4(ix *appIndex, work *arch.Platform, mp *Mapping, tr *Trace
 	}
 	buf, err := csdf.BufferSizes(mg.Graph, csdf.BufferOptions{
 		TargetPeriod: float64(app.QoS.PeriodNs),
-		Tighten:      m.Cfg.TightenBuffers,
 		Exec:         exec,
 	})
 	if err != nil {

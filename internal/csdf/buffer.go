@@ -1,9 +1,6 @@
 package csdf
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // BufferOptions configures buffer-capacity computation.
 type BufferOptions struct {
@@ -12,10 +9,6 @@ type BufferOptions struct {
 	TargetPeriod float64
 	// MaxRounds bounds the grow loop (0 means a generous default).
 	MaxRounds int
-	// Tighten enables the shrink pass that walks capacities back down per
-	// channel after the target is met, trading analysis time for smaller
-	// buffers.
-	Tighten bool
 	// Exec configures the self-timed runs used as the feasibility oracle.
 	Exec ExecOptions
 }
@@ -41,11 +34,10 @@ type BufferResult struct {
 // than the closed-form linear bounds of the cited work: capacities start at
 // per-channel lower bounds, self-timed execution identifies the channel
 // whose back-pressure blocks progress most, that channel grows, and the
-// loop repeats until the target period holds. An optional tightening pass
-// then shrinks each capacity to the smallest value that still meets the
-// target. The result is therefore sufficient (safe) but not always the
-// theoretical minimum; docs/ARCHITECTURE.md ("How the step-4 engine runs")
-// describes the oracle.
+// loop repeats until the target period holds. The result is therefore
+// sufficient (safe) but not always the theoretical minimum;
+// docs/ARCHITECTURE.md ("How the step-4 engine runs") describes the
+// oracle.
 //
 // Channels already bounded in the input graph keep their capacity and are
 // treated as hard constraints.
@@ -126,10 +118,6 @@ func BufferSizes(g *Graph, opts BufferOptions) (*BufferResult, error) {
 		return nil, fmt.Errorf("csdf: graph %q deadlocks regardless of buffer sizes: %s", g.Name, last.DeadlockReport)
 	}
 
-	if opts.Tighten && meets(last) {
-		last = tighten(e, free, opts, meets, last)
-	}
-
 	out := &BufferResult{Capacities: make(map[ChannelID]int64, len(free)), Exec: last, Met: meets(last)}
 	for _, cid := range free {
 		out.Capacities[cid] = work.Channels[cid].Capacity
@@ -154,8 +142,7 @@ func lowerBound(c *Channel) int64 {
 }
 
 // growthStep doubles the capacity (at least one largest burst), so the
-// grow loop converges in logarithmically many oracle runs; the tighten
-// pass walks the overshoot back down.
+// grow loop converges in logarithmically many oracle runs.
 func growthStep(c *Channel, cur int64) int64 {
 	s := c.Prod.Max()
 	if m := c.Cons.Max(); m > s {
@@ -188,39 +175,4 @@ func noFullBlocks(r *ExecResult, free []ChannelID) bool {
 		}
 	}
 	return true
-}
-
-// tighten shrinks each sizable channel to the smallest capacity that keeps
-// the oracle satisfied, visiting the largest capacities first.
-func tighten(e *engine, free []ChannelID, opts BufferOptions, meets func(*ExecResult) bool, last *ExecResult) *ExecResult {
-	work := e.g
-	order := append([]ChannelID(nil), free...)
-	sort.Slice(order, func(i, j int) bool {
-		ci, cj := work.Channels[order[i]].Capacity, work.Channels[order[j]].Capacity
-		if ci != cj {
-			return ci > cj
-		}
-		return order[i] < order[j]
-	})
-	for _, cid := range order {
-		lo := lowerBound(work.Channels[cid])
-		hi := work.Channels[cid].Capacity
-		for lo < hi {
-			mid := lo + (hi-lo)/2
-			work.Channels[cid].Capacity = mid
-			r, err := e.run(opts.Exec)
-			if err == nil && meets(r) {
-				hi = mid
-				last = r
-			} else {
-				lo = mid + 1
-			}
-		}
-		work.Channels[cid].Capacity = hi
-	}
-	// Re-run once so the returned ExecResult reflects the final state.
-	if r, err := e.run(opts.Exec); err == nil {
-		last = r
-	}
-	return last
 }

@@ -12,7 +12,7 @@ func TestBufferSizesSimpleChain(t *testing.T) {
 	a := g.AddActor("a", Vals(1))
 	b := g.AddActor("b", Vals(10))
 	ch := g.Connect(a, b, Vals(1), Vals(1), 0)
-	res, err := BufferSizes(g, BufferOptions{TargetPeriod: 10, Tighten: true})
+	res, err := BufferSizes(g, BufferOptions{TargetPeriod: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestBufferSizesSingleBufferOverlaps(t *testing.T) {
 	a := g.AddActor("a", Vals(10))
 	b := g.AddActor("b", Vals(10))
 	ch := g.Connect(a, b, Vals(1), Vals(1), 0)
-	res, err := BufferSizes(g, BufferOptions{TargetPeriod: 10, Tighten: true})
+	res, err := BufferSizes(g, BufferOptions{TargetPeriod: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestBufferSizesGrowthBeyondLowerBound(t *testing.T) {
 	a := g.AddActor("a", Vals(10))
 	b := g.AddActor("b", Vals(5))
 	ch := g.Connect(a, b, Vals(2), Vals(1), 0)
-	res, err := BufferSizes(g, BufferOptions{TargetPeriod: 10, Tighten: true})
+	res, err := BufferSizes(g, BufferOptions{TargetPeriod: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestBufferSizesMultirate(t *testing.T) {
 	a := g.AddActor("a", Vals(100))
 	b := g.AddActor("b", Vals(9))
 	ch := g.Connect(a, b, Vals(80), Vals(8), 0)
-	res, err := BufferSizes(g, BufferOptions{TargetPeriod: 101, Tighten: true})
+	res, err := BufferSizes(g, BufferOptions{TargetPeriod: 101})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestBufferSizesSufficiencyProperty(t *testing.T) {
 			chans = append(chans, g.Connect(ids[i], ids[i+1], Vals(1), Vals(1), 0))
 		}
 		target := float64(slowest) * 1.5
-		res, err := BufferSizes(g, BufferOptions{TargetPeriod: target, Tighten: trial%2 == 0})
+		res, err := BufferSizes(g, BufferOptions{TargetPeriod: target})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,15 +34,6 @@ type ExecOptions struct {
 	// firings serialise; among ready members, the least-fired goes first
 	// (round-robin fairness).
 	ExclusiveGroups [][]ActorID
-	// StaticOrders prescribes, per processor, a cyclic firing sequence:
-	// entry k of the sequence is the only actor of that group allowed to
-	// start the group's k-th firing (modulo the sequence length). This is
-	// the static-order (temporal) schedule of Smit et al. (SoC 2005),
-	// which the paper's spatial mapping is explicitly separated from.
-	// Actors in a sequence are implicitly mutually exclusive. An actor
-	// may appear in at most one sequence and must not additionally appear
-	// in ExclusiveGroups.
-	StaticOrders [][]ActorID
 }
 
 // DefaultExecOptions returns the options used when zero-valued fields are
@@ -118,7 +109,7 @@ func (g *Graph) Execute(opts ExecOptions) (*ExecResult, error) {
 type verdict int32
 
 const (
-	silent   verdict = iota // busy, finished, or held by its group or static order
+	silent   verdict = iota // busy, finished, or held by its group
 	ready                   // may start now
 	vetoBase                // vetoBase+2c: channel c lacks tokens; vetoBase+2c+1: lacks space
 )
@@ -143,7 +134,6 @@ type actorState struct {
 	// Options, set by run.
 	firingCap int64 // firings after which the actor has run far enough ahead
 	group     int32 // its exclusive group, or -1
-	order     int32 // its static order, or -1
 
 	actorRun
 }
@@ -203,9 +193,6 @@ type engine struct {
 
 	groups      [][]ActorID
 	groupActive []int32
-	orders      [][]ActorID
-	orderPos    []int64
-	orderBusy   []int32
 
 	dirty  []uint64 // bitset of the actors to re-evaluate
 	pass   int64
@@ -264,7 +251,7 @@ var enginePool = sync.Pool{New: func() any { return new(engine) }}
 
 func (e *engine) release() {
 	// Drop what points into caller memory so a pooled engine pins no graph.
-	e.g, e.groups, e.orders = nil, nil, nil
+	e.g, e.groups = nil, nil
 	e.work = Graph{}
 	clear(e.actors)
 	clear(e.edges)
@@ -353,7 +340,7 @@ func (e *engine) run(opts ExecOptions) (*ExecResult, error) {
 	if opts.WarmupIterations == 0 && opts.MeasureIterations == 0 &&
 		opts.Observe == 0 && opts.Source == 0 && opts.MaxEvents == 0 {
 		d := DefaultExecOptions()
-		d.ExclusiveGroups, d.StaticOrders = opts.ExclusiveGroups, opts.StaticOrders
+		d.ExclusiveGroups = opts.ExclusiveGroups
 		opts = d
 	}
 	if opts.WarmupIterations <= 0 && opts.MeasureIterations <= 0 {
@@ -392,22 +379,15 @@ func (e *engine) run(opts ExecOptions) (*ExecResult, error) {
 	for a := range e.actors {
 		st := &e.actors[a]
 		*st = actorState{ins: st.ins, outs: st.outs, wcet: st.wcet, perIter: st.perIter,
-			firingCap: (totalIters + 1) * st.perIter, group: -1, order: -1}
+			firingCap: (totalIters + 1) * st.perIter, group: -1}
 	}
-	e.groups, e.orders = opts.ExclusiveGroups, opts.StaticOrders
+	e.groups = opts.ExclusiveGroups
 	for gi, group := range e.groups {
 		for _, a := range group {
 			e.actors[a].group = int32(gi)
 		}
 	}
-	for oi, order := range e.orders {
-		for _, a := range order {
-			e.actors[a].order = int32(oi)
-		}
-	}
 	e.groupActive = resize(e.groupActive, len(e.groups))
-	e.orderPos = resize(e.orderPos, len(e.orders))
-	e.orderBusy = resize(e.orderBusy, len(e.orders))
 
 	e.channels = resize(e.channels, nch)
 	for i, c := range g.Channels {
@@ -426,9 +406,9 @@ func (e *engine) run(opts ExecOptions) (*ExecResult, error) {
 	e.iterDone = empty(e.iterDone, int(totalIters)+1)
 	e.iterSrcStart = empty(e.iterSrcStart, int(totalIters)+1)
 
-	// Group arbitration and static orders compare absolute firing counts,
-	// which no periodic phase repeats; streams outlive the cycle skip.
-	lookForPeriod := len(e.groups) == 0 && len(e.orders) == 0
+	// Group arbitration compares absolute firing counts, which no
+	// periodic phase repeats; streams outlive the cycle skip.
+	lookForPeriod := len(e.groups) == 0
 	lookForStream := lookForPeriod
 	e.clearStream()
 	e.fails, e.dry, e.cooldown = 0, 0, 0
@@ -1077,12 +1057,9 @@ func (e *engine) schedulingPass() bool {
 				v = e.evaluate(a, st)
 			}
 			st.verdict = v
-			// A static order changes under its members without marking
-			// them, so they stay dirty; everyone else's verdict now holds
-			// until a neighbour lifts what it is blocked on.
-			if st.order < 0 {
-				e.dirty[w] &^= 1 << bit
-			}
+			// The verdict now holds until a neighbour lifts what the
+			// actor is blocked on.
+			e.dirty[w] &^= 1 << bit
 		}
 	}
 	for gi, group := range e.groups {
@@ -1119,12 +1096,6 @@ func (e *engine) evaluate(a int32, st *actorState) verdict {
 	}
 	if st.group >= 0 && e.groupActive[st.group] > 0 {
 		return silent
-	}
-	if oi := st.order; oi >= 0 {
-		order := e.orders[oi]
-		if e.orderBusy[oi] > 0 || order[e.orderPos[oi]%int64(len(order))] != ActorID(a) {
-			return silent
-		}
 	}
 	phase := st.startPhase
 	for _, in := range st.ins {
@@ -1178,10 +1149,6 @@ func (e *engine) start(a int32, st *actorState) {
 	if st.group >= 0 {
 		e.groupActive[st.group]++
 	}
-	if st.order >= 0 {
-		e.orderBusy[st.order]++
-		e.orderPos[st.order]++
-	}
 	e.push(execEvent{time: e.now + w, actor: a})
 }
 
@@ -1213,9 +1180,6 @@ func (e *engine) finish(a int32) {
 	}
 	if st.group >= 0 {
 		e.groupActive[st.group]--
-	}
-	if st.order >= 0 {
-		e.orderBusy[st.order]--
 	}
 	if a == e.observe {
 		if e.observeIn++; e.observeIn == st.perIter {

@@ -228,72 +228,3 @@ func TestExecuteExclusiveGroupSingleton(t *testing.T) {
 		t.Errorf("singleton groups changed period: %v vs %v", free.Period, boxed.Period)
 	}
 }
-
-func TestExecuteStaticOrderEnforced(t *testing.T) {
-	// Two independent workers fed by one source, joined at the end. A
-	// static order [w1, w2] serialises them exactly like an exclusive
-	// group (period 20), and the order constrains who goes first.
-	build := func() *Graph {
-		g := NewGraph("so")
-		src := g.AddActor("src", Vals(1))
-		w1 := g.AddActor("w1", Vals(10))
-		w2 := g.AddActor("w2", Vals(10))
-		join := g.AddActor("join", Vals(1))
-		g.Connect(src, w1, Vals(1), Vals(1), 0)
-		g.Connect(src, w2, Vals(1), Vals(1), 0)
-		g.Connect(w1, join, Vals(1), Vals(1), 0)
-		g.Connect(w2, join, Vals(1), Vals(1), 0)
-		return g
-	}
-	r, err := build().Execute(ExecOptions{
-		WarmupIterations: 4, MeasureIterations: 8, Observe: 3, Source: 0,
-		StaticOrders: [][]ActorID{{1, 2}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Period != 20 {
-		t.Errorf("static-order period = %v, want 20", r.Period)
-	}
-	if r.Deadlocked {
-		t.Fatalf("deadlocked: %s", r.DeadlockReport)
-	}
-}
-
-func TestExecuteStaticOrderBadOrderDeadlocks(t *testing.T) {
-	// Forcing the consumer before the producer on a shared processor
-	// deadlocks immediately: the consumer waits for tokens only the
-	// producer can make, and the order forbids the producer from going.
-	g := NewGraph("bad-order")
-	a := g.AddActor("producer", Vals(5))
-	b := g.AddActor("consumer", Vals(5))
-	g.Connect(a, b, Vals(1), Vals(1), 0)
-	r, err := g.Execute(ExecOptions{
-		WarmupIterations: 1, MeasureIterations: 1, Observe: b, Source: a,
-		StaticOrders: [][]ActorID{{b, a}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Deadlocked {
-		t.Error("consumer-first static order should deadlock")
-	}
-}
-
-func TestExecuteStaticOrderRuns(t *testing.T) {
-	// Producer-first order on a shared processor pipelines fine.
-	g := NewGraph("good-order")
-	a := g.AddActor("producer", Vals(5))
-	b := g.AddActor("consumer", Vals(5))
-	g.Connect(a, b, Vals(1), Vals(1), 0)
-	r, err := g.Execute(ExecOptions{
-		WarmupIterations: 4, MeasureIterations: 8, Observe: b, Source: a,
-		StaticOrders: [][]ActorID{{a, b}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Deadlocked || r.Period != 10 {
-		t.Errorf("period = %v (deadlock=%v), want 10", r.Period, r.Deadlocked)
-	}
-}

@@ -327,25 +327,21 @@ func TestFastForwardRestoresToSinkBoundary(t *testing.T) {
 	}
 }
 
-// TestFastForwardDeclinesGroupsAndOrders: a static order's position and a
-// group's firing counts are absolutes no snapshot holds. Here the order
-// lets a go before b in two iterations of three and b before a in the
-// third, while everything the snapshot compares repeats every iteration.
-func TestFastForwardDeclinesGroupsAndOrders(t *testing.T) {
+// TestFastForwardDeclinesGroups: a group's arbitration compares its
+// members' firing counts, absolutes no snapshot holds.
+func TestFastForwardDeclinesGroups(t *testing.T) {
 	share := trackEngines(t)
-	g := NewGraph("ordered")
+	g := NewGraph("grouped")
 	a := g.AddActor("a", Vals(2))
 	b := g.AddActor("b", Vals(3))
 	c := g.AddActor("c", Vals(1))
 	g.Channel(g.Connect(a, c, Vals(1), Vals(1), 0)).Capacity = 2
 	g.Channel(g.Connect(b, c, Vals(1), Vals(1), 0)).Capacity = 2
 	opts := DefaultExecOptions()
-	opts.StaticOrders = [][]ActorID{{a, b, a, b, b, a}}
-	checkExecute(t, g, opts)
-	opts.StaticOrders, opts.ExclusiveGroups = nil, [][]ActorID{{a, b}}
+	opts.ExclusiveGroups = [][]ActorID{{a, b}}
 	checkExecute(t, g, opts)
 	if c := share(); c.forwarded != 0 || c.streamed != 0 {
-		t.Errorf("of %d runs with a static order or a group, %d skipped cycles and %d stream windows", c.runs, c.forwarded, c.streamed)
+		t.Errorf("of %d runs with a group, %d skipped cycles and %d stream windows", c.runs, c.forwarded, c.streamed)
 	}
 }
 
@@ -363,7 +359,7 @@ func TestEngineStateIsClassified(t *testing.T) {
 		implied  = "relative state implied by the compared fields at a settled instant (see recurred)"
 		guarded  = "absolute: skipCycles stops where going further would change behaviour"
 		additive = "counter: grows by the same amount every cycle, skipCycles multiplies it"
-		declined = "group and static-order state: runs that use it never fast-forward"
+		declined = "group state: runs that use it never fast-forward"
 		scratch  = "memory for load, the snapshots or the tests; run does not read it"
 		restore  = "a copy of the state at the last observed-actor boundary; run reads it only to return there (see restore)"
 		recorded = "in a stream window's record, which confirmStream compares at its end (see record)"
@@ -373,7 +369,7 @@ func TestEngineStateIsClassified(t *testing.T) {
 	classes := map[reflect.Type]map[string]string{
 		reflect.TypeOf(actorState{}): {
 			"ins": fixed, "outs": fixed, "wcet": fixed, "perIter": fixed,
-			"firingCap": fixed, "group": fixed, "order": fixed,
+			"firingCap": fixed, "group": fixed,
 			"actorRun": "the state firings change, classified below",
 		},
 		reflect.TypeOf(actorRun{}): {
@@ -395,7 +391,7 @@ func TestEngineStateIsClassified(t *testing.T) {
 			"g": fixed, "actors": fixed, "channels": fixed, "edges": fixed,
 			"cycles": scratch, "balance": scratch, "queue": scratch + "; lists the actors a stream window recorded",
 			"actorMem": scratch + "; holds a stream window's actor records", "chanMem": "holds blocks and a stream window's channel records",
-			"groups": declined, "groupActive": declined, "orders": declined, "orderPos": declined, "orderBusy": declined,
+			"groups": declined, "groupActive": declined,
 			"dirty":  implied,
 			"pass":   additive,
 			"blocks": additive + "; " + recorded,

@@ -82,11 +82,10 @@ func trials(full int) int {
 
 // TestMappedGraphsDifferential holds step 4's two calls on mapped graphs
 // to the reference engines, field for field: BufferSizes as the mapper
-// makes it, with and without the tightening pass, and Execute with the
-// capacities it chose. On at least half of the synthetic graphs, whose
-// bursts stream through chains of routers, those Execute runs must skip
-// stream windows: the reference can only vouch for the skip where it is
-// taken.
+// makes it, and Execute with the capacities it chose. On at least half of
+// the synthetic graphs, whose bursts stream through chains of routers,
+// those Execute runs must skip stream windows: the reference can only
+// vouch for the skip where it is taken.
 func TestMappedGraphsDifferential(t *testing.T) {
 	share := csdf.TrackEngines(t)
 	streaming, synthetic := 0, 0
@@ -94,24 +93,17 @@ func TestMappedGraphsDifferential(t *testing.T) {
 	for _, c := range mappedCorpus(t) {
 		g := c.mg.Graph
 		exec := csdf.ExecOptions{WarmupIterations: 4, MeasureIterations: 8, Observe: c.mg.Sink, Source: c.mg.Source}
-		var sized *csdf.BufferResult
-		for _, tighten := range []bool{false, true} {
-			opts := csdf.BufferOptions{TargetPeriod: float64(c.period), Tighten: tighten, Exec: exec}
-			want, wantErr := csdf.BufferSizesRef(g, opts)
-			got, gotErr := csdf.BufferSizes(g, opts)
-			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-				t.Fatalf("%s: BufferSizes error %v, reference %v", c.name, gotErr, wantErr)
-			}
-			if got == nil {
-				continue
-			}
-			if !reflect.DeepEqual(got.Capacities, want.Capacities) || !csdf.SameResult(got.Exec, want.Exec) || got.Met != want.Met {
-				t.Fatalf("%s (tighten %v): BufferSizes = %+v (exec %+v)\nreference %+v (exec %+v)", c.name, tighten, got, got.Exec, want, want.Exec)
-			}
-			sized = got
+		opts := csdf.BufferOptions{TargetPeriod: float64(c.period), Exec: exec}
+		want, wantErr := csdf.BufferSizesRef(g, opts)
+		sized, gotErr := csdf.BufferSizes(g, opts)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s: BufferSizes error %v, reference %v", c.name, gotErr, wantErr)
 		}
 		if sized == nil {
 			continue
+		}
+		if !reflect.DeepEqual(sized.Capacities, want.Capacities) || !csdf.SameResult(sized.Exec, want.Exec) || sized.Met != want.Met {
+			t.Fatalf("%s: BufferSizes = %+v (exec %+v)\nreference %+v (exec %+v)", c.name, sized, sized.Exec, want, want.Exec)
 		}
 		for cid, capacity := range sized.Capacities {
 			g.Channel(cid).Capacity = capacity

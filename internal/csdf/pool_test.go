@@ -18,7 +18,7 @@ func TestEngineSharedAcrossGoroutines(t *testing.T) {
 		c.Capacity = 0
 	}
 	opts := DefaultExecOptions()
-	sizing := BufferOptions{TargetPeriod: 4000, Tighten: true}
+	sizing := BufferOptions{TargetPeriod: 4000}
 	wantExec, err := bounded.Execute(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math/big"
-	"sort"
 	"strings"
 )
 
@@ -48,10 +47,8 @@ func executeRef(g *Graph, opts ExecOptions) (*ExecResult, error) {
 	if opts.WarmupIterations == 0 && opts.MeasureIterations == 0 &&
 		opts.Observe == 0 && opts.Source == 0 && opts.MaxEvents == 0 {
 		groups := opts.ExclusiveGroups
-		orders := opts.StaticOrders
 		opts = DefaultExecOptions()
 		opts.ExclusiveGroups = groups
-		opts.StaticOrders = orders
 	}
 	if opts.WarmupIterations <= 0 && opts.MeasureIterations <= 0 {
 		d := DefaultExecOptions()
@@ -112,17 +109,6 @@ func executeRef(g *Graph, opts ExecOptions) (*ExecResult, error) {
 		}
 	}
 	groupActive := make([]int, len(opts.ExclusiveGroups))
-	seqGroupOf := make([]int, n)
-	for i := range seqGroupOf {
-		seqGroupOf[i] = -1
-	}
-	for si, seq := range opts.StaticOrders {
-		for _, a := range seq {
-			seqGroupOf[a] = si
-		}
-	}
-	seqPos := make([]int64, len(opts.StaticOrders))
-	seqBusy := make([]int, len(opts.StaticOrders))
 	res := &ExecResult{}
 	emptyBlocks := make(map[ChannelID]int64)
 	fullBlocks := make(map[ChannelID]int64)
@@ -142,12 +128,6 @@ func executeRef(g *Graph, opts ExecOptions) (*ExecResult, error) {
 		}
 		if gi := groupOf[a]; gi >= 0 && groupActive[gi] > 0 {
 			return false
-		}
-		if si := seqGroupOf[a]; si >= 0 {
-			seq := opts.StaticOrders[si]
-			if seqBusy[si] > 0 || seq[seqPos[si]%int64(len(seq))] != a {
-				return false
-			}
 		}
 		phase := fired[a] % int64(g.Actors[a].Phases())
 		for _, cid := range g.in[a] {
@@ -184,10 +164,6 @@ func executeRef(g *Graph, opts ExecOptions) (*ExecResult, error) {
 		if gi := groupOf[a]; gi >= 0 {
 			groupActive[gi]++
 		}
-		if si := seqGroupOf[a]; si >= 0 {
-			seqBusy[si]++
-			seqPos[si]++
-		}
 		heap.Push(&h, refEvent{time: now + w, seq: seq, actor: a})
 		seq++
 	}
@@ -201,9 +177,6 @@ func executeRef(g *Graph, opts ExecOptions) (*ExecResult, error) {
 		done[a]++
 		if gi := groupOf[a]; gi >= 0 {
 			groupActive[gi]--
-		}
-		if si := seqGroupOf[a]; si >= 0 {
-			seqBusy[si]--
 		}
 		if a == observe && done[a]%perIter[a] == 0 {
 			iterDone = append(iterDone, now)
@@ -506,45 +479,9 @@ func bufferSizesRef(g *Graph, opts BufferOptions) (*BufferResult, error) {
 		return nil, fmt.Errorf("csdf: graph %q deadlocks regardless of buffer sizes: %s", g.Name, last.DeadlockReport)
 	}
 
-	if opts.Tighten && meets(last) {
-		last = tightenRef(work, free, opts, meets, last)
-	}
-
 	out := &BufferResult{Capacities: make(map[ChannelID]int64, len(free)), Exec: last, Met: meets(last)}
 	for _, cid := range free {
 		out.Capacities[cid] = work.Channels[cid].Capacity
 	}
 	return out, nil
-}
-
-func tightenRef(work *Graph, free []ChannelID, opts BufferOptions, meets func(*ExecResult) bool, last *ExecResult) *ExecResult {
-	order := append([]ChannelID(nil), free...)
-	sort.Slice(order, func(i, j int) bool {
-		ci, cj := work.Channels[order[i]].Capacity, work.Channels[order[j]].Capacity
-		if ci != cj {
-			return ci > cj
-		}
-		return order[i] < order[j]
-	})
-	for _, cid := range order {
-		lo := lowerBound(work.Channels[cid])
-		hi := work.Channels[cid].Capacity
-		for lo < hi {
-			mid := lo + (hi-lo)/2
-			work.Channels[cid].Capacity = mid
-			r, err := executeRef(work, opts.Exec)
-			if err == nil && meets(r) {
-				hi = mid
-				last = r
-			} else {
-				lo = mid + 1
-			}
-		}
-		work.Channels[cid].Capacity = hi
-	}
-	// Re-run once so the returned ExecResult reflects the final state.
-	if r, err := executeRef(work, opts.Exec); err == nil {
-		last = r
-	}
-	return last
 }

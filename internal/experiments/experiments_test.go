@@ -168,7 +168,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/tables.golden fr
 var wallClock = regexp.MustCompile(`[0-9.]+(ns|µs|ms|s)\b`)
 
 // TestTablesGolden pins the rendered E1–E12 reports to a committed file,
-// byte for byte: the buffer sizes in Fig3, the tightened capacities behind
+// byte for byte: the buffer sizes in Fig3, the capacities behind
 // Ablation and the simulated periods in ValidateAll all come out of the
 // step-4 engine, so a change to the mapper or the engine must leave the
 // file untouched. E6 is only timings and is left out; E9's mean-time

@@ -8,7 +8,14 @@
 # Usage: scripts/loc.sh   (from the repository root)
 set -euo pipefail
 
-# The last raise, 15656 -> 15686, bought a cold map that costs what the
+# The last cut, 15686 -> 15409, deleted step 4's temporal half and its
+# buffer-shrinking pass: the static-order schedule builder, the engine's
+# static-order option with the state and firing-rule branches behind it,
+# and BufferSizes' tighten pass with the mapper setting that enabled it.
+# The paper maps in space only and leaves the temporal schedule to Smit
+# et al.; each feature had one caller, a spatialmap flag, and no mapper
+# run read either.
+# The raise before it, 15656 -> 15686, bought a cold map that costs what the
 # application costs rather than what the mesh costs: step 2 keeps every
 # process's tile in a slice beside the mapping (on the stack for a small
 # application, so a map allocates nothing more), and under the default
@@ -62,7 +69,7 @@ set -euo pipefail
 # ledger (LoadEstimate: the DLQ reads Load().Utilization off the
 # platform), the off positions of template reuse and repair, the lenient
 # plan mode with NewRemovalPlan, and two local clamp and max helpers.
-budget=15686
+budget=15409
 
 lines=$(find . -name '*.go' -not -name '*_test.go' \
   -not -path './bench/*' -not -path './.bench_build/*' -print0 |
