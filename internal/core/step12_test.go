@@ -237,13 +237,16 @@ func TestRenderStep2TableReplay(t *testing.T) {
 // when the price beats the best move so far; the oracle reads
 // Mapping.Tile and checks every tile's room first, so the two share no
 // tile lookup and no pruning. The fourth seed is an 8×8 mesh with 24 background
-// applications, where the room check turns most tiles away.
+// applications, where the room check turns most tiles away. The third
+// and the sixth are twelve-process fork-joins, whose split has more
+// channels than movedEnds keeps on the stack, under each cost model.
 func FuzzStep12Differential(f *testing.F) {
 	f.Add(int64(1), 5, 0, 0, 0, 0)
 	f.Add(int64(7), 12, 2, 3, 2, 1)
 	f.Add(int64(42), 9, 1, 5, 3, 5)
 	f.Add(int64(42), 9, 1, 9, 3, 5)
 	f.Add(int64(3), 10, 1, 6, 1, 0)
+	f.Add(int64(42), 9, 1, 5, 3, 2)
 	f.Fuzz(func(t *testing.T, seed int64, procs, shape, load, bans, cfg int) {
 		checkStep12(t, step12Case{
 			shape:      step12Shapes[abs(shape)%len(step12Shapes)],
@@ -255,6 +258,30 @@ func FuzzStep12Differential(f *testing.F) {
 			cfg:        step12Configs[abs(cfg)%len(step12Configs)],
 		})
 	})
+}
+
+// TestStep2WideProcess holds step 2 to its oracle on a twelve-process
+// fork-join, whose split has eleven channels, more than movedEnds keeps
+// on the stack, so its move scans run on spilled memory. Both cost models
+// price moves from movedEnds.
+func TestStep2WideProcess(t *testing.T) {
+	for _, cfg := range []Config{{}, {CommCost: TrafficWeighted}} {
+		c := step12Case{shape: workload.ShapeForkJoin, procs: 12, seed: 42, mesh: 8, background: 12, bans: 3, cfg: cfg}
+		checkStep12(t, c)
+		app, lib := workload.Synthetic(workload.SynthOptions{
+			Shape: c.shape, Processes: c.procs, Seed: c.seed, MaxUtil: 0.2, PeriodNs: 40_000,
+		})
+		ix := newAppIndex(app)
+		widest := 0
+		for _, p := range ix.procs {
+			widest = max(widest, len(ix.incident[p.ID]))
+		}
+		run := runStep12(&Mapper{Lib: lib, Cfg: cfg}, ix, loadedPlatform(t, c.mesh, c.background), newTabu(), false)
+		if widest <= stackEnds || run.fb != nil || len(run.tr.Step2) < 2 {
+			t.Fatalf("%+v: widest process has %d channels (stack holds %d), step 1 feedback %v, %d step-2 rows: the case no longer spills",
+				c, widest, stackEnds, run.fb, len(run.tr.Step2))
+		}
+	}
 }
 
 // TestAppIndexMatchesModel checks the application index against the

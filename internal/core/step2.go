@@ -141,16 +141,12 @@ type candidate struct {
 	delta float64        // cost change (negative improves)
 }
 
-// deltaFor evaluates the cost change of a candidate by re-pricing only the
-// channels incident to the processes it relocates, merging their incident
-// lists so the terms add up in channel order: TrafficWeighted terms are
-// not integers, and another order could round differently.
+// deltaFor evaluates the cost change of a swap by re-pricing only the
+// channels incident to the two processes, merging their incident lists so
+// the terms add up in channel order: TrafficWeighted terms are not
+// integers, and another order could round differently.
 func (s *searchState) deltaFor(o override) float64 {
-	a := s.ix.incident[o.p]
-	var b []int32
-	if o.q != noProcess {
-		b = s.ix.incident[o.q]
-	}
+	a, b := s.ix.incident[o.p], s.ix.incident[o.q]
 	var delta float64
 	for len(a) > 0 || len(b) > 0 {
 		var i int32
@@ -164,6 +160,58 @@ func (s *searchState) deltaFor(o override) float64 {
 		}
 		c := s.ix.chans[i]
 		delta += s.weight[i] * float64(s.channelDist(c, o)-s.channelDist(c, current))
+	}
+	if s.m.Cfg.CommCost == TrafficWeighted {
+		delta += s.idleDelta(o)
+	}
+	return delta
+}
+
+// stackEnds channels of a moved process stay on the stack, enough for every
+// application the benchmark maps; a process with more spills to the heap.
+const stackEnds = 10
+
+// movedEnd is one channel of the process a move scan relocates, read once
+// per scan: its weight, the router position of its other end's tile, and
+// its current length, or -1 if the other end is unplaced.
+type movedEnd struct {
+	weight float64
+	far    arch.Point
+	dist   int
+}
+
+// movedEnds appends the channels of process p, on tile cur, to ends in
+// channel order.
+func (s *searchState) movedEnds(p model.ProcessID, cur arch.TileID, ends []movedEnd) []movedEnd {
+	r := s.work.Routers
+	at := r[s.work.Tiles[cur].Router].Pos
+	for _, i := range s.ix.incident[p] {
+		other := s.ix.chans[i].Src
+		if other == p {
+			other = s.ix.chans[i].Dst
+		}
+		e := movedEnd{weight: s.weight[i], dist: -1}
+		if t := s.tile[other]; t >= 0 {
+			e.far = r[s.work.Tiles[t].Router].Pos
+			e.dist = at.Manhattan(e.far)
+		}
+		ends = append(ends, e)
+	}
+	return ends
+}
+
+// movePrice evaluates the cost change of the move o from ends, the moved
+// process's channels: the terms of a full re-price in channel order, so
+// the same float.
+func (s *searchState) movePrice(ends []movedEnd, o override) float64 {
+	at := s.work.Routers[s.work.Tiles[o.pt].Router].Pos
+	var delta float64
+	for _, e := range ends {
+		d := 0
+		if e.dist >= 0 {
+			d = at.Manhattan(e.far) - e.dist
+		}
+		delta += e.weight * float64(d)
 	}
 	if s.m.Cfg.CommCost == TrafficWeighted {
 		delta += s.idleDelta(o)
@@ -205,9 +253,10 @@ func (s *searchState) idleDelta(o override) float64 {
 // the process with another process mapped to the same tile type." Swap
 // partners are restricted to later-declared processes so each unordered
 // pair is evaluated once per pass. Reports false if p has no candidates.
-// Under HopSum a tile whose move cannot beat the best so far skips its
-// room check; consider keeps only a strictly lower delta, so the answer
-// stands. TrafficWeighted's price walks every process, so room goes first.
+// A move is priced from p's channels, read once per scan. Under HopSum a
+// tile whose move cannot beat the best so far skips its room check;
+// consider keeps only a strictly lower delta, so the answer stands.
+// TrafficWeighted's price walks every process, so room goes first.
 func (s *searchState) bestCandidateFor(pi int) (best candidate, found bool) {
 	p := s.ix.procs[pi]
 	if s.locked[p.ID] {
@@ -229,6 +278,8 @@ func (s *searchState) bestCandidateFor(pi int) (best candidate, found bool) {
 		return best, false
 	}
 	ni := s.ix.ni[p.ID]
+	var stack [stackEnds]movedEnd
+	ends := s.movedEnds(p.ID, cur, stack[:0])
 	priceFirst := s.m.Cfg.CommCost == HopSum
 	for _, tid := range s.work.TilesOfType(im.TileType) {
 		if tid == cur {
@@ -236,7 +287,7 @@ func (s *searchState) bestCandidateFor(pi int) (best candidate, found bool) {
 		}
 		o, delta := override{p: p.ID, pt: tid, q: noProcess}, 0.0
 		if priceFirst {
-			if delta = s.deltaFor(o); found && delta >= best.delta {
+			if delta = s.movePrice(ends, o); found && delta >= best.delta {
 				continue
 			}
 		}
@@ -245,7 +296,7 @@ func (s *searchState) bestCandidateFor(pi int) (best candidate, found bool) {
 			continue
 		}
 		if !priceFirst {
-			delta = s.deltaFor(o)
+			delta = s.movePrice(ends, o)
 		}
 		consider(candidate{kind: Move, p: p, to: tid, delta: delta})
 	}

@@ -48,7 +48,8 @@ func BenchmarkSelfTimedExecution(b *testing.B) {
 // BenchmarkSelfTimedExecutionRouted runs burst, the shape of a mapped
 // graph's router hops: each iteration streams a burst of 117 tokens
 // through seven per-token routers. It reports the stream windows a run
-// skips as well as the instants it simulates.
+// skips and the share of its completions the lane carries as well as the
+// instants it simulates.
 func BenchmarkSelfTimedExecutionRouted(b *testing.B) {
 	g := streamGraphs()[0]
 	opts := DefaultExecOptions()
@@ -63,6 +64,7 @@ func BenchmarkSelfTimedExecutionRouted(b *testing.B) {
 	c := share()
 	reportInstants(b, c)
 	b.ReportMetric(float64(c.streamed)/float64(c.runs), "windows/run")
+	b.ReportMetric(float64(c.laned)/float64(c.laned+c.heaped), "lane/completion")
 }
 
 func BenchmarkBufferSizing(b *testing.B) {

@@ -153,7 +153,7 @@ type actorRun struct {
 	// are evaluated afresh whenever their group is idle and stay silent
 	// here.
 	verdict  verdict
-	pending  int32 // its completions in the heap
+	pending  int32 // its completions pending, in the lane or the heap
 	evalPass int64
 }
 
@@ -165,7 +165,8 @@ type channelState struct {
 
 // execEvent is the completion of one firing. Completions due at the same
 // instant are all applied before anything is scheduled again and their
-// effects commute, so they need no order among themselves.
+// effects commute, so they need no order among themselves: the lane's and
+// the heap's are applied in turn.
 type execEvent struct {
 	time  int64
 	actor int32
@@ -198,8 +199,14 @@ type engine struct {
 	pass   int64
 	blocks []int64 // veto counts, indexed by verdict-vetoBase
 
-	now  int64
-	heap []execEvent
+	// The pending completions: those of firings of laneWCET, the WCET most
+	// single-phase actors share, in lane[laneHead:] in time order, and the
+	// rest in heap, a binary min-heap on time.
+	now      int64
+	laneWCET int64
+	lane     []execEvent
+	laneHead int
+	heap     []execEvent
 
 	source, observe     int32
 	sourceIn, observeIn int64 // firings into the current iteration
@@ -209,11 +216,13 @@ type engine struct {
 	// The last two snapshots at observed-actor boundaries and at source
 	// iteration starts, each pair of equal length; see recurred.
 	sinkSnaps, sourceSnaps []int64
-	// A copy of the actor and channel state and of the heap at the last
-	// observed-actor boundary, which restore returns to.
+	// A copy of the actor and channel state and of the pending
+	// completions at the last observed-actor boundary, the first savedLane
+	// of them the lane's, which restore returns to.
 	savedActors   []actorRun
 	savedChannels []channelState
-	savedHeap     []execEvent
+	savedPending  []execEvent
+	savedLane     int
 	// The stream fast-forward (see stream): the hash of the current
 	// instant's completions, the signatures of the last four
 	// settled instants, latest first, and the time and pass count at the
@@ -233,10 +242,11 @@ type engine struct {
 	then, thenPass, thenEvents int64
 
 	// Runs made, those that skipped cycles, those that skipped from a
-	// restored boundary, the stream windows skipped and the completion
-	// instants simulated rather than skipped: the tests floor the shares
-	// and cap the instants.
-	runs, forwarded, restored, streamed, simulated int64
+	// restored boundary, the stream windows skipped, the completion
+	// instants simulated rather than skipped, and the completions applied
+	// from the lane and from the heap: the tests floor the shares and cap
+	// the instants.
+	runs, forwarded, restored, streamed, simulated, laned, heaped int64
 
 	// BufferSizes' working copy of its graph: the caller's actors and a
 	// copy of its channels, whose capacities the search edits; and the
@@ -292,8 +302,9 @@ func empty[T any](s []T, n int) []T {
 	return s[:0]
 }
 
-// load binds the engine to g: it solves the balance equations and lays the
-// channel ends out per actor.
+// load binds the engine to g: it solves the balance equations, lays the
+// channel ends out per actor and picks the lane's WCET by majority vote
+// (Boyer and Moore's) among the single-phase actors.
 func (e *engine) load(g *Graph) error {
 	n := len(g.Actors)
 	e.g = g
@@ -306,10 +317,21 @@ func (e *engine) load(g *Graph) error {
 	e.actors = resize(e.actors, n)
 	e.edges = resize(e.edges, 2*len(g.Channels))
 	next := e.edges
+	e.laneWCET = -1 // no firing lasts that long
+	votes := 0
 	for a := range e.actors {
 		st := &e.actors[a]
 		st.wcet = g.Actors[a].WCET
 		st.perIter = e.cycles[a] * int64(len(st.wcet))
+		switch {
+		case len(st.wcet) != 1:
+		case votes == 0:
+			e.laneWCET, votes = st.wcet[0], 1
+		case st.wcet[0] == e.laneWCET:
+			votes++
+		default:
+			votes--
+		}
 		for i, cid := range g.in[a] {
 			c := g.Channels[cid]
 			next[i] = edge{ch: int32(cid), peer: int32(c.Src), rate: c.Cons}
@@ -321,6 +343,9 @@ func (e *engine) load(g *Graph) error {
 		}
 		st.outs, next = next[:len(g.out[a])], next[len(g.out[a]):]
 	}
+	// The benchmark's mapped graphs keep at most 18 lane completions
+	// pending; past 32, enqueue grows the lane by doubling.
+	e.lane = empty(e.lane, 32)
 	return nil
 }
 
@@ -384,6 +409,9 @@ func (e *engine) run(opts ExecOptions) (*ExecResult, error) {
 	e.groups = opts.ExclusiveGroups
 	for gi, group := range e.groups {
 		for _, a := range group {
+			if a < 0 || int(a) >= n {
+				return nil, fmt.Errorf("csdf: exclusive group %d of %q names actor %d; the graph has %d actors", gi, g.Name, a, n)
+			}
 			e.actors[a].group = int32(gi)
 		}
 	}
@@ -401,7 +429,7 @@ func (e *engine) run(opts ExecOptions) (*ExecResult, error) {
 		e.mark(int32(a))
 	}
 	e.pass, e.now = 0, 0
-	e.heap = e.heap[:0]
+	e.lane, e.laneHead, e.heap = e.lane[:0], 0, e.heap[:0]
 	e.sourceIn, e.observeIn = 0, 0
 	e.iterDone = empty(e.iterDone, int(totalIters)+1)
 	e.iterSrcStart = empty(e.iterSrcStart, int(totalIters)+1)
@@ -438,7 +466,8 @@ func (e *engine) run(opts ExecOptions) (*ExecResult, error) {
 					e.savedActors = append(e.savedActors, e.actors[a].actorRun)
 				}
 				e.savedChannels = append(e.savedChannels[:0], e.channels...)
-				e.savedHeap = append(e.savedHeap[:0], e.heap...)
+				e.savedPending = append(append(e.savedPending[:0], e.queued()...), e.heap...)
+				e.savedLane = len(e.queued())
 			}
 		}
 		if lookForPeriod && len(e.iterSrcStart) > begun {
@@ -454,15 +483,25 @@ func (e *engine) run(opts ExecOptions) (*ExecResult, error) {
 		if int64(len(e.iterDone)) >= totalIters {
 			break
 		}
-		if len(e.heap) == 0 {
+		if len(e.queued()) == 0 && len(e.heap) == 0 {
 			deadlocked = true
 			break
 		}
 		// Complete everything due at the next instant before scheduling
 		// again.
-		e.now = e.heap[0].time
+		e.now = math.MaxInt64
+		for _, pending := range e.pending() {
+			if len(pending) > 0 {
+				e.now = min(e.now, pending[0].time)
+			}
+		}
+		for ; e.laneHead < len(e.lane) && e.lane[e.laneHead].time == e.now; e.laneHead++ {
+			e.finish(e.lane[e.laneHead].actor)
+			e.laned++
+		}
 		for len(e.heap) > 0 && e.heap[0].time == e.now {
 			e.finish(e.pop())
+			e.heaped++
 		}
 		events++
 		e.simulated++
@@ -527,9 +566,9 @@ func (e *engine) run(opts ExecOptions) (*ExecResult, error) {
 // and busyTime per actor, blocks), then the relative state: per actor the
 // phase of its next start, per channel its tokens, how far the source and
 // the observed actor are into their iterations, and the pending
-// completions as (time−now, actor) in heap order; sorting them first let
-// no measured run skip more. The rest follows from these at a settled
-// instant: an actor's pending completions fix its busyUntil and, with
+// completions as (time−now, actor), the lane's in order and then the
+// heap's in heap order; sorting them first let no measured run skip more.
+// The rest follows from these at a settled instant: an actor's pending completions fix its busyUntil and, with
 // startPhase, its donePhase and the space its firings hold reserved
 // (occupied − tokens); its verdict is what evaluating it now would return;
 // its evalPass is pass+1; no actor is dirty. Two absolutes remain, the
@@ -544,7 +583,7 @@ const snapCounters = 5 // now, pass, events, len(iterDone), len(iterSrcStart)
 func (e *engine) recurred(pair *[]int64, events int64) bool {
 	n, nch := len(e.actors), len(e.channels)
 	relative := snapCounters + 2*n + 2*nch
-	size := relative + n + nch + 2 + 2*len(e.heap)
+	size := relative + n + nch + 2 + 2*(len(e.queued())+len(e.heap))
 	// The older snapshot makes way; one of another length cannot match.
 	fresh := len(*pair) != 2*size
 	if fresh {
@@ -570,8 +609,12 @@ func (e *engine) recurred(pair *[]int64, events int64) bool {
 		rel[c] = e.channels[c].tokens
 	}
 	rel[nch], rel[nch+1] = e.sourceIn, e.observeIn
-	for i, ev := range e.heap {
-		rel[nch+2+2*i], rel[nch+3+2*i] = ev.time-e.now, int64(ev.actor)
+	rel = rel[nch+2:]
+	for _, pending := range e.pending() {
+		for i, ev := range pending {
+			rel[2*i], rel[2*i+1] = ev.time-e.now, int64(ev.actor)
+		}
+		rel = rel[2*len(pending):]
 	}
 	return !fresh && slices.Equal((*pair)[relative:size], s[relative:])
 }
@@ -603,7 +646,8 @@ func (e *engine) restore() (events int64, ok bool) {
 		e.actors[a].actorRun = saved
 	}
 	copy(e.channels, e.savedChannels)
-	e.heap = append(e.heap[:0], e.savedHeap...)
+	e.lane, e.laneHead = append(e.lane[:0], e.savedPending[:e.savedLane]...), 0
+	e.heap = append(e.heap[:0], e.savedPending[e.savedLane:]...)
 	e.now, e.pass = b[0], b[1]
 	e.iterDone, e.iterSrcStart = e.iterDone[:b[3]], e.iterSrcStart[:begun]
 	copy(e.blocks, b[snapCounters+2*n:])
@@ -661,8 +705,10 @@ func (e *engine) skipCycles(pair []int64, events, totalIters, maxEvents int64) i
 	for i := range e.blocks {
 		e.blocks[i] += k * delta(snapCounters+2*len(e.actors)+i)
 	}
-	for i := range e.heap {
-		e.heap[i].time += k * dNow
+	for _, pending := range e.pending() {
+		for i := range pending {
+			pending[i].time += k * dNow
+		}
 	}
 	nd, nb := len(e.iterDone), len(e.iterSrcStart)
 	for j := int64(1); j <= k; j++ {
@@ -729,7 +775,7 @@ func (e *engine) clearStream() {
 // stream signs the settled instant; it arms, confirms a window or skips
 // windows, and returns the event count.
 func (e *engine) stream(events, maxEvents int64) int64 {
-	sig := e.instHash + uint64(e.now-e.lastNow)*timeMix + uint64(e.pass-e.lastPass)*passMix + uint64(len(e.heap))*pendingMix
+	sig := e.instHash + uint64(e.now-e.lastNow)*timeMix + uint64(e.pass-e.lastPass)*passMix + uint64(len(e.queued())+len(e.heap))*pendingMix
 	e.instHash, e.lastNow, e.lastPass = 0, e.now, e.pass
 	// Bit p of matched: this instant repeats the one p back.
 	h, matched := &e.sigs, uint8(0)
@@ -870,9 +916,18 @@ func (e *engine) dFired(a int32) int64 {
 // At a settled instant an actor's pending completions are all due now
 // except the last, due at busyUntil: firings complete in the order they
 // start, and one due later keeps the actor busy. So per actor the count
-// of pending completions and busyUntil stand for the heap. The channels
-// the window recorded are those of the recorded actors; each is visited
-// from its consumer, or from its producer if the consumer is unrecorded.
+// of pending completions and busyUntil stand for the lane and the heap.
+// The channels the window recorded are those of the recorded actors; each
+// is visited from its consumer, or from its producer if the consumer is
+// unrecorded.
+//
+// A skip moves only the completions of actors that started in the window,
+// but all of the lane or none of it, so the lane stays in order. A lane
+// completion is due at most W = laneWCET after now. If W > 0 and its
+// actor started in the window, the actor was busy at S0 and is busy as
+// long after S1, so the window lasts at least W and a lane completion of
+// an actor that did not start bounds k at 0. If W = 0, every lane
+// completion started now, in the window unless the window takes no time.
 func (e *engine) confirmStream(events, maxEvents int64) (k, dEvents int64) {
 	dNow, dPass := e.now-e.then, e.pass-e.thenPass
 	dEvents = events - e.thenEvents
@@ -905,11 +960,13 @@ func (e *engine) confirmStream(events, maxEvents int64) (k, dEvents int64) {
 		}
 	}
 	passive := false // a completion of an actor that did not start is pending
-	for _, ev := range e.heap {
-		if e.dFired(ev.actor) == 0 {
-			passive = true
-			if dNow > 0 {
-				k = min(k, (ev.time-e.now-1)/dNow)
+	for _, pending := range e.pending() {
+		for _, ev := range pending {
+			if e.dFired(ev.actor) == 0 {
+				passive = true
+				if dNow > 0 {
+					k = min(k, (ev.time-e.now-1)/dNow)
+				}
 			}
 		}
 	}
@@ -930,13 +987,15 @@ func (e *engine) confirmStream(events, maxEvents int64) (k, dEvents int64) {
 	e.streamed += k
 	e.now += k * dNow
 	e.pass += k * dPass
-	for i := range e.heap {
-		if ev := &e.heap[i]; e.dFired(ev.actor) > 0 {
-			ev.time += k * dNow
+	for _, pending := range e.pending() {
+		for i := range pending {
+			if ev := &pending[i]; e.dFired(ev.actor) > 0 {
+				ev.time += k * dNow
+			}
 		}
 	}
 	if passive {
-		// Only some completions moved: push them all back in place.
+		// Only some completions moved: push the heap's back in place.
 		h := e.heap
 		e.heap = h[:0]
 		for _, ev := range h {
@@ -1149,7 +1208,11 @@ func (e *engine) start(a int32, st *actorState) {
 	if st.group >= 0 {
 		e.groupActive[st.group]++
 	}
-	e.push(execEvent{time: e.now + w, actor: a})
+	if ev := (execEvent{time: e.now + w, actor: a}); w == e.laneWCET {
+		e.enqueue(ev)
+	} else {
+		e.push(ev)
+	}
 }
 
 // finish completes actor a's oldest firing in flight: its outputs become
@@ -1187,6 +1250,21 @@ func (e *engine) finish(a int32) {
 			e.iterDone = append(e.iterDone, e.now)
 		}
 	}
+}
+
+// queued returns the lane's pending completions.
+func (e *engine) queued() []execEvent { return e.lane[e.laneHead:] }
+
+// pending returns the pending completions, the lane's first.
+func (e *engine) pending() [2][]execEvent { return [2][]execEvent{e.queued(), e.heap} }
+
+// enqueue appends a completion due laneWCET after now to the lane. A full
+// lane slides its pending part down first, and grows only if none is done.
+func (e *engine) enqueue(ev execEvent) {
+	if len(e.lane) == cap(e.lane) && e.laneHead > 0 {
+		e.lane, e.laneHead = e.lane[:copy(e.lane, e.queued())], 0
+	}
+	e.lane = append(e.lane, ev)
 }
 
 // push and pop keep e.heap a binary min-heap on completion time.

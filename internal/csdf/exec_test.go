@@ -1,6 +1,7 @@
 package csdf
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -226,5 +227,27 @@ func TestExecuteExclusiveGroupSingleton(t *testing.T) {
 	}
 	if free.Period != boxed.Period {
 		t.Errorf("singleton groups changed period: %v vs %v", free.Period, boxed.Period)
+	}
+}
+
+// TestExecuteRejectsGroupOutsideGraph: an exclusive group that names an
+// actor the graph lacks, past its end or negative, is an error naming the
+// group, the actor and the actor count, from Execute and from BufferSizes
+// alike.
+func TestExecuteRejectsGroupOutsideGraph(t *testing.T) {
+	g := NewGraph("pair")
+	a := g.AddActor("a", Vals(1))
+	b := g.AddActor("b", Vals(2))
+	g.Connect(a, b, Vals(1), Vals(1), 0)
+	for _, bad := range []ActorID{5, 2, -1} {
+		opts := DefaultExecOptions()
+		opts.ExclusiveGroups = [][]ActorID{{a, b}, {0, bad}}
+		want := fmt.Sprintf("exclusive group 1 of \"pair\" names actor %d; the graph has 2 actors", bad)
+		if _, err := g.Execute(opts); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Execute with actor %d in a group: %v, want an error containing %q", bad, err, want)
+		}
+		if _, err := BufferSizes(g, BufferOptions{Exec: opts}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("BufferSizes with actor %d in a group: %v, want an error containing %q", bad, err, want)
+		}
 	}
 }

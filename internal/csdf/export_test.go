@@ -15,13 +15,13 @@ var (
 const RaceEnabled = raceEnabled
 
 // EngineCounts are the counters of engineCounts the external tests read.
-type EngineCounts struct{ Runs, Streamed, Simulated int64 }
+type EngineCounts struct{ Runs, Streamed, Simulated, Laned, Heaped int64 }
 
 // TrackEngines is trackEngines for the external tests.
 func TrackEngines(tb testing.TB) func() EngineCounts {
 	share := trackEngines(tb)
 	return func() EngineCounts {
 		c := share()
-		return EngineCounts{Runs: c.runs, Streamed: c.streamed, Simulated: c.simulated}
+		return EngineCounts{Runs: c.runs, Streamed: c.streamed, Simulated: c.simulated, Laned: c.laned, Heaped: c.heaped}
 	}
 }

@@ -10,9 +10,13 @@ import (
 // engineCounts sums the run counters of the engines trackEngines saw: how
 // many runs the test caused, inside BufferSizes too, how many of them
 // skipped at least one cycle, how many of those skipped from a restored
-// observed-actor boundary, how many stream windows they skipped, and how
-// many completion instants they simulated.
-type engineCounts struct{ runs, forwarded, restored, streamed, simulated int64 }
+// observed-actor boundary, how many stream windows they skipped, how
+// many completion instants they simulated, and how many completions they
+// applied from the lane and from the heap.
+type engineCounts struct {
+	runs, forwarded, restored, streamed, simulated int64
+	laned, heaped                                  int64
+}
 
 // trackEngines swaps the engine pool for one that remembers every engine
 // it makes, until the test ends, and returns a function that sums their
@@ -31,6 +35,8 @@ func trackEngines(tb testing.TB) func() engineCounts {
 			c.restored += e.restored
 			c.streamed += e.streamed
 			c.simulated += e.simulated
+			c.laned += e.laned
+			c.heaped += e.heaped
 		}
 		return c
 	}
@@ -379,7 +385,7 @@ func TestEngineStateIsClassified(t *testing.T) {
 			"busyUntil":  implied + "; skipCycles reads it to place the firing cap; " + recorded,
 			"busyTime":   additive + "; " + recorded,
 			"verdict":    implied + "; " + recorded,
-			"pending":    implied + ": the actor's completions in the heap; " + recorded,
+			"pending":    implied + ": the actor's completions in the lane and the heap; " + recorded,
 			"evalPass":   implied + ": each snapshot and each record charges the standing veto, so it is pass+1 there",
 		},
 		reflect.TypeOf(channelState{}): {
@@ -392,20 +398,23 @@ func TestEngineStateIsClassified(t *testing.T) {
 			"cycles": scratch, "balance": scratch, "queue": scratch + "; lists the actors a stream window recorded",
 			"actorMem": scratch + "; holds a stream window's actor records", "chanMem": "holds blocks and a stream window's channel records",
 			"groups": declined, "groupActive": declined,
-			"dirty":  implied,
-			"pass":   additive,
-			"blocks": additive + "; " + recorded,
-			"now":    additive,
-			"heap":   compared,
-			"source": fixed, "observe": fixed,
+			"dirty":    implied,
+			"pass":     additive,
+			"blocks":   additive + "; " + recorded,
+			"now":      additive,
+			"laneWCET": fixed, "lane": compared + ", its pending part first; confirmStream moves it into the heap when it shifts only some completions",
+			"laneHead": implied + ": where the lane's pending part starts",
+			"heap":     compared,
+			"source":   fixed, "observe": fixed,
 			"sourceIn": compared, "observeIn": compared,
 			"iterDone": additive, "iterSrcStart": additive + "; its open tail is " + compared,
 			"sinkSnaps": scratch, "sourceSnaps": scratch,
-			"savedActors": restore, "savedChannels": restore, "savedHeap": restore,
+			"savedActors": restore, "savedChannels": restore, "savedPending": restore, "savedLane": restore,
 			"instHash": stream, "sigs": stream, "lastNow": stream, "lastPass": stream, "signed": stream, "matched": stream,
 			"window": stream, "windowLeft": stream, "fails": stream, "dry": stream, "cooldown": stream,
 			"recorded": stream, "then": stream, "thenPass": stream, "thenEvents": stream,
 			"runs": scratch, "forwarded": scratch, "restored": scratch, "streamed": scratch, "simulated": scratch,
+			"laned": scratch, "heaped": scratch,
 			"work": fixed, "workSlab": fixed, "workChans": fixed, "free": scratch,
 		},
 	}

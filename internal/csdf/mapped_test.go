@@ -85,12 +85,16 @@ func trials(full int) int {
 // makes it, and Execute with the capacities it chose. On at least half of
 // the synthetic graphs, whose bursts stream through chains of routers,
 // those Execute runs must skip stream windows: the reference can only
-// vouch for the skip where it is taken.
+// vouch for the skip where it is taken. On the synthetic graphs the lane
+// must carry at least 75 % of the completions the runs apply, since
+// routers make 87–97 % of their firings: a lane that stopped taking the
+// router hop would leave the answers equal and only the time worse.
 func TestMappedGraphsDifferential(t *testing.T) {
 	share := csdf.TrackEngines(t)
 	streaming, synthetic := 0, 0
-	var simulated int64
+	var simulated, laned, heaped int64
 	for _, c := range mappedCorpus(t) {
+		start := share()
 		g := c.mg.Graph
 		exec := csdf.ExecOptions{WarmupIterations: 4, MeasureIterations: 8, Observe: c.mg.Sink, Source: c.mg.Source}
 		opts := csdf.BufferOptions{TargetPeriod: float64(c.period), Exec: exec}
@@ -122,13 +126,19 @@ func TestMappedGraphsDifferential(t *testing.T) {
 		if c.synthetic {
 			synthetic++
 			simulated += after.Simulated - before.Simulated
+			laned += after.Laned - start.Laned
+			heaped += after.Heaped - start.Heaped
 			if after.Streamed > before.Streamed {
 				streaming++
 			}
 		}
 	}
-	t.Logf("%d of %d synthetic graphs streamed; %d instants simulated", streaming, synthetic, simulated)
+	t.Logf("%d of %d synthetic graphs streamed; %d instants simulated; the lane carried %d of %d completions",
+		streaming, synthetic, simulated, laned, laned+heaped)
 	if synthetic == 0 || streaming*2 < synthetic {
 		t.Errorf("%d of %d synthetic graphs skipped stream windows, want at least half", streaming, synthetic)
+	}
+	if laned*4 < (laned+heaped)*3 {
+		t.Errorf("the lane carried %d of the synthetic graphs' %d completions, want at least 75 %%", laned, laned+heaped)
 	}
 }
