@@ -1,5 +1,5 @@
-// Command journal inspects the binary admission journal cmd/serve and
-// cmd/churn write with -journal. Every mode verifies the segments it is
+// Command journal inspects the binary admission journal cmd/serve
+// writes with -journal. Every mode verifies the segments it is
 // given as one chain first — magic, frame headers, record hashes, Merkle
 // seals, the hash chain and the rotation heads that link one segment to
 // the next — and never writes to them. A final segment that ends inside

@@ -1,16 +1,19 @@
 // Command serve runs the streaming admission front-end in one of three
 // modes over the same churn.Stack. By default it drives a synthetic
-// arrival storm through the stream server (class shares, dead-letter
-// retry queue) into the manager pipeline, printing the
-// exactly-one-outcome ledger. With -listen it becomes a real service:
-// an HTTP front door (POST /admit, GET /healthz, /readyz, /metricsz)
-// with graceful drain on SIGINT/SIGTERM
-// and — when -journal names a file with previous segments —
-// crash-restart recovery: the chain is verified, the torn tail
-// truncated, and the platform plus resident set replayed before the
-// listener accepts traffic. With -chaos it executes a deterministic
-// fault script against an in-process HTTP door and exits nonzero if the
-// ledger breaks or a Critical arrival is shed.
+// arrival storm open-loop through the stream server (class shares,
+// dead-letter retry queue) into the manager pipeline — chaos.Run with an
+// empty script on its Direct target — and prints the exactly-one-outcome
+// ledger and the manager's counters. With -listen it becomes a real
+// service: an HTTP front door (POST /admit, GET /healthz, /readyz,
+// /metricsz) with graceful drain on SIGINT/SIGTERM and — when -journal
+// names a file with previous segments — crash-restart recovery: the
+// chain is verified, the torn tail truncated, and the platform plus
+// resident set replayed before the listener accepts traffic. With
+// -chaos it executes a deterministic fault script against an in-process
+// HTTP door. The storm and the chaos run end by restoring every failed
+// resource and stopping every resident, and exit nonzero if the ledger
+// breaks, a Critical arrival is shed, the reservation invariants fail or
+// the platform is not back to pristine.
 //
 // Examples:
 //
@@ -18,6 +21,7 @@
 //	go run ./cmd/serve -arrivals 2000000        # the EXPERIMENTS.md soak
 //	go run ./cmd/serve -listen :8080 -journal run.journal   # network service
 //	go run ./cmd/serve -chaos script.txt -journal c.journal # chaos harness
+//	go run ./cmd/serve -chaos scripts/faults.chaos -arrivals 1000 -mesh 8   # tile faults: recovery times
 package main
 
 import (
@@ -108,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return c.fail(2, "%v", err)
 		}
 	}
-	return churn.Profiled(*cpuProfile, *memProfile, stderr, serve)
+	return profiled(*cpuProfile, *memProfile, stderr, serve)
 }
 
 // fail prints one diagnostic and returns the exit code.
@@ -117,41 +121,12 @@ func (c *config) fail(code int, format string, args ...any) int {
 	return code
 }
 
-// soak is the in-process storm: generate, admit, report.
-func (c *config) soak() int {
-	res := churn.RunSoak(c.stack, c.server)
-	if res.ConfigErr != nil {
-		return c.fail(2, "%v", res.ConfigErr)
-	}
-	if res.JournalErr != nil {
-		return c.fail(1, "journal: %v", res.JournalErr)
-	}
-	fmt.Fprintf(c.stdout, "streaming admission:\n")
-	fmt.Fprintf(c.stdout, "  arrivals          %d over %v (%.0f arrivals/sec, %.0f admissions/sec)\n",
-		res.Report.Submitted, res.Elapsed.Round(time.Millisecond), float64(res.Report.Submitted)/res.Elapsed.Seconds(), res.AdmissionsPerSec())
-	c.reportStream(res.Report)
-	st := res.Stats
-	fmt.Fprintf(c.stdout, "  backend           %d admitted, %d rejected, %d conflicts, %d template hits\n",
-		st.Admitted, st.Rejected, st.Conflicts, st.TemplateHits)
-	code := 0
-	if res.LedgerErr != nil {
-		code = c.fail(1, "%v", res.LedgerErr)
-	} else {
-		fmt.Fprintf(c.stdout, "  ledger ok         true\n")
-	}
-	if c.requireShed && res.Report.Shed() == 0 {
-		code = c.fail(1, "-requireshed: the run shed nothing")
-	}
-	if c.requireDLQ && res.Report.Recovered == 0 {
-		code = c.fail(1, "-requiredlq: the DLQ recovered nothing")
-	}
-	return code
-}
+// soak is the in-process storm: chaos.Run with an empty script,
+// arrivals submitted open-loop straight to the stream server.
+func (c *config) soak() int { return c.drive("streaming admission", chaos.Script{}, chaos.Direct) }
 
 // chaos executes a fault script against an in-process HTTP door (see
-// internal/chaos for the script DSL) and gates on the robustness
-// invariants: nonzero exit on a broken aggregate ledger or any shed
-// Critical arrival.
+// internal/chaos for the script DSL).
 func (c *config) chaos() int {
 	f, err := os.Open(c.chaosPath)
 	if err != nil {
@@ -162,30 +137,88 @@ func (c *config) chaos() int {
 	if err != nil {
 		return c.fail(2, "%v", err)
 	}
-	rep, err := chaos.Run(script, chaos.Options{Stack: c.stack, Server: c.server})
+	return c.drive("chaos run", script, chaos.Door)
+}
+
+// drive runs the script on the target, prints the report and gates on
+// the robustness invariants: nonzero exit on a broken aggregate ledger,
+// any shed Critical arrival, broken reservation invariants or a mesh
+// that did not return to pristine.
+func (c *config) drive(title string, script chaos.Script, target chaos.Target) int {
+	rep, err := chaos.Run(script, chaos.Options{Stack: c.stack, Server: c.server, Target: target})
 	if err != nil {
 		return c.fail(2, "%v", err)
 	}
-	fmt.Fprintf(c.stdout, "chaos run:\n")
-	fmt.Fprintf(c.stdout, "  arrivals          %d over %d incarnation(s)\n", rep.Arrivals, rep.Incarnations)
-	fmt.Fprintf(c.stdout, "  steps             %d faults, %d restores, %d spikes, %d drains, %d crashes\n",
-		rep.FaultsInjected, rep.Restores, rep.Spikes, rep.Drains, rep.Crashes)
+	w := c.stdout
+	secs := rep.Elapsed.Seconds()
+	fmt.Fprintf(w, "%s:\n", title)
+	fmt.Fprintf(w, "  arrivals          %d over %d incarnation(s) in %v (%.0f arrivals/sec, %.0f admissions/sec)\n",
+		rep.Arrivals, rep.Incarnations, rep.Elapsed.Round(time.Millisecond),
+		float64(rep.Arrivals)/secs, float64(rep.Stream.Admitted)/secs)
+	if len(script.Steps) > 0 {
+		fmt.Fprintf(w, "  steps             %d faults, %d restores, %d spikes, %d drains, %d crashes\n",
+			rep.FaultsInjected, rep.Restores, rep.Spikes, rep.Drains, rep.Crashes)
+	}
 	if rep.ReplayChecks > 0 {
-		fmt.Fprintf(c.stdout, "  recovery          %d replay checks passed, %d torn events discarded\n",
+		fmt.Fprintf(w, "  recovery          %d replay checks passed, %d torn events discarded\n",
 			rep.ReplayChecks, rep.TornDiscarded)
 	}
 	c.reportStream(rep.Stream)
-	fmt.Fprintf(c.stdout, "  door              %d requests, %d admitted, %d busy, %d rejected\n",
-		rep.Door.Requests, rep.Door.Admitted, rep.Door.Busy, rep.Door.Rejected)
-	fmt.Fprintf(c.stdout, "  ledger ok         %v\n", rep.LedgerOK)
+	if target == chaos.Door {
+		fmt.Fprintf(w, "  door              %d requests, %d admitted, %d busy, %d rejected\n",
+			rep.Door.Requests, rep.Door.Admitted, rep.Door.Busy, rep.Door.Rejected)
+	}
+	c.reportManager(rep)
+	fmt.Fprintf(w, "  pristine          %v\n", rep.Pristine)
+	fmt.Fprintf(w, "  ledger ok         %v\n", rep.LedgerOK)
 	code := 0
 	if !rep.LedgerOK {
-		code = c.fail(1, "chaos: aggregate ledger mismatch")
+		code = c.fail(1, "aggregate ledger mismatch")
 	}
 	if rep.CriticalShed != 0 {
-		code = c.fail(1, "chaos: %d Critical arrivals shed", rep.CriticalShed)
+		code = c.fail(1, "%d Critical arrivals shed", rep.CriticalShed)
+	}
+	if rep.InvariantErr != nil {
+		code = c.fail(1, "reservation invariants: %v", rep.InvariantErr)
+	} else if !rep.Pristine {
+		code = c.fail(1, "platform not pristine after the run: %d tiles, %d links drifted",
+			len(rep.Drift.Tiles), len(rep.Drift.Links))
+	}
+	if c.requireShed && rep.Stream.Shed() == 0 {
+		code = c.fail(1, "-requireshed: the run shed nothing")
+	}
+	if c.requireDLQ && rep.Stream.Recovered == 0 {
+		code = c.fail(1, "-requiredlq: the DLQ recovered nothing")
 	}
 	return code
+}
+
+// reportManager prints the manager's counters (the last incarnation's)
+// and the run's fault recovery.
+func (c *config) reportManager(rep chaos.Report) {
+	w, st := c.stdout, rep.Stats
+	fmt.Fprintf(w, "  backend           %d admitted, %d rejected, %d conflicts, %d template hits\n",
+		st.Admitted, st.Rejected, st.Conflicts, st.TemplateHits)
+	if rate, ok := st.RepairRate(); ok {
+		fmt.Fprintf(w, "  repair rate       %.1f%% of %d retry/stale rounds (%d conflict retries, %d stale templates, %d full remaps)\n",
+			100*rate, st.ConflictRetries+st.StaleTemplates, st.ConflictRetries, st.StaleTemplates, st.FullRemaps)
+	}
+	for p := range model.NumPriorities {
+		if rate, ok := st.AdmissionRate(model.Priority(p)); ok {
+			cls := st.ByClass[p]
+			fmt.Fprintf(w, "  class %-11s %d arrivals, %.1f%% admitted\n",
+				model.Priority(p), cls.Admitted+cls.Rejected, 100*rate)
+		}
+	}
+	if st.Preemptions > 0 {
+		fmt.Fprintf(w, "  preemption        %d victims displaced (%d relocated, %d evicted)\n",
+			st.Preemptions, st.Relocations, st.Evictions)
+	}
+	if n := rep.FaultsInjected; n > 0 {
+		fmt.Fprintf(w, "  faults            %d injected (%d residents relocated, %d dropped), recover mean %v, max %v\n",
+			n, st.FaultRelocated, st.FaultDropped,
+			(rep.FaultRecoverTotal / time.Duration(n)).Round(time.Microsecond), rep.FaultRecoverMax.Round(time.Microsecond))
+	}
 }
 
 // serveHTTP serves the HTTP front door until SIGINT/SIGTERM, then

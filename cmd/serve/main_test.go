@@ -15,7 +15,8 @@ func serve(args ...string) (code int, stdout, stderr string) {
 }
 
 // TestSoakSmoke runs a tiny storm through the default mode: plain,
-// journaled, and profiled.
+// journaled, profiled, in regions of one endpoint pair each, and with no
+// arrivals at all. Every run ends pristine.
 func TestSoakSmoke(t *testing.T) {
 	base := []string{"-arrivals", "400", "-mesh", "8", "-catalogue", "4"}
 	with := func(extra ...string) []string { return append(base[:len(base):len(base)], extra...) }
@@ -24,13 +25,17 @@ func TestSoakSmoke(t *testing.T) {
 		base,
 		with("-journal", filepath.Join(t.TempDir(), "soak.journal")),
 		with("-cpuprofile", cpu, "-memprofile", mem),
+		with("-regionsize", "0"),
+		with("-arrivals", "0"),
 	} {
 		code, out, errw := serve(args...)
 		if code != 0 {
 			t.Fatalf("serve %v: exit %d\n%s%s", args, code, out, errw)
 		}
-		if !strings.Contains(out, "ledger ok         true") {
-			t.Fatalf("serve %v: no clean ledger line:\n%s", args, out)
+		for _, want := range []string{"ledger ok         true", "pristine          true"} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("serve %v: output lacks %q:\n%s", args, want, out)
+			}
 		}
 	}
 	for _, profile := range []string{cpu, mem} {
@@ -55,7 +60,7 @@ func TestChaosSmoke(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d\n%s%s", code, out, errw)
 	}
-	for _, want := range []string{"1 crashes", "2 replay checks passed", "ledger ok         true"} {
+	for _, want := range []string{"1 crashes", "2 replay checks passed", "pristine          true", "ledger ok         true"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output lacks %q:\n%s", want, out)
 		}
@@ -81,6 +86,11 @@ func TestRejectedFlagCombinations(t *testing.T) {
 		{[]string{"-arrivals", "10", "-util", "-1"}, "MaxUtil -1 is outside [0, 1]"},
 		{[]string{"-arrivals", "10", "-regionsize", "-2"}, "RegionSize -2 is negative"},
 		{[]string{"-arrivals", "-5"}, "Apps -5 is negative"},
+		{[]string{"-arrivals", "50", "-mesh", "8", "-workers", "-3"}, "Workers -3 is negative"},
+		{[]string{"-arrivals", "50", "-mesh", "8", "-catalogue", "-2"}, "Catalogue -2 is negative"},
+		{[]string{"-arrivals", "50", "-mesh", "8", "-resident", "-7"}, "Resident -7 is negative"},
+		{[]string{"-arrivals", "50", "-mesh", "8", "-queue", "-4"}, "Queue -4 is negative"},
+		{[]string{"-arrivals", "10", "-priomix", "0:0:0"}, "zero total weight"},
 		{[]string{"-arrivals", "10", "-window", "-1s"}, "-window -1s is negative"},
 		{[]string{"-arrivals", "10", "-syncevery", "-1"}, "-syncevery -1 is negative"},
 		{[]string{"-cow=false"}, "flag provided but not defined"},

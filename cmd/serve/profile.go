@@ -1,4 +1,4 @@
-package churn
+package main
 
 import (
 	"fmt"
@@ -8,12 +8,12 @@ import (
 	"runtime/pprof"
 )
 
-// Profiled runs a command's body under the profiles cmd/churn and
-// cmd/serve offer as -cpuprofile and -memprofile, so a scenario is
-// profiled as it ships: a CPU profile of the body into cpuPath, the heap
-// after it into memPath; an empty path skips that profile. It returns the
-// body's exit code, or 1 when a profile cannot be written.
-func Profiled(cpuPath, memPath string, stderr io.Writer, body func() int) int {
+// profiled runs the command's body under the profiles -cpuprofile and
+// -memprofile ask for, so a scenario is profiled as it ships: a CPU
+// profile of the body into cpuPath, the heap after it into memPath; an
+// empty path skips that profile. It returns the body's exit code, or 1
+// when a profile cannot be written.
+func profiled(cpuPath, memPath string, stderr io.Writer, body func() int) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, err)
 		return 1

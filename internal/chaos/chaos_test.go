@@ -167,6 +167,164 @@ func TestChaosRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// checkClean fails the test unless the run ended with the ledger
+// exact, the reservation invariants holding and the platform pristine.
+func checkClean(t *testing.T, rep Report) {
+	t.Helper()
+	if !rep.LedgerOK {
+		t.Fatalf("aggregate ledger broken: %+v", rep.Stream)
+	}
+	if rep.InvariantErr != nil {
+		t.Fatalf("ledger invariant violated: %v", rep.InvariantErr)
+	}
+	if !rep.Pristine || len(rep.Drift.Tiles)+len(rep.Drift.Links) > 0 {
+		t.Fatalf("ledger not pristine after full churn: %d tiles, %d links drifted",
+			len(rep.Drift.Tiles), len(rep.Drift.Links))
+	}
+}
+
+// TestChurnSmokeSmall runs a small contended churn end to end through
+// the door and checks what every run checks: arrivals were admitted, the
+// ledger invariants held throughout, and after full churn the
+// reservation ledger returned exactly to pristine. The CI test step runs
+// this under -race, which is the point: four admission workers hammer
+// the platform lock while the collector stops residents.
+func TestChurnSmokeSmall(t *testing.T) {
+	so := churn.Defaults()
+	so.Apps, so.Mesh, so.Catalogue = 40, 6, 8
+	rep, err := Run(Script{}, Options{Stack: so})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkClean(t, rep)
+	if rep.Stats.Admitted == 0 {
+		t.Fatal("churn admitted nothing; workload broken")
+	}
+}
+
+// TestChurnShardedRegionsClean runs the churn scenario on a mesh
+// partitioned into four regions, arrivals pinned round-robin to
+// per-region stream endpoints. The CI test step runs this under -race;
+// the ledger must still return exactly to pristine.
+func TestChurnShardedRegionsClean(t *testing.T) {
+	so := churn.Defaults()
+	so.Apps, so.Mesh, so.Catalogue, so.RegionSize = 80, 8, 8, 4
+	rep, err := Run(Script{}, Options{Stack: so})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkClean(t, rep)
+	if rep.Stats.Admitted == 0 {
+		t.Fatal("sharded churn admitted nothing; workload broken")
+	}
+}
+
+// TestChurnRepairResolvesMajorityOfRetries is the acceptance bar of the
+// incremental remapping engine: under a contended 4-worker churn through
+// the door, at least half of the commit-conflict retries and
+// stale-template instantiations resolve via core.Repair — the stale
+// mapping is refitted and committed — without a full four-step remap.
+// The scenario keeps eight applications resident on an 8×8 mesh with a
+// 16-structure catalogue, enough load that template placements go stale
+// continuously while the platform retains room to repair into.
+func TestChurnRepairResolvesMajorityOfRetries(t *testing.T) {
+	so := churn.Defaults()
+	so.Apps, so.Mesh, so.Catalogue, so.Resident = 200, 8, 16, 8
+	rep, err := Run(Script{}, Options{Stack: so})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkClean(t, rep)
+	st := rep.Stats
+	rate, ok := st.RepairRate()
+	if !ok {
+		t.Fatalf("scenario produced no conflict retries or stale templates (conflicts=%d, templates=%d); not contended",
+			st.ConflictRetries, st.StaleTemplates)
+	}
+	if st.StaleTemplates == 0 {
+		t.Fatal("scenario produced no stale templates; reuse path not exercised")
+	}
+	t.Logf("repair rate %.1f%%: %d of %d retry/stale rounds (%d conflict retries, %d stale templates, %d full remaps)",
+		100*rate, st.RepairedConflicts+st.RepairedTemplates, st.ConflictRetries+st.StaleTemplates,
+		st.ConflictRetries, st.StaleTemplates, st.FullRemaps)
+	if rate < 0.5 {
+		t.Fatalf("repair resolved only %.1f%% of retry/stale rounds, want >= 50%%", 100*rate)
+	}
+}
+
+// TestDirectSoakSmoke runs the storm cmd/serve runs by default — an empty
+// script on the Direct target, open-loop into the stream server — and
+// checks that the ledger and invariants hold.
+func TestDirectSoakSmoke(t *testing.T) {
+	rep, err := Run(Script{}, Options{
+		Stack: churn.Options{
+			Apps: 1200, Mesh: 8, RegionSize: 3, Seed: 7,
+			Workers: 2, Queue: 8, Catalogue: 4, MaxUtil: 0.2, PeriodNs: 40_000,
+			PrioMix: "60:30:10", Resident: 6,
+		},
+		Server: stream.Options{ClassBuf: 16, DLQ: 128, DLQBelow: 0.6, DLQEvery: time.Millisecond},
+		Target: Direct,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkClean(t, rep)
+	if rep.Stream.Submitted != 1200 {
+		t.Fatalf("submitted = %d, want 1200", rep.Stream.Submitted)
+	}
+	if rep.Stream.Admitted == 0 {
+		t.Fatalf("nothing admitted: %+v", rep.Stream)
+	}
+	if rep.Elapsed <= 0 || rep.Stats.Admitted == 0 || rep.Door.Requests != 0 {
+		t.Fatalf("throughput not measured, or the door was used: %+v", rep)
+	}
+}
+
+// TestRunEndsPristine leaves a tile and a link failed when the last
+// arrival is in. Run must restore both and stop every resident before
+// its pristine check, on each target, whether or not the script crashed
+// the incarnation in between.
+func TestRunEndsPristine(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		target Target
+		script string
+	}{
+		{"door", Door, "@40 failtile 2\n@60 faillink 5\n"},
+		{"door/crash", Door, "@40 failtile 2\n@60 faillink 5\n@80 crash\n"},
+		{"direct", Direct, "@40 failtile 2\n@60 faillink 5\n"},
+		{"direct/crash", Direct, "@40 failtile 2\n@60 faillink 5\n@80 crash\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			script, err := ParseScript(strings.NewReader(tc.script))
+			if err != nil {
+				t.Fatal(err)
+			}
+			so := churn.Defaults()
+			so.Apps, so.Seed, so.RegionSize, so.Catalogue = 120, 7, 3, 4
+			if script.Crashes() > 0 {
+				if so.Journal, err = journal.OpenFile(filepath.Join(t.TempDir(), "p.journal"), 0, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rep, err := Run(script, Options{Stack: so, Target: tc.target})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.FaultsInjected != 2 || rep.Restores != 0 {
+				t.Fatalf("faults %d, restores %d, want 2/0", rep.FaultsInjected, rep.Restores)
+			}
+			if rep.FaultRecoverTotal < rep.FaultRecoverMax || rep.FaultRecoverMax <= 0 {
+				t.Fatalf("recover total %v, max %v", rep.FaultRecoverTotal, rep.FaultRecoverMax)
+			}
+			checkClean(t, rep)
+			if rep.Stream.Admitted == 0 {
+				t.Fatalf("run admitted nothing: %+v", rep.Stream)
+			}
+		})
+	}
+}
+
 // FuzzParseScript feeds the script parser arbitrary text. It must never
 // panic, and whatever it accepts must already satisfy everything Run
 // assumes without re-checking: steps in arrival order, each with a known

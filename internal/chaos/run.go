@@ -17,39 +17,68 @@ import (
 	"rtsm/internal/stream"
 )
 
-// clients is the HTTP submission concurrency within a script segment.
-// Steps are barriers regardless.
+// clients is the HTTP submission concurrency within a script segment
+// on the Door target. Steps are barriers regardless.
 const clients = 4
 
-// Options configures a chaos run: a churn stack like the soak's, but
-// arrivals travel over real HTTP through a front.Door, and the script
-// can kill the incarnation mid-run.
+// Target picks what a run's arrivals are submitted to.
+type Target int
+
+const (
+	// Door sends every arrival over real HTTP through a front.Door,
+	// clients-way concurrent and closed-loop: a step waits for the
+	// response to every arrival before it. A closed loop never offers
+	// more than the clients can wait for, so it never sheds.
+	Door Target = iota
+	// Direct submits every arrival to the stream server in process,
+	// open-loop, as fast as Submit returns: a step waits only until every
+	// arrival before it was submitted, so faults land while admissions
+	// are in flight, and an arrival storm sheds and fills the DLQ.
+	Direct
+)
+
+// Options configures a chaos run: arrivals from a churn stack travel
+// through a stream server, over the target, while the script faults
+// the mesh, spikes its latency, drains or kills the incarnation.
 type Options struct {
 	// Stack shapes the mesh, the backend and the arrival catalogue as in
-	// internal/churn. Stack.Apps is the total HTTP admission requests
-	// across all incarnations; Stack.Journal is required when the script
+	// internal/churn. Stack.Apps is the total admission requests across
+	// all incarnations; Stack.Journal is required when the script
 	// contains crash steps, optional otherwise.
 	Stack churn.Options
 	// Server tunes the stream stages (Backend is overridden).
 	Server stream.Options
+	// Target picks the door or the direct path; the zero value is Door.
+	Target Target
 }
 
 // Report is a chaos run's aggregate accounting across incarnations.
 type Report struct {
-	// Arrivals is the HTTP requests actually issued; Incarnations is
-	// 1 + the number of crash steps executed.
+	// Arrivals is the requests actually issued; Incarnations is 1 + the
+	// number of crash steps executed.
 	Arrivals     int
 	Incarnations int
+	// Elapsed is the wall time from the first arrival to the last
+	// incarnation's teardown.
+	Elapsed time.Duration
 	// Drains, Crashes and Spikes count executed steps; FaultsInjected
 	// and Restores count fault-step resource flips that took effect.
 	Drains, Crashes, Spikes  int
 	FaultsInjected, Restores int
+	// FaultRecoverTotal and FaultRecoverMax aggregate the time-to-recover
+	// of the FaultsInjected faults.
+	FaultRecoverTotal, FaultRecoverMax time.Duration
 	// Stream is the aggregate ledger: every incarnation's shutdown
 	// report summed. The exactly-one-outcome identity is linear, so
 	// LedgerOK on the sum checks the whole run.
 	Stream stream.Report
-	// Door is the aggregate HTTP accounting across incarnations.
+	// Door is the aggregate HTTP accounting across incarnations (zero on
+	// the Direct target).
 	Door front.Stats
+	// Stats is the manager's counters at the last incarnation's
+	// teardown. A crash restarts them: they cover the arrivals since the
+	// last crash step, not the whole run.
+	Stats manager.Stats
 	// ReplayChecks counts journal recoveries — one per crash step, and
 	// one at the end of every journaled run — whose replayed platform
 	// was bit-identical to the live one at its last seal; TornDiscarded
@@ -61,11 +90,19 @@ type Report struct {
 	CriticalShed uint64
 	// LedgerOK is the aggregate exactly-one-outcome identity.
 	LedgerOK bool
+	// Pristine reports that, once every failed tile and link was restored
+	// and every resident stopped, the platform's residual equalled a
+	// fresh one's; Drift details the difference when it did not.
+	// InvariantErr is the manager's reservation-invariant failure at that
+	// point, nil on a healthy run.
+	Pristine     bool
+	Drift        arch.ResidualDiff
+	InvariantErr error
 }
 
 // incarnation is one server lifetime: spike wrapper, stream server, door
-// and collector over the stack's current backend, torn down as a unit on
-// drain or crash.
+// (nil on the Direct target) and collector over the stack's current
+// backend, torn down as a unit on drain or crash.
 type incarnation struct {
 	spike     *spikeBackend
 	srv       *stream.Server
@@ -82,9 +119,12 @@ type runner struct {
 }
 
 // Run executes a script against a fresh mesh and returns the aggregate
-// report. An error means the run could not execute (bad script, journal
-// IO, HTTP transport failure) — invariant violations are reported in
-// Report, not as errors, so callers can print the full accounting.
+// report. After the last arrival it tears the incarnation down, replays
+// the journal when there is one, restores every failed tile and link,
+// stops every resident and checks the platform returned to pristine. An
+// error means the run could not execute (bad script, journal IO, HTTP
+// transport failure) — invariant violations are reported in Report, not
+// as errors, so callers can print the full accounting.
 func Run(script Script, o Options) (Report, error) {
 	for _, st := range script.Steps {
 		if st.At > o.Stack.Apps {
@@ -105,6 +145,7 @@ func Run(script Script, o Options) (Report, error) {
 		return r.rep, err
 	}
 
+	start := time.Now()
 	next := 0
 	for _, step := range script.Steps {
 		if err := r.submitRange(inc, next, step.At); err != nil {
@@ -118,8 +159,10 @@ func Run(script Script, o Options) (Report, error) {
 	if err := r.submitRange(inc, next, o.Stack.Apps); err != nil {
 		return r.rep, err
 	}
-
 	r.teardown(inc)
+	r.rep.Elapsed = time.Since(start)
+	r.rep.Stats = r.st.Manager.Stats()
+
 	if jw := r.st.Options.Journal; jw != nil {
 		// The sequential oracle, on every journaled run whether or not the
 		// script crashed: seal the journal as Close would, then recover the
@@ -133,6 +176,7 @@ func Run(script Script, o Options) (Report, error) {
 			return r.rep, err
 		}
 	}
+	r.checkPristine()
 	if err := r.st.Close(); err != nil {
 		return r.rep, fmt.Errorf("chaos: journal: %w", err)
 	}
@@ -141,8 +185,30 @@ func Run(script Script, o Options) (Report, error) {
 	return r.rep, nil
 }
 
+// checkPristine returns the quiesced mesh to full capacity and no
+// residents — a still-failed resource reads as exhausted in the residual
+// — and records whether the reservation invariants hold and the
+// residual equals the fresh platform's.
+func (r *runner) checkPristine() {
+	m, pristine := r.st.Manager, r.st.Pristine
+	for _, t := range m.Platform().Tiles {
+		m.RestoreTile(t.ID)
+	}
+	for i := range m.Platform().Links {
+		m.RestoreLink(arch.LinkID(i))
+	}
+	r.st.Recycler.Drain()
+	if r.rep.InvariantErr = m.CheckInvariants(); r.rep.InvariantErr != nil {
+		return
+	}
+	final := m.Residual()
+	if r.rep.Pristine = final.Equal(pristine); !r.rep.Pristine {
+		r.rep.Drift = pristine.Diff(final)
+	}
+}
+
 // boot builds one incarnation over the stack's current backend: spike
-// wrapper, stream server, door and collector.
+// wrapper, stream server, door (on the Door target) and collector.
 func (r *runner) boot() (*incarnation, error) {
 	spike := &spikeBackend{Backend: r.st.Backend}
 	sopts := r.o.Server
@@ -151,19 +217,31 @@ func (r *runner) boot() (*incarnation, error) {
 	if err != nil {
 		return nil, err
 	}
-	door, err := front.Listen(front.Options{Server: srv, Decode: r.st.Decode})
-	if err != nil {
-		srv.Shutdown()
-		return nil, err
+	inc := &incarnation{spike: spike, srv: srv}
+	if r.o.Target == Door {
+		if inc.door, err = front.Listen(front.Options{Server: srv, Decode: r.st.Decode}); err != nil {
+			srv.Shutdown()
+			return nil, err
+		}
 	}
-	return &incarnation{spike: spike, srv: srv, door: door, collected: r.st.Collect(srv)}, nil
+	inc.collected = r.st.Collect(srv)
+	return inc, nil
 }
 
-// submitRange issues arrivals [lo, hi) over HTTP with clients-way
-// concurrency, returning once every response has arrived (the step
-// barrier).
+// submitRange issues arrivals [lo, hi) and returns at the step barrier:
+// on the Direct target once each was submitted, on the Door target once
+// each HTTP response has arrived, with clients-way concurrency.
 func (r *runner) submitRange(inc *incarnation, lo, hi int) error {
 	if hi <= lo {
+		return nil
+	}
+	if inc.door == nil {
+		for i := lo; i < hi; i++ {
+			if err := inc.srv.Submit(r.st.Arrival(i)); err != nil {
+				return fmt.Errorf("chaos: submit %d: %w", i, err)
+			}
+		}
+		r.rep.Arrivals += hi - lo
 		return nil
 	}
 	client := &http.Client{}
@@ -216,9 +294,7 @@ func (r *runner) execute(inc *incarnation, st Step) (*incarnation, error) {
 		}
 		id := tiles[st.N%len(tiles)]
 		if st.Op == OpFailTile {
-			if rep := m.FailTile(id); rep.Failed {
-				r.rep.FaultsInjected++
-			}
+			r.fault(m.FailTile(id))
 		} else if m.RestoreTile(id) {
 			r.rep.Restores++
 		}
@@ -230,9 +306,7 @@ func (r *runner) execute(inc *incarnation, st Step) (*incarnation, error) {
 		}
 		id := arch.LinkID(st.N % n)
 		if st.Op == OpFailLink {
-			if rep := m.FailLink(id); rep.Failed {
-				r.rep.FaultsInjected++
-			}
+			r.fault(m.FailLink(id))
 		} else if m.RestoreLink(id) {
 			r.rep.Restores++
 		}
@@ -250,17 +324,29 @@ func (r *runner) execute(inc *incarnation, st Step) (*incarnation, error) {
 	return inc, nil
 }
 
+// fault books a fault step that took effect and its time-to-recover.
+func (r *runner) fault(rep manager.FaultReport) {
+	if !rep.Failed {
+		return
+	}
+	r.rep.FaultsInjected++
+	r.rep.FaultRecoverTotal += rep.Recover
+	r.rep.FaultRecoverMax = max(r.rep.FaultRecoverMax, rep.Recover)
+}
+
 // teardown drains one incarnation gracefully — door first (readiness
 // flips, in-flight HTTP finishes), then the stream server, which closes
 // the stack's backend — and folds its ledger into the aggregate.
 func (r *runner) teardown(inc *incarnation) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	_ = inc.door.Drain(ctx)
+	if inc.door != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = inc.door.Drain(ctx)
+		addStats(&r.rep.Door, inc.door.Stats())
+	}
 	rep := inc.srv.Shutdown()
 	<-inc.collected
 	addReport(&r.rep.Stream, rep)
-	addStats(&r.rep.Door, inc.door.Stats())
 }
 
 // crash is the kill -9 simulation: quiesce, seal a durable checkpoint,

@@ -1,10 +1,12 @@
-// Package chaos is the deterministic fault harness for the network
-// front door: a seeded script of faults, latency spikes, graceful
-// drains and mid-run crashes is executed at exact arrival indices
-// against a live HTTP listener, and the run's aggregate ledger is
-// checked for the robustness invariants — every arrival ends in exactly
-// one outcome, Critical is never shed, and a crash-recovered platform
-// is bit-identical to the pre-crash sealed checkpoint.
+// Package chaos is the one scenario loop of the admission stack and its
+// deterministic fault harness: a seeded script of faults, latency
+// spikes, graceful drains and mid-run crashes is executed at exact
+// arrival indices while arrivals flow through the stream server, over a
+// live HTTP front door or submitted in process (Target), and the run's
+// aggregate ledger is checked for the robustness invariants — every
+// arrival ends in exactly one outcome, Critical is never shed, a
+// crash-recovered platform is bit-identical to the pre-crash sealed
+// checkpoint, and the mesh returns to pristine once the run is over.
 //
 // Scripts are plain text, one step per line:
 //
@@ -17,10 +19,11 @@
 //	@400 drain             drain the door + server, rebuild over the same mesh
 //	@500 crash             kill -9 simulation: journal replay, then restart
 //
-// A step at @N is a barrier: every arrival with index < N has received
-// its HTTP response before the step runs, and no arrival ≥ N is
-// submitted until it finishes. That is what makes a chaos run
-// reproducible enough to assert exact invariants on.
+// A step at @N is a barrier: every arrival with index < N has been
+// submitted — on the Door target, has received its HTTP response —
+// before the step runs, and no arrival ≥ N is submitted until it
+// finishes. That is what makes a chaos run reproducible enough to assert
+// exact invariants on. An empty script is a plain arrival storm.
 package chaos
 
 import (
@@ -51,9 +54,9 @@ const (
 	// latency spike whose late deliveries the ledger and the drain order
 	// must absorb.
 	OpSpike Op = "spike"
-	// OpDrain gracefully drains the front door and the stream server
-	// (readiness first, in-flight arrivals finish), then rebuilds both
-	// over the same mesh. The ledger accumulates across the rebuild.
+	// OpDrain gracefully drains the front door (if any) and the stream
+	// server (readiness first, in-flight arrivals finish), then rebuilds
+	// both over the same mesh. The ledger accumulates across the rebuild.
 	OpDrain Op = "drain"
 	// OpCrash simulates kill -9: the door drains, the journal seals a
 	// checkpoint, a torn phase appends unsealed work, the process state
@@ -66,7 +69,7 @@ const (
 // Step is one scripted action, fired when the arrival stream reaches At.
 type Step struct {
 	// At is the arrival index this step precedes: all arrivals < At have
-	// completed, none ≥ At have been submitted.
+	// been submitted (on the Door target, completed), none ≥ At have.
 	At int
 	// Op selects the action.
 	Op Op

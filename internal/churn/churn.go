@@ -1,26 +1,20 @@
-// Package churn builds and drives the admission stack with an online
-// workload: applications from a recurring catalogue arrive, run for a
-// while and leave, while N workers map arrivals in parallel. It holds the
-// one copy of what every driver needs — the Stack constructor, the
-// resident Recycler and the catalogue-index request decoder — and the
-// two scenario loops built on them: Run (straight into the backend,
-// cmd/churn) and RunSoak (through the staged stream server, cmd/serve).
-// The chaos harness and the HTTP service mode assemble the same pieces.
+// Package churn builds the admission stack for an online workload:
+// applications from a recurring catalogue arrive, run for a while and
+// leave, while N workers map arrivals in parallel. It holds the one copy
+// of what every driver needs — the scenario Options and its arrivals,
+// the Stack constructor, the resident Recycler and the catalogue-index
+// request decoder. The one scenario loop built on them is chaos.Run;
+// cmd/serve's HTTP service mode assembles the same pieces.
 package churn
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"strconv"
 	"strings"
-	"time"
 
-	"rtsm/internal/arch"
 	"rtsm/internal/journal"
-	"rtsm/internal/manager"
 	"rtsm/internal/model"
-	"rtsm/internal/stream"
 	"rtsm/internal/workload"
 )
 
@@ -53,21 +47,15 @@ type Options struct {
 	// "bestEffort:standard:critical" integer weights, e.g. "70:20:10",
 	// deterministically by arrival index. Empty keeps all BestEffort.
 	PrioMix string
-	// FaultRate makes Run fail one pseudo-random processing tile at this
-	// expected rate per arrival (0.01 = one per hundred arrivals): its
-	// residents are relocated or dropped while the churn keeps running,
-	// and every tile is restored before the pristine check. 0 = off.
-	FaultRate float64
 	// Journal attaches the durable hash-chained admission journal (nil =
 	// off). One that recovered earlier segments (journal.OpenFile with
 	// resume) is replayed into the platform before anything is served.
 	// Stack.Close closes it.
 	Journal *journal.File
-	// ErrWriter receives unexpected stop errors; nil discards them.
-	ErrWriter io.Writer
 }
 
-// Defaults mirrors the cmd/churn defaults: a moderate 4-worker scenario.
+// Defaults is a moderate 4-worker scenario: 400 arrivals from a
+// 64-structure catalogue onto an 8×8 mesh, eight residents at a time.
 func Defaults() Options {
 	return Options{
 		Workers:   4,
@@ -81,11 +69,10 @@ func Defaults() Options {
 	}
 }
 
-// WithDefaults resolves the zero-valued sizing fields — the one place
-// the mesh, queue and resident defaults live. NewStack applies it; it is
-// idempotent, so a caller that reports the values (cmd/churn) may apply it
-// up front. A negative mesh is left for NewStack to refuse.
-func (o Options) WithDefaults() Options {
+// withDefaults resolves the zero-valued sizing fields — the one place
+// the mesh, queue and resident defaults live. NewStack applies it after
+// check has refused negative values.
+func (o Options) withDefaults() Options {
 	o.Workers = max(o.Workers, 1)
 	o.Catalogue = max(o.Catalogue, 1)
 	if o.Mesh == 0 {
@@ -106,7 +93,10 @@ func (o Options) check() error {
 	for _, f := range []struct {
 		name string
 		v    int64
-	}{{"Mesh", int64(o.Mesh)}, {"Apps", int64(o.Apps)}, {"RegionSize", int64(o.RegionSize)}, {"PeriodNs", o.PeriodNs}} {
+	}{
+		{"Workers", int64(o.Workers)}, {"Queue", int64(o.Queue)}, {"Mesh", int64(o.Mesh)}, {"Apps", int64(o.Apps)},
+		{"Catalogue", int64(o.Catalogue)}, {"Resident", int64(o.Resident)}, {"RegionSize", int64(o.RegionSize)}, {"PeriodNs", o.PeriodNs},
+	} {
 		if f.v < 0 {
 			return fmt.Errorf("churn: %s %d is negative", f.name, f.v)
 		}
@@ -207,93 +197,4 @@ func (o Options) arrival(i, endpointRegions int, w [model.NumPriorities]int) (*m
 	app, lib := workload.Synthetic(opts)
 	app.Name = name
 	return app, lib
-}
-
-// Result is the outcome of one Run or RunSoak.
-type Result struct {
-	// Stats is the manager's counters.
-	Stats   manager.Stats
-	Elapsed time.Duration
-	// Report is the stream server's ledger (RunSoak only).
-	Report stream.Report
-	// Clean reports that Run's ledger returned exactly to pristine after
-	// full churn; Drift details the difference when it did not.
-	Clean bool
-	Drift arch.ResidualDiff
-	// FaultRecoverTotal and FaultRecoverMax aggregate the per-fault
-	// time-to-recover of the FaultRate injections (counts are in Stats).
-	FaultRecoverTotal time.Duration
-	FaultRecoverMax   time.Duration
-	// JournalErr is the journal's first write or close failure.
-	JournalErr error
-	// LedgerErr is non-nil when the reservation invariants — or a soak's
-	// exactly-one-outcome identity — failed; such a run proves nothing.
-	LedgerErr error
-	// ConfigErr is non-nil when the options were unusable; nothing ran.
-	ConfigErr error
-}
-
-// AdmissionsPerSec is the run's admission throughput.
-func (r Result) AdmissionsPerSec() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Stats.Admitted) / r.Elapsed.Seconds()
-}
-
-// Run pushes Apps arrivals straight into the stack's backend, keeping up
-// to Resident applications running at once, then stops everything and
-// checks the ledger returned exactly to pristine.
-func Run(o Options) Result {
-	s, err := NewStack(o)
-	if err != nil {
-		return Result{ConfigErr: err}
-	}
-	o = s.Options
-	pristine := s.Manager.Residual()
-	faults := newFaultInjector(o.FaultRate, o.Seed, s.Manager)
-
-	start := time.Now()
-	// pending bounds how far the submitter runs ahead of the collector.
-	pending := make(chan func() manager.Outcome, o.Resident)
-	collectorDone := make(chan struct{})
-	go func() {
-		defer close(collectorDone)
-		for wait := range pending {
-			if out := wait(); out.Admitted {
-				s.Recycler.Admitted(out.App)
-			}
-		}
-		s.Recycler.Drain()
-	}()
-	for i := 0; i < o.Apps; i++ {
-		wait, err := s.Backend.Submit(s.Arrival(i))
-		if err != nil {
-			if o.ErrWriter != nil {
-				fmt.Fprintf(o.ErrWriter, "churn: submit app-%d: %v\n", i, err)
-			}
-			break
-		}
-		pending <- wait
-		faults.step()
-	}
-	close(pending)
-	s.Backend.Close()
-	<-collectorDone
-	// Full capacity must be back before the pristine check: a
-	// still-failed tile reads as exhausted in the residual.
-	faults.restoreAll()
-	elapsed := time.Since(start)
-
-	r := Result{Elapsed: elapsed, Stats: s.Manager.Stats(), JournalErr: s.Close()}
-	faults.record(&r)
-	if r.LedgerErr = s.Manager.CheckInvariants(); r.LedgerErr != nil {
-		return r
-	}
-	final := s.Manager.Residual()
-	r.Clean = final.Equal(pristine)
-	if !r.Clean {
-		r.Drift = pristine.Diff(final)
-	}
-	return r
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 
@@ -20,8 +19,8 @@ import (
 // Stack is one assembled admission stack: a synthetic platform and its
 // manager with the reuse, repair and preemption engines all on, a
 // pipeline behind stream.Backend, the optional journal, and the
-// resident Recycler. Every driver — Run, RunSoak, the chaos harness,
-// cmd/serve — builds it with NewStack and layers its own front-end on
+// resident Recycler. Every driver — chaos.Run and cmd/serve's service
+// mode — builds it with NewStack and layers its own front-end on
 // Backend.
 type Stack struct {
 	// Options is the configuration with defaults resolved.
@@ -35,6 +34,10 @@ type Stack struct {
 	Recycler *Recycler
 	// Replayed counts the journal events NewStack replayed.
 	Replayed int
+	// Pristine is the fresh platform's residual, before any replay: what
+	// the mesh returns to once every resource is restored and every
+	// resident stopped.
+	Pristine arch.Residual
 
 	weights         [model.NumPriorities]int
 	endpointRegions int
@@ -51,7 +54,7 @@ func NewStack(o Options) (*Stack, error) {
 	if err := o.check(); err != nil {
 		return nil, err
 	}
-	o = o.WithDefaults()
+	o = o.withDefaults()
 	s := &Stack{Options: o}
 	var err error
 	if s.weights, err = ParsePrioMix(o.PrioMix); err != nil {
@@ -62,6 +65,7 @@ func NewStack(o Options) (*Stack, error) {
 		events = o.Journal.Recovered.Events
 	}
 	plat := workload.SyntheticRegionPlatform(o.Mesh, o.Mesh, o.Seed, o.RegionSize)
+	s.Pristine = plat.Residual()
 	m, err := manager.ReplayEvents(plat, core.Config{}, events)
 	if err != nil {
 		return nil, fmt.Errorf("churn: replay: %w", err)
@@ -75,7 +79,7 @@ func NewStack(o Options) (*Stack, error) {
 	s.Reopen()
 	// Only a recovered stack starts with residents.
 	s.Recycler = &Recycler{stop: func(name string) error { return s.Backend.Stop(name) },
-		cap: o.Resident, errw: o.ErrWriter, queue: ResidentNames(m)}
+		cap: o.Resident, queue: ResidentNames(m)}
 	return s, nil
 }
 
@@ -87,6 +91,21 @@ func ResidentNames(m *manager.Manager) []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// ProcTiles lists a platform's failable processing tiles. Stream
+// endpoints and filler tiles are spared: failing an arrival's pinned
+// SRC/SINK would measure workload starvation, not recovery.
+func ProcTiles(plat *arch.Platform) []arch.TileID {
+	var ids []arch.TileID
+	for _, t := range plat.Tiles {
+		switch t.Type {
+		case arch.TypeSource, arch.TypeSink, arch.TypeNone:
+			continue
+		}
+		ids = append(ids, t.ID)
+	}
+	return ids
 }
 
 // Reopen gives the stack a fresh pipeline over the same manager: a
@@ -157,7 +176,6 @@ func (s *Stack) Close() error {
 type Recycler struct {
 	stop  func(name string) error
 	cap   int
-	errw  io.Writer
 	queue []string
 }
 
@@ -179,16 +197,12 @@ func (r *Recycler) Drain() {
 func (r *Recycler) stopOldest() {
 	name := r.queue[0]
 	r.queue = r.queue[1:]
-	switch err := r.stop(name); {
-	case err == nil:
-	case errors.Is(err, manager.ErrRelocating):
-		// A victim mid-relocation cannot be stopped yet — requeue it so it
-		// departs (or turns out evicted) on a later attempt instead of
-		// leaking as an immortal resident.
+	// A victim mid-relocation cannot be stopped yet — requeue it so it
+	// departs (or turns out evicted) on a later attempt instead of
+	// leaking as an immortal resident. Any other error is typically "not
+	// running": the resident was preempted and evicted, and its
+	// reservations are already released.
+	if err := r.stop(name); errors.Is(err, manager.ErrRelocating) {
 		r.queue = append(r.queue, name)
-	case r.errw != nil:
-		// Typically "not running": the resident was preempted and
-		// evicted; its reservations are already released.
-		fmt.Fprintf(r.errw, "churn: stop %s: %v\n", name, err)
 	}
 }

@@ -164,29 +164,3 @@ func TestServerSoakSaturationAndDLQ(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestRunSoakSmoke runs the packaged soak end to end and checks that the
-// ledger and invariants hold.
-func TestRunSoakSmoke(t *testing.T) {
-	res := churn.RunSoak(churn.Options{
-		Apps: 1200, Mesh: 8, RegionSize: 3, Seed: 7,
-		Workers: 2, Queue: 8, Catalogue: 4, MaxUtil: 0.2, PeriodNs: 40_000,
-		PrioMix: "60:30:10", Resident: 6,
-	}, stream.Options{ClassBuf: 16,
-		DLQ: 128, DLQBelow: 0.6, DLQEvery: time.Millisecond})
-	if res.ConfigErr != nil {
-		t.Fatal(res.ConfigErr)
-	}
-	if res.LedgerErr != nil {
-		t.Fatal(res.LedgerErr)
-	}
-	if res.Report.Submitted != 1200 {
-		t.Fatalf("submitted = %d, want 1200", res.Report.Submitted)
-	}
-	if res.Report.Admitted == 0 {
-		t.Fatalf("nothing admitted: %+v", res.Report)
-	}
-	if res.Elapsed <= 0 || res.AdmissionsPerSec() <= 0 {
-		t.Fatalf("throughput not measured: %+v", res)
-	}
-}
