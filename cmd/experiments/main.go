@@ -7,71 +7,68 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 
 	"rtsm/internal/experiments"
 )
 
-func main() {
-	var (
-		which = flag.String("e", "all", "experiment to run (see -list)")
-		list  = flag.Bool("list", false, "list experiment selectors and exit")
-		iters = flag.Int("iters", 100, "iterations for the runtime experiment")
-	)
-	flag.Parse()
-	if *list {
-		fmt.Println(strings.Join(experiments.Names(), "\n"))
-		return
-	}
-	out, err := run(*which, *iters)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	fmt.Println(out)
-}
-
-func run(which string, iters int) (string, error) {
-	switch which {
-	case "fig1":
-		return experiments.Fig1(), nil
-	case "table1":
-		return experiments.Table1(experiments.DefaultMode), nil
-	case "fig2":
-		return experiments.Fig2(), nil
-	case "table2":
-		out, _, err := experiments.Table2()
-		return out, err
-	case "fig3":
-		out, _, err := experiments.Fig3()
-		return out, err
-	case "runtime":
+// selectors maps each -e value to its report; iters sizes the runtime
+// experiment.
+var selectors = map[string]func(iters int) (string, error){
+	"fig1":   func(int) (string, error) { return experiments.Fig1(), nil },
+	"table1": func(int) (string, error) { return experiments.Table1(experiments.DefaultMode), nil },
+	"fig2":   func(int) (string, error) { return experiments.Fig2(), nil },
+	"table2": func(int) (out string, err error) { out, _, err = experiments.Table2(); return },
+	"fig3":   func(int) (out string, err error) { out, _, err = experiments.Fig3(); return },
+	"runtime": func(iters int) (string, error) {
 		rep, err := experiments.MapperRuntime(iters)
 		if err != nil {
 			return "", err
 		}
 		return rep.String(), nil
-	case "runtime-vs-designtime":
-		_, out, err := experiments.RuntimeVsDesignTime()
-		return out, err
-	case "quality":
-		_, out, err := experiments.Quality(10)
-		return out, err
-	case "scaling":
-		_, out, err := experiments.Scaling()
-		return out, err
-	case "ablation":
-		_, out, err := experiments.Ablation()
-		return out, err
-	case "validate":
-		return experiments.ValidateAll()
-	case "admission":
-		_, out, err := experiments.Admission()
-		return out, err
-	case "all":
-		return experiments.All()
-	default:
-		return "", fmt.Errorf("unknown experiment %q (try -list)", which)
+	},
+	"runtime-vs-designtime": func(int) (out string, err error) { _, out, err = experiments.RuntimeVsDesignTime(); return },
+	"quality":               func(int) (out string, err error) { _, out, err = experiments.Quality(10); return },
+	"scaling":               func(int) (out string, err error) { _, out, err = experiments.Scaling(); return },
+	"ablation":              func(int) (out string, err error) { _, out, err = experiments.Ablation(); return },
+	"validate":              func(int) (string, error) { return experiments.ValidateAll() },
+	"admission":             func(int) (out string, err error) { _, out, err = experiments.Admission(); return },
+	"all":                   func(int) (string, error) { return experiments.All() },
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run exits 0 when the report printed, 2 for a bad flag or an unknown
+// -e, 1 when an experiment fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		which = fs.String("e", "all", "experiment to run (see -list)")
+		list  = fs.Bool("list", false, "list experiment selectors and exit")
+		iters = fs.Int("iters", 100, "iterations for the runtime experiment")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
+	if *list {
+		fmt.Fprintln(stdout, strings.Join(slices.Sorted(maps.Keys(selectors)), "\n"))
+		return 0
+	}
+	report, ok := selectors[*which]
+	if !ok {
+		fmt.Fprintf(stderr, "experiments: unknown experiment %q (try -list)\n", *which)
+		return 2
+	}
+	out, err := report(*iters)
+	if err != nil {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 1
+	}
+	fmt.Fprintln(stdout, out)
+	return 0
 }

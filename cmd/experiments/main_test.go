@@ -1,43 +1,56 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
 
+func experimentsRun(args ...string) (code int, stdout, stderr string) {
+	var out, errw bytes.Buffer
+	code = run(args, &out, &errw)
+	return code, out.String(), errw.String()
+}
+
+// TestRunDispatch runs the fast selectors, which must print their
+// section headers (the full sweeps are covered by the experiments
+// package and the benchmarks), and the refusals: an unknown selector and
+// an undefined flag exit 2.
 func TestRunDispatch(t *testing.T) {
-	// The fast selectors must produce their section headers; the full
-	// sweeps are covered by the experiments package and the benchmarks.
-	cases := map[string]string{
-		"fig1":   "E1 / Figure 1",
-		"table1": "E2 / Table 1",
-		"fig2":   "E3 / Figure 2",
-		"table2": "E4 / Table 2",
-		"fig3":   "E5 / Figure 3",
-	}
-	for sel, want := range cases {
-		out, err := run(sel, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", sel, err)
+	for _, tc := range []struct {
+		args   []string
+		code   int
+		stdout string
+		stderr string
+	}{
+		{[]string{"-e", "fig1"}, 0, "E1 / Figure 1", ""},
+		{[]string{"-e", "table1"}, 0, "E2 / Table 1", ""},
+		{[]string{"-e", "fig2"}, 0, "E3 / Figure 2", ""},
+		{[]string{"-e", "table2"}, 0, "E4 / Table 2", ""},
+		{[]string{"-e", "fig3"}, 0, "E5 / Figure 3", ""},
+		{[]string{"-list"}, 0, "runtime-vs-designtime\nscaling\ntable1\ntable2\nvalidate\n", ""},
+		{[]string{"-e", "nope"}, 2, "", `unknown experiment "nope"`},
+		{[]string{"-undefined"}, 2, "", "flag provided but not defined"},
+	} {
+		code, stdout, stderr := experimentsRun(tc.args...)
+		if code != tc.code {
+			t.Errorf("experiments %v: exit %d, want %d\n%s%s", tc.args, code, tc.code, stdout, stderr)
 		}
-		if !strings.Contains(out, want) {
-			t.Errorf("%s output missing %q", sel, want)
+		if !strings.Contains(stdout, tc.stdout) || (tc.stdout == "") != (stdout == "") {
+			t.Errorf("experiments %v: stdout lacks %q:\n%s", tc.args, tc.stdout, stdout)
+		}
+		if !strings.Contains(stderr, tc.stderr) {
+			t.Errorf("experiments %v: stderr lacks %q:\n%s", tc.args, tc.stderr, stderr)
 		}
 	}
 }
 
 func TestRunRuntimeSelector(t *testing.T) {
-	out, err := run("runtime", 2)
-	if err != nil {
-		t.Fatal(err)
+	code, out, errw := experimentsRun("-e", "runtime", "-iters", "2")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, errw)
 	}
 	if !strings.Contains(out, "E6") {
 		t.Errorf("runtime output missing header:\n%s", out)
-	}
-}
-
-func TestRunUnknownSelector(t *testing.T) {
-	if _, err := run("nope", 1); err == nil {
-		t.Error("unknown selector accepted")
 	}
 }

@@ -194,7 +194,8 @@ func (c *config) drive(title string, script chaos.Script, target chaos.Target) i
 }
 
 // reportManager prints the manager's counters (the last incarnation's)
-// and the run's fault recovery.
+// and the run's fault recovery. A class line counts the manager's
+// admission rounds, so an arrival the DLQ retried counts once per round.
 func (c *config) reportManager(rep chaos.Report) {
 	w, st := c.stdout, rep.Stats
 	fmt.Fprintf(w, "  backend           %d admitted, %d rejected, %d conflicts, %d template hits\n",
@@ -206,7 +207,7 @@ func (c *config) reportManager(rep chaos.Report) {
 	for p := range model.NumPriorities {
 		if rate, ok := st.AdmissionRate(model.Priority(p)); ok {
 			cls := st.ByClass[p]
-			fmt.Fprintf(w, "  class %-11s %d arrivals, %.1f%% admitted\n",
+			fmt.Fprintf(w, "  class %-11s %d rounds, %.1f%% admitted\n",
 				model.Priority(p), cls.Admitted+cls.Rejected, 100*rate)
 		}
 	}
@@ -216,7 +217,7 @@ func (c *config) reportManager(rep chaos.Report) {
 	}
 	if n := rep.FaultsInjected; n > 0 {
 		fmt.Fprintf(w, "  faults            %d injected (%d residents relocated, %d dropped), recover mean %v, max %v\n",
-			n, st.FaultRelocated, st.FaultDropped,
+			n, rep.FaultRelocated, rep.FaultDropped,
 			(rep.FaultRecoverTotal / time.Duration(n)).Round(time.Microsecond), rep.FaultRecoverMax.Round(time.Microsecond))
 	}
 }

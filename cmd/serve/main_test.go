@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -16,26 +17,34 @@ func serve(args ...string) (code int, stdout, stderr string) {
 
 // TestSoakSmoke runs a tiny storm through the default mode: plain,
 // journaled, profiled, in regions of one endpoint pair each, and with no
-// arrivals at all. Every run ends pristine.
+// arrivals at all. Every run ends pristine. A class line counts the
+// manager's admission rounds, which a DLQ retry repeats, so it says
+// rounds, not arrivals.
 func TestSoakSmoke(t *testing.T) {
 	base := []string{"-arrivals", "400", "-mesh", "8", "-catalogue", "4"}
 	with := func(extra ...string) []string { return append(base[:len(base):len(base)], extra...) }
 	cpu, mem := filepath.Join(t.TempDir(), "cpu.prof"), filepath.Join(t.TempDir(), "mem.prof")
-	for _, args := range [][]string{
-		base,
-		with("-journal", filepath.Join(t.TempDir(), "soak.journal")),
-		with("-cpuprofile", cpu, "-memprofile", mem),
-		with("-regionsize", "0"),
-		with("-arrivals", "0"),
+	for _, tc := range []struct {
+		args []string
+		want *regexp.Regexp
+	}{
+		{base, regexp.MustCompile(`(?m)^  class best-effort +\d+ rounds, [\d.]+% admitted$`)},
+		{with("-journal", filepath.Join(t.TempDir(), "soak.journal")), nil},
+		{with("-cpuprofile", cpu, "-memprofile", mem), nil},
+		{with("-regionsize", "0"), nil},
+		{with("-arrivals", "0"), nil},
 	} {
-		code, out, errw := serve(args...)
+		code, out, errw := serve(tc.args...)
 		if code != 0 {
-			t.Fatalf("serve %v: exit %d\n%s%s", args, code, out, errw)
+			t.Fatalf("serve %v: exit %d\n%s%s", tc.args, code, out, errw)
 		}
 		for _, want := range []string{"ledger ok         true", "pristine          true"} {
 			if !strings.Contains(out, want) {
-				t.Fatalf("serve %v: output lacks %q:\n%s", args, want, out)
+				t.Fatalf("serve %v: output lacks %q:\n%s", tc.args, want, out)
 			}
+		}
+		if tc.want != nil && !tc.want.MatchString(out) {
+			t.Fatalf("serve %v: output lacks %v:\n%s", tc.args, tc.want, out)
 		}
 	}
 	for _, profile := range []string{cpu, mem} {

@@ -31,39 +31,108 @@ func writeBundle(t *testing.T, periodNs int64) string {
 	return in
 }
 
-// TestRunSmoke maps the bundle cmd/benchgen emits by default, and one no
-// mapping can serve. The bundle comes from -in: the default, standard
-// input, is the test binary's own. The retired flags must fail loudly, so
-// an old script does not silently map without what it asked for.
+// e4Table returns the step-2 table of the E4 experiment as the golden
+// file of the experiment tables holds it.
+func e4Table(t *testing.T) string {
+	t.Helper()
+	golden, err := os.ReadFile("../../internal/experiments/testdata/tables.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(golden), "\nIter\tARM1")
+	if !ok {
+		t.Fatal("tables.golden holds no E4 table")
+	}
+	table, _, _ = strings.Cut(table, "\n\n")
+	return "Iter\tARM1" + table + "\n"
+}
+
+func spatialmap(args ...string) (code int, stdout, stderr string) {
+	var out, errw bytes.Buffer
+	code = run(args, &out, &errw)
+	return code, out.String(), errw.String()
+}
+
+// TestRunSmoke maps generated bundles of every kind and mode, a bundle
+// read from a file, and one no mapping can serve, and round-trips -out. A file bundle comes
+// from -in: the default, standard input, is the test binary's own. The
+// retired flags must fail loudly, so an old script does not silently map
+// without what it asked for.
 func TestRunSmoke(t *testing.T) {
 	in := writeBundle(t, workload.Hiperlan2SymbolPeriodNs)
 	infeasible := writeBundle(t, 1)
-	for _, tc := range []struct {
+	type row struct {
 		args   []string
 		code   int
 		stdout string
 		stderr string
-	}{
+	}
+	rows := []row{
 		{[]string{"-in", in}, 0, "feasible: true", ""},
 		{[]string{"-in", in, "-json", "-strategy", "best", "-router", "xy", "-weighted"}, 0, `"feasible": true`, ""},
 		{[]string{"-in", infeasible}, 2, "feasible: false", ""},
 		{[]string{"-in", infeasible, "-json"}, 2, `"feasible": false`, ""},
+		{[]string{"-in", infeasible, "-dot"}, 2, "", "stopped before step 4"},
+		{[]string{"-gen", "hiperlan2"}, 0, "Step 2 — tile assignment (Table 2):\n" + e4Table(t), ""},
+		{[]string{"-gen", "hiperlan2", "-mode", "64QAM3/4"}, 0, "Independent check:", ""},
+		{[]string{"-gen", "hiperlan2", "-dot"}, 0, "digraph", ""},
+		{[]string{"-gen", "layered", "-procs", "6", "-mesh", "5", "-seed", "3"}, 0, "Independent check:", ""},
+		{[]string{"-gen", "ring"}, 2, "", `unknown kind "ring"`},
+		{[]string{"-gen", "hiperlan2", "-mode", "nope"}, 2, "", `unknown mode "nope" (modes: BPSK1/2 BPSK3/4 QPSK1/2 QPSK3/4 16QAM9/16 16QAM3/4 64QAM3/4)`},
+		{[]string{"-gen", "chain", "-in", in}, 2, "", "-gen and -in are exclusive"},
+		{[]string{"-in", in, "-json", "-dot"}, 2, "", "-json and -dot are exclusive"},
+		{[]string{"-gen", "chain", "-procs", "0"}, 2, "", "must be positive"},
+		{[]string{"-gen", "chain", "-mesh", "0"}, 2, "", "must be positive"},
 		{[]string{"-in", in, "-schedule"}, 2, "", "flag provided but not defined: -schedule"},
 		{[]string{"-in", in, "-tighten"}, 2, "", "flag provided but not defined: -tighten"},
 		{[]string{"-in", in, "-strategy", "worst"}, 2, "", `unknown strategy "worst"`},
 		{[]string{"-in", in, "-router", "yx"}, 2, "", `unknown router "yx"`},
 		{[]string{"-in", filepath.Join(t.TempDir(), "absent")}, 1, "", "no such file"},
 		{[]string{"-undefined"}, 2, "", "flag provided but not defined"},
+	}
+	for _, kind := range []string{"chain", "forkjoin", "layered"} {
+		rows = append(rows, row{[]string{"-gen", kind, "-json"}, 0, `"feasible": true`, ""})
+	}
+	for _, m := range workload.Hiperlan2Modes {
+		rows = append(rows, row{[]string{"-gen", "hiperlan2", "-mode", m.Name, "-json"}, 0, `"feasible": true`, ""})
+	}
+	for _, tc := range rows {
+		code, stdout, stderr := spatialmap(tc.args...)
+		if code != tc.code {
+			t.Errorf("spatialmap %v: exit %d, want %d\n%s%s", tc.args, code, tc.code, stdout, stderr)
+		}
+		if !strings.Contains(stdout, tc.stdout) || (tc.stdout == "") != (stdout == "") {
+			t.Errorf("spatialmap %v: stdout lacks %q:\n%s", tc.args, tc.stdout, stdout)
+		}
+		if !strings.Contains(stderr, tc.stderr) {
+			t.Errorf("spatialmap %v: stderr lacks %q:\n%s", tc.args, tc.stderr, stderr)
+		}
+	}
+
+	// -out writes the bundle it maps: the file is a bundle, mapping it
+	// with -in prints the same result, and -out of a bundle read with -in
+	// copies it.
+	for _, gen := range [][]string{
+		{"-gen", "hiperlan2", "-mode", "16QAM3/4"},
+		{"-gen", "forkjoin", "-procs", "10", "-mesh", "6", "-seed", "5"},
 	} {
-		var stdout, stderr bytes.Buffer
-		if code := run(tc.args, &stdout, &stderr); code != tc.code {
-			t.Errorf("spatialmap %v: exit %d, want %d\n%s%s", tc.args, code, tc.code, &stdout, &stderr)
+		file, copied := filepath.Join(t.TempDir(), "bundle.json"), filepath.Join(t.TempDir(), "copy.json")
+		code, generated, stderr := spatialmap(append(gen, "-out", file, "-json")...)
+		if code != 0 {
+			t.Fatalf("spatialmap %v: exit %d\n%s", gen, code, stderr)
 		}
-		if !strings.Contains(stdout.String(), tc.stdout) || (tc.stdout == "") != (stdout.Len() == 0) {
-			t.Errorf("spatialmap %v: stdout lacks %q:\n%s", tc.args, tc.stdout, &stdout)
+		written, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !strings.Contains(stderr.String(), tc.stderr) {
-			t.Errorf("spatialmap %v: stderr lacks %q:\n%s", tc.args, tc.stderr, &stderr)
+		if _, _, _, err := workload.ReadBundle(bytes.NewReader(written)); err != nil {
+			t.Fatalf("spatialmap %v -out: not a bundle: %v", gen, err)
+		}
+		if _, read, _ := spatialmap("-in", file, "-out", copied, "-json"); read != generated {
+			t.Errorf("spatialmap %v: -in of its -out maps to\n%s\nnot\n%s", gen, read, generated)
+		}
+		if again, err := os.ReadFile(copied); err != nil || !bytes.Equal(again, written) {
+			t.Errorf("spatialmap -in %s -out: the copy differs (%v)", file, err)
 		}
 	}
 }

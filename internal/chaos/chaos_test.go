@@ -325,6 +325,38 @@ func TestRunEndsPristine(t *testing.T) {
 	}
 }
 
+// TestFaultCountsSurviveCrash fails a tile under residents and then
+// crashes the incarnation, which restarts the manager's counters. The
+// report still counts the residents the fault relocated and dropped.
+func TestFaultCountsSurviveCrash(t *testing.T) {
+	script, err := ParseScript(strings.NewReader("@60 failtile 0\n@80 crash\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// On a 4×4 mesh eight residents leave no tile idle for long.
+	so := churn.Defaults()
+	so.Apps, so.Seed, so.Mesh = 120, 7, 4
+	if so.Journal, err = journal.OpenFile(filepath.Join(t.TempDir(), "f.journal"), 0, false); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(script, Options{Stack: so})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("faults %d: relocated %d, dropped %d; manager counters since the crash: %d, %d",
+		rep.FaultsInjected, rep.FaultRelocated, rep.FaultDropped, rep.Stats.FaultRelocated, rep.Stats.FaultDropped)
+	if rep.FaultsInjected != 1 || rep.Crashes != 1 {
+		t.Fatalf("faults %d, crashes %d, want 1/1", rep.FaultsInjected, rep.Crashes)
+	}
+	if rep.FaultRelocated+rep.FaultDropped == 0 {
+		t.Fatal("the fault evacuated no resident")
+	}
+	if rep.Stats.FaultRelocated+rep.Stats.FaultDropped != 0 {
+		t.Fatalf("the crash kept the manager's fault counters: %+v", rep.Stats)
+	}
+	checkClean(t, rep)
+}
+
 // FuzzParseScript feeds the script parser arbitrary text. It must never
 // panic, and whatever it accepts must already satisfy everything Run
 // assumes without re-checking: steps in arrival order, each with a known

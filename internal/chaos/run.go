@@ -66,8 +66,10 @@ type Report struct {
 	Drains, Crashes, Spikes  int
 	FaultsInjected, Restores int
 	// FaultRecoverTotal and FaultRecoverMax aggregate the time-to-recover
-	// of the FaultsInjected faults.
+	// of the FaultsInjected faults, and FaultRelocated and FaultDropped
+	// count the residents they evacuated, across incarnations.
 	FaultRecoverTotal, FaultRecoverMax time.Duration
+	FaultRelocated, FaultDropped       int
 	// Stream is the aggregate ledger: every incarnation's shutdown
 	// report summed. The exactly-one-outcome identity is linear, so
 	// LedgerOK on the sum checks the whole run.
@@ -332,6 +334,8 @@ func (r *runner) fault(rep manager.FaultReport) {
 	r.rep.FaultsInjected++
 	r.rep.FaultRecoverTotal += rep.Recover
 	r.rep.FaultRecoverMax = max(r.rep.FaultRecoverMax, rep.Recover)
+	r.rep.FaultRelocated += len(rep.Relocated)
+	r.rep.FaultDropped += len(rep.Dropped)
 }
 
 // teardown drains one incarnation gracefully — door first (readiness

@@ -9,7 +9,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -663,15 +662,6 @@ func All() (string, error) {
 	}
 	parts = append(parts, e12)
 	return strings.Join(parts, "\n"+strings.Repeat("─", 72)+"\n\n"), nil
-}
-
-// Names lists the experiment selectors cmd/experiments accepts.
-func Names() []string {
-	out := []string{"fig1", "table1", "fig2", "table2", "fig3", "runtime",
-		"runtime-vs-designtime", "quality", "scaling", "ablation", "validate",
-		"admission", "all"}
-	sort.Strings(out)
-	return out
 }
 
 // AdmissionRow is one configuration of the E12 saturation experiment.

@@ -4,7 +4,7 @@
 // run time, each arrival is mapped against the platform's actual residual
 // resources, admitted if a feasible mapping exists, and holds its
 // reservations until it stops. This is the component a deployment would
-// run on the control processor; the examples and experiment E12 exercise
+// run on the control processor; cmd/serve and experiment E12 exercise
 // it.
 //
 // Admission is a concurrent pipeline. The expensive part of an admission —

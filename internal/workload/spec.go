@@ -63,7 +63,7 @@ func SpecOf(p *arch.Platform) PlatformSpec {
 }
 
 // Bundle packages everything one mapping run needs, for file-based use by
-// cmd/spatialmap and cmd/benchgen.
+// cmd/spatialmap, which reads bundles and generates them.
 type Bundle struct {
 	Application     *model.Application      `json:"application"`
 	Implementations []*model.Implementation `json:"implementations"`
