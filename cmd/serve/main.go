@@ -157,7 +157,7 @@ func (c *config) drive(title string, script chaos.Script, target chaos.Target) i
 		float64(rep.Arrivals)/secs, float64(rep.Stream.Admitted)/secs)
 	if len(script.Steps) > 0 {
 		fmt.Fprintf(w, "  steps             %d faults, %d restores, %d spikes, %d drains, %d crashes\n",
-			rep.FaultsInjected, rep.Restores, rep.Spikes, rep.Drains, rep.Crashes)
+			rep.Stats.FaultsInjected, rep.Stats.Restores, rep.Spikes, rep.Drains, rep.Crashes)
 	}
 	if rep.ReplayChecks > 0 {
 		fmt.Fprintf(w, "  recovery          %d replay checks passed, %d torn events discarded\n",
@@ -193,7 +193,7 @@ func (c *config) drive(title string, script chaos.Script, target chaos.Target) i
 	return code
 }
 
-// reportManager prints the manager's counters (the last incarnation's)
+// reportManager prints the manager's counters, summed over incarnations,
 // and the run's fault recovery. A class line counts the manager's
 // admission rounds, so an arrival the DLQ retried counts once per round.
 func (c *config) reportManager(rep chaos.Report) {
@@ -215,9 +215,9 @@ func (c *config) reportManager(rep chaos.Report) {
 		fmt.Fprintf(w, "  preemption        %d victims displaced (%d relocated, %d evicted)\n",
 			st.Preemptions, st.Relocations, st.Evictions)
 	}
-	if n := rep.FaultsInjected; n > 0 {
+	if n := st.FaultsInjected; n > 0 {
 		fmt.Fprintf(w, "  faults            %d injected (%d residents relocated, %d dropped), recover mean %v, max %v\n",
-			n, rep.FaultRelocated, rep.FaultDropped,
+			n, st.FaultRelocated, st.FaultDropped,
 			(rep.FaultRecoverTotal / time.Duration(n)).Round(time.Microsecond), rep.FaultRecoverMax.Round(time.Microsecond))
 	}
 }

@@ -110,7 +110,7 @@ func TestChaosSoak(t *testing.T) {
 	if rep.Drains != 1 || rep.Spikes != 1 {
 		t.Fatalf("drains %d, spikes %d, want 1/1", rep.Drains, rep.Spikes)
 	}
-	if rep.FaultsInjected == 0 {
+	if rep.Stats.FaultsInjected == 0 {
 		t.Fatal("no fault took effect; script ordinals broken")
 	}
 	if rep.Stream.Admitted == 0 || rep.Door.Requests == 0 {
@@ -311,8 +311,8 @@ func TestRunEndsPristine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep.FaultsInjected != 2 || rep.Restores != 0 {
-				t.Fatalf("faults %d, restores %d, want 2/0", rep.FaultsInjected, rep.Restores)
+			if rep.Stats.FaultsInjected != 2 || rep.Stats.Restores != 0 {
+				t.Fatalf("faults %d, restores %d, want 2/0", rep.Stats.FaultsInjected, rep.Stats.Restores)
 			}
 			if rep.FaultRecoverTotal < rep.FaultRecoverMax || rep.FaultRecoverMax <= 0 {
 				t.Fatalf("recover total %v, max %v", rep.FaultRecoverTotal, rep.FaultRecoverMax)
@@ -327,7 +327,8 @@ func TestRunEndsPristine(t *testing.T) {
 
 // TestFaultCountsSurviveCrash fails a tile under residents and then
 // crashes the incarnation, which restarts the manager's counters. The
-// report still counts the residents the fault relocated and dropped.
+// report's sum still counts the residents the fault relocated and
+// dropped.
 func TestFaultCountsSurviveCrash(t *testing.T) {
 	script, err := ParseScript(strings.NewReader("@60 failtile 0\n@80 crash\n"))
 	if err != nil {
@@ -343,16 +344,52 @@ func TestFaultCountsSurviveCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("faults %d: relocated %d, dropped %d; manager counters since the crash: %d, %d",
-		rep.FaultsInjected, rep.FaultRelocated, rep.FaultDropped, rep.Stats.FaultRelocated, rep.Stats.FaultDropped)
-	if rep.FaultsInjected != 1 || rep.Crashes != 1 {
-		t.Fatalf("faults %d, crashes %d, want 1/1", rep.FaultsInjected, rep.Crashes)
+	st := rep.Stats
+	t.Logf("faults %d: relocated %d, dropped %d", st.FaultsInjected, st.FaultRelocated, st.FaultDropped)
+	if st.FaultsInjected != 1 || rep.Crashes != 1 {
+		t.Fatalf("faults %d, crashes %d, want 1/1", st.FaultsInjected, rep.Crashes)
 	}
-	if rep.FaultRelocated+rep.FaultDropped == 0 {
+	if st.FaultRelocated+st.FaultDropped == 0 {
 		t.Fatal("the fault evacuated no resident")
 	}
-	if rep.Stats.FaultRelocated+rep.Stats.FaultDropped != 0 {
-		t.Fatalf("the crash kept the manager's fault counters: %+v", rep.Stats)
+	checkClean(t, rep)
+}
+
+// TestStatsCoverEveryIncarnation crashes a door run twice and drains it
+// once. The manager's counters must cover every incarnation, as the
+// ledger does: each arrival the stream server admitted is one admitted
+// manager round of its class, and the torn admissions a crash discards
+// count nowhere.
+func TestStatsCoverEveryIncarnation(t *testing.T) {
+	script, err := ParseScript(strings.NewReader("@40 crash\n@80 drain\n@120 crash\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	so := churn.Defaults()
+	so.Apps, so.Seed = 160, 3
+	if so.Journal, err = journal.OpenFile(filepath.Join(t.TempDir(), "s.journal"), 0, false); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(script, Options{Stack: so})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rep.Stats
+	var classAdmitted, rounds uint64
+	for _, c := range st.ByClass {
+		classAdmitted += c.Admitted
+		rounds += c.Admitted + c.Rejected
+	}
+	t.Logf("ledger %d admitted, %d rejected; manager %d admitted over %d rounds; %d torn discarded",
+		rep.Stream.Admitted, rep.Stream.Rejected, st.Admitted, rounds, rep.TornDiscarded)
+	if rep.Crashes != 2 || rep.TornDiscarded == 0 {
+		t.Fatalf("crashes %d, torn %d: the script no longer crashes under load", rep.Crashes, rep.TornDiscarded)
+	}
+	if st.Admitted != rep.Stream.Admitted || classAdmitted != st.Admitted {
+		t.Fatalf("manager admitted %d (%d by class), ledger %d", st.Admitted, classAdmitted, rep.Stream.Admitted)
+	}
+	if rounds < rep.Stream.Admitted+rep.Stream.Rejected {
+		t.Fatalf("%d class rounds for %d ledger outcomes", rounds, rep.Stream.Admitted+rep.Stream.Rejected)
 	}
 	checkClean(t, rep)
 }

@@ -61,15 +61,11 @@ type Report struct {
 	// Elapsed is the wall time from the first arrival to the last
 	// incarnation's teardown.
 	Elapsed time.Duration
-	// Drains, Crashes and Spikes count executed steps; FaultsInjected
-	// and Restores count fault-step resource flips that took effect.
-	Drains, Crashes, Spikes  int
-	FaultsInjected, Restores int
+	// Drains, Crashes and Spikes count executed steps.
+	Drains, Crashes, Spikes int
 	// FaultRecoverTotal and FaultRecoverMax aggregate the time-to-recover
-	// of the FaultsInjected faults, and FaultRelocated and FaultDropped
-	// count the residents they evacuated, across incarnations.
+	// of the Stats.FaultsInjected faults.
 	FaultRecoverTotal, FaultRecoverMax time.Duration
-	FaultRelocated, FaultDropped       int
 	// Stream is the aggregate ledger: every incarnation's shutdown
 	// report summed. The exactly-one-outcome identity is linear, so
 	// LedgerOK on the sum checks the whole run.
@@ -77,9 +73,11 @@ type Report struct {
 	// Door is the aggregate HTTP accounting across incarnations (zero on
 	// the Direct target).
 	Door front.Stats
-	// Stats is the manager's counters at the last incarnation's
-	// teardown. A crash restarts them: they cover the arrivals since the
-	// last crash step, not the whole run.
+	// Stats is the manager's counters summed over incarnations: a crash
+	// adds the dying manager's before its torn admissions, which recovery
+	// discards, and a drain keeps the manager. Its fault and restore
+	// counters are the script's steps that took effect; the end-of-run
+	// restores come after it is read.
 	Stats manager.Stats
 	// ReplayChecks counts journal recoveries — one per crash step, and
 	// one at the end of every journaled run — whose replayed platform
@@ -163,7 +161,7 @@ func Run(script Script, o Options) (Report, error) {
 	}
 	r.teardown(inc)
 	r.rep.Elapsed = time.Since(start)
-	r.rep.Stats = r.st.Manager.Stats()
+	r.rep.Stats.Add(r.st.Manager.Stats())
 
 	if jw := r.st.Options.Journal; jw != nil {
 		// The sequential oracle, on every journaled run whether or not the
@@ -297,8 +295,8 @@ func (r *runner) execute(inc *incarnation, st Step) (*incarnation, error) {
 		id := tiles[st.N%len(tiles)]
 		if st.Op == OpFailTile {
 			r.fault(m.FailTile(id))
-		} else if m.RestoreTile(id) {
-			r.rep.Restores++
+		} else {
+			m.RestoreTile(id)
 		}
 	case OpFailLink, OpRestoreLink:
 		// Link IDs are indices; the count never changes.
@@ -309,8 +307,8 @@ func (r *runner) execute(inc *incarnation, st Step) (*incarnation, error) {
 		id := arch.LinkID(st.N % n)
 		if st.Op == OpFailLink {
 			r.fault(m.FailLink(id))
-		} else if m.RestoreLink(id) {
-			r.rep.Restores++
+		} else {
+			m.RestoreLink(id)
 		}
 	case OpSpike:
 		inc.spike.arm(st.Dur, st.N)
@@ -326,16 +324,12 @@ func (r *runner) execute(inc *incarnation, st Step) (*incarnation, error) {
 	return inc, nil
 }
 
-// fault books a fault step that took effect and its time-to-recover.
+// fault books the time-to-recover of a fault step that took effect.
 func (r *runner) fault(rep manager.FaultReport) {
-	if !rep.Failed {
-		return
+	if rep.Failed {
+		r.rep.FaultRecoverTotal += rep.Recover
+		r.rep.FaultRecoverMax = max(r.rep.FaultRecoverMax, rep.Recover)
 	}
-	r.rep.FaultsInjected++
-	r.rep.FaultRecoverTotal += rep.Recover
-	r.rep.FaultRecoverMax = max(r.rep.FaultRecoverMax, rep.Recover)
-	r.rep.FaultRelocated += len(rep.Relocated)
-	r.rep.FaultDropped += len(rep.Dropped)
 }
 
 // teardown drains one incarnation gracefully — door first (readiness
@@ -365,6 +359,7 @@ func (r *runner) crash(inc *incarnation) (*incarnation, error) {
 	r.teardown(inc)
 	r.rep.Crashes++
 	m, jw := r.st.Manager, r.st.Options.Journal
+	r.rep.Stats.Add(m.Stats())
 
 	// Seal the durable checkpoint and capture it bit-for-bit.
 	jw.Flush()

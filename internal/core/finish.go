@@ -5,7 +5,6 @@ import (
 
 	"rtsm/internal/arch"
 	"rtsm/internal/model"
-	"rtsm/internal/noc"
 )
 
 // PlacedProcess is one externally decided placement: which implementation
@@ -21,42 +20,45 @@ type PlacedProcess struct {
 // channels (step 3) and verifies the QoS constraints (step 4), without any
 // refinement. Baseline mappers and exact solvers use it so that their
 // placements are judged by exactly the same routing and verification
-// machinery as the paper's heuristic.
+// machinery as the paper's heuristic: the placement is installed as a
+// seed that settles every process, and one attempt runs with step 2 off.
 //
 // The caller's platform is not mutated. An error is returned when the
 // placement is not adherent (a tile cannot host its processes) or names
 // unknown entities; QoS violations are reported via Result.Feasible, not
-// as errors.
+// as errors, with the feedback a refinement round would have acted on as
+// the trace's last note.
 func FinishAssignment(lib *model.Library, cfg Config, app *model.Application, plat *arch.Platform, placement []PlacedProcess) (*Result, error) {
 	if err := app.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkPinned(app, plat); err != nil {
+		return nil, err
+	}
+	seed, err := placementSeed(app, plat, placement)
+	if err != nil {
+		return nil, err
+	}
+	cfg.NoStep2 = true // the placement is final
 	m := &Mapper{Lib: lib, Cfg: cfg}
 	work := workPool.Get().(*arch.Platform)
 	defer workPool.Put(work)
-	plat.CopyInto(work)
-	trace := &Trace{}
-	mp := &Mapping{
-		App:     app,
-		Impl:    make(map[model.ProcessID]*model.Implementation),
-		Tile:    make(map[model.ProcessID]arch.TileID),
-		Route:   make(map[model.ChannelID]noc.Path),
-		Buffers: make(map[model.ChannelID]int64),
+	res, fb, err := m.attempt(newAppIndex(app), plat, work, newTabu(), seed)
+	if err != nil {
+		return nil, err
 	}
-	for _, p := range app.Processes {
-		if p.Control {
-			continue
-		}
-		if p.PinnedTile != "" {
-			t := work.TileByName(p.PinnedTile)
-			if t == nil {
-				return nil, fmt.Errorf("core: process %q pinned to unknown tile %q", p.Name, p.PinnedTile)
-			}
-			mp.Tile[p.ID] = t.ID
-			mp.Impl[p.ID] = nil
-		}
+	if fb != nil {
+		res.Trace.Notes = append(res.Trace.Notes, fb.String())
 	}
-	placed := make(map[string]bool, len(placement))
+	return res, nil
+}
+
+// placementSeed checks an external placement, in its own order, against
+// the platform and returns it as a seed that settles every mappable
+// process.
+func placementSeed(app *model.Application, plat *arch.Platform, placement []PlacedProcess) (*seedMapping, error) {
+	seed := newSeed(app)
+	load := make(map[arch.TileID]arch.Tile) // the placement's tiles, with what it reserved so far
 	for _, pl := range placement {
 		p := app.ProcessByName(pl.Process)
 		if p == nil {
@@ -65,7 +67,7 @@ func FinishAssignment(lib *model.Library, cfg Config, app *model.Application, pl
 		if p.PinnedTile != "" || p.Control {
 			return nil, fmt.Errorf("core: process %q is not mappable", pl.Process)
 		}
-		t := work.TileByName(pl.Tile)
+		t := plat.TileByName(pl.Tile)
 		if t == nil {
 			return nil, fmt.Errorf("core: placement names unknown tile %q", pl.Tile)
 		}
@@ -80,29 +82,24 @@ func FinishAssignment(lib *model.Library, cfg Config, app *model.Application, pl
 		if err != nil {
 			return nil, err
 		}
-		util := utilisation(t, cyc, app.QoS.PeriodNs)
-		if !canHost(t, pl.Impl.MemBytes, util) {
+		lt, ok := load[t.ID]
+		if !ok {
+			lt = *t
+		}
+		util := utilisation(&lt, cyc, app.QoS.PeriodNs)
+		if !canHost(&lt, pl.Impl.MemBytes, util) {
 			return nil, fmt.Errorf("core: placement not adherent: tile %q cannot host %s", t.Name, pl.Impl)
 		}
-		wt := work.Tile(t.ID)
-		wt.ReservedMem += pl.Impl.MemBytes
-		wt.ReservedUtil += util
-		wt.Occupants++
-		mp.Impl[p.ID] = pl.Impl
-		mp.Tile[p.ID] = t.ID
-		placed[pl.Process] = true
+		lt.ReservedMem += pl.Impl.MemBytes
+		lt.ReservedUtil += util
+		lt.Occupants++
+		load[t.ID] = lt
+		seed.impl[p.ID], seed.tile[p.ID] = pl.Impl, t.ID
 	}
-	ix := newAppIndex(app)
-	for _, p := range ix.procs {
-		if !placed[p.Name] {
+	for _, p := range app.MappableProcesses() {
+		if !seed.locks(p.ID) {
 			return nil, fmt.Errorf("core: placement is missing process %q", p.Name)
 		}
 	}
-	if fb := m.step3(ix, work, mp, trace); fb != nil {
-		res := m.infeasibleResult(app, work, mp, trace)
-		trace.Notes = append(trace.Notes, fb.String())
-		return res, nil
-	}
-	res, _ := m.step4(ix, work, mp, trace)
-	return res, nil
+	return seed, nil
 }

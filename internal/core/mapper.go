@@ -188,14 +188,6 @@ func (r *Result) BufferOf(c model.ChannelID) (int64, bool) {
 // platform is not mutated; existing reservations on it are honoured, and
 // Apply commits the result to it.
 func (m *Mapper) Map(app *model.Application, plat *arch.Platform) (*Result, error) {
-	work := workPool.Get().(*arch.Platform)
-	defer workPool.Put(work)
-	return m.mapOn(app, plat, work)
-}
-
-// mapOn is Map with the working platform every attempt overwrites
-// supplied by the caller.
-func (m *Mapper) mapOn(app *model.Application, plat, work *arch.Platform) (*Result, error) {
 	if err := app.Validate(); err != nil {
 		return nil, err
 	}
@@ -203,11 +195,23 @@ func (m *Mapper) mapOn(app *model.Application, plat, work *arch.Platform) (*Resu
 	if err := m.checkAdequacyPossible(ix, plat); err != nil {
 		return nil, err
 	}
+	work := workPool.Get().(*arch.Platform)
+	defer workPool.Put(work)
+	return m.refine(ix, plat, work, nil, maxRefinements)
+}
+
+// refine is the paper's refinement loop (§3): up to rounds+1 attempts on
+// work, each under the tabu constraints earlier feedback added, keeping
+// the cheapest feasible result. It stops on success or on feedback that
+// is already tabu and names no process the seed settles (such feedback
+// releases the process instead). A seeded result is marked Repaired.
+func (m *Mapper) refine(ix *appIndex, plat, work *arch.Platform, seed *seedMapping, rounds int) (*Result, error) {
 	tabu := newTabu()
 	var best, last *Result
 	refinements := 0
-	for round := 0; round <= maxRefinements; round++ {
-		res, fb, err := m.attempt(ix, plat, work, tabu, nil)
+	for round := 0; round <= rounds; round++ {
+		pinned := seed.pinned()
+		res, fb, err := m.attempt(ix, plat, work, tabu, seed)
 		if err != nil {
 			if best != nil {
 				break
@@ -215,6 +219,7 @@ func (m *Mapper) mapOn(app *model.Application, plat, work *arch.Platform) (*Resu
 			return nil, err
 		}
 		res.Refinements = refinements
+		res.Repaired, res.Pinned = seed != nil, pinned
 		last = res
 		if res.Feasible && (best == nil || res.Energy.Total() < best.Energy.Total()) {
 			best = res
@@ -222,19 +227,17 @@ func (m *Mapper) mapOn(app *model.Application, plat, work *arch.Platform) (*Resu
 		if fb == nil || m.Cfg.NoRefinement {
 			break
 		}
-		if !tabu.apply(fb) {
+		released := seed.unpin(ix, fb.process)
+		if !tabu.apply(fb) && !released {
 			break // feedback already known: no new information, stop
 		}
 		refinements++
 	}
-	if best != nil {
-		best.Refinements = refinements
-		return best, nil
+	if best == nil {
+		return last, nil
 	}
-	if last == nil {
-		return nil, fmt.Errorf("core: no mapping attempt completed for %q", app.Name)
-	}
-	return last, nil
+	best.Refinements = refinements
+	return best, nil
 }
 
 // checkAdequacyPossible verifies that every mappable process has at least
@@ -257,7 +260,13 @@ func (m *Mapper) checkAdequacyPossible(ix *appIndex, plat *arch.Platform) error 
 			return fmt.Errorf("core: no tile on %q can run any implementation of %q", plat.Name, p.Name)
 		}
 	}
-	for _, p := range ix.app.Processes {
+	return checkPinned(ix.app, plat)
+}
+
+// checkPinned verifies that every pinned process names a tile of the
+// platform.
+func checkPinned(app *model.Application, plat *arch.Platform) error {
+	for _, p := range app.Processes {
 		if p.PinnedTile != "" && plat.TileByName(p.PinnedTile) == nil {
 			return fmt.Errorf("core: process %q pinned to unknown tile %q", p.Name, p.PinnedTile)
 		}
@@ -271,11 +280,11 @@ func (m *Mapper) checkAdequacyPossible(ix *appIndex, plat *arch.Platform) error 
 var workPool = sync.Pool{New: func() any { return new(arch.Platform) }}
 
 // attempt runs steps 1–4 once on work, overwritten with a copy of the
-// platform first. A non-nil seed pre-installs salvaged decisions from a
-// stale mapping: its placements are reserved up front and locked against
-// steps 1 and 2, its routes are reserved and skipped by step 3, so only
-// what the seed leaves open is re-decided (the incremental repair path).
-// Tests call it directly to read the reservations the mapper made.
+// platform first. A non-nil seed pre-installs settled decisions: its
+// placements are reserved up front and locked against steps 1 and 2, its
+// routes are reserved and skipped by step 3, so only what the seed leaves
+// open is decided. Tests call it directly to read the reservations the
+// mapper made.
 func (m *Mapper) attempt(ix *appIndex, plat, work *arch.Platform, tabu *tabu, seed *seedMapping) (*Result, *feedback, error) {
 	app := ix.app
 	plat.CopyInto(work)
@@ -289,12 +298,8 @@ func (m *Mapper) attempt(ix *appIndex, plat, work *arch.Platform, tabu *tabu, se
 	}
 	// Pinned endpoints are pre-placed.
 	for _, p := range app.Processes {
-		if p.Control {
-			continue
-		}
-		if p.PinnedTile != "" {
-			mapping.Tile[p.ID] = work.TileByName(p.PinnedTile).ID
-			mapping.Impl[p.ID] = nil
+		if p.PinnedTile != "" && !p.Control {
+			mapping.Tile[p.ID], mapping.Impl[p.ID] = work.TileByName(p.PinnedTile).ID, nil
 		}
 	}
 	if err := seed.install(app, work, mapping); err != nil {
@@ -305,7 +310,7 @@ func (m *Mapper) attempt(ix *appIndex, plat, work *arch.Platform, tabu *tabu, se
 		return m.infeasibleResult(app, work, mapping, trace), fb, nil
 	}
 	if !m.Cfg.NoStep2 {
-		m.step2(ix, work, mapping, seed.lockedSet(), trace)
+		m.step2(ix, work, mapping, seed, trace)
 	}
 	if fb := m.step3(ix, work, mapping, trace); fb != nil {
 		return m.infeasibleResult(app, work, mapping, trace), fb, nil

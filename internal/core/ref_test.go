@@ -80,8 +80,8 @@ type refSearch struct {
 
 // refStep2 returns, next to the trace rows, the assignment each row
 // evaluated.
-func (m *Mapper) refStep2(ix *appIndex, work *arch.Platform, mp *Mapping, locked map[model.ProcessID]bool, tr *Trace) []map[string]string {
-	s := refSearch{&searchState{m: m, ix: ix, work: work, mp: mp, locked: locked}, new([]map[string]string)}
+func (m *Mapper) refStep2(ix *appIndex, work *arch.Platform, mp *Mapping, seed *seedMapping, tr *Trace) []map[string]string {
+	s := refSearch{&searchState{m: m, ix: ix, work: work, mp: mp, seed: seed}, new([]map[string]string)}
 	s.init()
 	s.cost = s.totalCost()
 	tr.Step2 = append(tr.Step2, s.initialRecord())
@@ -178,7 +178,7 @@ func (s refSearch) deltaFor(o override) float64 {
 
 func (s refSearch) bestCandidateFor(pi int) *candidate {
 	p := s.ix.procs[pi]
-	if s.locked[p.ID] {
+	if s.seed.locks(p.ID) {
 		return nil
 	}
 	cur := s.mp.Tile[p.ID]
@@ -210,7 +210,7 @@ func (s refSearch) bestCandidateFor(pi int) *candidate {
 	}
 	for qi := pi + 1; qi < len(s.ix.procs); qi++ {
 		q := s.ix.procs[qi]
-		if s.locked[q.ID] {
+		if s.seed.locks(q.ID) {
 			continue
 		}
 		qTile := s.mp.Tile[q.ID]

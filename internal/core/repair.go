@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"rtsm/internal/arch"
 	"rtsm/internal/model"
@@ -17,61 +18,78 @@ import (
 // refined rather than discarded (§3); Repair extends it across commits. It
 // validates the stale result's plan against the fresh platform, pins every
 // process and channel whose tile, NI bandwidth and route still fit, and
-// re-enters steps 1–4 with only the conflicting processes unassigned.
-// Repair failures degrade gracefully: feedback naming a pinned process
-// releases it, so the repair converges toward a full remap as rounds pass,
-// and the caller falls back to Map when nothing is salvageable at all.
+// re-enters the refinement loop with only the conflicting processes
+// unassigned. Repair failures degrade gracefully: feedback naming a pinned
+// process releases it, so the repair converges toward a full remap as
+// rounds pass, and the caller falls back to Map when nothing is
+// salvageable at all.
 
-// seedMapping carries the salvaged part of a stale mapping into an
-// attempt: placements to install verbatim and routes to keep reserved.
-// A nil seed seeds nothing (the full-map path).
+// seedMapping carries decisions into an attempt that it must not revisit:
+// placements installed verbatim and locked against steps 1 and 2, and
+// routes kept reserved and skipped by step 3. Repair seeds what it
+// salvaged of a stale mapping, FinishAssignment a whole external
+// placement. A nil seed seeds nothing (the full-map path).
 type seedMapping struct {
-	impl   map[model.ProcessID]*model.Implementation
-	tile   map[model.ProcessID]arch.TileID
-	routes map[model.ChannelID]noc.Path
+	impl  []*model.Implementation // by ProcessID; nil leaves the process open
+	tile  []arch.TileID           // by ProcessID, where impl is set
+	route []noc.Path              // by ChannelID, where kept is set
+	kept  []bool                  // by ChannelID
 }
 
-// lockedSet returns the processes step 2 must not relocate.
-func (s *seedMapping) lockedSet() map[model.ProcessID]bool {
-	if s == nil {
-		return nil
+func newSeed(app *model.Application) *seedMapping {
+	return &seedMapping{
+		impl:  make([]*model.Implementation, len(app.Processes)),
+		tile:  make([]arch.TileID, len(app.Processes)),
+		route: make([]noc.Path, len(app.Channels)),
+		kept:  make([]bool, len(app.Channels)),
 	}
-	locked := make(map[model.ProcessID]bool, len(s.impl))
-	for pid := range s.impl {
-		locked[pid] = true
+}
+
+// locks reports whether the seed settles process pid's placement.
+func (s *seedMapping) locks(pid model.ProcessID) bool {
+	return s != nil && s.impl[pid] != nil
+}
+
+// pinned counts the placements the seed settles.
+func (s *seedMapping) pinned() int {
+	n := 0
+	if s != nil {
+		for _, im := range s.impl {
+			if im != nil {
+				n++
+			}
+		}
 	}
-	return locked
+	return n
 }
 
 // unpin releases one process from the seed: its placement is forgotten and
 // every kept route touching it is dropped, so the next attempt re-decides
 // them. Reports whether anything was released.
 func (s *seedMapping) unpin(ix *appIndex, pid model.ProcessID) bool {
-	if s == nil {
+	if !s.locks(pid) {
 		return false
 	}
-	if _, ok := s.impl[pid]; !ok {
-		return false
-	}
-	delete(s.impl, pid)
-	delete(s.tile, pid)
+	s.impl[pid] = nil
 	for _, ci := range ix.incident[pid] {
-		delete(s.routes, ix.chans[ci].ID)
+		s.kept[ix.chans[ci].ID] = false
 	}
 	return true
 }
 
 // install reserves the seed's placements and routes on the working
-// platform and records them in the mapping, the repair counterpart of
-// step 1's packing and step 3's lane reservation.
+// platform, in ID order, and records them in the mapping: the seeded
+// counterpart of step 1's packing and step 3's lane reservation.
 func (s *seedMapping) install(app *model.Application, work *arch.Platform, mp *Mapping) error {
 	if s == nil {
 		return nil
 	}
 	for pid, im := range s.impl {
-		p := app.Process(pid)
-		tid := s.tile[pid]
-		t := work.Tile(tid)
+		if im == nil {
+			continue
+		}
+		p := app.Processes[pid]
+		t := work.Tile(s.tile[pid])
 		cyc, err := im.CyclesPerPeriod(app, p)
 		if err != nil {
 			return fmt.Errorf("core: seeded implementation of %q no longer matches: %w", p.Name, err)
@@ -79,11 +97,14 @@ func (s *seedMapping) install(app *model.Application, work *arch.Platform, mp *M
 		t.ReservedMem += im.MemBytes
 		t.ReservedUtil += utilisation(t, cyc, app.QoS.PeriodNs)
 		t.Occupants++
-		mp.Impl[pid] = im
-		mp.Tile[pid] = tid
+		mp.Impl[p.ID] = im
+		mp.Tile[p.ID] = t.ID
 	}
-	for cid, path := range s.routes {
-		c := app.Channel(cid)
+	for cid, path := range s.route {
+		if !s.kept[cid] {
+			continue
+		}
+		c := app.Channels[cid]
 		src, okS := mp.Tile[c.Src]
 		dst, okD := mp.Tile[c.Dst]
 		if !okS || !okD {
@@ -92,7 +113,7 @@ func (s *seedMapping) install(app *model.Application, work *arch.Platform, mp *M
 		if path.Hops() > 0 {
 			noc.Reserve(work, path, src, dst, channelBps(c, app.QoS.PeriodNs))
 		}
-		mp.Route[cid] = path
+		mp.Route[c.ID] = path
 	}
 	return nil
 }
@@ -172,11 +193,7 @@ func salvage(ix *appIndex, fresh *arch.Platform, res *Result, violations []Valid
 				fresh.Tile(tid).Name)
 		}
 	}
-	seed := &seedMapping{
-		impl:   make(map[model.ProcessID]*model.Implementation),
-		tile:   make(map[model.ProcessID]arch.TileID),
-		routes: make(map[model.ChannelID]noc.Path),
-	}
+	seed := newSeed(app)
 	budgets := make(map[arch.TileID]*tileBudget)
 	for _, p := range ix.procs {
 		im := mp.Impl[p.ID]
@@ -185,8 +202,7 @@ func salvage(ix *appIndex, fresh *arch.Platform, res *Result, violations []Valid
 			continue
 		}
 		if !badTile[tid] {
-			seed.impl[p.ID] = im
-			seed.tile[p.ID] = tid
+			seed.impl[p.ID], seed.tile[p.ID] = im, tid
 			continue
 		}
 		t := fresh.Tile(tid)
@@ -236,18 +252,14 @@ func salvage(ix *appIndex, fresh *arch.Platform, res *Result, violations []Valid
 		}
 		b.inBps -= inBps
 		b.out -= outBps
-		seed.impl[p.ID] = im
-		seed.tile[p.ID] = tid
+		seed.impl[p.ID], seed.tile[p.ID] = im, tid
 	}
 	for _, c := range ix.chans {
 		path, ok := mp.Route[c.ID]
 		if !ok {
 			continue
 		}
-		if app.Process(c.Src).PinnedTile == "" && seed.impl[c.Src] == nil {
-			continue
-		}
-		if app.Process(c.Dst).PinnedTile == "" && seed.impl[c.Dst] == nil {
+		if !isPinned(app, c.Src) && !seed.locks(c.Src) || !isPinned(app, c.Dst) && !seed.locks(c.Dst) {
 			continue
 		}
 		// Routes terminating on an NI-exhausted tile are dropped even when
@@ -267,7 +279,7 @@ func salvage(ix *appIndex, fresh *arch.Platform, res *Result, violations []Valid
 		if crossesBadLink {
 			continue
 		}
-		seed.routes[c.ID] = path
+		seed.route[c.ID], seed.kept[c.ID] = path, true
 	}
 	return seed, nil
 }
@@ -276,7 +288,10 @@ func salvage(ix *appIndex, fresh *arch.Platform, res *Result, violations []Valid
 // the mapping's reservation plan has no violations on the snapshot — the
 // platform did not change, or changed only where the mapping still fits —
 // the result is returned as-is; otherwise the conflicting placements and
-// routes are released and steps 1–4 re-run with everything else pinned.
+// routes are released and the refinement loop re-runs steps 1–4 with
+// everything else pinned. Feedback naming a pinned process releases it,
+// so constraints the salvage missed still get repaired, and with
+// everything released a repair round is a full remap.
 // The returned result reports Repaired=true and the number of placements
 // preserved in Pinned. A non-nil error — including when the
 // whole mapping conflicts and nothing can be pinned — means the caller
@@ -304,69 +319,10 @@ func (m *Mapper) Repair(res *Result, snap *arch.Snapshot) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(seed.impl) == 0 && len(seed.routes) == 0 {
+	if seed.pinned() == 0 && !slices.Contains(seed.kept, true) {
 		return nil, fmt.Errorf("core: mapping of %q conflicts everywhere, nothing to salvage", app.Name)
 	}
-
 	work := workPool.Get().(*arch.Platform)
 	defer workPool.Put(work)
-	tabu := newTabu()
-	var best, last *Result
-	refinements := 0
-	for round := 0; round <= maxRepairRounds; round++ {
-		pinned := len(seed.impl)
-		attempt, fb, err := m.attempt(ix, snap.Plat, work, tabu, seed)
-		if err != nil {
-			if best != nil {
-				break
-			}
-			return nil, err
-		}
-		attempt.Refinements = refinements
-		attempt.Repaired = true
-		attempt.Pinned = pinned
-		last = attempt
-		if attempt.Feasible && (best == nil || attempt.Energy.Total() < best.Energy.Total()) {
-			best = attempt
-		}
-		if fb == nil || m.Cfg.NoRefinement {
-			break
-		}
-		// Graceful degradation: feedback naming a pinned process releases
-		// it, so constraints the salvage missed still get repaired, and
-		// with everything released a repair round is a full remap.
-		released := seed.unpin(ix, fb.process)
-		if !tabu.apply(fb) && !released {
-			break // nothing new to try
-		}
-		refinements++
-	}
-	if best != nil {
-		return best, nil
-	}
-	if last == nil {
-		return nil, fmt.Errorf("core: no repair attempt completed for %q", app.Name)
-	}
-	return last, nil
-}
-
-// Relocate is the preemption planner's relocation entry point: it refits a
-// preempted victim's mapping to the post-eviction snapshot — the platform
-// after the victim's own reservations were released and the high-priority
-// arrival committed — so the victim keeps running on whatever capacity is
-// left instead of being killed. Unlike the admission path's use of Repair,
-// Relocate never falls back to a full remap: a victim either moves cheaply
-// (most placements kept, only the overlap with the new arrival re-placed)
-// or is evicted by the caller. Both a repair error and an infeasible
-// refit therefore surface as a non-nil error meaning "evict".
-func (m *Mapper) Relocate(res *Result, snap *arch.Snapshot) (*Result, error) {
-	rep, err := m.Repair(res, snap)
-	if err != nil {
-		return nil, err
-	}
-	if !rep.Feasible {
-		return nil, fmt.Errorf("core: relocation of %q infeasible on the post-eviction residual",
-			res.Mapping.App.Name)
-	}
-	return rep, nil
+	return m.refine(ix, snap.Plat, work, seed, maxRepairRounds)
 }

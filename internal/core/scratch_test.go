@@ -27,7 +27,7 @@ func TestScratchReuseAcrossMeshSizes(t *testing.T) {
 	var runs []mapped
 	for _, side := range []int{6, 8, 6} {
 		plat := workload.SyntheticPlatform(side, side, 1)
-		got, err := m.mapOn(app, plat, scratch)
+		got, err := m.refine(newAppIndex(app), plat, scratch, nil, maxRefinements)
 		if err != nil || !got.Feasible {
 			t.Fatalf("%d×%d on recycled scratch: feasible=%v err=%v", side, side, got != nil && got.Feasible, err)
 		}
@@ -35,7 +35,7 @@ func TestScratchReuseAcrossMeshSizes(t *testing.T) {
 			t.Fatalf("%d×%d: scratch holds %d tiles, %d links; want %d, %d",
 				side, side, len(scratch.Tiles), len(scratch.Links), len(plat.Tiles), len(plat.Links))
 		}
-		want, err := m.mapOn(app, plat, new(arch.Platform))
+		want, err := m.refine(newAppIndex(app), plat, new(arch.Platform), nil, maxRefinements)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"rtsm/internal/arch"
 	"rtsm/internal/model"
@@ -15,12 +16,12 @@ import (
 // distances over all stream channels, the metric of the paper's Table 2,
 // which also embodies the "bonus for proximity to the process's
 // neighbours": closer neighbours mean lower cost.
-// locked processes (seeded by the repair path) keep their tiles: they are
-// neither moved nor offered as swap partners, but their channels still
-// price into the cost every candidate is scored by.
-func (m *Mapper) step2(ix *appIndex, work *arch.Platform, mp *Mapping, locked map[model.ProcessID]bool, tr *Trace) {
+// Processes the seed settles keep their tiles: they are neither moved nor
+// offered as swap partners, but their channels still price into the cost
+// every candidate is scored by.
+func (m *Mapper) step2(ix *appIndex, work *arch.Platform, mp *Mapping, seed *seedMapping, tr *Trace) {
 	var tiles [32]int // a small application's dense tiles stay on the stack
-	s := &searchState{m: m, ix: ix, work: work, mp: mp, locked: locked, tile: tiles[:0]}
+	s := &searchState{m: m, ix: ix, work: work, mp: mp, seed: seed, tile: tiles[:0]}
 	s.init()
 	tr.Step2 = append(tr.Step2, s.initialRecord())
 	switch m.Cfg.Strategy {
@@ -38,8 +39,8 @@ type searchState struct {
 	work *arch.Platform
 	mp   *Mapping
 
-	locked map[model.ProcessID]bool // processes step 2 must not relocate
-	tile   []int                    // mp.Tile by ProcessID, -1 unplaced
+	seed *seedMapping // its placements step 2 must not relocate
+	tile []int        // mp.Tile by ProcessID, -1 unplaced
 	// weight[i] multiplies the Manhattan distance of chans[i]; 1 under
 	// HopSum, traffic × hop energy under TrafficWeighted.
 	weight []float64
@@ -72,8 +73,8 @@ func (s *searchState) init() {
 }
 
 // totalCost recomputes the full cost of the current assignment:
-// weighted channel distances, plus the idle energy of powered tiles under
-// the traffic-weighted model.
+// weighted channel distances, plus, under the traffic-weighted model, the
+// idle energy of powered tiles in ascending tile ID.
 func (s *searchState) totalCost() float64 {
 	var total float64
 	for i, c := range s.ix.chans {
@@ -81,11 +82,12 @@ func (s *searchState) totalCost() float64 {
 	}
 	if s.m.Cfg.CommCost == TrafficWeighted {
 		params := s.m.Cfg.energyParams()
-		powered := make(map[arch.TileID]bool)
+		powered := make([]arch.TileID, 0, len(s.ix.procs))
 		for _, p := range s.ix.procs {
-			powered[s.mp.Tile[p.ID]] = true
+			powered = append(powered, s.mp.Tile[p.ID])
 		}
-		for tid := range powered {
+		slices.Sort(powered)
+		for _, tid := range slices.Compact(powered) {
 			total += params.IdleEnergy(s.work.Tile(tid))
 		}
 	}
@@ -221,28 +223,29 @@ func (s *searchState) movePrice(ends []movedEnd, o override) float64 {
 
 // idleDelta prices tiles powered on or off by the candidate (the paper's
 // "being able to turn off parts of the system that are not being used").
-// It compares the full before/after occupancy of the mappable processes,
-// so swaps — which leave both tiles powered — price to zero.
+// A swap leaves both tiles powered and prices to zero; a move powers its
+// source tile off when it leaves it empty, and its target on when that
+// was empty.
 func (s *searchState) idleDelta(o override) float64 {
-	params := s.m.Cfg.energyParams()
-	before := make(map[arch.TileID]int)
-	after := make(map[arch.TileID]int)
+	if o.q != noProcess {
+		return 0
+	}
+	from, onFrom, onTo := s.tile[o.p], 0, 0 // mappable processes on either tile
 	for _, p := range s.ix.procs {
-		cur := s.mp.Tile[p.ID]
-		before[cur]++
-		next, _ := s.tileOf(p.ID, o)
-		after[next]++
+		switch s.tile[p.ID] {
+		case from:
+			onFrom++
+		case int(o.pt):
+			onTo++
+		}
 	}
+	params := s.m.Cfg.energyParams()
 	var delta float64
-	for tid := range before {
-		if after[tid] == 0 {
-			delta -= params.IdleEnergy(s.work.Tile(tid))
-		}
+	if onFrom == 1 {
+		delta -= params.IdleEnergy(s.work.Tiles[from])
 	}
-	for tid := range after {
-		if before[tid] == 0 {
-			delta += params.IdleEnergy(s.work.Tile(tid))
-		}
+	if onTo == 0 {
+		delta += params.IdleEnergy(s.work.Tiles[o.pt])
 	}
 	return delta
 }
@@ -259,7 +262,7 @@ func (s *searchState) idleDelta(o override) float64 {
 // TrafficWeighted's price walks every process, so room goes first.
 func (s *searchState) bestCandidateFor(pi int) (best candidate, found bool) {
 	p := s.ix.procs[pi]
-	if s.locked[p.ID] {
+	if s.seed.locks(p.ID) {
 		return best, false
 	}
 	cur := arch.TileID(s.tile[p.ID])
@@ -304,7 +307,7 @@ func (s *searchState) bestCandidateFor(pi int) (best candidate, found bool) {
 	// Swaps with later-declared processes on the same tile type.
 	for qi := pi + 1; qi < len(s.ix.procs); qi++ {
 		q := s.ix.procs[qi]
-		if s.locked[q.ID] {
+		if s.seed.locks(q.ID) {
 			continue
 		}
 		qTile := arch.TileID(s.tile[q.ID])

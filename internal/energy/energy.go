@@ -8,6 +8,7 @@ package energy
 
 import (
 	"fmt"
+	"slices"
 
 	"rtsm/internal/arch"
 	"rtsm/internal/model"
@@ -88,32 +89,50 @@ type Assignment struct {
 }
 
 // Evaluate computes the full energy breakdown of an assignment on a
-// platform.
+// platform, summing by process, channel and tile ID, so the same
+// assignment always prices to the same bits.
 func (p Params) Evaluate(app *model.Application, plat *arch.Platform, asg Assignment) Breakdown {
 	var b Breakdown
-	powered := make(map[arch.TileID]bool)
-	for pid, im := range asg.Impl {
-		if im != nil {
+	for _, proc := range app.Processes {
+		if im := asg.Impl[proc.ID]; im != nil {
 			b.Processing += im.EnergyPerPeriod
-		}
-		if tid, ok := asg.Tile[pid]; ok {
-			powered[tid] = true
 		}
 	}
 	for _, c := range app.StreamChannels() {
-		hops, ok := asg.Hops[c.ID]
-		if !ok {
-			st, sok := asg.Tile[c.Src]
-			dt, dok := asg.Tile[c.Dst]
-			if !sok || !dok {
-				continue
-			}
-			hops = plat.Manhattan(st, dt)
+		if hops, ok := asg.hops(plat, c); ok {
+			b.Communication += p.CommEnergy(c, hops)
 		}
-		b.Communication += p.CommEnergy(c, hops)
 	}
-	for tid := range powered {
+	var buf [64]arch.TileID // a small application's powered set stays on the stack
+	for _, tid := range asg.powered(app, buf[:0]) {
 		b.Idle += p.IdleEnergy(plat.Tile(tid))
 	}
 	return b
+}
+
+// hops returns channel c's hop count, or the Manhattan estimate when it
+// has none; false when an endpoint is unplaced.
+func (asg Assignment) hops(plat *arch.Platform, c *model.Channel) (int, bool) {
+	if hops, ok := asg.Hops[c.ID]; ok {
+		return hops, true
+	}
+	st, sok := asg.Tile[c.Src]
+	dt, dok := asg.Tile[c.Dst]
+	if !sok || !dok {
+		return 0, false
+	}
+	return plat.Manhattan(st, dt), true
+}
+
+// powered appends to buf the tiles of the processes the assignment
+// implements (pinned ones included), in ascending ID without repeats.
+func (asg Assignment) powered(app *model.Application, buf []arch.TileID) []arch.TileID {
+	for _, proc := range app.Processes {
+		_, implemented := asg.Impl[proc.ID]
+		if tid, ok := asg.Tile[proc.ID]; ok && implemented {
+			buf = append(buf, tid)
+		}
+	}
+	slices.Sort(buf)
+	return slices.Compact(buf)
 }

@@ -2,7 +2,6 @@ package energy
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"rtsm/internal/arch"
@@ -41,37 +40,30 @@ type Report struct {
 }
 
 // Detailed computes the full itemised energy report of an assignment.
-// Totals equal Evaluate's Breakdown exactly.
+// Totals equal Evaluate's Breakdown exactly: both sum in the same order.
 func (p Params) Detailed(app *model.Application, plat *arch.Platform, asg Assignment) *Report {
 	r := &Report{}
-	powered := make(map[arch.TileID]bool)
 	for _, proc := range app.Processes {
 		im := asg.Impl[proc.ID]
-		tid, ok := asg.Tile[proc.ID]
-		if !ok {
-			continue
-		}
-		powered[tid] = true
 		if im == nil {
 			continue
+		}
+		tile := ""
+		if tid, ok := asg.Tile[proc.ID]; ok {
+			tile = plat.Tile(tid).Name
 		}
 		r.Processes = append(r.Processes, ProcessCost{
 			Process: proc.Name,
 			Impl:    im.String(),
-			Tile:    plat.Tile(tid).Name,
+			Tile:    tile,
 			Energy:  im.EnergyPerPeriod,
 		})
 		r.Breakdown.Processing += im.EnergyPerPeriod
 	}
 	for _, c := range app.StreamChannels() {
-		hops, ok := asg.Hops[c.ID]
+		hops, ok := asg.hops(plat, c)
 		if !ok {
-			st, sok := asg.Tile[c.Src]
-			dt, dok := asg.Tile[c.Dst]
-			if !sok || !dok {
-				continue
-			}
-			hops = plat.Manhattan(st, dt)
+			continue
 		}
 		e := p.CommEnergy(c, hops)
 		r.Channels = append(r.Channels, ChannelCost{
@@ -82,12 +74,7 @@ func (p Params) Detailed(app *model.Application, plat *arch.Platform, asg Assign
 		})
 		r.Breakdown.Communication += e
 	}
-	tiles := make([]arch.TileID, 0, len(powered))
-	for tid := range powered {
-		tiles = append(tiles, tid)
-	}
-	sort.Slice(tiles, func(i, j int) bool { return tiles[i] < tiles[j] })
-	for _, tid := range tiles {
+	for _, tid := range asg.powered(app, nil) {
 		e := p.IdleEnergy(plat.Tile(tid))
 		r.Tiles = append(r.Tiles, TileCost{Tile: plat.Tile(tid).Name, Energy: e})
 		r.Breakdown.Idle += e

@@ -175,7 +175,7 @@ type Stats struct {
 	// Evictions (released for good because no relocation fit).
 	Preemptions uint64
 	// Relocations counts preempted victims kept running: their stale
-	// mapping was refit via core.Relocate against the post-eviction
+	// mapping was refit via core.Repair against the post-eviction
 	// residual and recommitted.
 	Relocations uint64
 	// Evictions counts preempted victims that could not be relocated and
@@ -199,6 +199,41 @@ type Stats struct {
 	Map    time.Duration
 	Repair time.Duration
 	Commit time.Duration
+}
+
+// Add folds o into s, field by field: a run that outlives one manager (a
+// crash restarts the counters) reports the sum of every incarnation's.
+func (s *Stats) Add(o Stats) {
+	s.Admitted += o.Admitted
+	s.Rejected += o.Rejected
+	s.Conflicts += o.Conflicts
+	s.Retries += o.Retries
+	s.TemplateHits += o.TemplateHits
+	s.StaleTemplates += o.StaleTemplates
+	s.ConflictRetries += o.ConflictRetries
+	s.RepairedConflicts += o.RepairedConflicts
+	s.RepairedTemplates += o.RepairedTemplates
+	s.RepairAttempts += o.RepairAttempts
+	s.FullRemaps += o.FullRemaps
+	s.Snapshots += o.Snapshots
+	s.SnapshotsShared += o.SnapshotsShared
+	s.CoWFaults += o.CoWFaults
+	s.Preemptions += o.Preemptions
+	s.Relocations += o.Relocations
+	s.Evictions += o.Evictions
+	s.FaultsInjected += o.FaultsInjected
+	s.FaultRelocated += o.FaultRelocated
+	s.FaultDropped += o.FaultDropped
+	s.Restores += o.Restores
+	for c := range s.ByClass {
+		s.ByClass[c].Admitted += o.ByClass[c].Admitted
+		s.ByClass[c].Rejected += o.ByClass[c].Rejected
+		s.ByClass[c].Latency += o.ByClass[c].Latency
+	}
+	s.Wait += o.Wait
+	s.Map += o.Map
+	s.Repair += o.Repair
+	s.Commit += o.Commit
 }
 
 // ClassStats is the per-priority-class share of the admission counters.
@@ -443,7 +478,7 @@ func (m *Manager) Start(app *model.Application, lib *model.Library) (*Admission,
 // outcome. The admission's priority is the application's QoS class
 // (app.QoS.Priority): above BestEffort, an arrival that would be rejected
 // for lack of resources may displace minimal-cost lower-priority
-// admissions, each relocated via core.Relocate when the post-eviction
+// admissions, each relocated via core.Repair when the post-eviction
 // residual allows it and evicted otherwise. Rejections are reported in
 // Outcome.Err, not returned.
 func (m *Manager) Admit(app *model.Application, lib *model.Library) Outcome {

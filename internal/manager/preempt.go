@@ -17,7 +17,7 @@ import (
 // the failing plan's conflicted tiles or links, verifies on a
 // hypothetical snapshot that their departure actually makes the arrival
 // feasible, swaps them in one transaction and then tries to *relocate*
-// each victim via core.Relocate (repair against the post-eviction
+// each victim via core.Repair (against the post-eviction
 // residual) before falling back to eviction.
 
 // maxPreemptionVictims bounds how many lower-priority admissions one
@@ -227,13 +227,13 @@ func (m *Manager) preemptAdmit(out *Outcome, app *model.Application, lib *model.
 // relocate tries to keep a displaced resident running. The resident is
 // claimed and its reservations are already released — by a preemption
 // swap or a fault evacuation; relocate refits its mapping to what is left
-// (core.Relocate against a fresh snapshot, retried while the commit loses
-// races, at most maxRetries times) and either returns it to the running
-// set on the new placement or records its eviction. It reports which,
-// with the time spent refitting and committing; the caller books the
-// outcome under its own counter pair (Relocations/Evictions,
-// FaultRelocated/FaultDropped). Runs outside all locks except the short
-// transactions.
+// (core.Repair against a fresh snapshot, never falling back to a full
+// map, retried while the commit loses races, at most maxRetries times)
+// and either returns it to the running set on the new placement or
+// records its eviction. It reports which, with the time spent refitting
+// and committing; the caller books the outcome under its own counter
+// pair (Relocations/Evictions, FaultRelocated/FaultDropped). Runs outside
+// all locks except the short transactions.
 func (m *Manager) relocate(v *Admission) (ok bool, repair, commit time.Duration) {
 	var rep *core.Result
 	var repPlan *core.Plan
@@ -244,10 +244,10 @@ func (m *Manager) relocate(v *Admission) (ok bool, repair, commit time.Duration)
 		vm := &core.Mapper{Lib: v.lib, Cfg: m.cfg}
 		for attempt := 0; attempt <= maxRetries; attempt++ {
 			repairStart := time.Now()
-			r, err := vm.Relocate(v.Result, m.Snapshot())
+			r, err := vm.Repair(v.Result, m.Snapshot())
 			repair += time.Since(repairStart)
 			attempts++
-			if err != nil {
+			if err != nil || !r.Feasible {
 				break // nothing to salvage, or infeasible on what is left
 			}
 			commitStart := time.Now()

@@ -8,7 +8,17 @@
 # Usage: scripts/loc.sh   (from the repository root)
 set -euo pipefail
 
-# The last cut, 15262 -> 14851, made cmd/spatialmap the one command that
+# The last cut, 14851 -> 14848, left internal/core one refinement loop:
+# Map and Repair run refine, and FinishAssignment installs an external
+# placement as a seed and runs one attempt instead of its own copy of the
+# mapping construction, pinned-endpoint placement, tile reservations and
+# steps 3 and 4. The seed is dense (slices by process and channel ID), so
+# step 2 reads its locks from it and the per-round lock map, the Relocate
+# wrapper and an unreachable error path went. Those cuts paid for
+# manager.Stats.Add, which lets a chaos run's report sum the manager's
+# counters over crashes, and for energy sums in ID order, which make a
+# mapping's energy repeat bit for bit.
+# The cut before it, 15262 -> 14851, made cmd/spatialmap the one command that
 # maps a single application: it generates the HIPERLAN/2 and synthetic
 # bundles itself (-gen, -out) and narrates steps 1-4, the itemised
 # energy and the simulator's check for any bundle. The bundle generator
@@ -98,7 +108,7 @@ set -euo pipefail
 # ledger (LoadEstimate: the DLQ reads Load().Utilization off the
 # platform), the off positions of template reuse and repair, the lenient
 # plan mode with NewRemovalPlan, and two local clamp and max helpers.
-budget=14851
+budget=14848
 
 lines=$(find . -name '*.go' -not -name '*_test.go' \
   -not -path './bench/*' -not -path './.bench_build/*' -print0 |
