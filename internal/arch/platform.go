@@ -2,6 +2,7 @@ package arch
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -67,7 +68,6 @@ func NewMesh(name string, w, h int, linkCapBps int64) *Platform {
 		Links:      make([]*Link, nLinks),
 		Tiles:      make([]*Tile, 0, n),
 		out:        make([][]LinkID, n),
-		byName:     make(map[string]TileID, n),
 		atRtr:      make([][]TileID, n),
 		ofType:     make(map[TileType][]TileID),
 	}
@@ -134,6 +134,9 @@ func (p *Platform) AttachTile(s TileSpec) *Tile {
 	if _, dup := p.byName[s.Name]; dup {
 		panic(fmt.Sprintf("arch: duplicate tile name %q", s.Name))
 	}
+	if p.byName == nil {
+		p.byName = make(map[string]TileID, len(p.Routers))
+	}
 	r := p.RouterAt(s.At)
 	if len(p.cells) == cap(p.cells) {
 		p.cells = make([]tileCell, 0, max(len(p.Routers), 16))
@@ -156,6 +159,50 @@ func (p *Platform) AttachTile(s TileSpec) *Tile {
 	p.atRtr[r.ID] = append(p.atRtr[r.ID], t.ID)
 	p.ofType[s.Type] = append(p.ofType[s.Type], t.ID)
 	return t
+}
+
+// AttachTiles attaches the tiles in order, as AttachTile one at a time
+// would, after sizing the platform for all of them: the tile list, the
+// name index, one cell chunk, and the ID list of every type and of every
+// router that gains more tiles than its slot holds grow once, not per
+// tile. The lists that grow move to one slab.
+func (p *Platform) AttachTiles(specs []TileSpec) {
+	p.Tiles = slices.Grow(p.Tiles, len(specs))
+	if p.byName == nil {
+		p.byName = make(map[string]TileID, len(specs))
+	}
+	if cap(p.cells)-len(p.cells) < len(specs) {
+		p.cells = make([]tileCell, 0, len(specs))
+	}
+	perType, perRtr := make(map[TileType]int, 8), make([]int32, len(p.Routers))
+	for _, s := range specs {
+		perType[s.Type]++
+		perRtr[p.RouterAt(s.At).ID]++
+	}
+	need := len(p.Tiles) + len(specs) // every type's list
+	for r, n := range perRtr {
+		if l := len(p.atRtr[r]) + int(n); l > cap(p.atRtr[r]) {
+			need += l
+		}
+	}
+	slab := make([]TileID, 0, need)
+	carve := func(ids []TileID, n int) []TileID {
+		end := len(slab) + len(ids) + n
+		ids = append(slab[len(slab):len(slab):end], ids...)
+		slab = slab[:end]
+		return ids
+	}
+	for tt, n := range perType {
+		p.ofType[tt] = carve(p.ofType[tt], n)
+	}
+	for r, n := range perRtr {
+		if len(p.atRtr[r])+int(n) > cap(p.atRtr[r]) {
+			p.atRtr[r] = carve(p.atRtr[r], int(n))
+		}
+	}
+	for _, s := range specs {
+		p.AttachTile(s)
+	}
 }
 
 // Tile returns the tile with the given ID.

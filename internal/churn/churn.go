@@ -12,6 +12,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 
 	"rtsm/internal/journal"
 	"rtsm/internal/model"
@@ -174,7 +175,11 @@ func (o Options) Arrival(i, endpointRegions int) (*model.Application, *model.Lib
 	return o.arrival(i, endpointRegions, w)
 }
 
-// arrival is Arrival with the priority weights already parsed.
+// arrival is Arrival with the priority weights already parsed. The
+// structure and library come from the catalogue memo, and the arrival is
+// a shallow copy with its own name and class: the processes, channels
+// and library are shared with every other arrival of the entry and are
+// read-only.
 func (o Options) arrival(i, endpointRegions int, w [model.NumPriorities]int) (*model.Application, *model.Library) {
 	s := i % o.Catalogue
 	opts := workload.SynthOptions{
@@ -186,15 +191,48 @@ func (o Options) arrival(i, endpointRegions int, w [model.NumPriorities]int) (*m
 	}
 	if endpointRegions > 1 {
 		r := i % endpointRegions
-		opts.SrcTile = fmt.Sprintf("SRC%d", r)
-		opts.SinkTile = fmt.Sprintf("SINK%d", r)
+		opts.SrcTile = "SRC" + strconv.Itoa(r)
+		opts.SinkTile = "SINK" + strconv.Itoa(r)
 	}
-	name := fmt.Sprintf("app-%d", i)
+	e := catalogueEntry(opts)
+	app := *e.app
+	app.Name = "app-" + strconv.Itoa(i)
 	if o.PrioMix != "" {
-		opts.Priority = classOf(i, w)
-		name = fmt.Sprintf("app-%d-%s", i, opts.Priority)
+		app.QoS.Priority = classOf(i, w)
+		app.Name += "-" + app.QoS.Priority.String()
 	}
-	app, lib := workload.Synthetic(opts)
-	app.Name = name
-	return app, lib
+	return &app, e.lib
+}
+
+// memo holds the catalogue structures generated in this process, keyed
+// by generator options with Priority zero (the class is set per
+// arrival): generating one costs tens of microseconds, a third of it
+// seeding math/rand, and the drivers ask for the same few over and over.
+// Past memoCap entries (the serve catalogue has 48) it generates
+// without storing.
+var memo = struct {
+	sync.Mutex
+	m map[workload.SynthOptions]synthesized
+}{m: map[workload.SynthOptions]synthesized{}}
+
+const memoCap = 4096
+
+type synthesized struct {
+	app *model.Application
+	lib *model.Library
+}
+
+func catalogueEntry(opts workload.SynthOptions) synthesized {
+	memo.Lock()
+	e, ok := memo.m[opts]
+	memo.Unlock()
+	if !ok {
+		e.app, e.lib = workload.Synthetic(opts)
+		memo.Lock()
+		if len(memo.m) < memoCap {
+			memo.m[opts] = e
+		}
+		memo.Unlock()
+	}
+	return e
 }

@@ -2,15 +2,11 @@ package manager
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
-	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
 	"rtsm/internal/core"
-	"rtsm/internal/csdf"
 	"rtsm/internal/model"
 )
 
@@ -35,96 +31,26 @@ import (
 // and the application's display name. Two arrivals with equal
 // fingerprints are interchangeable for mapping purposes.
 //
-// The encoding is a hand-rolled length-prefixed binary walk of the spec
-// rather than reflected JSON: the fingerprint runs once per admission on
-// the warm path, where JSON encoding used to be the single largest cost.
-// The name and the QoS priority are excluded — identity is structural,
-// not nominal, and priority orders the queue, not the mapping.
-// Implementations are visited in process declaration order and library
-// registration order, both part of the mapping's semantics (they encode
-// the paper's tie-breaking); port maps are visited in sorted-key order
-// so equal structures hash equally. A catalogue structure encodes in
-// about 2 KiB, so the buffer starts on the stack and only a larger spec
-// grows it onto the heap.
+// It hashes a length-prefixed binary encoding rather than reflected
+// JSON: the fingerprint runs once per admission on the warm path, where
+// JSON encoding used to be the single largest cost. The application's
+// part (Application.AppendKey) leaves out the name and the QoS priority
+// — identity is structural, not nominal, and priority orders the queue,
+// not the mapping. Each process's implementations follow in declaration
+// order as the library keeps them encoded (Library.Key), so a repeat
+// admission with the same library copies bytes instead of walking its
+// port maps. A catalogue structure encodes in about 2 KiB, so the buffer
+// starts on the stack and only a larger spec grows it onto the heap.
 func Fingerprint(app *model.Application, lib *model.Library) (string, error) {
 	var stack [4 << 10]byte
-	b := stack[:0]
-	b = appendI64(b, app.QoS.PeriodNs)
-	b = appendI64(b, app.QoS.LatencyNs)
-	b = appendI64(b, int64(len(app.Processes)))
+	b := app.AppendKey(stack[:0])
 	for _, p := range app.Processes {
-		b = appendStr(b, p.Name)
-		b = appendStr(b, p.PinnedTile)
-		b = appendBool(b, p.Control)
-	}
-	b = appendI64(b, int64(len(app.Channels)))
-	for _, c := range app.Channels {
-		b = appendStr(b, c.Name)
-		b = appendI64(b, int64(c.Src))
-		b = appendI64(b, int64(c.Dst))
-		b = appendI64(b, c.TokensPerPeriod)
-		b = appendI64(b, c.TokenBytes)
-		b = appendStr(b, c.SrcPort)
-		b = appendStr(b, c.DstPort)
-	}
-	for _, p := range app.Processes {
-		for _, im := range lib.For(p.Name) {
-			b = appendStr(b, im.Process)
-			b = appendStr(b, string(im.TileType))
-			b = appendPattern(b, im.WCET)
-			b = appendPorts(b, im.In)
-			b = appendPorts(b, im.Out)
-			b = appendI64(b, int64(math.Float64bits(im.EnergyPerPeriod)))
-			b = appendI64(b, im.MemBytes)
-		}
+		b = append(b, lib.Key(p.Name)...)
 	}
 	sum := sha256.Sum256(b)
 	var digest [2 * sha256.Size]byte
 	hex.Encode(digest[:], sum[:])
 	return string(digest[:]), nil
-}
-
-// The fingerprint's byte encoding is unambiguous: every variable-length
-// field is length-prefixed, so no two distinct specs share an encoding.
-// The helpers append to and return the buffer, as strconv's do, which
-// lets Fingerprint's stack buffer stay on the stack.
-
-func appendI64(b []byte, v int64) []byte {
-	return binary.LittleEndian.AppendUint64(b, uint64(v))
-}
-
-func appendStr(b []byte, s string) []byte {
-	return append(appendI64(b, int64(len(s))), s...)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-func appendPattern(b []byte, p csdf.Pattern) []byte {
-	b = appendI64(b, int64(len(p)))
-	for _, v := range p {
-		b = appendI64(b, v)
-	}
-	return b
-}
-
-func appendPorts(b []byte, m map[string]csdf.Pattern) []byte {
-	var stack [8]string // spills to the heap only past eight ports
-	keys := stack[:0]
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	b = appendI64(b, int64(len(keys)))
-	for _, k := range keys {
-		b = appendStr(b, k)
-		b = appendPattern(b, m[k])
-	}
-	return b
 }
 
 // templatePoolSize caps how many alternative placements are remembered

@@ -148,16 +148,25 @@ func TestFaultStormAndPreemptionShareOneRegion(t *testing.T) {
 			runtime.Gosched()
 		}
 	}
-	// Saturate region 0 so every Critical arrival has to displace someone
-	// and every fault has residents to evacuate.
+	// fill admits best-effort residents of structure n into region 0
+	// until one is refused: the region is then too full for another
+	// arrival of that structure unless someone leaves or is displaced.
+	fill := func(tag string, n int) {
+		for i := 0; i < 100 && arrive(fmt.Sprintf("%s-%d", tag, i), n, 0.25, 400_000, model.BestEffort); i++ {
+		}
+	}
+	// Saturate region 0 so every fault has residents to evacuate.
 	for i := 0; i < 100 && arrive(fmt.Sprintf("bg-%d", i), i, 0.25, 400_000, model.BestEffort); i++ {
 	}
 
-	var wg sync.WaitGroup
+	// others is the fault storm and the churn; wg is everyone.
+	var wg, others sync.WaitGroup
 	var reports []FaultReport
 	wg.Add(1)
+	others.Add(1)
 	go func() {
 		defer wg.Done()
+		defer others.Done()
 		for k := 0; k < 40; k++ {
 			id := stormTiles[k%len(stormTiles)]
 			if rep := m.FailTile(id); rep.Failed {
@@ -168,8 +177,10 @@ func TestFaultStormAndPreemptionShareOneRegion(t *testing.T) {
 	}()
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
+		others.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer others.Done()
 			for i := 0; i < 40; i++ {
 				name := fmt.Sprintf("churn-%d-%d", w, i)
 				if arrive(name, w*40+i, 0.10, 40_000, model.BestEffort) {
@@ -181,9 +192,18 @@ func TestFaultStormAndPreemptionShareOneRegion(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// Critical arrivals stay, so the region stays full and each one
-		// has to displace a best-effort resident.
+		// The fault storm drops residents and the churn goroutines'
+		// departures free room, so the region is refilled with the
+		// Critical arrival's own structure right before it arrives. The
+		// last one waits for the storm and the churn to end, so nothing
+		// frees room between its refill and its arrival: it cannot get
+		// in without displacing a best-effort resident, whatever the
+		// interleaving. Critical arrivals stay.
 		for i := 0; i < 12; i++ {
+			if i == 11 {
+				others.Wait()
+			}
+			fill(fmt.Sprintf("refill-%d", i), i)
 			arrive(fmt.Sprintf("crit-%d", i), i, 0.25, 400_000, model.Critical)
 		}
 	}()

@@ -6,7 +6,12 @@
 package model
 
 import (
+	"encoding/binary"
 	"fmt"
+	"maps"
+	"math"
+	"slices"
+	"sync/atomic"
 
 	"rtsm/internal/arch"
 	"rtsm/internal/csdf"
@@ -285,6 +290,53 @@ func (a *Application) Rebind() error {
 	return a.Validate()
 }
 
+// AppendKey appends the application's structural identity to b: the
+// period and latency bounds, then every process and channel in
+// declaration order. The name and the priority are left out, since they
+// change how an arrival is queued, not how it maps. With Library.Key
+// per process it is the input of the manager's template fingerprint.
+func (a *Application) AppendKey(b []byte) []byte {
+	b = appendI64(b, a.QoS.PeriodNs)
+	b = appendI64(b, a.QoS.LatencyNs)
+	b = appendI64(b, int64(len(a.Processes)))
+	for _, p := range a.Processes {
+		b = appendStr(b, p.Name)
+		b = appendStr(b, p.PinnedTile)
+		b = appendBool(b, p.Control)
+	}
+	b = appendI64(b, int64(len(a.Channels)))
+	for _, c := range a.Channels {
+		b = appendStr(b, c.Name)
+		b = appendI64(b, int64(c.Src))
+		b = appendI64(b, int64(c.Dst))
+		b = appendI64(b, c.TokensPerPeriod)
+		b = appendI64(b, c.TokenBytes)
+		b = appendStr(b, c.SrcPort)
+		b = appendStr(b, c.DstPort)
+	}
+	return b
+}
+
+// The key encodings are unambiguous: every variable-length field is
+// length-prefixed, so no two distinct specs share an encoding. The
+// helpers append to and return the buffer, as strconv's do, so a
+// caller's stack buffer can stay on the stack.
+
+func appendI64(b []byte, v int64) []byte {
+	return binary.LittleEndian.AppendUint64(b, uint64(v))
+}
+
+func appendStr(b []byte, s string) []byte {
+	return append(appendI64(b, int64(len(s))), s...)
+}
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
 // Implementation is one concrete realisation of a process for one tile
 // type, specified as a CSDF actor with per-port rate patterns (the rows of
 // the paper's Table 1).
@@ -336,6 +388,36 @@ func (im *Implementation) Validate() error {
 	return nil
 }
 
+// appendKey appends the implementation's identity to b: every field,
+// port maps in sorted-key order so equal structures encode equally.
+func (im *Implementation) appendKey(b []byte) []byte {
+	b = appendStr(b, im.Process)
+	b = appendStr(b, string(im.TileType))
+	b = appendPattern(b, im.WCET)
+	b = appendPorts(b, im.In)
+	b = appendPorts(b, im.Out)
+	b = appendI64(b, int64(math.Float64bits(im.EnergyPerPeriod)))
+	return appendI64(b, im.MemBytes)
+}
+
+func appendPattern(b []byte, p csdf.Pattern) []byte {
+	b = appendI64(b, int64(len(p)))
+	for _, v := range p {
+		b = appendI64(b, v)
+	}
+	return b
+}
+
+func appendPorts(b []byte, m map[string]csdf.Pattern) []byte {
+	keys := slices.Sorted(maps.Keys(m))
+	b = appendI64(b, int64(len(keys)))
+	for _, k := range keys {
+		b = appendStr(b, k)
+		b = appendPattern(b, m[k])
+	}
+	return b
+}
+
 // CyclesPerPeriod returns the processing cycles the implementation needs
 // per QoS period when serving channel traffic of the given application:
 // the firings per period (channel tokens divided by the port's rate sum)
@@ -370,9 +452,13 @@ func (im *Implementation) CyclesPerPeriod(app *Application, p *Process) (int64, 
 }
 
 // Library is the run-time catalogue of available implementations, indexed
-// by process name.
+// by process name. Any number of goroutines may read a library at once,
+// Key included; Add must not run beside them.
 type Library struct {
 	impls map[string][]*Implementation
+	// keys holds each process's Key, built on first use and dropped by
+	// Add, so a key never describes fewer implementations than For.
+	keys atomic.Pointer[map[string][]byte]
 }
 
 // NewLibrary returns an empty library.
@@ -385,7 +471,30 @@ func (l *Library) Add(im *Implementation) *Library {
 		panic(err)
 	}
 	l.impls[im.Process] = append(l.impls[im.Process], im)
+	l.keys.Store(nil)
 	return l
+}
+
+// Key returns the identity of the named process's implementations: each
+// one's every field, in registration order, which encodes the paper's
+// tie-breaking. The bytes are built once per library, with each port
+// map's keys sorted once, and shared: the caller must not modify them.
+// Concurrent first calls each build the same bytes; the last one's stay.
+func (l *Library) Key(process string) []byte {
+	keys := l.keys.Load()
+	if keys == nil {
+		m := make(map[string][]byte, len(l.impls))
+		for name, ims := range l.impls {
+			var b []byte
+			for _, im := range ims {
+				b = im.appendKey(b)
+			}
+			m[name] = b
+		}
+		keys = &m
+		l.keys.Store(keys)
+	}
+	return (*keys)[process]
 }
 
 // For returns the implementations of the named process, in registration

@@ -2,6 +2,9 @@ package workload
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -124,4 +127,78 @@ func TestFigure2LayoutDerivation(t *testing.T) {
 		}
 	}
 	t.Fatalf("platform layout %+v is not among the Table 2-consistent solutions %+v", got, solutions)
+}
+
+// TestSyntheticPlatformsMatchTileByTile holds the one-call construction
+// to the tile-by-tile one it replaced: the same RNG draws, tile IDs,
+// names, order and indexes, and a description PlatformsIdentical accepts.
+func TestSyntheticPlatformsMatchTileByTile(t *testing.T) {
+	oneByOne := func(w, h int, seed int64, regionSize int) *arch.Platform {
+		rng := rand.New(rand.NewSource(seed))
+		p := arch.NewMesh(fmt.Sprintf("synthetic-%dx%d-seed%d", w, h, seed), w, h, 800_000_000)
+		i := 0
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				tt := synthTypes[rng.Intn(len(synthTypes))]
+				spec := arch.TileSpec{Name: string(tt) + strconv.Itoa(i), Type: tt, At: arch.Pt(x, y),
+					ClockHz: 200_000_000, NICapBps: 800_000_000}
+				switch tt {
+				case arch.TypeMontium:
+					spec.MemBytes, spec.MaxOccupants = 16<<10, 1
+				case arch.TypeDSP:
+					spec.MemBytes = 32 << 10
+				default:
+					spec.MemBytes = 64 << 10
+				}
+				p.AttachTile(spec)
+				i++
+			}
+		}
+		if regionSize <= 0 {
+			regionSize = max(w, h)
+		}
+		r := 0
+		for y0 := 0; y0 < h; y0 += regionSize {
+			for x0 := 0; x0 < w; x0 += regionSize {
+				x1, y1 := min(x0+regionSize, w)-1, min(y0+regionSize, h)-1
+				p.AttachTile(arch.TileSpec{Name: "SRC" + strconv.Itoa(r), Type: arch.TypeSource, At: arch.Pt(x0, y1),
+					ClockHz: 200_000_000, MemBytes: 64 << 10, NICapBps: 800_000_000})
+				p.AttachTile(arch.TileSpec{Name: "SINK" + strconv.Itoa(r), Type: arch.TypeSink, At: arch.Pt(x1, y0),
+					ClockHz: 200_000_000, MemBytes: 64 << 10, NICapBps: 800_000_000})
+				r++
+			}
+		}
+		return p
+	}
+	for _, c := range []struct {
+		w, h int
+		seed int64
+		size int
+	}{{12, 12, 123, 3}, {8, 8, 123, 0}, {8, 8, 1, 3}, {16, 16, 1, 4}, {7, 5, 9, 4}, {1, 1, 2, 0}, {40, 40, 5, 3}} {
+		got, want := SyntheticRegionPlatform(c.w, c.h, c.seed, c.size), oneByOne(c.w, c.h, c.seed, c.size)
+		if err := arch.PlatformsIdentical(got, want); err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+		if got.Name != want.Name {
+			t.Fatalf("%+v: platform %q, want %q", c, got.Name, want.Name)
+		}
+		for _, tl := range want.Tiles {
+			if g := got.TileByName(tl.Name); g == nil || g.ID != tl.ID {
+				t.Fatalf("%+v: TileByName(%q) = %v, want tile %d", c, tl.Name, g, tl.ID)
+			}
+		}
+		for _, tt := range want.TileTypes() {
+			if !slices.Equal(got.TilesOfType(tt), want.TilesOfType(tt)) {
+				t.Fatalf("%+v: TilesOfType(%s) = %v, want %v", c, tt, got.TilesOfType(tt), want.TilesOfType(tt))
+			}
+		}
+		for r := range want.Routers {
+			if g, w := got.TilesAtRouter(arch.RouterID(r)), want.TilesAtRouter(arch.RouterID(r)); !slices.Equal(g, w) {
+				t.Fatalf("%+v: TilesAtRouter(%d) = %v, want %v", c, r, g, w)
+			}
+		}
+	}
+	if err := arch.PlatformsIdentical(SyntheticPlatform(9, 7, 3), oneByOne(9, 7, 3, 0)); err != nil {
+		t.Fatalf("SyntheticPlatform: %v", err)
+	}
 }

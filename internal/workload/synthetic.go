@@ -262,16 +262,7 @@ func addSyntheticImpls(lib *model.Library, app *model.Application, p *model.Proc
 // the pinned stream endpoints SRC0 (bottom-left router) and SINK0
 // (top-right router). Montium tiles hold one kernel at a time.
 func SyntheticPlatform(w, h int, seed int64) *arch.Platform {
-	p := SyntheticPlatformWithoutEndpoints(w, h, seed)
-	p.AttachTile(arch.TileSpec{
-		Name: "SRC0", Type: arch.TypeSource, At: arch.Pt(0, h-1),
-		ClockHz: 200_000_000, MemBytes: 64 << 10, NICapBps: 800_000_000,
-	})
-	p.AttachTile(arch.TileSpec{
-		Name: "SINK0", Type: arch.TypeSink, At: arch.Pt(w-1, 0),
-		ClockHz: 200_000_000, MemBytes: 64 << 10, NICapBps: 800_000_000,
-	})
-	return p
+	return SyntheticRegionPlatform(w, h, seed, 0)
 }
 
 // SyntheticRegionPlatform builds the same mesh as SyntheticPlatform with
@@ -282,46 +273,29 @@ func SyntheticPlatform(w, h int, seed int64) *arch.Platform {
 // (SynthOptions.SrcTile / SinkTile) starts and ends inside that block.
 // regionSize ≤ 0 or covering the whole mesh yields one block (endpoints
 // then match SyntheticPlatform's SRC0/SINK0 placement).
+//
+// A restart builds one per recovery, so the tiles are attached in one
+// AttachTiles call and their names are carved from one string.
 func SyntheticRegionPlatform(w, h int, seed int64, regionSize int) *arch.Platform {
-	p := SyntheticPlatformWithoutEndpoints(w, h, seed)
 	if regionSize <= 0 {
 		regionSize = max(w, h)
 	}
-	r := 0
-	for y0 := 0; y0 < h; y0 += regionSize {
-		for x0 := 0; x0 < w; x0 += regionSize {
-			x1, y1 := min(x0+regionSize, w)-1, min(y0+regionSize, h)-1
-			p.AttachTile(arch.TileSpec{
-				Name: "SRC" + strconv.Itoa(r), Type: arch.TypeSource, At: arch.Pt(x0, y1),
-				ClockHz: 200_000_000, MemBytes: 64 << 10, NICapBps: 800_000_000,
-			})
-			p.AttachTile(arch.TileSpec{
-				Name: "SINK" + strconv.Itoa(r), Type: arch.TypeSink, At: arch.Pt(x1, y0),
-				ClockHz: 200_000_000, MemBytes: 64 << 10, NICapBps: 800_000_000,
-			})
-			r++
-		}
+	blocks := ((w + regionSize - 1) / regionSize) * ((h + regionSize - 1) / regionSize)
+	specs := make([]arch.TileSpec, 0, w*h+2*blocks)
+	// Names are written into one buffer, on the stack for a mesh this
+	// size, and copied out as one string; ends[i] is where tile i's ends.
+	var nameStack [2 << 10]byte
+	var endsStack [256]int32
+	names, ends := nameStack[:0], endsStack[:0]
+	name := func(prefix string, i int) {
+		names = strconv.AppendInt(append(names, prefix...), int64(i), 10)
+		ends = append(ends, int32(len(names)))
 	}
-	return p
-}
-
-// SyntheticPlatformWithoutEndpoints is SyntheticPlatform minus the
-// SRC0/SINK0 tiles, for callers that attach their own stream endpoints.
-// The processing-tile layout is identical for identical seeds.
-func SyntheticPlatformWithoutEndpoints(w, h int, seed int64) *arch.Platform {
 	rng := rand.New(rand.NewSource(seed))
-	p := arch.NewMesh(fmt.Sprintf("synthetic-%dx%d-seed%d", w, h, seed), w, h, 800_000_000)
-	i := 0
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			tt := synthTypes[rng.Intn(len(synthTypes))]
-			spec := arch.TileSpec{
-				Name:     string(tt) + strconv.Itoa(i),
-				Type:     tt,
-				At:       arch.Pt(x, y),
-				ClockHz:  200_000_000,
-				NICapBps: 800_000_000,
-			}
+			spec := arch.TileSpec{Type: tt, At: arch.Pt(x, y), ClockHz: 200_000_000, NICapBps: 800_000_000}
 			switch tt {
 			case arch.TypeMontium:
 				spec.MemBytes = 16 << 10
@@ -331,9 +305,31 @@ func SyntheticPlatformWithoutEndpoints(w, h int, seed int64) *arch.Platform {
 			default:
 				spec.MemBytes = 64 << 10
 			}
-			p.AttachTile(spec)
-			i++
+			name(string(tt), len(specs))
+			specs = append(specs, spec)
 		}
 	}
+	r := 0
+	for y0 := 0; y0 < h; y0 += regionSize {
+		for x0 := 0; x0 < w; x0 += regionSize {
+			x1, y1 := min(x0+regionSize, w)-1, min(y0+regionSize, h)-1
+			name("SRC", r)
+			name("SINK", r)
+			specs = append(specs, arch.TileSpec{
+				Type: arch.TypeSource, At: arch.Pt(x0, y1),
+				ClockHz: 200_000_000, MemBytes: 64 << 10, NICapBps: 800_000_000,
+			}, arch.TileSpec{
+				Type: arch.TypeSink, At: arch.Pt(x1, y0),
+				ClockHz: 200_000_000, MemBytes: 64 << 10, NICapBps: 800_000_000,
+			})
+			r++
+		}
+	}
+	all, start := string(names), int32(0)
+	for i, end := range ends {
+		specs[i].Name, start = all[start:end], end
+	}
+	p := arch.NewMesh(fmt.Sprintf("synthetic-%dx%d-seed%d", w, h, seed), w, h, 800_000_000)
+	p.AttachTiles(specs)
 	return p
 }
