@@ -16,30 +16,6 @@ import (
 	"rtsm/internal/experiments"
 )
 
-// selectors maps each -e value to its report; iters sizes the runtime
-// experiment.
-var selectors = map[string]func(iters int) (string, error){
-	"fig1":   func(int) (string, error) { return experiments.Fig1(), nil },
-	"table1": func(int) (string, error) { return experiments.Table1(experiments.DefaultMode), nil },
-	"fig2":   func(int) (string, error) { return experiments.Fig2(), nil },
-	"table2": func(int) (out string, err error) { out, _, err = experiments.Table2(); return },
-	"fig3":   func(int) (out string, err error) { out, _, err = experiments.Fig3(); return },
-	"runtime": func(iters int) (string, error) {
-		rep, err := experiments.MapperRuntime(iters)
-		if err != nil {
-			return "", err
-		}
-		return rep.String(), nil
-	},
-	"runtime-vs-designtime": func(int) (out string, err error) { _, out, err = experiments.RuntimeVsDesignTime(); return },
-	"quality":               func(int) (out string, err error) { _, out, err = experiments.Quality(10); return },
-	"scaling":               func(int) (out string, err error) { _, out, err = experiments.Scaling(); return },
-	"ablation":              func(int) (out string, err error) { _, out, err = experiments.Ablation(); return },
-	"validate":              func(int) (string, error) { return experiments.ValidateAll() },
-	"admission":             func(int) (out string, err error) { _, out, err = experiments.Admission(); return },
-	"all":                   func(int) (string, error) { return experiments.All() },
-}
-
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run exits 0 when the report printed, 2 for a bad flag or an unknown
@@ -55,11 +31,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	reports := map[string]func(iters int) (string, error){"all": experiments.All}
+	for _, r := range experiments.Reports {
+		reports[r.ID] = r.Run
+	}
 	if *list {
-		fmt.Fprintln(stdout, strings.Join(slices.Sorted(maps.Keys(selectors)), "\n"))
+		fmt.Fprintln(stdout, strings.Join(slices.Sorted(maps.Keys(reports)), "\n"))
 		return 0
 	}
-	report, ok := selectors[*which]
+	report, ok := reports[*which]
 	if !ok {
 		fmt.Fprintf(stderr, "experiments: unknown experiment %q (try -list)\n", *which)
 		return 2

@@ -70,3 +70,11 @@ func TestRunRuntimeSelector(t *testing.T) {
 		t.Errorf("runtime output missing header:\n%s", out)
 	}
 }
+
+// TestRunAllHonoursIters runs the whole registry: -e all passes -iters to
+// the runtime experiment like -e runtime does.
+func TestRunAllHonoursIters(t *testing.T) {
+	checkRows(t, []dispatchRow{
+		{[]string{"-e", "all", "-iters", "2"}, 0, "over 2 runs", ""},
+	})
+}

@@ -170,13 +170,13 @@ func (c *config) drive(title string, script chaos.Script, target chaos.Target) i
 	}
 	c.reportManager(rep)
 	fmt.Fprintf(w, "  pristine          %v\n", rep.Pristine)
-	fmt.Fprintf(w, "  ledger ok         %v\n", rep.LedgerOK)
+	fmt.Fprintf(w, "  ledger ok         %v\n", rep.Stream.LedgerOK())
 	code := 0
-	if !rep.LedgerOK {
+	if !rep.Stream.LedgerOK() {
 		code = c.fail(1, "aggregate ledger mismatch")
 	}
-	if rep.CriticalShed != 0 {
-		code = c.fail(1, "%d Critical arrivals shed", rep.CriticalShed)
+	if shed := rep.Stream.ShedByClass[model.Critical]; shed != 0 {
+		code = c.fail(1, "%d Critical arrivals shed", shed)
 	}
 	if rep.InvariantErr != nil {
 		code = c.fail(1, "reservation invariants: %v", rep.InvariantErr)

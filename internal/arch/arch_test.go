@@ -60,13 +60,8 @@ func TestAttachAndLookup(t *testing.T) {
 	if len(arms) != 2 || p.Tile(arms[0]).Name != "ARM1" {
 		t.Errorf("TilesOfType(ARM) = %v; declaration order must be preserved", arms)
 	}
-	types := p.TileTypes()
-	if len(types) != 2 || types[0] != TypeARM || types[1] != TypeMontium {
-		t.Errorf("TileTypes = %v", types)
-	}
-	at := p.TilesAtRouter(p.RouterAt(Point{0, 0}).ID)
-	if len(at) != 1 || p.Tile(at[0]).Name != "M1" {
-		t.Errorf("TilesAtRouter(0,0) = %v", at)
+	if m1 := p.TileByName("M1"); m1.Router != p.RouterAt(Point{0, 0}).ID {
+		t.Errorf("M1 attached to router %d, want (0,0)", m1.Router)
 	}
 }
 
@@ -124,9 +119,10 @@ func TestReservationsAndReset(t *testing.T) {
 	if p.Links[0].FreeBps() != 1_000_000_000-500 {
 		t.Errorf("FreeBps = %d", p.Links[0].FreeBps())
 	}
-	p.ResetReservations()
-	if tl.ReservedMem != 0 || tl.Occupants != 0 || p.Links[0].ReservedBps != 0 {
-		t.Error("ResetReservations left state behind")
+	// Copying a pristine platform over it resets every reservation.
+	mesh3x3(t).CopyInto(p)
+	if tl := p.TileByName("M1"); tl.ReservedMem != 0 || tl.Occupants != 0 || p.Links[0].ReservedBps != 0 {
+		t.Error("a pristine copy left state behind")
 	}
 }
 

@@ -24,14 +24,15 @@ func cloneTestPlatform(w, h int) *Platform {
 
 // mutateRandomly applies a burst of random state changes — reservations
 // the way commits and mapper steps write them, faults and restorations,
-// and now and then a ResetReservations, the bluntest write there is.
+// and now and then a pristine platform copied over the whole state, the
+// bluntest write there is.
 func mutateRandomly(p *Platform, rng *rand.Rand, n int) {
 	for i := 0; i < n; i++ {
 		tid := TileID(rng.Intn(len(p.Tiles)))
 		lid := LinkID(rng.Intn(len(p.Links)))
 		switch rng.Intn(12) {
 		case 0:
-			p.ResetReservations()
+			cloneTestPlatform(p.Width, p.Height).CopyInto(p)
 		case 1:
 			p.FailTile(tid)
 		case 2:
@@ -92,7 +93,7 @@ func TestCoWSnapshotMatchesDeepCopy(t *testing.T) {
 			if err := snapshotMatches(snap, ref); err != nil {
 				t.Fatalf("live mutations leaked into a snapshot: %v", err)
 			}
-			p.ResetReservations()
+			cloneTestPlatform(6, 6).CopyInto(p)
 			p.FailTile(0)
 			p.FailLink(0)
 			if err := snapshotMatches(snap, ref); err != nil {

@@ -67,17 +67,6 @@ func (p *Platform) RestoreLink(id LinkID) bool {
 	return true
 }
 
-// FailedTiles returns the IDs of currently failed tiles, ascending.
-func (p *Platform) FailedTiles() []TileID {
-	var out []TileID
-	for _, t := range p.Tiles {
-		if t.Failed {
-			out = append(out, t.ID)
-		}
-	}
-	return out
-}
-
 // PlatformsIdentical compares the complete reservation state of two
 // platforms struct by struct — every tile field (description by value,
 // reservations, occupancy, failure flag) and every link field must match

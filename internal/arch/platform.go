@@ -3,7 +3,6 @@ package arch
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 )
@@ -24,7 +23,6 @@ type Platform struct {
 
 	out    [][]LinkID            // router -> outgoing link IDs
 	byName map[string]TileID     // tile name -> id
-	atRtr  [][]TileID            // router -> attached tile IDs
 	ofType map[TileType][]TileID // tile type -> ids in declaration order
 
 	// version counts committed reservation changes across the whole
@@ -68,15 +66,13 @@ func NewMesh(name string, w, h int, linkCapBps int64) *Platform {
 		Links:      make([]*Link, nLinks),
 		Tiles:      make([]*Tile, 0, n),
 		out:        make([][]LinkID, n),
-		atRtr:      make([][]TileID, n),
 		ofType:     make(map[TileType][]TileID),
 	}
-	routers, adj, at := make([]Router, n), make([]LinkID, 4*n), make([]TileID, n)
+	routers, adj := make([]Router, n), make([]LinkID, 4*n)
 	for i := range routers {
 		routers[i] = Router{ID: RouterID(i), Pos: Point{i % w, i / w}, LatencyCycles: 4}
 		p.Routers[i] = &routers[i]
 		p.out[i] = adj[4*i : 4*i : 4*i+4]
-		p.atRtr[i] = at[i : i : i+1] // the first tile at a router stays in the slab
 	}
 	links := make([]struct {
 		Link
@@ -156,16 +152,14 @@ func (p *Platform) AttachTile(s TileSpec) *Tile {
 	t := &c.Tile
 	p.Tiles = append(p.Tiles, t)
 	p.byName[s.Name] = t.ID
-	p.atRtr[r.ID] = append(p.atRtr[r.ID], t.ID)
 	p.ofType[s.Type] = append(p.ofType[s.Type], t.ID)
 	return t
 }
 
 // AttachTiles attaches the tiles in order, as AttachTile one at a time
 // would, after sizing the platform for all of them: the tile list, the
-// name index, one cell chunk, and the ID list of every type and of every
-// router that gains more tiles than its slot holds grow once, not per
-// tile. The lists that grow move to one slab.
+// name index, one cell chunk and the ID list of every type grow once,
+// not per tile. The type lists move to one slab.
 func (p *Platform) AttachTiles(specs []TileSpec) {
 	p.Tiles = slices.Grow(p.Tiles, len(specs))
 	if p.byName == nil {
@@ -174,31 +168,16 @@ func (p *Platform) AttachTiles(specs []TileSpec) {
 	if cap(p.cells)-len(p.cells) < len(specs) {
 		p.cells = make([]tileCell, 0, len(specs))
 	}
-	perType, perRtr := make(map[TileType]int, 8), make([]int32, len(p.Routers))
+	perType := make(map[TileType]int, 8)
 	for _, s := range specs {
 		perType[s.Type]++
-		perRtr[p.RouterAt(s.At).ID]++
 	}
-	need := len(p.Tiles) + len(specs) // every type's list
-	for r, n := range perRtr {
-		if l := len(p.atRtr[r]) + int(n); l > cap(p.atRtr[r]) {
-			need += l
-		}
-	}
-	slab := make([]TileID, 0, need)
-	carve := func(ids []TileID, n int) []TileID {
-		end := len(slab) + len(ids) + n
-		ids = append(slab[len(slab):len(slab):end], ids...)
-		slab = slab[:end]
-		return ids
-	}
+	slab := make([]TileID, 0, len(p.Tiles)+len(specs))
 	for tt, n := range perType {
-		p.ofType[tt] = carve(p.ofType[tt], n)
-	}
-	for r, n := range perRtr {
-		if len(p.atRtr[r])+int(n) > cap(p.atRtr[r]) {
-			p.atRtr[r] = carve(p.atRtr[r], int(n))
-		}
+		ids := p.ofType[tt]
+		end := len(slab) + len(ids) + n
+		p.ofType[tt] = append(slab[len(slab):len(slab):end], ids...)
+		slab = slab[:end]
 	}
 	for _, s := range specs {
 		p.AttachTile(s)
@@ -226,23 +205,6 @@ func (p *Platform) TileByName(name string) *Tile {
 // declaration order. The slice is the platform's own index, shared by
 // every clone.
 func (p *Platform) TilesOfType(tt TileType) []TileID { return p.ofType[tt] }
-
-// TilesAtRouter returns the IDs of tiles attached to a router.
-func (p *Platform) TilesAtRouter(r RouterID) []TileID { return p.atRtr[r] }
-
-// TileTypes returns the set of tile types present, sorted for determinism.
-func (p *Platform) TileTypes() []TileType {
-	seen := make(map[TileType]bool)
-	for _, t := range p.Tiles {
-		seen[t.Type] = true
-	}
-	out := make([]TileType, 0, len(seen))
-	for tt := range seen {
-		out = append(out, tt)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // Pos returns the mesh coordinate of the tile's router.
 func (p *Platform) Pos(id TileID) Point { return p.Routers[p.Tile(id).Router].Pos }
@@ -273,24 +235,6 @@ func (p *Platform) LinkBetween(a, b RouterID) *Link {
 	return nil
 }
 
-// ResetReservations clears all resource reservations on tiles and links,
-// returning the platform to its pristine state. The mapper calls this
-// between independent mapping attempts; multi-application scenarios do not
-// call it, so reservations of admitted applications persist.
-func (p *Platform) ResetReservations() {
-	for _, t := range p.Tiles {
-		t.ReservedMem = 0
-		t.ReservedInBps = 0
-		t.ReservedOutBps = 0
-		t.ReservedUtil = 0
-		t.Occupants = 0
-	}
-	for _, l := range p.Links {
-		l.ReservedBps = 0
-	}
-	p.version.Add(1)
-}
-
 // Clone returns a copy of the platform including reservation state, private
 // to whoever holds it: CopyInto a new platform, five allocations whatever
 // the mesh size. When p is shared between goroutines the caller holds
@@ -311,7 +255,7 @@ func (p *Platform) Clone() *Platform {
 func (p *Platform) CopyInto(dst *Platform) {
 	dst.Name, dst.Width, dst.Height, dst.NoCClockHz = p.Name, p.Width, p.Height, p.NoCClockHz
 	dst.Routers, dst.out = p.Routers, p.out
-	dst.byName, dst.atRtr, dst.ofType = p.byName, p.atRtr, p.ofType
+	dst.byName, dst.ofType = p.byName, p.ofType
 	dst.version.Store(p.version.Load())
 	tiles, tptrs := dst.tileSlab, dst.Tiles
 	if n := len(p.Tiles); cap(tiles) < n || cap(tptrs) < n {
@@ -344,21 +288,18 @@ func (p *Platform) CloneCoW() *Platform { return p.Clone() }
 func (p *Platform) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %d×%d mesh, %d tiles\n", p.Name, p.Width, p.Height, len(p.Tiles))
+	names := make([][]string, len(p.Routers))
+	for _, t := range p.Tiles { // in ID order
+		names[t.Router] = append(names[t.Router], t.Name)
+	}
 	colW := 1
 	cells := make([]string, len(p.Routers))
-	for i, r := range p.Routers {
-		names := make([]string, 0, 1)
-		for _, tid := range p.atRtr[r.ID] {
-			names = append(names, p.Tiles[tid].Name)
+	for i := range cells {
+		cells[i] = "R"
+		if len(names[i]) > 0 {
+			cells[i] = "R[" + strings.Join(names[i], ",") + "]"
 		}
-		cell := "R"
-		if len(names) > 0 {
-			cell = "R[" + strings.Join(names, ",") + "]"
-		}
-		cells[i] = cell
-		if len(cell) > colW {
-			colW = len(cell)
-		}
+		colW = max(colW, len(cells[i]))
 	}
 	for y := 0; y < p.Height; y++ {
 		for x := 0; x < p.Width; x++ {

@@ -34,7 +34,8 @@ func (p *Platform) Snapshot() *Snapshot {
 }
 
 // Version returns the platform's reservation version: a counter bumped on
-// every committed reservation change (Apply, Remove, ResetReservations).
+// every committed reservation change (a plan's Commit or Release) and
+// every fault and restore.
 // The counter is atomic, so reading it needs no lock; the reservation
 // state it summarises still does.
 func (p *Platform) Version() uint64 { return p.version.Load() }

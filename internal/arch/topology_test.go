@@ -3,6 +3,7 @@ package arch_test
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"rtsm/internal/arch"
@@ -10,11 +11,12 @@ import (
 )
 
 // TestSlabMeshTopology checks the slab-built lookup tables against a
-// brute-force scan of Links and Tiles: OutLinks, LinkBetween and
-// TilesAtRouter on thin, odd and full-size meshes, with routers that carry
-// one tile, two tiles or none, and the 12×12 region platform, where some
-// routers carry a processing tile plus a SRC or SINK tile. A Clone taken
-// right after construction must be identical to the original.
+// brute-force scan of Links and Tiles: OutLinks, LinkBetween and the
+// floor plan String draws, router by router, on thin, odd and full-size
+// meshes, with routers that carry one tile, two tiles or none, and the
+// 12×12 region platform, where some routers carry a processing tile plus
+// a SRC or SINK tile. A Clone taken right after construction must be
+// identical to the original.
 func TestSlabMeshTopology(t *testing.T) {
 	plats := []*arch.Platform{workload.SyntheticRegionPlatform(12, 12, 123, 3)}
 	for _, d := range [][2]int{{1, 7}, {7, 1}, {3, 5}, {12, 12}} {
@@ -43,6 +45,7 @@ func TestSlabMeshTopology(t *testing.T) {
 			if want := 2 * ((w-1)*h + w*(h-1)); len(p.Links) != want {
 				t.Fatalf("%d links, want %d", len(p.Links), want)
 			}
+			rows := strings.Split(p.String(), "\n")[1:]
 			for _, r := range p.Routers {
 				var out []arch.LinkID
 				for _, l := range p.Links {
@@ -53,14 +56,18 @@ func TestSlabMeshTopology(t *testing.T) {
 				if got := p.OutLinks(r.ID); !slices.Equal(got, out) {
 					t.Fatalf("OutLinks(%d) = %v, scan %v", r.ID, got, out)
 				}
-				var at []arch.TileID
+				var at []string
 				for _, tl := range p.Tiles {
 					if tl.Router == r.ID {
-						at = append(at, tl.ID)
+						at = append(at, tl.Name)
 					}
 				}
-				if got := p.TilesAtRouter(r.ID); !slices.Equal(got, at) {
-					t.Fatalf("TilesAtRouter(%d) = %v, scan %v", r.ID, got, at)
+				cell := "R"
+				if len(at) > 0 {
+					cell = "R[" + strings.Join(at, ",") + "]"
+				}
+				if got := strings.Fields(rows[r.Pos.Y])[r.Pos.X]; got != cell {
+					t.Fatalf("String draws router %d as %s, scan %s", r.ID, got, cell)
 				}
 				for _, s := range p.Routers {
 					var want *arch.Link

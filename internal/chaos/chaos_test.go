@@ -8,6 +8,7 @@ import (
 
 	"rtsm/internal/churn"
 	"rtsm/internal/journal"
+	"rtsm/internal/model"
 	"rtsm/internal/stream"
 )
 
@@ -93,11 +94,11 @@ func TestChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.LedgerOK {
+	if !rep.Stream.LedgerOK() {
 		t.Fatalf("aggregate ledger broken: %+v", rep.Stream)
 	}
-	if rep.CriticalShed != 0 {
-		t.Fatalf("chaos shed %d Critical arrivals", rep.CriticalShed)
+	if shed := rep.Stream.ShedByClass[model.Critical]; shed != 0 {
+		t.Fatalf("chaos shed %d Critical arrivals", shed)
 	}
 	if rep.Arrivals != 600 {
 		t.Fatalf("issued %d arrivals, want 600", rep.Arrivals)
@@ -149,7 +150,7 @@ func TestChaosReplaysJournalWithoutCrashStep(t *testing.T) {
 		t.Fatalf("crashes %d, incarnations %d, replay checks %d, want 0/1/1",
 			rep.Crashes, rep.Incarnations, rep.ReplayChecks)
 	}
-	if !rep.LedgerOK || rep.Stream.Admitted == 0 {
+	if !rep.Stream.LedgerOK() || rep.Stream.Admitted == 0 {
 		t.Fatalf("run admitted nothing or broke the ledger: %+v", rep.Stream)
 	}
 }
@@ -171,7 +172,7 @@ func TestChaosRejectsBadConfig(t *testing.T) {
 // exact, the reservation invariants holding and the platform pristine.
 func checkClean(t *testing.T, rep Report) {
 	t.Helper()
-	if !rep.LedgerOK {
+	if !rep.Stream.LedgerOK() {
 		t.Fatalf("aggregate ledger broken: %+v", rep.Stream)
 	}
 	if rep.InvariantErr != nil {

@@ -68,7 +68,9 @@ type Report struct {
 	FaultRecoverTotal, FaultRecoverMax time.Duration
 	// Stream is the aggregate ledger: every incarnation's shutdown
 	// report summed. The exactly-one-outcome identity is linear, so
-	// LedgerOK on the sum checks the whole run.
+	// Stream.LedgerOK checks the whole run, and Stream.ShedByClass's
+	// Critical count — the harness's protected invariant — is 0 on a
+	// healthy run.
 	Stream stream.Report
 	// Door is the aggregate HTTP accounting across incarnations (zero on
 	// the Direct target).
@@ -85,11 +87,6 @@ type Report struct {
 	// sums the unsealed events recovery truncated.
 	ReplayChecks  int
 	TornDiscarded int
-	// CriticalShed is the aggregate Critical-class shed count — the
-	// harness's protected invariant, 0 on a healthy run.
-	CriticalShed uint64
-	// LedgerOK is the aggregate exactly-one-outcome identity.
-	LedgerOK bool
 	// Pristine reports that, once every failed tile and link was restored
 	// and every resident stopped, the platform's residual equalled a
 	// fresh one's; Drift details the difference when it did not.
@@ -180,8 +177,6 @@ func Run(script Script, o Options) (Report, error) {
 	if err := r.st.Close(); err != nil {
 		return r.rep, fmt.Errorf("chaos: journal: %w", err)
 	}
-	r.rep.CriticalShed = r.rep.Stream.ShedByClass[model.Critical]
-	r.rep.LedgerOK = r.rep.Stream.LedgerOK()
 	return r.rep, nil
 }
 

@@ -152,11 +152,14 @@ func TestRepairRegionShortcut(t *testing.T) {
 	repair("unchanged platform")
 
 	// A region-3 router's tiles, which the quadrant-0 mapping never holds.
-	for _, tid := range plat.TilesAtRouter(plat.RouterAt(arch.Pt(7, 7)).ID) {
-		if plan.UsesTile(tid) {
-			t.Fatalf("fixture mapping unexpectedly holds %s", plat.Tile(tid).Name)
+	for _, tl := range plat.Tiles {
+		if tl.Router != plat.RouterAt(arch.Pt(7, 7)).ID {
+			continue
 		}
-		plat.Tile(tid).ReservedMem = plat.Tile(tid).MemBytes
+		if plan.UsesTile(tl.ID) {
+			t.Fatalf("fixture mapping unexpectedly holds %s", tl.Name)
+		}
+		tl.ReservedMem = tl.MemBytes
 	}
 	plat.BumpVersion()
 	repair("foreign-region change")

@@ -52,7 +52,7 @@ func (s *graphSpec) normalise() {
 			continue
 		}
 		k := gcd64(p, q)
-		c.prod, c.cons = c.prod.Scale(q/k), c.cons.Scale(p/k)
+		c.prod, c.cons = c.prod.ScaleDiv(q/k, 1), c.cons.ScaleDiv(p/k, 1)
 	}
 }
 
@@ -447,7 +447,7 @@ func TestRepetitionDifferential(t *testing.T) {
 		if rng.Intn(4) == 0 && len(spec.channels) > 0 {
 			// Unbalance one channel: mostly inconsistent, sometimes not.
 			c := &spec.channels[rng.Intn(len(spec.channels))]
-			c.prod = c.prod.Scale(int64(2 + rng.Intn(2)))
+			c.prod = c.prod.ScaleDiv(int64(2+rng.Intn(2)), 1)
 			spec.actors = append(spec.actors, actorSpec{cycles: 1, wcet: Vals(1)}) // and a second component
 		}
 		g := NewGraph("rep")

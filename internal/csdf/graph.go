@@ -135,16 +135,6 @@ func (g *Graph) In(a ActorID) []ChannelID { return g.in[a] }
 // Out returns the IDs of channels leaving actor a.
 func (g *Graph) Out(a ActorID) []ChannelID { return g.out[a] }
 
-// ActorByName returns the first actor with the given name, or nil.
-func (g *Graph) ActorByName(name string) *Actor {
-	for _, a := range g.Actors {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
 // Validate checks structural sanity: every actor has at least one phase,
 // all rates are non-negative, and every channel's rate patterns match the
 // phase counts of its endpoints.

@@ -28,11 +28,8 @@ func TestGraphTopology(t *testing.T) {
 	if got := g.In(c); len(got) != 1 || g.Channel(got[0]).Src != b {
 		t.Errorf("In(c) = %v", got)
 	}
-	if g.ActorByName("b").ID != b {
-		t.Error("ActorByName(b) wrong")
-	}
-	if g.ActorByName("zzz") != nil {
-		t.Error("ActorByName of unknown name should be nil")
+	if a := g.Actors[b]; a.ID != b || a.Name != "b" {
+		t.Errorf("Actors[b] = %d %q", a.ID, a.Name)
 	}
 }
 

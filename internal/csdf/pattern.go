@@ -95,16 +95,6 @@ func (p Pattern) At(i int64) int64 {
 	return p[int(i%int64(len(p)))]
 }
 
-// Scale returns a copy of the pattern with every value multiplied by k.
-// It converts, for example, cycle counts into nanoseconds.
-func (p Pattern) Scale(k int64) Pattern {
-	out := make(Pattern, len(p))
-	for i, v := range p {
-		out[i] = v * k
-	}
-	return out
-}
-
 // ScaleDiv returns a copy with every value multiplied by num and divided by
 // den, rounding up. Rounding up keeps worst-case execution times
 // conservative when converting between clock domains.

@@ -47,8 +47,8 @@ func TestPatternString(t *testing.T) {
 
 func TestPatternScale(t *testing.T) {
 	p := Vals(1, 2, 3)
-	if got := p.Scale(10); got[0] != 10 || got[1] != 20 || got[2] != 30 {
-		t.Errorf("Scale(10) = %v", got)
+	if got := p.ScaleDiv(10, 1); got[0] != 10 || got[1] != 20 || got[2] != 30 {
+		t.Errorf("ScaleDiv(10, 1) = %v", got)
 	}
 	// ScaleDiv rounds up: 3 cycles at num=10/den=3 → ceil(30/3)=10.
 	q := Vals(1).ScaleDiv(10, 3)
@@ -57,7 +57,7 @@ func TestPatternScale(t *testing.T) {
 	}
 	// Scaling must not mutate the receiver.
 	if p[0] != 1 {
-		t.Error("Scale mutated receiver")
+		t.Error("ScaleDiv mutated receiver")
 	}
 }
 

@@ -86,7 +86,7 @@ func executeRef(g *Graph, opts ExecOptions) (*ExecResult, error) {
 	firingCap := make([]int64, n) // stop actors that ran far enough ahead
 	perIter := make([]int64, n)
 	for i := range g.Actors {
-		perIter[i] = rv.Firings(g, ActorID(i))
+		perIter[i] = rv.Cycles[i] * int64(g.Actors[i].Phases())
 		firingCap[i] = (totalIters + 1) * perIter[i]
 	}
 

@@ -13,11 +13,6 @@ type RepetitionVector struct {
 	Cycles []int64
 }
 
-// Firings returns the number of firings of actor a per graph iteration.
-func (rv *RepetitionVector) Firings(g *Graph, a ActorID) int64 {
-	return rv.Cycles[a] * int64(g.Actors[a].Phases())
-}
-
 // Repetition computes the repetition vector of the graph by solving the
 // balance equations
 //

@@ -610,57 +610,47 @@ func ValidateAll() (string, error) {
 	return b.String(), nil
 }
 
-// All runs every experiment and concatenates the reports in ID order.
-func All() (string, error) {
-	var parts []string
-	parts = append(parts, Fig1())
-	parts = append(parts, Table1(DefaultMode))
-	parts = append(parts, Fig2())
-	t2, _, err := Table2()
-	if err != nil {
-		return "", err
+// Report is one experiment of the registry: its cmd/experiments
+// selector and the function that renders it; iters sizes the runtime
+// experiment (E6) and is ignored by the rest.
+type Report struct {
+	ID  string
+	Run func(iters int) (string, error)
+}
+
+// Reports lists every experiment in ID order, E1–E12.
+var Reports = []Report{
+	{"fig1", func(int) (string, error) { return Fig1(), nil }},
+	{"table1", func(int) (string, error) { return Table1(DefaultMode), nil }},
+	{"fig2", func(int) (string, error) { return Fig2(), nil }},
+	{"table2", func(int) (out string, err error) { out, _, err = Table2(); return }},
+	{"fig3", func(int) (out string, err error) { out, _, err = Fig3(); return }},
+	{"runtime", func(iters int) (string, error) {
+		rep, err := MapperRuntime(iters)
+		if err != nil {
+			return "", err
+		}
+		return rep.String(), nil
+	}},
+	{"runtime-vs-designtime", func(int) (out string, err error) { _, out, err = RuntimeVsDesignTime(); return }},
+	{"quality", func(int) (out string, err error) { _, out, err = Quality(10); return }},
+	{"scaling", func(int) (out string, err error) { _, out, err = Scaling(); return }},
+	{"ablation", func(int) (out string, err error) { _, out, err = Ablation(); return }},
+	{"validate", func(int) (string, error) { return ValidateAll() }},
+	{"admission", func(int) (out string, err error) { _, out, err = Admission(); return }},
+}
+
+// All runs every experiment of Reports and concatenates the reports in
+// ID order.
+func All(iters int) (string, error) {
+	parts := make([]string, len(Reports))
+	for i, r := range Reports {
+		out, err := r.Run(iters)
+		if err != nil {
+			return "", err
+		}
+		parts[i] = out
 	}
-	parts = append(parts, t2)
-	f3, _, err := Fig3()
-	if err != nil {
-		return "", err
-	}
-	parts = append(parts, f3)
-	rt, err := MapperRuntime(50)
-	if err != nil {
-		return "", err
-	}
-	parts = append(parts, rt.String())
-	_, e7, err := RuntimeVsDesignTime()
-	if err != nil {
-		return "", err
-	}
-	parts = append(parts, e7)
-	_, e8, err := Quality(10)
-	if err != nil {
-		return "", err
-	}
-	parts = append(parts, e8)
-	_, e9, err := Scaling()
-	if err != nil {
-		return "", err
-	}
-	parts = append(parts, e9)
-	_, e10, err := Ablation()
-	if err != nil {
-		return "", err
-	}
-	parts = append(parts, e10)
-	e11, err := ValidateAll()
-	if err != nil {
-		return "", err
-	}
-	parts = append(parts, e11)
-	_, e12, err := Admission()
-	if err != nil {
-		return "", err
-	}
-	parts = append(parts, e12)
 	return strings.Join(parts, "\n"+strings.Repeat("─", 72)+"\n\n"), nil
 }
 

@@ -165,8 +165,8 @@ func TestFaultStormAccountingUnderChurn(t *testing.T) {
 	}
 
 	// Property 3: full-journal replay reproduces the live platform.
-	for _, id := range plat.FailedTiles() {
-		m.RestoreTile(id)
+	for _, tl := range plat.Tiles {
+		m.RestoreTile(tl.ID)
 	}
 	jw.Flush()
 	if err := jw.Err(); err != nil {

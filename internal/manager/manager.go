@@ -156,8 +156,6 @@ type Stats struct {
 	// with FullRemaps they partition ConflictRetries + StaleTemplates.
 	RepairedConflicts uint64
 	RepairedTemplates uint64
-	// RepairAttempts counts core.Repair invocations, successful or not.
-	RepairAttempts uint64
 	// FullRemaps counts conflict-retry and stale-template rounds that fell
 	// back to the full four-step map (repair refused or infeasible).
 	FullRemaps uint64
@@ -193,12 +191,6 @@ type Stats struct {
 	// ByClass splits admitted/rejected per priority class, indexed by
 	// model.Priority.
 	ByClass [model.NumPriorities]ClassStats
-	// Wait, Map, Repair and Commit accumulate the respective Outcome
-	// durations.
-	Wait   time.Duration
-	Map    time.Duration
-	Repair time.Duration
-	Commit time.Duration
 }
 
 // Add folds o into s, field by field: a run that outlives one manager (a
@@ -213,7 +205,6 @@ func (s *Stats) Add(o Stats) {
 	s.ConflictRetries += o.ConflictRetries
 	s.RepairedConflicts += o.RepairedConflicts
 	s.RepairedTemplates += o.RepairedTemplates
-	s.RepairAttempts += o.RepairAttempts
 	s.FullRemaps += o.FullRemaps
 	s.Snapshots += o.Snapshots
 	s.SnapshotsShared += o.SnapshotsShared
@@ -228,22 +219,13 @@ func (s *Stats) Add(o Stats) {
 	for c := range s.ByClass {
 		s.ByClass[c].Admitted += o.ByClass[c].Admitted
 		s.ByClass[c].Rejected += o.ByClass[c].Rejected
-		s.ByClass[c].Latency += o.ByClass[c].Latency
 	}
-	s.Wait += o.Wait
-	s.Map += o.Map
-	s.Repair += o.Repair
-	s.Commit += o.Commit
 }
 
 // ClassStats is the per-priority-class share of the admission counters.
 type ClassStats struct {
 	Admitted uint64
 	Rejected uint64
-	// Latency accumulates the class's end-to-end admission latency
-	// (queue wait + mapping + repair + commit) over all its arrivals,
-	// admitted and rejected; divide by their count for the mean.
-	Latency time.Duration
 }
 
 // AdmissionRate reports the fraction of the class's arrivals that were
@@ -434,16 +416,14 @@ func (m *Manager) Snapshot() *arch.Snapshot {
 var snapPool = sync.Pool{New: func() any { return &arch.Snapshot{Plat: new(arch.Platform)} }}
 
 // snapshot overwrites s with a copy of the live platform taken under the
-// platform lock, as Snapshot does, counted in Stats.Snapshots: what an
-// admission maps its first round and every retry round against.
-func (m *Manager) snapshot(s *arch.Snapshot) {
+// platform lock, as Snapshot does, counted in the admission's tally: what
+// an admission maps its first round and every retry round against.
+func (m *Manager) snapshot(s *arch.Snapshot, tally *Stats) {
 	m.platMu.Lock()
 	m.plat.CopyInto(s.Plat)
 	s.Version = m.plat.Version()
 	m.platMu.Unlock()
-	m.mu.Lock()
-	m.stats.Snapshots++
-	m.mu.Unlock()
+	tally.Snapshots++
 }
 
 // Residual returns the platform's current free-capacity view, read under
@@ -519,6 +499,9 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 	m.mu.Unlock()
 
 	mapper := &core.Mapper{Lib: lib, Cfg: m.cfg}
+	// tally holds the counters this admission books outside m.mu;
+	// finishLocked folds it into Stats under the one lock it takes.
+	var tally Stats
 
 	// repairFrom is the stale mapping the next round refits instead of
 	// mapping from scratch; trigger records what made it stale.
@@ -550,8 +533,8 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 					m.seq++
 					ad := &Admission{App: app, Result: tpl.res, Seq: m.seq, Priority: prio, lib: lib, plan: tpl.plan}
 					m.running[app.Name] = ad
-					m.stats.TemplateHits++
-					m.finishLocked(&out, ad, nil)
+					tally.TemplateHits++
+					m.finishLocked(&out, &tally, ad, nil)
 					m.mu.Unlock()
 					return out
 				}
@@ -567,10 +550,8 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 			// template against a fresh snapshot: the placements that
 			// still fit stay, only the conflicting processes are
 			// re-placed.
-			m.mu.Lock()
-			m.stats.StaleTemplates++
-			m.mu.Unlock()
-			m.snapshot(snap)
+			tally.StaleTemplates++
+			m.snapshot(snap, &tally)
 			out.Commit += time.Since(commitStart)
 			trigger = triggerTemplate
 			repairFrom = leastConflicted
@@ -578,12 +559,9 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 	}
 
 	if trigger == triggerNone { // no stale template took one above
-		m.snapshot(snap)
+		m.snapshot(snap, &tally)
 	}
 
-	// Counters accumulated outside the locks, folded into Stats at the
-	// next bookkeeping section.
-	var repairAttempts, fullRemaps uint64
 	for {
 		out.Attempts++
 		var res *core.Result
@@ -593,7 +571,6 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 			repairStart := time.Now()
 			rep, err := mapper.Repair(repairFrom, snap)
 			out.Repair += time.Since(repairStart)
-			repairAttempts++
 			repairFrom = nil
 			if err == nil && rep.Feasible {
 				res = rep
@@ -604,7 +581,7 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 			// Full four-step map: the first round of a normal admission,
 			// or the fallback when repair refused or came back infeasible.
 			if trigger != triggerNone {
-				fullRemaps++
+				tally.FullRemaps++
 			}
 			mapStart := time.Now()
 			res, mapErr = mapper.Map(app, snap.Plat)
@@ -612,21 +589,16 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 		}
 
 		commitStart := time.Now()
-		m.mu.Lock()
-		m.stats.RepairAttempts += repairAttempts
-		m.stats.FullRemaps += fullRemaps
-		repairAttempts, fullRemaps = 0, 0
 		if repaired {
 			// This retry/stale round was served by repair; no full remap
 			// ran, whatever the commit below decides.
 			switch trigger {
 			case triggerConflict:
-				m.stats.RepairedConflicts++
+				tally.RepairedConflicts++
 			case triggerTemplate:
-				m.stats.RepairedTemplates++
+				tally.RepairedTemplates++
 			}
 		}
-		m.mu.Unlock()
 
 		switch {
 		case mapErr != nil:
@@ -634,7 +606,7 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 			// not depend on residual state; no point retrying.
 			out.Commit += time.Since(commitStart)
 			m.mu.Lock()
-			m.finishLocked(&out, nil, &RejectionError{App: app.Name, Reason: mapErr.Error()})
+			m.finishLocked(&out, &tally, nil, &RejectionError{App: app.Name, Reason: mapErr.Error()})
 			m.mu.Unlock()
 			return out
 		case !res.Feasible:
@@ -644,7 +616,7 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 			// version counter is atomic, so the staleness probe needs no
 			// lock.
 			if m.plat.Version() != snap.Version && out.Attempts <= maxRetries {
-				m.snapshot(snap)
+				m.snapshot(snap, &tally)
 				out.Commit += time.Since(commitStart)
 				trigger = triggerNone
 				continue
@@ -658,11 +630,11 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 			// displace lower-priority admissions instead of giving up. The
 			// mapper's infeasible verdict names no conflicted resource, so
 			// every lower-priority victim is a candidate.
-			if preemptOn && m.preemptAdmit(&out, app, lib, mapper, prio, nil) {
+			if preemptOn && m.preemptAdmit(&out, &tally, app, lib, mapper, prio, nil) {
 				return out
 			}
 			m.mu.Lock()
-			m.finishLocked(&out, nil, &RejectionError{App: app.Name, Reason: reason, Retryable: true})
+			m.finishLocked(&out, &tally, nil, &RejectionError{App: app.Name, Reason: reason, Retryable: true})
 			m.mu.Unlock()
 			return out
 		default:
@@ -672,7 +644,7 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 			if perr != nil {
 				out.Commit += time.Since(commitStart)
 				m.mu.Lock()
-				m.finishLocked(&out, nil, &RejectionError{App: app.Name, Reason: perr.Error()})
+				m.finishLocked(&out, &tally, nil, &RejectionError{App: app.Name, Reason: perr.Error()})
 				m.mu.Unlock()
 				return out
 			}
@@ -683,10 +655,8 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 				m.seq++
 				ad := &Admission{App: app, Result: res, Seq: m.seq, Priority: prio, lib: lib, plan: plan}
 				m.running[app.Name] = ad
-				if repaired {
-					out.Repaired = true
-				}
-				m.finishLocked(&out, ad, nil)
+				out.Repaired = repaired
+				m.finishLocked(&out, &tally, ad, nil)
 				m.mu.Unlock()
 				if fp != "" {
 					m.templates.put(fp, res, plan)
@@ -697,18 +667,14 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 			isConflict := errors.As(err, &conflict)
 			retry := isConflict && out.Attempts <= maxRetries
 			if isConflict {
-				m.mu.Lock()
-				m.stats.Conflicts++
-				if retry {
-					m.stats.ConflictRetries++
-				}
-				m.mu.Unlock()
+				tally.Conflicts++
 			}
 			if retry {
 				// A competing admission won the resources between
 				// snapshot and commit: repair the mapping we just
 				// computed against fresh state.
-				m.snapshot(snap)
+				tally.ConflictRetries++
+				m.snapshot(snap, &tally)
 				out.Commit += time.Since(commitStart)
 				trigger = triggerConflict
 				repairFrom = res
@@ -720,39 +686,37 @@ func (m *Manager) admit(app *model.Application, lib *model.Library, wait time.Du
 			// violations scope victim selection to admissions holding the
 			// very tiles and links this plan ran out of.
 			if preemptOn && isConflict &&
-				m.preemptAdmit(&out, app, lib, mapper, prio, conflict.Violations) {
+				m.preemptAdmit(&out, &tally, app, lib, mapper, prio, conflict.Violations) {
 				return out
 			}
 			m.mu.Lock()
-			m.finishLocked(&out, nil, &RejectionError{App: app.Name, Reason: err.Error(), Retryable: true})
+			m.finishLocked(&out, &tally, nil, &RejectionError{App: app.Name, Reason: err.Error(), Retryable: true})
 			m.mu.Unlock()
 			return out
 		}
 	}
 }
 
-// finishLocked records the end of an admission attempt. Callers hold m.mu.
-func (m *Manager) finishLocked(out *Outcome, ad *Admission, err error) {
+// finishLocked records the end of an admission attempt and folds the
+// counters the admission tallied outside the lock into Stats. Callers
+// hold m.mu.
+func (m *Manager) finishLocked(out *Outcome, tally *Stats, ad *Admission, err error) {
 	delete(m.pending, out.App)
+	class := &tally.ByClass[out.Priority.Clamp()]
 	if ad != nil {
 		out.Admitted = true
 		out.Admission = ad
-		m.stats.Admitted++
-		m.stats.ByClass[out.Priority.Clamp()].Admitted++
+		tally.Admitted++
+		class.Admitted++
 	} else {
 		out.Err = err
-		m.stats.Rejected++
-		m.stats.ByClass[out.Priority.Clamp()].Rejected++
+		tally.Rejected++
+		class.Rejected++
 	}
 	if out.Attempts > 0 {
-		m.stats.Retries += uint64(out.Attempts - 1)
+		tally.Retries += uint64(out.Attempts - 1)
 	}
-	m.stats.Wait += out.Wait
-	m.stats.Map += out.Map
-	m.stats.Repair += out.Repair
-	m.stats.Commit += out.Commit
-	m.stats.ByClass[out.Priority.Clamp()].Latency +=
-		out.Wait + out.Map + out.Repair + out.Commit
+	m.stats.Add(*tally)
 }
 
 // ErrRelocating reports a Stop that raced a preemption: the named

@@ -118,7 +118,7 @@ func (m *Manager) pruneVictims(victims []*Admission, res *core.Result) []*Admiss
 // of (nil = no attribution, every victim eligible). On success the
 // arrival is admitted, out is finished and true is returned; on failure
 // nothing has changed and the caller proceeds to reject as before.
-func (m *Manager) preemptAdmit(out *Outcome, app *model.Application, lib *model.Library,
+func (m *Manager) preemptAdmit(out *Outcome, tally *Stats, app *model.Application, lib *model.Library,
 	mapper *core.Mapper, prio model.Priority, target []core.ValidationError) bool {
 	cands := m.victimCandidates(prio)
 	if len(cands) == 0 {
@@ -194,7 +194,6 @@ func (m *Manager) preemptAdmit(out *Outcome, app *model.Application, lib *model.
 	m.seq++
 	ad := &Admission{App: app, Result: res, Seq: m.seq, Priority: prio, lib: lib, plan: nplan}
 	m.running[app.Name] = ad
-	m.stats.Preemptions += uint64(len(victims))
 	for _, v := range victims {
 		out.Preempted = append(out.Preempted, v.App.Name)
 	}
@@ -204,22 +203,21 @@ func (m *Manager) preemptAdmit(out *Outcome, app *model.Application, lib *model.
 	// against the post-swap residual — typically most placements survive
 	// and only the overlap with the new arrival is re-placed — and only
 	// when no refit commits is the victim truly gone. This runs before
-	// finishLocked so the relocation repair/commit time lands in Stats
-	// and the class's latency — displacing victims is part of what this
-	// admission cost.
-	var relocated uint64
+	// finishLocked so the relocation repair/commit time lands in the
+	// Outcome — displacing victims is part of what this admission cost.
+	tally.Preemptions += uint64(len(victims))
 	for _, v := range victims {
 		ok, repair, commit := m.relocate(v)
 		out.Repair += repair
 		out.Commit += commit
 		if ok {
-			relocated++
+			tally.Relocations++
+		} else {
+			tally.Evictions++
 		}
 	}
 	m.mu.Lock()
-	m.stats.Relocations += relocated
-	m.stats.Evictions += uint64(len(victims)) - relocated
-	m.finishLocked(out, ad, nil)
+	m.finishLocked(out, tally, ad, nil)
 	m.mu.Unlock()
 	return true
 }
@@ -237,7 +235,6 @@ func (m *Manager) preemptAdmit(out *Outcome, app *model.Application, lib *model.
 func (m *Manager) relocate(v *Admission) (ok bool, repair, commit time.Duration) {
 	var rep *core.Result
 	var repPlan *core.Plan
-	var attempts uint64
 	// A replay-rebuilt resident has no mapping to refit: journaled
 	// deltas are all that is known about it.
 	if v.Result != nil && v.lib != nil {
@@ -246,7 +243,6 @@ func (m *Manager) relocate(v *Admission) (ok bool, repair, commit time.Duration)
 			repairStart := time.Now()
 			r, err := vm.Repair(v.Result, m.Snapshot())
 			repair += time.Since(repairStart)
-			attempts++
 			if err != nil || !r.Feasible {
 				break // nothing to salvage, or infeasible on what is left
 			}
@@ -265,7 +261,6 @@ func (m *Manager) relocate(v *Admission) (ok bool, repair, commit time.Duration)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.stats.RepairAttempts += attempts
 	if rep == nil {
 		// Journal the eviction before the name frees up: a re-admission
 		// of the same name must append after it, or replay would apply

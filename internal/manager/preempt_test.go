@@ -302,7 +302,7 @@ func TestPreemptionScopesVictimsByConflictedResource(t *testing.T) {
 		crit.Name = "critical"
 		out := Outcome{App: crit.Name, Priority: model.Critical}
 		mapper := &core.Mapper{Lib: lib, Cfg: core.Config{}}
-		if !m.preemptAdmit(&out, crit, lib, mapper, model.Critical, target) {
+		if !m.preemptAdmit(&out, new(Stats), crit, lib, mapper, model.Critical, target) {
 			t.Fatalf("%s: preemption failed with the holder evictable: %v", resource, out.Err)
 		}
 		if len(out.Preempted) != 1 || out.Preempted[0] != holder.App.Name {

@@ -159,9 +159,10 @@ func TestCrashReplayReproducesLivePlatform(t *testing.T) {
 			torn++
 		}
 	}
-	for _, id := range plat.FailedTiles() {
-		m.RestoreTile(id) // guaranteed torn event even if no arrival fit
-		torn++
+	for _, tl := range plat.Tiles {
+		if m.RestoreTile(tl.ID) { // guaranteed torn event even if no arrival fit
+			torn++
+		}
 	}
 	if torn == 0 {
 		t.Fatal("torn phase produced no events; fixture broken")
@@ -224,8 +225,8 @@ func TestCrashReplayReproducesLivePlatform(t *testing.T) {
 			t.Fatalf("stop recovered resident %s: %v", name, err)
 		}
 	}
-	for _, id := range replayBase.FailedTiles() {
-		rm.RestoreTile(id)
+	for _, tl := range replayBase.Tiles {
+		rm.RestoreTile(tl.ID)
 	}
 	if got := replayBase.Residual(); !got.Equal(pristine) {
 		t.Fatal("stopping every recovered resident did not restore the pristine residual")

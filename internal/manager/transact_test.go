@@ -231,8 +231,8 @@ func TestFaultStormAndPreemptionShareOneRegion(t *testing.T) {
 		t.Fatalf("fixture too weak: %d faults, %d preemptions", len(reports), st.Preemptions)
 	}
 
-	for _, id := range plat.FailedTiles() {
-		m.RestoreTile(id)
+	for _, tl := range plat.Tiles {
+		m.RestoreTile(tl.ID)
 	}
 	jw.Flush()
 	if err := jw.Err(); err != nil {

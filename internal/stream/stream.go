@@ -242,7 +242,7 @@ func New(opts Options) (*Server, error) {
 		backend: opts.Backend,
 		drained: make(chan struct{}),
 		results: make(chan Result, resultsBuf),
-		win:     newMetricsWindow(opts.Window),
+		win:     newMetricsWindow(opts.Window, time.Now),
 		quit:    make(chan struct{}),
 	}
 	// The shares are the shedding order: BestEffort's is spent (and

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -35,9 +36,8 @@ func (c *fakeClock) advance(d time.Duration) {
 
 func TestWindowPercentilesAndRate(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(4000, 0)}
-	w := newMetricsWindow(time.Second)
-	w.now = clk.now
-	w.bucketAt = clk.now()
+	w := newMetricsWindow(time.Second, clk.now)
+	clk.advance(time.Second) // a server older than its window
 	for i := 1; i <= 100; i++ {
 		w.add(time.Duration(i) * time.Millisecond)
 		clk.advance(time.Millisecond)
@@ -63,6 +63,24 @@ func TestWindowPercentilesAndRate(t *testing.T) {
 	}
 }
 
+// TestWindowRateOverYoungServer pins the rate of a server younger than
+// its window: 100 admissions in its first 0.2 s are 500/s, not the
+// 100/s that dividing by the whole 1 s window reads.
+func TestWindowRateOverYoungServer(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(6000, 0)}
+	w := newMetricsWindow(time.Second, clk.now)
+	if got := w.Snapshot().PerSec; got != 0 {
+		t.Fatalf("rate = %v/s before any time passed, want 0", got)
+	}
+	for i := 0; i < 100; i++ {
+		w.add(time.Millisecond)
+		clk.advance(2 * time.Millisecond)
+	}
+	if got := w.Snapshot().PerSec; math.Abs(got-500) > 1e-6 {
+		t.Fatalf("rate = %v/s for 100 admissions in 0.2 s, want 500/s", got)
+	}
+}
+
 // TestRingsKeepTheirSpanAtLowRates pins the metrics window's bucket ring
 // to its configured span when calls arrive slower than one per bucket:
 // one event every 1.9 bucket spans used to rotate one bucket per call and
@@ -70,9 +88,7 @@ func TestWindowPercentilesAndRate(t *testing.T) {
 func TestRingsKeepTheirSpanAtLowRates(t *testing.T) {
 	t.Run("window", func(t *testing.T) {
 		clk := &fakeClock{t: time.Unix(5000, 0)}
-		w := newMetricsWindow(time.Second) // 20 buckets of 50 ms
-		w.now = clk.now
-		w.bucketAt = clk.now()
+		w := newMetricsWindow(time.Second, clk.now) // 20 buckets of 50 ms
 		for i := 0; i < 60; i++ {
 			w.add(time.Millisecond)
 			clk.advance(95 * time.Millisecond)

@@ -21,7 +21,8 @@ type WindowSnapshot struct {
 	// P50 and P99 are admission-latency percentiles (Submit → admitted
 	// outcome) over the window's samples; zero when nothing was admitted.
 	P50, P99 time.Duration
-	// PerSec is the admission rate over the window.
+	// PerSec is the admission rate over the window, or over the
+	// server's life while that is shorter than the window.
 	PerSec float64
 	// Samples is how many admissions the percentile estimate is over.
 	Samples int
@@ -32,6 +33,9 @@ type WindowSnapshot struct {
 type metricsWindow struct {
 	mu     sync.Mutex
 	window time.Duration
+	// start is when the window began counting: a server younger than
+	// its window has counted admissions for only that long.
+	start time.Time
 
 	counts   [windowBuckets]int
 	bucketAt time.Time
@@ -49,16 +53,19 @@ type sample struct {
 	lat time.Duration
 }
 
-func newMetricsWindow(window time.Duration) *metricsWindow {
+// newMetricsWindow starts a window on the given clock (time.Now outside
+// tests).
+func newMetricsWindow(window time.Duration, now func() time.Time) *metricsWindow {
 	if window <= 0 {
 		window = time.Second
 	}
 	w := &metricsWindow{
 		window:  window,
 		samples: make([]sample, 0, 1024),
-		now:     time.Now,
+		now:     now,
 	}
-	w.bucketAt = w.now()
+	w.start = now()
+	w.bucketAt = w.start
 	return w
 }
 
@@ -117,7 +124,9 @@ func (w *metricsWindow) Snapshot() WindowSnapshot {
 	for _, c := range w.counts {
 		total += c
 	}
-	snap.PerSec = float64(total) / w.window.Seconds()
+	if span := min(w.window, now.Sub(w.start)); span > 0 {
+		snap.PerSec = float64(total) / span.Seconds()
+	}
 	cutoff := now.Add(-w.window)
 	lats := make([]time.Duration, 0, len(w.samples))
 	for _, s := range w.samples {

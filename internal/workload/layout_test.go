@@ -186,16 +186,15 @@ func TestSyntheticPlatformsMatchTileByTile(t *testing.T) {
 			if g := got.TileByName(tl.Name); g == nil || g.ID != tl.ID {
 				t.Fatalf("%+v: TileByName(%q) = %v, want tile %d", c, tl.Name, g, tl.ID)
 			}
-		}
-		for _, tt := range want.TileTypes() {
-			if !slices.Equal(got.TilesOfType(tt), want.TilesOfType(tt)) {
+			if g := got.Tiles[tl.ID].Router; g != tl.Router {
+				t.Fatalf("%+v: tile %d at router %d, want %d", c, tl.ID, g, tl.Router)
+			}
+			if tt := tl.Type; !slices.Equal(got.TilesOfType(tt), want.TilesOfType(tt)) {
 				t.Fatalf("%+v: TilesOfType(%s) = %v, want %v", c, tt, got.TilesOfType(tt), want.TilesOfType(tt))
 			}
 		}
-		for r := range want.Routers {
-			if g, w := got.TilesAtRouter(arch.RouterID(r)), want.TilesAtRouter(arch.RouterID(r)); !slices.Equal(g, w) {
-				t.Fatalf("%+v: TilesAtRouter(%d) = %v, want %v", c, r, g, w)
-			}
+		if got.String() != want.String() {
+			t.Fatalf("%+v: floor plan\n%s\nwant\n%s", c, got, want)
 		}
 	}
 	if err := arch.PlatformsIdentical(SyntheticPlatform(9, 7, 3), oneByOne(9, 7, 3, 0)); err != nil {
